@@ -300,7 +300,7 @@ func BenchmarkFarmDispatchSharded(b *testing.B) {
 // mixed-platform farm: pairs cycle ZCU216 Big.Little / U250 quad /
 // PYNQ dual, so every arrival filters pairs through the per-spec
 // eligibility cache before the dispatcher ranks them. Gated by
-// cmd/benchgate against BENCH_6.json.
+// cmd/benchgate against BENCH_9.json.
 func BenchmarkFarmDispatchHetero(b *testing.B) {
 	for _, pairs := range []int{8, 32} {
 		p := workload.DefaultGenParams(workload.Stress)
@@ -424,7 +424,7 @@ func BenchmarkChaosFaults(b *testing.B) {
 // run — admission decisions, pump releases, activation latencies, and
 // drain migrations all on the coordinator kernel. Paired with
 // BenchmarkEndToEndStress it bounds the orchestrator's overhead;
-// benchgate pins it via BENCH_8.json.
+// benchgate pins it via BENCH_9.json.
 func BenchmarkAutoscaleChurn(b *testing.B) {
 	mmpp := &workload.ArrivalSpec{Process: "mmpp"}
 	sc := versaslot.Scenario{

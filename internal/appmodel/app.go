@@ -121,8 +121,14 @@ type App struct {
 
 	// Stages is the execution plan: per-task stages for Little slots or
 	// bundled stages for Big slots. Built by a scheduler at binding time
-	// and may be rebuilt on rebinding (before execution starts).
+	// (TaskStages/BundleStages) and may be rebuilt on rebinding (before
+	// execution starts).
 	Stages []*Stage
+
+	// held counts stages with a slot; unplaced counts unfinished stages
+	// without one. Stage.setSlot/SetDone keep them exact and setStages
+	// recounts, so schedulers read both in O(1) each pass.
+	held, unplaced int
 
 	// Started reports whether any stage has executed an item. Rebinding
 	// is only legal before this (Algorithm 1 unbinds only apps that
@@ -162,13 +168,35 @@ func (a *App) ResponseTime() sim.Duration {
 	return a.Finish.Sub(a.Arrival)
 }
 
+// HeldSlots returns the number of stages that occupy a slot (resident
+// or loading).
+func (a *App) HeldSlots() int { return a.held }
+
+// UnplacedStages returns the number of unfinished stages without a
+// slot.
+func (a *App) UnplacedStages() int { return a.unplaced }
+
+// setStages installs a freshly built execution plan and recounts.
+func (a *App) setStages(stages []*Stage) {
+	a.Stages = stages
+	a.held, a.unplaced = 0, 0
+	for _, st := range stages {
+		switch {
+		case st.slot != nil:
+			a.held++
+		case !st.Finished():
+			a.unplaced++
+		}
+	}
+}
+
 // Done reports whether every stage has completed every item.
 func (a *App) Done() bool {
 	if len(a.Stages) == 0 {
 		return false
 	}
 	for _, st := range a.Stages {
-		if st.Done < a.Batch {
+		if st.done < a.Batch {
 			return false
 		}
 	}
@@ -180,7 +208,7 @@ func (a *App) Done() bool {
 func (a *App) RemainingItems() int {
 	rem := 0
 	for _, st := range a.Stages {
-		rem += a.Batch - st.Done
+		rem += a.Batch - st.done
 	}
 	return rem
 }
@@ -189,7 +217,7 @@ func (a *App) RemainingItems() int {
 func (a *App) UnfinishedStages() int {
 	n := 0
 	for _, st := range a.Stages {
-		if st.Done < a.Batch {
+		if st.done < a.Batch {
 			n++
 		}
 	}

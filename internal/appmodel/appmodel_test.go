@@ -56,8 +56,8 @@ func TestAppLifecycle(t *testing.T) {
 	if a.UnfinishedStages() != 2 {
 		t.Fatal("unfinished stages")
 	}
-	a.Stages[0].Done = 5
-	a.Stages[1].Done = 5
+	a.Stages[0].SetDone(5)
+	a.Stages[1].SetDone(5)
 	if !a.Done() {
 		t.Fatal("completed app not done")
 	}
@@ -159,21 +159,21 @@ func TestNextItemReadyDependencies(t *testing.T) {
 	if s1.NextItemReady() {
 		t.Fatal("second stage ready without input")
 	}
-	s0.Done = 1
+	s0.SetDone(1)
 	if !s1.NextItemReady() {
 		t.Fatal("second stage not ready after upstream item")
 	}
-	s1.Done = 1
+	s1.SetDone(1)
 	if s1.NextItemReady() {
 		t.Fatal("stage ready without fresh input")
 	}
 	s1.InFlight = true
-	s0.Done = 2
+	s0.SetDone(2)
 	if s1.NextItemReady() {
 		t.Fatal("in-flight stage reported ready")
 	}
 	s1.InFlight = false
-	s1.Done = 3
+	s1.SetDone(3)
 	if s1.NextItemReady() {
 		t.Fatal("finished stage reported ready")
 	}
@@ -198,16 +198,16 @@ func TestResetStagesPreservesProgress(t *testing.T) {
 	a := NewApp(1, testSpec(10, 20), 4, 0)
 	TaskStages(a, "Little", 1.0, func(int) string { return "b" })
 	slot := &fabric.Slot{ID: 0, Class: fabric.LittleClass}
-	a.Stages[0].Slot = slot
-	a.Stages[0].Done = 2
+	a.Stages[0].Attach(slot)
+	a.Stages[0].SetDone(2)
 	a.Stages[0].InFlight = true
 	a.Stages[0].Loading = true
 	ResetStages(a)
 	st := a.Stages[0]
-	if st.Slot != nil || st.InFlight || st.Loading {
+	if st.Slot() != nil || st.InFlight || st.Loading {
 		t.Fatal("runtime state not cleared")
 	}
-	if st.Done != 2 {
+	if st.Done() != 2 {
 		t.Fatal("completed work lost — migration must not redo items")
 	}
 }
@@ -235,12 +235,61 @@ func TestEvict(t *testing.T) {
 	a := NewApp(1, testSpec(10), 2, 0)
 	TaskStages(a, "Little", 1.0, func(int) string { return "b" })
 	st := a.Stages[0]
-	st.Slot = &fabric.Slot{}
+	st.Attach(&fabric.Slot{})
 	st.Loading = true
 	st.Evict()
-	if st.Slot != nil || st.Loading {
+	if st.Slot() != nil || st.Loading {
 		t.Fatal("evict incomplete")
 	}
+}
+
+// TestAppStageCounters drives every stage mutator and checks the app's
+// O(1) held/unplaced counters against a recount after each.
+func TestAppStageCounters(t *testing.T) {
+	a := NewApp(1, testSpec(10, 20, 30), 2, 0)
+	check := func(step string) {
+		t.Helper()
+		held, unplaced := 0, 0
+		for _, st := range a.Stages {
+			if st.Slot() != nil {
+				held++
+			} else if !st.Finished() {
+				unplaced++
+			}
+		}
+		if a.HeldSlots() != held || a.UnplacedStages() != unplaced {
+			t.Fatalf("%s: held/unplaced %d/%d, recount %d/%d",
+				step, a.HeldSlots(), a.UnplacedStages(), held, unplaced)
+		}
+	}
+	check("no plan")
+	TaskStages(a, "Little", 1.0, func(int) string { return "b" })
+	check("built")
+	s0, s1, s2 := a.Stages[0], a.Stages[1], a.Stages[2]
+	slot := &fabric.Slot{}
+	s0.Attach(slot)
+	s0.Attach(slot) // re-attach: no double count
+	check("attach")
+	s0.CompleteItem()
+	s0.CompleteItem()
+	check("finish attached")
+	s0.Evict()
+	check("evict finished")
+	s1.CompleteItem()
+	s1.CompleteItem()
+	check("finish unplaced")
+	s1.SetDone(0)
+	check("rewind unplaced")
+	s2.Attach(slot)
+	s2.SetDone(2)
+	s2.SetDone(0)
+	check("rewind attached")
+	ResetStages(a)
+	check("reset")
+	s1.Evict() // already detached: no-op
+	check("evict detached")
+	BundleStages(a, "Big", 3, []BundleMode{BundleSerial}, func(int, BundleMode) string { return "b" })
+	check("rebuilt")
 }
 
 func TestStateStrings(t *testing.T) {

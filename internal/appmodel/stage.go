@@ -53,13 +53,15 @@ type Stage struct {
 	// BitstreamName keys the repository entry to load.
 	BitstreamName string
 
-	// Done counts completed items.
-	Done int
+	// done counts completed items; slot is where the stage is resident
+	// (or being loaded), nil if not placed. Both feed the owning app's
+	// held/unplaced counters, so they change only through the methods
+	// below (see App.HeldSlots).
+	done int
+	slot *fabric.Slot
+
 	// InFlight reports whether an item is currently executing.
 	InFlight bool
-	// Slot is where the stage is resident (or being loaded); nil if not
-	// placed.
-	Slot *fabric.Slot
 	// Loading reports whether a PR for this stage is in flight.
 	Loading bool
 	// LoadedAt records when the stage last became resident (for LRU
@@ -97,11 +99,55 @@ func (s *Stage) Tasks() []TaskSpec {
 	return s.App.Spec.Tasks[s.FirstTask : s.FirstTask+s.TaskCount]
 }
 
+// Done returns the number of completed items.
+func (s *Stage) Done() int { return s.done }
+
+// Slot returns where the stage is resident (or being loaded), or nil
+// if it is not placed.
+func (s *Stage) Slot() *fabric.Slot { return s.slot }
+
 // Finished reports whether the stage has completed the app's batch.
-func (s *Stage) Finished() bool { return s.Done >= s.App.Batch }
+func (s *Stage) Finished() bool { return s.done >= s.App.Batch }
 
 // Resident reports whether the stage is loaded in a slot and not mid-PR.
-func (s *Stage) Resident() bool { return s.Slot != nil && !s.Loading }
+func (s *Stage) Resident() bool { return s.slot != nil && !s.Loading }
+
+// Attach records that the stage occupies slot (a PR into it began, or
+// it was placed resident). The caller transitions the slot itself.
+func (s *Stage) Attach(slot *fabric.Slot) { s.setSlot(slot) }
+
+// CompleteItem counts one more finished item.
+func (s *Stage) CompleteItem() { s.SetDone(s.done + 1) }
+
+// SetDone overwrites the completed-item count: a crash restart without
+// a checkpoint rewinds it to zero.
+func (s *Stage) SetDone(n int) {
+	was := s.Finished()
+	s.done = n
+	if s.slot == nil && was != s.Finished() {
+		if was {
+			s.App.unplaced++
+		} else {
+			s.App.unplaced--
+		}
+	}
+}
+
+// setSlot and SetDone are the only writers of slot and done; they keep
+// the app's held and unplaced counters exact.
+func (s *Stage) setSlot(slot *fabric.Slot) {
+	if (s.slot == nil) != (slot == nil) {
+		d := 1
+		if slot == nil {
+			d = -1
+		}
+		s.App.held += d
+		if !s.Finished() {
+			s.App.unplaced -= d
+		}
+	}
+	s.slot = slot
+}
 
 // NextItemReady reports whether the next item's input is available:
 // item Done of stage i needs item Done completed by stage i-1.
@@ -113,14 +159,14 @@ func (s *Stage) NextItemReady() bool {
 		return true
 	}
 	prev := s.App.Stages[s.Index-1]
-	return prev.Done > s.Done
+	return prev.done > s.done
 }
 
 // Evict detaches the stage from its slot (after preemption or when the
 // stage finished and the slot is reused). The caller transitions the
 // slot itself.
 func (s *Stage) Evict() {
-	s.Slot = nil
+	s.setSlot(nil)
 	s.Loading = false
 }
 
@@ -170,7 +216,7 @@ func TaskStages(a *App, class string, timeScale float64, bitName func(task int) 
 		}
 		stages[i] = &backing[i]
 	}
-	a.Stages = stages
+	a.setStages(stages)
 	return stages
 }
 
@@ -216,7 +262,7 @@ func BundleStages(a *App, class string, size int, modes []BundleMode, bitName fu
 		st.timeFirst, st.timeRest = BundleTiming(a.Spec, size, b, modes[b])
 		stages[b] = st
 	}
-	a.Stages = stages
+	a.setStages(stages)
 	return stages
 }
 
@@ -250,7 +296,7 @@ func BundleTiming(spec *AppSpec, size, b int, mode BundleMode) (first, rest sim.
 // preserved — live migration does not redo work.
 func ResetStages(a *App) {
 	for _, st := range a.Stages {
-		st.Slot = nil
+		st.setSlot(nil)
 		st.Loading = false
 		st.InFlight = false
 	}

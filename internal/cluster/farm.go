@@ -110,7 +110,7 @@ func DefaultFarmConfig(n int) FarmConfig {
 }
 
 // Automatic shard selection (FarmConfig.Shards == 0). The floors come
-// from the BENCH_8 scaling wall: below ~64 online pairs the whole run
+// from the measured scaling wall: below ~64 online pairs the whole run
 // is too short for worker wakeups to amortize (at 128 pairs, 8 shards
 // measured *slower* than sequential), and past ~32 pairs per shard the
 // extra workers only add synchronization without adding parallel work

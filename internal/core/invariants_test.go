@@ -44,22 +44,22 @@ func TestRuntimeInvariants(t *testing.T) {
 				owners := make(map[*fabric.Slot]*appmodel.Stage)
 				for _, a := range apps {
 					for _, st := range a.Stages {
-						if st.Done < lastDone[st] {
+						if st.Done() < lastDone[st] {
 							t.Fatalf("%v completion count regressed", st)
 						}
-						if st.Done > a.Batch {
+						if st.Done() > a.Batch {
 							t.Fatalf("%v completed more items than the batch", st)
 						}
-						lastDone[st] = st.Done
-						if st.Index > 0 && st.Done > a.Stages[st.Index-1].Done {
+						lastDone[st] = st.Done()
+						if st.Index > 0 && st.Done() > a.Stages[st.Index-1].Done() {
 							t.Fatalf("%v ahead of its upstream stage", st)
 						}
-						if st.Slot != nil {
-							if prev, ok := owners[st.Slot]; ok {
-								t.Fatalf("slot %d double-booked by %v and %v", st.Slot.ID, prev, st)
+						if st.Slot() != nil {
+							if prev, ok := owners[st.Slot()]; ok {
+								t.Fatalf("slot %d double-booked by %v and %v", st.Slot().ID, prev, st)
 							}
-							owners[st.Slot] = st
-							if st.Slot.Class.Name != st.Class {
+							owners[st.Slot()] = st
+							if st.Slot().Class.Name != st.Class {
 								t.Fatalf("%v resident in wrong slot class", st)
 							}
 						}

@@ -7,18 +7,24 @@ type Board struct {
 	ID       int
 	Platform *Platform
 	Slots    []*Slot
+
+	// empty[i] counts the allocatable (SlotEmpty and not failed) slots
+	// of Platform.Classes[i]. Every slot holds a pointer to its class's
+	// counter and adjusts it on each transition, so CountEmpty is O(1).
+	empty []int
 }
 
 // NewBoard materializes a platform into a board. The platform must be
 // valid (registered platforms are; custom ones validate on build).
 func NewBoard(id int, p *Platform) *Board {
-	b := &Board{ID: id, Platform: p}
+	b := &Board{ID: id, Platform: p, empty: make([]int, len(p.Classes))}
 	slotID := 0
 	for i, class := range p.Classes {
 		for n := 0; n < p.Counts[i]; n++ {
-			b.Slots = append(b.Slots, &Slot{ID: slotID, Class: class})
+			b.Slots = append(b.Slots, &Slot{ID: slotID, Class: class, empty: &b.empty[i]})
 			slotID++
 		}
+		b.empty[i] = p.Counts[i]
 	}
 	return b
 }
@@ -43,17 +49,6 @@ func (b *Board) SlotsOf(class string) []*Slot {
 	return out
 }
 
-// FreeSlots returns the free slots of the given class, in ID order.
-func (b *Board) FreeSlots(class string) []*Slot {
-	var out []*Slot
-	for _, s := range b.Slots {
-		if s.Class.Name == class && s.Free() {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // CountFree returns the number of free slots of the given class.
 func (b *Board) CountFree(class string) int {
 	n := 0
@@ -65,42 +60,32 @@ func (b *Board) CountFree(class string) int {
 	return n
 }
 
-// EmptySlots returns the slots of the given class with no resident or
-// loading circuit, in ID order. Allocation must draw from these: a
-// Loaded slot is free to *reconfigure* but still belongs to the app
-// whose stage is resident. Failed (fault-injected) slots are never
-// allocatable, whatever their lifecycle state.
-func (b *Board) EmptySlots(class string) []*Slot {
-	var out []*Slot
-	for _, s := range b.Slots {
-		if s.Class.Name == class && s.State() == SlotEmpty && !s.Failed() {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// FirstEmpty returns the lowest-ID empty, unfailed slot of the given
-// class, or nil. Placement loops use it instead of EmptySlots to avoid
-// materializing a slice per scheduling pass.
+// FirstEmpty returns the lowest-ID allocatable slot of the given class
+// — no resident or loading circuit, not failed — or nil. Allocation
+// must draw from these: a Loaded slot is free to *reconfigure* but
+// still belongs to the app whose stage is resident.
 func (b *Board) FirstEmpty(class string) *Slot {
+	if b.CountEmpty(class) == 0 {
+		return nil
+	}
 	for _, s := range b.Slots {
-		if s.Class.Name == class && s.State() == SlotEmpty && !s.Failed() {
+		if s.Class.Name == class && s.allocatable() {
 			return s
 		}
 	}
 	return nil
 }
 
-// CountEmpty returns the number of empty slots of the given class.
+// CountEmpty returns the number of allocatable slots of the given
+// class (the slots FirstEmpty can return). It reads a counter the
+// slots keep current, so it is O(1) in the slot count.
 func (b *Board) CountEmpty(class string) int {
-	n := 0
-	for _, s := range b.Slots {
-		if s.Class.Name == class && s.State() == SlotEmpty && !s.Failed() {
-			n++
+	for i, c := range b.Platform.Classes {
+		if c.Name == class {
+			return b.empty[i]
 		}
 	}
-	return n
+	return 0
 }
 
 // Count returns the total number of slots of the given class.

@@ -33,6 +33,18 @@
 //     class name ("IC/DCT@Little"), so a name must mean the same
 //     region everywhere.
 //
+// Occupancy counter. A Board keeps, per slot class, the number of
+// allocatable slots — SlotEmpty and not failed — so CountEmpty (and the
+// empty-board fast path of FirstEmpty) is O(1) in the slot count.
+// Every slot holds a pointer to its class's counter, and the Slot
+// methods that change state or the failed flag are the only writers:
+// BeginLoad, CompleteLoad, BeginExec, CompleteExec and Clear on the
+// normal path, Fail, Recover, Scrub and AbortLoad on the fault path.
+// Each compares allocatability before and after its transition and
+// adjusts the counter by the difference, so the count stays exact
+// whatever order the engine drives them in. A slot built outside
+// NewBoard carries no counter and tracks nothing.
+//
 // The paper's scale anchors the built-ins: a ZCU216 divides into a
 // static region plus 8 Little-equivalents, with a Big slot holding
 // exactly twice a Little slot's resources.

@@ -233,11 +233,67 @@ func TestBoardFreeVsEmpty(t *testing.T) {
 	if b.CountEmpty("Little") != 7 {
 		t.Fatalf("CountEmpty %d, want 7", b.CountEmpty("Little"))
 	}
-	if len(b.EmptySlots("Little")) != 7 {
-		t.Fatal("EmptySlots mismatch")
+	if b.FirstEmpty("Little") != b.Slots[1] {
+		t.Fatal("FirstEmpty returned the loaded slot")
 	}
-	if len(b.FreeSlots("Little")) != 8 {
-		t.Fatal("FreeSlots mismatch")
+}
+
+// TestBoardEmptyCounter walks one slot through every transition that
+// changes allocatability — including the fault paths (Fail, Recover,
+// Scrub, AbortLoad) — and checks the O(1) counter against a recount
+// after each step.
+func TestBoardEmptyCounter(t *testing.T) {
+	b := NewBoard(0, MustPlatform(ZCU216BigLittle))
+	s := b.Slots[len(b.Slots)-1] // a Little slot
+	check := func(step string) {
+		t.Helper()
+		for _, class := range []string{"Big", "Little"} {
+			n := 0
+			for _, x := range b.Slots {
+				if x.Class.Name == class && x.State() == SlotEmpty && !x.Failed() {
+					n++
+				}
+			}
+			if got := b.CountEmpty(class); got != n {
+				t.Fatalf("%s: CountEmpty(%s) = %d, recount %d", step, class, got, n)
+			}
+		}
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("new")
+	must(s.BeginLoad("x"))
+	check("BeginLoad")
+	must(s.CompleteLoad())
+	must(s.BeginExec())
+	check("BeginExec")
+	s.Fail()
+	check("Fail busy")
+	must(s.Scrub())
+	check("Scrub")
+	s.Recover()
+	check("Recover")
+	if b.CountEmpty("Little") != 4 || b.FirstEmpty("Little") != b.Slots[2] {
+		t.Fatal("recovered slot not allocatable")
+	}
+	must(s.BeginLoad("y"))
+	s.Fail()
+	check("Fail loading")
+	must(s.AbortLoad())
+	check("AbortLoad failed")
+	s.Fail() // already failed: no double count
+	s.Recover()
+	s.Recover()
+	check("Recover twice")
+	must(s.BeginLoad("z"))
+	must(s.AbortLoad())
+	check("AbortLoad")
+	if b.CountEmpty("Medium") != 0 {
+		t.Fatal("unknown class has empty slots")
 	}
 }
 

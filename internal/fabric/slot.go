@@ -49,6 +49,36 @@ type Slot struct {
 	Resident any
 	// Pending identifies the bitstream being loaded during SlotLoading.
 	Pending any
+
+	// empty is the owning board's allocatable-slot counter for this
+	// slot's class (nil for a slot built outside a board).
+	empty *int
+}
+
+// allocatable reports whether the slot counts as empty on its board:
+// nothing resident or loading, and not failed.
+func (s *Slot) allocatable() bool { return s.state == SlotEmpty && !s.failed }
+
+// set moves the slot to state and keeps the board counter in step.
+func (s *Slot) set(state SlotState) {
+	was := s.allocatable()
+	s.state = state
+	s.recount(was)
+}
+
+// recount adjusts the board counter after a transition that may have
+// changed allocatable() from was.
+func (s *Slot) recount(was bool) {
+	if s.empty == nil {
+		return
+	}
+	if now := s.allocatable(); now != was {
+		if now {
+			*s.empty++
+		} else {
+			*s.empty--
+		}
+	}
 }
 
 // ClassName returns the slot's class name ("Little").
@@ -74,12 +104,20 @@ func (s *Slot) Failed() bool { return s.failed }
 // the teardown of any occupant: executing/loaded stages are evicted
 // synchronously; an in-flight load keeps the slot in SlotLoading and
 // the PR completion callback finishes the teardown via AbortLoad.
-func (s *Slot) Fail() { s.failed = true }
+func (s *Slot) Fail() {
+	was := s.allocatable()
+	s.failed = true
+	s.recount(was)
+}
 
 // Recover returns a failed slot to service. Occupancy teardown has
 // already happened at Fail time (or is pending on an in-flight load's
 // completion), so the region comes back empty and allocatable.
-func (s *Slot) Recover() { s.failed = false }
+func (s *Slot) Recover() {
+	was := s.allocatable()
+	s.failed = false
+	s.recount(was)
+}
 
 // AbortLoad cancels an in-flight partial reconfiguration:
 // SlotLoading -> SlotEmpty with nothing resident. Legal regardless of
@@ -90,7 +128,7 @@ func (s *Slot) AbortLoad() error {
 	if s.state != SlotLoading {
 		return fmt.Errorf("fabric: slot %d not loading (state %v); cannot abort", s.ID, s.state)
 	}
-	s.state = SlotEmpty
+	s.set(SlotEmpty)
 	s.Resident = nil
 	s.Pending = nil
 	return nil
@@ -107,7 +145,7 @@ func (s *Slot) Scrub() error {
 	if s.state == SlotLoading {
 		return fmt.Errorf("fabric: slot %d loading; teardown must wait for AbortLoad", s.ID)
 	}
-	s.state = SlotEmpty
+	s.set(SlotEmpty)
 	s.Resident = nil
 	s.Pending = nil
 	return nil
@@ -123,7 +161,7 @@ func (s *Slot) BeginLoad(pending any) error {
 	if s.state == SlotBusy {
 		return fmt.Errorf("fabric: slot %d busy; cannot reconfigure mid-item", s.ID)
 	}
-	s.state = SlotLoading
+	s.set(SlotLoading)
 	s.Resident = nil
 	s.Pending = pending
 	return nil
@@ -134,7 +172,7 @@ func (s *Slot) CompleteLoad() error {
 	if s.state != SlotLoading {
 		return fmt.Errorf("fabric: slot %d not loading (state %v)", s.ID, s.state)
 	}
-	s.state = SlotLoaded
+	s.set(SlotLoaded)
 	s.Resident = s.Pending
 	s.Pending = nil
 	return nil
@@ -145,7 +183,7 @@ func (s *Slot) BeginExec() error {
 	if s.state != SlotLoaded {
 		return fmt.Errorf("fabric: slot %d cannot execute (state %v)", s.ID, s.state)
 	}
-	s.state = SlotBusy
+	s.set(SlotBusy)
 	return nil
 }
 
@@ -154,7 +192,7 @@ func (s *Slot) CompleteExec() error {
 	if s.state != SlotBusy {
 		return fmt.Errorf("fabric: slot %d not executing (state %v)", s.ID, s.state)
 	}
-	s.state = SlotLoaded
+	s.set(SlotLoaded)
 	return nil
 }
 
@@ -164,7 +202,7 @@ func (s *Slot) Clear() error {
 	if !s.Free() {
 		return fmt.Errorf("fabric: slot %d cannot clear (state %v)", s.ID, s.state)
 	}
-	s.state = SlotEmpty
+	s.set(SlotEmpty)
 	s.Resident = nil
 	s.Pending = nil
 	return nil

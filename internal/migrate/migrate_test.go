@@ -166,7 +166,7 @@ func TestBuildPayload(t *testing.T) {
 		t.Fatalf("payload %d, want %d", p.Bytes, want)
 	}
 	// Items already through the first stage do not travel.
-	a.Stages[0].Done = 4
+	a.Stages[0].SetDone(4)
 	p = BuildPayload([]*appmodel.App{a})
 	want = int64(DescriptorBytes) + 6*workload.IC.ItemBytes
 	if p.Bytes != want {
@@ -179,7 +179,7 @@ func TestExecuteDeliversAndRecords(t *testing.T) {
 	link := interlink.NewDefault(k, "test")
 	a := appmodel.NewApp(0, workload.ThreeDR, 8, 0)
 	appmodel.TaskStages(a, "Little", 1.0, func(int) string { return "b" })
-	a.Stages[0].Done = 3 // progress must survive
+	a.Stages[0].SetDone(3) // progress must survive
 	a.State = appmodel.StateWaiting
 
 	var delivered []*appmodel.App
@@ -198,7 +198,7 @@ func TestExecuteDeliversAndRecords(t *testing.T) {
 	if a.State != appmodel.StateWaiting {
 		t.Fatal("app state not restored")
 	}
-	if a.Stages[0].Done != 3 {
+	if a.Stages[0].Done() != 3 {
 		t.Fatal("migration lost completed work")
 	}
 	if a.Migrated != 1 {

@@ -27,7 +27,7 @@ func BuildPayload(apps []*appmodel.App) Payload {
 	for _, a := range apps {
 		remaining := a.Batch
 		if len(a.Stages) > 0 {
-			done := a.Stages[0].Done
+			done := a.Stages[0].Done()
 			if done > remaining {
 				done = remaining
 			}
@@ -63,7 +63,7 @@ func (m *CostModel) checkpointBytes(apps []*appmodel.App) int64 {
 	var bytes int64
 	for _, a := range apps {
 		for _, st := range a.Stages {
-			bytes += int64(st.Done) * m.BytesPerItem
+			bytes += int64(st.Done()) * m.BytesPerItem
 		}
 	}
 	return bytes

@@ -96,7 +96,7 @@ func TestEnsureProgressSwapsStarvedPipeline(t *testing.T) {
 		t.Fatal("setup: stage 1 should be starved")
 	}
 	ensureProgress(e, a)
-	if !a.Stages[0].Loading && a.Stages[0].Slot == nil {
+	if !a.Stages[0].Loading && a.Stages[0].Slot() == nil {
 		t.Fatal("ensureProgress did not reload the earliest unfinished stage")
 	}
 	k.Run()
@@ -114,13 +114,13 @@ func TestGangNeedClamps(t *testing.T) {
 	}
 	// Finished stages reduce the need.
 	for _, st := range a.Stages[:5] {
-		st.Done = 5
+		st.SetDone(5)
 	}
 	if got := gangNeed(a, 8); got != 4 {
 		t.Fatalf("gangNeed %d after progress, want 4", got)
 	}
 	for _, st := range a.Stages {
-		st.Done = 5
+		st.SetDone(5)
 	}
 	if got := gangNeed(a, 8); got != 1 {
 		t.Fatalf("gangNeed floor %d, want 1", got)
@@ -154,7 +154,7 @@ func mustResident(t *testing.T, st *appmodel.Stage, slot *fabric.Slot) {
 	if err := slot.CompleteLoad(); err != nil {
 		t.Fatal(err)
 	}
-	st.Slot = slot
+	st.Attach(slot)
 	st.Loading = false
 }
 

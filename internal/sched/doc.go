@@ -9,4 +9,27 @@
 // supplies a fresh-instance factory. Third-party schedulers register
 // with Kind = KindExternal and are selected by name through the
 // versaslot facade, exactly like the built-ins.
+//
+// Scheduling passes run at every item boundary, so each must be cheap:
+// every policy's Schedule is allocation-free and linear in the number
+// of applications (TestSchedulePassZeroAlloc pins the former). Passes
+// read occupancy through O(1) counters rather than rescanning slots
+// and stages:
+//
+//   - fabric.Board.CountEmpty, kept by the slot transitions (see
+//     package fabric).
+//   - appmodel.App.HeldSlots and UnplacedStages, kept by the stage
+//     mutators. Only these change a stage's slot or completed-item
+//     count: Engine.RequestPR and PlaceResident attach a slot
+//     (Stage.Attach); Stage.Evict and appmodel.ResetStages clear it;
+//     an item completion counts (Stage.CompleteItem); and a crash
+//     restart without a checkpoint rewinds progress (Stage.SetDone).
+//     Rebuilding a plan (bundle.Build, bundle.BuildTasks) recounts.
+//
+// Within a pass, admission, top-up and Algorithm 1 change allocations
+// but never placements, so the free-slot count they share is computed
+// once and adjusted by each touched app's shortfall delta
+// (TestHoistedFreeExact checks it against a rescan), and
+// TestCounterAudit in package core recounts every counter after every
+// kernel event, faults included.
 package sched

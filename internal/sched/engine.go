@@ -51,8 +51,11 @@ type Engine struct {
 	// state of each is a slot-indexed record, not an allocation.
 	slots []slotRT
 	// schedPassFn is the one pre-bound scheduler-pass body Activate
-	// submits (coalesced, so one is enough).
+	// submits (coalesced, so one is enough); activateFn is Activate
+	// itself, bound once so policies can schedule wake-ups without
+	// allocating a method value per pass.
 	schedPassFn func()
+	activateFn  func()
 
 	// prFault, when set, injects bounded-retry reconfiguration errors.
 	prFault *prFaultModel
@@ -178,6 +181,7 @@ func NewEngine(k *sim.Kernel, p Params, board *fabric.Board, model hypervisor.Co
 		e.pendingSched = false
 		e.policy.Schedule()
 	}
+	e.activateFn = e.Activate
 	return e
 }
 
@@ -317,7 +321,7 @@ func (e *Engine) RequestPR(st *appmodel.Stage, slot *fabric.Slot) {
 	if err := slot.BeginLoad(st); err != nil {
 		panic(err)
 	}
-	st.Slot = slot
+	st.Attach(slot)
 	st.Loading = true
 	if e.Trace != nil {
 		e.trace("%v PR request %v -> slot %d", e.K.Now(), st, slot.ID)
@@ -379,7 +383,7 @@ func (rt *slotRT) prDone() {
 	e := rt.e
 	st, slot, bits := rt.prStage, rt.slot, rt.prBits
 	cost, attempt, waited := rt.prCost, rt.prAttempt, rt.prWaited
-	if slot.Failed() || st.Slot != slot || !st.Loading {
+	if slot.Failed() || st.Slot() != slot || !st.Loading {
 		// The slot died or the app crashed mid-load: the transfer's
 		// result is discarded and the region torn down (staying failed
 		// if the fault persists).
@@ -396,7 +400,7 @@ func (rt *slotRT) prDone() {
 			e.trace("%v PR fault retry %d/%d for %v -> slot %d (backoff %v)",
 				e.K.Now(), attempt+1, f.maxRetries, st, slot.ID, delay)
 			e.K.Schedule(delay, func() {
-				if slot.Failed() || st.Slot != slot || !st.Loading {
+				if slot.Failed() || st.Slot() != slot || !st.Loading {
 					// Crashed or failed during the backoff.
 					if slot.State() == fabric.SlotLoading {
 						e.abortLoad(slot)
@@ -447,7 +451,7 @@ func (e *Engine) PlaceResident(st *appmodel.Stage, slot *fabric.Slot) {
 	if err := slot.CompleteLoad(); err != nil {
 		panic(err)
 	}
-	st.Slot = slot
+	st.Attach(slot)
 	st.Loading = false
 	st.LoadedAt = e.K.Now()
 	e.beginResident(slot, st)
@@ -456,14 +460,14 @@ func (e *Engine) PlaceResident(st *appmodel.Stage, slot *fabric.Slot) {
 // EvictStage removes st from its (free) slot, e.g. on preemption or
 // slot reuse. Evicting an unfinished stage counts as a preemption.
 func (e *Engine) EvictStage(st *appmodel.Stage) {
-	slot := st.Slot
+	slot := st.Slot()
 	if slot == nil {
 		return
 	}
 	if !slot.Free() {
 		panic(fmt.Sprintf("sched: evicting stage %v from non-free slot %d", st, slot.ID))
 	}
-	if !st.Finished() && st.Done > 0 || !st.Finished() && st.App.Started {
+	if !st.Finished() && st.Done() > 0 || !st.Finished() && st.App.Started {
 		e.Col.Preemptions++
 	}
 	e.closeResident(slot)
@@ -483,7 +487,7 @@ func (e *Engine) LaunchItem(st *appmodel.Stage) bool {
 	if st.InFlight || st.Finished() || !st.Resident() || !st.NextItemReady() {
 		return false
 	}
-	slot := st.Slot
+	slot := st.Slot()
 	if slot.State() != fabric.SlotLoaded {
 		return false
 	}
@@ -492,7 +496,7 @@ func (e *Engine) LaunchItem(st *appmodel.Stage) bool {
 	}
 	st.InFlight = true
 	rt := e.rt(slot)
-	idx := st.Done
+	idx := st.Done()
 	dur := st.ItemTime(idx)
 	if f := rt.slowFactor; f > 1 {
 		// Straggler injection: the region's service rate is degraded.
@@ -538,7 +542,7 @@ func (rt *slotRT) runExec() {
 	}
 	e.Col.AccumulateBusy(st.ImplRes(), e.K.Now().Sub(rt.start))
 	st.InFlight = false
-	st.Done++
+	st.CompleteItem()
 	if e.Recorder != nil {
 		e.record(trace.Event{Kind: trace.ExecDone, Slot: slot.ID, App: st.App.String(), Stage: st.Index, Item: idx})
 	}
@@ -596,10 +600,9 @@ func (e *Engine) finishApp(a *appmodel.App) {
 	}
 	// Release any slots still holding the app's stages.
 	for _, st := range a.Stages {
-		if st.Slot != nil && st.Slot.Free() {
-			e.closeResident(st.Slot)
-			e.rt(st.Slot).resStage = nil
-			slot := st.Slot
+		if slot := st.Slot(); slot != nil && slot.Free() {
+			e.closeResident(slot)
+			e.rt(slot).resStage = nil
 			st.Evict()
 			if err := slot.Clear(); err != nil {
 				panic(err)
@@ -634,8 +637,8 @@ func (e *Engine) finishApp(a *appmodel.App) {
 // (live migration). The caller must have ensured the app holds no slots.
 func (e *Engine) RemoveActive(a *appmodel.App) {
 	for _, st := range a.Stages {
-		if st.Slot != nil {
-			panic(fmt.Sprintf("sched: migrating app %v still holds slot %d", a, st.Slot.ID))
+		if st.Slot() != nil {
+			panic(fmt.Sprintf("sched: migrating app %v still holds slot %d", a, st.Slot().ID))
 		}
 	}
 	for i, x := range e.Active {
@@ -750,7 +753,7 @@ func (e *Engine) CheckQuiescent() {
 			msg += fmt.Sprintf("\n  %v state=%v started=%v remaining=%d", a, a.State, a.Started, a.RemainingItems())
 			for _, st := range a.Stages {
 				msg += fmt.Sprintf("\n    stage %d done=%d/%d inflight=%v loading=%v slot=%v",
-					st.Index, st.Done, a.Batch, st.InFlight, st.Loading, st.Slot != nil)
+					st.Index, st.Done(), a.Batch, st.InFlight, st.Loading, st.Slot() != nil)
 			}
 		}
 	}

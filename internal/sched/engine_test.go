@@ -56,7 +56,7 @@ func TestRequestPRLoadsStage(t *testing.T) {
 	st := a.Stages[0]
 	slot := r.engine.Board.Slots[0]
 	r.engine.RequestPR(st, slot)
-	if !st.Loading || st.Slot != slot {
+	if !st.Loading || st.Slot() != slot {
 		t.Fatal("stage not marked loading")
 	}
 	if slot.State() != fabric.SlotLoading {
@@ -181,7 +181,7 @@ func TestEvictionAccounting(t *testing.T) {
 	if r.engine.Col.Preemptions != 1 {
 		t.Fatal("unfinished eviction not counted as preemption")
 	}
-	if st.Slot != nil {
+	if st.Slot() != nil {
 		t.Fatal("stage still placed")
 	}
 	if r.engine.Board.Slots[0].State() != fabric.SlotEmpty {

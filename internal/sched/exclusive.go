@@ -49,7 +49,7 @@ func (x *Exclusive) AppArrived(a *appmodel.App) {
 		if t < x.e.Now() {
 			t = x.e.Now()
 		}
-		x.e.K.At(t, x.e.Activate)
+		x.e.K.At(t, x.e.activateFn)
 	}
 }
 
@@ -107,7 +107,7 @@ func (x *Exclusive) swapOut() {
 	x.current = nil
 	x.draining = false
 	for _, st := range a.Stages {
-		if st.Slot != nil && st.Slot.Free() {
+		if st.Slot() != nil && st.Slot().Free() {
 			e.EvictStage(st)
 		}
 	}
@@ -153,7 +153,7 @@ func (x *Exclusive) swapIn(a *appmodel.App) {
 		x.loading = false
 		x.sliceEnd = e.Now().Add(e.Params.BaselineQuantum)
 		if len(x.queue) > 0 {
-			e.K.At(x.sliceEnd, e.Activate)
+			e.K.At(x.sliceEnd, e.activateFn)
 		}
 		e.Pump(a)
 		e.Activate()

@@ -92,11 +92,11 @@ func (e *Engine) FailSlot(slot *fabric.Slot) {
 	var victim *appmodel.App
 	switch slot.State() {
 	case fabric.SlotLoading:
-		if st, ok := slot.Pending.(*appmodel.Stage); ok && st.Loading && st.Slot == slot {
+		if st, ok := slot.Pending.(*appmodel.Stage); ok && st.Loading && st.Slot() == slot {
 			victim = st.App
 		}
 	case fabric.SlotLoaded, fabric.SlotBusy:
-		if st, ok := slot.Resident.(*appmodel.Stage); ok && st.Slot == slot {
+		if st, ok := slot.Resident.(*appmodel.Stage); ok && st.Slot() == slot {
 			victim = st.App
 		}
 	}
@@ -140,7 +140,7 @@ func (e *Engine) crashApp(a *appmodel.App) {
 	e.trace("%v app %v crash-restart", e.K.Now(), a)
 	e.record(trace.Event{Kind: trace.AppArrive, Slot: -1, App: a.String() + " crash-restart", Stage: -1, Item: -1})
 	for _, st := range a.Stages {
-		slot := st.Slot
+		slot := st.Slot()
 		if slot == nil {
 			continue
 		}
@@ -181,7 +181,7 @@ func (e *Engine) crashApp(a *appmodel.App) {
 	}
 	if !e.checkpointed {
 		for _, st := range a.Stages {
-			st.Done = 0
+			st.SetDone(0)
 		}
 	}
 	appmodel.ResetStages(a)
@@ -211,8 +211,7 @@ func (e *Engine) abortLoad(slot *fabric.Slot) {
 // exhausted its fault-injected retries and crash-restarts the app.
 func (e *Engine) failPRPermanently(st *appmodel.Stage, slot *fabric.Slot) {
 	e.trace("%v PR retries exhausted for %v on slot %d", e.K.Now(), st, slot.ID)
-	st.Loading = false
-	st.Slot = nil
+	st.Evict()
 	if err := slot.AbortLoad(); err != nil {
 		panic(err)
 	}

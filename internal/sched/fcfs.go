@@ -49,7 +49,7 @@ func (f *FCFS) AppFinished(a *appmodel.App) {
 		}
 	}
 	f.cleanupUntil = f.e.Now().Add(f.e.Params.TenantTeardown)
-	f.e.K.At(f.cleanupUntil, f.e.Activate)
+	f.e.K.At(f.cleanupUntil, f.e.activateFn)
 }
 
 // Schedule implements Policy.
@@ -60,14 +60,13 @@ func (f *FCFS) Schedule() {
 	for len(f.queue) > 0 && !e.Frozen() && e.Now() >= f.cleanupUntil {
 		head := f.queue[0]
 		need := gangNeed(head, e.Params.GangMaxSlots)
-		free := e.Board.EmptySlots(f.class.Name)
-		if len(free) < need {
+		if e.Board.CountEmpty(f.class.Name) < need {
 			break
 		}
 		f.queue = f.queue[1:]
 		f.running = append(f.running, head)
 		head.State = appmodel.StateReady
-		placeGang(e, head, free[:need])
+		placeGang(e, head, f.class.Name, need)
 	}
 	// Reuse slots of finished stages for still-unplaced stages, then
 	// pump the resident pipelines. A gang-scheduled app starts only
@@ -107,18 +106,19 @@ func gangNeed(a *appmodel.App, boardSlots int) int {
 	return n
 }
 
-// placeGang loads the app's first len(slots) unfinished stages.
-func placeGang(e *Engine, a *appmodel.App, slots []*fabric.Slot) {
-	i := 0
+// placeGang loads the app's first n unplaced, unfinished stages into
+// the lowest-ID empty slots of the class; the caller checked that n
+// are empty.
+func placeGang(e *Engine, a *appmodel.App, class string, n int) {
 	for _, st := range a.Stages {
-		if i >= len(slots) {
+		if n == 0 {
 			break
 		}
-		if st.Finished() || st.Slot != nil {
+		if st.Finished() || st.Slot() != nil {
 			continue
 		}
-		e.RequestPR(st, slots[i])
-		i++
+		e.RequestPR(st, e.Board.FirstEmpty(class))
+		n--
 	}
 }
 
@@ -143,13 +143,13 @@ func gangStarted(a *appmodel.App) bool {
 // placing a stage cannot un-finish an earlier one, so no intermediate
 // list is needed.
 func reuseForUnplaced(e *Engine, a *appmodel.App) {
-	u := nextUnplacedIdx(a, 0)
-	if u < 0 {
+	if a.UnplacedStages() == 0 {
 		return
 	}
+	u := nextUnplacedIdx(a, 0)
 	for _, st := range a.Stages {
-		if st.Finished() && st.Slot != nil && st.Slot.Free() {
-			slot := st.Slot
+		if st.Finished() && st.Slot() != nil && st.Slot().Free() {
+			slot := st.Slot()
 			e.EvictStage(st)
 			e.RequestPR(a.Stages[u], slot)
 			u = nextUnplacedIdx(a, u+1)
@@ -163,7 +163,7 @@ func reuseForUnplaced(e *Engine, a *appmodel.App) {
 func nextUnplacedIdx(a *appmodel.App, from int) int {
 	for i := from; i < len(a.Stages); i++ {
 		st := a.Stages[i]
-		if !st.Finished() && st.Slot == nil {
+		if !st.Finished() && st.Slot() == nil {
 			return i
 		}
 	}

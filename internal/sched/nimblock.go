@@ -27,16 +27,22 @@ type littleSched struct {
 	// base (smallest-capacity) class, so uniform platforms of any size
 	// class — Little, Big, Large, Small — run the same discipline.
 	class       fabric.SlotClass
-	waiting     []*appmodel.App
-	running     []*appmodel.App
-	alloc       map[*appmodel.App]int
-	opt         map[*appmodel.App]int // O_L: ILP-optimal slot count
-	maxUse      map[*appmodel.App]int // top-up ceiling for redistribution
+	waiting     []lsApp
+	running     []lsApp
 	lastPreempt sim.Time
 
 	// Per-arrival planning scratch (the plan is consumed synchronously).
 	ev        pipeline.Eval
 	planTimes []sim.Duration
+}
+
+// lsApp is one application's allocation record, moved by value from
+// the waiting list to the running list at admission.
+type lsApp struct {
+	a      *appmodel.App
+	alloc  int // slots allocated (0 while waiting)
+	opt    int // O_L: ILP-optimal slot count
+	maxUse int // top-up ceiling for redistribution
 }
 
 // Nimblock is the state-of-the-art single-core comparator.
@@ -70,9 +76,6 @@ func (l *littleSched) init(kind Kind, redistribute bool, e *Engine) {
 	l.redistribute = redistribute
 	l.e = e
 	l.class = e.Board.Platform.Smallest()
-	l.alloc = make(map[*appmodel.App]int)
-	l.opt = make(map[*appmodel.App]int)
-	l.maxUse = make(map[*appmodel.App]int)
 }
 
 // Name implements Policy.
@@ -86,9 +89,11 @@ func (l *littleSched) AppArrived(a *appmodel.App) {
 	if max > l.e.Params.MaxSlotsPerApp {
 		max = l.e.Params.MaxSlotsPerApp
 	}
-	l.opt[a] = plan.OptimalSlotsIn(&l.ev, max)
-	l.maxUse[a] = plan.MaxUsefulSlotsIn(&l.ev, max)
-	l.waiting = append(l.waiting, a)
+	l.waiting = append(l.waiting, lsApp{
+		a:      a,
+		opt:    plan.OptimalSlotsIn(&l.ev, max),
+		maxUse: plan.MaxUsefulSlotsIn(&l.ev, max),
+	})
 }
 
 func (l *littleSched) planFor(a *appmodel.App) pipeline.Plan {
@@ -109,13 +114,12 @@ func (l *littleSched) AppFinished(a *appmodel.App) {
 }
 
 func (l *littleSched) drop(a *appmodel.App) {
-	for i, x := range l.running {
-		if x == a {
+	for i, r := range l.running {
+		if r.a == a {
 			l.running = append(l.running[:i], l.running[i+1:]...)
 			break
 		}
 	}
-	delete(l.alloc, a)
 }
 
 // Schedule implements Policy.
@@ -123,16 +127,20 @@ func (l *littleSched) Schedule() {
 	e := l.e
 	l.releaseAndReuse()
 	if !e.Frozen() {
-		l.admit()
+		// Slots neither held nor promised. Admission and top-up change
+		// allocations but never placements, so each adjusts this by the
+		// shortfall delta of the app it touched instead of rescanning.
+		free := e.Board.CountEmpty(l.class.Name) - l.reservedSlack()
+		free = l.admit(free)
 		if l.redistribute {
-			l.topUp()
+			free = l.topUp(free)
 		}
-		l.preemptIfStarved()
+		l.preemptIfStarved(free)
 	}
 	l.place()
-	for _, a := range l.running {
-		ensureProgress(e, a)
-		e.Pump(a)
+	for _, r := range l.running {
+		ensureProgress(e, r.a)
+		e.Pump(r.a)
 	}
 	// Apps still waiting for slots are blocked tasks in the D_switch
 	// sense: their PR cannot even be issued.
@@ -140,113 +148,101 @@ func (l *littleSched) Schedule() {
 }
 
 // releaseAndReuse recycles finished stages' slots: within the same app
-// when it still has unplaced work, otherwise back to the free pool.
+// when it still has unplaced work, otherwise back to the free pool. It
+// also enforces shrunken allocations.
 func (l *littleSched) releaseAndReuse() {
 	e := l.e
-	for _, a := range l.running {
-		reuseForUnplaced(e, a)
-		if unplacedCount(a) == 0 {
-			for _, st := range a.Stages {
-				if st.Finished() && st.Slot != nil && st.Slot.Free() {
-					e.EvictStage(st)
-				}
-			}
-		}
-		// Enforce shrunken allocations (preemption): evict idle stages
-		// until the app holds no more slots than allocated.
-		for heldSlots(a) > l.alloc[a] {
-			victim := shrinkVictim(a)
-			if victim == nil {
-				break // all busy; retry at next item boundary
-			}
-			e.EvictStage(victim)
-		}
+	for _, r := range l.running {
+		recycleFinished(e, r.a)
+		shrinkTo(e, r.a, r.alloc)
 	}
 }
 
 // admit gives waiting apps their ILP-optimal count, greedily in arrival
-// order with backfill (no head-of-line blocking).
-func (l *littleSched) admit() {
-	e := l.e
+// order with backfill (no head-of-line blocking), out of free
+// unpromised slots; it returns what is left.
+func (l *littleSched) admit(free int) int {
 	kept := l.waiting[:0]
-	for _, a := range l.waiting {
-		free := e.Board.CountEmpty(l.class.Name) - l.reservedSlack()
-		if free <= 0 {
-			kept = append(kept, a)
-			continue
-		}
-		want := l.opt[a]
+	for _, w := range l.waiting {
+		want := w.opt
 		if want > free {
 			want = free
 		}
 		if want < 1 {
-			kept = append(kept, a)
+			kept = append(kept, w)
 			continue
 		}
-		l.alloc[a] = want
-		a.State = appmodel.StateReady
-		l.running = append(l.running, a)
+		w.alloc = want
+		free -= shortfall(w.a, want)
+		w.a.State = appmodel.StateReady
+		l.running = append(l.running, w)
 	}
+	clear(l.waiting[len(kept):])
 	l.waiting = kept
+	return free
 }
 
 // reservedSlack counts slots already promised to running apps but not
 // yet physically held (placement is asynchronous).
 func (l *littleSched) reservedSlack() int {
 	slack := 0
-	for _, a := range l.running {
-		short := l.alloc[a] - heldSlots(a)
-		rem := unplacedCount(a)
-		if short > rem {
-			short = rem
-		}
-		if short > 0 {
-			slack += short
-		}
+	for _, r := range l.running {
+		slack += shortfall(r.a, r.alloc)
 	}
 	return slack
 }
 
+// shortfall is the part of an r-slot allocation that app a has yet to
+// place: slots promised but not held, capped by its unplaced stages.
+func shortfall(a *appmodel.App, r int) int {
+	short := r - a.HeldSlots()
+	if rem := a.UnplacedStages(); short > rem {
+		short = rem
+	}
+	if short < 0 {
+		return 0
+	}
+	return short
+}
+
 // topUp is VersaSlot's redistribution: leftover slots go to running
 // apps (front of the runnable queue first) up to their maximum useful
-// count, avoiding slot idling.
-func (l *littleSched) topUp() {
-	e := l.e
-	for _, a := range l.running {
-		free := e.Board.CountEmpty(l.class.Name) - l.reservedSlack()
+// count, avoiding slot idling. It returns the free slots left.
+func (l *littleSched) topUp(free int) int {
+	for i := range l.running {
 		if free <= 0 {
-			return
+			break
 		}
-		ceil := l.maxUse[a]
-		if rem := unplacedCount(a) + heldSlots(a); ceil > rem {
+		r := &l.running[i]
+		ceil := r.maxUse
+		if rem := r.a.UnplacedStages() + r.a.HeldSlots(); ceil > rem {
 			ceil = rem
 		}
-		extra := ceil - l.alloc[a]
+		extra := ceil - r.alloc
 		if extra <= 0 {
 			continue
 		}
 		if extra > free {
 			extra = free
 		}
-		l.alloc[a] += extra
+		free -= shortfall(r.a, r.alloc+extra) - shortfall(r.a, r.alloc)
+		r.alloc += extra
 	}
+	return free
 }
 
 // preemptIfStarved implements the aging preemption of [15]: when an app
 // has waited past PreemptAge with nothing free, the running app with
 // the most remaining work cedes one slot.
-func (l *littleSched) preemptIfStarved() {
+func (l *littleSched) preemptIfStarved(free int) {
 	e := l.e
-	if len(l.waiting) == 0 {
-		return
-	}
-	if e.Board.CountEmpty(l.class.Name)-l.reservedSlack() > 0 {
+	if len(l.waiting) == 0 || free > 0 {
 		return
 	}
 	now := e.Now()
 	starved := false
-	for _, a := range l.waiting {
-		if now.Sub(a.Arrival) >= e.Params.PreemptAge {
+	for _, w := range l.waiting {
+		if now.Sub(w.a.Arrival) >= e.Params.PreemptAge {
 			starved = true
 			break
 		}
@@ -254,21 +250,22 @@ func (l *littleSched) preemptIfStarved() {
 	if !starved || now.Sub(l.lastPreempt) < e.Params.PreemptAge/4 {
 		return
 	}
-	var victim *appmodel.App
+	var victim *lsApp
 	most := l.e.Params.PreemptMinRemaining
-	for _, a := range l.running {
-		if l.alloc[a] <= 1 {
+	for i := range l.running {
+		r := &l.running[i]
+		if r.alloc <= 1 {
 			continue
 		}
-		if rem := a.RemainingItems(); rem >= most {
+		if rem := r.a.RemainingItems(); rem >= most {
 			most = rem
-			victim = a
+			victim = r
 		}
 	}
 	if victim == nil {
 		return
 	}
-	l.alloc[victim]--
+	victim.alloc--
 	l.lastPreempt = now
 	// releaseAndReuse enforces the shrink at the next item boundary.
 }
@@ -276,9 +273,9 @@ func (l *littleSched) preemptIfStarved() {
 // place physically loads stages until each app holds its allocation.
 func (l *littleSched) place() {
 	e := l.e
-	for _, a := range l.running {
-		for heldSlots(a) < l.alloc[a] {
-			st := nextUnplaced(a)
+	for _, r := range l.running {
+		for r.a.HeldSlots() < r.alloc {
+			st := nextUnplaced(r.a)
 			if st == nil {
 				break
 			}
@@ -293,8 +290,15 @@ func (l *littleSched) place() {
 
 // ExtractMigratable implements Policy.
 func (l *littleSched) ExtractMigratable() []*appmodel.App {
-	out := l.waiting
-	l.waiting = nil
+	if len(l.waiting) == 0 {
+		return nil
+	}
+	out := make([]*appmodel.App, len(l.waiting))
+	for i, w := range l.waiting {
+		out[i] = w.a
+	}
+	clear(l.waiting)
+	l.waiting = l.waiting[:0]
 	return out
 }
 
@@ -310,29 +314,12 @@ func (l *littleSched) AcceptMigrated(apps []*appmodel.App) {
 	l.e.Activate()
 }
 
-func heldSlots(a *appmodel.App) int {
-	n := 0
-	for _, st := range a.Stages {
-		if st.Slot != nil {
-			n++
-		}
-	}
-	return n
-}
-
-func unplacedCount(a *appmodel.App) int {
-	n := 0
-	for _, st := range a.Stages {
-		if !st.Finished() && st.Slot == nil {
-			n++
-		}
-	}
-	return n
-}
-
 func nextUnplaced(a *appmodel.App) *appmodel.Stage {
+	if a.UnplacedStages() == 0 {
+		return nil
+	}
 	for _, st := range a.Stages {
-		if !st.Finished() && st.Slot == nil {
+		if !st.Finished() && st.Slot() == nil {
 			return st
 		}
 	}
@@ -348,6 +335,33 @@ func earliestUnfinished(a *appmodel.App) *appmodel.Stage {
 	return nil
 }
 
+// recycleFinished moves finished stages' slots to the app's unplaced
+// stages and, once none is left unplaced, back to the free pool.
+func recycleFinished(e *Engine, a *appmodel.App) {
+	reuseForUnplaced(e, a)
+	if a.UnplacedStages() != 0 {
+		return
+	}
+	for _, st := range a.Stages {
+		if st.Finished() && st.Slot() != nil && st.Slot().Free() {
+			e.EvictStage(st)
+		}
+	}
+}
+
+// shrinkTo enforces a shrunken allocation (preemption): it evicts idle
+// stages until the app holds no more than n slots, or none is idle —
+// the rest then go at a later item boundary.
+func shrinkTo(e *Engine, a *appmodel.App, n int) {
+	for a.HeldSlots() > n {
+		victim := shrinkVictim(a)
+		if victim == nil {
+			return
+		}
+		e.EvictStage(victim)
+	}
+}
+
 // shrinkVictim picks the stage to evict when an app must give a slot
 // back: the most downstream idle stage that is not the earliest
 // unfinished one — evicting that one would starve the whole pipeline.
@@ -358,7 +372,7 @@ func shrinkVictim(a *appmodel.App) *appmodel.Stage {
 		if st == first {
 			continue
 		}
-		if st.Slot != nil && !st.Loading && !st.InFlight && st.Slot.Free() && !st.Finished() {
+		if st.Slot() != nil && !st.Loading && !st.InFlight && st.Slot().Free() && !st.Finished() {
 			return st
 		}
 	}
@@ -369,12 +383,15 @@ func shrinkVictim(a *appmodel.App) *appmodel.Stage {
 // if the earliest unfinished stage has no slot and nothing the app
 // holds can execute, the most downstream idle stage cedes its slot.
 func ensureProgress(e *Engine, a *appmodel.App) {
+	if a.UnplacedStages() == 0 {
+		return // every unfinished stage, the earliest included, has a slot
+	}
 	first := earliestUnfinished(a)
-	if first == nil || first.Slot != nil {
+	if first == nil || first.Slot() != nil {
 		return
 	}
 	for _, st := range a.Stages {
-		if st.Slot == nil {
+		if st.Slot() == nil {
 			continue
 		}
 		if st.InFlight || st.Loading || (st.Resident() && st.NextItemReady()) {
@@ -385,7 +402,7 @@ func ensureProgress(e *Engine, a *appmodel.App) {
 	if victim == nil {
 		return
 	}
-	slot := victim.Slot
+	slot := victim.Slot()
 	e.EvictStage(victim)
 	if slot.Class.Name == first.Class {
 		e.RequestPR(first, slot)

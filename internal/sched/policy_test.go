@@ -98,7 +98,7 @@ func TestVersaSlotBLExtractMigratableUpTo(t *testing.T) {
 		t.Errorf("extraction order = [%v %v], want most recent first [%v %v]",
 			got[0], got[1], apps[2], apps[1])
 	}
-	if len(p.cwait) != 1 || p.cwait[0] != apps[0] {
+	if len(p.cwait) != 1 || p.cwait[0].a != apps[0] {
 		t.Errorf("waiting list after extraction = %v, want only %v", p.cwait, apps[0])
 	}
 	rest := p.ExtractMigratableUpTo(5)
@@ -385,7 +385,7 @@ func TestExtractMigratableOnlyUnstarted(t *testing.T) {
 				t.Errorf("%v migrated a started app", kind)
 			}
 			for _, st := range a.Stages {
-				if st.Slot != nil {
+				if st.Slot() != nil {
 					t.Errorf("%v migrated an app holding a slot", kind)
 				}
 			}

@@ -17,10 +17,15 @@ type RR struct {
 	e            *Engine
 	class        fabric.SlotClass // the board's base slot class
 	queue        []*appmodel.App
-	running      []*appmodel.App
-	placedAt     map[*appmodel.App]sim.Time
-	draining     map[*appmodel.App]bool
+	running      []rrApp
 	cleanupUntil sim.Time
+}
+
+// rrApp is a running application's rotation state.
+type rrApp struct {
+	a        *appmodel.App
+	placedAt sim.Time // start of its current quantum
+	draining bool     // quantum expired; leaving the fabric
 }
 
 var _ Policy = (*RR)(nil)
@@ -33,8 +38,6 @@ func (r *RR) Init(e *Engine) {
 	r.e = e
 	r.class = e.Board.Platform.Smallest()
 	e.DisableBitstreamCache()
-	r.placedAt = make(map[*appmodel.App]sim.Time)
-	r.draining = make(map[*appmodel.App]bool)
 }
 
 // AppArrived implements Policy.
@@ -45,20 +48,14 @@ func (r *RR) AppArrived(a *appmodel.App) {
 
 // AppFinished implements Policy: the tenant's slots scrub before reuse.
 func (r *RR) AppFinished(a *appmodel.App) {
-	r.remove(a)
-	r.cleanupUntil = r.e.Now().Add(r.e.Params.TenantTeardown)
-	r.e.K.At(r.cleanupUntil, r.e.Activate)
-}
-
-func (r *RR) remove(a *appmodel.App) {
 	for i, x := range r.running {
-		if x == a {
+		if x.a == a {
 			r.running = append(r.running[:i], r.running[i+1:]...)
 			break
 		}
 	}
-	delete(r.placedAt, a)
-	delete(r.draining, a)
+	r.cleanupUntil = r.e.Now().Add(r.e.Params.TenantTeardown)
+	r.e.K.At(r.cleanupUntil, r.e.activateFn)
 }
 
 // Schedule implements Policy.
@@ -68,62 +65,63 @@ func (r *RR) Schedule() {
 	q := e.Params.RRQuantum
 
 	// Expire quanta: an app past its slice drains if anyone is waiting.
-	for _, a := range r.running {
-		if r.draining[a] {
-			continue
-		}
-		if len(r.queue) > 0 && now.Sub(r.placedAt[a]) >= q {
-			r.draining[a] = true
+	for i := range r.running {
+		ra := &r.running[i]
+		if !ra.draining && len(r.queue) > 0 && now.Sub(ra.placedAt) >= q {
+			ra.draining = true
 		}
 	}
 	// Drain: evict free slots of draining apps; when fully off the
 	// fabric, rotate to the tail of the queue.
-	for _, a := range append([]*appmodel.App(nil), r.running...) {
-		if !r.draining[a] {
-			continue
-		}
-		for _, st := range a.Stages {
-			if st.Slot != nil && st.Slot.Free() && !st.Loading {
-				e.EvictStage(st)
+	kept := r.running[:0]
+	for _, ra := range r.running {
+		if ra.draining {
+			a := ra.a
+			for _, st := range a.Stages {
+				if slot := st.Slot(); slot != nil && slot.Free() && !st.Loading {
+					e.EvictStage(st)
+				}
+			}
+			if a.HeldSlots() == 0 {
+				a.State = appmodel.StateWaiting
+				r.queue = append(r.queue, a)
+				continue
 			}
 		}
-		if !holdsSlots(a) {
-			r.remove(a)
-			a.State = appmodel.StateWaiting
-			r.queue = append(r.queue, a)
-		}
+		kept = append(kept, ra)
 	}
+	clear(r.running[len(kept):])
+	r.running = kept
 	// Admit in queue order (RR allows backfill past a too-big head —
 	// the rotation provides the fairness FCFS lacks). No admission
 	// while a finished tenant's state is still being scrubbed.
 	if !e.Frozen() && now >= r.cleanupUntil {
-		kept := r.queue[:0]
+		waiting := r.queue[:0]
 		for _, a := range r.queue {
 			need := gangNeed(a, e.Params.GangMaxSlots)
-			free := e.Board.EmptySlots(r.class.Name)
-			if len(free) >= need {
-				r.running = append(r.running, a)
-				r.placedAt[a] = now
-				a.State = appmodel.StateReady
-				placeGang(e, a, free[:need])
-				// Re-activate when this app's quantum will expire.
-				e.K.Schedule(q, e.Activate)
-			} else {
-				kept = append(kept, a)
+			if e.Board.CountEmpty(r.class.Name) < need {
+				waiting = append(waiting, a)
+				continue
 			}
+			r.running = append(r.running, rrApp{a: a, placedAt: now})
+			a.State = appmodel.StateReady
+			placeGang(e, a, r.class.Name, need)
+			// Re-activate when this app's quantum will expire.
+			e.K.Schedule(q, e.activateFn)
 		}
-		r.queue = append([]*appmodel.App(nil), kept...)
+		clear(r.queue[len(waiting):])
+		r.queue = waiting
 	}
 	// Pump resident pipelines; draining apps finish in-flight items
 	// only. Like FCFS, a gang-scheduled app starts only once its whole
 	// pipeline is configured.
-	for _, a := range r.running {
-		if r.draining[a] {
+	for _, ra := range r.running {
+		if ra.draining {
 			continue
 		}
-		reuseForUnplaced(e, a)
-		if gangStarted(a) {
-			e.Pump(a)
+		reuseForUnplaced(e, ra.a)
+		if gangStarted(ra.a) {
+			e.Pump(ra.a)
 		}
 	}
 }
@@ -146,13 +144,4 @@ func (r *RR) ExtractMigratable() []*appmodel.App {
 func (r *RR) AcceptMigrated(apps []*appmodel.App) {
 	r.queue = append(r.queue, apps...)
 	r.e.Activate()
-}
-
-func holdsSlots(a *appmodel.App) bool {
-	for _, st := range a.Stages {
-		if st.Slot != nil {
-			return true
-		}
-	}
-	return false
 }

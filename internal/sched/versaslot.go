@@ -23,24 +23,26 @@ type VersaSlotBL struct {
 	big    fabric.SlotClass // largest-capacity class (bundle role)
 	little fabric.SlotClass // smallest-capacity class (task role)
 
-	cwait   []*appmodel.App // C_wait: apps awaiting slot allocation
-	sBig    []*appmodel.App // S_Big: apps bound to big-class slots
-	sLittle []*appmodel.App // S_Little: apps bound to little-class slots
-
-	rBig    map[*appmodel.App]int // R^B_Ai
-	rLittle map[*appmodel.App]int // R^L_Ai
-	optB    map[*appmodel.App]int // O^B_Ai
-	optL    map[*appmodel.App]int // O^L_Ai
-	maxUseL map[*appmodel.App]int // redistribution ceiling
+	cwait   []blApp // C_wait: apps awaiting slot allocation
+	sBig    []blApp // S_Big: apps bound to big-class slots
+	sLittle []blApp // S_Little: apps bound to little-class slots
 
 	lastPreempt sim.Time
 
-	// Per-arrival planning scratch (plans are consumed synchronously)
-	// and a rebind-iteration scratch (unbind mutates the bound lists).
+	// Per-arrival planning scratch (plans are consumed synchronously).
 	ev        pipeline.Eval
 	planTimes []sim.Duration
 	planExtra []sim.Duration
-	scratch   []*appmodel.App
+}
+
+// blApp is one application's Algorithm 1 record, moved by value
+// between C_wait, S_Big and S_Little.
+type blApp struct {
+	a       *appmodel.App
+	r       int // R^B_Ai or R^L_Ai: allocation in the bound class (0 in C_wait)
+	optB    int // O^B_Ai
+	optL    int // O^L_Ai
+	maxUseL int // redistribution ceiling
 }
 
 var _ Policy = (*VersaSlotBL)(nil)
@@ -59,17 +61,13 @@ func (v *VersaSlotBL) Init(e *Engine) {
 	v.e = e
 	v.big = e.Board.Platform.Largest()
 	v.little = e.Board.Platform.Smallest()
-	v.rBig = make(map[*appmodel.App]int)
-	v.rLittle = make(map[*appmodel.App]int)
-	v.optB = make(map[*appmodel.App]int)
-	v.optL = make(map[*appmodel.App]int)
-	v.maxUseL = make(map[*appmodel.App]int)
 }
 
 // AppArrived implements Policy: compute both pipeline optima (O^B, O^L)
 // and join the waiting list.
 func (v *VersaSlotBL) AppArrived(a *appmodel.App) {
 	e := v.e
+	w := blApp{a: a}
 	// Apps whose every task fits the little class get a task-pipeline
 	// plan; bundle-only apps (a task exceeds the little class but the
 	// triples consolidate into the big class) keep optL at zero and
@@ -81,17 +79,17 @@ func (v *VersaSlotBL) AppArrived(a *appmodel.App) {
 			maxL = e.Params.MaxSlotsPerApp
 		}
 		lp := v.littlePlan(a)
-		v.optL[a] = lp.OptimalSlotsIn(&v.ev, maxL)
-		v.maxUseL[a] = lp.MaxUsefulSlotsIn(&v.ev, maxL)
+		w.optL = lp.OptimalSlotsIn(&v.ev, maxL)
+		w.maxUseL = lp.MaxUsefulSlotsIn(&v.ev, maxL)
 	}
 	if bundle.CanBundleIn(a.Spec, v.big.Cap) {
 		// Big slots are scarce and already contention-optimal, so the
 		// bundle pipeline is sized for throughput: the smallest count
 		// reaching the best makespan the board allows.
 		bp := v.bigPlan(a)
-		v.optB[a] = bp.MaxUsefulSlotsIn(&v.ev, e.Board.Count(v.big.Name))
+		w.optB = bp.MaxUsefulSlotsIn(&v.ev, e.Board.Count(v.big.Name))
 	}
-	v.cwait = append(v.cwait, a)
+	v.cwait = append(v.cwait, w)
 }
 
 func (v *VersaSlotBL) fitsLittle(spec *appmodel.AppSpec) bool {
@@ -138,14 +136,8 @@ func (v *VersaSlotBL) bigPlan(a *appmodel.App) pipeline.Plan {
 
 // AppFinished implements Policy.
 func (v *VersaSlotBL) AppFinished(a *appmodel.App) {
-	v.unbind(a)
-}
-
-func (v *VersaSlotBL) unbind(a *appmodel.App) {
-	v.sBig = removeApp(v.sBig, a)
-	v.sLittle = removeApp(v.sLittle, a)
-	delete(v.rBig, a)
-	delete(v.rLittle, a)
+	v.sBig = removeBL(v.sBig, a)
+	v.sLittle = removeBL(v.sLittle, a)
 }
 
 // Schedule implements Policy — Algorithm 2, with Algorithm 1 embedded
@@ -154,110 +146,117 @@ func (v *VersaSlotBL) Schedule() {
 	e := v.e
 	v.releaseAndReuse()
 	if !e.Frozen() {
-		v.allocate()
-		v.preemptLittle()
+		v.preemptLittle(v.allocate())
 	}
 	v.place()
-	for _, a := range v.sBig {
-		ensureProgress(e, a)
-		e.Pump(a)
+	for _, b := range v.sBig {
+		ensureProgress(e, b.a)
+		e.Pump(b.a)
 	}
-	for _, a := range v.sLittle {
-		ensureProgress(e, a)
-		e.Pump(a)
+	for _, b := range v.sLittle {
+		ensureProgress(e, b.a)
+		e.Pump(b.a)
 	}
 	// Apps still waiting for slots are blocked tasks in the D_switch
 	// sense: their PR cannot even be issued.
 	e.WindowBlocked += uint64(len(v.cwait))
 }
 
-// allocate is Algorithm 1.
-func (v *VersaSlotBL) allocate() {
+// allocate is Algorithm 1. It returns the Little slots left neither
+// held nor promised: binding and redistribution change allocations,
+// not placements, so each adjusts that count by the app's shortfall
+// delta instead of rescanning.
+func (v *VersaSlotBL) allocate() int {
 	e := v.e
-	bAvail := e.Board.CountEmpty(v.big.Name) - v.slack(v.sBig, v.rBig)
-	lAvail := e.Board.CountEmpty(v.little.Name) - v.slack(v.sLittle, v.rLittle)
+	bAvail := e.Board.CountEmpty(v.big.Name) - slack(v.sBig)
+	lAvail := e.Board.CountEmpty(v.little.Name) - slack(v.sLittle)
 	if bAvail <= 0 && lAvail <= 0 {
-		return
+		return lAvail
 	}
 	// Rebinding: free Big capacity pulls not-yet-started Little-bound
 	// apps back to the waiting list so they can bind to Big slots.
 	if bAvail > 0 {
-		v.scratch = append(v.scratch[:0], v.sLittle...)
-		for _, a := range v.scratch {
-			if a.Started || v.optB[a] == 0 {
+		kept := v.sLittle[:0]
+		for _, b := range v.sLittle {
+			if b.a.Started || b.optB == 0 || !v.canUnbind(b.a) {
+				kept = append(kept, b)
 				continue
 			}
-			if !v.canUnbind(a) {
-				continue
-			}
-			v.evictAll(a)
-			v.unbind(a)
-			a.State = appmodel.StateWaiting
-			v.cwait = append(v.cwait, a)
+			v.evictAll(b.a)
+			b.a.State = appmodel.StateWaiting
+			b.r = 0
+			v.cwait = append(v.cwait, b)
 		}
-		lAvail = e.Board.CountEmpty(v.little.Name) - v.slack(v.sLittle, v.rLittle)
+		clear(v.sLittle[len(kept):])
+		v.sLittle = kept
+		lAvail = e.Board.CountEmpty(v.little.Name) - slack(v.sLittle)
 	}
 	// Primary allocation: Big first for bundleable apps, then Little.
-	lLeft := lAvail
+	lLeft, lFree := lAvail, lAvail
 	kept := v.cwait[:0]
-	for _, a := range v.cwait {
-		if bAvail > 0 && v.optB[a] > 0 {
-			r := v.optB[a]
+	for _, w := range v.cwait {
+		if bAvail > 0 && w.optB > 0 {
+			r := w.optB
 			if r > bAvail {
 				r = bAvail
 			}
-			v.bindBig(a, r)
+			v.bindBig(w, r)
 			bAvail -= r
 			continue
 		}
 		if lLeft > 0 {
-			r := v.optL[a]
+			r := w.optL
 			if r > lLeft {
 				r = lLeft
 			}
 			if r >= 1 {
-				v.bindLittle(a, r)
+				v.bindLittle(w, r)
 				lLeft -= r
+				lFree -= shortfall(w.a, r)
 				continue
 			}
 		}
-		kept = append(kept, a)
+		kept = append(kept, w)
 	}
+	clear(v.cwait[len(kept):])
 	v.cwait = kept
 	// Redistribution: leftover Little slots top up bound apps (front of
 	// the runnable queue first) toward their maximum useful counts.
-	for _, a := range v.sLittle {
+	for i := range v.sLittle {
 		if lLeft <= 0 {
 			break
 		}
-		ceil := v.maxUseL[a]
-		if rem := unplacedCount(a) + heldSlots(a); ceil > rem {
+		b := &v.sLittle[i]
+		ceil := b.maxUseL
+		if rem := b.a.UnplacedStages() + b.a.HeldSlots(); ceil > rem {
 			ceil = rem
 		}
-		delta := ceil - v.rLittle[a]
+		delta := ceil - b.r
 		if delta <= 0 {
 			continue
 		}
 		if delta > lLeft {
 			delta = lLeft
 		}
-		v.rLittle[a] += delta
+		lFree -= shortfall(b.a, b.r+delta) - shortfall(b.a, b.r)
+		b.r += delta
 		lLeft -= delta
 	}
+	return lFree
 }
 
-func (v *VersaSlotBL) bindBig(a *appmodel.App, r int) {
-	bundle.Build(a, v.big.Name)
-	v.sBig = append(v.sBig, a)
-	v.rBig[a] = r
-	a.State = appmodel.StateReady
+func (v *VersaSlotBL) bindBig(w blApp, r int) {
+	bundle.Build(w.a, v.big.Name)
+	w.r = r
+	w.a.State = appmodel.StateReady
+	v.sBig = append(v.sBig, w)
 }
 
-func (v *VersaSlotBL) bindLittle(a *appmodel.App, r int) {
-	bundle.BuildTasks(a, v.little.Name)
-	v.sLittle = append(v.sLittle, a)
-	v.rLittle[a] = r
-	a.State = appmodel.StateReady
+func (v *VersaSlotBL) bindLittle(w blApp, r int) {
+	bundle.BuildTasks(w.a, v.little.Name)
+	w.r = r
+	w.a.State = appmodel.StateReady
+	v.sLittle = append(v.sLittle, w)
 }
 
 // canUnbind: rebinding is only legal before execution starts and while
@@ -276,23 +275,17 @@ func (v *VersaSlotBL) canUnbind(a *appmodel.App) bool {
 
 func (v *VersaSlotBL) evictAll(a *appmodel.App) {
 	for _, st := range a.Stages {
-		if st.Slot != nil && st.Slot.Free() {
+		if st.Slot() != nil && st.Slot().Free() {
 			v.e.EvictStage(st)
 		}
 	}
 }
 
 // slack counts slots promised but not yet held (placement in flight).
-func (v *VersaSlotBL) slack(apps []*appmodel.App, r map[*appmodel.App]int) int {
+func slack(bound []blApp) int {
 	total := 0
-	for _, a := range apps {
-		short := r[a] - heldSlots(a)
-		if rem := unplacedCount(a); short > rem {
-			short = rem
-		}
-		if short > 0 {
-			total += short
-		}
+	for _, b := range bound {
+		total += shortfall(b.a, b.r)
 	}
 	return total
 }
@@ -300,45 +293,30 @@ func (v *VersaSlotBL) slack(apps []*appmodel.App, r map[*appmodel.App]int) int {
 // releaseAndReuse recycles finished stages' slots within each app, then
 // returns surplus to the pool; it also enforces shrunken allocations.
 func (v *VersaSlotBL) releaseAndReuse() {
-	e := v.e
-	for _, list := range [][]*appmodel.App{v.sBig, v.sLittle} {
-		for _, a := range list {
-			reuseForUnplaced(e, a)
-			if unplacedCount(a) == 0 {
-				for _, st := range a.Stages {
-					if st.Finished() && st.Slot != nil && st.Slot.Free() {
-						e.EvictStage(st)
-					}
-				}
-			}
-		}
+	for _, b := range v.sBig {
+		recycleFinished(v.e, b.a)
 	}
-	for _, a := range v.sLittle {
-		for heldSlots(a) > v.rLittle[a] {
-			victim := shrinkVictim(a)
-			if victim == nil {
-				break
-			}
-			e.EvictStage(victim)
-		}
+	for _, b := range v.sLittle {
+		recycleFinished(v.e, b.a)
+	}
+	for _, b := range v.sLittle {
+		shrinkTo(v.e, b.a, b.r)
 	}
 }
 
 // preemptLittle is the aging preemption, restricted to Little slots:
 // Big-bound apps run to completion ("applications bound to the big
-// slots can only complete all their tasks in the Big slots").
-func (v *VersaSlotBL) preemptLittle() {
+// slots can only complete all their tasks in the Big slots"). lFree is
+// allocate's count of Little slots neither held nor promised.
+func (v *VersaSlotBL) preemptLittle(lFree int) {
 	e := v.e
-	if len(v.cwait) == 0 {
-		return
-	}
-	if e.Board.CountEmpty(v.little.Name)-v.slack(v.sLittle, v.rLittle) > 0 {
+	if len(v.cwait) == 0 || lFree > 0 {
 		return
 	}
 	now := e.Now()
 	starved := false
-	for _, a := range v.cwait {
-		if now.Sub(a.Arrival) >= e.Params.PreemptAge {
+	for _, w := range v.cwait {
+		if now.Sub(w.a.Arrival) >= e.Params.PreemptAge {
 			starved = true
 			break
 		}
@@ -346,48 +324,41 @@ func (v *VersaSlotBL) preemptLittle() {
 	if !starved || now.Sub(v.lastPreempt) < e.Params.PreemptAge/4 {
 		return
 	}
-	var victim *appmodel.App
+	var victim *blApp
 	most := e.Params.PreemptMinRemaining
-	for _, a := range v.sLittle {
-		if v.rLittle[a] <= 1 {
+	for i := range v.sLittle {
+		b := &v.sLittle[i]
+		if b.r <= 1 {
 			continue
 		}
-		if rem := a.RemainingItems(); rem >= most {
+		if rem := b.a.RemainingItems(); rem >= most {
 			most = rem
-			victim = a
+			victim = b
 		}
 	}
 	if victim == nil {
 		return
 	}
-	v.rLittle[victim]--
+	victim.r--
 	v.lastPreempt = now
 }
 
 // place loads stages into idle slots up to each app's allocation
 // (Algorithm 2 lines 13-19), asynchronously via the PR server.
 func (v *VersaSlotBL) place() {
+	v.placeIn(v.sBig, v.big.Name)
+	v.placeIn(v.sLittle, v.little.Name)
+}
+
+func (v *VersaSlotBL) placeIn(bound []blApp, class string) {
 	e := v.e
-	for _, a := range v.sBig {
-		for heldSlots(a) < v.rBig[a] {
-			st := nextUnplaced(a)
+	for _, b := range bound {
+		for b.a.HeldSlots() < b.r {
+			st := nextUnplaced(b.a)
 			if st == nil {
 				break
 			}
-			slot := e.Board.FirstEmpty(v.big.Name)
-			if slot == nil {
-				break
-			}
-			e.RequestPR(st, slot)
-		}
-	}
-	for _, a := range v.sLittle {
-		for heldSlots(a) < v.rLittle[a] {
-			st := nextUnplaced(a)
-			if st == nil {
-				break
-			}
-			slot := e.Board.FirstEmpty(v.little.Name)
+			slot := e.Board.FirstEmpty(class)
 			if slot == nil {
 				break
 			}
@@ -400,17 +371,13 @@ func (v *VersaSlotBL) place() {
 // started apps (their binding is dissolved; PR work already spent is
 // the rebinding cost live migration accepts).
 func (v *VersaSlotBL) ExtractMigratable() []*appmodel.App {
-	out := v.cwait
-	v.cwait = nil
-	for _, a := range append([]*appmodel.App(nil), v.sLittle...) {
-		if v.canUnbind(a) {
-			v.evictAll(a)
-			v.unbind(a)
-			a.State = appmodel.StateWaiting
-			out = append(out, a)
-		}
+	var out []*appmodel.App
+	for _, w := range v.cwait {
+		out = append(out, w.a)
 	}
-	return out
+	clear(v.cwait)
+	v.cwait = v.cwait[:0]
+	return v.unbindStarted(out, -1)
 }
 
 // ExtractMigratableUpTo implements MigrationLimiter: the most recently
@@ -422,20 +389,29 @@ func (v *VersaSlotBL) ExtractMigratableUpTo(n int) []*appmodel.App {
 	var out []*appmodel.App
 	for n > len(out) && len(v.cwait) > 0 {
 		last := len(v.cwait) - 1
-		out = append(out, v.cwait[last])
+		out = append(out, v.cwait[last].a)
+		v.cwait[last] = blApp{}
 		v.cwait = v.cwait[:last]
 	}
-	for _, a := range append([]*appmodel.App(nil), v.sLittle...) {
-		if n <= len(out) {
-			break
+	return v.unbindStarted(out, n)
+}
+
+// unbindStarted dissolves the Little bindings of apps that may still
+// move (canUnbind), in S_Little order, appending them to out until out
+// holds n apps (n < 0: no limit).
+func (v *VersaSlotBL) unbindStarted(out []*appmodel.App, n int) []*appmodel.App {
+	kept := v.sLittle[:0]
+	for _, b := range v.sLittle {
+		if (n < 0 || len(out) < n) && v.canUnbind(b.a) {
+			v.evictAll(b.a)
+			b.a.State = appmodel.StateWaiting
+			out = append(out, b.a)
+			continue
 		}
-		if v.canUnbind(a) {
-			v.evictAll(a)
-			v.unbind(a)
-			a.State = appmodel.StateWaiting
-			out = append(out, a)
-		}
+		kept = append(kept, b)
 	}
+	clear(v.sLittle[len(kept):])
+	v.sLittle = kept
 	return out
 }
 
@@ -449,9 +425,9 @@ func (v *VersaSlotBL) AcceptMigrated(apps []*appmodel.App) {
 	v.e.Activate()
 }
 
-func removeApp(list []*appmodel.App, a *appmodel.App) []*appmodel.App {
-	for i, x := range list {
-		if x == a {
+func removeBL(list []blApp, a *appmodel.App) []blApp {
+	for i, b := range list {
+		if b.a == a {
 			return append(list[:i], list[i+1:]...)
 		}
 	}

@@ -47,10 +47,16 @@ type Server struct {
 	busy  bool
 	cur   *Job
 	queue []*Job
-	head  int // index of the next queued job; queue[:head] is spent
-	stats ServerStats
-	pri   int32  // event priority of completion events (see SetPriority)
-	pool  []*Job // recycled SubmitFunc jobs
+	head  int         // index of the next queued job; queue[:head] is spent
+	stats ServerStats // ByClass and WaitByName stay nil; see classes
+	pri   int32       // event priority of completion events (see SetPriority)
+	pool  []*Job      // recycled SubmitFunc jobs
+
+	// classes holds the per-class completion and wait counters behind
+	// ServerStats.ByClass/WaitByName. A server sees a handful of job
+	// classes, so a linear scan of a slice beats a string-keyed map
+	// write per job; Stats builds the maps.
+	classes []classStats
 
 	// finishFn is the completion callback scheduled for the job in
 	// service. It is bound once at construction: the server is
@@ -62,18 +68,30 @@ type Server struct {
 	IdleHook func()
 }
 
+// classStats accumulates one job class's share of ServerStats.
+type classStats struct {
+	class     string
+	completed uint64
+	wait      Duration
+}
+
 // NewServer returns an idle server attached to kernel k.
 func NewServer(k *Kernel, name string) *Server {
-	s := &Server{
-		k:    k,
-		name: name,
-		stats: ServerStats{
-			ByClass:    make(map[string]uint64),
-			WaitByName: make(map[string]Duration),
-		},
-	}
+	s := &Server{k: k, name: name}
 	s.finishFn = func() { s.finish(s.cur) }
 	return s
+}
+
+// class returns the counters of the named job class, adding them on
+// first use.
+func (s *Server) class(name string) *classStats {
+	for i := range s.classes {
+		if s.classes[i].class == name {
+			return &s.classes[i]
+		}
+	}
+	s.classes = append(s.classes, classStats{class: name})
+	return &s.classes[len(s.classes)-1]
 }
 
 // Name returns the server's identifier.
@@ -117,16 +135,20 @@ func (s *Server) PendingByClass(class string) int {
 // Current returns the job in service, or nil when idle.
 func (s *Server) Current() *Job { return s.cur }
 
-// Stats returns a copy of the server's accumulated statistics.
+// Stats returns a copy of the server's accumulated statistics. A class
+// appears in ByClass once a job of it completed, and in WaitByName once
+// one had to queue.
 func (s *Server) Stats() ServerStats {
 	out := s.stats
-	out.ByClass = make(map[string]uint64, len(s.stats.ByClass))
-	for k, v := range s.stats.ByClass {
-		out.ByClass[k] = v
-	}
-	out.WaitByName = make(map[string]Duration, len(s.stats.WaitByName))
-	for k, v := range s.stats.WaitByName {
-		out.WaitByName[k] = v
+	out.ByClass = make(map[string]uint64, len(s.classes))
+	out.WaitByName = make(map[string]Duration, len(s.classes))
+	for _, c := range s.classes {
+		if c.completed > 0 {
+			out.ByClass[c.class] = c.completed
+		}
+		if c.wait > 0 {
+			out.WaitByName[c.class] = c.wait
+		}
 	}
 	return out
 }
@@ -188,7 +210,7 @@ func (s *Server) start(j *Job) {
 	if wait > 0 {
 		s.stats.WaitTime += wait
 		s.stats.Waited++
-		s.stats.WaitByName[j.Class] += wait
+		s.class(j.Class).wait += wait
 	}
 	if j.Start != nil {
 		j.Start(wait)
@@ -199,7 +221,7 @@ func (s *Server) start(j *Job) {
 func (s *Server) finish(j *Job) {
 	s.stats.Completed++
 	s.stats.BusyTime += j.Cost
-	s.stats.ByClass[j.Class]++
+	s.class(j.Class).completed++
 	s.cur = nil
 	s.busy = false
 	done := j.Done

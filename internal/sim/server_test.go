@@ -58,6 +58,41 @@ func TestServerWaitAccounting(t *testing.T) {
 	}
 }
 
+// TestServerStatsClassMaps pins the map view Stats builds from the
+// per-class counters: a class appears in ByClass once a job of it
+// completed and in WaitByName once one queued, and the maps are
+// copies.
+func TestServerStatsClassMaps(t *testing.T) {
+	k := NewKernel(1)
+	s := NewServer(k, "core0")
+	s.SubmitFunc("a", "launch", 10*Millisecond, nil) // starts at once
+	s.SubmitFunc("b", "sched", 10*Millisecond, nil)  // queues 10ms
+	s.SubmitFunc("c", "launch", 10*Millisecond, nil) // queues 20ms
+	st := s.Stats()
+	if len(st.ByClass) != 0 || len(st.WaitByName) != 0 {
+		t.Fatalf("before any completion: ByClass %v WaitByName %v", st.ByClass, st.WaitByName)
+	}
+	k.Run()
+	st = s.Stats()
+	if len(st.ByClass) != 2 || st.ByClass["launch"] != 2 || st.ByClass["sched"] != 1 {
+		t.Fatalf("ByClass %v", st.ByClass)
+	}
+	if len(st.WaitByName) != 2 || st.WaitByName["launch"] != 20*Millisecond || st.WaitByName["sched"] != 10*Millisecond {
+		t.Fatalf("WaitByName %v", st.WaitByName)
+	}
+	st.ByClass["launch"] = 99
+	if s.Stats().ByClass["launch"] != 2 {
+		t.Fatal("Stats returned the server's own map")
+	}
+
+	idle := NewServer(k, "pcap")
+	idle.SubmitFunc("x", "pr", Millisecond, nil)
+	k.Run()
+	if st := idle.Stats(); st.ByClass["pr"] != 1 || len(st.WaitByName) != 0 {
+		t.Fatalf("unqueued job: ByClass %v WaitByName %v", st.ByClass, st.WaitByName)
+	}
+}
+
 func TestServerIdleThenBusy(t *testing.T) {
 	k := NewKernel(1)
 	s := NewServer(k, "core")
