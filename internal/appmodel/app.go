@@ -130,6 +130,10 @@ type App struct {
 	// recounts, so schedulers read both in O(1) each pass.
 	held, unplaced int
 
+	// wake is set by every stage writer that can make a stage
+	// launchable (see TakeWake).
+	wake bool
+
 	// Started reports whether any stage has executed an item. Rebinding
 	// is only legal before this (Algorithm 1 unbinds only apps that
 	// have not started).
@@ -176,9 +180,28 @@ func (a *App) HeldSlots() int { return a.held }
 // slot.
 func (a *App) UnplacedStages() int { return a.unplaced }
 
+// Woken reports whether a stage may have become launchable since the
+// last TakeWake.
+func (a *App) Woken() bool { return a.wake }
+
+// TakeWake reports whether a stage may have become launchable since
+// the last call, and clears the flag. Every writer that can make a
+// stage launchable sets it: a slot attached or detached (setSlot, so
+// Attach, Evict, ResetStages), a PR or item ending (SetLoading(false),
+// SetInFlight(false), CompleteItem) and progress rewound (SetDone).
+// A caller that then scans every stage and launches what it can leaves
+// no stage launchable — a launch disables only its own stage — so a
+// clear flag lets the next scan be skipped.
+func (a *App) TakeWake() bool {
+	w := a.wake
+	a.wake = false
+	return w
+}
+
 // setStages installs a freshly built execution plan and recounts.
 func (a *App) setStages(stages []*Stage) {
 	a.Stages = stages
+	a.wake = true
 	a.held, a.unplaced = 0, 0
 	for _, st := range stages {
 		switch {

@@ -167,12 +167,12 @@ func TestNextItemReadyDependencies(t *testing.T) {
 	if s1.NextItemReady() {
 		t.Fatal("stage ready without fresh input")
 	}
-	s1.InFlight = true
+	s1.SetInFlight(true)
 	s0.SetDone(2)
 	if s1.NextItemReady() {
 		t.Fatal("in-flight stage reported ready")
 	}
-	s1.InFlight = false
+	s1.SetInFlight(false)
 	s1.SetDone(3)
 	if s1.NextItemReady() {
 		t.Fatal("finished stage reported ready")
@@ -200,11 +200,11 @@ func TestResetStagesPreservesProgress(t *testing.T) {
 	slot := &fabric.Slot{ID: 0, Class: fabric.LittleClass}
 	a.Stages[0].Attach(slot)
 	a.Stages[0].SetDone(2)
-	a.Stages[0].InFlight = true
-	a.Stages[0].Loading = true
+	a.Stages[0].SetInFlight(true)
+	a.Stages[0].SetLoading(true)
 	ResetStages(a)
 	st := a.Stages[0]
-	if st.Slot() != nil || st.InFlight || st.Loading {
+	if st.Slot() != nil || st.InFlight() || st.Loading() {
 		t.Fatal("runtime state not cleared")
 	}
 	if st.Done() != 2 {
@@ -236,9 +236,9 @@ func TestEvict(t *testing.T) {
 	TaskStages(a, "Little", 1.0, func(int) string { return "b" })
 	st := a.Stages[0]
 	st.Attach(&fabric.Slot{})
-	st.Loading = true
+	st.SetLoading(true)
 	st.Evict()
-	if st.Slot() != nil || st.Loading {
+	if st.Slot() != nil || st.Loading() {
 		t.Fatal("evict incomplete")
 	}
 }

@@ -60,10 +60,11 @@ type Stage struct {
 	done int
 	slot *fabric.Slot
 
-	// InFlight reports whether an item is currently executing.
-	InFlight bool
-	// Loading reports whether a PR for this stage is in flight.
-	Loading bool
+	// inFlight reports whether an item is executing, loading whether a
+	// PR for this stage is in flight. Clearing either can make the stage
+	// launchable, so they too change only through the methods below,
+	// which wake the app (see App.TakeWake).
+	inFlight, loading bool
 	// LoadedAt records when the stage last became resident (for LRU
 	// style decisions and traces).
 	LoadedAt sim.Time
@@ -106,22 +107,64 @@ func (s *Stage) Done() int { return s.done }
 // if it is not placed.
 func (s *Stage) Slot() *fabric.Slot { return s.slot }
 
+// InFlight reports whether an item is currently executing.
+func (s *Stage) InFlight() bool { return s.inFlight }
+
+// Loading reports whether a PR for this stage is in flight.
+func (s *Stage) Loading() bool { return s.loading }
+
 // Finished reports whether the stage has completed the app's batch.
 func (s *Stage) Finished() bool { return s.done >= s.App.Batch }
 
 // Resident reports whether the stage is loaded in a slot and not mid-PR.
-func (s *Stage) Resident() bool { return s.slot != nil && !s.Loading }
+func (s *Stage) Resident() bool { return s.slot != nil && !s.loading }
+
+// Launchable reports whether the stage's next item can launch now: the
+// stage is resident in a loaded, idle slot, no item of it is executing,
+// and the item's input is ready.
+func (s *Stage) Launchable() bool {
+	return s.Resident() && s.slot.State() == fabric.SlotLoaded && s.NextItemReady()
+}
 
 // Attach records that the stage occupies slot (a PR into it began, or
 // it was placed resident). The caller transitions the slot itself.
 func (s *Stage) Attach(slot *fabric.Slot) { s.setSlot(slot) }
 
-// CompleteItem counts one more finished item.
-func (s *Stage) CompleteItem() { s.SetDone(s.done + 1) }
+// SetInFlight records that an item started (true) or was torn down
+// without completing (false).
+func (s *Stage) SetInFlight(v bool) {
+	s.inFlight = v
+	if !v {
+		s.App.wake = true
+	}
+}
+
+// SetLoading records that a PR for the stage started (true) or ended
+// (false).
+func (s *Stage) SetLoading(v bool) {
+	s.loading = v
+	if !v {
+		s.App.wake = true
+	}
+}
+
+// CompleteItem ends the executing item and counts it finished.
+func (s *Stage) CompleteItem() {
+	s.inFlight = false
+	s.setDone(s.done + 1)
+	s.App.wake = true
+}
 
 // SetDone overwrites the completed-item count: a crash restart without
 // a checkpoint rewinds it to zero.
 func (s *Stage) SetDone(n int) {
+	s.setDone(n)
+	s.App.wake = true
+}
+
+// setSlot and setDone are the only writers of slot and done; they keep
+// the app's held and unplaced counters exact.
+func (s *Stage) setDone(n int) {
 	was := s.Finished()
 	s.done = n
 	if s.slot == nil && was != s.Finished() {
@@ -133,8 +176,6 @@ func (s *Stage) SetDone(n int) {
 	}
 }
 
-// setSlot and SetDone are the only writers of slot and done; they keep
-// the app's held and unplaced counters exact.
 func (s *Stage) setSlot(slot *fabric.Slot) {
 	if (s.slot == nil) != (slot == nil) {
 		d := 1
@@ -147,12 +188,13 @@ func (s *Stage) setSlot(slot *fabric.Slot) {
 		}
 	}
 	s.slot = slot
+	s.App.wake = true
 }
 
 // NextItemReady reports whether the next item's input is available:
 // item Done of stage i needs item Done completed by stage i-1.
 func (s *Stage) NextItemReady() bool {
-	if s.Finished() || s.InFlight {
+	if s.Finished() || s.inFlight {
 		return false
 	}
 	if s.Index == 0 {
@@ -167,7 +209,7 @@ func (s *Stage) NextItemReady() bool {
 // slot itself.
 func (s *Stage) Evict() {
 	s.setSlot(nil)
-	s.Loading = false
+	s.loading = false
 }
 
 // String identifies the stage in traces.
@@ -297,7 +339,7 @@ func BundleTiming(spec *AppSpec, size, b int, mode BundleMode) (first, rest sim.
 func ResetStages(a *App) {
 	for _, st := range a.Stages {
 		st.setSlot(nil)
-		st.Loading = false
-		st.InFlight = false
+		st.loading = false
+		st.inFlight = false
 	}
 }

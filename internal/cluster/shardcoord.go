@@ -33,6 +33,12 @@ import (
 //   - one atomic post/acknowledge round per woken worker, with
 //     spin-then-park waiting instead of per-epoch futex round-trips.
 //
+// The coordinator owns shard 0 itself: worker 0 has no goroutine, and
+// the coordinator runs its pair range between posting the other woken
+// workers and awaiting them (and drains it inline at finish), so a
+// width-w run has w-1 worker goroutines and the coordinator works
+// instead of yielding while they run. Both paths share runRange.
+//
 // Clocks advance lazily: a pair's clock is stamped to the coordinator
 // instant only when a control event actually touches the pair
 // (Farm.TouchPair — dispatch injection, migration delivery or requeue,
@@ -70,9 +76,10 @@ const spinBudget = 128
 // many, the coordinator runs them itself instead of waking the worker.
 const inlinePairMax = 2
 
-// shardWorker is one persistent worker goroutine owning the contiguous
-// pair range [lo, hi). The coordinator posts commands by storing bound
-// and bumping epoch; the worker acknowledges by storing the epoch into
+// shardWorker owns the contiguous pair range [lo, hi). Worker 0's
+// range runs on the coordinator; every other worker is a persistent
+// goroutine. The coordinator posts commands by storing bound and
+// bumping epoch; the worker acknowledges by storing the epoch into
 // done after executing. At most one command is ever outstanding, and
 // the atomics carry the happens-before edges that make the shared
 // pnext array and the pair kernels safe to hand back and forth.
@@ -142,7 +149,9 @@ func (f *Farm) newShardCoord() *shardCoord {
 		}
 		c.wnext[w] = min
 		c.workers[w] = sw
-		go c.worker(sw)
+		if w > 0 {
+			go c.worker(sw)
+		}
 	}
 	f.coord = c
 	return c
@@ -171,11 +180,8 @@ func (c *shardCoord) wait(w *shardWorker) {
 }
 
 // worker is the persistent per-shard loop: spin for the next command,
-// park when none comes, execute, acknowledge. Only pairs whose horizon
-// lies before the bound are visited — the pnext array makes skipping
-// an idle pair a single load instead of a heap peek.
+// park when none comes, execute, acknowledge.
 func (c *shardCoord) worker(w *shardWorker) {
-	ks := c.f.pairK
 	last := uint64(0)
 	for {
 		for w.epoch.Load() == last {
@@ -199,32 +205,41 @@ func (c *shardCoord) worker(w *shardWorker) {
 		}
 		last = w.epoch.Load()
 		b := sim.Time(w.bound.Load())
-		switch b {
-		case stopCmd:
+		if b == stopCmd {
 			w.done.Store(last)
 			return
-		case drainCmd:
-			for i := w.lo; i < w.hi; i++ {
-				ks[i].Run()
-				c.pnext[i] = sim.MaxTime
-			}
-			w.next = sim.MaxTime
-		default:
-			min := sim.MaxTime
-			for i := w.lo; i < w.hi; i++ {
-				nx := c.pnext[i]
-				if nx < b {
-					nx = ks[i].RunTo(b)
-					c.pnext[i] = nx
-				}
-				if nx < min {
-					min = nx
-				}
-			}
-			w.next = min
 		}
+		c.runRange(w, b)
 		w.done.Store(last)
 	}
+}
+
+// runRange executes one command — a run-ahead bound or drainCmd — over
+// w's pairs and publishes their minimum horizon in w.next. Only pairs
+// whose horizon lies before the bound are visited — the pnext array
+// makes skipping an idle pair a single load instead of a heap peek.
+func (c *shardCoord) runRange(w *shardWorker, b sim.Time) {
+	ks := c.f.pairK
+	if b == drainCmd {
+		for i := w.lo; i < w.hi; i++ {
+			ks[i].Run()
+			c.pnext[i] = sim.MaxTime
+		}
+		w.next = sim.MaxTime
+		return
+	}
+	min := sim.MaxTime
+	for i := w.lo; i < w.hi; i++ {
+		nx := c.pnext[i]
+		if nx < b {
+			nx = ks[i].RunTo(b)
+			c.pnext[i] = nx
+		}
+		if nx < min {
+			min = nx
+		}
+	}
+	w.next = min
 }
 
 // tryInline runs a single worker's event-bearing pairs on the
@@ -258,9 +273,10 @@ func (c *shardCoord) tryInline(wIdx int, t sim.Time) bool {
 
 // step executes one coordinator instant: grant every shard the
 // lookahead bound T = next control time (waking only the workers whose
-// horizon lies before it), drain every control event at exactly T,
-// then fold the pairs those events touched back into the horizons.
-// Returns false once the control queue is empty.
+// horizon lies before it, and running shard 0 inline), drain every
+// control event at exactly T, then fold the pairs those events touched
+// back into the horizons. Returns false once the control queue is
+// empty.
 func (c *shardCoord) step() bool {
 	f := c.f
 	t, ok := f.K.NextAt()
@@ -275,11 +291,18 @@ func (c *shardCoord) step() bool {
 	}
 	if !(len(c.need) == 0 || (len(c.need) == 1 && c.tryInline(c.need[0], t))) {
 		for _, w := range c.need {
-			c.post(c.workers[w], t)
+			if w > 0 {
+				c.post(c.workers[w], t)
+			}
 		}
+		// need is ascending, so shard 0 runs while the others do.
 		for _, w := range c.need {
 			sw := c.workers[w]
-			c.wait(sw)
+			if w == 0 {
+				c.runRange(sw, t)
+			} else {
+				c.wait(sw)
+			}
 			c.wnext[w] = sw.next
 		}
 	}
@@ -306,15 +329,18 @@ func (c *shardCoord) step() bool {
 }
 
 // finish runs every pair kernel dry in parallel once the control queue
-// has emptied, then advances all clocks to the global end time so
-// residency and availability integrals flush against the same horizon
-// a shared kernel would have had, and shuts the workers down.
+// has emptied (shard 0 on the coordinator), then advances all clocks
+// to the global end time so residency and availability integrals flush
+// against the same horizon a shared kernel would have had, and shuts
+// the workers down.
 func (c *shardCoord) finish() {
 	f := c.f
-	for _, w := range c.workers {
+	rest := c.workers[1:]
+	for _, w := range rest {
 		c.post(w, drainCmd)
 	}
-	for _, w := range c.workers {
+	c.runRange(c.workers[0], drainCmd)
+	for _, w := range rest {
 		c.wait(w)
 	}
 	endT := f.K.Now()
@@ -327,16 +353,16 @@ func (c *shardCoord) finish() {
 	for _, k := range f.pairK {
 		k.AdvanceTo(endT)
 	}
-	for _, w := range c.workers {
+	for _, w := range rest {
 		c.post(w, stopCmd)
 	}
 	f.coord = nil
 }
 
 // runSharded executes the farm with one persistent goroutine per
-// shard, synchronized by conservative lookahead (see the package
-// comment at the top of this file). The merged run is byte-identical
-// to the sequential one.
+// shard but the first, which the coordinator runs itself, synchronized
+// by conservative lookahead (see the comment at the top of this file).
+// The merged run is byte-identical to the sequential one.
 func (f *Farm) runSharded() {
 	c := f.newShardCoord()
 	for c.step() {

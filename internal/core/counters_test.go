@@ -16,7 +16,9 @@ import (
 // auditCounters recounts by brute force what the O(1) occupancy
 // counters claim — each board's allocatable slots per class
 // (Board.CountEmpty) and each app's held and unplaced stages
-// (App.HeldSlots, App.UnplacedStages) — and fails on any mismatch.
+// (App.HeldSlots, App.UnplacedStages) — and fails on any mismatch. It
+// also checks the wake flag Engine.Pump skips on: an active app whose
+// flag is clear has no launchable stage.
 func auditCounters(t *testing.T, engines []*sched.Engine) {
 	t.Helper()
 	for _, e := range engines {
@@ -46,6 +48,16 @@ func auditCounters(t *testing.T, engines []*sched.Engine) {
 					e.Now(), a, a.HeldSlots(), a.UnplacedStages(), held, unplaced)
 			}
 		}
+		for _, a := range e.Active {
+			if a.Woken() {
+				continue
+			}
+			for _, st := range a.Stages {
+				if st.Launchable() {
+					t.Fatalf("%v app %v: stage %d launchable but the app is not woken", e.Now(), a, st.Index)
+				}
+			}
+		}
 	}
 }
 
@@ -71,7 +83,8 @@ func chaosInjectors() []fault.InjectorSpec {
 }
 
 // TestCounterAudit checks the occupancy counters the scheduling passes
-// read in O(1) against a recount after every kernel event: all six
+// read in O(1) against a recount, and the launch wake flag against a
+// scan of every stage, after every kernel event: all six
 // policies under all four arrival conditions, the same policies under
 // chaos (with and without checkpointed crash restarts), and a
 // switching pair under chaos, whose live migrations reset stages.

@@ -96,7 +96,7 @@ func TestEnsureProgressSwapsStarvedPipeline(t *testing.T) {
 		t.Fatal("setup: stage 1 should be starved")
 	}
 	ensureProgress(e, a)
-	if !a.Stages[0].Loading && a.Stages[0].Slot() == nil {
+	if !a.Stages[0].Loading() && a.Stages[0].Slot() == nil {
 		t.Fatal("ensureProgress did not reload the earliest unfinished stage")
 	}
 	k.Run()
@@ -155,7 +155,7 @@ func mustResident(t *testing.T, st *appmodel.Stage, slot *fabric.Slot) {
 		t.Fatal(err)
 	}
 	st.Attach(slot)
-	st.Loading = false
+	st.SetLoading(false)
 }
 
 // --- Teardown gate ------------------------------------------------------

@@ -32,4 +32,17 @@
 // (TestHoistedFreeExact checks it against a rescan), and
 // TestCounterAudit in package core recounts every counter after every
 // kernel event, faults included.
+//
+// Launch probes are skipped the same way. Engine.Pump scans an app's
+// stages only when the app's wake flag is set (appmodel.App.TakeWake),
+// and clears it. Every stage writer that can make a stage launchable
+// sets the flag: attaching or detaching a slot (Attach, Evict,
+// ResetStages), a PR completing (SetLoading(false), in prDone and
+// PlaceResident), an item completing (CompleteItem), an item or load
+// torn down by a fault (SetInFlight(false), ResetStages) and progress
+// rewound (SetDone). A launch disables only its own stage, so after a
+// full scan no stage of the app is launchable until one of those
+// writers runs. Invariant: an active app whose flag is clear has no
+// stage that passes Stage.Launchable, LaunchItem's predicate;
+// TestCounterAudit checks it after every kernel event.
 package sched

@@ -322,7 +322,7 @@ func (e *Engine) RequestPR(st *appmodel.Stage, slot *fabric.Slot) {
 		panic(err)
 	}
 	st.Attach(slot)
-	st.Loading = true
+	st.SetLoading(true)
 	if e.Trace != nil {
 		e.trace("%v PR request %v -> slot %d", e.K.Now(), st, slot.ID)
 	}
@@ -383,7 +383,7 @@ func (rt *slotRT) prDone() {
 	e := rt.e
 	st, slot, bits := rt.prStage, rt.slot, rt.prBits
 	cost, attempt, waited := rt.prCost, rt.prAttempt, rt.prWaited
-	if slot.Failed() || st.Slot() != slot || !st.Loading {
+	if slot.Failed() || st.Slot() != slot || !st.Loading() {
 		// The slot died or the app crashed mid-load: the transfer's
 		// result is discarded and the region torn down (staying failed
 		// if the fault persists).
@@ -400,7 +400,7 @@ func (rt *slotRT) prDone() {
 			e.trace("%v PR fault retry %d/%d for %v -> slot %d (backoff %v)",
 				e.K.Now(), attempt+1, f.maxRetries, st, slot.ID, delay)
 			e.K.Schedule(delay, func() {
-				if slot.Failed() || st.Slot() != slot || !st.Loading {
+				if slot.Failed() || st.Slot() != slot || !st.Loading() {
 					// Crashed or failed during the backoff.
 					if slot.State() == fabric.SlotLoading {
 						e.abortLoad(slot)
@@ -425,7 +425,7 @@ func (rt *slotRT) prDone() {
 	if err := slot.CompleteLoad(); err != nil {
 		panic(err)
 	}
-	st.Loading = false
+	st.SetLoading(false)
 	st.LoadedAt = e.K.Now()
 	if e.Trace != nil {
 		e.trace("%v PR done %v -> slot %d (wait %v)", e.K.Now(), st, slot.ID, waited)
@@ -452,7 +452,7 @@ func (e *Engine) PlaceResident(st *appmodel.Stage, slot *fabric.Slot) {
 		panic(err)
 	}
 	st.Attach(slot)
-	st.Loading = false
+	st.SetLoading(false)
 	st.LoadedAt = e.K.Now()
 	e.beginResident(slot, st)
 }
@@ -484,17 +484,14 @@ func (e *Engine) EvictStage(st *appmodel.Stage) {
 // launch — queueing behind a PR on single-core systems is the paper's
 // task-execution-blocking effect.
 func (e *Engine) LaunchItem(st *appmodel.Stage) bool {
-	if st.InFlight || st.Finished() || !st.Resident() || !st.NextItemReady() {
+	if !st.Launchable() {
 		return false
 	}
 	slot := st.Slot()
-	if slot.State() != fabric.SlotLoaded {
-		return false
-	}
 	if err := slot.BeginExec(); err != nil {
 		panic(err)
 	}
-	st.InFlight = true
+	st.SetInFlight(true)
 	rt := e.rt(slot)
 	idx := st.Done()
 	dur := st.ItemTime(idx)
@@ -541,7 +538,6 @@ func (rt *slotRT) runExec() {
 		panic(err)
 	}
 	e.Col.AccumulateBusy(st.ImplRes(), e.K.Now().Sub(rt.start))
-	st.InFlight = false
 	st.CompleteItem()
 	if e.Recorder != nil {
 		e.record(trace.Event{Kind: trace.ExecDone, Slot: slot.ID, App: st.App.String(), Stage: st.Index, Item: idx})
@@ -556,8 +552,13 @@ func (rt *slotRT) runExec() {
 }
 
 // Pump launches every launchable item of the app. It returns the number
-// of launches issued.
+// of launches issued. An app no stage writer has woken since its last
+// pump has nothing launchable (see appmodel.App.TakeWake) and costs one
+// flag test.
 func (e *Engine) Pump(a *appmodel.App) int {
+	if !a.TakeWake() {
+		return 0
+	}
 	n := 0
 	for _, st := range a.Stages {
 		if e.LaunchItem(st) {
@@ -565,20 +566,6 @@ func (e *Engine) Pump(a *appmodel.App) int {
 		}
 	}
 	return n
-}
-
-// PumpSequential is Pump for policies without inter-slot pipelining
-// (FCFS/RR): stage i+1 starts only after stage i finished the batch.
-func (e *Engine) PumpSequential(a *appmodel.App) int {
-	for _, st := range a.Stages {
-		if !st.Finished() {
-			if e.LaunchItem(st) {
-				return 1
-			}
-			return 0
-		}
-	}
-	return 0
 }
 
 func (e *Engine) itemDone(st *appmodel.Stage) {
@@ -753,7 +740,7 @@ func (e *Engine) CheckQuiescent() {
 			msg += fmt.Sprintf("\n  %v state=%v started=%v remaining=%d", a, a.State, a.Started, a.RemainingItems())
 			for _, st := range a.Stages {
 				msg += fmt.Sprintf("\n    stage %d done=%d/%d inflight=%v loading=%v slot=%v",
-					st.Index, st.Done(), a.Batch, st.InFlight, st.Loading, st.Slot() != nil)
+					st.Index, st.Done(), a.Batch, st.InFlight(), st.Loading(), st.Slot() != nil)
 			}
 		}
 	}

@@ -56,14 +56,14 @@ func TestRequestPRLoadsStage(t *testing.T) {
 	st := a.Stages[0]
 	slot := r.engine.Board.Slots[0]
 	r.engine.RequestPR(st, slot)
-	if !st.Loading || st.Slot() != slot {
+	if !st.Loading() || st.Slot() != slot {
 		t.Fatal("stage not marked loading")
 	}
 	if slot.State() != fabric.SlotLoading {
 		t.Fatal("slot not loading")
 	}
 	r.k.Run()
-	if st.Loading || !st.Resident() {
+	if st.Loading() || !st.Resident() {
 		t.Fatal("stage not resident after load")
 	}
 	if slot.State() != fabric.SlotLoaded {

@@ -92,7 +92,7 @@ func (x *Exclusive) Schedule() {
 
 func (x *Exclusive) anyInFlight() bool {
 	for _, st := range x.current.Stages {
-		if st.InFlight {
+		if st.InFlight() {
 			return true
 		}
 	}

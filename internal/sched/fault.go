@@ -92,7 +92,7 @@ func (e *Engine) FailSlot(slot *fabric.Slot) {
 	var victim *appmodel.App
 	switch slot.State() {
 	case fabric.SlotLoading:
-		if st, ok := slot.Pending.(*appmodel.Stage); ok && st.Loading && st.Slot() == slot {
+		if st, ok := slot.Pending.(*appmodel.Stage); ok && st.Loading() && st.Slot() == slot {
 			victim = st.App
 		}
 	case fabric.SlotLoaded, fabric.SlotBusy:
@@ -144,7 +144,7 @@ func (e *Engine) crashApp(a *appmodel.App) {
 		if slot == nil {
 			continue
 		}
-		if st.Loading {
+		if st.Loading() {
 			// A PCAP transfer (or a retry backoff) is in flight; the
 			// slot must stay SlotLoading until its callback observes
 			// the detached stage and finishes the teardown via
@@ -163,7 +163,7 @@ func (e *Engine) crashApp(a *appmodel.App) {
 			if err := slot.CompleteExec(); err != nil {
 				panic(err)
 			}
-			st.InFlight = false
+			st.SetInFlight(false)
 		}
 		e.evictResident(slot)
 		if slot.Failed() {

@@ -130,7 +130,7 @@ func gangStarted(a *appmodel.App) bool {
 		return true
 	}
 	for _, st := range a.Stages {
-		if st.Loading {
+		if st.Loading() {
 			return false
 		}
 	}

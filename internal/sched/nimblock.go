@@ -372,7 +372,7 @@ func shrinkVictim(a *appmodel.App) *appmodel.Stage {
 		if st == first {
 			continue
 		}
-		if st.Slot() != nil && !st.Loading && !st.InFlight && st.Slot().Free() && !st.Finished() {
+		if st.Slot() != nil && !st.Loading() && !st.InFlight() && st.Slot().Free() && !st.Finished() {
 			return st
 		}
 	}
@@ -394,7 +394,7 @@ func ensureProgress(e *Engine, a *appmodel.App) {
 		if st.Slot() == nil {
 			continue
 		}
-		if st.InFlight || st.Loading || (st.Resident() && st.NextItemReady()) {
+		if st.InFlight() || st.Loading() || (st.Resident() && st.NextItemReady()) {
 			return // something is (or can get) running
 		}
 	}

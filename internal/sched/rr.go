@@ -78,7 +78,7 @@ func (r *RR) Schedule() {
 		if ra.draining {
 			a := ra.a
 			for _, st := range a.Stages {
-				if slot := st.Slot(); slot != nil && slot.Free() && !st.Loading {
+				if slot := st.Slot(); slot != nil && slot.Free() && !st.Loading() {
 					e.EvictStage(st)
 				}
 			}

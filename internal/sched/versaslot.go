@@ -266,7 +266,7 @@ func (v *VersaSlotBL) canUnbind(a *appmodel.App) bool {
 		return false
 	}
 	for _, st := range a.Stages {
-		if st.Loading || st.InFlight {
+		if st.Loading() || st.InFlight() {
 			return false
 		}
 	}

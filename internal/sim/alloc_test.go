@@ -4,7 +4,7 @@ import "testing"
 
 // TestKernelScheduleStepZeroAlloc: the steady-state Schedule/Step cycle
 // must be allocation-free — the arena and free list recycle event
-// slots, and the heap of indices never reallocates once warm.
+// slots, and the heap of queue entries never reallocates once warm.
 func TestKernelScheduleStepZeroAlloc(t *testing.T) {
 	k := NewKernel(1)
 	fn := func() {}

@@ -13,6 +13,24 @@
 // The RNG is a pinned xoshiro256** implementation — sequences do not
 // drift across Go releases.
 //
+// # Event queue
+//
+// The queue is a one-entry next-event register in front of an inline
+// 4-ary min-heap. When the register is set, its event sorts before
+// every heap entry. A Schedule that beats the current minimum — in a
+// VersaSlot run most do: a launch's completion, the pass after it —
+// takes the register in O(1), pushing any displaced occupant into the
+// heap; Step pops the register first, and the heap only when the
+// register is empty. Heap entries carry their (time, priority,
+// sequence) key inline next to the arena index, 24 bytes each, so
+// sifting reads only the heap slice. Cancels are lazy: a canceled
+// event stays queued until it reaches the head, where Step or a peek
+// (RunTo, RunBefore, RunUntil, AdvanceTo, NextAt) discards it. Because
+// the order is total, none of this changes which event fires next:
+// FuzzKernelDiff and TestKernelDifferentialOrder replay traces of
+// schedules, cancels, every run primitive and horizon drops against a
+// container/heap reference.
+//
 // # EventID generations
 //
 // Schedule returns a generation-counted EventID handle rather than a

@@ -41,34 +41,71 @@ func (id EventID) split() (idx int32, gen uint32) {
 // Slot lifecycle states of an arena entry.
 const (
 	slotFree     uint8 = iota // on the free list, gen already bumped
-	slotQueued                // live in the heap
-	slotCanceled              // canceled but still in the heap (lazy deletion)
+	slotQueued                // live in the queue
+	slotCanceled              // canceled but still queued (lazy deletion)
 )
 
 // eventSlot is one arena entry. Events are plain structs addressed by
-// index — no per-event heap allocation, no interface boxing.
+// index — no per-event heap allocation, no interface boxing. The
+// ordering key lives in the queue entry, not here; at is kept for
+// EventTime.
 type eventSlot struct {
-	at       Time
-	seq      uint64
-	fn       func()
-	priority int32
-	gen      uint32
-	state    uint8
+	at    Time
+	fn    func()
+	gen   uint32
+	state uint8
 }
 
+// qent is one queue entry: the event's ordering key (time, priority,
+// sequence) inline next to its arena index, so sift comparisons read
+// only the heap slice. 24 bytes.
+type qent struct {
+	at       Time
+	seq      uint64
+	priority int32
+	idx      int32
+}
+
+// less orders queue entries by (time, priority, sequence) — a strict
+// total order (sequence numbers are unique), so the pop order is
+// independent of where an entry sits (register or heap) and of the
+// heap's internal arrangement, and byte-identical to the previous
+// container/heap implementation.
+func (x *qent) less(y *qent) bool {
+	if x.at != y.at {
+		return x.at < y.at
+	}
+	if x.priority != y.priority {
+		return x.priority < y.priority
+	}
+	return x.seq < y.seq
+}
+
+// noNext marks the next-event register empty.
+const noNext int32 = -1
+
 // Kernel is the discrete-event simulation core: a clock and an event
-// queue. The queue is an inline 4-ary min-heap of arena indices ordered
-// by (time, priority, sequence); sequence preserves FIFO order among
-// events scheduled for the same instant, which keeps runs deterministic.
+// queue. The queue is a one-entry next-event register in front of an
+// inline 4-ary min-heap, both ordered by (time, priority, sequence);
+// sequence preserves FIFO order among events scheduled for the same
+// instant, which keeps runs deterministic.
+//
+// Invariant: when the register is set, its entry sorts before every
+// heap entry. Most schedules in a VersaSlot run are earlier than
+// everything already queued (a launch's completion, the pass that
+// follows it), so they take the register in O(1) instead of sifting
+// to the heap root and straight back down when popped.
+//
 // The arena plus a free list give zero steady-state allocation: a fired
 // or canceled event's slot is recycled for the next Schedule.
 // The zero value is not usable; construct with NewKernel.
 type Kernel struct {
 	now      Time
 	arena    []eventSlot
-	heap     []int32 // arena indices, 4-ary min-heap order
-	free     []int32 // recycled arena indices
-	live     int     // queued, not-canceled events
+	next     qent   // next-event register; next.idx == noNext when empty
+	heap     []qent // 4-ary min-heap order
+	free     []int32
+	live     int // queued, not-canceled events
 	seq      uint64
 	rng      *RNG
 	executed uint64
@@ -79,7 +116,7 @@ type Kernel struct {
 // NewKernel returns a kernel with its clock at zero and an RNG seeded
 // with seed.
 func NewKernel(seed uint64) *Kernel {
-	return &Kernel{rng: NewRNG(seed), maxTime: MaxTime}
+	return &Kernel{rng: NewRNG(seed), maxTime: MaxTime, next: qent{idx: noNext}}
 }
 
 // Now returns the current virtual time.
@@ -154,20 +191,32 @@ func (k *Kernel) at(t Time, priority int32, fn func()) EventID {
 	}
 	s := &k.arena[idx]
 	s.at = t
-	s.priority = priority
-	s.seq = k.seq
 	s.fn = fn
 	s.state = slotQueued
+	e := qent{at: t, seq: k.seq, priority: priority, idx: idx}
 	k.seq++
 	k.live++
-	k.push(idx)
+	switch {
+	case k.next.idx != noNext:
+		if e.less(&k.next) {
+			// Beats the register, hence everything: displace it.
+			k.push(k.next)
+			k.next = e
+		} else {
+			k.push(e)
+		}
+	case len(k.heap) == 0 || e.less(&k.heap[0]):
+		k.next = e
+	default:
+		k.push(e)
+	}
 	return makeEventID(idx, s.gen)
 }
 
 // Cancel removes a pending event by handle. Canceling an already-fired,
 // already-canceled, or zero handle is a no-op, as is a stale handle
 // whose slot now hosts a newer event. Cancels are lazy: the entry stays
-// in the heap and is discarded when it reaches the head.
+// queued and is discarded when it reaches the head.
 func (k *Kernel) Cancel(id EventID) {
 	idx, gen := id.split()
 	if idx < 0 || int(idx) >= len(k.arena) {
@@ -219,8 +268,17 @@ func (k *Kernel) release(idx int32) {
 // Step executes the single next event, advancing the clock to it.
 // It reports whether an event was executed.
 func (k *Kernel) Step() bool {
-	for len(k.heap) > 0 {
-		idx := k.popRoot()
+	for {
+		var idx int32
+		switch {
+		case k.next.idx != noNext:
+			idx = k.next.idx
+			k.next.idx = noNext
+		case len(k.heap) > 0:
+			idx = k.popRoot()
+		default:
+			return false
+		}
 		s := &k.arena[idx]
 		if s.state == slotCanceled {
 			k.release(idx)
@@ -243,7 +301,6 @@ func (k *Kernel) Step() bool {
 		fn()
 		return true
 	}
-	return false
 }
 
 // Run executes events until the queue is empty or the horizon is reached.
@@ -326,63 +383,57 @@ func (k *Kernel) AdvanceTo(t Time) {
 func (k *Kernel) NextAt() (Time, bool) { return k.peek() }
 
 // peek returns the firing time of the next live event, discarding
-// canceled entries off the heap head.
+// canceled entries off the head: the register first, then the heap
+// root.
 func (k *Kernel) peek() (Time, bool) {
+	if idx := k.next.idx; idx != noNext {
+		if k.arena[idx].state != slotCanceled {
+			return k.next.at, true
+		}
+		k.next.idx = noNext
+		k.release(idx)
+	}
 	for len(k.heap) > 0 {
-		idx := k.heap[0]
-		s := &k.arena[idx]
-		if s.state == slotCanceled {
+		idx := k.heap[0].idx
+		if k.arena[idx].state == slotCanceled {
 			k.popRoot()
 			k.release(idx)
 			continue
 		}
-		return s.at, true
+		return k.heap[0].at, true
 	}
 	return 0, false
 }
 
-// less orders arena entries by (time, priority, sequence) — a strict
-// total order (sequence numbers are unique), so the pop order is
-// independent of the heap's internal arrangement and byte-identical
-// to the previous container/heap implementation.
-func (k *Kernel) less(a, b int32) bool {
-	x, y := &k.arena[a], &k.arena[b]
-	if x.at != y.at {
-		return x.at < y.at
-	}
-	if x.priority != y.priority {
-		return x.priority < y.priority
-	}
-	return x.seq < y.seq
-}
-
-// push appends an arena index and sifts it up the 4-ary heap.
-func (k *Kernel) push(idx int32) {
-	k.heap = append(k.heap, idx)
-	i := len(k.heap) - 1
+// push appends an entry and sifts it up the 4-ary heap.
+func (k *Kernel) push(e qent) {
+	k.heap = append(k.heap, e)
+	h := k.heap
+	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) >> 2
-		if !k.less(idx, k.heap[p]) {
+		if !e.less(&h[p]) {
 			break
 		}
-		k.heap[i] = k.heap[p]
+		h[i] = h[p]
 		i = p
 	}
-	k.heap[i] = idx
+	h[i] = e
 }
 
-// popRoot removes and returns the minimum arena index.
+// popRoot removes the minimum heap entry and returns its arena index.
 func (k *Kernel) popRoot() int32 {
-	root := k.heap[0]
-	n := len(k.heap) - 1
-	last := k.heap[n]
-	k.heap = k.heap[:n]
+	h := k.heap
+	root := h[0].idx
+	n := len(h) - 1
+	last := h[n]
+	k.heap = h[:n]
 	if n == 0 {
 		return root
 	}
 	// Sift last down from the root. A 4-ary layout halves the tree
-	// height versus binary and keeps the four children of a node in one
-	// or two cache lines of the index slice.
+	// height versus binary and keeps the four children of a node
+	// adjacent: 96 bytes of the entry slice.
 	i := 0
 	for {
 		c := i<<2 + 1
@@ -395,17 +446,17 @@ func (k *Kernel) popRoot() int32 {
 			end = n
 		}
 		for j := c + 1; j < end; j++ {
-			if k.less(k.heap[j], k.heap[best]) {
+			if h[j].less(&h[best]) {
 				best = j
 			}
 		}
-		if !k.less(k.heap[best], last) {
+		if !h[best].less(&last) {
 			break
 		}
-		k.heap[i] = k.heap[best]
+		h[i] = h[best]
 		i = best
 	}
-	k.heap[i] = last
+	h[i] = last
 	return root
 }
 

@@ -5,9 +5,10 @@ import (
 	"testing"
 )
 
-// refEvent / refHeap reimplement the kernel's previous event queue — a
-// container/heap binary heap of per-event pointers — as the reference
-// the indexed 4-ary kernel is differentially tested against.
+// refEvent / refHeap reimplement the kernel's original event queue — a
+// container/heap binary heap of per-event pointers with eager cancels —
+// as the reference the register-fronted 4-ary kernel is differentially
+// tested against.
 type refEvent struct {
 	at       Time
 	priority int32
@@ -15,6 +16,10 @@ type refEvent struct {
 	label    int
 	canceled bool
 	index    int
+	// chain and gap are the follow-ups the event schedules when it
+	// fires (see plan).
+	chain int
+	gap   Duration
 }
 
 type refHeap []*refEvent
@@ -50,10 +55,16 @@ func (h *refHeap) Pop() any {
 }
 
 // refKernel replays the same trace through the reference binary heap.
+// Its run primitives restate the kernel's documented semantics over
+// the reference queue.
 type refKernel struct {
-	now   Time
-	queue refHeap
-	seq   uint64
+	now      Time
+	queue    refHeap
+	seq      uint64
+	maxTime  Time
+	executed uint64
+	// onFire, when set, runs for every executed event.
+	onFire func(e *refEvent)
 }
 
 func (r *refKernel) schedule(d Duration, priority int32, label int) *refEvent {
@@ -71,100 +82,371 @@ func (r *refKernel) cancel(e *refEvent) {
 	heap.Remove(&r.queue, e.index)
 }
 
-func (r *refKernel) run(onFire func(label int)) {
+func (r *refKernel) nextAt() (Time, bool) {
+	if len(r.queue) == 0 {
+		return 0, false
+	}
+	return r.queue[0].at, true
+}
+
+// step executes the next event within the horizon, dropping the ones
+// past it on the way.
+func (r *refKernel) step() bool {
 	for len(r.queue) > 0 {
 		e := heap.Pop(&r.queue).(*refEvent)
-		if e.canceled {
+		if e.at > r.maxTime {
 			continue
 		}
 		r.now = e.at
-		onFire(e.label)
+		r.executed++
+		if r.onFire != nil {
+			r.onFire(e)
+		}
+		return true
+	}
+	return false
+}
+
+func (r *refKernel) run() {
+	for r.step() {
 	}
 }
 
+func (r *refKernel) runTo(bound Time) Time {
+	for {
+		at, ok := r.nextAt()
+		if !ok {
+			return MaxTime
+		}
+		if at >= bound {
+			return at
+		}
+		r.step()
+	}
+}
+
+func (r *refKernel) runBefore(t Time) int {
+	n := 0
+	for {
+		at, ok := r.nextAt()
+		if !ok || at >= t {
+			return n
+		}
+		r.step()
+		n++
+	}
+}
+
+func (r *refKernel) runUntil(t Time) Time {
+	for {
+		at, ok := r.nextAt()
+		if !ok || at > t {
+			break
+		}
+		r.step()
+	}
+	if r.now < t {
+		r.now = t
+	}
+	return r.now
+}
+
+func (r *refKernel) advanceTo(t Time) {
+	if t > r.now {
+		r.now = t
+	}
+}
+
+// opKind is one kind of trace operation.
+type opKind uint8
+
+const (
+	opSchedule  opKind = iota // schedule an event arg µs ahead
+	opCancel                  // cancel the event labelled arg (mod labels)
+	opCancelMin               // cancel the earliest pending event
+	opStep                    // Step once
+	opRunTo                   // RunTo(now + arg µs)
+	opRunBefore               // RunBefore(now + arg µs)
+	opRunUntil                // RunUntil(now + arg µs)
+	opAdvanceTo               // AdvanceTo(now + arg µs), clipped to the next event
+	opNextAt                  // NextAt
+	opHorizon                 // SetHorizon(now + arg µs); arg 0xFFFF lifts it
+	numOps
+)
+
 // traceOp is one operation of a generated event trace.
 type traceOp struct {
-	delay    Duration
+	kind opKind
+	arg  uint16
+	// priority and chain apply to opSchedule: the event's priority
+	// class, and how many follow-ups it schedules when it fires (each
+	// follow-up chains one fewer, at the same priority).
 	priority int32
-	// cancelOf, when >= 0, cancels the event scheduled by op cancelOf
-	// at this op's own schedule time (modelled as an immediate cancel
-	// during trace construction — both kernels see the identical
-	// sequence of schedule/cancel calls).
-	cancelOf int
+	chain    int
+}
+
+// plan is what a fired event does: schedule chain follow-ups gap later.
+type plan struct {
+	chain int
+	gap   Duration
+}
+
+const opBytes = 4
+
+// encodeTrace packs ops four bytes each: kind, arg (little-endian), and
+// a flags byte holding priority+4 (3 bits) and chain (2 bits).
+func encodeTrace(ops []traceOp) []byte {
+	b := make([]byte, 0, len(ops)*opBytes)
+	for _, op := range ops {
+		flags := byte(op.priority+4)&7 | byte(op.chain&3)<<3
+		b = append(b, byte(op.kind), byte(op.arg), byte(op.arg>>8), flags)
+	}
+	return b
+}
+
+// decodeTrace is encodeTrace's inverse; it accepts any byte string
+// (trailing partial records are ignored), which makes it the fuzzer's
+// input grammar.
+func decodeTrace(b []byte) []traceOp {
+	ops := make([]traceOp, 0, len(b)/opBytes)
+	for ; len(b) >= opBytes; b = b[opBytes:] {
+		ops = append(ops, traceOp{
+			kind:     opKind(b[0] % byte(numOps)),
+			arg:      uint16(b[1]) | uint16(b[2])<<8,
+			priority: int32(b[3]&7) - 4,
+			chain:    int(b[3]>>3) & 3,
+		})
+	}
+	return ops
 }
 
 // genTrace builds a deterministic pseudo-random trace: bursts of
-// same-instant events, priority ties, wide delay spread, and cancels of
-// live, fired, and already-canceled events.
+// same-instant events, priority ties, wide delay spread, chained
+// follow-ups, cancels of live, fired, already-canceled and earliest
+// events, interleaved with every run primitive and horizon drops.
 func genTrace(seed uint64, n int) []traceOp {
 	rng := NewRNG(seed)
 	ops := make([]traceOp, 0, n)
 	for i := 0; i < n; i++ {
-		op := traceOp{cancelOf: -1}
-		switch rng.Intn(10) {
-		case 0: // same-instant burst member
-			op.delay = 5 * Millisecond
-		case 1: // priority tie at a shared instant
-			op.delay = 7 * Millisecond
+		op := traceOp{kind: opSchedule}
+		switch r := rng.Intn(40); {
+		case r < 4: // same-instant burst member
+			op.arg = 5000
+		case r < 8: // priority tie at a shared instant
+			op.arg = 7000
 			op.priority = int32(rng.Intn(5)) - 2
-		case 2: // cancel a previously scheduled event
-			if i > 0 {
-				op.cancelOf = rng.Intn(i)
-			}
-			op.delay = Duration(rng.IntRange(1, 1000)) * Microsecond
-		default:
-			op.delay = Duration(rng.IntRange(1, 20000)) * Microsecond
+		case r < 20:
+			op.arg = uint16(rng.IntRange(1, 20000))
 			if rng.Intn(4) == 0 {
 				op.priority = int32(rng.Intn(7)) - 3
 			}
+			if rng.Intn(3) == 0 {
+				op.chain = rng.IntRange(1, 3)
+			}
+		case r < 24:
+			op.kind, op.arg = opCancel, uint16(rng.Intn(1<<16))
+		case r < 26:
+			op.kind = opCancelMin
+		case r < 28:
+			op.kind = opStep
+		case r < 30:
+			op.kind, op.arg = opRunTo, uint16(rng.IntRange(0, 3000))
+		case r < 32:
+			op.kind, op.arg = opRunBefore, uint16(rng.IntRange(0, 3000))
+		case r < 34:
+			op.kind, op.arg = opRunUntil, uint16(rng.IntRange(0, 3000))
+		case r < 36:
+			op.kind, op.arg = opAdvanceTo, uint16(rng.IntRange(0, 3000))
+		case r < 38:
+			op.kind = opNextAt
+		case r < 39:
+			op.kind, op.arg = opHorizon, uint16(rng.IntRange(5000, 60000))
+		default:
+			op.kind, op.arg = opHorizon, 0xFFFF
 		}
 		ops = append(ops, op)
 	}
 	return ops
 }
 
-// TestKernelDifferentialOrder replays random event traces through the
-// indexed 4-ary kernel and the reference binary heap and asserts both
-// fire the surviving events in the identical order.
-func TestKernelDifferentialOrder(t *testing.T) {
-	for seed := uint64(1); seed <= 25; seed++ {
-		ops := genTrace(seed, 400)
+// diffRun drives one trace through the kernel and the reference side by
+// side. Labels are handed out in schedule order on each side, so they
+// agree as long as the fire orders do.
+type diffRun struct {
+	t    testing.TB
+	k    *Kernel
+	ref  *refKernel
+	ids  []EventID   // kernel handle per label
+	refs []*refEvent // reference event per label
 
-		// Reference replay.
-		ref := &refKernel{}
-		refEvents := make([]*refEvent, len(ops))
-		for i, op := range ops {
-			refEvents[i] = ref.schedule(op.delay, op.priority, i)
-			if op.cancelOf >= 0 {
-				ref.cancel(refEvents[op.cancelOf])
+	got, want []int // fired labels, in order
+	checked   int   // prefix of got/want already compared
+}
+
+func (d *diffRun) kschedule(delay Duration, priority int32, p plan) {
+	label := len(d.ids)
+	d.ids = append(d.ids, d.k.ScheduleP(delay, priority, func() {
+		d.got = append(d.got, label)
+		for c := 0; c < p.chain; c++ {
+			d.kschedule(p.gap, priority, plan{chain: p.chain - 1, gap: p.gap})
+		}
+	}))
+}
+
+func (d *diffRun) rschedule(delay Duration, priority int32, p plan) {
+	e := d.ref.schedule(delay, priority, len(d.refs))
+	e.chain, e.gap = p.chain, p.gap
+	d.refs = append(d.refs, e)
+}
+
+func (d *diffRun) rfire(e *refEvent) {
+	d.want = append(d.want, e.label)
+	for c := 0; c < e.chain; c++ {
+		d.rschedule(e.gap, e.priority, plan{chain: e.chain - 1, gap: e.gap})
+	}
+}
+
+// cancel cancels one event on both sides, checking first that both
+// agree whether it is still pending.
+func (d *diffRun) cancel(i int, op traceOp, label int) {
+	d.t.Helper()
+	if got, want := d.k.Scheduled(d.ids[label]), d.refs[label].index >= 0; got != want {
+		d.fatalf(i, op, "event %d scheduled = %v, reference %v", label, got, want)
+	}
+	d.k.Cancel(d.ids[label])
+	d.ref.cancel(d.refs[label])
+}
+
+func (d *diffRun) fatalf(i int, op traceOp, format string, args ...any) {
+	d.t.Helper()
+	d.t.Fatalf("op %d %+v: "+format, append([]any{i, op}, args...)...)
+}
+
+// apply runs one op on both sides and compares what it returned.
+func (d *diffRun) apply(i int, op traceOp) {
+	d.t.Helper()
+	arg := Duration(op.arg) * Microsecond
+	now := d.ref.now
+	switch op.kind {
+	case opSchedule:
+		p := plan{chain: op.chain, gap: Duration(op.arg%500+1) * Microsecond}
+		d.kschedule(arg, op.priority, p)
+		d.rschedule(arg, op.priority, p)
+	case opCancel:
+		if n := min(len(d.ids), len(d.refs)); n > 0 {
+			d.cancel(i, op, int(op.arg)%n)
+		}
+	case opCancelMin:
+		if len(d.ref.queue) > 0 {
+			if l := d.ref.queue[0].label; l < len(d.ids) {
+				d.cancel(i, op, l)
 			}
 		}
-		var want []int
-		ref.run(func(label int) { want = append(want, label) })
-
-		// Indexed-kernel replay: identical schedule/cancel sequence.
-		k := NewKernel(seed)
-		var got []int
-		ids := make([]EventID, len(ops))
-		for i, op := range ops {
-			i := i
-			ids[i] = k.ScheduleP(op.delay, op.priority, func() { got = append(got, i) })
-			if op.cancelOf >= 0 {
-				k.Cancel(ids[op.cancelOf])
-			}
+	case opStep:
+		if got, want := d.k.Step(), d.ref.step(); got != want {
+			d.fatalf(i, op, "Step = %v, reference %v", got, want)
 		}
-		k.Run()
-
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: fired %d events, reference fired %d", seed, len(got), len(want))
+	case opRunTo:
+		if got, want := d.k.RunTo(now.Add(arg)), d.ref.runTo(now.Add(arg)); got != want {
+			d.fatalf(i, op, "RunTo = %v, reference %v", got, want)
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: divergence at position %d: got event %d, reference %d",
-					seed, i, got[i], want[i])
-			}
+	case opRunBefore:
+		if got, want := d.k.RunBefore(now.Add(arg)), d.ref.runBefore(now.Add(arg)); got != want {
+			d.fatalf(i, op, "RunBefore ran %d, reference %d", got, want)
+		}
+	case opRunUntil:
+		if got, want := d.k.RunUntil(now.Add(arg)), d.ref.runUntil(now.Add(arg)); got != want {
+			d.fatalf(i, op, "RunUntil = %v, reference %v", got, want)
+		}
+	case opAdvanceTo:
+		t := now.Add(arg)
+		if at, ok := d.ref.nextAt(); ok && at < t {
+			t = at
+		}
+		d.k.AdvanceTo(t)
+		d.ref.advanceTo(t)
+	case opNextAt:
+		gotAt, gotOK := d.k.NextAt()
+		wantAt, wantOK := d.ref.nextAt()
+		if gotAt != wantAt || gotOK != wantOK {
+			d.fatalf(i, op, "NextAt = %v,%v, reference %v,%v", gotAt, gotOK, wantAt, wantOK)
+		}
+	case opHorizon:
+		h := MaxTime
+		if op.arg != 0xFFFF {
+			h = now.Add(arg)
+		}
+		d.k.SetHorizon(h)
+		d.ref.maxTime = h
+	}
+	d.check(i, op)
+}
+
+// check compares the observable kernel state after an op.
+func (d *diffRun) check(i int, op traceOp) {
+	d.t.Helper()
+	if d.k.Now() != d.ref.now {
+		d.fatalf(i, op, "clock %v, reference %v", d.k.Now(), d.ref.now)
+	}
+	if d.k.Pending() != len(d.ref.queue) {
+		d.fatalf(i, op, "pending %d, reference %d", d.k.Pending(), len(d.ref.queue))
+	}
+	if d.k.Executed() != d.ref.executed {
+		d.fatalf(i, op, "executed %d, reference %d", d.k.Executed(), d.ref.executed)
+	}
+	if len(d.got) != len(d.want) {
+		d.fatalf(i, op, "fired %d events, reference %d", len(d.got), len(d.want))
+	}
+	for j := d.checked; j < len(d.want); j++ {
+		if d.got[j] != d.want[j] {
+			d.fatalf(i, op, "divergence at position %d: got event %d, reference %d", j, d.got[j], d.want[j])
 		}
 	}
+	d.checked = len(d.want)
+}
+
+// diffTrace replays ops through both queues, checking after every op,
+// then drains both.
+func diffTrace(t testing.TB, ops []traceOp) {
+	t.Helper()
+	d := &diffRun{t: t, k: NewKernel(1), ref: &refKernel{maxTime: MaxTime}}
+	d.ref.onFire = d.rfire
+	for i, op := range ops {
+		d.apply(i, op)
+	}
+	d.k.Run()
+	d.ref.run()
+	d.check(len(ops), traceOp{kind: numOps})
+}
+
+// TestKernelDifferentialOrder replays random traces through the kernel
+// and the reference binary heap — schedules, cancels (the current
+// minimum included), every run primitive and horizon drops — and
+// asserts both fire the same events in the same order with the same
+// clocks and return values.
+func TestKernelDifferentialOrder(t *testing.T) {
+	for seed := uint64(1); seed <= 25; seed++ {
+		diffTrace(t, genTrace(seed, 400))
+	}
+}
+
+// FuzzKernelDiff is the coverage-guided form of
+// TestKernelDifferentialOrder: any byte string decodes to a trace, and
+// the kernel must agree with the reference on it. Seeded with the
+// generated traces (decodeTrace inverts encodeTrace).
+//
+//	go test -run '^$' -fuzz=FuzzKernelDiff -fuzztime=20s ./internal/sim
+func FuzzKernelDiff(f *testing.F) {
+	for seed := uint64(1); seed <= 25; seed++ {
+		f.Add(encodeTrace(genTrace(seed, 400)))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const maxOps = 512
+		if len(data) > maxOps*opBytes {
+			data = data[:maxOps*opBytes]
+		}
+		diffTrace(t, decodeTrace(data))
+	})
 }
 
 // TestKernelDifferentialNested extends the differential check to
