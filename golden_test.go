@@ -113,6 +113,10 @@ var catalogGoldenScenarios = []string{
 	// timestamped scale-event log.
 	"tenants-quota-burst",
 	"autoscale-diurnal",
+	// The one stream-mode golden: a 4-pair farm whose Result pins the
+	// sketch merge (percentiles, per-spec aggregates, the windowed
+	// time-series) and the multi-board utilization rule byte for byte.
+	"long-horizon-diurnal",
 }
 
 // TestGoldenCatalogScenarios pins heterogeneous catalog scenarios

@@ -110,11 +110,9 @@ type Cluster struct {
 	Trace      []TracePoint
 	Migrations []migrate.Migration
 
-	// Arrival cursor: Inject walks a sorted sequence with one chained
-	// event instead of a closure per app (see Engine.InjectSequence).
-	arrQ   []*appmodel.App
-	arrPos int
-	arrFn  func()
+	// arrivals delivers Inject's arrivals to the board active at each
+	// arrival instant.
+	arrivals *sched.ArrivalCursor
 
 	// candScratch is onQueueUpdate's reusable D_switch candidate
 	// buffer; the gather is consumed synchronously each evaluation.
@@ -242,41 +240,11 @@ func (c *Cluster) Inject(seq *workload.Sequence) error {
 		}
 	}
 	c.totalApps += len(apps)
-	c.scheduleArrivals(apps)
+	if c.arrivals == nil {
+		c.arrivals = sched.NewArrivalCursor(c.K, func(a *appmodel.App) { c.activeEngine().InjectNow(a) })
+	}
+	c.arrivals.Schedule(apps)
 	return nil
-}
-
-// scheduleArrivals walks a sorted arrival sequence with one chained
-// cursor event (at sim.PriArrival, like the engine's InjectSequence)
-// instead of one closure per app; unsorted sequences — or a second
-// Inject while a cursor is mid-walk — fall back to per-app events.
-func (c *Cluster) scheduleArrivals(apps []*appmodel.App) {
-	sorted := true
-	for i := 1; i < len(apps); i++ {
-		if apps[i].Arrival < apps[i-1].Arrival {
-			sorted = false
-			break
-		}
-	}
-	if !sorted || c.arrPos < len(c.arrQ) {
-		for _, a := range apps {
-			a := a
-			c.K.AtP(a.Arrival, sim.PriArrival, func() { c.activeEngine().InjectNow(a) })
-		}
-		return
-	}
-	c.arrQ, c.arrPos = apps, 0
-	if c.arrFn == nil {
-		c.arrFn = func() {
-			a := c.arrQ[c.arrPos]
-			c.arrPos++
-			if c.arrPos < len(c.arrQ) {
-				c.K.AtP(c.arrQ[c.arrPos].Arrival, sim.PriArrival, c.arrFn)
-			}
-			c.activeEngine().InjectNow(a)
-		}
-	}
-	c.K.AtP(apps[0].Arrival, sim.PriArrival, c.arrFn)
 }
 
 // Run executes to completion and returns the merged summary.
@@ -438,64 +406,41 @@ type Summary struct {
 	PairStats []PairStat
 }
 
+// setResponses copies a merged collector's response-time statistics.
+func (s *Summary) setResponses(m metrics.Summary) {
+	s.Apps, s.MeanRT = m.Apps, m.MeanRT
+	s.P50, s.P95, s.P99 = m.P50, m.P95, m.P99
+}
+
+// addSwitches adds a pair's switches to the summary's switch and
+// migrated-app counts and returns their summed switch time.
+func (s *Summary) addSwitches(migs []migrate.Migration) sim.Duration {
+	s.Switches += len(migs)
+	var total sim.Duration
+	for _, m := range migs {
+		s.MigratedApps += m.Apps
+		total += m.Duration
+	}
+	return total
+}
+
+// meanOver turns a duration total into a mean over n (zero for n 0).
+func meanOver(total sim.Duration, n int) sim.Duration {
+	if n == 0 {
+		return 0
+	}
+	return total / sim.Duration(n)
+}
+
+// summarize merges both boards' collectors, base then boost.
 func (c *Cluster) summarize() Summary {
-	if c.Streaming() {
-		return c.summarizeStream()
-	}
-	var samples []metrics.ResponseSample
+	var col metrics.Collector
 	for _, mode := range pairModes {
-		samples = append(samples, c.engines[mode].Col.Responses...)
+		col.Absorb(c.engines[mode].Col)
 	}
-	s := Summary{Apps: len(samples), Switches: len(c.Migrations), Trace: c.Trace}
-	if len(samples) > 0 {
-		s.MeanRT = metrics.MeanResponse(samples)
-		vals := metrics.SortedResponseValues(samples, nil)
-		p50, p95, p99 := metrics.TailPercentiles(vals)
-		s.P50 = sim.Duration(p50)
-		s.P95 = sim.Duration(p95)
-		s.P99 = sim.Duration(p99)
-	}
-	var total sim.Duration
-	for _, m := range c.Migrations {
-		total += m.Duration
-		s.MigratedApps += m.Apps
-	}
-	if len(c.Migrations) > 0 {
-		s.MeanSwitchTime = total / sim.Duration(len(c.Migrations))
-	}
-	return s
-}
-
-// Streaming reports whether the pair's collectors run in stream mode
-// (samples folded into sketches on arrival, never retained).
-func (c *Cluster) Streaming() bool {
-	return c.engines[pairModes[0]].Col.Streaming()
-}
-
-// summarizeStream is summarize's stream-mode twin: the pair's
-// response-time distribution comes from merging both boards' sketches
-// — bucket counts add exactly, so the merged percentiles match what a
-// shared collector would have sketched.
-func (c *Cluster) summarizeStream() Summary {
-	g := metrics.NewSketch(metrics.GlobalSketchBits)
-	for _, mode := range pairModes {
-		g.Merge(c.engines[mode].Col.GlobalSketch())
-	}
-	s := Summary{Apps: int(g.Count()), Switches: len(c.Migrations), Trace: c.Trace}
-	if g.Count() > 0 {
-		s.MeanRT = sim.Duration(g.Mean())
-		s.P50 = sim.Duration(g.Quantile(50))
-		s.P95 = sim.Duration(g.Quantile(95))
-		s.P99 = sim.Duration(g.Quantile(99))
-	}
-	var total sim.Duration
-	for _, m := range c.Migrations {
-		total += m.Duration
-		s.MigratedApps += m.Apps
-	}
-	if len(c.Migrations) > 0 {
-		s.MeanSwitchTime = total / sim.Duration(len(c.Migrations))
-	}
+	s := Summary{Trace: c.Trace}
+	s.setResponses(col.Summarize())
+	s.MeanSwitchTime = meanOver(s.addSwitches(c.Migrations), s.Switches)
 	return s
 }
 

@@ -212,11 +212,8 @@ type Farm struct {
 	shards int
 	coord  *shardCoord
 
-	// Arrival cursor: Inject walks a sorted sequence with one chained
-	// event instead of a closure per app (see Engine.InjectSequence).
-	arrQ   []*appmodel.App
-	arrPos int
-	arrFn  func()
+	// arrivals delivers Inject's arrivals to dispatchOne.
+	arrivals *sched.ArrivalCursor
 
 	// poolScratch is DispatchEligible's reusable outage-filter buffer:
 	// the result is consumed synchronously by the dispatcher's Pick.
@@ -711,7 +708,10 @@ func (f *Farm) Inject(seq *workload.Sequence) error {
 		}
 	}
 	f.totalApps += len(apps)
-	f.scheduleArrivals(apps)
+	if f.arrivals == nil {
+		f.arrivals = sched.NewArrivalCursor(f.K, f.dispatchOne)
+	}
+	f.arrivals.Schedule(apps)
 	f.armRebalancer()
 	return nil
 }
@@ -726,40 +726,6 @@ func (f *Farm) DispatchNow(a *appmodel.App) {
 	f.totalApps++
 	f.dispatchOne(a)
 	f.armRebalancer()
-}
-
-// scheduleArrivals walks a sorted arrival sequence with one chained
-// cursor event instead of a closure per app; out-of-order sequences
-// (or a second Inject while a cursor is mid-walk) fall back to one
-// event per app. Arrivals carry sim.PriArrival so dispatch decisions
-// fire ahead of every same-instant simulation event.
-func (f *Farm) scheduleArrivals(apps []*appmodel.App) {
-	sorted := true
-	for i := 1; i < len(apps); i++ {
-		if apps[i].Arrival < apps[i-1].Arrival {
-			sorted = false
-			break
-		}
-	}
-	if !sorted || f.arrPos < len(f.arrQ) {
-		for _, a := range apps {
-			a := a
-			f.K.AtP(a.Arrival, sim.PriArrival, func() { f.dispatchOne(a) })
-		}
-		return
-	}
-	f.arrQ, f.arrPos = apps, 0
-	if f.arrFn == nil {
-		f.arrFn = func() {
-			a := f.arrQ[f.arrPos]
-			f.arrPos++
-			if f.arrPos < len(f.arrQ) {
-				f.K.AtP(f.arrQ[f.arrPos].Arrival, sim.PriArrival, f.arrFn)
-			}
-			f.dispatchOne(a)
-		}
-	}
-	f.K.AtP(apps[0].Arrival, sim.PriArrival, f.arrFn)
 }
 
 // dispatchOne routes one arrival through the dispatcher at its arrival
@@ -1035,157 +1001,53 @@ type PairStat struct {
 	Requeued int `json:"requeued,omitempty"`
 }
 
-// Run executes to completion and merges every pair's results.
+// Run executes to completion and merges every pair's results. Each
+// engine's collector is absorbed twice, in pair order: into one pair
+// collector (reset between pairs) for the PairStat, and into the fleet
+// collector for the farm-wide distribution.
 func (f *Farm) Run() Summary {
 	if f.shards > 1 {
 		f.runSharded()
 	} else {
 		f.K.Run()
 	}
-	if len(f.Pairs) > 0 && f.Pairs[0].Streaming() {
-		return f.summarizeStream()
-	}
-	var samples []metrics.ResponseSample
-	var scratch []float64 // one percentile buffer reused across pairs
-	s := Summary{}
-	for i, p := range f.Pairs {
-		// Per-pair samples are a sub-slice of the farm-wide buffer, not
-		// a second copy: engines append directly into samples and the
-		// pair's view is the region grown this iteration.
-		pairStart := len(samples)
-		var utilLUT, utilFF, weight float64
-		for _, mode := range pairModes {
-			e := p.Engine(mode)
-			e.FlushResidency()
-			e.CheckQuiescent()
-			samples = append(samples, e.Col.Responses...)
-			// Utilization() reads the residency integrals directly —
-			// no need for Summarize's full percentile pass here.
-			lut, ff := e.Col.Utilization()
-			apps := float64(len(e.Col.Responses))
-			utilLUT += lut * apps
-			utilFF += ff * apps
-			weight += apps
-		}
-		pairSamples := samples[pairStart:]
-		ps := PairStat{
-			Pair:        i,
-			Routed:      f.routed[i],
-			Apps:        len(pairSamples),
-			Switches:    len(p.Migrations),
-			MigratedIn:  f.crossIn[i],
-			MigratedOut: f.crossOut[i],
-			Requeued:    f.requeued[i],
-		}
-		if len(pairSamples) > 0 {
-			ps.MeanRT = metrics.MeanResponse(pairSamples)
-			scratch = metrics.SortedResponseValues(pairSamples, scratch)
-			ps.P50 = sim.Duration(metrics.Percentile(scratch, 50))
-		}
-		if weight > 0 {
-			ps.UtilLUT = utilLUT / weight
-			ps.UtilFF = utilFF / weight
-		}
-		s.PairStats = append(s.PairStats, ps)
-		s.Switches += len(p.Migrations)
-		for _, m := range p.Migrations {
-			s.MigratedApps += m.Apps
-			s.MeanSwitchTime += m.Duration
-		}
-		s.Trace = append(s.Trace, p.Trace...)
-	}
-	s.Apps = len(samples)
-	if len(samples) > 0 {
-		s.MeanRT = metrics.MeanResponse(samples)
-		vals := metrics.SortedResponseValues(samples, scratch)
-		p50, p95, p99 := metrics.TailPercentiles(vals)
-		s.P50 = sim.Duration(p50)
-		s.P95 = sim.Duration(p95)
-		s.P99 = sim.Duration(p99)
-	}
-	if s.Switches > 0 {
-		s.MeanSwitchTime /= sim.Duration(s.Switches)
-	}
-	s.CrossSwitches = len(f.CrossMigrations)
-	for _, m := range f.CrossMigrations {
-		s.CrossMigratedApps += m.Apps
-		s.MeanCrossTime += m.Duration
-	}
-	if s.CrossSwitches > 0 {
-		s.MeanCrossTime /= sim.Duration(s.CrossSwitches)
-	}
-	return s
-}
-
-// summarizeStream is Run's stream-mode merge: no sample buffer ever
-// exists. Each pair's two board sketches merge into a reusable pair
-// sketch (its mean/P50 feed the PairStat), and pair sketches merge
-// into the fleet sketch for the farm-wide percentiles — the exact
-// associativity of bucket-count addition is what makes this identical
-// whether pairs ran sequentially or sharded.
-func (f *Farm) summarizeStream() Summary {
-	s := Summary{}
-	fleet := metrics.NewSketch(metrics.GlobalSketchBits)
-	pair := metrics.NewSketch(metrics.GlobalSketchBits)
+	var fleet, pair metrics.Collector
+	var switchTime, crossTime sim.Duration
+	s := Summary{PairStats: make([]PairStat, 0, len(f.Pairs))}
 	for i, p := range f.Pairs {
 		pair.Reset()
-		var utilLUT, utilFF, weight float64
 		for _, mode := range pairModes {
 			e := p.Engine(mode)
 			e.FlushResidency()
 			e.CheckQuiescent()
-			g := e.Col.GlobalSketch()
-			pair.Merge(g)
-			lut, ff := e.Col.Utilization()
-			apps := float64(g.Count())
-			utilLUT += lut * apps
-			utilFF += ff * apps
-			weight += apps
+			pair.Absorb(e.Col)
+			fleet.Absorb(e.Col)
 		}
-		fleet.Merge(pair)
-		ps := PairStat{
+		ps := pair.Summarize()
+		s.PairStats = append(s.PairStats, PairStat{
 			Pair:        i,
 			Routed:      f.routed[i],
-			Apps:        int(pair.Count()),
+			Apps:        ps.Apps,
+			MeanRT:      ps.MeanRT,
+			P50:         ps.P50,
+			UtilLUT:     ps.UtilLUT,
+			UtilFF:      ps.UtilFF,
 			Switches:    len(p.Migrations),
 			MigratedIn:  f.crossIn[i],
 			MigratedOut: f.crossOut[i],
 			Requeued:    f.requeued[i],
-		}
-		if pair.Count() > 0 {
-			ps.MeanRT = sim.Duration(pair.Mean())
-			ps.P50 = sim.Duration(pair.Quantile(50))
-		}
-		if weight > 0 {
-			ps.UtilLUT = utilLUT / weight
-			ps.UtilFF = utilFF / weight
-		}
-		s.PairStats = append(s.PairStats, ps)
-		s.Switches += len(p.Migrations)
-		for _, m := range p.Migrations {
-			s.MigratedApps += m.Apps
-			s.MeanSwitchTime += m.Duration
-		}
+		})
+		switchTime += s.addSwitches(p.Migrations)
 		s.Trace = append(s.Trace, p.Trace...)
 	}
-	s.Apps = int(fleet.Count())
-	if fleet.Count() > 0 {
-		s.MeanRT = sim.Duration(fleet.Mean())
-		s.P50 = sim.Duration(fleet.Quantile(50))
-		s.P95 = sim.Duration(fleet.Quantile(95))
-		s.P99 = sim.Duration(fleet.Quantile(99))
-	}
-	if s.Switches > 0 {
-		s.MeanSwitchTime /= sim.Duration(s.Switches)
-	}
+	s.setResponses(fleet.Summarize())
+	s.MeanSwitchTime = meanOver(switchTime, s.Switches)
 	s.CrossSwitches = len(f.CrossMigrations)
 	for _, m := range f.CrossMigrations {
 		s.CrossMigratedApps += m.Apps
-		s.MeanCrossTime += m.Duration
+		crossTime += m.Duration
 	}
-	if s.CrossSwitches > 0 {
-		s.MeanCrossTime /= sim.Duration(s.CrossSwitches)
-	}
+	s.MeanCrossTime = meanOver(crossTime, s.CrossSwitches)
 	return s
 }
 

@@ -162,54 +162,3 @@ func (s *System) Execute(condition string, apps []*appmodel.App) (*Result, error
 		CacheMisses: misses,
 	}, nil
 }
-
-// RunSet executes a whole sequence set (e.g. the paper's 10 sequences)
-// and returns per-sequence results.
-func RunSet(cfg SystemConfig, seqs []*workload.Sequence) ([]*Result, error) {
-	out := make([]*Result, 0, len(seqs))
-	for i, seq := range seqs {
-		c := cfg
-		c.Seed = cfg.Seed + uint64(i)
-		r, err := Run(c, seq)
-		if err != nil {
-			return nil, fmt.Errorf("core: sequence %d: %w", i, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// MeanRT averages the mean response times across results.
-func MeanRT(results []*Result) sim.Duration {
-	if len(results) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, r := range results {
-		sum += float64(r.Summary.MeanRT)
-	}
-	return sim.Duration(sum / float64(len(results)))
-}
-
-// PooledSamples concatenates all runs' response samples (the paper's
-// tail latencies pool the 10 sequences of a condition).
-func PooledSamples(results []*Result) []metrics.ResponseSample {
-	var out []metrics.ResponseSample
-	for _, r := range results {
-		out = append(out, r.Samples...)
-	}
-	return out
-}
-
-// PooledPercentile computes a percentile over all runs' samples.
-func PooledPercentile(results []*Result, p float64) sim.Duration {
-	samples := PooledSamples(results)
-	vals := make([]float64, len(samples))
-	for i, s := range samples {
-		vals[i] = float64(s.Response)
-	}
-	if len(vals) == 0 {
-		return 0
-	}
-	return sim.Duration(metrics.PercentileOf(vals, p))
-}

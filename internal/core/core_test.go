@@ -52,46 +52,6 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
-func TestRunSetUsesDistinctSeeds(t *testing.T) {
-	seqs := workload.GenerateSet(workload.Standard, 100, 3)
-	results, err := RunSet(SystemConfig{Policy: sched.KindNimblock, Seed: 1}, seqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 3 {
-		t.Fatal("result count")
-	}
-	if results[0].Summary.MeanRT == results[1].Summary.MeanRT &&
-		results[1].Summary.MeanRT == results[2].Summary.MeanRT {
-		t.Fatal("all sequences produced identical means — seeds ignored?")
-	}
-}
-
-func TestPooledHelpers(t *testing.T) {
-	p := workload.DefaultGenParams(workload.Loose)
-	p.Apps = 4
-	seqs := []*workload.Sequence{workload.Generate(p, 1), workload.Generate(p, 2)}
-	results, err := RunSet(SystemConfig{Policy: sched.KindVersaSlotOL, Seed: 9}, seqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples := PooledSamples(results)
-	if len(samples) != 8 {
-		t.Fatalf("pooled %d samples, want 8", len(samples))
-	}
-	p95 := PooledPercentile(results, 95)
-	if p95 <= 0 {
-		t.Fatal("pooled percentile")
-	}
-	mean := MeanRT(results)
-	if mean <= 0 {
-		t.Fatal("mean")
-	}
-	if MeanRT(nil) != 0 {
-		t.Fatal("empty mean")
-	}
-}
-
 func TestRunReportsCacheStats(t *testing.T) {
 	p := workload.DefaultGenParams(workload.Stress)
 	p.Apps = 8

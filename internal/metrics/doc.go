@@ -5,8 +5,7 @@
 // feeding the D_switch metric, and migration accounting (Fig. 8).
 //
 // Summarize reuses a scratch buffer per Collector, so warm summaries
-// allocate nothing; multi-board runs pool per-board samples through
-// the same helpers to keep merged output deterministic.
+// allocate nothing.
 //
 // # Metrics modes
 //
@@ -23,12 +22,38 @@
 //     applications and a million-app horizon costs the same few
 //     hundred KiB as a ten-thousand-app one.
 //
+// # Multi-board merging
+//
+// One path merges boards in both modes: Absorb folds a board's
+// collector into an aggregate Collector. An exact source appends its
+// samples; a stream source merges its run-level sketch, window ring
+// and per-spec aggregates. Both add the resource-time integrals, every
+// counter and the fault axis. Callers absorb boards in a fixed order,
+// then call Summarize, BySpec and Windows once. An aggregate reports
+// the multi-board rules:
+//
+//   - utilization = Σ(board utilization × board completed apps) /
+//     Σ board apps;
+//   - availability = 1 − Σ downtime / Σ(board fault slots × board
+//     span), floored at 0;
+//   - RetriedApps = the sum of per-board distinct counts;
+//   - EndTime (the makespan) = the latest board finish.
+//
+// Per-window utilization in Windows follows a different rule: windows
+// do not track each board's completed apps, so a merged window divides
+// the summed resource-time integrals by the summed capacities
+// (capacity-weighted). A stream farm's time_series utilization is
+// therefore not the app-weighted summary utilization.
+//
+// Reset empties an aggregate but keeps its buffers, so a farm merges
+// pair after pair through one collector.
+//
 // # Streaming invariants
 //
 // Exactness: Count, Sum (hence MeanRT), Min, Max, MeanQueue, the
 // utilization integrals, and every counter (PR, preemption, migration,
 // fault) are tracked exactly in stream mode — they match the exact
-// pipeline bit for bit.
+// pipeline bit for bit, on merged multi-board runs too.
 //
 // Accuracy: only percentiles are approximate. A value lands in a
 // bucket whose width is at most 2^-bits of its magnitude, so any
@@ -37,6 +62,9 @@
 // per-window sketches (WindowSketchBits); rank error at P50/P95/P99
 // is under 1% on realistic distributions (pinned by TestSketchRankError
 // across uniform, exponential, bimodal, and MMPP-bursty inputs).
+// Quantile interpolates between the two samples bracketing the target
+// rank, as Percentile does, so the bound holds at sparse tails too
+// (pinned by TestSketchQuantileSparseTail).
 //
 // Determinism: bucket counts are integers and merging adds them, so
 // Merge is exactly associative and commutative — per-board and

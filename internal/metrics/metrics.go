@@ -77,12 +77,22 @@ type Collector struct {
 	// (farm summaries recompute per pair and per board).
 	scratch []float64
 
-	// sink, when non-nil, consumes samples instead of the Responses
-	// slice; stream, when non-nil, is the bounded-memory stream sink
-	// installed by EnableStreaming. A nil sink is the historic exact
-	// mode, byte-identical to pre-streaming output.
-	sink   Sink
+	// stream, when non-nil, is the bounded-memory sketch state
+	// installed by EnableStreaming; nil is exact mode, where every
+	// sample is retained in Responses.
 	stream *streamState
+
+	// Merge state, accumulated by Absorb. A merged collector reports
+	// the multi-board rules instead of its own integrals: utilization
+	// is utilSum / utilApps (each board's utilization weighted by its
+	// completed apps), availability divides downtime by slotSec (the
+	// summed board slot-seconds), and RetriedApps adds retried (the
+	// per-board distinct counts).
+	merged   bool
+	utilSum  fabric.UtilRatios
+	utilApps float64
+	slotSec  float64
+	retried  int
 }
 
 // NewCollector returns an empty collector; cap is the board's total
@@ -126,51 +136,64 @@ func (c *Collector) RecordFaultRetry(appID int) {
 // AccumulateDowntime adds one slot's out-of-service interval.
 func (c *Collector) AccumulateDowntime(dt sim.Duration) { c.downTotal += dt }
 
-// FaultStats exposes the raw fault accounting for multi-board merges:
-// total slot-downtime, the board's slot-seconds denominator, failure
-// and crash counts, distinct retried apps, and whether the fault axis
-// was enabled at all.
+// FaultStats exposes the raw fault accounting: total slot-downtime,
+// the slot-seconds denominator, failure and crash counts, distinct
+// retried apps, and whether the fault axis was enabled at all.
 func (c *Collector) FaultStats() (down sim.Duration, slotSpanSec float64, events, failed uint64, retried int, on bool) {
 	if !c.faultsOn {
 		return 0, 0, 0, 0, 0, false
+	}
+	return c.downTotal, c.slotSeconds(), c.FaultEvents, c.FailedApps, c.retriedApps(), true
+}
+
+// slotSeconds is the availability denominator: the board's slot count
+// times its span, or the sum of its boards' once merged.
+func (c *Collector) slotSeconds() float64 {
+	if c.merged {
+		return c.slotSec
 	}
 	span := c.end.Sub(c.start).Seconds()
 	if span < 0 {
 		span = 0
 	}
-	return c.downTotal, float64(c.faultSlots) * span, c.FaultEvents, c.FailedApps, len(c.faultRetried), true
+	return float64(c.faultSlots) * span
 }
 
+// retriedApps counts applications that hit a fault-injected retry:
+// distinct per board, summed across merged boards (an app retried on
+// both boards of a pair counts on each).
+func (c *Collector) retriedApps() int { return c.retried + len(c.faultRetried) }
+
 // availability is 1 minus the downtime fraction of the run's
-// slot-seconds, clamped to [0, 1] (lingering recovery events can push
+// slot-seconds, floored at 0 (lingering recovery events can push
 // downtime past the last app's finish instant).
 func (c *Collector) availability() float64 {
-	span := c.end.Sub(c.start).Seconds()
-	if span <= 0 || c.faultSlots == 0 {
+	slotSec := c.slotSeconds()
+	if slotSec <= 0 {
 		return 1
 	}
-	a := 1 - c.downTotal.Seconds()/(float64(c.faultSlots)*span)
-	if a < 0 {
-		return 0
-	}
-	if a > 1 {
-		return 1
-	}
-	return a
+	return max(0, 1-c.downTotal.Seconds()/slotSec)
 }
 
 // RecordResponse adds one finished application: retained in
-// Responses in exact mode (nil sink), folded into the active sink
-// otherwise.
+// Responses in exact mode, folded into the sketches in stream mode.
 func (c *Collector) RecordResponse(s ResponseSample) {
 	if s.Finish > c.end {
 		c.end = s.Finish
 	}
-	if c.sink != nil {
-		c.sink.Observe(s)
+	if c.stream != nil {
+		c.stream.observe(s)
 		return
 	}
 	c.Responses = append(c.Responses, s)
+}
+
+// apps counts the finished applications recorded (or absorbed).
+func (c *Collector) apps() int {
+	if c.stream != nil {
+		return int(c.stream.global.Count())
+	}
+	return len(c.Responses)
 }
 
 // AccumulateResident adds a resident-circuit interval: res held for dt.
@@ -192,17 +215,23 @@ func (c *Collector) AccumulateBusy(res fabric.ResVec, dt sim.Duration) {
 // Utilization returns the time-averaged LUT and FF utilization of the
 // board's slot area over [start, end] for resident circuits.
 func (c *Collector) Utilization() (lut, ff float64) {
-	span := c.end.Sub(c.start).Seconds()
-	if span <= 0 || c.capLUT == 0 {
-		return 0, 0
-	}
-	return c.lutResidentInt / (c.capLUT * span), c.ffResidentInt / (c.capFF * span)
+	u := c.UtilizationAll()
+	return u.LUT, u.FF
 }
 
 // UtilizationAll returns the time-averaged utilization across every
 // tracked resource; DSP/BRAM ratios are zero when the platform declares
-// no such capacity.
+// no such capacity. A merged collector reports its boards'
+// utilizations weighted by their completed apps.
 func (c *Collector) UtilizationAll() fabric.UtilRatios {
+	if c.merged {
+		if c.utilApps == 0 {
+			return fabric.UtilRatios{}
+		}
+		w := c.utilApps
+		return fabric.UtilRatios{LUT: c.utilSum.LUT / w, FF: c.utilSum.FF / w,
+			DSP: c.utilSum.DSP / w, BRAM: c.utilSum.BRAM / w}
+	}
 	span := c.end.Sub(c.start).Seconds()
 	if span <= 0 {
 		return fabric.UtilRatios{}
@@ -271,7 +300,7 @@ type Summary struct {
 // scratch buffer, so after the first call a summary allocates nothing;
 // P50/P95/P99 all come from the one sorted pass.
 func (c *Collector) Summarize() Summary {
-	s := Summary{Apps: len(c.Responses), PRLoads: c.PRLoads, PRBlocked: c.PRBlocked,
+	s := Summary{PRLoads: c.PRLoads, PRBlocked: c.PRBlocked,
 		PRRetries: c.PRRetries, PRWait: c.PRWait,
 		Preemptions: c.Preemptions, Migrations: c.Migrations}
 	if c.faultsOn {
@@ -279,13 +308,16 @@ func (c *Collector) Summarize() Summary {
 		s.Downtime = c.downTotal
 		s.FaultEvents = c.FaultEvents
 		s.FailedApps = c.FailedApps
-		s.RetriedApps = len(c.faultRetried)
+		s.RetriedApps = c.retriedApps()
 	}
+	if s.Apps = c.apps(); s.Apps == 0 {
+		return s
+	}
+	u := c.UtilizationAll()
+	s.UtilLUT, s.UtilFF = u.LUT, u.FF
+	s.UtilDSP, s.UtilBRAM = u.DSP, u.BRAM
 	if c.stream != nil {
 		return c.streamSummary(s)
-	}
-	if len(c.Responses) == 0 {
-		return s
 	}
 	rts := c.scratch[:0]
 	var sum, qsum float64
@@ -297,37 +329,13 @@ func (c *Collector) Summarize() Summary {
 	c.scratch = rts
 	s.MeanQueue = sim.Duration(qsum / float64(len(rts)))
 	sort.Float64s(rts)
-	p50, p95, p99 := TailPercentiles(rts)
 	s.MeanRT = sim.Duration(sum / float64(len(rts)))
-	s.P50 = sim.Duration(p50)
-	s.P95 = sim.Duration(p95)
-	s.P99 = sim.Duration(p99)
+	s.P50 = sim.Duration(Percentile(rts, 50))
+	s.P95 = sim.Duration(Percentile(rts, 95))
+	s.P99 = sim.Duration(Percentile(rts, 99))
 	s.MinRT = sim.Duration(rts[0])
 	s.MaxRT = sim.Duration(rts[len(rts)-1])
-	u := c.UtilizationAll()
-	s.UtilLUT, s.UtilFF = u.LUT, u.FF
-	s.UtilDSP, s.UtilBRAM = u.DSP, u.BRAM
 	return s
-}
-
-// TailPercentiles returns the P50/P95/P99 of already-sorted values in
-// one call — the three tail statistics every summary reports, off a
-// single sorted pass.
-func TailPercentiles(sorted []float64) (p50, p95, p99 float64) {
-	return Percentile(sorted, 50), Percentile(sorted, 95), Percentile(sorted, 99)
-}
-
-// SortedResponseValues appends the samples' response times into
-// buf[:0], sorts them ascending, and returns the slice — callers
-// summarizing many sample sets (per-pair farm breakdowns) reuse one
-// buffer across calls instead of allocating per set.
-func SortedResponseValues(samples []ResponseSample, buf []float64) []float64 {
-	vals := buf[:0]
-	for _, r := range samples {
-		vals = append(vals, float64(r.Response))
-	}
-	sort.Float64s(vals)
-	return vals
 }
 
 // SpecBreakdown summarizes response times per application type — e.g.

@@ -207,24 +207,69 @@ func TestSummarizeRepeatable(t *testing.T) {
 	}
 }
 
-// TestSortedResponseValues: the shared buffer variant sorts into the
-// caller's buffer and reuses its capacity.
-func TestSortedResponseValues(t *testing.T) {
-	samples := []ResponseSample{
-		{Response: 30 * sim.Millisecond},
-		{Response: 10 * sim.Millisecond},
-		{Response: 20 * sim.Millisecond},
+// absorbBoard builds one board's collector for the merge tests: apps
+// samples finishing evenly up to span seconds, lut LUTs resident for
+// the whole span, and the fault axis over slots with the given
+// downtime and retried app IDs.
+func absorbBoard(stream bool, cap fabric.ResVec, apps int, span float64, lut int, slots int, down sim.Duration, retried ...int) *Collector {
+	c := NewCollector(cap)
+	if stream {
+		c.EnableStreaming(StreamConfig{Window: sim.Second, MaxWindows: 64})
 	}
-	buf := make([]float64, 0, 8)
-	vals := SortedResponseValues(samples, buf)
-	if len(vals) != 3 || vals[0] != float64(10*sim.Millisecond) || vals[2] != float64(30*sim.Millisecond) {
-		t.Fatalf("sorted values %v", vals)
+	c.EnableFaults(slots)
+	end := sim.Time(span * float64(sim.Second))
+	for i := 1; i <= apps; i++ {
+		c.RecordResponse(ResponseSample{AppID: i, Spec: "AN", Response: sim.Duration(i) * sim.Millisecond,
+			Finish: end * sim.Time(i) / sim.Time(apps)})
 	}
-	if &vals[0] != &buf[:1][0] {
-		t.Fatal("buffer not reused")
+	c.AccumulateResident(fabric.ResVec{LUT: lut, FF: 2 * lut}, sim.Duration(end))
+	c.AccumulateDowntime(down)
+	for _, id := range retried {
+		c.RecordFaultRetry(id)
 	}
-	p50, p95, p99 := TailPercentiles(vals)
-	if p50 != float64(20*sim.Millisecond) || p95 > p99 {
-		t.Fatalf("percentiles %v %v %v", p50, p95, p99)
+	c.PRLoads = uint64(apps)
+	return c
+}
+
+// TestAbsorbMergeRules pins the multi-board merge rules in both
+// metrics modes: utilization weighted by each board's completed apps
+// (not summed resource-time over summed capacity), availability over
+// the summed board slot-seconds, RetriedApps as the sum of per-board
+// distinct counts, and the latest board finish as the end time. Reset
+// must leave an aggregator that merges as if fresh.
+func TestAbsorbMergeRules(t *testing.T) {
+	for _, stream := range []bool{false, true} {
+		// Board A: LUT 0.5 over 10 s, 3 apps, 4 slots down 4 s,
+		// apps 1 and 2 retried. Board B: LUT 0.1 over 20 s, 1 app,
+		// 2 slots down 2 s, app 1 retried (counted again).
+		a := absorbBoard(stream, fabric.ResVec{LUT: 100, FF: 200}, 3, 10, 50, 4, 4*sim.Second, 1, 2)
+		b := absorbBoard(stream, fabric.ResVec{LUT: 300, FF: 600}, 1, 20, 30, 2, 2*sim.Second, 1)
+		var agg Collector
+		agg.Absorb(a)
+		agg.Absorb(b)
+		s := agg.Summarize()
+		if s.Apps != 4 || s.PRLoads != 4 {
+			t.Errorf("stream=%v: apps %d PR loads %d, want 4 and 4", stream, s.Apps, s.PRLoads)
+		}
+		if want := (0.5*3 + 0.1*1) / 4; math.Abs(s.UtilLUT-want) > 1e-12 || math.Abs(s.UtilFF-want) > 1e-12 {
+			t.Errorf("stream=%v: util LUT %v FF %v, want %v (app-weighted)", stream, s.UtilLUT, s.UtilFF, want)
+		}
+		if want := 1 - 6.0/(4*10+2*20); math.Abs(s.Availability-want) > 1e-12 || s.Downtime != 6*sim.Second {
+			t.Errorf("stream=%v: availability %v downtime %v, want %v and 6s", stream, s.Availability, s.Downtime, want)
+		}
+		if s.RetriedApps != 3 {
+			t.Errorf("stream=%v: retried apps %d, want 3 (per-board distinct counts summed)", stream, s.RetriedApps)
+		}
+		if agg.EndTime() != sim.Time(20*sim.Second) {
+			t.Errorf("stream=%v: end time %v, want 20s", stream, agg.EndTime())
+		}
+		if got := len(agg.Windows()) > 0; got != stream {
+			t.Errorf("stream=%v: merged collector reports windows=%v", stream, got)
+		}
+		agg.Reset()
+		agg.Absorb(b)
+		if s := agg.Summarize(); s.Apps != 1 || math.Abs(s.UtilLUT-0.1) > 1e-12 || s.RetriedApps != 1 {
+			t.Errorf("stream=%v: after Reset apps %d util %v retried %d, want 1, 0.1, 1", stream, s.Apps, s.UtilLUT, s.RetriedApps)
+		}
 	}
 }

@@ -189,11 +189,23 @@ func (s *Sketch) Max() int64 { return s.max }
 
 // Quantile returns an estimate of the p-th percentile (0-100),
 // mirroring Percentile's inclusive-interpolation rank convention: the
-// target rank is p/100*(count-1). The returned value lies in the
-// bucket containing the sample at that rank, linearly interpolated
-// within it and clamped to the exact [Min, Max], so the relative
-// value error versus the exact percentile is at most 2^-bits.
-func (s *Sketch) Quantile(p float64) int64 {
+// target rank is p/100*(count-1), and the estimate interpolates between
+// the two samples bracketing it. Each sample is placed in its bucket
+// at its position among the bucket's occupants, and the result is
+// clamped to the exact [Min, Max], so the relative value error versus
+// the exact percentile is at most 2^-bits.
+func (s *Sketch) Quantile(p float64) int64 { return s.quantile(p, true) }
+
+// LowerQuantile is Quantile without the step toward the upper
+// bracketing sample: the estimate stays in the bucket of the sample at
+// the truncated target rank, so it is within 2^-bits of that sample but
+// can sit a whole inter-sample gap below the exact percentile at sparse
+// tails. The orchestrator's per-tenant P50/P99 still use it, which
+// keeps their published values; they move to Quantile in a change that
+// updates those values.
+func (s *Sketch) LowerQuantile(p float64) int64 { return s.quantile(p, false) }
+
+func (s *Sketch) quantile(p float64, interpolate bool) int64 {
 	if s.count == 0 {
 		return 0
 	}
@@ -207,29 +219,50 @@ func (s *Sketch) Quantile(p float64) int64 {
 	var cum uint64
 	target := uint64(rank) // index of the lower bracketing sample
 	for i, c := range s.counts {
-		if c == 0 {
+		if cum+c <= target {
+			cum += c
 			continue
 		}
-		if cum+c > target {
-			lo, width := s.bucketBounds(s.base + i)
-			// Position of the target rank within this bucket's
-			// occupants, at bucket-interval resolution.
-			frac := (rank - float64(cum) + 0.5) / float64(c)
-			if frac > 1 {
-				frac = 1
-			}
-			v := lo + int64(frac*float64(width))
-			if v < s.min {
-				v = s.min
-			}
-			if v > s.max {
-				v = s.max
-			}
-			return v
+		lo, width := s.bucketBounds(s.base + i)
+		if f := rank - float64(target); interpolate && f > 0 && target+1 == cum+c {
+			// The upper bracketing sample opens the next occupied
+			// bucket: interpolate between the two samples' positions.
+			below := float64(lo) + (float64(c)-0.5)/float64(c)*float64(width)
+			above := s.firstPosition(i + 1)
+			return s.clamp(int64(below + f*(above-below)))
 		}
-		cum += c
+		// Position of the target rank within this bucket's
+		// occupants, at bucket-interval resolution.
+		frac := (rank - float64(cum) + 0.5) / float64(c)
+		if frac > 1 {
+			frac = 1
+		}
+		return s.clamp(lo + int64(frac*float64(width)))
 	}
 	return s.max
+}
+
+// firstPosition returns the estimated position of the smallest sample
+// in the first occupied bucket at or after storage index from.
+func (s *Sketch) firstPosition(from int) float64 {
+	for i := from; i < len(s.counts); i++ {
+		if c := s.counts[i]; c > 0 {
+			lo, width := s.bucketBounds(s.base + i)
+			return float64(lo) + 0.5/float64(c)*float64(width)
+		}
+	}
+	return float64(s.max)
+}
+
+// clamp bounds an estimate to the exact [Min, Max].
+func (s *Sketch) clamp(v int64) int64 {
+	if v < s.min {
+		return s.min
+	}
+	if v > s.max {
+		return s.max
+	}
+	return v
 }
 
 // MemoryFootprint reports the sketch's current heap footprint in

@@ -110,6 +110,39 @@ func TestSketchRankError(t *testing.T) {
 	}
 }
 
+// TestSketchQuantileSparseTail pins the relative value bound against
+// the exact percentile where adjacent samples sit in different buckets
+// (small n, wide spread): Quantile interpolates between the two
+// samples bracketing the target rank, as Percentile does. LowerQuantile
+// stays in the bucket of the lower one.
+func TestSketchQuantileSparseTail(t *testing.T) {
+	const n = 37
+	bound := math.Ldexp(1, -GlobalSketchBits)
+	for name, gen := range sketchTestDistributions() {
+		t.Run(name, func(t *testing.T) {
+			vals := gen(sim.NewRNG(7), n)
+			s := NewSketch(GlobalSketchBits)
+			exact := make([]float64, n)
+			for i, v := range vals {
+				s.Add(v)
+				exact[i] = float64(v)
+			}
+			sort.Float64s(exact)
+			for p := 1.0; p < 100; p++ {
+				want := Percentile(exact, p)
+				if got := float64(s.Quantile(p)); math.Abs(got-want) > bound*want+1 {
+					t.Errorf("P%.0f = %.0f, exact %.0f (relative error %.4f > %.4f)",
+						p, got, want, math.Abs(got-want)/want, bound)
+				}
+				below := exact[int(p/100*(n-1))]
+				if got := float64(s.LowerQuantile(p)); math.Abs(got-below) > bound*below+1 {
+					t.Errorf("lower P%.0f = %.0f, lower bracketing sample %.0f", p, got, below)
+				}
+			}
+		})
+	}
+}
+
 // TestSketchExactExtremes pins that count, sum, min and max are exact
 // regardless of bucketing.
 func TestSketchExactExtremes(t *testing.T) {

@@ -16,27 +16,13 @@ const (
 	DefaultMaxWindows   = 64
 )
 
-// StreamConfig parameterizes the streaming sink: Window is the
+// StreamConfig parameterizes stream mode: Window is the
 // time-series bucket width, MaxWindows the ring size (retained
 // history). Zero fields take the defaults above.
 type StreamConfig struct {
 	Window     sim.Duration
 	MaxWindows int
 }
-
-// Sink consumes finished-application samples as they arrive. The
-// collector routes RecordResponse through its sink: a nil sink is the
-// historic exact mode (every sample retained in Responses, summaries
-// computed from a terminal sort), EnableStreaming installs the
-// bounded-memory stream sink, and SetSink accepts any custom
-// implementation (e.g. a live exporter).
-type Sink interface {
-	Observe(s ResponseSample)
-}
-
-// SetSink replaces the collector's sample sink. Passing nil restores
-// the exact retain-everything default.
-func (c *Collector) SetSink(s Sink) { c.sink = s }
 
 // EnableStreaming switches the collector into stream mode: samples
 // fold into a run-level Sketch plus a fixed ring of per-window
@@ -54,27 +40,11 @@ func (c *Collector) EnableStreaming(cfg StreamConfig) {
 	st := &streamState{
 		cfg:    cfg,
 		global: NewSketch(GlobalSketchBits),
-		hi:     -1,
 		spec:   make(map[string]*SpecBreakdown),
 		ring:   make([]window, cfg.MaxWindows),
 	}
-	for i := range st.ring {
-		st.ring[i].index = -1
-	}
+	st.reset()
 	c.stream = st
-	c.sink = st
-}
-
-// Streaming reports whether the stream sink is active.
-func (c *Collector) Streaming() bool { return c.stream != nil }
-
-// StreamSpec returns the active stream configuration (zero when the
-// collector runs exact).
-func (c *Collector) StreamSpec() StreamConfig {
-	if c.stream == nil {
-		return StreamConfig{}
-	}
-	return c.stream.cfg
 }
 
 // window is one ring slot of the streaming time-series. Slots are
@@ -106,8 +76,8 @@ func (w *window) reset(index int64) {
 	w.failed = 0
 }
 
-// streamState is the stream sink: the run-level sketch, the window
-// ring, and per-spec aggregates. It implements Sink.
+// streamState is stream mode's state: the run-level sketch, the
+// window ring, and per-spec aggregates.
 type streamState struct {
 	cfg    StreamConfig
 	global *Sketch
@@ -124,10 +94,22 @@ type streamState struct {
 	spec map[string]*SpecBreakdown
 }
 
-// Observe folds one finished application into the sketch and its
+// reset empties the state, keeping the sketches' bucket storage.
+// Ring slots are marked unused; windowAt resets each on first touch.
+func (st *streamState) reset() {
+	st.global.Reset()
+	st.qsum = 0
+	st.hi = -1
+	clear(st.spec)
+	for i := range st.ring {
+		st.ring[i].index = -1
+	}
+}
+
+// observe folds one finished application into the sketch and its
 // finish-time window. Warm-path cost: two sketch adds and a map
 // lookup, zero allocations.
-func (st *streamState) Observe(s ResponseSample) {
+func (st *streamState) observe(s ResponseSample) {
 	rt := int64(s.Response)
 	st.global.Add(rt)
 	st.qsum += float64(s.QueueDelay)
@@ -320,20 +302,12 @@ func (st *streamState) qsumOf(w *window) float64 {
 	return w.qsum / float64(w.sketch.Count())
 }
 
-// GlobalSketch exposes the run-level sketch (nil in exact mode) for
-// per-pair merges and tests.
-func (c *Collector) GlobalSketch() *Sketch {
-	if c.stream == nil {
-		return nil
-	}
-	return c.stream.global
-}
-
-// EndTime returns the latest finish instant observed — stream mode's
-// makespan, since samples are not retained.
+// EndTime returns the latest finish instant observed: the run's
+// makespan in both modes (for a merged collector, the latest board
+// finish).
 func (c *Collector) EndTime() sim.Time { return c.end }
 
-// StreamFootprint reports the stream sink's current bucket-storage
+// StreamFootprint reports stream mode's current bucket-storage
 // footprint in bytes (run-level sketch plus all ring windows) — the
 // flat number the long-horizon docs cite.
 func (c *Collector) StreamFootprint() int {
@@ -350,63 +324,34 @@ func (c *Collector) StreamFootprint() int {
 	return b
 }
 
-// AbsorbStream folds a streaming source collector into c, the fleet
-// aggregator: run-level sketches merge bucket-wise (exactly
-// associative), window rings merge by absolute window index, per-spec
-// aggregates, utilization integrals, capacities, PR/migration/
-// preemption counters and the fault axis all add. The aggregator's
-// Summarize/Windows/BySpec then report fleet-level statistics without
-// any sample having been shipped.
-func (c *Collector) AbsorbStream(src *Collector) {
-	if src == nil || src.stream == nil {
-		return
-	}
-	if c.stream == nil {
-		c.EnableStreaming(src.stream.cfg)
-	}
-	st, ss := c.stream, src.stream
-	st.global.Merge(ss.global)
-	st.qsum += ss.qsum
-	for name, b := range ss.spec {
-		d := st.spec[name]
-		if d == nil {
-			d = &SpecBreakdown{Spec: name}
-			st.spec[name] = d
+// Absorb folds one board's collector into c, the multi-board
+// aggregator. An exact source appends its samples; a stream source
+// merges its run-level sketch (bucket counts add, so the merge is
+// exactly associative), its window ring by absolute window index and
+// its per-spec aggregates, switching c to stream mode with the
+// source's geometry on first use. Both kinds add the resource-time
+// integrals and capacities, every counter and the fault axis, and
+// record the board's utilization, app count and slot-seconds for the
+// merge rules Summarize then reports (see Collector's merge state).
+// Sources must be absorbed in a fixed order for deterministic output.
+func (c *Collector) Absorb(src *Collector) {
+	if src.stream != nil {
+		if c.stream == nil {
+			c.EnableStreaming(src.stream.cfg)
 		}
-		d.Count += b.Count
-		d.MeanRT += b.MeanRT
-		if b.MaxRT > d.MaxRT {
-			d.MaxRT = b.MaxRT
-		}
+		c.stream.absorb(src.stream)
+	} else {
+		c.Responses = append(c.Responses, src.Responses...)
 	}
-	if ss.hi >= 0 {
-		n := int64(len(ss.ring))
-		lo := ss.hi - n + 1
-		if lo < 0 {
-			lo = 0
-		}
-		for i := lo; i <= ss.hi; i++ {
-			slot := &ss.ring[i%n]
-			if slot.index != i {
-				continue
-			}
-			dst := st.windowAt(i)
-			if dst == nil {
-				continue
-			}
-			dst.sketch.Merge(slot.sketch)
-			dst.qsum += slot.qsum
-			dst.lutInt += slot.lutInt
-			dst.ffInt += slot.ffInt
-			dst.migrated += slot.migrated
-			dst.faults += slot.faults
-			dst.failed += slot.failed
-		}
-	}
+	apps := float64(src.apps())
+	u := src.UtilizationAll()
+	c.merged = true
+	c.utilSum.LUT += u.LUT * apps
+	c.utilSum.FF += u.FF * apps
+	c.utilSum.DSP += u.DSP * apps
+	c.utilSum.BRAM += u.BRAM * apps
+	c.utilApps += apps
 
-	// Exact-side accumulators: utilization integrals and capacities
-	// (fleet utilization = summed integrals over summed capacity),
-	// counters, span, and the fault axis.
 	c.lutResidentInt += src.lutResidentInt
 	c.ffResidentInt += src.ffResidentInt
 	c.dspResidentInt += src.dspResidentInt
@@ -432,27 +377,72 @@ func (c *Collector) AbsorbStream(src *Collector) {
 	c.MigrationTime += src.MigrationTime
 	if src.faultsOn {
 		c.faultsOn = true
-		c.faultSlots += src.faultSlots
+		c.slotSec += src.slotSeconds()
 		c.downTotal += src.downTotal
 		c.FaultEvents += src.FaultEvents
 		c.FailedApps += src.FailedApps
-		if c.faultRetried == nil {
-			c.faultRetried = make(map[int]struct{})
-		}
-		for id := range src.faultRetried {
-			c.faultRetried[id] = struct{}{}
-		}
+		c.retried += src.retriedApps()
 	}
 }
 
-// streamSummary is Summarize's stream-mode branch: every statistic
-// comes from the run-level sketch and the exact accumulators.
+// Reset empties c for reuse as a fresh aggregator (capacities and the
+// stream geometry included), keeping its sample, percentile and
+// sketch buffers so a farm can merge pair after pair through one
+// collector without allocating per pair.
+func (c *Collector) Reset() {
+	st := c.stream
+	*c = Collector{Responses: c.Responses[:0], scratch: c.scratch[:0]}
+	if st != nil {
+		st.reset()
+		c.stream = st
+	}
+}
+
+// absorb merges another stream state into st: the run-level sketch,
+// the queue-delay sum, per-spec aggregates and every retained window.
+func (st *streamState) absorb(ss *streamState) {
+	st.global.Merge(ss.global)
+	st.qsum += ss.qsum
+	for name, b := range ss.spec {
+		d := st.spec[name]
+		if d == nil {
+			d = &SpecBreakdown{Spec: name}
+			st.spec[name] = d
+		}
+		d.Count += b.Count
+		d.MeanRT += b.MeanRT
+		if b.MaxRT > d.MaxRT {
+			d.MaxRT = b.MaxRT
+		}
+	}
+	if ss.hi < 0 {
+		return
+	}
+	n := int64(len(ss.ring))
+	lo := max(ss.hi-n+1, 0)
+	for i := lo; i <= ss.hi; i++ {
+		slot := &ss.ring[i%n]
+		if slot.index != i {
+			continue
+		}
+		dst := st.windowAt(i)
+		if dst == nil {
+			continue
+		}
+		dst.sketch.Merge(slot.sketch)
+		dst.qsum += slot.qsum
+		dst.lutInt += slot.lutInt
+		dst.ffInt += slot.ffInt
+		dst.migrated += slot.migrated
+		dst.faults += slot.faults
+		dst.failed += slot.failed
+	}
+}
+
+// streamSummary is Summarize's stream-mode branch for a non-empty
+// run: the response-time statistics come from the run-level sketch.
 func (c *Collector) streamSummary(s Summary) Summary {
 	g := c.stream.global
-	if g.Count() == 0 {
-		return s
-	}
-	s.Apps = int(g.Count())
 	s.MeanRT = sim.Duration(g.Mean())
 	s.P50 = sim.Duration(g.Quantile(50))
 	s.P95 = sim.Duration(g.Quantile(95))
@@ -460,9 +450,6 @@ func (c *Collector) streamSummary(s Summary) Summary {
 	s.MinRT = sim.Duration(g.Min())
 	s.MaxRT = sim.Duration(g.Max())
 	s.MeanQueue = sim.Duration(c.stream.qsum / float64(g.Count()))
-	u := c.UtilizationAll()
-	s.UtilLUT, s.UtilFF = u.LUT, u.FF
-	s.UtilDSP, s.UtilBRAM = u.DSP, u.BRAM
 	return s
 }
 

@@ -501,8 +501,8 @@ func (o *Orchestrator) TenantStats() []TenantStat {
 		if finished > 0 {
 			sk = o.resp.MergeGroup(i, sk)
 			st.MeanRT = sim.Duration(sk.Mean())
-			st.P50 = sim.Duration(sk.Quantile(50))
-			st.P99 = sim.Duration(sk.Quantile(99))
+			st.P50 = sim.Duration(sk.LowerQuantile(50))
+			st.P99 = sim.Duration(sk.LowerQuantile(99))
 			if t.SLO > 0 {
 				st.SLOAttainment = float64(o.resp.OKCount(i)) / float64(finished)
 			}

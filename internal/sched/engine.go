@@ -37,11 +37,8 @@ type Engine struct {
 	pendingSched bool
 	frozen       bool
 
-	// Arrival cursor: InjectSequence walks a sorted sequence with one
-	// chained event instead of a closure per app.
-	arrQ   []*appmodel.App
-	arrPos int
-	arrFn  func()
+	// arrivals delivers InjectSequence's arrivals to arrive.
+	arrivals *ArrivalCursor
 
 	// slots holds the per-slot hot-path runtime state, indexed by
 	// fabric.Slot.ID. Pre-bound launch/exec/PR closures and plain
@@ -216,44 +213,13 @@ func (e *Engine) SetFrozen(v bool) {
 }
 
 // InjectSequence schedules arrival events for apps (Arrival fields are
-// absolute virtual times). When the sequence is sorted by arrival time —
-// generators emit them that way — a single chained cursor event walks it
-// instead of one pre-allocated closure per app; arrivals carry
-// sim.PriArrival so they keep firing ahead of same-instant simulation
-// events despite their now-late sequence numbers.
+// absolute virtual times) through the engine's ArrivalCursor.
 func (e *Engine) InjectSequence(apps []*appmodel.App) {
-	if len(apps) == 0 {
-		return
-	}
 	e.Apps = append(e.Apps, apps...)
-	sorted := true
-	for i := 1; i < len(apps); i++ {
-		if apps[i].Arrival < apps[i-1].Arrival {
-			sorted = false
-			break
-		}
+	if e.arrivals == nil {
+		e.arrivals = NewArrivalCursor(e.K, e.arrive)
 	}
-	if !sorted || e.arrPos < len(e.arrQ) {
-		// Unsorted, or a previous cursor is still walking: fall back to
-		// one event per app.
-		for _, a := range apps {
-			a := a
-			e.K.AtP(a.Arrival, sim.PriArrival, func() { e.arrive(a) })
-		}
-		return
-	}
-	e.arrQ, e.arrPos = apps, 0
-	if e.arrFn == nil {
-		e.arrFn = func() {
-			a := e.arrQ[e.arrPos]
-			e.arrPos++
-			if e.arrPos < len(e.arrQ) {
-				e.K.AtP(e.arrQ[e.arrPos].Arrival, sim.PriArrival, e.arrFn)
-			}
-			e.arrive(a)
-		}
-	}
-	e.K.AtP(apps[0].Arrival, sim.PriArrival, e.arrFn)
+	e.arrivals.Schedule(apps)
 }
 
 // InjectNow delivers an app immediately (used by live migration and by

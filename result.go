@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"versaslot/internal/cluster"
-	"versaslot/internal/fabric"
 	"versaslot/internal/metrics"
 	"versaslot/internal/orchestrator"
 	"versaslot/internal/sched"
@@ -145,157 +144,23 @@ func pooledPercentile(samples []metrics.ResponseSample, p float64) sim.Duration 
 }
 
 // fillFromEngines merges the per-board collectors of a multi-board run
-// into the result: counters summed, distributions recomputed over the
-// pooled samples, utilizations weighted by per-board completed apps.
-// Engines must be passed in a fixed order so output is deterministic.
+// into the result through one aggregate collector (see
+// metrics.Collector.Absorb for the merge rules), with the pooled
+// samples sorted by application ID before summarizing. Engines must be
+// passed in a fixed order so output is deterministic.
 func (r *Result) fillFromEngines(engines []*sched.Engine) {
-	if len(engines) > 0 && engines[0].Col.Streaming() {
-		r.fillFromStream(engines)
-		return
-	}
-	var pooled []metrics.ResponseSample
-	var utilLUT, utilFF, utilDSP, utilBRAM, weight float64
-	var downSum sim.Duration
-	var slotSpan float64
-	faultsOn := false
+	var agg metrics.Collector
 	for _, e := range engines {
-		s := e.Col.Summarize()
-		r.Summary.PRLoads += s.PRLoads
-		r.Summary.PRBlocked += s.PRBlocked
-		r.Summary.PRRetries += s.PRRetries
-		r.Summary.PRWait += s.PRWait
-		r.Summary.Preemptions += s.Preemptions
-		r.Summary.Migrations += s.Migrations
-		if down, span, events, failed, retried, on := e.Col.FaultStats(); on {
-			faultsOn = true
-			downSum += down
-			slotSpan += span
-			r.Summary.FaultEvents += events
-			r.Summary.FailedApps += failed
-			// Per-board distinct counts: an app whose PRs were retried
-			// on two boards (it migrated between them) counts on each.
-			r.Summary.RetriedApps += retried
-		}
-		utilLUT += s.UtilLUT * float64(s.Apps)
-		utilFF += s.UtilFF * float64(s.Apps)
-		utilDSP += s.UtilDSP * float64(s.Apps)
-		utilBRAM += s.UtilBRAM * float64(s.Apps)
-		weight += float64(s.Apps)
-		pooled = append(pooled, e.Col.Responses...)
+		agg.Absorb(e.Col)
 		hits, misses := e.Cache.Stats()
 		r.CacheHits += hits
 		r.CacheMisses += misses
 		r.LaunchWait += e.Cores.Sched.Stats().WaitByName["launch"]
 	}
-	sort.Slice(pooled, func(i, j int) bool { return pooled[i].AppID < pooled[j].AppID })
-	r.Samples = pooled
-	r.Summary.Apps = len(pooled)
-	if weight > 0 {
-		r.Summary.UtilLUT = utilLUT / weight
-		r.Summary.UtilFF = utilFF / weight
-		r.Summary.UtilDSP = utilDSP / weight
-		r.Summary.UtilBRAM = utilBRAM / weight
-	}
-	if faultsOn {
-		r.Summary.Downtime = downSum
-		r.Summary.Availability = 1
-		if slotSpan > 0 {
-			a := 1 - downSum.Seconds()/slotSpan
-			if a < 0 {
-				a = 0
-			}
-			r.Summary.Availability = a
-		}
-	}
-	if len(pooled) > 0 {
-		r.Summary.MeanRT = metrics.MeanResponse(pooled)
-		r.Summary.P50 = pooledPercentile(pooled, 50)
-		r.Summary.P95 = pooledPercentile(pooled, 95)
-		r.Summary.P99 = pooledPercentile(pooled, 99)
-		var queue float64
-		minRT, maxRT := pooled[0].Response, pooled[0].Response
-		for _, s := range pooled {
-			queue += float64(s.QueueDelay)
-			if s.Response < minRT {
-				minRT = s.Response
-			}
-			if s.Response > maxRT {
-				maxRT = s.Response
-			}
-			if s.Finish > r.Makespan {
-				r.Makespan = s.Finish
-			}
-		}
-		r.Summary.MeanQueue = sim.Duration(queue / float64(len(pooled)))
-		r.Summary.MinRT = minRT
-		r.Summary.MaxRT = maxRT
-	}
-	agg := metrics.NewCollector(fabric.ResVec{})
-	agg.Responses = pooled
+	sort.Slice(agg.Responses, func(i, j int) bool { return agg.Responses[i].AppID < agg.Responses[j].AppID })
+	r.Summary = agg.Summarize()
+	r.Samples = agg.Responses
 	r.BySpec = agg.BySpec()
-}
-
-// fillFromStream is fillFromEngines' stream-mode twin: no sample ever
-// leaves its engine. Counters and the fault axis merge exactly as in
-// exact mode; the response-time distribution, per-spec aggregates and
-// windowed time-series come from folding every engine's sketches into
-// one aggregate collector (bucket counts add exactly, so the merged
-// percentiles are independent of engine grouping); fleet utilization
-// is the summed resource-time integrals over the summed capacities.
-func (r *Result) fillFromStream(engines []*sched.Engine) {
-	agg := metrics.NewCollector(fabric.ResVec{})
-	var downSum sim.Duration
-	var slotSpan float64
-	faultsOn := false
-	for _, e := range engines {
-		s := e.Col.Summarize()
-		r.Summary.PRLoads += s.PRLoads
-		r.Summary.PRBlocked += s.PRBlocked
-		r.Summary.PRRetries += s.PRRetries
-		r.Summary.PRWait += s.PRWait
-		r.Summary.Preemptions += s.Preemptions
-		r.Summary.Migrations += s.Migrations
-		if down, span, events, failed, retried, on := e.Col.FaultStats(); on {
-			faultsOn = true
-			downSum += down
-			slotSpan += span
-			r.Summary.FaultEvents += events
-			r.Summary.FailedApps += failed
-			r.Summary.RetriedApps += retried
-		}
-		agg.AbsorbStream(e.Col)
-		hits, misses := e.Cache.Stats()
-		r.CacheHits += hits
-		r.CacheMisses += misses
-		r.LaunchWait += e.Cores.Sched.Stats().WaitByName["launch"]
-	}
-	s := agg.Summarize()
-	r.Summary.Apps = s.Apps
-	r.Summary.MeanRT = s.MeanRT
-	r.Summary.P50 = s.P50
-	r.Summary.P95 = s.P95
-	r.Summary.P99 = s.P99
-	r.Summary.MinRT = s.MinRT
-	r.Summary.MaxRT = s.MaxRT
-	r.Summary.MeanQueue = s.MeanQueue
-	r.Summary.UtilLUT = s.UtilLUT
-	r.Summary.UtilFF = s.UtilFF
-	r.Summary.UtilDSP = s.UtilDSP
-	r.Summary.UtilBRAM = s.UtilBRAM
-	if faultsOn {
-		r.Summary.Downtime = downSum
-		r.Summary.Availability = 1
-		if slotSpan > 0 {
-			a := 1 - downSum.Seconds()/slotSpan
-			if a < 0 {
-				a = 0
-			}
-			r.Summary.Availability = a
-		}
-	}
-	if end := agg.EndTime(); end > r.Makespan {
-		r.Makespan = end
-	}
+	r.Makespan = agg.EndTime()
 	r.TimeSeries = agg.Windows()
-	r.BySpec = agg.BySpec()
 }

@@ -235,8 +235,9 @@ func (r *Runner) runSingle(s Scenario, seq *workload.Sequence, parallel bool) (*
 			return nil, err
 		}
 	}
-	if cfg, on := s.streamConfig(); on {
-		sys.Engine.Col.EnableStreaming(cfg)
+	streamCfg, streaming := s.streamConfig()
+	if streaming {
+		sys.Engine.Col.EnableStreaming(streamCfg)
 	}
 	r.attachDiagnostics(s.Name, sys.Engine, parallel)
 	apps, err := seq.Instantiate(0)
@@ -276,18 +277,11 @@ func (r *Runner) runSingle(s Scenario, seq *workload.Sequence, parallel bool) (*
 		CacheHits:   res.CacheHits,
 		CacheMisses: res.CacheMisses,
 		LaunchWait:  sys.Engine.Cores.Sched.Stats().WaitByName["launch"],
+		Makespan:    sys.Engine.Col.EndTime(),
+		TimeSeries:  sys.Engine.Col.Windows(),
 	}
-	for _, sample := range res.Samples {
-		if sample.Finish > out.Makespan {
-			out.Makespan = sample.Finish
-		}
-	}
-	if sys.Engine.Col.Streaming() {
+	if streaming {
 		out.MetricsMode = "stream"
-		out.TimeSeries = sys.Engine.Col.Windows()
-		if end := sys.Engine.Col.EndTime(); end > out.Makespan {
-			out.Makespan = end
-		}
 	}
 	return out, nil
 }
@@ -309,12 +303,11 @@ func (r *Runner) runCluster(s Scenario, seq *workload.Sequence, parallel bool) (
 	if err != nil {
 		return nil, fmt.Errorf("versaslot: %w", err)
 	}
-	if cfg, on := s.streamConfig(); on {
-		for _, mode := range clusterModes {
-			cl.Engine(mode).Col.EnableStreaming(cfg)
-		}
-	}
+	streamCfg, streaming := s.streamConfig()
 	for _, mode := range clusterModes {
+		if streaming {
+			cl.Engine(mode).Col.EnableStreaming(streamCfg)
+		}
 		r.attachDiagnostics(s.Name, cl.Engine(mode), parallel)
 	}
 	r.observeSwitches(s.Name, cl)
@@ -347,7 +340,7 @@ func (r *Runner) runCluster(s Scenario, seq *workload.Sequence, parallel bool) (
 		MigratedApps:   sum.MigratedApps,
 		SwitchTrace:    sum.Trace,
 	}
-	if cl.Streaming() {
+	if streaming {
 		out.MetricsMode = "stream"
 	}
 	out.fillFromEngines(clEngines)

@@ -428,7 +428,7 @@ func (s Scenario) Validate() error {
 	return nil
 }
 
-// streamConfig returns the stream-sink configuration and whether
+// streamConfig returns the stream-mode configuration and whether
 // stream mode is enabled.
 func (s Scenario) streamConfig() (metrics.StreamConfig, bool) {
 	if s.Metrics == nil || s.Metrics.Mode != "stream" {

@@ -3,9 +3,11 @@ package versaslot
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 
+	"versaslot/internal/fault"
 	"versaslot/internal/sim"
 )
 
@@ -91,30 +93,73 @@ func TestStreamFarmShardedDeterministic(t *testing.T) {
 	}
 }
 
-// TestStreamMatchesExact runs the same seed in both metrics modes and
-// pins stream mode to its documented contract: mean/min/max/queue and
-// utilization match the exact run bit-for-bit (they are tracked
-// exactly), and each reported percentile lands within 1% rank error
-// of the exact sample distribution.
+// TestStreamMatchesExact runs each input in both metrics modes and
+// pins stream mode to its documented contract. Every Summary field
+// except the percentiles, the makespan, the per-spec breakdown and
+// every PairStat field except P50 are identical across modes (they are
+// tracked exactly, and multi-board runs merge through one path), and
+// each reported percentile lands within 1% rank error of the exact
+// sample distribution. The multi-board inputs pin the merge rules:
+// utilization weighted by each board's completed apps in both modes.
+// Every input runs 120 apps: a 1% rank bound needs n >= 100 samples to
+// be resolvable at all.
 func TestStreamMatchesExact(t *testing.T) {
-	ex := streamScenario()
-	ex.Metrics = nil
-	exact, err := Run(ex)
-	if err != nil {
-		t.Fatal(err)
+	faults := &fault.Spec{Injectors: []fault.InjectorSpec{
+		{Kind: "board-fail", MTBF: 15 * sim.Second, MTTR: 2 * sim.Second},
+		{Kind: "pr-flaky", Rate: 0.25, MaxRetries: 3, Backoff: sim.Millisecond, BackoffFactor: 2},
+		{Kind: "slot-fail", MTBF: 25 * sim.Second, MTTR: 2 * sim.Second},
+	}}
+	inputs := []Scenario{
+		streamScenario(),
+		{Name: "stream-cluster", Topology: TopologyCluster, Condition: "stress", Apps: 120, Seed: 3},
+		{Name: "stream-farm", Topology: TopologyFarm, Pairs: 4, Condition: "stress", Apps: 120, Seed: 5,
+			RebalanceEvery: 5 * sim.Second},
+		{Name: "stream-farm-faults", Topology: TopologyFarm, Pairs: 4, Condition: "stress", Apps: 120, Seed: 13,
+			RebalanceEvery: 2 * sim.Second, Faults: faults},
 	}
-	stream, err := Run(streamScenario())
-	if err != nil {
-		t.Fatal(err)
+	for _, in := range inputs {
+		t.Run(in.Name, func(t *testing.T) {
+			ex := in
+			ex.Metrics = nil
+			exact, err := Run(ex)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := in
+			st.Metrics = streamScenario().Metrics
+			stream, err := Run(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkStreamMatchesExact(t, exact, stream)
+		})
 	}
+}
+
+func checkStreamMatchesExact(t *testing.T, exact, stream *Result) {
+	t.Helper()
 	es, ss := exact.Summary, stream.Summary
-	if es.Apps != ss.Apps || es.MeanRT != ss.MeanRT || es.MinRT != ss.MinRT ||
-		es.MaxRT != ss.MaxRT || es.MeanQueue != ss.MeanQueue ||
-		es.UtilLUT != ss.UtilLUT || es.UtilFF != ss.UtilFF {
+	ez, sz := es, ss
+	ez.P50, ez.P95, ez.P99 = 0, 0, 0
+	sz.P50, sz.P95, sz.P99 = 0, 0, 0
+	if ez != sz {
 		t.Errorf("exactly-tracked stats diverged:\nexact  %+v\nstream %+v", es, ss)
 	}
 	if exact.Makespan != stream.Makespan {
 		t.Errorf("makespan diverged: exact %v stream %v", exact.Makespan, stream.Makespan)
+	}
+	if !reflect.DeepEqual(exact.BySpec, stream.BySpec) {
+		t.Errorf("by-spec breakdown diverged:\nexact  %+v\nstream %+v", exact.BySpec, stream.BySpec)
+	}
+	if len(exact.PairStats) != len(stream.PairStats) {
+		t.Fatalf("pair stats: exact has %d pairs, stream %d", len(exact.PairStats), len(stream.PairStats))
+	}
+	for i, ep := range exact.PairStats {
+		sp := stream.PairStats[i]
+		ep.P50, sp.P50 = 0, 0
+		if ep != sp {
+			t.Errorf("pair %d stats diverged:\nexact  %+v\nstream %+v", i, exact.PairStats[i], stream.PairStats[i])
+		}
 	}
 	sorted := make([]float64, len(exact.Samples))
 	for i, s := range exact.Samples {

@@ -138,3 +138,32 @@ func TestRunManySharedWorkloadIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestPooledHelpers pins the cross-result helpers the experiments
+// package builds its tables from: pooled samples concatenate, the
+// pooled percentile reads the pooled distribution, and empty inputs
+// report zero.
+func TestPooledHelpers(t *testing.T) {
+	results, err := versaslot.RunMany(versaslot.Sweep{
+		Base:       versaslot.Scenario{Apps: 4},
+		Policies:   []string{"versaslot-ol"},
+		Conditions: []string{"loose"},
+		Seeds:      []uint64{1, 2},
+	}.Scenarios(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(versaslot.PooledSamples(results)); n != 8 {
+		t.Fatalf("pooled %d samples, want 8", n)
+	}
+	p50, p95 := versaslot.PooledPercentile(results, 50), versaslot.PooledPercentile(results, 95)
+	if p50 <= 0 || p95 < p50 {
+		t.Fatalf("pooled P50 %v, P95 %v", p50, p95)
+	}
+	if mean := versaslot.MeanRT(results); mean <= 0 {
+		t.Fatalf("mean RT %v", mean)
+	}
+	if versaslot.MeanRT(nil) != 0 || versaslot.PooledPercentile(nil, 95) != 0 {
+		t.Fatal("empty inputs must report zero")
+	}
+}
