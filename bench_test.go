@@ -334,6 +334,20 @@ func BenchmarkFarmDispatchHetero(b *testing.B) {
 	}
 }
 
+// BenchmarkFarmBuild prices farm construction alone: every board,
+// engine, policy and pair hook of a fleet-scale least-loaded farm,
+// built before the first arrival. TestNewFarmAllocs pins the
+// allocations per pair; this reports the whole build.
+func BenchmarkFarmBuild(b *testing.B) {
+	const pairs = 1024
+	b.Run(fmt.Sprintf("pairs=%d", pairs), func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			cluster.MustNewFarm(cluster.DefaultFarmConfig(pairs))
+		}
+	})
+}
+
 // --- Substrate micro-benchmarks --------------------------------------
 
 func BenchmarkKernelEvents(b *testing.B) {

@@ -19,10 +19,18 @@ type cacheNode struct {
 }
 
 // NewCache returns an LRU cache holding up to capacity bitstreams.
-// capacity <= 0 disables caching (every load misses).
+// capacity <= 0 disables caching (every load misses). The index map is
+// made at the first insert, so a board that never reconfigures never
+// builds one.
 func NewCache(capacity int) *Cache {
-	return &Cache{capacity: capacity, entries: make(map[string]*cacheNode)}
+	c := new(Cache)
+	c.Init(capacity)
+	return c
 }
+
+// Init makes a zero Cache, in place, an empty cache of the given
+// capacity.
+func (c *Cache) Init(capacity int) { c.capacity = capacity }
 
 // Lookup reports whether name is cached, inserting it (and evicting the
 // LRU entry if full) when it is not. This matches the PR server's flow:
@@ -38,14 +46,7 @@ func (c *Cache) Lookup(name string) (hit bool) {
 		return true
 	}
 	c.misses++
-	n := &cacheNode{name: name}
-	c.entries[name] = n
-	c.pushFront(n)
-	if len(c.entries) > c.capacity {
-		lru := c.tail
-		c.unlink(lru)
-		delete(c.entries, lru.name)
-	}
+	c.insert(name)
 	return false
 }
 
@@ -59,6 +60,15 @@ func (c *Cache) Warm(name string) {
 	if n, ok := c.entries[name]; ok {
 		c.moveToFront(n)
 		return
+	}
+	c.insert(name)
+}
+
+// insert adds an uncached name as most recently used, evicting the LRU
+// entry if the cache overflows.
+func (c *Cache) insert(name string) {
+	if c.entries == nil {
+		c.entries = make(map[string]*cacheNode)
 	}
 	n := &cacheNode{name: name}
 	c.entries[name] = n

@@ -156,6 +156,8 @@ func buildCluster(k *sim.Kernel, cfg Config, firstBoardID int) (*Cluster, error)
 		trigger: migrate.NewTrigger(cfg.StartMode, cfg.ThresholdUp, cfg.ThresholdDown),
 	}
 
+	// Both boards share one binding of each pair hook.
+	onQueueUpdate, onAppFinished := c.onQueueUpdate, c.onAppFinished
 	boardID := firstBoardID
 	for _, mode := range pairModes {
 		platform, err := cfg.platformFor(mode)
@@ -175,8 +177,8 @@ func buildCluster(k *sim.Kernel, cfg Config, firstBoardID int) (*Cluster, error)
 			p = sched.NewVersaSlotOL()
 		}
 		e.SetPolicy(p)
-		e.OnQueueUpdate = c.onQueueUpdate
-		e.OnAppFinished = c.onAppFinished
+		e.OnQueueUpdate = onQueueUpdate
+		e.OnAppFinished = onAppFinished
 		c.engines[mode] = e
 		c.platforms[mode] = platform
 	}

@@ -249,13 +249,12 @@ type Farm struct {
 	nextTick       sim.EventID // handle of the pending rebalance tick
 }
 
-// NewFarm builds a farm from its configuration. It panics if the
-// configuration asks for no pairs (a structural impossibility, like
-// the two-board cluster without boards) and returns an error for an
-// unknown dispatcher or platform name.
+// NewFarm builds a farm from its configuration. It returns an error
+// for a configuration without pairs, an unknown dispatcher or platform
+// name, or an out-of-range shard or standby count.
 func NewFarm(cfg FarmConfig) (*Farm, error) {
 	if cfg.Pairs <= 0 {
-		panic("cluster: farm needs at least one pair")
+		return nil, fmt.Errorf("cluster: farm needs at least one pair, got %d", cfg.Pairs)
 	}
 	name := cfg.Dispatcher
 	if name == "" {
@@ -289,6 +288,7 @@ func NewFarm(cfg FarmConfig) (*Farm, error) {
 		K:          sim.NewKernel(cfg.Pair.Seed),
 		dispatcher: d,
 		shards:     shards,
+		Pairs:      make([]*Cluster, 0, cfg.Pairs),
 		routed:     make([]int, cfg.Pairs),
 		load:       make([]int, cfg.Pairs),
 		finishedBy: make([]int, cfg.Pairs),
@@ -309,6 +309,9 @@ func NewFarm(cfg FarmConfig) (*Farm, error) {
 	// then pair-local events — is identical whether the pairs share f.K
 	// or advance their own kernels.
 	f.Rack.SetPriority(sim.PriFarmControl)
+	if shards > 1 {
+		f.pairK = make([]*sim.Kernel, 0, cfg.Pairs)
+	}
 	for i := 0; i < cfg.Pairs; i++ {
 		pk := f.K
 		if shards > 1 {
@@ -326,19 +329,15 @@ func NewFarm(cfg FarmConfig) (*Farm, error) {
 		f.Pairs = append(f.Pairs, pair)
 		// Maintain the per-pair load counter incrementally: arrivals
 		// increment it at dispatch; completions on either board of the
-		// pair decrement it here. Chaining preserves the pair's own
-		// D_switch bookkeeping hook.
-		i := i
+		// pair decrement it here, after the pair's own D_switch
+		// bookkeeping hook. One closure serves both boards.
+		onAppFinished := func(a *appmodel.App) {
+			pair.onAppFinished(a)
+			f.load[i]--
+			f.finishedBy[i]++
+		}
 		for _, mode := range pairModes {
-			e := pair.Engine(mode)
-			prev := e.OnAppFinished
-			e.OnAppFinished = func(a *appmodel.App) {
-				if prev != nil {
-					prev(a)
-				}
-				f.load[i]--
-				f.finishedBy[i]++
-			}
+			pair.Engine(mode).OnAppFinished = onAppFinished
 		}
 	}
 	f.uniform = true

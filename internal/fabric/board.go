@@ -16,12 +16,21 @@ type Board struct {
 
 // NewBoard materializes a platform into a board. The platform must be
 // valid (registered platforms are; custom ones validate on build).
+// The slots live in one array and Slots points into it, so a board
+// costs the same few allocations whatever its slot count.
 func NewBoard(id int, p *Platform) *Board {
 	b := &Board{ID: id, Platform: p, empty: make([]int, len(p.Classes))}
+	total := 0
+	for _, n := range p.Counts {
+		total += n
+	}
+	slots := make([]Slot, total)
+	b.Slots = make([]*Slot, total)
 	slotID := 0
 	for i, class := range p.Classes {
 		for n := 0; n < p.Counts[i]; n++ {
-			b.Slots = append(b.Slots, &Slot{ID: slotID, Class: class, empty: &b.empty[i]})
+			slots[slotID] = Slot{ID: slotID, Class: class, empty: &b.empty[i]}
+			b.Slots[slotID] = &slots[slotID]
 			slotID++
 		}
 		b.empty[i] = p.Counts[i]

@@ -216,6 +216,21 @@ func TestBuiltinPlatformBoards(t *testing.T) {
 	}
 }
 
+// TestNewBoardAllocs pins board construction at a constant allocation
+// count, independent of the slot count: the board, its per-class empty
+// counters, one slot array and the Slots index into it.
+func TestNewBoardAllocs(t *testing.T) {
+	const want = 4
+	for _, name := range []string{ZCU216OnlyLittle, ZCU216BigLittle} {
+		p := MustPlatform(name)
+		allocs := testing.AllocsPerRun(100, func() { NewBoard(0, p) })
+		if allocs != want {
+			t.Errorf("%s (%d slots): NewBoard allocates %.0f times, want %d",
+				name, len(NewBoard(0, p).Slots), allocs, want)
+		}
+	}
+}
+
 func TestBoardFreeVsEmpty(t *testing.T) {
 	b := NewBoard(0, MustPlatform(ZCU216OnlyLittle))
 	s := b.Slots[0]

@@ -33,6 +33,10 @@ type Cores struct {
 	// OCM counts mailbox traffic between the two cores (status
 	// messages and asynchronous PR requests).
 	OCM MailboxStats
+
+	// sched and pr hold the servers Sched and PR point at (pr stays
+	// unused in SingleCore mode).
+	sched, pr sim.Server
 }
 
 // MailboxStats counts OCM mailbox messages.
@@ -43,14 +47,23 @@ type MailboxStats struct {
 
 // NewCores builds the control plane for a board.
 func NewCores(k *sim.Kernel, model CoreModel, boardID int) *Cores {
-	c := &Cores{Model: model}
-	c.Sched = sim.NewServer(k, coreName(boardID, 0))
+	c := new(Cores)
+	c.Init(k, model, boardID)
+	return c
+}
+
+// Init builds the control plane in a zero Cores, with both servers
+// held inside c; c must not be copied afterwards.
+func (c *Cores) Init(k *sim.Kernel, model CoreModel, boardID int) {
+	c.Model = model
+	c.sched.Init(k, coreName(boardID, 0))
+	c.Sched = &c.sched
 	if model == DualCore {
-		c.PR = sim.NewServer(k, coreName(boardID, 1))
+		c.pr.Init(k, coreName(boardID, 1))
+		c.PR = &c.pr
 	} else {
 		c.PR = c.Sched
 	}
-	return c
 }
 
 func coreName(board, core int) string {

@@ -11,7 +11,7 @@ type Link struct {
 	// Setup is the fixed per-transfer cost.
 	Setup sim.Duration
 
-	srv *sim.Server
+	srv sim.Server
 	pri int32
 
 	stats Stats
@@ -36,11 +36,9 @@ func New(k *sim.Kernel, name string, bandwidthBytes int64, setup sim.Duration) *
 	if bandwidthBytes <= 0 {
 		panic("interlink: non-positive bandwidth")
 	}
-	return &Link{
-		BandwidthBytes: bandwidthBytes,
-		Setup:          setup,
-		srv:            sim.NewServer(k, name),
-	}
+	l := &Link{BandwidthBytes: bandwidthBytes, Setup: setup}
+	l.srv.Init(k, name)
+	return l
 }
 
 // NewDefault returns a link with the Aurora defaults.

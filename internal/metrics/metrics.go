@@ -98,10 +98,16 @@ type Collector struct {
 // NewCollector returns an empty collector; cap is the board's total
 // slot capacity (utilization denominator).
 func NewCollector(cap fabric.ResVec) *Collector {
-	return &Collector{
-		capLUT: float64(cap.LUT), capFF: float64(cap.FF),
-		capDSP: float64(cap.DSP), capBRAM: float64(cap.BRAM),
-	}
+	c := new(Collector)
+	c.Init(cap)
+	return c
+}
+
+// Init makes a zero Collector, in place, an empty collector over
+// capacity cap.
+func (c *Collector) Init(cap fabric.ResVec) {
+	c.capLUT, c.capFF = float64(cap.LUT), float64(cap.FF)
+	c.capDSP, c.capBRAM = float64(cap.DSP), float64(cap.BRAM)
 }
 
 // EnableFaults switches the collector into fault-accounting mode:

@@ -28,10 +28,18 @@ type Stats struct {
 
 // New returns a device with the given bandwidth and per-load overhead.
 func New(bandwidth int64, overhead sim.Duration) *Device {
+	d := new(Device)
+	d.Init(bandwidth, overhead)
+	return d
+}
+
+// Init makes a zero Device, in place, an idle device with the given
+// bandwidth and per-load overhead.
+func (d *Device) Init(bandwidth int64, overhead sim.Duration) {
 	if bandwidth <= 0 {
 		panic("pcap: non-positive bandwidth")
 	}
-	return &Device{Bandwidth: bandwidth, Overhead: overhead}
+	d.Bandwidth, d.Overhead = bandwidth, overhead
 }
 
 // LoadDuration returns the time to stream b through the port.

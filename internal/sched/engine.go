@@ -40,17 +40,26 @@ type Engine struct {
 	// arrivals delivers InjectSequence's arrivals to arrive.
 	arrivals *ArrivalCursor
 
+	// own holds the fixed per-board parts Cores, PCAP, Cache and Col
+	// point at, so they share the Engine's allocation.
+	own struct {
+		cores hypervisor.Cores
+		pcap  pcap.Device
+		cache bitstream.Cache
+		col   metrics.Collector
+	}
+
 	// slots holds the per-slot hot-path runtime state, indexed by
-	// fabric.Slot.ID. Pre-bound launch/exec/PR closures and plain
-	// struct fields replace the per-launch closures and per-slot maps
-	// of the original engine: at most one launch, one executing item,
-	// and one PCAP load can be in flight per slot at a time, so the
-	// state of each is a slot-indexed record, not an allocation.
+	// fabric.Slot.ID. Launch/exec/PR closures bound once per slot and
+	// plain struct fields replace the per-launch closures and per-slot
+	// maps of the original engine: at most one launch, one executing
+	// item, and one PCAP load can be in flight per slot at a time, so
+	// the state of each is a slot-indexed record, not an allocation.
 	slots []slotRT
 	// schedPassFn is the one pre-bound scheduler-pass body Activate
 	// submits (coalesced, so one is enough); activateFn is Activate
-	// itself, bound once so policies can schedule wake-ups without
-	// allocating a method value per pass.
+	// itself, bound on first use (see activateFunc) so policies can
+	// schedule wake-ups without allocating a method value per pass.
 	schedPassFn func()
 	activateFn  func()
 
@@ -108,7 +117,8 @@ func (e *Engine) trace(format string, args ...any) {
 // PCAP load in flight per slot (a slot is Busy from BeginExec to
 // CompleteExec and Loading from BeginLoad to CompleteLoad/abort), so
 // each activity's state lives in plain fields written at submission and
-// read by a closure bound once at engine construction.
+// read by a closure bound once, at the slot's first launch or load (see
+// bind), so slots a run never uses cost no closures.
 type slotRT struct {
 	e    *Engine
 	slot *fabric.Slot
@@ -147,39 +157,54 @@ type slotRT struct {
 	prDoneFn  func()
 }
 
+// bind creates the slot's launch/exec/PR callbacks on first use; later
+// calls return at once, so steady-state submissions allocate nothing.
+func (rt *slotRT) bind() {
+	if rt.launchFn != nil {
+		return
+	}
+	rt.launchFn = rt.runLaunch
+	rt.execFn = rt.runExec
+	rt.prStartFn = rt.prStart
+	rt.prDoneFn = rt.prDone
+}
+
 // rt returns the runtime record of a slot. Slot IDs are indices into the
 // board's slot list (see fabric.NewBoard), so this is a direct index.
 func (e *Engine) rt(s *fabric.Slot) *slotRT { return &e.slots[s.ID] }
 
 // NewEngine wires a board's execution machinery together.
 func NewEngine(k *sim.Kernel, p Params, board *fabric.Board, model hypervisor.CoreModel, repo *bitstream.Repository) *Engine {
-	capTotal := board.SlotCapacityTotal()
 	e := &Engine{
 		K:      k,
 		Params: p,
 		Board:  board,
-		Cores:  hypervisor.NewCores(k, model, board.ID),
-		PCAP:   pcap.New(p.PCAPBandwidth, p.PCAPOverhead),
 		Repo:   repo,
-		Cache:  bitstream.NewCache(p.CacheEntries),
-		Col:    metrics.NewCollector(capTotal),
 	}
+	e.own.cores.Init(k, model, board.ID)
+	e.own.pcap.Init(p.PCAPBandwidth, p.PCAPOverhead)
+	e.own.cache.Init(p.CacheEntries)
+	e.own.col.Init(board.SlotCapacityTotal())
+	e.Cores, e.PCAP, e.Cache, e.Col = &e.own.cores, &e.own.pcap, &e.own.cache, &e.own.col
 	e.slots = make([]slotRT, len(board.Slots))
 	for i, s := range board.Slots {
-		rt := &e.slots[i]
-		rt.e = e
-		rt.slot = s
-		rt.launchFn = rt.runLaunch
-		rt.execFn = rt.runExec
-		rt.prStartFn = rt.prStart
-		rt.prDoneFn = rt.prDone
+		e.slots[i].e = e
+		e.slots[i].slot = s
 	}
 	e.schedPassFn = func() {
 		e.pendingSched = false
 		e.policy.Schedule()
 	}
-	e.activateFn = e.Activate
 	return e
+}
+
+// activateFunc returns Activate as a func value, binding it on first
+// use: only the policies that schedule timed wake-ups need it.
+func (e *Engine) activateFunc() func() {
+	if e.activateFn == nil {
+		e.activateFn = e.Activate
+	}
+	return e.activateFn
 }
 
 // DisableBitstreamCache models control planes without a DDR bitstream
@@ -324,6 +349,7 @@ func (e *Engine) submitPRJob(st *appmodel.Stage, slot *fabric.Slot, bits *bitstr
 	rt := e.rt(slot)
 	rt.prStage, rt.prBits, rt.prCost, rt.prAttempt = st, bits, cost, attempt
 	rt.prWaited = 0
+	rt.bind()
 	e.Cores.PR.SubmitPooled(bits.Name, "pr", cost, rt.prStartFn, rt.prDoneFn)
 }
 
@@ -467,6 +493,7 @@ func (e *Engine) LaunchItem(st *appmodel.Stage) bool {
 	}
 	rt.st, rt.idx, rt.dur = st, idx, dur
 	rt.armed = true
+	rt.bind()
 	e.Cores.Sched.SubmitFunc("launch", "launch", e.Params.EffectiveLaunch(), rt.launchFn)
 	return true
 }

@@ -49,7 +49,7 @@ func (x *Exclusive) AppArrived(a *appmodel.App) {
 		if t < x.e.Now() {
 			t = x.e.Now()
 		}
-		x.e.K.At(t, x.e.activateFn)
+		x.e.K.At(t, x.e.activateFunc())
 	}
 }
 
@@ -153,7 +153,7 @@ func (x *Exclusive) swapIn(a *appmodel.App) {
 		x.loading = false
 		x.sliceEnd = e.Now().Add(e.Params.BaselineQuantum)
 		if len(x.queue) > 0 {
-			e.K.At(x.sliceEnd, e.activateFn)
+			e.K.At(x.sliceEnd, e.activateFunc())
 		}
 		e.Pump(a)
 		e.Activate()

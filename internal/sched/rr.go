@@ -55,7 +55,7 @@ func (r *RR) AppFinished(a *appmodel.App) {
 		}
 	}
 	r.cleanupUntil = r.e.Now().Add(r.e.Params.TenantTeardown)
-	r.e.K.At(r.cleanupUntil, r.e.activateFn)
+	r.e.K.At(r.cleanupUntil, r.e.activateFunc())
 }
 
 // Schedule implements Policy.
@@ -107,7 +107,7 @@ func (r *RR) Schedule() {
 			a.State = appmodel.StateReady
 			placeGang(e, a, r.class.Name, need)
 			// Re-activate when this app's quantum will expire.
-			e.K.Schedule(q, e.activateFn)
+			e.K.Schedule(q, e.activateFunc())
 		}
 		clear(r.queue[len(waiting):])
 		r.queue = waiting

@@ -59,9 +59,10 @@ type Server struct {
 	classes []classStats
 
 	// finishFn is the completion callback scheduled for the job in
-	// service. It is bound once at construction: the server is
-	// non-preemptive, so the job finishing is always s.cur — which
-	// makes every completion event closure-allocation free.
+	// service. It is bound once, at the server's first job: the server
+	// is non-preemptive, so the job finishing is always s.cur — which
+	// makes every completion event closure-allocation free, and a
+	// server that never runs a job never pays for the closure.
 	finishFn func()
 
 	// IdleHook, if set, runs whenever the server transitions to idle.
@@ -77,9 +78,16 @@ type classStats struct {
 
 // NewServer returns an idle server attached to kernel k.
 func NewServer(k *Kernel, name string) *Server {
-	s := &Server{k: k, name: name}
-	s.finishFn = func() { s.finish(s.cur) }
+	s := new(Server)
+	s.Init(k, name)
 	return s
+}
+
+// Init makes a zero Server an idle server attached to kernel k, in
+// place, so owners can hold servers inline. A server must not be
+// copied after its first job.
+func (s *Server) Init(k *Kernel, name string) {
+	s.k, s.name = k, name
 }
 
 // class returns the counters of the named job class, adding them on
@@ -153,6 +161,17 @@ func (s *Server) Stats() ServerStats {
 	return out
 }
 
+// WaitOf returns the total time jobs of the class spent queued:
+// Stats().WaitByName[class] without building the maps.
+func (s *Server) WaitOf(class string) Duration {
+	for _, c := range s.classes {
+		if c.class == class {
+			return c.wait
+		}
+	}
+	return 0
+}
+
 // Submit enqueues the job; it starts immediately if the server is idle.
 func (s *Server) Submit(j *Job) {
 	if j.Cost < 0 {
@@ -214,6 +233,9 @@ func (s *Server) start(j *Job) {
 	}
 	if j.Start != nil {
 		j.Start(wait)
+	}
+	if s.finishFn == nil {
+		s.finishFn = func() { s.finish(s.cur) }
 	}
 	s.k.ScheduleP(j.Cost, s.pri, s.finishFn)
 }

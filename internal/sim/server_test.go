@@ -93,6 +93,32 @@ func TestServerStatsClassMaps(t *testing.T) {
 	}
 }
 
+// TestServerWaitOf checks the per-class wait accessor against the map
+// view Stats builds, for queued, unqueued and unseen classes, and that
+// reading it allocates nothing.
+func TestServerWaitOf(t *testing.T) {
+	k := NewKernel(1)
+	var s Server // held inline, as hypervisor.Cores holds its cores
+	s.Init(k, "core0")
+	s.SubmitFunc("a", "launch", 10*Millisecond, nil) // starts at once
+	s.SubmitFunc("b", "sched", 10*Millisecond, nil)  // queues 10ms
+	s.SubmitFunc("c", "launch", 10*Millisecond, nil) // queues 20ms
+	s.SubmitFunc("d", "pr", 0, nil)                  // queues 30ms
+	k.Run()
+	st := s.Stats()
+	for _, class := range []string{"launch", "sched", "pr", "unseen"} {
+		if got, want := s.WaitOf(class), st.WaitByName[class]; got != want {
+			t.Errorf("WaitOf(%q) = %v, Stats says %v", class, got, want)
+		}
+	}
+	if got := s.WaitOf("launch"); got != 20*Millisecond {
+		t.Errorf("WaitOf(launch) = %v, want 20ms", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.WaitOf("pr") }); allocs != 0 {
+		t.Errorf("WaitOf allocates %.0f times, want 0", allocs)
+	}
+}
+
 func TestServerIdleThenBusy(t *testing.T) {
 	k := NewKernel(1)
 	s := NewServer(k, "core")

@@ -155,7 +155,7 @@ func (r *Result) fillFromEngines(engines []*sched.Engine) {
 		hits, misses := e.Cache.Stats()
 		r.CacheHits += hits
 		r.CacheMisses += misses
-		r.LaunchWait += e.Cores.Sched.Stats().WaitByName["launch"]
+		r.LaunchWait += e.Cores.Sched.WaitOf("launch")
 	}
 	sort.Slice(agg.Responses, func(i, j int) bool { return agg.Responses[i].AppID < agg.Responses[j].AppID })
 	r.Summary = agg.Summarize()

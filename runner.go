@@ -276,7 +276,7 @@ func (r *Runner) runSingle(s Scenario, seq *workload.Sequence, parallel bool) (*
 		BySpec:      res.BySpec,
 		CacheHits:   res.CacheHits,
 		CacheMisses: res.CacheMisses,
-		LaunchWait:  sys.Engine.Cores.Sched.Stats().WaitByName["launch"],
+		LaunchWait:  sys.Engine.Cores.Sched.WaitOf("launch"),
 		Makespan:    sys.Engine.Col.EndTime(),
 		TimeSeries:  sys.Engine.Col.Windows(),
 	}
@@ -352,8 +352,8 @@ func (r *Runner) runFarm(s Scenario, seq *workload.Sequence, parallel bool) (*Re
 	if err != nil {
 		return nil, fmt.Errorf("versaslot: %w", err)
 	}
-	var engines []*sched.Engine
-	var pairPlatforms []cluster.PairPlatforms
+	engines := make([]*sched.Engine, 0, len(clusterModes)*len(f.Pairs))
+	pairPlatforms := make([]cluster.PairPlatforms, 0, len(f.Pairs))
 	// Sharded runs advance pairs on worker goroutines: the single-writer
 	// trace/recorder sinks are disabled exactly as in parallel sweeps
 	// (observers stay attached — they serialize behind a mutex). The
