@@ -2,12 +2,15 @@ package versaslot_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"versaslot"
 	"versaslot/internal/fault"
 	"versaslot/internal/sim"
+	"versaslot/internal/trace"
 )
 
 // resultBytes canonicalizes a Result for byte-level comparison.
@@ -169,5 +172,55 @@ func TestChaosAllInjectorsDrain(t *testing.T) {
 				t.Error("rerun diverged")
 			}
 		})
+	}
+}
+
+// TestChaosTraceSeesFaults checks that the fault paths still reach an
+// attached trace and recorder: their arguments are built only behind a
+// sink check, so a check that tested the wrong sink would silence them.
+// It also checks that attaching the sinks leaves the Result unchanged.
+func TestChaosTraceSeesFaults(t *testing.T) {
+	sc := versaslot.Scenario{
+		Topology: versaslot.TopologySingle, Policy: "versaslot-bl", Condition: "stress", Apps: 20, Seed: 11,
+		Faults: &fault.Spec{Injectors: []fault.InjectorSpec{
+			{Kind: "slot-fail", MTBF: 2 * sim.Second, MTTR: 200 * sim.Millisecond},
+			{Kind: "board-fail", MTBF: 5 * sim.Second, MTTR: 300 * sim.Millisecond},
+			{Kind: "pr-flaky", Rate: 0.3, MaxRetries: 2},
+		}},
+	}
+	var log strings.Builder
+	rec := trace.NewRecorder(0)
+	traced, err := versaslot.NewRunner(
+		versaslot.WithTrace(func(format string, args ...any) {
+			fmt.Fprintf(&log, format+"\n", args...)
+		}),
+		versaslot.WithRecorder(rec),
+	).Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{" FAILED", " recovered", " crash-restart", " PR fault retry "} {
+		if !strings.Contains(log.String(), want) {
+			t.Errorf("trace has no %q line", want)
+		}
+	}
+	var slotFail, crashes int
+	for _, ev := range rec.Events() {
+		switch {
+		case ev.App == "slot-fail":
+			slotFail++
+		case strings.HasSuffix(ev.App, " crash-restart"):
+			crashes++
+		}
+	}
+	if slotFail == 0 || crashes == 0 {
+		t.Errorf("recorder holds %d slot-fail and %d crash-restart events, want both > 0", slotFail, crashes)
+	}
+	plain, err := versaslot.Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resultBytes(t, traced) != resultBytes(t, plain) {
+		t.Error("attaching a trace and a recorder changed the Result")
 	}
 }

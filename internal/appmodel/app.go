@@ -126,9 +126,12 @@ type App struct {
 	Stages []*Stage
 
 	// held counts stages with a slot; unplaced counts unfinished stages
-	// without one. Stage.setSlot/SetDone keep them exact and setStages
-	// recounts, so schedulers read both in O(1) each pass.
-	held, unplaced int
+	// without one; finished counts stages that completed the batch, and
+	// heldFinished those of them that still hold a slot.
+	// Stage.setSlot/setDone keep all four exact and setStages recounts,
+	// so schedulers read them in O(1) each pass.
+	held, unplaced         int
+	finished, heldFinished int
 
 	// wake is set by every stage writer that can make a stage
 	// launchable (see TakeWake).
@@ -149,10 +152,18 @@ type App struct {
 
 // NewApp returns an app in StatePending.
 func NewApp(id int, spec *AppSpec, batch int, arrival sim.Time) *App {
+	a := new(App)
+	a.Init(id, spec, batch, arrival)
+	return a
+}
+
+// Init makes a, in place, an app in StatePending, so callers can
+// allocate many apps as one block.
+func (a *App) Init(id int, spec *AppSpec, batch int, arrival sim.Time) {
 	if batch <= 0 {
 		panic("appmodel: batch must be positive")
 	}
-	return &App{ID: id, Spec: spec, Batch: batch, Arrival: arrival}
+	*a = App{ID: id, Spec: spec, Batch: batch, Arrival: arrival}
 }
 
 // QueueDelay returns how long the app waited before its first item
@@ -180,6 +191,10 @@ func (a *App) HeldSlots() int { return a.held }
 // slot.
 func (a *App) UnplacedStages() int { return a.unplaced }
 
+// HeldFinishedStages returns the number of finished stages that still
+// hold a slot: the ones a scheduler can recycle.
+func (a *App) HeldFinishedStages() int { return a.heldFinished }
+
 // Woken reports whether a stage may have become launchable since the
 // last TakeWake.
 func (a *App) Woken() bool { return a.wake }
@@ -202,12 +217,19 @@ func (a *App) TakeWake() bool {
 func (a *App) setStages(stages []*Stage) {
 	a.Stages = stages
 	a.wake = true
-	a.held, a.unplaced = 0, 0
+	a.held, a.unplaced, a.finished, a.heldFinished = 0, 0, 0, 0
 	for _, st := range stages {
+		fin := st.Finished()
+		if fin {
+			a.finished++
+		}
 		switch {
 		case st.slot != nil:
 			a.held++
-		case !st.Finished():
+			if fin {
+				a.heldFinished++
+			}
+		case !fin:
 			a.unplaced++
 		}
 	}
@@ -215,15 +237,7 @@ func (a *App) setStages(stages []*Stage) {
 
 // Done reports whether every stage has completed every item.
 func (a *App) Done() bool {
-	if len(a.Stages) == 0 {
-		return false
-	}
-	for _, st := range a.Stages {
-		if st.done < a.Batch {
-			return false
-		}
-	}
-	return true
+	return len(a.Stages) > 0 && a.finished == len(a.Stages)
 }
 
 // RemainingItems returns the total number of item executions still owed
@@ -237,15 +251,7 @@ func (a *App) RemainingItems() int {
 }
 
 // UnfinishedStages returns the number of stages with work left.
-func (a *App) UnfinishedStages() int {
-	n := 0
-	for _, st := range a.Stages {
-		if st.done < a.Batch {
-			n++
-		}
-	}
-	return n
-}
+func (a *App) UnfinishedStages() int { return len(a.Stages) - a.finished }
 
 // String identifies the app in traces.
 func (a *App) String() string {

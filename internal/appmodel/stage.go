@@ -163,16 +163,22 @@ func (s *Stage) SetDone(n int) {
 }
 
 // setSlot and setDone are the only writers of slot and done; they keep
-// the app's held and unplaced counters exact.
+// the app's held, unplaced, finished and heldFinished counters exact.
 func (s *Stage) setDone(n int) {
 	was := s.Finished()
 	s.done = n
-	if s.slot == nil && was != s.Finished() {
-		if was {
-			s.App.unplaced++
-		} else {
-			s.App.unplaced--
-		}
+	if was == s.Finished() {
+		return
+	}
+	d := 1
+	if was {
+		d = -1
+	}
+	s.App.finished += d
+	if s.slot == nil {
+		s.App.unplaced -= d
+	} else {
+		s.App.heldFinished += d
 	}
 }
 
@@ -183,7 +189,9 @@ func (s *Stage) setSlot(slot *fabric.Slot) {
 			d = -1
 		}
 		s.App.held += d
-		if !s.Finished() {
+		if s.Finished() {
+			s.App.heldFinished += d
+		} else {
 			s.App.unplaced -= d
 		}
 	}

@@ -1,6 +1,8 @@
 package bitstream
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -173,5 +175,40 @@ func TestCacheBounded(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNamesFormattedOnce checks the interned bitstream names: each
+// equals its format, a repeated request allocates nothing, and
+// concurrent callers (RunMany and shard workers share the table) all
+// see the same names.
+func TestNamesFormattedOnce(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				app := fmt.Sprintf("app%d", (i+g)%7)
+				if got, want := TaskName(app, "T1", "Little"), app+"/T1@Little"; got != want {
+					t.Errorf("TaskName = %q, want %q", got, want)
+				}
+				if got, want := BundleName(app, i%3, "ser", "Big"), fmt.Sprintf("%s/bundle%d-ser@Big", app, i%3); got != want {
+					t.Errorf("BundleName = %q, want %q", got, want)
+				}
+				if got, want := FullName(app), app+"/full"; got != want {
+					t.Errorf("FullName = %q, want %q", got, want)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	allocs := testing.AllocsPerRun(100, func() {
+		TaskName("app1", "T1", "Little")
+		BundleName("app1", 2, "ser", "Big")
+		FullName("app1")
+	})
+	if allocs != 0 {
+		t.Errorf("repeated name requests allocate %.1f times, want 0", allocs)
 	}
 }

@@ -64,20 +64,24 @@ func (c *Cache) Warm(name string) {
 	c.insert(name)
 }
 
-// insert adds an uncached name as most recently used, evicting the LRU
-// entry if the cache overflows.
+// insert adds an uncached name as most recently used. A full cache
+// evicts its LRU entry first and reuses that entry's node, so a cache
+// at capacity inserts without allocating.
 func (c *Cache) insert(name string) {
 	if c.entries == nil {
 		c.entries = make(map[string]*cacheNode)
 	}
-	n := &cacheNode{name: name}
+	var n *cacheNode
+	if len(c.entries) >= c.capacity {
+		n = c.tail
+		c.unlink(n)
+		delete(c.entries, n.name)
+		n.name = name
+	} else {
+		n = &cacheNode{name: name}
+	}
 	c.entries[name] = n
 	c.pushFront(n)
-	if len(c.entries) > c.capacity {
-		lru := c.tail
-		c.unlink(lru)
-		delete(c.entries, lru.name)
-	}
 }
 
 // Contains reports whether name is cached without touching LRU order.

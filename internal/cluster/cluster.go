@@ -339,7 +339,7 @@ func (c *Cluster) prewarm() {
 
 func warmNamesFor(e *sched.Engine, target *fabric.Platform, a *appmodel.App) {
 	for _, name := range stageBitstreams(target, a) {
-		if _, err := e.Repo.Get(name); err == nil {
+		if e.Repo.Has(name) {
 			e.Cache.Warm(name)
 		}
 	}

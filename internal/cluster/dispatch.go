@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"sync"
 
 	"versaslot/internal/appmodel"
 	"versaslot/internal/bitstream"
@@ -245,44 +246,11 @@ func (d *powerOfTwoDispatch) Pick(a *appmodel.App) int {
 // the warmest eligible pair; load breaks ties, then pair index.
 type affinityDispatch struct {
 	f *Farm
-	// names memoizes stageBitstreams per (platform, spec): the list
-	// depends on nothing else, farms mix a handful of platforms and
-	// workloads a handful of specs, so after warm-up the dispatch hot
-	// path allocates nothing.
-	names map[affinityKey][]string
-}
-
-type affinityKey struct {
-	p    *fabric.Platform
-	spec *appmodel.AppSpec
 }
 
 func (d *affinityDispatch) Name() string { return DispatchAffinity }
-func (d *affinityDispatch) Init(f *Farm) {
-	d.f = f
-	d.names = make(map[affinityKey][]string)
-}
+func (d *affinityDispatch) Init(f *Farm) { d.f = f }
 
-// PoolChanged drops the bitstream-name memo when the commissioned
-// pair pool changes: entries are keyed by (platform, spec) and a
-// lifecycle transition can bring a platform into (or out of) play
-// whose cached name lists would otherwise outlive the pool that
-// produced them.
-func (d *affinityDispatch) PoolChanged(*Farm) {
-	for k := range d.names {
-		delete(d.names, k)
-	}
-}
-
-func (d *affinityDispatch) namesFor(p *fabric.Platform, a *appmodel.App) []string {
-	key := affinityKey{p, a.Spec}
-	if names, ok := d.names[key]; ok {
-		return names
-	}
-	names := stageBitstreams(p, a)
-	d.names[key] = names
-	return names
-}
 func (d *affinityDispatch) Pick(a *appmodel.App) int {
 	elig := d.f.DispatchEligible(a)
 	best, bestScore := -1, -1
@@ -290,7 +258,7 @@ func (d *affinityDispatch) Pick(a *appmodel.App) int {
 		if elig != nil && !containsPair(elig, i) {
 			continue
 		}
-		score := cacheAffinity(p.activeEngine(), d.namesFor(p.Platform(p.ActiveMode()), a))
+		score := cacheAffinity(p.activeEngine(), stageBitstreams(p.Platform(p.ActiveMode()), a))
 		better := best < 0 || score > bestScore ||
 			(score == bestScore && d.f.load[i] < d.f.load[best])
 		if better {
@@ -316,22 +284,46 @@ func cacheAffinity(e *sched.Engine, names []string) int {
 // stageBitstreams lists the bitstream names an app would use on a
 // platform — the same name set the pre-warm step stages ahead of a
 // switch: per-task partials for the base class, plus (on heterogeneous
-// platforms) the bundle partials for the big-role class.
+// platforms) the bundle partials for the big-role class. The list is a
+// pure function of (spec, base class, big class), so it is built once
+// per process and shared: callers must not mutate it.
 func stageBitstreams(target *fabric.Platform, a *appmodel.App) []string {
-	var names []string
+	k := stageKey{spec: a.Spec, base: target.Smallest().Name}
 	if target.Heterogeneous() {
-		big := target.Largest().Name
-		if n := len(a.Spec.Tasks) / 3; n > 0 {
-			for b := 0; b < n; b++ {
-				for _, mode := range []string{"par", "ser"} {
-					names = append(names, bitstream.BundleName(a.Spec.Name, b, mode, big))
-				}
+		k.big = target.Largest().Name
+	}
+	stageNames.mu.RLock()
+	names, ok := stageNames.m[k]
+	stageNames.mu.RUnlock()
+	if ok {
+		return names
+	}
+	if k.big != "" {
+		for b := 0; b < len(a.Spec.Tasks)/3; b++ {
+			for _, mode := range []string{"par", "ser"} {
+				names = append(names, bitstream.BundleName(a.Spec.Name, b, mode, k.big))
 			}
 		}
 	}
-	base := target.Smallest().Name
 	for _, t := range a.Spec.Tasks {
-		names = append(names, bitstream.TaskName(a.Spec.Name, t.Name, base))
+		names = append(names, bitstream.TaskName(a.Spec.Name, t.Name, k.base))
 	}
+	stageNames.mu.Lock()
+	stageNames.m[k] = names
+	stageNames.mu.Unlock()
 	return names
 }
+
+// stageKey keys the stageBitstreams table. Platforms are keyed by
+// their class names, not by pointer: inline platforms are rebuilt on
+// every run, and the table is shared by every run of the process
+// (RunMany and shard workers read it concurrently).
+type stageKey struct {
+	spec      *appmodel.AppSpec
+	base, big string
+}
+
+var stageNames = struct {
+	mu sync.RWMutex
+	m  map[stageKey][]string
+}{m: make(map[stageKey][]string)}

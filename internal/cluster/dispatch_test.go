@@ -1,9 +1,14 @@
 package cluster
 
 import (
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
+	"versaslot/internal/appmodel"
+	"versaslot/internal/bitstream"
+	"versaslot/internal/fabric"
 	"versaslot/internal/sim"
 	"versaslot/internal/workload"
 )
@@ -204,5 +209,42 @@ func TestFarmPairStats(t *testing.T) {
 	}
 	if switches != sum.Switches {
 		t.Errorf("pair switches sum to %d, summary has %d", switches, sum.Switches)
+	}
+}
+
+// TestStageBitstreamsShared checks the process-wide pre-warm name
+// lists: on a homogeneous and a heterogeneous platform each list holds
+// the task partials of the base class (and, when heterogeneous, both
+// modes of every bundle of the big class), concurrent callers agree,
+// and a repeated request allocates nothing.
+func TestStageBitstreamsShared(t *testing.T) {
+	a := appmodel.NewApp(0, workload.IC, 4, 0)
+	for _, name := range []string{fabric.ZCU216OnlyLittle, fabric.ZCU216BigLittle} {
+		p := fabric.MustPlatform(name)
+		var want []string
+		if p.Heterogeneous() {
+			for b := 0; b < len(a.Spec.Tasks)/3; b++ {
+				for _, mode := range []string{"par", "ser"} {
+					want = append(want, bitstream.BundleName(a.Spec.Name, b, mode, p.Largest().Name))
+				}
+			}
+		}
+		for _, task := range a.Spec.Tasks {
+			want = append(want, bitstream.TaskName(a.Spec.Name, task.Name, p.Smallest().Name))
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if got := stageBitstreams(p, a); !slices.Equal(got, want) {
+					t.Errorf("%s: stageBitstreams = %v, want %v", name, got, want)
+				}
+			}()
+		}
+		wg.Wait()
+		if allocs := testing.AllocsPerRun(100, func() { stageBitstreams(p, a) }); allocs != 0 {
+			t.Errorf("%s: repeated stageBitstreams allocates %.1f times, want 0", name, allocs)
+		}
 	}
 }

@@ -15,8 +15,10 @@ import (
 
 // auditCounters recounts by brute force what the O(1) occupancy
 // counters claim — each board's allocatable slots per class
-// (Board.CountEmpty) and each app's held and unplaced stages
-// (App.HeldSlots, App.UnplacedStages) — and fails on any mismatch. It
+// (Board.CountEmpty) and each app's held, unplaced, finished and
+// held-finished stages (App.HeldSlots, App.UnplacedStages,
+// App.UnfinishedStages and Done, App.HeldFinishedStages) — and fails
+// on any mismatch. It
 // also checks the wake flag Engine.Pump skips on: an active app whose
 // flag is clear has no launchable stage.
 func auditCounters(t *testing.T, engines []*sched.Engine) {
@@ -35,10 +37,16 @@ func auditCounters(t *testing.T, engines []*sched.Engine) {
 			}
 		}
 		for _, a := range e.Apps {
-			held, unplaced := 0, 0
+			held, unplaced, finished, heldFinished := 0, 0, 0, 0
 			for _, st := range a.Stages {
+				if st.Finished() {
+					finished++
+				}
 				if st.Slot() != nil {
 					held++
+					if st.Finished() {
+						heldFinished++
+					}
 				} else if !st.Finished() {
 					unplaced++
 				}
@@ -46,6 +54,12 @@ func auditCounters(t *testing.T, engines []*sched.Engine) {
 			if a.HeldSlots() != held || a.UnplacedStages() != unplaced {
 				t.Fatalf("%v app %v: held/unplaced %d/%d, recount %d/%d",
 					e.Now(), a, a.HeldSlots(), a.UnplacedStages(), held, unplaced)
+			}
+			done := len(a.Stages) > 0 && finished == len(a.Stages)
+			if a.UnfinishedStages() != len(a.Stages)-finished || a.HeldFinishedStages() != heldFinished || a.Done() != done {
+				t.Fatalf("%v app %v: unfinished/held-finished/done %d/%d/%v, recount %d/%d/%v",
+					e.Now(), a, a.UnfinishedStages(), a.HeldFinishedStages(), a.Done(),
+					len(a.Stages)-finished, heldFinished, done)
 			}
 		}
 		for _, a := range e.Active {

@@ -159,18 +159,21 @@ func (inj *slotFail) Attach(t *Target, r *sim.RNG) {
 }
 
 func (inj *slotFail) chain(t *Target, b board, s *fabric.Slot, r *sim.RNG) {
-	var fail func()
+	// Both halves of the cycle are bound once, so a chain allocates
+	// nothing per failure.
+	var fail, repair func()
 	fail = func() {
 		if t.Done() {
 			return
 		}
 		t.touch(b.pair)
 		b.engine.FailSlot(s)
-		t.K.ScheduleP(r.Exp(inj.mttr), t.Pri, func() {
-			t.touch(b.pair)
-			b.engine.RecoverSlot(s)
-			t.K.ScheduleP(r.Exp(inj.mtbf), t.Pri, fail)
-		})
+		t.K.ScheduleP(r.Exp(inj.mttr), t.Pri, repair)
+	}
+	repair = func() {
+		t.touch(b.pair)
+		b.engine.RecoverSlot(s)
+		t.K.ScheduleP(r.Exp(inj.mtbf), t.Pri, fail)
 	}
 	t.K.ScheduleP(r.Exp(inj.mtbf), t.Pri, fail)
 }
@@ -201,7 +204,7 @@ func (inj *boardFail) Attach(t *Target, r *sim.RNG) {
 }
 
 func (inj *boardFail) chain(t *Target, b board, r *sim.RNG) {
-	var fail func()
+	var fail, repair func()
 	fail = func() {
 		if t.Done() {
 			return
@@ -213,16 +216,17 @@ func (inj *boardFail) chain(t *Target, b board, r *sim.RNG) {
 		if t.Farm != nil && b.pair >= 0 {
 			t.Farm.PairOutage(b.pair)
 		}
-		t.K.ScheduleP(r.Exp(inj.mttr), t.Pri, func() {
-			t.touch(b.pair)
-			for _, s := range b.engine.Board.Slots {
-				b.engine.RecoverSlot(s)
-			}
-			if t.Farm != nil && b.pair >= 0 {
-				t.Farm.PairRestored(b.pair)
-			}
-			t.K.ScheduleP(r.Exp(inj.mtbf), t.Pri, fail)
-		})
+		t.K.ScheduleP(r.Exp(inj.mttr), t.Pri, repair)
+	}
+	repair = func() {
+		t.touch(b.pair)
+		for _, s := range b.engine.Board.Slots {
+			b.engine.RecoverSlot(s)
+		}
+		if t.Farm != nil && b.pair >= 0 {
+			t.Farm.PairRestored(b.pair)
+		}
+		t.K.ScheduleP(r.Exp(inj.mtbf), t.Pri, fail)
 	}
 	t.K.ScheduleP(r.Exp(inj.mtbf), t.Pri, fail)
 }
@@ -261,18 +265,19 @@ func (inj *straggler) Attach(t *Target, r *sim.RNG) {
 }
 
 func (inj *straggler) chain(t *Target, b board, s *fabric.Slot, r *sim.RNG) {
-	var slow func()
+	var slow, restore func()
 	slow = func() {
 		if t.Done() {
 			return
 		}
 		t.touch(b.pair)
 		b.engine.SetSlotSlowdown(s, inj.factor)
-		t.K.ScheduleP(r.Exp(inj.mttr), t.Pri, func() {
-			t.touch(b.pair)
-			b.engine.ClearSlotSlowdown(s)
-			t.K.ScheduleP(r.Exp(inj.mtbf), t.Pri, slow)
-		})
+		t.K.ScheduleP(r.Exp(inj.mttr), t.Pri, restore)
+	}
+	restore = func() {
+		t.touch(b.pair)
+		b.engine.ClearSlotSlowdown(s)
+		t.K.ScheduleP(r.Exp(inj.mtbf), t.Pri, slow)
 	}
 	t.K.ScheduleP(r.Exp(inj.mtbf), t.Pri, slow)
 }

@@ -141,6 +141,8 @@ type autoscaler struct {
 	// tickID is the pending evaluation tick's handle, exposed through
 	// Orchestrator.TickHorizon as part of the lookahead horizon.
 	tickID sim.EventID
+	// tickFn is tick bound once, so re-arming allocates nothing.
+	tickFn func()
 }
 
 func newAutoscaler(o *Orchestrator, spec AutoscaleSpec) *autoscaler {
@@ -153,9 +155,12 @@ func newAutoscaler(o *Orchestrator, spec AutoscaleSpec) *autoscaler {
 	}
 }
 
-// arm schedules the first tick.
+// arm schedules the next tick.
 func (as *autoscaler) arm() {
-	as.tickID = as.o.f.K.ScheduleP(as.spec.Every, sim.PriFarmControl, as.tick)
+	if as.tickFn == nil {
+		as.tickFn = as.tick
+	}
+	as.tickID = as.o.f.K.ScheduleP(as.spec.Every, sim.PriFarmControl, as.tickFn)
 }
 
 // tick is one observation instant; every spec.Window ticks it becomes

@@ -126,24 +126,8 @@ func (p Plan) OptimalSlots(maxSlots int) int {
 
 // OptimalSlotsIn is OptimalSlots drawing its scratch from ev.
 func (p Plan) OptimalSlotsIn(ev *Eval, maxSlots int) int {
-	k := len(p.StageTimes)
-	if k == 0 {
-		return 0
-	}
-	if maxSlots > k {
-		maxSlots = k
-	}
-	if maxSlots < 1 {
-		maxSlots = 1
-	}
-	best := p.MakespanIn(ev, maxSlots)
-	limit := sim.Duration(float64(best) * kneeTolerance)
-	for s := 1; s < maxSlots; s++ {
-		if p.MakespanIn(ev, s) <= limit {
-			return s
-		}
-	}
-	return maxSlots
+	opt, _ := p.SizeIn(ev, maxSlots)
+	return opt
 }
 
 // MaxUsefulSlots returns the smallest slot count achieving the best
@@ -156,9 +140,18 @@ func (p Plan) MaxUsefulSlots(maxSlots int) int {
 
 // MaxUsefulSlotsIn is MaxUsefulSlots drawing its scratch from ev.
 func (p Plan) MaxUsefulSlotsIn(ev *Eval, maxSlots int) int {
+	_, maxUse := p.SizeIn(ev, maxSlots)
+	return maxUse
+}
+
+// SizeIn returns OptimalSlots and MaxUsefulSlots of one plan from one
+// sweep: a makespan for maxSlots, then one per count upward from 1
+// until a count matches it, so each slot count is evaluated at most
+// once.
+func (p Plan) SizeIn(ev *Eval, maxSlots int) (opt, maxUse int) {
 	k := len(p.StageTimes)
 	if k == 0 {
-		return 0
+		return 0, 0
 	}
 	if maxSlots > k {
 		maxSlots = k
@@ -166,12 +159,19 @@ func (p Plan) MaxUsefulSlotsIn(ev *Eval, maxSlots int) int {
 	if maxSlots < 1 {
 		maxSlots = 1
 	}
-	best := maxSlots
-	bestSpan := p.MakespanIn(ev, maxSlots)
-	for s := maxSlots - 1; s >= 1; s-- {
-		if p.MakespanIn(ev, s) <= bestSpan {
-			best = s
+	best := p.MakespanIn(ev, maxSlots)
+	limit := sim.Duration(float64(best) * kneeTolerance)
+	opt, maxUse = maxSlots, maxSlots
+	for s := 1; s < maxSlots; s++ {
+		span := p.MakespanIn(ev, s)
+		if span <= limit && opt == maxSlots {
+			opt = s
+		}
+		if span <= best {
+			// best <= limit, so opt is set by now.
+			maxUse = s
+			break
 		}
 	}
-	return best
+	return opt, maxUse
 }

@@ -4,6 +4,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"versaslot/internal/appmodel"
+	"versaslot/internal/bundle"
 	"versaslot/internal/sim"
 )
 
@@ -209,5 +211,76 @@ func TestZeroStagePlans(t *testing.T) {
 	p := Plan{}
 	if p.OptimalSlots(4) != 0 || p.MaxUsefulSlots(4) != 0 {
 		t.Fatal("empty plan slot counts")
+	}
+}
+
+// refSizes is the two independent searches SizeIn replaces, kept here
+// as the reference: the knee search upward from one slot, and the
+// best-makespan search downward from maxSlots.
+func refSizes(p Plan, maxSlots int) (opt, maxUse int) {
+	k := len(p.StageTimes)
+	if k == 0 {
+		return 0, 0
+	}
+	if maxSlots > k {
+		maxSlots = k
+	}
+	if maxSlots < 1 {
+		maxSlots = 1
+	}
+	best := p.Makespan(maxSlots)
+	limit := sim.Duration(float64(best) * kneeTolerance)
+	opt = maxSlots
+	for s := 1; s < maxSlots; s++ {
+		if p.Makespan(s) <= limit {
+			opt = s
+			break
+		}
+	}
+	maxUse = maxSlots
+	for s := maxSlots - 1; s >= 1; s-- {
+		if p.Makespan(s) <= best {
+			maxUse = s
+		}
+	}
+	return opt, maxUse
+}
+
+// TestSizeInMatchesSearches checks SizeIn, and the OptimalSlotsIn and
+// MaxUsefulSlotsIn wrappers over it, against the two separate searches
+// for every suite application's task plan and bundle plan, every batch
+// from 5 to 30 and every slot bound from 1 to 8.
+func TestSizeInMatchesSearches(t *testing.T) {
+	var ev Eval
+	for _, spec := range appmodel.Suite() {
+		times := make([]sim.Duration, len(spec.Tasks))
+		for i, task := range spec.Tasks {
+			times[i] = task.Time
+		}
+		for batch := 5; batch <= 30; batch++ {
+			plans := map[string]Plan{"tasks": {StageTimes: times, Batch: batch, LoadTime: ms(4)}}
+			if modes := bundle.Modes(spec, batch); len(modes) > 0 {
+				bt := make([]sim.Duration, len(modes))
+				extra := make([]sim.Duration, len(modes))
+				for b, m := range modes {
+					first, rest := appmodel.BundleTiming(spec, bundle.Size, b, m)
+					bt[b], extra[b] = rest, first-rest
+				}
+				plans["bundles"] = Plan{StageTimes: bt, FirstItemExtra: extra, Batch: batch, LoadTime: ms(9)}
+			}
+			for kind, p := range plans {
+				for max := 1; max <= 8; max++ {
+					wantOpt, wantMax := refSizes(p, max)
+					opt, maxUse := p.SizeIn(&ev, max)
+					if opt != wantOpt || maxUse != wantMax {
+						t.Fatalf("%s %s batch %d max %d: SizeIn = (%d, %d), searches (%d, %d)",
+							spec.Name, kind, batch, max, opt, maxUse, wantOpt, wantMax)
+					}
+					if p.OptimalSlotsIn(&ev, max) != wantOpt || p.MaxUsefulSlotsIn(&ev, max) != wantMax {
+						t.Fatalf("%s %s batch %d max %d: wrappers disagree with the searches", spec.Name, kind, batch, max)
+					}
+				}
+			}
+		}
 	}
 }

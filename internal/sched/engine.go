@@ -65,6 +65,8 @@ type Engine struct {
 
 	// prFault, when set, injects bounded-retry reconfiguration errors.
 	prFault *prFaultModel
+	// one is the scratch one-element list acceptOne hands the policy.
+	one [1]*appmodel.App
 	// checkpointed makes crash restarts keep per-stage batch progress.
 	checkpointed bool
 
@@ -99,6 +101,9 @@ type Engine struct {
 	Recorder *trace.Recorder
 }
 
+// record and trace emit to the attached sinks. Every call site checks
+// e.Recorder or e.Trace first, so a run without sinks never builds an
+// event or boxes a trace argument.
 func (e *Engine) record(ev trace.Event) {
 	if e.Recorder != nil {
 		ev.At = e.K.Now()
@@ -155,6 +160,7 @@ type slotRT struct {
 	execFn    func()
 	prStartFn func(sim.Duration)
 	prDoneFn  func()
+	prRetryFn func()
 }
 
 // bind creates the slot's launch/exec/PR callbacks on first use; later
@@ -263,11 +269,19 @@ func (e *Engine) InjectMigrated(a *appmodel.App) {
 	e.Col.RecordMigrationWindow(e.K.Now(), 1)
 	e.Apps = append(e.Apps, a)
 	e.Active = append(e.Active, a)
-	e.policy.AcceptMigrated([]*appmodel.App{a})
+	e.acceptOne(a)
 	if e.OnQueueUpdate != nil {
 		e.OnQueueUpdate()
 	}
 	e.Activate()
+}
+
+// acceptOne hands a to the policy's AcceptMigrated in the engine's
+// scratch one-element list; no policy keeps the list it is given.
+func (e *Engine) acceptOne(a *appmodel.App) {
+	e.one[0] = a
+	e.policy.AcceptMigrated(e.one[:])
+	e.one[0] = nil
 }
 
 func (e *Engine) arrive(a *appmodel.App) {
@@ -389,18 +403,14 @@ func (rt *slotRT) prDone() {
 			e.Col.RecordFaultRetry(st.App.ID)
 			e.Col.PRRetries++
 			delay := f.delay(attempt)
-			e.trace("%v PR fault retry %d/%d for %v -> slot %d (backoff %v)",
-				e.K.Now(), attempt+1, f.maxRetries, st, slot.ID, delay)
-			e.K.Schedule(delay, func() {
-				if slot.Failed() || st.Slot() != slot || !st.Loading() {
-					// Crashed or failed during the backoff.
-					if slot.State() == fabric.SlotLoading {
-						e.abortLoad(slot)
-					}
-					return
-				}
-				e.submitPRJob(st, slot, bits, cost, attempt+1)
-			})
+			if e.Trace != nil {
+				e.trace("%v PR fault retry %d/%d for %v -> slot %d (backoff %v)",
+					e.K.Now(), attempt+1, f.maxRetries, st, slot.ID, delay)
+			}
+			if rt.prRetryFn == nil {
+				rt.prRetryFn = rt.prRetry
+			}
+			e.K.Schedule(delay, rt.prRetryFn)
 			return
 		}
 		e.failPRPermanently(st, slot)
@@ -409,7 +419,9 @@ func (rt *slotRT) prDone() {
 	if rate := e.prCRCRate(); rate > 0 && e.K.RNG().Float64() < rate {
 		// CRC verification failed: the partial is re-streamed.
 		e.Col.PRRetries++
-		e.trace("%v PR CRC retry %v -> slot %d", e.K.Now(), st, slot.ID)
+		if e.Trace != nil {
+			e.trace("%v PR CRC retry %v -> slot %d", e.K.Now(), st, slot.ID)
+		}
 		e.submitPRJob(st, slot, bits, cost, attempt)
 		return
 	}
@@ -430,6 +442,22 @@ func (rt *slotRT) prDone() {
 		e.Cores.PostPRStatus()
 	}
 	e.Activate()
+}
+
+// prRetry re-submits a load after a fault-injected backoff. It reads
+// the attempt from rt's PR fields, which no other load can overwrite
+// meanwhile: the slot stays SlotLoading through the backoff, so
+// nothing else can begin a load into it.
+func (rt *slotRT) prRetry() {
+	e, st, slot := rt.e, rt.prStage, rt.slot
+	if slot.Failed() || st.Slot() != slot || !st.Loading() {
+		// Crashed or failed during the backoff.
+		if slot.State() == fabric.SlotLoading {
+			e.abortLoad(slot)
+		}
+		return
+	}
+	e.submitPRJob(st, slot, rt.prBits, rt.prCost, rt.prAttempt+1)
 }
 
 // PlaceResident makes st resident in slot instantly, bypassing the

@@ -64,13 +64,17 @@ func (e *Engine) SetCheckpointed(v bool) { e.checkpointed = v }
 func (e *Engine) SetSlotSlowdown(slot *fabric.Slot, factor float64) {
 	e.rt(slot).slowFactor = factor
 	e.Col.RecordFaultEventAt(e.K.Now())
-	e.trace("%v slot %d straggling (x%.2f)", e.K.Now(), slot.ID, factor)
+	if e.Trace != nil {
+		e.trace("%v slot %d straggling (x%.2f)", e.K.Now(), slot.ID, factor)
+	}
 }
 
 // ClearSlotSlowdown restores the slot's nominal service rate.
 func (e *Engine) ClearSlotSlowdown(slot *fabric.Slot) {
 	e.rt(slot).slowFactor = 0
-	e.trace("%v slot %d service rate restored", e.K.Now(), slot.ID)
+	if e.Trace != nil {
+		e.trace("%v slot %d service rate restored", e.K.Now(), slot.ID)
+	}
 }
 
 // FailSlot takes one reconfigurable region out of service: whatever
@@ -104,8 +108,12 @@ func (e *Engine) FailSlot(slot *fabric.Slot) {
 	rt := e.rt(slot)
 	rt.down = true
 	rt.downSince = e.K.Now()
-	e.trace("%v slot %d FAILED", e.K.Now(), slot.ID)
-	e.record(trace.Event{Kind: trace.PRRequest, Slot: slot.ID, App: "slot-fail", Stage: -1, Item: -1})
+	if e.Trace != nil {
+		e.trace("%v slot %d FAILED", e.K.Now(), slot.ID)
+	}
+	if e.Recorder != nil {
+		e.record(trace.Event{Kind: trace.PRRequest, Slot: slot.ID, App: "slot-fail", Stage: -1, Item: -1})
+	}
 	if victim != nil && victim.State != appmodel.StateFinished {
 		e.crashApp(victim)
 	}
@@ -124,7 +132,9 @@ func (e *Engine) RecoverSlot(slot *fabric.Slot) {
 		e.Col.AccumulateDowntime(e.K.Now().Sub(rt.downSince))
 		rt.down = false
 	}
-	e.trace("%v slot %d recovered", e.K.Now(), slot.ID)
+	if e.Trace != nil {
+		e.trace("%v slot %d recovered", e.K.Now(), slot.ID)
+	}
 	e.Activate()
 }
 
@@ -137,8 +147,12 @@ func (e *Engine) RecoverSlot(slot *fabric.Slot) {
 // (draining) board, which could otherwise never restart them.
 func (e *Engine) crashApp(a *appmodel.App) {
 	e.Col.RecordAppFailureAt(e.K.Now())
-	e.trace("%v app %v crash-restart", e.K.Now(), a)
-	e.record(trace.Event{Kind: trace.AppArrive, Slot: -1, App: a.String() + " crash-restart", Stage: -1, Item: -1})
+	if e.Trace != nil {
+		e.trace("%v app %v crash-restart", e.K.Now(), a)
+	}
+	if e.Recorder != nil {
+		e.record(trace.Event{Kind: trace.AppArrive, Slot: -1, App: a.String() + " crash-restart", Stage: -1, Item: -1})
+	}
 	for _, st := range a.Stages {
 		slot := st.Slot()
 		if slot == nil {
@@ -188,7 +202,7 @@ func (e *Engine) crashApp(a *appmodel.App) {
 	a.State = appmodel.StateWaiting
 	e.policy.AppFinished(a)
 	if e.OnAppCrashed == nil || !e.OnAppCrashed(a) {
-		e.policy.AcceptMigrated([]*appmodel.App{a})
+		e.acceptOne(a)
 	}
 	if e.OnQueueUpdate != nil {
 		e.OnQueueUpdate()
@@ -203,14 +217,18 @@ func (e *Engine) abortLoad(slot *fabric.Slot) {
 	if err := slot.AbortLoad(); err != nil {
 		panic(err)
 	}
-	e.trace("%v PR aborted on slot %d", e.K.Now(), slot.ID)
+	if e.Trace != nil {
+		e.trace("%v PR aborted on slot %d", e.K.Now(), slot.ID)
+	}
 	e.Activate()
 }
 
 // failPRPermanently abandons a placement whose reconfiguration
 // exhausted its fault-injected retries and crash-restarts the app.
 func (e *Engine) failPRPermanently(st *appmodel.Stage, slot *fabric.Slot) {
-	e.trace("%v PR retries exhausted for %v on slot %d", e.K.Now(), st, slot.ID)
+	if e.Trace != nil {
+		e.trace("%v PR retries exhausted for %v on slot %d", e.K.Now(), st, slot.ID)
+	}
 	st.Evict()
 	if err := slot.AbortLoad(); err != nil {
 		panic(err)

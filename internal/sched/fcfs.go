@@ -143,7 +143,7 @@ func gangStarted(a *appmodel.App) bool {
 // placing a stage cannot un-finish an earlier one, so no intermediate
 // list is needed.
 func reuseForUnplaced(e *Engine, a *appmodel.App) {
-	if a.UnplacedStages() == 0 {
+	if a.UnplacedStages() == 0 || a.HeldFinishedStages() == 0 {
 		return
 	}
 	u := nextUnplacedIdx(a, 0)

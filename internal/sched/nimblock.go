@@ -89,11 +89,8 @@ func (l *littleSched) AppArrived(a *appmodel.App) {
 	if max > l.e.Params.MaxSlotsPerApp {
 		max = l.e.Params.MaxSlotsPerApp
 	}
-	l.waiting = append(l.waiting, lsApp{
-		a:      a,
-		opt:    plan.OptimalSlotsIn(&l.ev, max),
-		maxUse: plan.MaxUsefulSlotsIn(&l.ev, max),
-	})
+	opt, maxUse := plan.SizeIn(&l.ev, max)
+	l.waiting = append(l.waiting, lsApp{a: a, opt: opt, maxUse: maxUse})
 }
 
 func (l *littleSched) planFor(a *appmodel.App) pipeline.Plan {
@@ -338,6 +335,9 @@ func earliestUnfinished(a *appmodel.App) *appmodel.Stage {
 // recycleFinished moves finished stages' slots to the app's unplaced
 // stages and, once none is left unplaced, back to the free pool.
 func recycleFinished(e *Engine, a *appmodel.App) {
+	if a.HeldFinishedStages() == 0 {
+		return
+	}
 	reuseForUnplaced(e, a)
 	if a.UnplacedStages() != 0 {
 		return

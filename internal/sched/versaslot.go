@@ -79,15 +79,14 @@ func (v *VersaSlotBL) AppArrived(a *appmodel.App) {
 			maxL = e.Params.MaxSlotsPerApp
 		}
 		lp := v.littlePlan(a)
-		w.optL = lp.OptimalSlotsIn(&v.ev, maxL)
-		w.maxUseL = lp.MaxUsefulSlotsIn(&v.ev, maxL)
+		w.optL, w.maxUseL = lp.SizeIn(&v.ev, maxL)
 	}
 	if bundle.CanBundleIn(a.Spec, v.big.Cap) {
 		// Big slots are scarce and already contention-optimal, so the
 		// bundle pipeline is sized for throughput: the smallest count
 		// reaching the best makespan the board allows.
 		bp := v.bigPlan(a)
-		w.optB = bp.MaxUsefulSlotsIn(&v.ev, e.Board.Count(v.big.Name))
+		_, w.optB = bp.SizeIn(&v.ev, e.Board.Count(v.big.Name))
 	}
 	v.cwait = append(v.cwait, w)
 }

@@ -226,15 +226,19 @@ func GenerateSet(c Condition, baseSeed uint64, n int) []*Sequence {
 }
 
 // Instantiate materializes the sequence into App instances (IDs are
-// assigned in arrival order starting at firstID).
+// assigned in arrival order starting at firstID). The apps share one
+// backing block, so a sequence costs two allocations however long it
+// is.
 func (s *Sequence) Instantiate(firstID int) ([]*appmodel.App, error) {
-	apps := make([]*appmodel.App, 0, len(s.Arrivals))
+	block := make([]appmodel.App, len(s.Arrivals))
+	apps := make([]*appmodel.App, len(s.Arrivals))
 	for i, a := range s.Arrivals {
 		spec := SpecByName(a.Spec)
 		if spec == nil {
 			return nil, fmt.Errorf("workload: unknown spec %q", a.Spec)
 		}
-		apps = append(apps, appmodel.NewApp(firstID+i, spec, a.Batch, sim.Time(a.At)))
+		block[i].Init(firstID+i, spec, a.Batch, sim.Time(a.At))
+		apps[i] = &block[i]
 	}
 	return apps, nil
 }

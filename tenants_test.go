@@ -7,8 +7,10 @@ import (
 	"versaslot"
 	"versaslot/internal/cluster"
 	"versaslot/internal/fabric"
+	"versaslot/internal/fault"
 	"versaslot/internal/orchestrator"
 	"versaslot/internal/sim"
+	"versaslot/internal/workload"
 )
 
 // matrixTenants builds the shared tenant block for the orchestrated
@@ -221,5 +223,47 @@ func TestTenantValidation(t *testing.T) {
 		if err := tc.sc.Validate(); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
+	}
+}
+
+// TestTenantChaosAllocsPerApp bounds the heap allocations of a run
+// shaped like perfbench's tenant-chaos workload — two quota'd MMPP
+// tenants on an autoscaled farm under board failures and flaky partial
+// reconfiguration — per application. The fault, retry, pre-warm and
+// admission paths allocate nothing in steady state, so what is left is
+// each app's stage plan and the run's fixed setup, about 7.4 per app
+// at 500 apps.
+func TestTenantChaosAllocsPerApp(t *testing.T) {
+	sc := versaslot.Scenario{
+		Topology:  versaslot.TopologyFarm,
+		Condition: "stress",
+		Seed:      29,
+		Pairs:     2,
+		Tenants: []orchestrator.TenantSpec{
+			{Name: "batch", Apps: 300, Quota: 12, Priority: 5, SLO: 4 * sim.Second,
+				Arrival: &workload.ArrivalSpec{Process: "mmpp"}},
+			{Name: "interactive", Apps: 200, Quota: 6, Priority: 1, SLO: 3 * sim.Second,
+				OverQuota: orchestrator.OverQuotaReject, Arrival: &workload.ArrivalSpec{Process: "mmpp"}},
+		},
+		Autoscale: &orchestrator.AutoscaleSpec{Min: 1, Max: 8, Every: 500 * sim.Millisecond,
+			Window: 2, UpLoad: 4, DownLoad: 1},
+		Faults: &fault.Spec{Injectors: []fault.InjectorSpec{
+			{Kind: "board-fail", MTBF: 15 * sim.Second, MTTR: 2 * sim.Second},
+			{Kind: "pr-flaky", Rate: 0.1, MaxRetries: 3},
+		}},
+	}
+	var res *versaslot.Result
+	allocs := testing.AllocsPerRun(3, func() {
+		var err error
+		if res, err = versaslot.Run(sc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if res.Summary.PRRetries == 0 || res.Summary.FailedApps == 0 {
+		t.Fatalf("run retried %d PRs and crash-restarted %d apps, want both > 0", res.Summary.PRRetries, res.Summary.FailedApps)
+	}
+	const ceiling = 10.0
+	if perApp := allocs / 500; perApp > ceiling {
+		t.Errorf("tenant-chaos-shaped run allocates %.2f times per app (%.0f in all), want <= %.0f", perApp, allocs, ceiling)
 	}
 }
