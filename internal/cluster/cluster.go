@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"strconv"
+	"sync"
 
 	"versaslot/internal/appmodel"
 	"versaslot/internal/bitstream"
@@ -92,15 +94,35 @@ type TracePoint struct {
 // (by default the paper's Only.Little / Big.Little ZCU216 pair, but
 // any registered DPR platforms), an Aurora link, and the switch
 // controller.
+//
+// Only the active board is built with the pair. The spare — its board,
+// engine and policy — is built frozen the first time something needs
+// it: a prewarm, a switch, or a caller of Engine. Until then readers
+// treat it as an idle board.
 type Cluster struct {
 	K    *sim.Kernel
 	Cfg  Config
 	Link *interlink.Link
 
+	// engines holds each mode's engine, nil until its board is built.
 	engines   [2]*sched.Engine
 	platforms [2]*fabric.Platform
 	active    migrate.Mode
 	trigger   *migrate.Trigger
+
+	// firstBoard is the base board's ID; the boost board's is the next.
+	firstBoard int
+	// queueUpdateFn, finishFn are the pair hooks every board shares,
+	// bound once.
+	queueUpdateFn func()
+	finishFn      func(*appmodel.App)
+	// onBuild, when set, finishes each board the pair builds (see
+	// SetBuildHook).
+	onBuild func(*sched.Engine)
+	// farm and index place the pair in its farm (nil outside one):
+	// completions update the farm's per-pair counters.
+	farm  *Farm
+	index int
 
 	updates    int
 	dSmoothed  float64
@@ -128,9 +150,10 @@ type Cluster struct {
 	cost *migrate.CostModel
 }
 
-// New builds the cluster with both boards pre-configured (the paper's
-// point: the static regions are fixed at start-up; switching between
-// them at runtime is what live migration buys).
+// New builds the cluster with both platforms resolved up front (the
+// paper's point: the static regions are fixed at start-up; switching
+// between them at runtime is what live migration buys). The spare
+// board itself is built on first use.
 func New(cfg Config) *Cluster {
 	c, err := NewCluster(cfg)
 	if err != nil {
@@ -146,60 +169,105 @@ func NewCluster(cfg Config) (*Cluster, error) {
 }
 
 // buildCluster wires a switching pair onto an existing kernel; Farm
-// places several pairs on one kernel.
+// places several pairs on one kernel. Both platforms are resolved and
+// validated here, so configuration errors surface at construction,
+// but only the active board is built.
 func buildCluster(k *sim.Kernel, cfg Config, firstBoardID int) (*Cluster, error) {
 	c := &Cluster{
-		K:       k,
-		Cfg:     cfg,
-		Link:    interlink.NewDefault(k, fmt.Sprintf("aurora%d", firstBoardID/2)),
-		active:  cfg.StartMode,
-		trigger: migrate.NewTrigger(cfg.StartMode, cfg.ThresholdUp, cfg.ThresholdDown),
+		K:          k,
+		Cfg:        cfg,
+		Link:       interlink.NewDefault(k, linkName(firstBoardID/2)),
+		active:     cfg.StartMode,
+		trigger:    migrate.NewTrigger(cfg.StartMode, cfg.ThresholdUp, cfg.ThresholdDown),
+		firstBoard: firstBoardID,
 	}
-
-	// Both boards share one binding of each pair hook.
-	onQueueUpdate, onAppFinished := c.onQueueUpdate, c.onAppFinished
-	boardID := firstBoardID
 	for _, mode := range pairModes {
 		platform, err := cfg.platformFor(mode)
 		if err != nil {
 			return nil, err
 		}
-		// Boards share the process-wide immutable suite repository
-		// whenever it covers the platform's slot classes: a farm of N
-		// pairs no longer rebuilds 2N identical bitstream stores.
-		board := fabric.NewBoard(boardID, platform)
-		boardID++
-		e := sched.NewEngine(k, cfg.Params, board, hypervisor.DualCore, bitstream.RepoFor(platform))
-		var p sched.Policy
-		if platform.Heterogeneous() {
-			p = sched.NewVersaSlotBL()
-		} else {
-			p = sched.NewVersaSlotOL()
-		}
-		e.SetPolicy(p)
-		e.OnQueueUpdate = onQueueUpdate
-		e.OnAppFinished = onAppFinished
-		c.engines[mode] = e
 		c.platforms[mode] = platform
 	}
-	// The spare starts frozen: it only executes after a switch.
-	c.spareEngine().SetFrozen(true)
+	c.queueUpdateFn, c.finishFn = c.onQueueUpdate, c.onAppFinished
+	c.build(c.active)
+	return c, nil
+}
+
+// build makes the board of a mode, its engine and policy, and wires the
+// pair hooks, then runs the build hook. A board built while it is not
+// the active one is the spare and starts frozen: it only executes after
+// a switch. It is frozen before its policy is installed, so freezing
+// submits no scheduler pass (a board without work has nothing to
+// schedule).
+func (c *Cluster) build(mode migrate.Mode) *sched.Engine {
+	platform := c.platforms[mode]
+	// Boards share the process-wide immutable suite repository
+	// whenever it covers the platform's slot classes: a farm of N
+	// pairs does not rebuild identical bitstream stores.
+	board := fabric.NewBoard(c.BoardID(mode), platform)
+	eng := sched.NewEngine(c.K, c.Cfg.Params, board, hypervisor.DualCore, bitstream.RepoFor(platform))
+	if mode != c.active {
+		eng.SetFrozen(true)
+	}
+	if platform.Heterogeneous() {
+		eng.SetPolicy(sched.NewVersaSlotBL())
+	} else {
+		eng.SetPolicy(sched.NewVersaSlotOL())
+	}
+	eng.OnQueueUpdate = c.queueUpdateFn
+	eng.OnAppFinished = c.finishFn
 	// Fault hook: an app crash-restarted on a frozen (draining) board
 	// would otherwise queue there forever — no new placements happen
 	// while frozen, and nothing unfreezes a drained board. Re-home it
 	// to the active board with intra-pair migration bookkeeping.
-	for _, mode := range pairModes {
-		eng := c.engines[mode]
-		eng.OnAppCrashed = func(a *appmodel.App) bool {
-			if !eng.Frozen() || c.activeEngine() == eng {
-				return false
-			}
-			eng.RemoveActive(a)
-			c.activeEngine().InjectMigrated(a)
-			return true
+	eng.OnAppCrashed = func(a *appmodel.App) bool {
+		if !eng.Frozen() || c.activeEngine() == eng {
+			return false
+		}
+		eng.RemoveActive(a)
+		c.activeEngine().InjectMigrated(a)
+		return true
+	}
+	c.engines[mode] = eng
+	if c.onBuild != nil {
+		c.onBuild(eng)
+	}
+	return eng
+}
+
+// linkNames interns the per-pair Aurora link names: a fleet rebuilds
+// the same pairs run after run, so each name is formatted once per
+// process. The table grows only with distinct pair indexes.
+var linkNames = struct {
+	mu sync.RWMutex
+	m  map[int]string
+}{m: make(map[int]string)}
+
+func linkName(pair int) string {
+	linkNames.mu.RLock()
+	name, ok := linkNames.m[pair]
+	linkNames.mu.RUnlock()
+	if ok {
+		return name
+	}
+	name = "aurora" + strconv.Itoa(pair)
+	linkNames.mu.Lock()
+	linkNames.m[pair] = name
+	linkNames.mu.Unlock()
+	return name
+}
+
+// SetBuildHook installs fn to finish every board of the pair: it runs
+// now on the boards already built and later on a spare as it is built,
+// after the pair's own hooks. Streaming metrics and diagnostics attach
+// this way, so they never force a spare to be built.
+func (c *Cluster) SetBuildHook(fn func(*sched.Engine)) {
+	c.onBuild = fn
+	for _, e := range c.engines {
+		if e != nil {
+			fn(e)
 		}
 	}
-	return c, nil
 }
 
 // SetMigrationCost installs a checkpoint/restore cost model on the
@@ -209,8 +277,21 @@ func (c *Cluster) SetMigrationCost(m *migrate.CostModel) { c.cost = m }
 // ActiveMode returns the currently active configuration.
 func (c *Cluster) ActiveMode() migrate.Mode { return c.active }
 
-// Engine returns the engine of a mode.
-func (c *Cluster) Engine(mode migrate.Mode) *sched.Engine { return c.engines[mode] }
+// Engine returns the engine of a mode, building its board on first
+// use.
+func (c *Cluster) Engine(mode migrate.Mode) *sched.Engine {
+	if e := c.engines[mode]; e != nil {
+		return e
+	}
+	return c.build(mode)
+}
+
+// Built returns the engine of a mode, or nil while its board has not
+// been built; for readers that must not build a spare.
+func (c *Cluster) Built(mode migrate.Mode) *sched.Engine { return c.engines[mode] }
+
+// BoardID returns the board ID of a mode, built or not.
+func (c *Cluster) BoardID(mode migrate.Mode) int { return c.firstBoard + int(mode) }
 
 // Platform returns the platform assigned to a mode.
 func (c *Cluster) Platform(mode migrate.Mode) *fabric.Platform { return c.platforms[mode] }
@@ -224,9 +305,9 @@ func (c *Cluster) CanHost(spec *appmodel.AppSpec) bool {
 		bundle.Hostable(spec, c.platforms[migrate.Boost])
 }
 
-func (c *Cluster) activeEngine() *sched.Engine { return c.engines[c.active] }
+func (c *Cluster) activeEngine() *sched.Engine { return c.Engine(c.active) }
 
-func (c *Cluster) spareEngine() *sched.Engine { return c.engines[c.active.Other()] }
+func (c *Cluster) spareEngine() *sched.Engine { return c.Engine(c.active.Other()) }
 
 // Inject schedules the workload sequence: each arrival routes to
 // whichever board is active at its arrival instant.
@@ -252,16 +333,38 @@ func (c *Cluster) Inject(seq *workload.Sequence) error {
 // Run executes to completion and returns the merged summary.
 func (c *Cluster) Run() Summary {
 	c.K.Run()
-	for _, mode := range pairModes {
-		e := c.engines[mode]
-		e.FlushResidency()
-		e.CheckQuiescent()
-	}
+	c.closeBoards()
 	return c.summarize()
+}
+
+// closeBoards closes the built boards' residency intervals and checks
+// that each drained; an unbuilt spare holds nothing.
+func (c *Cluster) closeBoards() {
+	for _, e := range c.engines {
+		if e != nil {
+			e.FlushResidency()
+			e.CheckQuiescent()
+		}
+	}
+}
+
+// forget drops an app another pair now hosts from both boards: an
+// earlier switch may have listed it on the spare too, and the pair's
+// D_switch accounting must stop counting it.
+func (c *Cluster) forget(a *appmodel.App) {
+	for _, e := range c.engines {
+		if e != nil {
+			e.Forget(a)
+		}
+	}
 }
 
 func (c *Cluster) onAppFinished(*appmodel.App) {
 	c.finished++
+	if f := c.farm; f != nil {
+		f.load[c.index]--
+		f.finishedBy[c.index]++
+	}
 }
 
 // Quiescent reports whether every injected application has finished.
@@ -277,9 +380,11 @@ func (c *Cluster) onQueueUpdate() {
 		return
 	}
 	var blocked uint64
-	for _, mode := range pairModes {
-		b, _ := c.engines[mode].ResetWindow()
-		blocked += b
+	for _, e := range c.engines {
+		if e != nil {
+			b, _ := e.ResetWindow()
+			blocked += b
+		}
 	}
 	// N_PR is the stock of PR tasks owned by completed and running
 	// applications (R_c and R_s in Eq. 1): it grows as the run
@@ -287,8 +392,10 @@ func (c *Cluster) onQueueUpdate() {
 	// the lower threshold once contention subsides.
 	var prTasks uint64
 	candidates := c.candScratch[:0]
-	for _, mode := range pairModes {
-		e := c.engines[mode]
+	for _, e := range c.engines {
+		if e == nil {
+			continue
+		}
 		candidates = append(candidates, e.Active...)
 		for _, a := range e.Apps {
 			if a.State == appmodel.StateFinished || a.Started {
@@ -355,14 +462,16 @@ func (c *Cluster) doSwitch() {
 		return
 	}
 	old := c.activeEngine()
-	// Flip first: "the new FPGA resumes task execution and processes
-	// upcoming new workloads".
-	from := c.active
-	c.active = c.trigger.Mode()
-	next := c.activeEngine()
-	if old == next {
+	from, to := c.active, c.trigger.Mode()
+	if to == from {
 		panic("cluster: switch to the already-active board")
 	}
+	// The target is still the spare here, so a first switch builds it
+	// frozen, like a prewarm would.
+	next := c.Engine(to)
+	// Flip first: "the new FPGA resumes task execution and processes
+	// upcoming new workloads".
+	c.active = to
 	if c.OnSwitch != nil {
 		c.OnSwitch(from, c.active)
 	}
@@ -434,12 +543,27 @@ func meanOver(total sim.Duration, n int) sim.Duration {
 	return total / sim.Duration(n)
 }
 
+// AbsorbInto merges the pair's boards into each aggregator, base then
+// boost. A spare that was never built merges as the idle board it
+// would have been: its platform's slot capacity, in the metrics mode of
+// the active board (see metrics.Collector.AbsorbIdle).
+func (c *Cluster) AbsorbInto(aggs ...*metrics.Collector) {
+	for _, mode := range pairModes {
+		e := c.engines[mode]
+		for _, agg := range aggs {
+			if e != nil {
+				agg.Absorb(e.Col)
+			} else {
+				agg.AbsorbIdle(c.platforms[mode].SlotCapacity(), c.engines[mode.Other()].Col)
+			}
+		}
+	}
+}
+
 // summarize merges both boards' collectors, base then boost.
 func (c *Cluster) summarize() Summary {
 	var col metrics.Collector
-	for _, mode := range pairModes {
-		col.Absorb(c.engines[mode].Col)
-	}
+	c.AbsorbInto(&col)
 	s := Summary{Trace: c.Trace}
 	s.setResponses(col.Summarize())
 	s.MeanSwitchTime = meanOver(s.addSwitches(c.Migrations), s.Switches)

@@ -4,7 +4,9 @@
 // 8): it routes arriving applications to the active board, evaluates
 // D_switch on the paper's cadence, drives the Schmitt-trigger
 // switching loop, pre-warms the spare board inside the buffer zone,
-// and performs live migration over the Aurora interlink.
+// and performs live migration over the Aurora interlink. The spare
+// board is built the first time a prewarm, a switch or a caller needs
+// it; until then it merges as an idle board.
 //
 // A Farm is K switching pairs behind a pluggable arrival dispatcher
 // (least-loaded, round-robin, power-of-two, bitstream-affinity, or a

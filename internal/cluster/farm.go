@@ -326,19 +326,11 @@ func NewFarm(cfg FarmConfig) (*Farm, error) {
 		if err != nil {
 			return nil, err
 		}
+		// The per-pair load counter is maintained incrementally:
+		// arrivals increment it at dispatch; completions on either board
+		// decrement it in the pair's own finish hook.
+		pair.farm, pair.index = f, i
 		f.Pairs = append(f.Pairs, pair)
-		// Maintain the per-pair load counter incrementally: arrivals
-		// increment it at dispatch; completions on either board of the
-		// pair decrement it here, after the pair's own D_switch
-		// bookkeeping hook. One closure serves both boards.
-		onAppFinished := func(a *appmodel.App) {
-			pair.onAppFinished(a)
-			f.load[i]--
-			f.finishedBy[i]++
-		}
-		for _, mode := range pairModes {
-			pair.Engine(mode).OnAppFinished = onAppFinished
-		}
 	}
 	f.uniform = true
 	for _, p := range f.Pairs[1:] {
@@ -596,9 +588,7 @@ func (f *Farm) drainCross(src int) int {
 		}
 		moved += len(apps)
 		for _, a := range apps {
-			for _, mode := range pairModes {
-				f.Pairs[src].Engine(mode).Forget(a)
-			}
+			f.Pairs[src].forget(a)
 		}
 		f.crossOut[src] += len(apps)
 		f.crossIn[dst] += len(apps)
@@ -942,13 +932,7 @@ func (f *Farm) migrateCross(src, dst, max int) {
 	}
 	n := len(moved)
 	for _, a := range moved {
-		// Forget on both of the source pair's boards, not just the
-		// active one: an earlier intra-pair switch may have listed the
-		// app on the spare board too, and the pair's D_switch
-		// accounting must stop counting apps another pair now hosts.
-		for _, mode := range pairModes {
-			f.Pairs[src].Engine(mode).Forget(a)
-		}
+		f.Pairs[src].forget(a)
 	}
 	f.load[src] -= n
 	f.load[dst] += n
@@ -1001,9 +985,9 @@ type PairStat struct {
 }
 
 // Run executes to completion and merges every pair's results. Each
-// engine's collector is absorbed twice, in pair order: into one pair
-// collector (reset between pairs) for the PairStat, and into the fleet
-// collector for the farm-wide distribution.
+// board is absorbed twice, in pair order: into one pair collector
+// (reset between pairs) for the PairStat, and into the fleet collector
+// for the farm-wide distribution.
 func (f *Farm) Run() Summary {
 	if f.shards > 1 {
 		f.runSharded()
@@ -1015,13 +999,8 @@ func (f *Farm) Run() Summary {
 	s := Summary{PairStats: make([]PairStat, 0, len(f.Pairs))}
 	for i, p := range f.Pairs {
 		pair.Reset()
-		for _, mode := range pairModes {
-			e := p.Engine(mode)
-			e.FlushResidency()
-			e.CheckQuiescent()
-			pair.Absorb(e.Col)
-			fleet.Absorb(e.Col)
-		}
+		p.closeBoards()
+		p.AbsorbInto(&pair, &fleet)
 		ps := pair.Summarize()
 		s.PairStats = append(s.PairStats, PairStat{
 			Pair:        i,
@@ -1058,8 +1037,10 @@ func (f *Farm) Quiescent() bool { return f.finishedCount() >= f.totalApps }
 func (f *Farm) UnfinishedCount() int {
 	n := 0
 	for _, p := range f.Pairs {
-		for _, mode := range pairModes {
-			n += p.Engine(mode).UnfinishedCount()
+		for _, e := range p.engines {
+			if e != nil {
+				n += e.UnfinishedCount()
+			}
 		}
 	}
 	return n

@@ -3,9 +3,10 @@ package cluster
 import "testing"
 
 // maxAllocsPerPair bounds the heap allocations one switching pair costs
-// to build inside a farm: two boards, their engines and policies, the
-// pair link and the pair's hooks.
-const maxAllocsPerPair = 48
+// to build inside a farm: its active board, engine and policy, the pair
+// link and the pair's hooks. The spare board is built on first use, so
+// it costs nothing here.
+const maxAllocsPerPair = 24
 
 // TestNewFarmAllocs pins farm construction cost per pair, sequential
 // and sharded: a fleet builds every pair before its first arrival, so

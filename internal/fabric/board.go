@@ -107,13 +107,3 @@ func (b *Board) Count(class string) int {
 	}
 	return n
 }
-
-// SlotCapacityTotal returns the summed capacity of all slots — the
-// denominator for board-level utilization metrics.
-func (b *Board) SlotCapacityTotal() ResVec {
-	var total ResVec
-	for _, s := range b.Slots {
-		total = total.Add(s.Class.Cap)
-	}
-	return total
-}

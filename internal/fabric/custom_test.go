@@ -41,10 +41,10 @@ func TestNewCustomBoardRejectsNegative(t *testing.T) {
 
 func TestCustomBoardAreaEquivalence(t *testing.T) {
 	// Every legal mix tiles at most the same fabric area as 8 Little.
-	eight := NewBoard(0, MustPlatform(ZCU216OnlyLittle)).SlotCapacityTotal()
+	eight := MustPlatform(ZCU216OnlyLittle).SlotCapacity()
 	for _, mix := range [][2]int{{0, 8}, {1, 6}, {2, 4}, {3, 2}, {4, 0}} {
 		b := NewCustomBoard(0, mix[0], mix[1])
-		if !b.SlotCapacityTotal().FitsIn(eight) {
+		if !b.Platform.SlotCapacity().FitsIn(eight) {
 			t.Errorf("%dB+%dL exceeds the Only.Little area", mix[0], mix[1])
 		}
 	}

@@ -312,12 +312,21 @@ func TestBoardEmptyCounter(t *testing.T) {
 	}
 }
 
+// TestBoardCapacityTotal checks that a platform's slot capacity is the
+// sum over the slots a board built from it lays out.
 func TestBoardCapacityTotal(t *testing.T) {
-	b := NewBoard(0, MustPlatform(ZCU216BigLittle))
-	total := b.SlotCapacityTotal()
+	p := MustPlatform(ZCU216BigLittle)
+	total := p.SlotCapacity()
 	want := BigSlotCap.Scale(2).Add(LittleSlotCap.Scale(4))
 	if total != want {
 		t.Fatalf("capacity total %v, want %v", total, want)
+	}
+	var slots ResVec
+	for _, s := range NewBoard(0, p).Slots {
+		slots = slots.Add(s.Class.Cap)
+	}
+	if slots != total {
+		t.Fatalf("board slots sum to %v, platform reports %v", slots, total)
 	}
 }
 

@@ -119,6 +119,18 @@ func (p *Platform) SlotCount() int {
 	return n
 }
 
+// SlotCapacity returns the summed capacity of the platform's slots —
+// the denominator for board-level utilization metrics. It is a
+// property of the layout, so a board that was never built has it too.
+func (p *Platform) SlotCapacity() ResVec {
+	var total ResVec
+	for i, c := range p.Classes {
+		n := p.Counts[i]
+		total = total.Add(ResVec{c.Cap.LUT * n, c.Cap.FF * n, c.Cap.DSP * n, c.Cap.BRAM * n})
+	}
+	return total
+}
+
 // Heterogeneous reports whether the platform mixes more than one DPR
 // slot class (the precondition for the Big.Little-style policies).
 func (p *Platform) Heterogeneous() bool { return !p.Virtual && len(p.Classes) > 1 }

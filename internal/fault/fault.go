@@ -12,10 +12,12 @@ import (
 	"versaslot/internal/sim"
 )
 
-// Target is the topology an injector perturbs: every engine in
-// attachment order, the switching pairs (when the topology has them),
-// and the farm (when it is one). Engines is always populated; Pairs is
-// empty for a single board; Farm is nil outside the farm topology.
+// Target is the topology an injector perturbs: its engines, the
+// switching pairs (when the topology has them), and the farm (when it
+// is one). A single board lists its engine in Engines and leaves Pairs
+// empty; pair topologies set Pairs, whose boards — each spare built on
+// attach — take the place of Engines. Farm is nil outside the farm
+// topology.
 type Target struct {
 	K       *sim.Kernel
 	Engines []*sched.Engine
@@ -80,8 +82,8 @@ type board struct {
 var pairModes = []migrate.Mode{migrate.Base, migrate.Boost}
 
 // boards flattens the topology into per-board attachment order: pair
-// by pair (base board then boost board), or the bare engine list for a
-// single board.
+// by pair (base board then boost board, building a spare that was not
+// built yet), or the bare engine list for a single board.
 func (t *Target) boards() []board {
 	if len(t.Pairs) == 0 {
 		out := make([]board, len(t.Engines))

@@ -123,8 +123,8 @@ func Attach(t *Target, s Spec, seed uint64) error {
 	if s.Seed != 0 {
 		seed = s.Seed
 	}
-	for _, e := range t.Engines {
-		e.EnableFaultMetrics()
+	for _, b := range t.boards() {
+		b.engine.EnableFaultMetrics()
 	}
 	for i, spec := range s.Injectors {
 		inj, err := spec.Build()
@@ -146,9 +146,8 @@ type slotFail struct {
 }
 
 func (inj *slotFail) Attach(t *Target, r *sim.RNG) {
-	// boards() iterates engines in attachment order, so the fork
-	// sequence is identical to iterating t.Engines — it additionally
-	// carries each engine's pair index for the sharded-clock touch.
+	// boards() carries each engine's pair index for the sharded-clock
+	// touch.
 	for _, b := range t.boards() {
 		for _, s := range b.engine.Board.Slots {
 			// One forked stream per slot: slot 3's chain is independent
@@ -242,8 +241,8 @@ type prFlaky struct {
 }
 
 func (inj *prFlaky) Attach(t *Target, r *sim.RNG) {
-	for _, e := range t.Engines {
-		e.SetPRFault(inj.rate, inj.maxRetries, inj.backoff, inj.factor, r.Fork())
+	for _, b := range t.boards() {
+		b.engine.SetPRFault(inj.rate, inj.maxRetries, inj.backoff, inj.factor, r.Fork())
 	}
 }
 
@@ -256,7 +255,6 @@ type straggler struct {
 }
 
 func (inj *straggler) Attach(t *Target, r *sim.RNG) {
-	// boards() preserves the t.Engines fork order; see slotFail.Attach.
 	for _, b := range t.boards() {
 		for _, s := range b.engine.Board.Slots {
 			inj.chain(t, b, s, r.Fork())
@@ -290,8 +288,8 @@ type checkpoint struct {
 }
 
 func (inj *checkpoint) Attach(t *Target, _ *sim.RNG) {
-	for _, e := range t.Engines {
-		e.SetCheckpointed(true)
+	for _, b := range t.boards() {
+		b.engine.SetCheckpointed(true)
 	}
 	model := &migrate.CostModel{BytesPerItem: inj.bytesPerItem, RestoreDelay: inj.restore}
 	switch {

@@ -1,6 +1,9 @@
 package hypervisor
 
 import (
+	"strconv"
+	"sync"
+
 	"versaslot/internal/sim"
 )
 
@@ -66,30 +69,29 @@ func (c *Cores) Init(k *sim.Kernel, model CoreModel, boardID int) {
 	}
 }
 
-func coreName(board, core int) string {
-	return "board" + itoa(board) + "/core" + itoa(core)
-}
+// Core names. A name is a pure function of its board and core index,
+// and a fleet rebuilds the same boards run after run, so each name is
+// formatted once per process and then served from this table; it grows
+// only with distinct board IDs. A map under RWMutex serves concurrent
+// RunMany and shard workers without allocating.
+var coreNames = struct {
+	mu sync.RWMutex
+	m  map[[2]int]string
+}{m: make(map[[2]int]string)}
 
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
+func coreName(board, core int) string {
+	k := [2]int{board, core}
+	coreNames.mu.RLock()
+	name, ok := coreNames.m[k]
+	coreNames.mu.RUnlock()
+	if ok {
+		return name
 	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
+	name = "board" + strconv.Itoa(board) + "/core" + strconv.Itoa(core)
+	coreNames.mu.Lock()
+	coreNames.m[k] = name
+	coreNames.mu.Unlock()
+	return name
 }
 
 // PostPRRequest accounts an async scheduler->PR-server message.

@@ -71,6 +71,20 @@ func TestCoreNames(t *testing.T) {
 	}
 }
 
+// TestCoreNamesFormattedOnce checks that rebuilding a board's cores
+// reuses the interned names instead of formatting them again.
+func TestCoreNamesFormattedOnce(t *testing.T) {
+	k := sim.NewKernel(1)
+	var c Cores
+	c.Init(k, DualCore, 11)
+	if allocs := testing.AllocsPerRun(100, func() { c.Init(k, DualCore, 11) }); allocs != 0 {
+		t.Fatalf("re-initializing board 11's cores allocates %.0f times, want 0", allocs)
+	}
+	if c.Sched.Name() != "board11/core0" || c.PR.Name() != "board11/core1" {
+		t.Fatalf("core names %q, %q", c.Sched.Name(), c.PR.Name())
+	}
+}
+
 func TestCoreModelString(t *testing.T) {
 	if SingleCore.String() != "single-core" || DualCore.String() != "dual-core" {
 		t.Fatal("CoreModel strings")

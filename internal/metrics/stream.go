@@ -385,6 +385,20 @@ func (c *Collector) Absorb(src *Collector) {
 	}
 }
 
+// AbsorbIdle folds in a board that never ran, over slot capacity cap:
+// exactly what Absorb adds for a fresh collector in the metrics mode of
+// like (streaming with like's geometry, or exact). The stand-in is a
+// stack Collector put through Absorb itself, so the two cannot drift;
+// a switching pair merges a spare board it never built this way.
+func (c *Collector) AbsorbIdle(cap fabric.ResVec, like *Collector) {
+	var idle Collector
+	idle.Init(cap)
+	if like.stream != nil {
+		idle.EnableStreaming(like.stream.cfg)
+	}
+	c.Absorb(&idle)
+}
+
 // Reset empties c for reuse as a fresh aggregator (capacities and the
 // stream geometry included), keeping its sample, percentile and
 // sketch buffers so a farm can merge pair after pair through one

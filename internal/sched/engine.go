@@ -190,7 +190,7 @@ func NewEngine(k *sim.Kernel, p Params, board *fabric.Board, model hypervisor.Co
 	e.own.cores.Init(k, model, board.ID)
 	e.own.pcap.Init(p.PCAPBandwidth, p.PCAPOverhead)
 	e.own.cache.Init(p.CacheEntries)
-	e.own.col.Init(board.SlotCapacityTotal())
+	e.own.col.Init(board.Platform.SlotCapacity())
 	e.Cores, e.PCAP, e.Cache, e.Col = &e.own.cores, &e.own.pcap, &e.own.cache, &e.own.col
 	e.slots = make([]slotRT, len(board.Slots))
 	for i, s := range board.Slots {

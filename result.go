@@ -6,7 +6,6 @@ import (
 	"versaslot/internal/cluster"
 	"versaslot/internal/metrics"
 	"versaslot/internal/orchestrator"
-	"versaslot/internal/sched"
 	"versaslot/internal/sim"
 )
 
@@ -143,19 +142,33 @@ func pooledPercentile(samples []metrics.ResponseSample, p float64) sim.Duration 
 	return sim.Duration(metrics.PercentileOf(vals, p))
 }
 
-// fillFromEngines merges the per-board collectors of a multi-board run
-// into the result through one aggregate collector (see
+// setMetricsMode records the metrics pipeline the scenario ran.
+func (r *Result) setMetricsMode(s Scenario) {
+	if _, streaming := s.streamConfig(); streaming {
+		r.MetricsMode = "stream"
+	}
+}
+
+// fillFromPairs merges the boards of a multi-board run into the result
+// through one aggregate collector (see cluster.Cluster.AbsorbInto and
 // metrics.Collector.Absorb for the merge rules), with the pooled
-// samples sorted by application ID before summarizing. Engines must be
-// passed in a fixed order so output is deterministic.
-func (r *Result) fillFromEngines(engines []*sched.Engine) {
+// samples sorted by application ID before summarizing. A spare board
+// that was never built served no bitstream and launched nothing, so
+// only built boards add cache and launch-wait counts.
+func (r *Result) fillFromPairs(pairs []*cluster.Cluster) {
 	var agg metrics.Collector
-	for _, e := range engines {
-		agg.Absorb(e.Col)
-		hits, misses := e.Cache.Stats()
-		r.CacheHits += hits
-		r.CacheMisses += misses
-		r.LaunchWait += e.Cores.Sched.WaitOf("launch")
+	for _, p := range pairs {
+		p.AbsorbInto(&agg)
+		for _, mode := range clusterModes {
+			e := p.Built(mode)
+			if e == nil {
+				continue
+			}
+			hits, misses := e.Cache.Stats()
+			r.CacheHits += hits
+			r.CacheMisses += misses
+			r.LaunchWait += e.Cores.Sched.WaitOf("launch")
+		}
 	}
 	sort.Slice(agg.Responses, func(i, j int) bool { return agg.Responses[i].AppID < agg.Responses[j].AppID })
 	r.Summary = agg.Summarize()

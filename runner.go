@@ -201,14 +201,25 @@ func attachFaults(s Scenario, t *fault.Target) error {
 	return nil
 }
 
-func (r *Runner) attachDiagnostics(scenario string, e *sched.Engine, parallel bool) {
-	if r.traceFn != nil && !parallel {
-		e.Trace = r.traceFn
+// boardHook returns what finishes every board a scenario builds:
+// streaming metrics when the scenario asks for them, then the runner's
+// diagnostics (trace and recorder sinks only when !parallel). Pair
+// topologies install it as the pairs' build hook, so a spare board gets
+// it when it is built and an observer never forces one to be built.
+func (r *Runner) boardHook(s Scenario, parallel bool) func(*sched.Engine) {
+	streamCfg, streaming := s.streamConfig()
+	return func(e *sched.Engine) {
+		if streaming {
+			e.Col.EnableStreaming(streamCfg)
+		}
+		if r.traceFn != nil && !parallel {
+			e.Trace = r.traceFn
+		}
+		if r.recorder != nil && !parallel {
+			e.Recorder = r.recorder
+		}
+		r.observeEngine(s.Name, e)
 	}
-	if r.recorder != nil && !parallel {
-		e.Recorder = r.recorder
-	}
-	r.observeEngine(scenario, e)
 }
 
 func (r *Runner) runSingle(s Scenario, seq *workload.Sequence, parallel bool) (*Result, error) {
@@ -235,11 +246,7 @@ func (r *Runner) runSingle(s Scenario, seq *workload.Sequence, parallel bool) (*
 			return nil, err
 		}
 	}
-	streamCfg, streaming := s.streamConfig()
-	if streaming {
-		sys.Engine.Col.EnableStreaming(streamCfg)
-	}
-	r.attachDiagnostics(s.Name, sys.Engine, parallel)
+	r.boardHook(s, parallel)(sys.Engine)
 	apps, err := seq.Instantiate(0)
 	if err != nil {
 		return nil, err
@@ -280,9 +287,7 @@ func (r *Runner) runSingle(s Scenario, seq *workload.Sequence, parallel bool) (*
 		Makespan:    sys.Engine.Col.EndTime(),
 		TimeSeries:  sys.Engine.Col.Windows(),
 	}
-	if streaming {
-		out.MetricsMode = "stream"
-	}
+	out.setMetricsMode(s)
 	return out, nil
 }
 
@@ -303,25 +308,15 @@ func (r *Runner) runCluster(s Scenario, seq *workload.Sequence, parallel bool) (
 	if err != nil {
 		return nil, fmt.Errorf("versaslot: %w", err)
 	}
-	streamCfg, streaming := s.streamConfig()
-	for _, mode := range clusterModes {
-		if streaming {
-			cl.Engine(mode).Col.EnableStreaming(streamCfg)
-		}
-		r.attachDiagnostics(s.Name, cl.Engine(mode), parallel)
-	}
+	cl.SetBuildHook(r.boardHook(s, parallel))
 	r.observeSwitches(s.Name, cl)
 	if err := cl.Inject(seq); err != nil {
 		return nil, err
 	}
-	clEngines := make([]*sched.Engine, 0, len(clusterModes))
-	for _, mode := range clusterModes {
-		clEngines = append(clEngines, cl.Engine(mode))
-	}
+	pairs := []*cluster.Cluster{cl}
 	if err := attachFaults(s, &fault.Target{
 		K:         cl.K,
-		Engines:   clEngines,
-		Pairs:     []*cluster.Cluster{cl},
+		Pairs:     pairs,
 		Quiescent: cl.Quiescent,
 	}); err != nil {
 		return nil, err
@@ -340,10 +335,8 @@ func (r *Runner) runCluster(s Scenario, seq *workload.Sequence, parallel bool) (
 		MigratedApps:   sum.MigratedApps,
 		SwitchTrace:    sum.Trace,
 	}
-	if streaming {
-		out.MetricsMode = "stream"
-	}
-	out.fillFromEngines(clEngines)
+	out.setMetricsMode(s)
+	out.fillFromPairs(pairs)
 	return out, nil
 }
 
@@ -352,23 +345,15 @@ func (r *Runner) runFarm(s Scenario, seq *workload.Sequence, parallel bool) (*Re
 	if err != nil {
 		return nil, fmt.Errorf("versaslot: %w", err)
 	}
-	engines := make([]*sched.Engine, 0, len(clusterModes)*len(f.Pairs))
 	pairPlatforms := make([]cluster.PairPlatforms, 0, len(f.Pairs))
 	// Sharded runs advance pairs on worker goroutines: the single-writer
 	// trace/recorder sinks are disabled exactly as in parallel sweeps
 	// (observers stay attached — they serialize behind a mutex). The
 	// farm's resolved count decides, not s.Shards: zero auto-selects
 	// from the fleet size and GOMAXPROCS.
-	diagParallel := parallel || f.ShardCount() > 1
-	streamCfg, streaming := s.streamConfig()
+	hook := r.boardHook(s, parallel || f.ShardCount() > 1)
 	for _, pair := range f.Pairs {
-		for _, mode := range clusterModes {
-			if streaming {
-				pair.Engine(mode).Col.EnableStreaming(streamCfg)
-			}
-			r.attachDiagnostics(s.Name, pair.Engine(mode), diagParallel)
-			engines = append(engines, pair.Engine(mode))
-		}
+		pair.SetBuildHook(hook)
 		pairPlatforms = append(pairPlatforms, pairPlatformsOf(pair))
 		r.observeSwitches(s.Name, pair)
 	}
@@ -403,7 +388,6 @@ func (r *Runner) runFarm(s Scenario, seq *workload.Sequence, parallel bool) (*Re
 	}
 	if err := attachFaults(s, &fault.Target{
 		K:         f.K,
-		Engines:   engines,
 		Pairs:     f.Pairs,
 		Farm:      f,
 		Quiescent: f.Quiescent,
@@ -439,14 +423,12 @@ func (r *Runner) runFarm(s Scenario, seq *workload.Sequence, parallel bool) (*Re
 		CrossMigratedApps: sum.CrossMigratedApps,
 		MeanCrossTime:     sum.MeanCrossTime,
 	}
-	if streaming {
-		out.MetricsMode = "stream"
-	}
+	out.setMetricsMode(s)
 	if orch != nil {
 		out.Tenants = orch.TenantStats()
 		out.Autoscale = orch.AutoscaleStats()
 	}
-	out.fillFromEngines(engines)
+	out.fillFromPairs(f.Pairs)
 	return out, nil
 }
 
@@ -454,7 +436,7 @@ func (r *Runner) observeSwitches(scenario string, cl *cluster.Cluster) {
 	if r.observer == nil {
 		return
 	}
-	board := cl.Engine(migrate.Base).Board.ID
+	board := cl.BoardID(migrate.Base)
 	cl.OnSwitch = func(from, to migrate.Mode) {
 		r.emit(Event{Scenario: scenario, At: cl.K.Now(), Kind: "switch", Board: board,
 			From: cl.Platform(from).Title, To: cl.Platform(to).Title})

@@ -95,6 +95,50 @@ func TestRunnerObserverCluster(t *testing.T) {
 	}
 }
 
+// TestRunnerObserverSwitchingFarm runs a farm whose pairs switch under
+// an observer: a pair's spare board is built at its first switch, and
+// the observer must already be attached to it then — arrivals and
+// finishes after the switch carry the boost board's ID. Observing must
+// not change the Result.
+func TestRunnerObserverSwitchingFarm(t *testing.T) {
+	sc := versaslot.Scenario{Topology: versaslot.TopologyFarm, Pairs: 4, Condition: "real-time", Apps: 48, Seed: 1}
+	// switchedAt maps a pair's base board to its boost board once the
+	// pair has switched; onBoost counts events seen on a boost board
+	// after its pair's first switch.
+	switchedAt := map[int]int{}
+	onBoost := map[string]int{}
+	runner := versaslot.NewRunner(versaslot.WithObserver(func(ev versaslot.Event) {
+		switch ev.Kind {
+		case "switch":
+			if _, ok := switchedAt[ev.Board]; !ok {
+				switchedAt[ev.Board] = ev.Board + 1
+			}
+		case "arrival", "finish":
+			if boost, ok := switchedAt[ev.Board-1]; ok && ev.Board == boost {
+				onBoost[ev.Kind]++
+			}
+		}
+	}))
+	observed, err := runner.Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if observed.Switches == 0 || len(switchedAt) == 0 {
+		t.Fatalf("no pair switched (%d switches); the test needs a switching farm", observed.Switches)
+	}
+	if onBoost["arrival"] == 0 || onBoost["finish"] == 0 {
+		t.Errorf("after a switch the boost boards reported %d arrivals and %d finishes, want both > 0",
+			onBoost["arrival"], onBoost["finish"])
+	}
+	plain, err := versaslot.Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := resultJSON(t, observed), resultJSON(t, plain); !bytes.Equal(a, b) {
+		t.Errorf("observing changed the result:\nobserved %s\nplain    %s", a, b)
+	}
+}
+
 func TestRunnerTraceAndRecorder(t *testing.T) {
 	var lines int
 	rec := trace.NewRecorder(0)

@@ -116,6 +116,9 @@ func TestStreamMatchesExact(t *testing.T) {
 			RebalanceEvery: 5 * sim.Second},
 		{Name: "stream-farm-faults", Topology: TopologyFarm, Pairs: 4, Condition: "stress", Apps: 120, Seed: 13,
 			RebalanceEvery: 2 * sim.Second, Faults: faults},
+		// This farm's pairs prewarm and switch, so their spares are
+		// built mid-run and stream from then on.
+		{Name: "stream-farm-switching", Topology: TopologyFarm, Pairs: 4, Condition: "real-time", Apps: 120, Seed: 1},
 	}
 	for _, in := range inputs {
 		t.Run(in.Name, func(t *testing.T) {
