@@ -213,15 +213,18 @@ func BenchmarkAblationPreemption(b *testing.B) {
 	}
 }
 
-// BenchmarkFailureInjection measures scheduling resilience to PCAP CRC
-// failures: 20%% of loads re-stream.
+// BenchmarkFailureInjection measures scheduling resilience to flaky
+// reconfiguration: the pr-flaky injector fails 20% of PCAP attempts.
 func BenchmarkFailureInjection(b *testing.B) {
 	p := workload.DefaultGenParams(workload.Stress)
-	seq := workload.Generate(p, 83)
+	s := versaslot.Scenario{
+		Policy:   "versaslot-bl",
+		Workload: workload.Generate(p, 83),
+		Seed:     1,
+		Faults:   &fault.Spec{Injectors: []fault.InjectorSpec{{Kind: fault.KindPRFlaky, Rate: 0.2}}},
+	}
 	for i := 0; i < b.N; i++ {
-		params := sched.DefaultParams()
-		params.PRFailureRate = 0.2
-		res, err := core.Run(core.SystemConfig{Policy: sched.KindVersaSlotBL, Seed: 1, Params: &params}, seq)
+		res, err := versaslot.Run(s)
 		if err != nil {
 			b.Fatal(err)
 		}

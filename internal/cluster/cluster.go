@@ -15,7 +15,6 @@ import (
 	"versaslot/internal/migrate"
 	"versaslot/internal/sched"
 	"versaslot/internal/sim"
-	"versaslot/internal/workload"
 )
 
 // pairModes is the fixed mode iteration order that keeps pair
@@ -93,7 +92,8 @@ type TracePoint struct {
 // Cluster is a two-board switching pair: a base board, a boost board
 // (by default the paper's Only.Little / Big.Little ZCU216 pair, but
 // any registered DPR platforms), an Aurora link, and the switch
-// controller.
+// controller. Every pair is owned by a Farm, which routes arrivals to
+// it and runs it.
 //
 // Only the active board is built with the pair. The spare — its board,
 // engine and policy — is built frozen the first time something needs
@@ -119,8 +119,8 @@ type Cluster struct {
 	// onBuild, when set, finishes each board the pair builds (see
 	// SetBuildHook).
 	onBuild func(*sched.Engine)
-	// farm and index place the pair in its farm (nil outside one):
-	// completions update the farm's per-pair counters.
+	// farm and index place the pair in its farm: completions update
+	// the farm's per-pair counters.
 	farm  *Farm
 	index int
 
@@ -128,13 +128,8 @@ type Cluster struct {
 	dSmoothed  float64
 	migrating  bool
 	finished   int
-	totalApps  int
 	Trace      []TracePoint
 	Migrations []migrate.Migration
-
-	// arrivals delivers Inject's arrivals to the board active at each
-	// arrival instant.
-	arrivals *sched.ArrivalCursor
 
 	// candScratch is onQueueUpdate's reusable D_switch candidate
 	// buffer; the gather is consumed synchronously each evaluation.
@@ -150,28 +145,11 @@ type Cluster struct {
 	cost *migrate.CostModel
 }
 
-// New builds the cluster with both platforms resolved up front (the
-// paper's point: the static regions are fixed at start-up; switching
-// between them at runtime is what live migration buys). The spare
-// board itself is built on first use.
-func New(cfg Config) *Cluster {
-	c, err := NewCluster(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// NewCluster builds the cluster, returning an error for unknown or
-// unusable platform assignments.
-func NewCluster(cfg Config) (*Cluster, error) {
-	return buildCluster(sim.NewKernel(cfg.Seed), cfg, 0)
-}
-
-// buildCluster wires a switching pair onto an existing kernel; Farm
-// places several pairs on one kernel. Both platforms are resolved and
-// validated here, so configuration errors surface at construction,
-// but only the active board is built.
+// buildCluster wires a switching pair onto a farm's kernel. Both
+// platforms are resolved and validated here (the paper's point: the
+// static regions are fixed at start-up; switching between them at
+// runtime is what live migration buys), so configuration errors
+// surface at construction, but only the active board is built.
 func buildCluster(k *sim.Kernel, cfg Config, firstBoardID int) (*Cluster, error) {
 	c := &Cluster{
 		K:          k,
@@ -309,34 +287,6 @@ func (c *Cluster) activeEngine() *sched.Engine { return c.Engine(c.active) }
 
 func (c *Cluster) spareEngine() *sched.Engine { return c.Engine(c.active.Other()) }
 
-// Inject schedules the workload sequence: each arrival routes to
-// whichever board is active at its arrival instant.
-func (c *Cluster) Inject(seq *workload.Sequence) error {
-	apps, err := seq.Instantiate(c.totalApps)
-	if err != nil {
-		return err
-	}
-	for _, a := range apps {
-		if !c.CanHost(a.Spec) {
-			return fmt.Errorf("cluster: app %v (%s) fits no slot class of the pair's platforms (%s/%s)",
-				a, a.Spec.Name, c.platforms[migrate.Base].Name, c.platforms[migrate.Boost].Name)
-		}
-	}
-	c.totalApps += len(apps)
-	if c.arrivals == nil {
-		c.arrivals = sched.NewArrivalCursor(c.K, func(a *appmodel.App) { c.activeEngine().InjectNow(a) })
-	}
-	c.arrivals.Schedule(apps)
-	return nil
-}
-
-// Run executes to completion and returns the merged summary.
-func (c *Cluster) Run() Summary {
-	c.K.Run()
-	c.closeBoards()
-	return c.summarize()
-}
-
 // closeBoards closes the built boards' residency intervals and checks
 // that each drained; an unbuilt spare holds nothing.
 func (c *Cluster) closeBoards() {
@@ -361,16 +311,9 @@ func (c *Cluster) forget(a *appmodel.App) {
 
 func (c *Cluster) onAppFinished(*appmodel.App) {
 	c.finished++
-	if f := c.farm; f != nil {
-		f.load[c.index]--
-		f.finishedBy[c.index]++
-	}
+	c.farm.load[c.index]--
+	c.farm.finishedBy[c.index]++
 }
-
-// Quiescent reports whether every injected application has finished.
-// Fault-injector chains gate on it so they stop firing once the
-// workload drains instead of keeping the kernel alive forever.
-func (c *Cluster) Quiescent() bool { return c.finished >= c.totalApps }
 
 // onQueueUpdate implements the paper's cadence: every WindowUpdates
 // changes of the candidate queue, re-evaluate D_switch and act.
@@ -444,6 +387,19 @@ func (c *Cluster) prewarm() {
 	}
 }
 
+// acceptCross delivers the apps of a cross-pair transfer. Each goes to
+// the board active when it lands, because a delivery can run D_switch
+// and switch the pair. Its bitstreams travelled with the transfer, so
+// they are staged in that board's DDR cache and its first PR pays no
+// SD-card streaming.
+func (c *Cluster) acceptCross(apps []*appmodel.App) {
+	for _, a := range apps {
+		next := c.activeEngine()
+		warmNamesFor(next, c.platforms[c.active], a)
+		next.InjectMigrated(a)
+	}
+}
+
 func warmNamesFor(e *sched.Engine, target *fabric.Platform, a *appmodel.App) {
 	for _, name := range stageBitstreams(target, a) {
 		if e.Repo.Has(name) {
@@ -457,8 +413,10 @@ func warmNamesFor(e *sched.Engine, target *fabric.Platform, a *appmodel.App) {
 // over the link, and point new arrivals at the new board.
 func (c *Cluster) doSwitch() {
 	if c.migrating {
-		// A transfer is already in flight; the trigger's hysteresis
-		// will re-fire if the condition persists.
+		// A transfer is already in flight: refuse, and put the trigger
+		// back in the active mode, so its hysteresis re-fires if the
+		// condition persists.
+		c.trigger.SetMode(c.active)
 		return
 	}
 	old := c.activeEngine()
@@ -488,17 +446,18 @@ func (c *Cluster) doSwitch() {
 	c.prewarm()
 	migrate.ExecuteModel(c.K, c.Link, moved, c.cost, func(apps []*appmodel.App) {
 		c.migrating = false
+		// Each delivery can run D_switch and switch the pair again, so
+		// every app goes to the board active when it lands.
 		for _, a := range apps {
-			next.InjectMigrated(a)
+			c.activeEngine().InjectMigrated(a)
 		}
 	}, func(m migrate.Migration) {
 		c.Migrations = append(c.Migrations, m)
 	})
 }
 
-// Summary merges a switching system's results: both boards of a pair,
-// or every pair of a farm. Farm-only fields (cross-pair migration
-// counts, per-pair breakdowns) are zero for a single pair.
+// Summary merges a farm's results over every pair. The cross-pair
+// fields are zero for a farm of one pair.
 type Summary struct {
 	Apps           int
 	MeanRT         sim.Duration
@@ -508,12 +467,12 @@ type Summary struct {
 	MigratedApps   int
 	Trace          []TracePoint
 
-	// CrossSwitches counts rebalancer-driven pair-to-pair transfers
-	// (farm only); CrossMigratedApps and MeanCrossTime price them.
+	// CrossSwitches counts rebalancer-driven pair-to-pair transfers;
+	// CrossMigratedApps and MeanCrossTime price them.
 	CrossSwitches     int
 	CrossMigratedApps int
 	MeanCrossTime     sim.Duration
-	// PairStats breaks the run down per switching pair (farm only).
+	// PairStats breaks the run down per switching pair.
 	PairStats []PairStat
 }
 
@@ -558,16 +517,6 @@ func (c *Cluster) AbsorbInto(aggs ...*metrics.Collector) {
 			}
 		}
 	}
-}
-
-// summarize merges both boards' collectors, base then boost.
-func (c *Cluster) summarize() Summary {
-	var col metrics.Collector
-	c.AbsorbInto(&col)
-	s := Summary{Trace: c.Trace}
-	s.setResponses(col.Summarize())
-	s.MeanSwitchTime = meanOver(s.addSwitches(c.Migrations), s.Switches)
-	return s
 }
 
 // String renders a one-line summary.

@@ -17,13 +17,24 @@ func denseSequence(apps int, seed uint64) *workload.Sequence {
 	return workload.Generate(p, seed)
 }
 
-func TestClusterCompletesEverything(t *testing.T) {
-	cl := New(DefaultConfig())
-	seq := denseSequence(30, 5000)
-	if err := cl.Inject(seq); err != nil {
+// onePair builds a farm of exactly one switching pair, the way every
+// pair runs.
+func onePair(t testing.TB, cfg Config) *Farm {
+	t.Helper()
+	f, err := NewFarm(FarmConfig{Pair: cfg, Pairs: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	sum := cl.Run()
+	return f
+}
+
+func TestClusterCompletesEverything(t *testing.T) {
+	f := onePair(t, DefaultConfig())
+	seq := denseSequence(30, 5000)
+	if err := f.Inject(seq); err != nil {
+		t.Fatal(err)
+	}
+	sum := f.Run()
 	if sum.Apps != 30 {
 		t.Fatalf("finished %d of 30", sum.Apps)
 	}
@@ -33,12 +44,12 @@ func TestClusterCompletesEverything(t *testing.T) {
 }
 
 func TestClusterSwitchesUnderContention(t *testing.T) {
-	cl := New(DefaultConfig())
+	f := onePair(t, DefaultConfig())
 	seq := denseSequence(60, 5001)
-	if err := cl.Inject(seq); err != nil {
+	if err := f.Inject(seq); err != nil {
 		t.Fatal(err)
 	}
-	sum := cl.Run()
+	sum := f.Run()
 	if sum.Switches == 0 {
 		t.Fatal("dense workload triggered no cross-board switch")
 	}
@@ -66,12 +77,13 @@ func TestClusterSwitchesUnderContention(t *testing.T) {
 }
 
 func TestClusterMigratedAppsKeepArrival(t *testing.T) {
-	cl := New(DefaultConfig())
+	f := onePair(t, DefaultConfig())
+	cl := f.Pairs[0]
 	seq := denseSequence(60, 5002)
-	if err := cl.Inject(seq); err != nil {
+	if err := f.Inject(seq); err != nil {
 		t.Fatal(err)
 	}
-	sum := cl.Run()
+	sum := f.Run()
 	if sum.MigratedApps == 0 {
 		t.Skip("no apps migrated in this seed")
 	}
@@ -87,12 +99,13 @@ func TestClusterMigratedAppsKeepArrival(t *testing.T) {
 }
 
 func TestClusterBothEnginesQuiesce(t *testing.T) {
-	cl := New(DefaultConfig())
+	f := onePair(t, DefaultConfig())
+	cl := f.Pairs[0]
 	seq := denseSequence(40, 5003)
-	if err := cl.Inject(seq); err != nil {
+	if err := f.Inject(seq); err != nil {
 		t.Fatal(err)
 	}
-	cl.Run()
+	f.Run()
 	for mode, e := range cl.engines {
 		for _, s := range e.Board.Slots {
 			if s.State() == fabric.SlotBusy || s.State() == fabric.SlotLoading {
@@ -105,7 +118,7 @@ func TestClusterBothEnginesQuiesce(t *testing.T) {
 func TestClusterStartsOnConfiguredBoard(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.StartMode = migrate.Boost
-	cl := New(cfg)
+	cl := onePair(t, cfg).Pairs[0]
 	if cl.ActiveMode() != migrate.Boost {
 		t.Fatal("start mode ignored")
 	}
@@ -115,12 +128,12 @@ func TestClusterStartsOnConfiguredBoard(t *testing.T) {
 }
 
 func TestClusterTraceMonotoneCompletions(t *testing.T) {
-	cl := New(DefaultConfig())
+	f := onePair(t, DefaultConfig())
 	seq := denseSequence(40, 5004)
-	if err := cl.Inject(seq); err != nil {
+	if err := f.Inject(seq); err != nil {
 		t.Fatal(err)
 	}
-	sum := cl.Run()
+	sum := f.Run()
 	prev := -1
 	for _, p := range sum.Trace {
 		if p.Completed < prev {

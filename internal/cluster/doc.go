@@ -1,12 +1,18 @@
 // Package cluster orchestrates multiple FPGA boards at two scales.
 //
 // A Cluster is the paper's switching pair (Section III-D, Figs. 4 and
-// 8): it routes arriving applications to the active board, evaluates
-// D_switch on the paper's cadence, drives the Schmitt-trigger
-// switching loop, pre-warms the spare board inside the buffer zone,
-// and performs live migration over the Aurora interlink. The spare
-// board is built the first time a prewarm, a switch or a caller needs
-// it; until then it merges as an idle board.
+// 8): it hosts the applications its farm routes to it on the active
+// board, evaluates D_switch on the paper's cadence, drives the
+// Schmitt-trigger switching loop, pre-warms the spare board inside the
+// buffer zone, and performs live migration over the Aurora interlink.
+// A migrated app lands on whichever board is active when it arrives:
+// a delivery can itself trigger the next switch. The spare board is
+// built the first time a prewarm, a switch or a caller needs it; until
+// then it merges as an idle board.
+//
+// A Cluster only runs inside a Farm, which owns it: the facade's
+// cluster topology is a farm of exactly one pair, so every pair runs
+// through the same arrival, fault and merge path.
 //
 // A Farm is K switching pairs behind a pluggable arrival dispatcher
 // (least-loaded, round-robin, power-of-two, bitstream-affinity, or a

@@ -58,10 +58,6 @@ type FarmConfig struct {
 	// farm is too small or the host too narrow for sharding to win,
 	// never slower than sequential by construction. One forces
 	// sequential execution. Values above the pair count are clamped.
-	// An explicit Shards > 1 is incompatible with a non-zero
-	// Pair.Params.PRFailureRate, whose CRC re-stream draws would come
-	// from per-pair RNGs instead of the shared kernel stream; the
-	// automatic path quietly stays sequential there.
 	Shards int
 	// Standby decommissions the last Standby pairs at construction:
 	// they are built (kernels, engines, platforms) but start in
@@ -251,10 +247,17 @@ type Farm struct {
 
 // NewFarm builds a farm from its configuration. It returns an error
 // for a configuration without pairs, an unknown dispatcher or platform
-// name, or an out-of-range shard or standby count.
+// name, switching thresholds without a buffer zone between them, a
+// non-positive D_switch window, or an out-of-range standby count.
 func NewFarm(cfg FarmConfig) (*Farm, error) {
 	if cfg.Pairs <= 0 {
 		return nil, fmt.Errorf("cluster: farm needs at least one pair, got %d", cfg.Pairs)
+	}
+	if up, down := cfg.Pair.ThresholdUp, cfg.Pair.ThresholdDown; !(up > down) {
+		return nil, fmt.Errorf("cluster: threshold_up %g must exceed threshold_down %g", up, down)
+	}
+	if cfg.Pair.WindowUpdates <= 0 {
+		return nil, fmt.Errorf("cluster: window_updates must be positive, got %d", cfg.Pair.WindowUpdates)
 	}
 	name := cfg.Dispatcher
 	if name == "" {
@@ -267,18 +270,12 @@ func NewFarm(cfg FarmConfig) (*Farm, error) {
 	shards := cfg.Shards
 	if shards == 0 {
 		shards = autoShards(cfg.Pairs-cfg.Standby, runtime.GOMAXPROCS(0))
-		if cfg.Pair.Params.PRFailureRate > 0 {
-			shards = 1
-		}
 	}
 	if shards > cfg.Pairs {
 		shards = cfg.Pairs
 	}
 	if shards < 1 {
 		shards = 1
-	}
-	if shards > 1 && cfg.Pair.Params.PRFailureRate > 0 {
-		return nil, fmt.Errorf("cluster: sharded farm execution is incompatible with pr_failure_rate > 0 (CRC re-stream draws would leave the shared kernel stream)")
 	}
 	if cfg.Standby < 0 || cfg.Standby >= cfg.Pairs {
 		return nil, fmt.Errorf("cluster: standby count %d out of range (need 0 <= standby < %d pairs)", cfg.Standby, cfg.Pairs)
@@ -596,11 +593,7 @@ func (f *Farm) drainCross(src int) int {
 		dstIdx := dst
 		migrate.ExecuteModel(f.K, f.Rack, apps, f.cost, func(apps []*appmodel.App) {
 			f.TouchPair(dstIdx)
-			next := target.activeEngine()
-			for _, a := range apps {
-				warmNamesFor(next, target.Platform(target.ActiveMode()), a)
-				next.InjectMigrated(a)
-			}
+			target.acceptCross(apps)
 		}, func(m migrate.Migration) {
 			f.CrossMigrations = append(f.CrossMigrations, m)
 		})
@@ -942,16 +935,8 @@ func (f *Farm) migrateCross(src, dst, max int) {
 	dstIdx := dst
 	migrate.ExecuteModel(f.K, f.Rack, moved, f.cost, func(apps []*appmodel.App) {
 		f.rebalancing = false
-		// Resolve the destination board at delivery (the pair may have
-		// switched mid-flight) and stage the migrated apps' bitstreams
-		// in its DDR cache — they travelled with the transfer — so the
-		// first PR pays no SD-card streaming.
 		f.TouchPair(dstIdx)
-		next := target.activeEngine()
-		for _, a := range apps {
-			warmNamesFor(next, target.Platform(target.ActiveMode()), a)
-			next.InjectMigrated(a)
-		}
+		target.acceptCross(apps)
 	}, func(m migrate.Migration) {
 		f.CrossMigrations = append(f.CrossMigrations, m)
 	})
@@ -1029,8 +1014,9 @@ func (f *Farm) Run() Summary {
 	return s
 }
 
-// Quiescent reports whether every injected application has finished
-// (fault-injector chains gate on it; see Cluster.Quiescent).
+// Quiescent reports whether every injected application has finished.
+// Fault-injector chains gate on it so they stop firing once the
+// workload drains instead of keeping the kernel alive forever.
 func (f *Farm) Quiescent() bool { return f.finishedCount() >= f.totalApps }
 
 // UnfinishedCount sums unfinished apps across the farm (diagnostics).

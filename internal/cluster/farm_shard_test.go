@@ -155,9 +155,7 @@ func TestAutoShards(t *testing.T) {
 
 // TestAutoShardResolution covers Shards == 0 end to end: small farms
 // resolve to the sequential executor, large farms to the same width
-// the selection table picks for this host, and a PR failure rate
-// quietly forces sequential instead of erroring (only an explicit
-// shard request conflicts with the shared-RNG re-stream path).
+// the selection table picks for this host.
 func TestAutoShardResolution(t *testing.T) {
 	small := MustNewFarm(DefaultFarmConfig(4))
 	if got := small.ShardCount(); got != 1 {
@@ -167,28 +165,6 @@ func TestAutoShardResolution(t *testing.T) {
 	big := MustNewFarm(DefaultFarmConfig(128))
 	if want := autoShards(128, runtime.GOMAXPROCS(0)); big.ShardCount() != want {
 		t.Errorf("128-pair auto farm resolved to %d shards, want %d", big.ShardCount(), want)
-	}
-
-	flaky := DefaultFarmConfig(128)
-	flaky.Pair.Params.PRFailureRate = 0.01
-	f, err := NewFarm(flaky)
-	if err != nil {
-		t.Fatalf("auto shards with PRFailureRate should fall back to sequential, got error: %v", err)
-	}
-	if got := f.ShardCount(); got != 1 {
-		t.Errorf("auto farm with PRFailureRate resolved to %d shards, want 1", got)
-	}
-}
-
-// TestShardedRejectsPRFailureRate pins the documented incompatibility:
-// the CRC re-stream path draws from the shared kernel RNG, which
-// per-pair kernels cannot reproduce.
-func TestShardedRejectsPRFailureRate(t *testing.T) {
-	cfg := DefaultFarmConfig(2)
-	cfg.Shards = 2
-	cfg.Pair.Params.PRFailureRate = 0.01
-	if _, err := NewFarm(cfg); err == nil {
-		t.Error("NewFarm accepted shards > 1 with a non-zero PRFailureRate")
 	}
 }
 

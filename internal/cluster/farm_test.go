@@ -41,7 +41,7 @@ func TestFarmBeatsSinglePairUnderLoad(t *testing.T) {
 	p.Apps = 40
 	seq := workload.Generate(p, 9001)
 
-	one := New(DefaultConfig())
+	one := MustNewFarm(DefaultFarmConfig(1))
 	if err := one.Inject(seq); err != nil {
 		t.Fatal(err)
 	}

@@ -132,16 +132,16 @@ func TestClusterPairPlatformAssignment(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.BasePlatform = fabric.U250Quad
 	cfg.BoostPlatform = fabric.U250Quad
-	cl := New(cfg)
-	if cl.Platform(migrate.Base).Name != fabric.U250Quad {
+	f := onePair(t, cfg)
+	if f.Pairs[0].Platform(migrate.Base).Name != fabric.U250Quad {
 		t.Fatal("base platform assignment ignored")
 	}
 	p := workload.DefaultGenParams(workload.Standard)
 	p.Apps = 6
-	if err := cl.Inject(workload.Generate(p, 9)); err != nil {
+	if err := f.Inject(workload.Generate(p, 9)); err != nil {
 		t.Fatal(err)
 	}
-	sum := cl.Run()
+	sum := f.Run()
 	if sum.Apps != 6 {
 		t.Fatalf("finished %d apps, want 6", sum.Apps)
 	}
@@ -152,7 +152,7 @@ func TestClusterPairPlatformAssignment(t *testing.T) {
 func TestClusterRejectsVirtualPairPlatform(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.BoostPlatform = fabric.ZCU216Monolithic
-	if _, err := NewCluster(cfg); err == nil {
+	if _, err := NewFarm(FarmConfig{Pair: cfg, Pairs: 1}); err == nil {
 		t.Fatal("virtual platform accepted into a switching pair")
 	}
 }

@@ -86,7 +86,7 @@ func TestShardedSpareBuiltOnFirstUse(t *testing.T) {
 // frozen, with the pair's hooks and then the build hook, and without
 // submitting a scheduler pass to the kernel.
 func TestSpareBuildSubmitsNoPass(t *testing.T) {
-	cl := New(DefaultConfig())
+	cl := onePair(t, DefaultConfig()).Pairs[0]
 	var hooked []int
 	cl.SetBuildHook(func(e *sched.Engine) { hooked = append(hooked, e.Board.ID) })
 	if cl.Built(migrate.Boost) != nil {

@@ -150,21 +150,22 @@ func TestCounterAudit(t *testing.T) {
 		}
 	}
 	t.Run("pair/chaos", func(t *testing.T) {
-		cl := cluster.New(cluster.DefaultConfig())
+		f := cluster.MustNewFarm(cluster.DefaultFarmConfig(1))
+		cl := f.Pairs[0]
 		p := workload.DefaultGenParams(workload.Stress)
 		p.Apps = 24
-		if err := cl.Inject(workload.Generate(p, 19)); err != nil {
+		if err := f.Inject(workload.Generate(p, 19)); err != nil {
 			t.Fatal(err)
 		}
 		engines := []*sched.Engine{cl.Engine(migrate.Base), cl.Engine(migrate.Boost)}
 		spec := fault.Spec{Injectors: append(chaosInjectors(),
 			fault.InjectorSpec{Kind: fault.KindCheckpoint, CheckpointBytes: 64, RestoreDelay: sim.Millisecond})}
-		tgt := &fault.Target{K: cl.K, Engines: engines, Pairs: []*cluster.Cluster{cl}, Quiescent: cl.Quiescent}
+		tgt := &fault.Target{K: f.K, Engines: engines, Pairs: f.Pairs, Farm: f, Quiescent: f.Quiescent}
 		if err := fault.Attach(tgt, spec, 23); err != nil {
 			t.Fatal(err)
 		}
-		stepAudited(t, cl.K, engines)
-		if !cl.Quiescent() {
+		stepAudited(t, f.K, engines)
+		if !f.Quiescent() {
 			t.Fatal("pair did not drain")
 		}
 		if len(cl.Migrations) == 0 {

@@ -12,12 +12,12 @@ import (
 	"versaslot/internal/sim"
 )
 
-// Target is the topology an injector perturbs: its engines, the
-// switching pairs (when the topology has them), and the farm (when it
-// is one). A single board lists its engine in Engines and leaves Pairs
-// empty; pair topologies set Pairs, whose boards — each spare built on
-// attach — take the place of Engines. Farm is nil outside the farm
-// topology.
+// Target is the topology an injector perturbs: its engines, or the
+// switching pairs of a farm. A single board lists its engine in
+// Engines and leaves Pairs and Farm nil; pair topologies (cluster and
+// farm, a cluster being a farm of one pair) set Pairs and the Farm
+// that owns them, and the pairs' boards — each spare built on attach —
+// take the place of Engines.
 type Target struct {
 	K       *sim.Kernel
 	Engines []*sched.Engine
@@ -25,17 +25,15 @@ type Target struct {
 	Farm    *cluster.Farm
 
 	// Quiescent, when set, reports whether every injected application
-	// has finished; topologies that deliver arrivals lazily (cluster,
-	// farm) must set it because their engines cannot see pending
-	// arrivals. Nil falls back to summing engine UnfinishedCounts,
+	// has finished; farms deliver arrivals lazily and must set it
+	// because their engines cannot see pending arrivals. Nil falls back to summing engine UnfinishedCounts,
 	// which is exact for the single board (apps register at inject).
 	Quiescent func() bool
 
 	// Pri is the event priority of the injector timer chains. The farm
 	// runner sets sim.PriFarmControl so fault strikes sort with the
 	// rest of the control plane (and thus land identically in sharded
-	// and sequential runs); single-board and cluster topologies leave
-	// it zero.
+	// and sequential runs); the single board leaves it zero.
 	Pri int32
 
 	// Touch, when set, stamps a pair's clock to the current control
@@ -44,8 +42,8 @@ type Target struct {
 	// fault strike and recovery must touch its pair first — a slot
 	// failure scheduled against a stale pair clock would land in the
 	// pair's past. The farm runner sets it to Farm.TouchPair; it is a
-	// no-op on sequential runs and nil for single-board and cluster
-	// topologies, whose engines share the injector kernel.
+	// no-op on sequential runs and nil for the single board, whose
+	// engine shares the injector kernel.
 	Touch func(pair int)
 }
 

@@ -178,7 +178,7 @@ func (inj *slotFail) chain(t *Target, b board, s *fabric.Slot, r *sim.RNG) {
 }
 
 // boardFail takes a whole board out: every slot fails at once and
-// recovers together. On a farm the board's pair is additionally marked
+// recovers together. A pair board's pair is additionally marked
 // degraded (PairOutage), steering the dispatcher and the rebalancer
 // around it until recovery.
 type boardFail struct {
@@ -212,7 +212,7 @@ func (inj *boardFail) chain(t *Target, b board, r *sim.RNG) {
 		for _, s := range b.engine.Board.Slots {
 			b.engine.FailSlot(s)
 		}
-		if t.Farm != nil && b.pair >= 0 {
+		if b.pair >= 0 {
 			t.Farm.PairOutage(b.pair)
 		}
 		t.K.ScheduleP(r.Exp(inj.mttr), t.Pri, repair)
@@ -222,7 +222,7 @@ func (inj *boardFail) chain(t *Target, b board, r *sim.RNG) {
 		for _, s := range b.engine.Board.Slots {
 			b.engine.RecoverSlot(s)
 		}
-		if t.Farm != nil && b.pair >= 0 {
+		if b.pair >= 0 {
 			t.Farm.PairRestored(b.pair)
 		}
 		t.K.ScheduleP(r.Exp(inj.mtbf), t.Pri, fail)
@@ -291,13 +291,7 @@ func (inj *checkpoint) Attach(t *Target, _ *sim.RNG) {
 	for _, b := range t.boards() {
 		b.engine.SetCheckpointed(true)
 	}
-	model := &migrate.CostModel{BytesPerItem: inj.bytesPerItem, RestoreDelay: inj.restore}
-	switch {
-	case t.Farm != nil:
-		t.Farm.SetMigrationCost(model)
-	default:
-		for _, p := range t.Pairs {
-			p.SetMigrationCost(model)
-		}
+	if t.Farm != nil {
+		t.Farm.SetMigrationCost(&migrate.CostModel{BytesPerItem: inj.bytesPerItem, RestoreDelay: inj.restore})
 	}
 }

@@ -30,7 +30,7 @@ type Collector struct {
 	PRBytes   int64
 	PRWait    sim.Duration
 	PRBlocked uint64 // loads that queued behind another PR
-	PRRetries uint64 // loads re-streamed after CRC failure
+	PRRetries uint64 // loads re-streamed after an injected PR fault
 
 	// Utilization time-integrals: sum over intervals of
 	// (resource in use) * dt, and the busy-only variant. LUT/FF are the

@@ -101,6 +101,10 @@ func (t *Trigger) Mode() Mode { return t.mode }
 // Last returns the most recent D_switch observation.
 func (t *Trigger) Last() float64 { return t.last }
 
+// SetMode puts the trigger in mode m without observing a sample: a
+// switch the pair refused leaves the trigger where the pair still is.
+func (t *Trigger) SetMode(m Mode) { t.mode = m }
+
 // Target returns the configuration a Switch (or Prewarm) decision aims
 // at: the opposite of the current mode.
 func (t *Trigger) Target() Mode { return t.mode.Other() }

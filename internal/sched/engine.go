@@ -353,28 +353,17 @@ func (e *Engine) RequestPR(st *appmodel.Stage, slot *fabric.Slot) {
 	e.submitPRJob(st, slot, bits, cost, 0)
 }
 
-// submitPRJob queues one PCAP streaming attempt; a CRC failure (per
-// Params.PRFailureRate) re-streams the bitstream, keeping the slot in
-// its loading state — exactly the PR server's retry path on hardware.
-// attempt counts fault-injected retries (see prFaultModel): a
-// fault-model failure backs off and re-submits up to its retry bound,
-// then abandons the placement and crash-restarts the app.
+// submitPRJob queues one PCAP streaming attempt. attempt counts
+// fault-injected retries (see prFaultModel): a fault-model failure
+// backs off and re-submits up to its retry bound, keeping the slot in
+// its loading state, then abandons the placement and crash-restarts
+// the app.
 func (e *Engine) submitPRJob(st *appmodel.Stage, slot *fabric.Slot, bits *bitstream.Bitstream, cost sim.Duration, attempt int) {
 	rt := e.rt(slot)
 	rt.prStage, rt.prBits, rt.prCost, rt.prAttempt = st, bits, cost, attempt
 	rt.prWaited = 0
 	rt.bind()
 	e.Cores.PR.SubmitPooled(bits.Name, "pr", cost, rt.prStartFn, rt.prDoneFn)
-}
-
-// prCRCRate is the per-attempt CRC failure probability, clamped so
-// retries stay finite.
-func (e *Engine) prCRCRate() float64 {
-	rate := e.Params.PRFailureRate
-	if rate > 0.95 {
-		rate = 0.95
-	}
-	return rate
 }
 
 func (rt *slotRT) prStart(wait sim.Duration) {
@@ -414,15 +403,6 @@ func (rt *slotRT) prDone() {
 			return
 		}
 		e.failPRPermanently(st, slot)
-		return
-	}
-	if rate := e.prCRCRate(); rate > 0 && e.K.RNG().Float64() < rate {
-		// CRC verification failed: the partial is re-streamed.
-		e.Col.PRRetries++
-		if e.Trace != nil {
-			e.trace("%v PR CRC retry %v -> slot %d", e.K.Now(), st, slot.ID)
-		}
-		e.submitPRJob(st, slot, bits, cost, attempt)
 		return
 	}
 	e.PCAP.RecordLoad(bits, cost, waited)

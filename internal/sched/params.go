@@ -19,12 +19,6 @@ type Params struct {
 	SDBandwidth int64
 	// CacheEntries bounds the PR server's DDR bitstream cache.
 	CacheEntries int
-	// PRFailureRate is the probability a partial reconfiguration fails
-	// the PCAP's CRC verification and must be re-streamed (transient
-	// configuration upsets; the PR server retries). 0 disables
-	// injection; the failure draw uses the simulation RNG, so runs
-	// stay deterministic per seed.
-	PRFailureRate float64
 	// FullReconfigInit is the extra cost of a full-fabric swap beyond
 	// the bitstream transfer: PS-PL bridge re-init, clock/DDR
 	// recalibration, and shell driver re-probe. Full-FPGA platforms
@@ -86,7 +80,6 @@ func DefaultParams() Params {
 		PCAPOverhead:        80 * sim.Microsecond,
 		SDBandwidth:         80 << 20,
 		CacheEntries:        64,
-		PRFailureRate:       0,
 		FullReconfigInit:    400 * sim.Millisecond,
 		FullBitstreamCached: true,
 

@@ -147,9 +147,7 @@ func (r *Runner) run(s Scenario, parallel bool, cache *sequenceCache) (*Result, 
 	switch s.Topology {
 	case TopologySingle:
 		return r.runSingle(s, seq, parallel)
-	case TopologyCluster:
-		return r.runCluster(s, seq, parallel)
-	case TopologyFarm:
+	case TopologyCluster, TopologyFarm:
 		return r.runFarm(s, seq, parallel)
 	default:
 		return nil, fmt.Errorf("versaslot: unknown topology %q", s.Topology)
@@ -303,43 +301,6 @@ func pairPlatformsOf(cl *cluster.Cluster) cluster.PairPlatforms {
 	}
 }
 
-func (r *Runner) runCluster(s Scenario, seq *workload.Sequence, parallel bool) (*Result, error) {
-	cl, err := cluster.NewCluster(s.clusterConfig())
-	if err != nil {
-		return nil, fmt.Errorf("versaslot: %w", err)
-	}
-	cl.SetBuildHook(r.boardHook(s, parallel))
-	r.observeSwitches(s.Name, cl)
-	if err := cl.Inject(seq); err != nil {
-		return nil, err
-	}
-	pairs := []*cluster.Cluster{cl}
-	if err := attachFaults(s, &fault.Target{
-		K:         cl.K,
-		Pairs:     pairs,
-		Quiescent: cl.Quiescent,
-	}); err != nil {
-		return nil, err
-	}
-	sum := cl.Run()
-	out := &Result{
-		Scenario:       s.Name,
-		Topology:       TopologyCluster,
-		Policy:         "versaslot-switching",
-		PolicyTitle:    "VersaSlot Switching",
-		Condition:      seq.Condition,
-		Seed:           s.Seed,
-		PairPlatforms:  []cluster.PairPlatforms{pairPlatformsOf(cl)},
-		Switches:       sum.Switches,
-		MeanSwitchTime: sum.MeanSwitchTime,
-		MigratedApps:   sum.MigratedApps,
-		SwitchTrace:    sum.Trace,
-	}
-	out.setMetricsMode(s)
-	out.fillFromPairs(pairs)
-	return out, nil
-}
-
 func (r *Runner) runFarm(s Scenario, seq *workload.Sequence, parallel bool) (*Result, error) {
 	f, err := cluster.NewFarm(s.farmConfig())
 	if err != nil {
@@ -406,7 +367,7 @@ func (r *Runner) runFarm(s Scenario, seq *workload.Sequence, parallel bool) (*Re
 	sum := f.Run()
 	out := &Result{
 		Scenario:          s.Name,
-		Topology:          TopologyFarm,
+		Topology:          s.Topology,
 		Policy:            "versaslot-switching",
 		PolicyTitle:       "VersaSlot Switching Farm",
 		Condition:         condition,
@@ -422,6 +383,12 @@ func (r *Runner) runFarm(s Scenario, seq *workload.Sequence, parallel bool) (*Re
 		CrossMigrations:   sum.CrossSwitches,
 		CrossMigratedApps: sum.CrossMigratedApps,
 		MeanCrossTime:     sum.MeanCrossTime,
+	}
+	if s.Topology == TopologyCluster {
+		// A cluster is a farm of one pair, labelled as the pair alone:
+		// it has no dispatcher and no per-pair breakdown.
+		out.PolicyTitle = "VersaSlot Switching"
+		out.Dispatcher, out.Routed, out.PairStats = "", nil, nil
 	}
 	out.setMetricsMode(s)
 	if orch != nil {

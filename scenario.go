@@ -25,7 +25,7 @@ const (
 	// TopologySingle is one board driven by one policy.
 	TopologySingle Topology = "single"
 	// TopologyCluster is the paper's two-board switching pair with
-	// D_switch-triggered live migration.
+	// D_switch-triggered live migration, run as a farm of one pair.
 	TopologyCluster Topology = "cluster"
 	// TopologyFarm is K switching pairs behind a least-loaded
 	// dispatcher.
@@ -120,9 +120,7 @@ type Scenario struct {
 	// sequential executor. Zero (the default) picks automatically from
 	// the online pair count and GOMAXPROCS — small farms and single-CPU
 	// hosts resolve to sequential. Farm topology only; traces and event
-	// recording are disabled like in parallel sweeps. An explicit count
-	// above one is incompatible with a non-zero params.pr_failure_rate
-	// (auto quietly falls back to sequential instead).
+	// recording are disabled like in parallel sweeps.
 	Shards int `json:"shards,omitempty"`
 	// ThresholdUp/ThresholdDown override the Schmitt-trigger levels
 	// (cluster/farm; zero means the paper's defaults).
@@ -341,8 +339,11 @@ func (s Scenario) Validate() error {
 	if s.Shards < 0 {
 		return fmt.Errorf("versaslot: negative shard count %d", s.Shards)
 	}
-	if s.Shards > 1 && s.Params != nil && s.Params.PRFailureRate > 0 {
-		return fmt.Errorf("versaslot: sharded farm execution is incompatible with pr_failure_rate > 0 (CRC re-stream draws would leave the shared kernel stream)")
+	if s.Topology != TopologySingle {
+		if pair := s.farmConfig().Pair; pair.ThresholdDown >= pair.ThresholdUp {
+			return fmt.Errorf("versaslot: threshold_down %g must be below threshold_up %g (after defaults)",
+				pair.ThresholdDown, pair.ThresholdUp)
+		}
 	}
 	if s.Dispatcher != "" {
 		if _, ok := cluster.LookupDispatcher(s.Dispatcher); !ok {
@@ -548,39 +549,26 @@ func (s Scenario) tenantSequences() ([]*workload.Sequence, error) {
 	return seqs, nil
 }
 
-// clusterConfig maps the scenario's cluster knobs onto a cluster
-// configuration.
-func (s Scenario) clusterConfig() cluster.Config {
-	cfg := cluster.DefaultConfig()
-	cfg.Seed = s.Seed
+// farmConfig maps the scenario's pair and farm knobs onto a farm
+// configuration. The cluster topology is a farm of exactly one pair.
+func (s Scenario) farmConfig() cluster.FarmConfig {
+	pair := cluster.DefaultConfig()
+	pair.Seed = s.Seed
 	if s.Params != nil {
-		cfg.Params = *s.Params
-	}
-	if len(s.PairPlatforms) > 0 {
-		cfg.BasePlatform = s.PairPlatforms[0].Base
-		cfg.BoostPlatform = s.PairPlatforms[0].Boost
+		pair.Params = *s.Params
 	}
 	if s.ThresholdUp > 0 {
-		cfg.ThresholdUp = s.ThresholdUp
+		pair.ThresholdUp = s.ThresholdUp
 	}
 	if s.ThresholdDown > 0 {
-		cfg.ThresholdDown = s.ThresholdDown
+		pair.ThresholdDown = s.ThresholdDown
 	}
 	if s.WindowUpdates > 0 {
-		cfg.WindowUpdates = s.WindowUpdates
+		pair.WindowUpdates = s.WindowUpdates
 	}
 	if s.Smoothing > 0 {
-		cfg.Smoothing = s.Smoothing
+		pair.Smoothing = s.Smoothing
 	}
-	return cfg
-}
-
-// farmConfig maps the scenario's farm knobs onto a farm configuration.
-func (s Scenario) farmConfig() cluster.FarmConfig {
-	pair := s.clusterConfig()
-	// Per-pair assignments go through FarmConfig.PairPlatforms; the
-	// shared pair config keeps the defaults.
-	pair.BasePlatform, pair.BoostPlatform = "", ""
 	cfg := cluster.FarmConfig{
 		Pair:           pair,
 		Pairs:          s.Pairs,
@@ -589,6 +577,9 @@ func (s Scenario) farmConfig() cluster.FarmConfig {
 		RebalanceEvery: s.RebalanceEvery,
 		RebalanceGap:   s.RebalanceGap,
 		Shards:         s.Shards,
+	}
+	if s.Topology == TopologyCluster {
+		cfg.Pairs = 1
 	}
 	if s.Autoscale != nil {
 		// The farm is built out to the autoscale max: Pairs is the

@@ -69,7 +69,7 @@ func TestScenarioFarmFieldsRoundTrip(t *testing.T) {
 
 func TestScenarioParamsRoundTrip(t *testing.T) {
 	params := sched.DefaultParams()
-	params.PRFailureRate = 0.01
+	params.CacheEntries = 7
 	params.HostControl = true
 	orig := versaslot.Scenario{Policy: "fcfs", Params: &params}
 	var buf bytes.Buffer
@@ -118,6 +118,9 @@ func TestScenarioValidate(t *testing.T) {
 		{"rebalance on cluster", versaslot.Scenario{Topology: versaslot.TopologyCluster, RebalanceEvery: sim.Second}, "farm-topology only"},
 		{"rebalance ok", versaslot.Scenario{Topology: versaslot.TopologyFarm, RebalanceEvery: sim.Second, RebalanceGap: 4}, ""},
 		{"negative rebalance gap", versaslot.Scenario{Topology: versaslot.TopologyFarm, RebalanceGap: -1}, "negative rebalance gap"},
+		{"threshold down above default up", versaslot.Scenario{Topology: versaslot.TopologyCluster, ThresholdDown: 0.2}, "must be below threshold_up"},
+		{"threshold down equals up", versaslot.Scenario{Topology: versaslot.TopologyFarm, ThresholdUp: 0.3, ThresholdDown: 0.3}, "must be below threshold_up"},
+		{"thresholds ok", versaslot.Scenario{Topology: versaslot.TopologyFarm, ThresholdUp: 0.3, ThresholdDown: 0.2}, ""},
 	}
 	for _, c := range cases {
 		err := c.s.Validate()
