@@ -120,16 +120,16 @@ type App struct {
 	State State
 
 	// Stages is the execution plan: per-task stages for Little slots or
-	// bundled stages for Big slots. Built by a scheduler at binding time
-	// (TaskStages/BundleStages) and may be rebuilt on rebinding (before
-	// execution starts).
-	Stages []*Stage
+	// bundled stages for Big slots. Installed by a scheduler at binding
+	// time (Install) and may be reinstalled on rebinding (before
+	// execution starts). Address stages in place: &a.Stages[i].
+	Stages []Stage
 
 	// held counts stages with a slot; unplaced counts unfinished stages
 	// without one; finished counts stages that completed the batch, and
 	// heldFinished those of them that still hold a slot.
-	// Stage.setSlot/setDone keep all four exact and setStages recounts,
-	// so schedulers read them in O(1) each pass.
+	// Stage.setSlot/setDone keep all four exact and Install resets
+	// them, so schedulers read them in O(1) each pass.
 	held, unplaced         int
 	finished, heldFinished int
 
@@ -213,26 +213,19 @@ func (a *App) TakeWake() bool {
 	return w
 }
 
-// setStages installs a freshly built execution plan and recounts.
-func (a *App) setStages(stages []*Stage) {
+// Install binds a fresh run state to every stage of plan and makes it
+// the app's execution plan: one allocation, since the definitions are
+// shared, not copied. No stage of a fresh plan holds a slot or has
+// finished an item (Batch is positive), so every stage is unplaced.
+func (a *App) Install(plan []StageDef) {
+	stages := make([]Stage, len(plan))
+	for i := range stages {
+		stages[i].App = a
+		stages[i].StageDef = &plan[i]
+	}
 	a.Stages = stages
 	a.wake = true
-	a.held, a.unplaced, a.finished, a.heldFinished = 0, 0, 0, 0
-	for _, st := range stages {
-		fin := st.Finished()
-		if fin {
-			a.finished++
-		}
-		switch {
-		case st.slot != nil:
-			a.held++
-			if fin {
-				a.heldFinished++
-			}
-		case !fin:
-			a.unplaced++
-		}
-	}
+	a.held, a.unplaced, a.finished, a.heldFinished = 0, len(plan), 0, 0
 }
 
 // Done reports whether every stage has completed every item.
@@ -244,8 +237,8 @@ func (a *App) Done() bool {
 // across all stages.
 func (a *App) RemainingItems() int {
 	rem := 0
-	for _, st := range a.Stages {
-		rem += a.Batch - st.done
+	for i := range a.Stages {
+		rem += a.Batch - a.Stages[i].done
 	}
 	return rem
 }

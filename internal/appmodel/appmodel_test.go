@@ -2,6 +2,7 @@ package appmodel
 
 import (
 	"testing"
+	"unsafe"
 
 	"versaslot/internal/fabric"
 	"versaslot/internal/sim"
@@ -46,7 +47,7 @@ func TestAppLifecycle(t *testing.T) {
 	if a.State != StatePending {
 		t.Fatal("new app not pending")
 	}
-	TaskStages(a, "Little", 1.0, func(i int) string { return "bits" })
+	a.Install(TaskPlan(a.Spec, "Little", 1.0, func(i int) string { return "bits" }))
 	if a.Done() {
 		t.Fatal("fresh app done")
 	}
@@ -80,15 +81,16 @@ func TestResponseTimePanicsUnfinished(t *testing.T) {
 
 func TestTaskStages(t *testing.T) {
 	a := NewApp(1, testSpec(10, 20, 30), 4, 0)
-	stages := TaskStages(a, "Little", 1.0, func(i int) string { return "b" })
-	if len(stages) != 3 {
+	a.Install(TaskPlan(a.Spec, "Little", 1.0, func(i int) string { return "b" }))
+	if len(a.Stages) != 3 {
 		t.Fatal("stage count")
 	}
-	for i, st := range stages {
-		if st.Index != i || st.FirstTask != i || st.TaskCount != 1 {
+	for i := range a.Stages {
+		st := &a.Stages[i]
+		if st.Index() != i || st.FirstTask() != i || st.TaskCount() != 1 {
 			t.Fatalf("stage %d identity wrong", i)
 		}
-		if st.Class != "Little" || st.Mode != NoBundle {
+		if st.Class() != "Little" || st.Mode() != NoBundle {
 			t.Fatalf("stage %d class/mode wrong", i)
 		}
 		want := a.Spec.Tasks[i].Time
@@ -100,20 +102,20 @@ func TestTaskStages(t *testing.T) {
 
 func TestTaskStagesTimeScale(t *testing.T) {
 	a := NewApp(1, testSpec(100), 1, 0)
-	stages := TaskStages(a, "Little", 0.8, func(i int) string { return "b" })
-	if stages[0].ItemTime(0) != 80*sim.Millisecond {
-		t.Fatalf("mono scaling: %v", stages[0].ItemTime(0))
+	a.Install(TaskPlan(a.Spec, "Little", 0.8, func(i int) string { return "b" }))
+	if a.Stages[0].ItemTime(0) != 80*sim.Millisecond {
+		t.Fatalf("mono scaling: %v", a.Stages[0].ItemTime(0))
 	}
 }
 
 func TestBundleStagesParallelTiming(t *testing.T) {
 	a := NewApp(1, testSpec(10, 30, 20), 8, 0)
-	stages := BundleStages(a, "Big", 3, []BundleMode{BundleParallel},
-		func(b int, m BundleMode) string { return "bundle" })
-	if len(stages) != 1 {
+	a.Install(BundlePlan(a.Spec, "Big", 3, []BundleMode{BundleParallel},
+		func(b int, m BundleMode) string { return "bundle" }))
+	if len(a.Stages) != 1 {
 		t.Fatal("bundle count")
 	}
-	st := stages[0]
+	st := &a.Stages[0]
 	ii := sim.Duration(float64(30*sim.Millisecond) * BundleParallelFactor)
 	if st.SteadyItemTime() != ii {
 		t.Fatalf("steady II %v, want %v", st.SteadyItemTime(), ii)
@@ -130,9 +132,9 @@ func TestBundleStagesParallelTiming(t *testing.T) {
 
 func TestBundleStagesSerialTiming(t *testing.T) {
 	a := NewApp(1, testSpec(10, 30, 20), 5, 0)
-	stages := BundleStages(a, "Big", 3, []BundleMode{BundleSerial},
-		func(b int, m BundleMode) string { return "bundle" })
-	st := stages[0]
+	a.Install(BundlePlan(a.Spec, "Big", 3, []BundleMode{BundleSerial},
+		func(b int, m BundleMode) string { return "bundle" }))
+	st := &a.Stages[0]
 	want := sim.Duration(float64(60*sim.Millisecond) * BundleSerialFactor)
 	if st.ItemTime(0) != want || st.SteadyItemTime() != want {
 		t.Fatalf("serial per-item %v/%v, want %v", st.ItemTime(0), st.SteadyItemTime(), want)
@@ -146,13 +148,13 @@ func TestBundleStagesValidation(t *testing.T) {
 			t.Error("indivisible bundle did not panic")
 		}
 	}()
-	BundleStages(a, "Big", 3, []BundleMode{BundleParallel}, func(int, BundleMode) string { return "" })
+	a.Install(BundlePlan(a.Spec, "Big", 3, []BundleMode{BundleParallel}, func(int, BundleMode) string { return "" }))
 }
 
 func TestNextItemReadyDependencies(t *testing.T) {
 	a := NewApp(1, testSpec(10, 20), 3, 0)
-	TaskStages(a, "Little", 1.0, func(int) string { return "b" })
-	s0, s1 := a.Stages[0], a.Stages[1]
+	a.Install(TaskPlan(a.Spec, "Little", 1.0, func(int) string { return "b" }))
+	s0, s1 := &a.Stages[0], &a.Stages[1]
 	if !s0.NextItemReady() {
 		t.Fatal("first stage should be ready")
 	}
@@ -181,11 +183,11 @@ func TestNextItemReadyDependencies(t *testing.T) {
 
 func TestStageImplRes(t *testing.T) {
 	a := NewApp(1, testSpec(10, 20, 30), 3, 0)
-	TaskStages(a, "Little", 1.0, func(int) string { return "b" })
+	a.Install(TaskPlan(a.Spec, "Little", 1.0, func(int) string { return "b" }))
 	if a.Stages[1].ImplRes() != a.Spec.Tasks[1].Impl {
 		t.Fatal("task stage resources")
 	}
-	BundleStages(a, "Big", 3, []BundleMode{BundleParallel}, func(int, BundleMode) string { return "b" })
+	a.Install(BundlePlan(a.Spec, "Big", 3, []BundleMode{BundleParallel}, func(int, BundleMode) string { return "b" }))
 	res := a.Stages[0].ImplRes()
 	rawLUT := 10000 + 20000 + 30000
 	want := int(float64(rawLUT)*0.9 + 0.5)
@@ -196,14 +198,14 @@ func TestStageImplRes(t *testing.T) {
 
 func TestResetStagesPreservesProgress(t *testing.T) {
 	a := NewApp(1, testSpec(10, 20), 4, 0)
-	TaskStages(a, "Little", 1.0, func(int) string { return "b" })
+	a.Install(TaskPlan(a.Spec, "Little", 1.0, func(int) string { return "b" }))
 	slot := &fabric.Slot{ID: 0, Class: fabric.LittleClass}
 	a.Stages[0].Attach(slot)
 	a.Stages[0].SetDone(2)
 	a.Stages[0].SetInFlight(true)
 	a.Stages[0].SetLoading(true)
 	ResetStages(a)
-	st := a.Stages[0]
+	st := &a.Stages[0]
 	if st.Slot() != nil || st.InFlight() || st.Loading() {
 		t.Fatal("runtime state not cleared")
 	}
@@ -233,8 +235,8 @@ func TestBundleTimingMatchesPaperFormula(t *testing.T) {
 
 func TestEvict(t *testing.T) {
 	a := NewApp(1, testSpec(10), 2, 0)
-	TaskStages(a, "Little", 1.0, func(int) string { return "b" })
-	st := a.Stages[0]
+	a.Install(TaskPlan(a.Spec, "Little", 1.0, func(int) string { return "b" }))
+	st := &a.Stages[0]
 	st.Attach(&fabric.Slot{})
 	st.SetLoading(true)
 	st.Evict()
@@ -250,7 +252,8 @@ func TestAppStageCounters(t *testing.T) {
 	check := func(step string) {
 		t.Helper()
 		held, unplaced := 0, 0
-		for _, st := range a.Stages {
+		for i := range a.Stages {
+			st := &a.Stages[i]
 			if st.Slot() != nil {
 				held++
 			} else if !st.Finished() {
@@ -263,9 +266,9 @@ func TestAppStageCounters(t *testing.T) {
 		}
 	}
 	check("no plan")
-	TaskStages(a, "Little", 1.0, func(int) string { return "b" })
+	a.Install(TaskPlan(a.Spec, "Little", 1.0, func(int) string { return "b" }))
 	check("built")
-	s0, s1, s2 := a.Stages[0], a.Stages[1], a.Stages[2]
+	s0, s1, s2 := &a.Stages[0], &a.Stages[1], &a.Stages[2]
 	slot := &fabric.Slot{}
 	s0.Attach(slot)
 	s0.Attach(slot) // re-attach: no double count
@@ -288,8 +291,17 @@ func TestAppStageCounters(t *testing.T) {
 	check("reset")
 	s1.Evict() // already detached: no-op
 	check("evict detached")
-	BundleStages(a, "Big", 3, []BundleMode{BundleSerial}, func(int, BundleMode) string { return "b" })
+	a.Install(BundlePlan(a.Spec, "Big", 3, []BundleMode{BundleSerial}, func(int, BundleMode) string { return "b" }))
 	check("rebuilt")
+}
+
+// TestStageSize pins a stage's per-app part at 40 bytes: everything
+// fixed lives in the shared StageDef, so an installed plan is one
+// small allocation.
+func TestStageSize(t *testing.T) {
+	if n := unsafe.Sizeof(Stage{}); n > 40 {
+		t.Fatalf("Stage is %d bytes, want <= 40", n)
+	}
 }
 
 func TestStateStrings(t *testing.T) {

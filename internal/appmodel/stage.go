@@ -35,69 +35,100 @@ func (m BundleMode) String() string {
 	}
 }
 
-// Stage is one schedulable pipeline step of an app: either a single task
-// (Little slot) or a 3-in-1 bundle (Big slot). Schedulers place stages
-// into slots, launch their items, and track completion here.
-type Stage struct {
-	App *App
-	// Index is the stage's position in the app's pipeline.
-	Index int
-	// FirstTask and TaskCount identify the member tasks
-	// (Spec.Tasks[FirstTask : FirstTask+TaskCount]).
-	FirstTask, TaskCount int
-	// Class is the slot-class name the stage's bitstream targets
-	// ("Little", "Big", "Large", ...).
-	Class string
-	// Mode is the bundle execution mode (NoBundle for task stages).
-	Mode BundleMode
-	// BitstreamName keys the repository entry to load.
-	BitstreamName string
+// StageDef is the fixed part of one pipeline step: which tasks it
+// runs, the slot class and bitstream it loads, its item times and its
+// resource usage. All of it depends only on the spec, the slot class
+// and (for bundles) the batch, so one read-only plan ([]StageDef)
+// serves every app with the same key. The fields are unexported and
+// read through accessors, so no app's stage can write into a plan
+// another app shares. TaskPlan and BundlePlan build plans; App.Install
+// binds one to an app.
+type StageDef struct {
+	index, firstTask, taskCount int
+	class                       string
+	mode                        BundleMode
+	bitName                     string
+	// timeFirst and timeRest are the per-item service times: the first
+	// item of a parallel bundle pays the pipeline fill (3*Tmax), the
+	// rest the initiation interval (Tmax). Plain stages have
+	// timeFirst == timeRest.
+	timeFirst, timeRest sim.Duration
+	impl                fabric.ResVec
+}
 
-	// done counts completed items; slot is where the stage is resident
-	// (or being loaded), nil if not placed. Both feed the owning app's
+// Index returns the stage's position in the app's pipeline.
+func (d *StageDef) Index() int { return d.index }
+
+// FirstTask returns the index of the first member task; the members
+// are Spec.Tasks[FirstTask : FirstTask+TaskCount].
+func (d *StageDef) FirstTask() int { return d.firstTask }
+
+// TaskCount returns the number of member tasks.
+func (d *StageDef) TaskCount() int { return d.taskCount }
+
+// Class returns the slot-class name the stage's bitstream targets
+// ("Little", "Big", "Large", ...).
+func (d *StageDef) Class() string { return d.class }
+
+// Mode returns the bundle execution mode (NoBundle for task stages).
+func (d *StageDef) Mode() BundleMode { return d.mode }
+
+// BitstreamName returns the repository key of the stage's bitstream.
+func (d *StageDef) BitstreamName() string { return d.bitName }
+
+// ImplRes returns the stage's post-implementation resource usage: the
+// task's own footprint for plain stages, or the eta-scaled member sum
+// for bundles (see AppSpec.EtaLUT/EtaFF).
+func (d *StageDef) ImplRes() fabric.ResVec { return d.impl }
+
+// ItemTime returns the service time of item idx (0-based).
+func (d *StageDef) ItemTime(idx int) sim.Duration {
+	if idx == 0 {
+		return d.timeFirst
+	}
+	return d.timeRest
+}
+
+// SteadyItemTime returns the steady-state initiation interval.
+func (d *StageDef) SteadyItemTime() sim.Duration { return d.timeRest }
+
+// BatchTime returns the total service time for n items back to back.
+func (d *StageDef) BatchTime(n int) sim.Duration {
+	if n <= 0 {
+		return 0
+	}
+	return d.timeFirst + sim.Duration(n-1)*d.timeRest
+}
+
+// noCopy makes go vet's copylocks check report any copy of a Stage:
+// the app's counters and the slots refer to each stage in place.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
+
+// Stage is one schedulable pipeline step of an app: either a single task
+// (Little slot) or a 3-in-1 bundle (Big slot). It pairs the shared
+// definition with this app's run state. Schedulers place stages into
+// slots, launch their items, and track completion here, always through
+// a pointer into App.Stages (&a.Stages[i]), never a copy.
+type Stage struct {
+	noCopy noCopy
+	App    *App
+	*StageDef
+
+	// slot is where the stage is resident (or being loaded), nil if not
+	// placed; done counts completed items. Both feed the owning app's
 	// held/unplaced counters, so they change only through the methods
 	// below (see App.HeldSlots).
-	done int
 	slot *fabric.Slot
+	done int
 
 	// inFlight reports whether an item is executing, loading whether a
 	// PR for this stage is in flight. Clearing either can make the stage
 	// launchable, so they too change only through the methods below,
 	// which wake the app (see App.TakeWake).
 	inFlight, loading bool
-	// LoadedAt records when the stage last became resident (for LRU
-	// style decisions and traces).
-	LoadedAt sim.Time
-
-	// timeFirst and timeRest are the per-item service times: the first
-	// item of a parallel bundle pays the pipeline fill (3*Tmax), the
-	// rest the initiation interval (Tmax). Plain stages have
-	// timeFirst == timeRest.
-	timeFirst, timeRest sim.Duration
-}
-
-// ItemTime returns the service time of item idx (0-based).
-func (s *Stage) ItemTime(idx int) sim.Duration {
-	if idx == 0 {
-		return s.timeFirst
-	}
-	return s.timeRest
-}
-
-// SteadyItemTime returns the steady-state initiation interval.
-func (s *Stage) SteadyItemTime() sim.Duration { return s.timeRest }
-
-// BatchTime returns the total service time for n items back to back.
-func (s *Stage) BatchTime(n int) sim.Duration {
-	if n <= 0 {
-		return 0
-	}
-	return s.timeFirst + sim.Duration(n-1)*s.timeRest
-}
-
-// Tasks returns the member TaskSpecs.
-func (s *Stage) Tasks() []TaskSpec {
-	return s.App.Spec.Tasks[s.FirstTask : s.FirstTask+s.TaskCount]
 }
 
 // Done returns the number of completed items.
@@ -205,11 +236,10 @@ func (s *Stage) NextItemReady() bool {
 	if s.Finished() || s.inFlight {
 		return false
 	}
-	if s.Index == 0 {
+	if s.index == 0 {
 		return true
 	}
-	prev := s.App.Stages[s.Index-1]
-	return prev.done > s.done
+	return s.App.Stages[s.index-1].done > s.done
 }
 
 // Evict detaches the stage from its slot (after preemption or when the
@@ -222,52 +252,30 @@ func (s *Stage) Evict() {
 
 // String identifies the stage in traces.
 func (s *Stage) String() string {
-	return fmt.Sprintf("%s/s%d(%s)", s.App, s.Index, s.Mode)
+	return fmt.Sprintf("%s/s%d(%s)", s.App, s.index, s.mode)
 }
 
-// ImplRes returns the stage's post-implementation resource usage: the
-// task's own footprint for plain stages, or eta-scaled member sum for
-// bundles (see AppSpec.EtaLUT/EtaFF).
-func (s *Stage) ImplRes() fabric.ResVec {
-	if s.Mode == NoBundle {
-		return s.App.Spec.Tasks[s.FirstTask].Impl
-	}
-	var sum fabric.ResVec
-	for _, t := range s.Tasks() {
-		sum = sum.Add(t.Impl)
-	}
-	sum.LUT = int(float64(sum.LUT)*s.App.Spec.EtaLUT + 0.5)
-	sum.FF = int(float64(sum.FF)*s.App.Spec.EtaFF + 0.5)
-	return sum
-}
-
-// TaskStages builds the per-task (base slot class) execution plan and
-// installs it on the app. class names the slot class every stage
-// targets; timeScale scales item times (1.0 for slot execution; the
-// exclusive baseline passes Spec.MonoFactor).
-func TaskStages(a *App, class string, timeScale float64, bitName func(task int) string) []*Stage {
-	// One contiguous backing array instead of per-stage allocations:
-	// stage plans are built on every arrival (and rebuilt on rebind),
-	// so this path is hot at farm scale.
-	backing := make([]Stage, len(a.Spec.Tasks))
-	stages := make([]*Stage, len(a.Spec.Tasks))
-	for i, t := range a.Spec.Tasks {
+// TaskPlan builds the per-task (base slot class) execution plan of
+// spec. class names the slot class every stage targets; timeScale
+// scales item times (1.0 for slot execution; the exclusive baseline
+// passes Spec.MonoFactor).
+func TaskPlan(spec *AppSpec, class string, timeScale float64, bitName func(task int) string) []StageDef {
+	plan := make([]StageDef, len(spec.Tasks))
+	for i, t := range spec.Tasks {
 		d := sim.Duration(float64(t.Time) * timeScale)
-		backing[i] = Stage{
-			App:           a,
-			Index:         i,
-			FirstTask:     i,
-			TaskCount:     1,
-			Class:         class,
-			Mode:          NoBundle,
-			BitstreamName: bitName(i),
-			timeFirst:     d,
-			timeRest:      d,
+		plan[i] = StageDef{
+			index:     i,
+			firstTask: i,
+			taskCount: 1,
+			class:     class,
+			mode:      NoBundle,
+			bitName:   bitName(i),
+			timeFirst: d,
+			timeRest:  d,
+			impl:      t.Impl,
 		}
-		stages[i] = &backing[i]
 	}
-	a.setStages(stages)
-	return stages
+	return plan
 }
 
 // Bundle timing factors: tasks fused into one 3-in-1 circuit stream
@@ -281,13 +289,13 @@ const (
 	BundleSerialFactor   = 0.80
 )
 
-// BundleStages builds the 3-in-1 (big-class slot) execution plan:
-// tasks are grouped in consecutive triples; modes selects serial or
-// parallel per bundle; class names the slot class the bundles target.
-// The task count must be divisible by the bundle size (the paper's
-// benchmark apps all are).
-func BundleStages(a *App, class string, size int, modes []BundleMode, bitName func(bundle int, m BundleMode) string) []*Stage {
-	k := len(a.Spec.Tasks)
+// BundlePlan builds the 3-in-1 (big-class slot) execution plan of
+// spec: tasks are grouped in consecutive triples; modes selects serial
+// or parallel per bundle; class names the slot class the bundles
+// target. The task count must be divisible by the bundle size (the
+// paper's benchmark apps all are).
+func BundlePlan(spec *AppSpec, class string, size int, modes []BundleMode, bitName func(bundle int, m BundleMode) string) []StageDef {
+	k := len(spec.Tasks)
 	if size <= 0 || k%size != 0 {
 		panic(fmt.Sprintf("appmodel: %d tasks not divisible by bundle size %d", k, size))
 	}
@@ -295,25 +303,25 @@ func BundleStages(a *App, class string, size int, modes []BundleMode, bitName fu
 	if len(modes) != n {
 		panic("appmodel: modes length mismatch")
 	}
-	// Contiguous backing, as in TaskStages.
-	backing := make([]Stage, n)
-	stages := make([]*Stage, n)
-	for b := 0; b < n; b++ {
-		st := &backing[b]
-		*st = Stage{
-			App:           a,
-			Index:         b,
-			FirstTask:     b * size,
-			TaskCount:     size,
-			Class:         class,
-			Mode:          modes[b],
-			BitstreamName: bitName(b, modes[b]),
+	plan := make([]StageDef, n)
+	for b := range plan {
+		d := &plan[b]
+		*d = StageDef{
+			index:     b,
+			firstTask: b * size,
+			taskCount: size,
+			class:     class,
+			mode:      modes[b],
+			bitName:   bitName(b, modes[b]),
 		}
-		st.timeFirst, st.timeRest = BundleTiming(a.Spec, size, b, modes[b])
-		stages[b] = st
+		d.timeFirst, d.timeRest = BundleTiming(spec, size, b, modes[b])
+		for _, t := range spec.Tasks[b*size : (b+1)*size] {
+			d.impl = d.impl.Add(t.Impl)
+		}
+		d.impl.LUT = int(float64(d.impl.LUT)*spec.EtaLUT + 0.5)
+		d.impl.FF = int(float64(d.impl.FF)*spec.EtaFF + 0.5)
 	}
-	a.setStages(stages)
-	return stages
+	return plan
 }
 
 // BundleTiming returns the first-item and steady-state per-item service
@@ -345,7 +353,8 @@ func BundleTiming(spec *AppSpec, size, b int, mode BundleMode) (first, rest sim.
 // (rebinding) or resumed after migration. Completed item counts are
 // preserved — live migration does not redo work.
 func ResetStages(a *App) {
-	for _, st := range a.Stages {
+	for i := range a.Stages {
+		st := &a.Stages[i]
 		st.setSlot(nil)
 		st.loading = false
 		st.inFlight = false

@@ -83,20 +83,34 @@ func SelectMode(spec *appmodel.AppSpec, b int, batch int) appmodel.BundleMode {
 	return appmodel.BundleParallel
 }
 
-// Execution-plan interning. Stage plans are pure functions of the spec
-// pointer (workload specs are shared package-level values), the target
-// slot class, and — for bundles — the batch size; at farm scale the
-// same handful of (spec, class) pairs recurs for every one of thousands
-// of arrivals, and the fmt.Sprintf bitstream names plus the mode-select
-// timing math dominated the dispatch profile. The caches below compute
-// each plan once and hand out shared read-only slices. A plain map
-// under RWMutex beats sync.Map here: struct keys box into interfaces on
-// every sync.Map lookup, which allocates on the very path this exists
-// to keep allocation-free. Growth is bounded by the (tiny) cross
-// product of distinct specs, classes, and batch sizes.
-type taskPlanKey struct {
+// Execution-plan interning. A stage plan's definitions are pure
+// functions of the spec pointer (workload specs are shared
+// package-level values), the target slot class and — for bundles — the
+// batch size; at farm scale the same handful of keys recurs for every
+// one of thousands of arrivals. The caches below build each plan when
+// the first app with its key arrives and hand out the shared read-only
+// definitions, so installing a plan on an app allocates only its
+// per-app run state (appmodel.App.Install). A plain map under RWMutex
+// beats sync.Map here: struct keys box into interfaces on every
+// sync.Map lookup, which allocates on the very path this exists to keep
+// allocation-free. Growth is bounded by the (tiny) cross product of
+// distinct specs, classes and batch sizes.
+type planKind uint8
+
+const (
+	taskPlan planKind = iota
+	bundlePlan
+	monoPlan
+)
+
+// planKey identifies one shared plan. batch is set for bundle plans
+// only (their modes depend on it), scale for monolithic plans only.
+type planKey struct {
 	spec  *appmodel.AppSpec
 	class string
+	kind  planKind
+	batch int
+	scale float64
 }
 
 type modesKey struct {
@@ -104,107 +118,89 @@ type modesKey struct {
 	batch int
 }
 
-type bundlePlanKey struct {
-	spec  *appmodel.AppSpec
-	class string
-	batch int
-}
-
 var planCache = struct {
-	mu      sync.RWMutex
-	tasks   map[taskPlanKey][]string
-	modes   map[modesKey][]appmodel.BundleMode
-	bundles map[bundlePlanKey][]string
+	mu    sync.RWMutex
+	plans map[planKey][]appmodel.StageDef
+	modes map[modesKey][]appmodel.BundleMode
 }{
-	tasks:   make(map[taskPlanKey][]string),
-	modes:   make(map[modesKey][]appmodel.BundleMode),
-	bundles: make(map[bundlePlanKey][]string),
+	plans: make(map[planKey][]appmodel.StageDef),
+	modes: make(map[modesKey][]appmodel.BundleMode),
 }
 
-// taskNames returns the interned per-task bitstream names of spec in
-// the given class. The slice is shared — callers must not mutate it.
-func taskNames(spec *appmodel.AppSpec, class string) []string {
-	key := taskPlanKey{spec, class}
+// interned returns m[key], building and storing it on a miss. When two
+// goroutines miss at once, the first stored value wins and both return
+// it, so every caller with the key sees the same shared value.
+func interned[K comparable, V any](m map[K]V, key K, build func() V) V {
 	planCache.mu.RLock()
-	names := planCache.tasks[key]
+	v, ok := m[key]
 	planCache.mu.RUnlock()
-	if names != nil {
-		return names
+	if ok {
+		return v
 	}
-	names = make([]string, len(spec.Tasks))
-	for i, t := range spec.Tasks {
-		names[i] = bitstream.TaskName(spec.Name, t.Name, class)
-	}
+	v = build()
 	planCache.mu.Lock()
-	planCache.tasks[key] = names
+	if old, ok := m[key]; ok {
+		v = old
+	} else {
+		m[key] = v
+	}
 	planCache.mu.Unlock()
-	return names
+	return v
 }
 
-// bundleNames returns the interned per-bundle bitstream names of spec
-// in the given class for the given mode selection. modes must be the
-// Modes(spec, batch) result for the batch in the key.
-func bundleNames(spec *appmodel.AppSpec, class string, batch int, modes []appmodel.BundleMode) []string {
-	key := bundlePlanKey{spec, class, batch}
-	planCache.mu.RLock()
-	names := planCache.bundles[key]
-	planCache.mu.RUnlock()
-	if names != nil {
-		return names
-	}
-	names = make([]string, len(modes))
-	for b, m := range modes {
-		tag := "par"
-		if m == appmodel.BundleSerial {
-			tag = "ser"
+// plan returns the interned plan for key.
+func plan(key planKey) []appmodel.StageDef {
+	return interned(planCache.plans, key, func() []appmodel.StageDef {
+		spec, class := key.spec, key.class
+		switch key.kind {
+		case bundlePlan:
+			return appmodel.BundlePlan(spec, class, Size, Modes(spec, key.batch), func(b int, m appmodel.BundleMode) string {
+				return bitstream.BundleName(spec.Name, b, m.String(), class)
+			})
+		case monoPlan:
+			// The monolithic design runs every task from the one
+			// full-fabric bitstream.
+			full := bitstream.FullName(spec.Name)
+			return appmodel.TaskPlan(spec, class, key.scale, func(int) string { return full })
+		default:
+			return appmodel.TaskPlan(spec, class, 1.0, func(task int) string {
+				return bitstream.TaskName(spec.Name, spec.Tasks[task].Name, class)
+			})
 		}
-		names[b] = bitstream.BundleName(spec.Name, b, tag, class)
-	}
-	planCache.mu.Lock()
-	planCache.bundles[key] = names
-	planCache.mu.Unlock()
-	return names
+	})
 }
 
 // Modes selects the execution mode of every bundle of spec for a batch.
 // The result is interned and shared across calls — treat it as
 // read-only.
 func Modes(spec *appmodel.AppSpec, batch int) []appmodel.BundleMode {
-	key := modesKey{spec, batch}
-	planCache.mu.RLock()
-	modes := planCache.modes[key]
-	planCache.mu.RUnlock()
-	if modes != nil {
+	return interned(planCache.modes, modesKey{spec, batch}, func() []appmodel.BundleMode {
+		modes := make([]appmodel.BundleMode, Count(spec))
+		for b := range modes {
+			modes[b] = SelectMode(spec, b, batch)
+		}
 		return modes
-	}
-	n := Count(spec)
-	modes = make([]appmodel.BundleMode, n)
-	for b := 0; b < n; b++ {
-		modes[b] = SelectMode(spec, b, batch)
-	}
-	planCache.mu.Lock()
-	planCache.modes[key] = modes
-	planCache.mu.Unlock()
-	return modes
+	})
 }
 
 // Build installs the bundled execution plan on app, targeting the
 // named big-role slot class.
-func Build(app *appmodel.App, class string) []*appmodel.Stage {
-	modes := Modes(app.Spec, app.Batch)
-	names := bundleNames(app.Spec, class, app.Batch, modes)
-	return appmodel.BundleStages(app, class, Size, modes, func(b int, m appmodel.BundleMode) string {
-		return names[b]
-	})
+func Build(app *appmodel.App, class string) {
+	app.Install(plan(planKey{spec: app.Spec, class: class, kind: bundlePlan, batch: app.Batch}))
 }
 
 // BuildTasks installs the per-task execution plan on app, targeting the
 // named base slot class.
-func BuildTasks(app *appmodel.App, class string) []*appmodel.Stage {
-	names := taskNames(app.Spec, class)
-	return appmodel.TaskStages(app, class, 1.0, func(task int) string {
-		return names[task]
-	})
+func BuildTasks(app *appmodel.App, class string) {
+	app.Install(plan(planKey{spec: app.Spec, class: class, kind: taskPlan}))
+}
+
+// BuildMonolithic installs the exclusive baseline's plan on app: every
+// task in the platform's base class, timed with the unpartitioned
+// implementation's Spec.MonoFactor, all loaded by one full-fabric
+// bitstream.
+func BuildMonolithic(app *appmodel.App, class string) {
+	app.Install(plan(planKey{spec: app.Spec, class: class, kind: monoPlan, scale: app.Spec.MonoFactor}))
 }
 
 // UtilGain is the Fig. 7 measurement for one application: the relative

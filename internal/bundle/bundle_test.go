@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"versaslot/internal/appmodel"
+	"versaslot/internal/bitstream"
 	"versaslot/internal/sim"
 	"versaslot/internal/workload"
 )
@@ -87,18 +88,19 @@ func TestSelectModeMatchesTotals(t *testing.T) {
 
 func TestBuildInstallsBundleStages(t *testing.T) {
 	a := appmodel.NewApp(1, workload.OF, 12, 0)
-	stages := Build(a, "Big")
-	if len(stages) != 3 {
-		t.Fatalf("OF bundle stages %d", len(stages))
+	Build(a, "Big")
+	if len(a.Stages) != 3 {
+		t.Fatalf("OF bundle stages %d", len(a.Stages))
 	}
-	for i, st := range stages {
-		if st.Class != "Big" {
+	for i := range a.Stages {
+		st := &a.Stages[i]
+		if st.Class() != "Big" {
 			t.Fatalf("bundle stage %d not Big", i)
 		}
-		if st.TaskCount != 3 || st.FirstTask != i*3 {
+		if st.TaskCount() != 3 || st.FirstTask() != i*3 {
 			t.Fatalf("bundle stage %d covers wrong tasks", i)
 		}
-		if st.BitstreamName == "" {
+		if st.BitstreamName() == "" {
 			t.Fatal("bundle stage missing bitstream")
 		}
 	}
@@ -106,13 +108,85 @@ func TestBuildInstallsBundleStages(t *testing.T) {
 
 func TestBuildLittleInstallsTaskStages(t *testing.T) {
 	a := appmodel.NewApp(1, workload.LeNet, 5, 0)
-	stages := BuildTasks(a, "Little")
-	if len(stages) != 6 {
-		t.Fatalf("LeNet task stages %d", len(stages))
+	BuildTasks(a, "Little")
+	if len(a.Stages) != 6 {
+		t.Fatalf("LeNet task stages %d", len(a.Stages))
 	}
-	for _, st := range stages {
-		if st.Class != "Little" || st.Mode != appmodel.NoBundle {
+	for i := range a.Stages {
+		st := &a.Stages[i]
+		if st.Class() != "Little" || st.Mode() != appmodel.NoBundle {
 			t.Fatal("little stage wrong class/mode")
+		}
+	}
+}
+
+// TestPlansShared checks that apps with the same plan key share one
+// set of stage definitions while each keeps its own run state, and
+// that a different batch gets its own bundle plan.
+func TestPlansShared(t *testing.T) {
+	a := appmodel.NewApp(1, workload.OF, 12, 0)
+	b := appmodel.NewApp(2, workload.OF, 12, 0)
+	c := appmodel.NewApp(3, workload.OF, 13, 0)
+	for _, build := range []func(*appmodel.App){
+		func(x *appmodel.App) { BuildTasks(x, "Little") },
+		func(x *appmodel.App) { Build(x, "Big") },
+		func(x *appmodel.App) { BuildMonolithic(x, "Little") },
+	} {
+		build(a)
+		build(b)
+		for i := range a.Stages {
+			if a.Stages[i].StageDef != b.Stages[i].StageDef {
+				t.Fatalf("stage %d: apps with the same key got separate definitions", i)
+			}
+		}
+		a.Stages[0].SetDone(1)
+		if b.Stages[0].Done() != 0 {
+			t.Fatal("run state leaked between apps sharing a plan")
+		}
+	}
+	Build(a, "Big")
+	Build(c, "Big")
+	if a.Stages[0].StageDef == c.Stages[0].StageDef {
+		t.Fatal("bundle plans of different batches share definitions")
+	}
+}
+
+// TestInstallAllocs pins installing a cached plan at one allocation:
+// the app's run-state slice, with the definitions shared.
+func TestInstallAllocs(t *testing.T) {
+	a := appmodel.NewApp(1, workload.OF, 12, 0)
+	for _, c := range []struct {
+		name  string
+		build func()
+	}{
+		{"tasks", func() { BuildTasks(a, "Little") }},
+		{"bundles", func() { Build(a, "Big") }},
+		{"monolithic", func() { BuildMonolithic(a, "Little") }},
+	} {
+		c.build()
+		if n := testing.AllocsPerRun(100, c.build); n != 1 {
+			t.Errorf("%s: installing a cached plan allocates %.0f times, want 1", c.name, n)
+		}
+	}
+}
+
+// TestBuildMonolithic checks the exclusive baseline's plan: one stage
+// per task, all loaded from the full-fabric bitstream, timed with the
+// spec's MonoFactor.
+func TestBuildMonolithic(t *testing.T) {
+	spec := workload.IC
+	a := appmodel.NewApp(1, spec, 4, 0)
+	BuildMonolithic(a, "Little")
+	if len(a.Stages) != len(spec.Tasks) {
+		t.Fatalf("IC monolithic stages %d", len(a.Stages))
+	}
+	for i := range a.Stages {
+		st := &a.Stages[i]
+		if st.BitstreamName() != bitstream.FullName(spec.Name) || st.Class() != "Little" {
+			t.Fatalf("stage %d: bitstream %q class %q", i, st.BitstreamName(), st.Class())
+		}
+		if want := sim.Duration(float64(spec.Tasks[i].Time) * spec.MonoFactor); st.ItemTime(0) != want {
+			t.Fatalf("stage %d item time %v, want %v", i, st.ItemTime(0), want)
 		}
 	}
 }

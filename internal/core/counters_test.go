@@ -38,7 +38,8 @@ func auditCounters(t *testing.T, engines []*sched.Engine) {
 		}
 		for _, a := range e.Apps {
 			held, unplaced, finished, heldFinished := 0, 0, 0, 0
-			for _, st := range a.Stages {
+			for i := range a.Stages {
+				st := &a.Stages[i]
 				if st.Finished() {
 					finished++
 				}
@@ -66,9 +67,10 @@ func auditCounters(t *testing.T, engines []*sched.Engine) {
 			if a.Woken() {
 				continue
 			}
-			for _, st := range a.Stages {
+			for i := range a.Stages {
+				st := &a.Stages[i]
 				if st.Launchable() {
-					t.Fatalf("%v app %v: stage %d launchable but the app is not woken", e.Now(), a, st.Index)
+					t.Fatalf("%v app %v: stage %d launchable but the app is not woken", e.Now(), a, st.Index())
 				}
 			}
 		}

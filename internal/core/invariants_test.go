@@ -43,7 +43,8 @@ func TestRuntimeInvariants(t *testing.T) {
 				lastTime = now
 				owners := make(map[*fabric.Slot]*appmodel.Stage)
 				for _, a := range apps {
-					for _, st := range a.Stages {
+					for i := range a.Stages {
+						st := &a.Stages[i]
 						if st.Done() < lastDone[st] {
 							t.Fatalf("%v completion count regressed", st)
 						}
@@ -51,7 +52,7 @@ func TestRuntimeInvariants(t *testing.T) {
 							t.Fatalf("%v completed more items than the batch", st)
 						}
 						lastDone[st] = st.Done()
-						if st.Index > 0 && st.Done() > a.Stages[st.Index-1].Done() {
+						if st.Index() > 0 && st.Done() > a.Stages[st.Index()-1].Done() {
 							t.Fatalf("%v ahead of its upstream stage", st)
 						}
 						if st.Slot() != nil {
@@ -59,7 +60,7 @@ func TestRuntimeInvariants(t *testing.T) {
 								t.Fatalf("slot %d double-booked by %v and %v", st.Slot().ID, prev, st)
 							}
 							owners[st.Slot()] = st
-							if st.Slot().Class.Name != st.Class {
+							if st.Slot().Class.Name != st.Class() {
 								t.Fatalf("%v resident in wrong slot class", st)
 							}
 						}

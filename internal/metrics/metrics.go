@@ -194,6 +194,16 @@ func (c *Collector) RecordResponse(s ResponseSample) {
 	c.Responses = append(c.Responses, s)
 }
 
+// Reserve makes room for n response samples in an exact-mode collector
+// that holds none yet, so a run that knows its app count up front
+// records every sample without regrowing Responses. Stream mode keeps
+// no samples and ignores it.
+func (c *Collector) Reserve(n int) {
+	if c.stream == nil && len(c.Responses) == 0 && cap(c.Responses) < n {
+		c.Responses = make([]ResponseSample, 0, n)
+	}
+}
+
 // apps counts the finished applications recorded (or absorbed).
 func (c *Collector) apps() int {
 	if c.stream != nil {

@@ -273,3 +273,34 @@ func TestAbsorbMergeRules(t *testing.T) {
 		}
 	}
 }
+
+// TestReserve checks that an empty exact-mode collector reserves room
+// for the samples a run will record, so recording them does not regrow
+// Responses, and that a collector with samples or in stream mode is
+// left alone.
+func TestReserve(t *testing.T) {
+	c := NewCollector(fabric.ResVec{LUT: 100, FF: 200})
+	c.Reserve(20)
+	if len(c.Responses) != 0 || cap(c.Responses) != 20 {
+		t.Fatalf("exact mode: len %d cap %d, want 0 and 20", len(c.Responses), cap(c.Responses))
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		c.Responses = c.Responses[:0]
+		for i := 0; i < 20; i++ {
+			c.RecordResponse(ResponseSample{AppID: i, Finish: sim.Time(i)})
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("recording the reserved samples allocated %.0f times", allocs)
+	}
+	c.Reserve(40)
+	if cap(c.Responses) != 20 {
+		t.Fatal("Reserve regrew a collector that already holds samples")
+	}
+	s := NewCollector(fabric.ResVec{LUT: 100, FF: 200})
+	s.EnableStreaming(StreamConfig{})
+	s.Reserve(20)
+	if s.Responses != nil {
+		t.Fatal("stream mode reserved samples it never keeps")
+	}
+}

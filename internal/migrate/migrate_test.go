@@ -159,7 +159,7 @@ func TestTriggerRejectsUnknownMode(t *testing.T) {
 
 func TestBuildPayload(t *testing.T) {
 	a := appmodel.NewApp(0, workload.IC, 10, 0)
-	appmodel.TaskStages(a, "Little", 1.0, func(int) string { return "b" })
+	a.Install(appmodel.TaskPlan(a.Spec, "Little", 1.0, func(int) string { return "b" }))
 	p := BuildPayload([]*appmodel.App{a})
 	want := int64(DescriptorBytes) + 10*workload.IC.ItemBytes
 	if p.Bytes != want {
@@ -178,7 +178,7 @@ func TestExecuteDeliversAndRecords(t *testing.T) {
 	k := sim.NewKernel(1)
 	link := interlink.NewDefault(k, "test")
 	a := appmodel.NewApp(0, workload.ThreeDR, 8, 0)
-	appmodel.TaskStages(a, "Little", 1.0, func(int) string { return "b" })
+	a.Install(appmodel.TaskPlan(a.Spec, "Little", 1.0, func(int) string { return "b" }))
 	a.Stages[0].SetDone(3) // progress must survive
 	a.State = appmodel.StateWaiting
 

@@ -62,8 +62,8 @@ type CostModel struct {
 func (m *CostModel) checkpointBytes(apps []*appmodel.App) int64 {
 	var bytes int64
 	for _, a := range apps {
-		for _, st := range a.Stages {
-			bytes += int64(st.Done()) * m.BytesPerItem
+		for i := range a.Stages {
+			bytes += int64(a.Stages[i].Done()) * m.BytesPerItem
 		}
 	}
 	return bytes

@@ -68,7 +68,7 @@ func TestBLRebindingMovesWaitingAppToBig(t *testing.T) {
 	// Big slots even though the Big slots were taken on its arrival.
 	rebound := false
 	for _, a := range apps[3:] {
-		if len(a.Stages) > 0 && a.Stages[0].Class == "Big" {
+		if len(a.Stages) > 0 && a.Stages[0].Class() == "Big" {
 			rebound = true
 		}
 	}
@@ -91,7 +91,7 @@ func TestEnsureProgressSwapsStarvedPipeline(t *testing.T) {
 
 	// Simulate a pathological shrink: stage 1 resident, stage 0 (the
 	// earliest unfinished) evicted, nothing runnable.
-	e.PlaceResident(a.Stages[1], e.Board.Slots[0])
+	e.PlaceResident(&a.Stages[1], e.Board.Slots[0])
 	if a.Stages[1].NextItemReady() {
 		t.Fatal("setup: stage 1 should be starved")
 	}
@@ -113,13 +113,15 @@ func TestGangNeedClamps(t *testing.T) {
 		t.Fatalf("gangNeed %d, want 8 (board cap)", got)
 	}
 	// Finished stages reduce the need.
-	for _, st := range a.Stages[:5] {
+	for i := range a.Stages[:5] {
+		st := &a.Stages[i]
 		st.SetDone(5)
 	}
 	if got := gangNeed(a, 8); got != 4 {
 		t.Fatalf("gangNeed %d after progress, want 4", got)
 	}
-	for _, st := range a.Stages {
+	for i := range a.Stages {
+		st := &a.Stages[i]
 		st.SetDone(5)
 	}
 	if got := gangNeed(a, 8); got != 1 {
@@ -133,10 +135,10 @@ func TestShrinkVictimSparesEarliestUnfinished(t *testing.T) {
 		{ID: 0, Class: fabric.LittleClass}, {ID: 1, Class: fabric.LittleClass},
 	}
 	// Stage 0 (earliest unfinished) and stage 3 both resident and idle.
-	mustResident(t, a.Stages[0], slots[0])
-	mustResident(t, a.Stages[3], slots[1])
+	mustResident(t, &a.Stages[0], slots[0])
+	mustResident(t, &a.Stages[3], slots[1])
 	v := shrinkVictim(a)
-	if v != a.Stages[3] {
+	if v != &a.Stages[3] {
 		t.Fatalf("victim %v, want the downstream stage", v)
 	}
 	// Only the earliest unfinished resident: no victim.

@@ -47,9 +47,10 @@ func TestVersaSlotBLBundleOnlyApp(t *testing.T) {
 	if n := e.UnfinishedCount(); n != 0 {
 		t.Fatalf("%d apps unfinished", n)
 	}
-	for _, st := range a.Stages {
-		if st.Class != "Big" {
-			t.Fatalf("stage %v ran in class %q, want Big", st, st.Class)
+	for i := range a.Stages {
+		st := &a.Stages[i]
+		if st.Class() != "Big" {
+			t.Fatalf("stage %v ran in class %q, want Big", st, st.Class())
 		}
 	}
 }

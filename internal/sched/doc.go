@@ -24,7 +24,12 @@
 //     (Stage.Attach); Stage.Evict and appmodel.ResetStages clear it;
 //     an item completion counts (Stage.CompleteItem); and a crash
 //     restart without a checkpoint rewinds progress (Stage.SetDone).
-//     Rebuilding a plan (bundle.Build, bundle.BuildTasks) recounts.
+//     Installing a plan (appmodel.App.Install, through bundle.Build,
+//     BuildTasks or BuildMonolithic) resets them: a fresh plan holds
+//     no slot and has finished no item. The plan's fixed part is a
+//     shared appmodel.StageDef, so an install allocates only the
+//     app's []Stage run state, and policies address stages in place
+//     (&a.Stages[i]); go vet reports any copy of a Stage.
 //
 // Within a pass, admission, top-up and Algorithm 1 change allocations
 // but never placements, so the free-slot count they share is computed
@@ -45,4 +50,10 @@
 // writers runs. Invariant: an active app whose flag is clear has no
 // stage that passes Stage.Launchable, LaunchItem's predicate;
 // TestCounterAudit checks it after every kernel event.
+//
+// Arrivals are cheap too. Algorithm 1 sizes each arriving app's task
+// and bundle pipelines (pipeline.Plan.SizeIn); the answer depends only
+// on the spec, slot class, plan kind, batch, load time and slot bound,
+// which recur across apps and runs, so sizePlan sweeps each input once
+// per process and serves it from a shared table after that.
 package sched

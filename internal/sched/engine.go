@@ -244,9 +244,12 @@ func (e *Engine) SetFrozen(v bool) {
 }
 
 // InjectSequence schedules arrival events for apps (Arrival fields are
-// absolute virtual times) through the engine's ArrivalCursor.
+// absolute virtual times) through the engine's ArrivalCursor. The
+// engine's apps are then known, so an empty exact-mode collector
+// reserves one response sample for each.
 func (e *Engine) InjectSequence(apps []*appmodel.App) {
 	e.Apps = append(e.Apps, apps...)
+	e.Col.Reserve(len(e.Apps))
 	if e.arrivals == nil {
 		e.arrivals = NewArrivalCursor(e.K, e.arrive)
 	}
@@ -318,10 +321,10 @@ func (e *Engine) Activate() {
 // mode — which is exactly how PR blocks launches there). async tags
 // the OCM round-trip of the dual-core path.
 func (e *Engine) RequestPR(st *appmodel.Stage, slot *fabric.Slot) {
-	if st.Class != slot.Class.Name {
-		panic(fmt.Sprintf("sched: stage %v class %q into slot class %q", st, st.Class, slot.Class.Name))
+	if st.Class() != slot.Class.Name {
+		panic(fmt.Sprintf("sched: stage %v class %q into slot class %q", st, st.Class(), slot.Class.Name))
 	}
-	bits := e.Repo.MustGet(st.BitstreamName)
+	bits := e.Repo.MustGet(st.BitstreamName())
 	e.evictResident(slot)
 	if err := slot.BeginLoad(st); err != nil {
 		panic(err)
@@ -332,7 +335,7 @@ func (e *Engine) RequestPR(st *appmodel.Stage, slot *fabric.Slot) {
 		e.trace("%v PR request %v -> slot %d", e.K.Now(), st, slot.ID)
 	}
 	if e.Recorder != nil {
-		e.record(trace.Event{Kind: trace.PRRequest, Slot: slot.ID, App: st.App.String(), Stage: st.Index, Item: -1})
+		e.record(trace.Event{Kind: trace.PRRequest, Slot: slot.ID, App: st.App.String(), Stage: st.Index(), Item: -1})
 	}
 	cost := e.PCAP.LoadDuration(bits)
 	if !e.Cache.Lookup(bits.Name) {
@@ -410,12 +413,11 @@ func (rt *slotRT) prDone() {
 		panic(err)
 	}
 	st.SetLoading(false)
-	st.LoadedAt = e.K.Now()
 	if e.Trace != nil {
 		e.trace("%v PR done %v -> slot %d (wait %v)", e.K.Now(), st, slot.ID, waited)
 	}
 	if e.Recorder != nil {
-		e.record(trace.Event{Kind: trace.PRDone, Slot: slot.ID, App: st.App.String(), Stage: st.Index, Item: -1, Wait: waited})
+		e.record(trace.Event{Kind: trace.PRDone, Slot: slot.ID, App: st.App.String(), Stage: st.Index(), Item: -1, Wait: waited})
 	}
 	e.beginResident(slot, st)
 	if e.Cores.Model == hypervisor.DualCore {
@@ -453,7 +455,6 @@ func (e *Engine) PlaceResident(st *appmodel.Stage, slot *fabric.Slot) {
 	}
 	st.Attach(slot)
 	st.SetLoading(false)
-	st.LoadedAt = e.K.Now()
 	e.beginResident(slot, st)
 }
 
@@ -525,7 +526,7 @@ func (rt *slotRT) runLaunch() {
 		e.trace("%v exec %v item %d on slot %d (%v)", rt.start, st, idx, rt.slot.ID, rt.dur)
 	}
 	if e.Recorder != nil {
-		e.record(trace.Event{Kind: trace.ExecStart, Slot: rt.slot.ID, App: st.App.String(), Stage: st.Index, Item: idx})
+		e.record(trace.Event{Kind: trace.ExecStart, Slot: rt.slot.ID, App: st.App.String(), Stage: st.Index(), Item: idx})
 	}
 	rt.execEv = e.K.Schedule(rt.dur, rt.execFn)
 }
@@ -541,7 +542,7 @@ func (rt *slotRT) runExec() {
 	e.Col.AccumulateBusy(st.ImplRes(), e.K.Now().Sub(rt.start))
 	st.CompleteItem()
 	if e.Recorder != nil {
-		e.record(trace.Event{Kind: trace.ExecDone, Slot: slot.ID, App: st.App.String(), Stage: st.Index, Item: idx})
+		e.record(trace.Event{Kind: trace.ExecDone, Slot: slot.ID, App: st.App.String(), Stage: st.Index(), Item: idx})
 	}
 	if !st.App.Started {
 		st.App.Started = true
@@ -561,8 +562,8 @@ func (e *Engine) Pump(a *appmodel.App) int {
 		return 0
 	}
 	n := 0
-	for _, st := range a.Stages {
-		if e.LaunchItem(st) {
+	for i := range a.Stages {
+		if e.LaunchItem(&a.Stages[i]) {
 			n++
 		}
 	}
@@ -587,7 +588,8 @@ func (e *Engine) finishApp(a *appmodel.App) {
 		e.record(trace.Event{Kind: trace.AppFinish, Slot: -1, App: a.String(), Stage: -1, Item: -1})
 	}
 	// Release any slots still holding the app's stages.
-	for _, st := range a.Stages {
+	for i := range a.Stages {
+		st := &a.Stages[i]
 		if slot := st.Slot(); slot != nil && slot.Free() {
 			e.closeResident(slot)
 			e.rt(slot).resStage = nil
@@ -624,7 +626,8 @@ func (e *Engine) finishApp(a *appmodel.App) {
 // RemoveActive detaches an app from the engine without finishing it
 // (live migration). The caller must have ensured the app holds no slots.
 func (e *Engine) RemoveActive(a *appmodel.App) {
-	for _, st := range a.Stages {
+	for i := range a.Stages {
+		st := &a.Stages[i]
 		if st.Slot() != nil {
 			panic(fmt.Sprintf("sched: migrating app %v still holds slot %d", a, st.Slot().ID))
 		}
@@ -739,9 +742,10 @@ func (e *Engine) CheckQuiescent() {
 	for _, a := range e.Apps {
 		if a.State != appmodel.StateFinished {
 			msg += fmt.Sprintf("\n  %v state=%v started=%v remaining=%d", a, a.State, a.Started, a.RemainingItems())
-			for _, st := range a.Stages {
+			for i := range a.Stages {
+				st := &a.Stages[i]
 				msg += fmt.Sprintf("\n    stage %d done=%d/%d inflight=%v loading=%v slot=%v",
-					st.Index, st.Done(), a.Batch, st.InFlight(), st.Loading(), st.Slot() != nil)
+					st.Index(), st.Done(), a.Batch, st.InFlight(), st.Loading(), st.Slot() != nil)
 			}
 		}
 	}

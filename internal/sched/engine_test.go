@@ -42,9 +42,9 @@ func newRig(t *testing.T, platform string, model hypervisor.CoreModel) *testRig 
 
 func littleApp(id int, spec *appmodel.AppSpec, batch int) *appmodel.App {
 	a := appmodel.NewApp(id, spec, batch, 0)
-	appmodel.TaskStages(a, "Little", 1.0, func(i int) string {
+	a.Install(appmodel.TaskPlan(spec, "Little", 1.0, func(i int) string {
 		return bitstream.TaskName(spec.Name, spec.Tasks[i].Name, "Little")
-	})
+	}))
 	a.State = appmodel.StateReady
 	return a
 }
@@ -53,7 +53,7 @@ func TestRequestPRLoadsStage(t *testing.T) {
 	r := newRig(t, fabric.ZCU216OnlyLittle, hypervisor.DualCore)
 	a := littleApp(1, workload.IC, 3)
 	r.engine.Apps = append(r.engine.Apps, a)
-	st := a.Stages[0]
+	st := &a.Stages[0]
 	slot := r.engine.Board.Slots[0]
 	r.engine.RequestPR(st, slot)
 	if !st.Loading() || st.Slot() != slot {
@@ -83,7 +83,7 @@ func TestRequestPRKindMismatchPanics(t *testing.T) {
 			t.Error("little stage into big slot did not panic")
 		}
 	}()
-	r.engine.RequestPR(a.Stages[0], bigSlot)
+	r.engine.RequestPR(&a.Stages[0], bigSlot)
 }
 
 // TestSingleCorePRBlocksLaunch reproduces the paper's Fig. 2 blocking:
@@ -95,11 +95,11 @@ func TestSingleCorePRBlocksLaunch(t *testing.T) {
 		r := newRig(t, fabric.ZCU216OnlyLittle, model)
 		a := littleApp(1, workload.IC, 2)
 		r.engine.Apps = append(r.engine.Apps, a)
-		st0 := a.Stages[0]
+		st0 := &a.Stages[0]
 		// Make stage 0 resident instantly, then start a long PR for
 		// stage 1 and immediately try to launch stage 0's first item.
 		r.engine.PlaceResident(st0, r.engine.Board.Slots[0])
-		r.engine.RequestPR(a.Stages[1], r.engine.Board.Slots[1])
+		r.engine.RequestPR(&a.Stages[1], r.engine.Board.Slots[1])
 		var started sim.Time
 		launched := r.engine.LaunchItem(st0)
 		if !launched {
@@ -128,12 +128,12 @@ func TestSingleCorePRBlocksLaunch(t *testing.T) {
 func TestLaunchItemGuards(t *testing.T) {
 	r := newRig(t, fabric.ZCU216OnlyLittle, hypervisor.DualCore)
 	a := littleApp(1, workload.IC, 2)
-	st := a.Stages[1] // no input available yet
+	st := &a.Stages[1] // no input available yet
 	r.engine.PlaceResident(st, r.engine.Board.Slots[0])
 	if r.engine.LaunchItem(st) {
 		t.Fatal("launched a stage with no upstream input")
 	}
-	st0 := a.Stages[0]
+	st0 := &a.Stages[0]
 	if r.engine.LaunchItem(st0) {
 		t.Fatal("launched a non-resident stage")
 	}
@@ -144,7 +144,8 @@ func TestPumpRunsWholeApp(t *testing.T) {
 	a := littleApp(1, workload.ThreeDR, 4)
 	r.engine.Apps = append(r.engine.Apps, a)
 	r.engine.Active = append(r.engine.Active, a)
-	for i, st := range a.Stages {
+	for i := range a.Stages {
+		st := &a.Stages[i]
 		r.engine.PlaceResident(st, r.engine.Board.Slots[i])
 	}
 	// Re-pump on every activation via a driving policy.
@@ -174,7 +175,7 @@ func (p *pumpPolicy) Schedule() { p.e.Pump(p.app) }
 func TestEvictionAccounting(t *testing.T) {
 	r := newRig(t, fabric.ZCU216OnlyLittle, hypervisor.DualCore)
 	a := littleApp(1, workload.IC, 5)
-	st := a.Stages[0]
+	st := &a.Stages[0]
 	r.engine.PlaceResident(st, r.engine.Board.Slots[0])
 	a.Started = true
 	r.engine.EvictStage(st)
@@ -211,8 +212,8 @@ func TestWindowCounters(t *testing.T) {
 	r := newRig(t, fabric.ZCU216OnlyLittle, hypervisor.DualCore)
 	a := littleApp(1, workload.IC, 2)
 	// Two PRs back to back: the second sees one pending load.
-	r.engine.RequestPR(a.Stages[0], r.engine.Board.Slots[0])
-	r.engine.RequestPR(a.Stages[1], r.engine.Board.Slots[1])
+	r.engine.RequestPR(&a.Stages[0], r.engine.Board.Slots[0])
+	r.engine.RequestPR(&a.Stages[1], r.engine.Board.Slots[1])
 	if r.engine.WindowPR != 2 {
 		t.Fatalf("window PR %d", r.engine.WindowPR)
 	}
@@ -233,7 +234,8 @@ func TestUtilizationIntegrals(t *testing.T) {
 	a := littleApp(1, workload.ThreeDR, 2)
 	r.engine.Apps = append(r.engine.Apps, a)
 	r.engine.Active = append(r.engine.Active, a)
-	for i, st := range a.Stages {
+	for i := range a.Stages {
+		st := &a.Stages[i]
 		r.engine.PlaceResident(st, r.engine.Board.Slots[i])
 	}
 	p := &pumpPolicy{e: r.engine, app: a}
@@ -282,7 +284,7 @@ func TestRemoveActiveRejectsSlotHolders(t *testing.T) {
 	r := newRig(t, fabric.ZCU216OnlyLittle, hypervisor.DualCore)
 	a := littleApp(1, workload.IC, 2)
 	r.engine.Active = append(r.engine.Active, a)
-	r.engine.PlaceResident(a.Stages[0], r.engine.Board.Slots[0])
+	r.engine.PlaceResident(&a.Stages[0], r.engine.Board.Slots[0])
 	defer func() {
 		if recover() == nil {
 			t.Error("RemoveActive with held slots did not panic")

@@ -1,8 +1,11 @@
 package sched
 
 import (
+	"sync"
+
 	"versaslot/internal/appmodel"
 	"versaslot/internal/bitstream"
+	"versaslot/internal/bundle"
 	"versaslot/internal/sim"
 )
 
@@ -23,6 +26,10 @@ type Exclusive struct {
 	loading  bool
 	draining bool
 	sliceEnd sim.Time
+
+	// swappedInFn is swappedIn, bound once in Init so a swap allocates
+	// no completion.
+	swappedInFn func()
 }
 
 var _ Policy = (*Exclusive)(nil)
@@ -37,6 +44,7 @@ func (x *Exclusive) Init(e *Engine) {
 		panic("sched: Exclusive requires a virtual (monolithic) platform")
 	}
 	x.e = e
+	x.swappedInFn = x.swappedIn
 }
 
 // AppArrived implements Policy.
@@ -91,7 +99,8 @@ func (x *Exclusive) Schedule() {
 }
 
 func (x *Exclusive) anyInFlight() bool {
-	for _, st := range x.current.Stages {
+	for i := range x.current.Stages {
+		st := &x.current.Stages[i]
 		if st.InFlight() {
 			return true
 		}
@@ -106,7 +115,8 @@ func (x *Exclusive) swapOut() {
 	a := x.current
 	x.current = nil
 	x.draining = false
-	for _, st := range a.Stages {
+	for i := range a.Stages {
+		st := &a.Stages[i]
 		if st.Slot() != nil && st.Slot().Free() {
 			e.EvictStage(st)
 		}
@@ -138,26 +148,42 @@ func (x *Exclusive) swapIn(a *appmodel.App) {
 		// The monolithic design runs all tasks with the unpartitioned
 		// implementation's timing advantage; stages sit in the virtual
 		// stage regions of the platform's base class.
-		appmodel.TaskStages(a, e.Board.Platform.Smallest().Name, a.Spec.MonoFactor, func(int) string {
-			return bitstream.FullName(a.Spec.Name)
-		})
+		bundle.BuildMonolithic(a, e.Board.Platform.Smallest().Name)
 	}
 	full := e.Repo.MustGet(bitstream.FullName(a.Spec.Name))
 	cost := e.FullReconfigCost(full)
 	e.Col.PRLoads++
 	e.Col.PRBytes += full.Bytes
-	e.Cores.PR.SubmitFunc("full-reconfig "+a.Spec.Name, "full-reconfig", cost, func() {
-		for i, st := range a.Stages {
-			e.PlaceResident(st, e.Board.Slots[i])
-		}
-		x.loading = false
-		x.sliceEnd = e.Now().Add(e.Params.BaselineQuantum)
-		if len(x.queue) > 0 {
-			e.K.At(x.sliceEnd, e.activateFunc())
-		}
-		e.Pump(a)
-		e.Activate()
-	})
+	e.Cores.PR.SubmitFunc(fullReconfigJob(a.Spec), "full-reconfig", cost, x.swappedInFn)
+}
+
+// swappedIn completes swapIn's reconfiguration. The app loading is
+// x.current: nothing replaces it while x.loading holds, and it holds
+// no slot a fault could crash it through.
+func (x *Exclusive) swappedIn() {
+	e, a := x.e, x.current
+	for i := range a.Stages {
+		e.PlaceResident(&a.Stages[i], e.Board.Slots[i])
+	}
+	x.loading = false
+	x.sliceEnd = e.Now().Add(e.Params.BaselineQuantum)
+	if len(x.queue) > 0 {
+		e.K.At(x.sliceEnd, e.activateFunc())
+	}
+	e.Pump(a)
+	e.Activate()
+}
+
+// fullReconfigJobs interns each spec's PR-core job name, so a swap
+// formats none.
+var fullReconfigJobs sync.Map // *appmodel.AppSpec -> string
+
+func fullReconfigJob(spec *appmodel.AppSpec) string {
+	if name, ok := fullReconfigJobs.Load(spec); ok {
+		return name.(string)
+	}
+	name, _ := fullReconfigJobs.LoadOrStore(spec, "full-reconfig "+spec.Name)
+	return name.(string)
 }
 
 // ExtractMigratable implements Policy: queued apps can move; the one

@@ -153,7 +153,8 @@ func (e *Engine) crashApp(a *appmodel.App) {
 	if e.Recorder != nil {
 		e.record(trace.Event{Kind: trace.AppArrive, Slot: -1, App: a.String() + " crash-restart", Stage: -1, Item: -1})
 	}
-	for _, st := range a.Stages {
+	for i := range a.Stages {
+		st := &a.Stages[i]
 		slot := st.Slot()
 		if slot == nil {
 			continue
@@ -194,8 +195,8 @@ func (e *Engine) crashApp(a *appmodel.App) {
 		}
 	}
 	if !e.checkpointed {
-		for _, st := range a.Stages {
-			st.SetDone(0)
+		for i := range a.Stages {
+			a.Stages[i].SetDone(0)
 		}
 	}
 	appmodel.ResetStages(a)

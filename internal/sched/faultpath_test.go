@@ -23,7 +23,7 @@ func TestFaultPathZeroAlloc(t *testing.T) {
 	cycle := func() {
 		e.FailSlot(empty)
 		e.RecoverSlot(empty)
-		e.PlaceResident(a.Stages[0], held)
+		e.PlaceResident(&a.Stages[0], held)
 		e.FailSlot(held)
 		e.RecoverSlot(held)
 		r.k.Run()
@@ -49,7 +49,7 @@ func TestPRFaultRetryZeroAlloc(t *testing.T) {
 	e.SetPRFault(1, 1<<30, sim.Millisecond, 1, sim.NewRNG(3))
 	a := littleApp(1, workload.IC, 3)
 	e.Apps = append(e.Apps, a)
-	e.RequestPR(a.Stages[0], e.Board.Slots[0])
+	e.RequestPR(&a.Stages[0], e.Board.Slots[0])
 	retry := func() {
 		before := e.Col.PRRetries
 		for e.Col.PRRetries == before {
@@ -75,7 +75,7 @@ func TestPRFaultRetryBound(t *testing.T) {
 	e.SetPRFault(1, 2, sim.Millisecond, 2, sim.NewRNG(3))
 	a := littleApp(1, workload.IC, 3)
 	e.Apps = append(e.Apps, a)
-	e.RequestPR(a.Stages[0], e.Board.Slots[0])
+	e.RequestPR(&a.Stages[0], e.Board.Slots[0])
 	for steps := 0; r.k.Step(); steps++ {
 		if steps > 1000 {
 			t.Fatalf("load still retrying after %d events (%d re-streams)", steps, e.Col.PRRetries)

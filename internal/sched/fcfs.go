@@ -110,7 +110,8 @@ func gangNeed(a *appmodel.App, boardSlots int) int {
 // the lowest-ID empty slots of the class; the caller checked that n
 // are empty.
 func placeGang(e *Engine, a *appmodel.App, class string, n int) {
-	for _, st := range a.Stages {
+	for i := range a.Stages {
+		st := &a.Stages[i]
 		if n == 0 {
 			break
 		}
@@ -129,7 +130,8 @@ func gangStarted(a *appmodel.App) bool {
 	if a.Started {
 		return true
 	}
-	for _, st := range a.Stages {
+	for i := range a.Stages {
+		st := &a.Stages[i]
 		if st.Loading() {
 			return false
 		}
@@ -147,11 +149,12 @@ func reuseForUnplaced(e *Engine, a *appmodel.App) {
 		return
 	}
 	u := nextUnplacedIdx(a, 0)
-	for _, st := range a.Stages {
+	for i := range a.Stages {
+		st := &a.Stages[i]
 		if st.Finished() && st.Slot() != nil && st.Slot().Free() {
 			slot := st.Slot()
 			e.EvictStage(st)
-			e.RequestPR(a.Stages[u], slot)
+			e.RequestPR(&a.Stages[u], slot)
 			u = nextUnplacedIdx(a, u+1)
 			if u < 0 {
 				return
@@ -162,7 +165,7 @@ func reuseForUnplaced(e *Engine, a *appmodel.App) {
 
 func nextUnplacedIdx(a *appmodel.App, from int) int {
 	for i := from; i < len(a.Stages); i++ {
-		st := a.Stages[i]
+		st := &a.Stages[i]
 		if !st.Finished() && st.Slot() == nil {
 			return i
 		}

@@ -31,9 +31,8 @@ type littleSched struct {
 	running     []lsApp
 	lastPreempt sim.Time
 
-	// Per-arrival planning scratch (the plan is consumed synchronously).
-	ev        pipeline.Eval
-	planTimes []sim.Duration
+	// ev is scratch for sizing a plan not sized before.
+	ev pipeline.Eval
 }
 
 // lsApp is one application's allocation record, moved by value from
@@ -84,25 +83,14 @@ func (l *littleSched) Name() string { return l.kind.String() }
 // AppArrived implements Policy.
 func (l *littleSched) AppArrived(a *appmodel.App) {
 	bundle.BuildTasks(a, l.class.Name)
-	plan := l.planFor(a)
 	max := l.e.Board.Count(l.class.Name)
 	if max > l.e.Params.MaxSlotsPerApp {
 		max = l.e.Params.MaxSlotsPerApp
 	}
-	opt, maxUse := plan.SizeIn(&l.ev, max)
+	load := l.e.PCAP.LoadDuration(l.e.Repo.MustGet(a.Stages[0].BitstreamName()))
+	opt, maxUse := sizePlan(&l.ev, sizeKey{spec: a.Spec, class: l.class.Name,
+		batch: a.Batch, load: load, maxSlots: max})
 	l.waiting = append(l.waiting, lsApp{a: a, opt: opt, maxUse: maxUse})
-}
-
-func (l *littleSched) planFor(a *appmodel.App) pipeline.Plan {
-	if cap(l.planTimes) < len(a.Stages) {
-		l.planTimes = make([]sim.Duration, len(a.Stages))
-	}
-	times := l.planTimes[:len(a.Stages)]
-	for i, st := range a.Stages {
-		times[i] = st.SteadyItemTime()
-	}
-	load := l.e.PCAP.LoadDuration(l.e.Repo.MustGet(a.Stages[0].BitstreamName))
-	return pipeline.Plan{StageTimes: times, Batch: a.Batch, LoadTime: load}
 }
 
 // AppFinished implements Policy.
@@ -303,7 +291,7 @@ func (l *littleSched) ExtractMigratable() []*appmodel.App {
 func (l *littleSched) AcceptMigrated(apps []*appmodel.App) {
 	for _, a := range apps {
 		// Rebuild plans against this board's parameters.
-		if len(a.Stages) == 0 || a.Stages[0].Class != l.class.Name {
+		if len(a.Stages) == 0 || a.Stages[0].Class() != l.class.Name {
 			appmodel.ResetStages(a)
 		}
 		l.AppArrived(a)
@@ -315,7 +303,8 @@ func nextUnplaced(a *appmodel.App) *appmodel.Stage {
 	if a.UnplacedStages() == 0 {
 		return nil
 	}
-	for _, st := range a.Stages {
+	for i := range a.Stages {
+		st := &a.Stages[i]
 		if !st.Finished() && st.Slot() == nil {
 			return st
 		}
@@ -324,7 +313,8 @@ func nextUnplaced(a *appmodel.App) *appmodel.Stage {
 }
 
 func earliestUnfinished(a *appmodel.App) *appmodel.Stage {
-	for _, st := range a.Stages {
+	for i := range a.Stages {
+		st := &a.Stages[i]
 		if !st.Finished() {
 			return st
 		}
@@ -342,7 +332,8 @@ func recycleFinished(e *Engine, a *appmodel.App) {
 	if a.UnplacedStages() != 0 {
 		return
 	}
-	for _, st := range a.Stages {
+	for i := range a.Stages {
+		st := &a.Stages[i]
 		if st.Finished() && st.Slot() != nil && st.Slot().Free() {
 			e.EvictStage(st)
 		}
@@ -368,7 +359,7 @@ func shrinkTo(e *Engine, a *appmodel.App, n int) {
 func shrinkVictim(a *appmodel.App) *appmodel.Stage {
 	first := earliestUnfinished(a)
 	for i := len(a.Stages) - 1; i >= 0; i-- {
-		st := a.Stages[i]
+		st := &a.Stages[i]
 		if st == first {
 			continue
 		}
@@ -390,7 +381,8 @@ func ensureProgress(e *Engine, a *appmodel.App) {
 	if first == nil || first.Slot() != nil {
 		return
 	}
-	for _, st := range a.Stages {
+	for i := range a.Stages {
+		st := &a.Stages[i]
 		if st.Slot() == nil {
 			continue
 		}
@@ -404,7 +396,7 @@ func ensureProgress(e *Engine, a *appmodel.App) {
 	}
 	slot := victim.Slot()
 	e.EvictStage(victim)
-	if slot.Class.Name == first.Class {
+	if slot.Class.Name == first.Class() {
 		e.RequestPR(first, slot)
 	}
 }

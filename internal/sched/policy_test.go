@@ -262,8 +262,9 @@ func TestVersaSlotBLBindsBundleableToBig(t *testing.T) {
 	if len(a.Stages) != 2 {
 		t.Fatalf("AN should run as 2 bundles, got %d stages", len(a.Stages))
 	}
-	for _, st := range a.Stages {
-		if st.Class != "Big" {
+	for i := range a.Stages {
+		st := &a.Stages[i]
+		if st.Class() != "Big" {
 			t.Fatal("bundleable app not bound to Big slots")
 		}
 	}
@@ -276,8 +277,9 @@ func TestVersaSlotBLSendsLeNetToLittle(t *testing.T) {
 	if len(a.Stages) != 6 {
 		t.Fatalf("LeNet should run as 6 task stages, got %d", len(a.Stages))
 	}
-	for _, st := range a.Stages {
-		if st.Class != "Little" {
+	for i := range a.Stages {
+		st := &a.Stages[i]
+		if st.Class() != "Little" {
 			t.Fatal("non-bundleable app placed in Big slots")
 		}
 	}
@@ -304,8 +306,9 @@ func TestVersaSlotBLRebinding(t *testing.T) {
 	// The run must have used both slot kinds.
 	bigUsed, littleUsed := false, false
 	for _, a := range apps {
-		for _, st := range a.Stages {
-			if st.Class == "Big" {
+		for i := range a.Stages {
+			st := &a.Stages[i]
+			if st.Class() == "Big" {
 				bigUsed = true
 			} else {
 				littleUsed = true
@@ -384,7 +387,8 @@ func TestExtractMigratableOnlyUnstarted(t *testing.T) {
 			if a.Started {
 				t.Errorf("%v migrated a started app", kind)
 			}
-			for _, st := range a.Stages {
+			for i := range a.Stages {
+				st := &a.Stages[i]
 				if st.Slot() != nil {
 					t.Errorf("%v migrated an app holding a slot", kind)
 				}

@@ -77,7 +77,8 @@ func (r *RR) Schedule() {
 	for _, ra := range r.running {
 		if ra.draining {
 			a := ra.a
-			for _, st := range a.Stages {
+			for i := range a.Stages {
+				st := &a.Stages[i]
 				if slot := st.Slot(); slot != nil && slot.Free() && !st.Loading() {
 					e.EvictStage(st)
 				}

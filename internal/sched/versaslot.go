@@ -29,10 +29,8 @@ type VersaSlotBL struct {
 
 	lastPreempt sim.Time
 
-	// Per-arrival planning scratch (plans are consumed synchronously).
-	ev        pipeline.Eval
-	planTimes []sim.Duration
-	planExtra []sim.Duration
+	// ev is scratch for sizing a plan not sized before.
+	ev pipeline.Eval
 }
 
 // blApp is one application's Algorithm 1 record, moved by value
@@ -78,15 +76,18 @@ func (v *VersaSlotBL) AppArrived(a *appmodel.App) {
 		if maxL > e.Params.MaxSlotsPerApp {
 			maxL = e.Params.MaxSlotsPerApp
 		}
-		lp := v.littlePlan(a)
-		w.optL, w.maxUseL = lp.SizeIn(&v.ev, maxL)
+		load := e.PCAP.LoadDuration(e.Repo.MustGet(
+			bitstream.TaskName(a.Spec.Name, a.Spec.Tasks[0].Name, v.little.Name)))
+		w.optL, w.maxUseL = sizePlan(&v.ev, sizeKey{spec: a.Spec, class: v.little.Name,
+			batch: a.Batch, load: load, maxSlots: maxL})
 	}
 	if bundle.CanBundleIn(a.Spec, v.big.Cap) {
 		// Big slots are scarce and already contention-optimal, so the
 		// bundle pipeline is sized for throughput: the smallest count
 		// reaching the best makespan the board allows.
-		bp := v.bigPlan(a)
-		_, w.optB = bp.SizeIn(&v.ev, e.Board.Count(v.big.Name))
+		load := e.PCAP.LoadDuration(e.Repo.MustGet(bitstream.BundleName(a.Spec.Name, 0, "par", v.big.Name)))
+		_, w.optB = sizePlan(&v.ev, sizeKey{spec: a.Spec, class: v.big.Name, bundled: true,
+			batch: a.Batch, load: load, maxSlots: e.Board.Count(v.big.Name)})
 	}
 	v.cwait = append(v.cwait, w)
 }
@@ -98,39 +99,6 @@ func (v *VersaSlotBL) fitsLittle(spec *appmodel.AppSpec) bool {
 		}
 	}
 	return true
-}
-
-func (v *VersaSlotBL) littlePlan(a *appmodel.App) pipeline.Plan {
-	if cap(v.planTimes) < len(a.Spec.Tasks) {
-		v.planTimes = make([]sim.Duration, len(a.Spec.Tasks))
-	}
-	times := v.planTimes[:len(a.Spec.Tasks)]
-	for i, t := range a.Spec.Tasks {
-		times[i] = t.Time
-	}
-	load := v.e.PCAP.LoadDuration(v.e.Repo.MustGet(
-		bitstream.TaskName(a.Spec.Name, a.Spec.Tasks[0].Name, v.little.Name)))
-	return pipeline.Plan{StageTimes: times, Batch: a.Batch, LoadTime: load}
-}
-
-func (v *VersaSlotBL) bigPlan(a *appmodel.App) pipeline.Plan {
-	modes := bundle.Modes(a.Spec, a.Batch)
-	n := len(modes)
-	if cap(v.planTimes) < n {
-		v.planTimes = make([]sim.Duration, n)
-	}
-	if cap(v.planExtra) < n {
-		v.planExtra = make([]sim.Duration, n)
-	}
-	times := v.planTimes[:n]
-	extra := v.planExtra[:n]
-	for b := 0; b < n; b++ {
-		first, rest := appmodel.BundleTiming(a.Spec, bundle.Size, b, modes[b])
-		times[b] = rest
-		extra[b] = first - rest
-	}
-	load := v.e.PCAP.LoadDuration(v.e.Repo.MustGet(bitstream.BundleName(a.Spec.Name, 0, "par", v.big.Name)))
-	return pipeline.Plan{StageTimes: times, FirstItemExtra: extra, Batch: a.Batch, LoadTime: load}
 }
 
 // AppFinished implements Policy.
@@ -264,7 +232,8 @@ func (v *VersaSlotBL) canUnbind(a *appmodel.App) bool {
 	if a.Started {
 		return false
 	}
-	for _, st := range a.Stages {
+	for i := range a.Stages {
+		st := &a.Stages[i]
 		if st.Loading() || st.InFlight() {
 			return false
 		}
@@ -273,7 +242,8 @@ func (v *VersaSlotBL) canUnbind(a *appmodel.App) bool {
 }
 
 func (v *VersaSlotBL) evictAll(a *appmodel.App) {
-	for _, st := range a.Stages {
+	for i := range a.Stages {
+		st := &a.Stages[i]
 		if st.Slot() != nil && st.Slot().Free() {
 			v.e.EvictStage(st)
 		}
