@@ -240,26 +240,36 @@ func BenchmarkFailureInjection(b *testing.B) {
 // between dispatchers at 128 pairs is policy cost, not bookkeeping.
 func BenchmarkFarmDispatch(b *testing.B) {
 	for _, pairs := range []int{8, 32, 128} {
-		p := workload.DefaultGenParams(workload.Stress)
-		p.Apps = pairs * 3
-		seq := workload.Generate(p, 4242)
 		for _, name := range cluster.DispatcherNames() {
-			b.Run(fmt.Sprintf("%s/pairs=%d", name, pairs), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					cfg := cluster.DefaultFarmConfig(pairs)
-					cfg.Dispatcher = name
-					cfg.RebalanceEvery = 2 * sim.Second
-					f := cluster.MustNewFarm(cfg)
-					if err := f.Inject(seq); err != nil {
-						b.Fatal(err)
-					}
-					sum := f.Run()
-					if sum.Apps != p.Apps {
-						b.Fatalf("finished %d of %d apps", sum.Apps, p.Apps)
-					}
-					b.ReportMetric(float64(sum.CrossSwitches), "crossMigrations")
-				}
-			})
+			b.Run(fmt.Sprintf("%s/pairs=%d", name, pairs), farmDispatchBench(name, pairs))
+		}
+	}
+}
+
+// farmStressSequence is the farm benches' stress workload, three apps
+// per pair.
+func farmStressSequence(pairs int) *workload.Sequence {
+	p := workload.DefaultGenParams(workload.Stress)
+	p.Apps = pairs * 3
+	return workload.Generate(p, 4242)
+}
+
+func farmDispatchBench(dispatcher string, pairs int) func(*testing.B) {
+	seq := farmStressSequence(pairs)
+	return func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			cfg := cluster.DefaultFarmConfig(pairs)
+			cfg.Dispatcher = dispatcher
+			cfg.RebalanceEvery = 2 * sim.Second
+			f := cluster.MustNewFarm(cfg)
+			if err := f.Inject(seq); err != nil {
+				b.Fatal(err)
+			}
+			sum := f.Run()
+			if sum.Apps != len(seq.Arrivals) {
+				b.Fatalf("finished %d of %d apps", sum.Apps, len(seq.Arrivals))
+			}
+			b.ReportMetric(float64(sum.CrossSwitches), "crossMigrations")
 		}
 	}
 }
@@ -270,31 +280,33 @@ func BenchmarkFarmDispatch(b *testing.B) {
 // goroutines. The two runs produce byte-identical summaries (pinned by
 // TestShardedMatchesSequential); only wall-clock differs. Farm
 // construction and injection run under StopTimer so the measurement
-// isolates the executor the shards parallelize; cmd/benchgate gates
-// the pairs=128 pair with a speedup floor on multi-core hosts.
+// isolates the executor the shards parallelize; TestBenchCeilings
+// holds the sharded runs to speedup floors on multi-core hosts.
 func BenchmarkFarmDispatchSharded(b *testing.B) {
 	for _, pairs := range []int{128, 1024} {
-		p := workload.DefaultGenParams(workload.Stress)
-		p.Apps = pairs * 3
-		seq := workload.Generate(p, 4242)
 		for _, shards := range []int{1, 4, 8} {
-			b.Run(fmt.Sprintf("pairs=%d/shards=%d", pairs, shards), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					cfg := cluster.DefaultFarmConfig(pairs)
-					cfg.RebalanceEvery = 2 * sim.Second
-					cfg.Shards = shards
-					f := cluster.MustNewFarm(cfg)
-					if err := f.Inject(seq); err != nil {
-						b.Fatal(err)
-					}
-					b.StartTimer()
-					sum := f.Run()
-					if sum.Apps != p.Apps {
-						b.Fatalf("finished %d of %d apps", sum.Apps, p.Apps)
-					}
-				}
-			})
+			b.Run(fmt.Sprintf("pairs=%d/shards=%d", pairs, shards), farmShardedBench(pairs, shards))
+		}
+	}
+}
+
+func farmShardedBench(pairs, shards int) func(*testing.B) {
+	seq := farmStressSequence(pairs)
+	return func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			cfg := cluster.DefaultFarmConfig(pairs)
+			cfg.RebalanceEvery = 2 * sim.Second
+			cfg.Shards = shards
+			f := cluster.MustNewFarm(cfg)
+			if err := f.Inject(seq); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			sum := f.Run()
+			if sum.Apps != len(seq.Arrivals) {
+				b.Fatalf("finished %d of %d apps", sum.Apps, len(seq.Arrivals))
+			}
 		}
 	}
 }
@@ -302,38 +314,39 @@ func BenchmarkFarmDispatchSharded(b *testing.B) {
 // BenchmarkFarmDispatchHetero prices capacity-aware dispatch on a
 // mixed-platform farm: pairs cycle ZCU216 Big.Little / U250 quad /
 // PYNQ dual, so every arrival filters pairs through the per-spec
-// eligibility cache before the dispatcher ranks them. Gated by
-// cmd/benchgate against BENCH_9.json.
+// eligibility cache before the dispatcher ranks them.
 func BenchmarkFarmDispatchHetero(b *testing.B) {
 	for _, pairs := range []int{8, 32} {
-		p := workload.DefaultGenParams(workload.Stress)
-		p.Apps = pairs * 3
-		seq := workload.Generate(p, 4242)
-		platforms := make([]cluster.PairPlatforms, pairs)
-		for i := range platforms {
-			switch i % 3 {
-			case 1:
-				platforms[i] = cluster.PairPlatforms{Base: fabric.U250Quad, Boost: fabric.U250Quad}
-			case 2:
-				platforms[i] = cluster.PairPlatforms{Base: fabric.PYNQDual, Boost: fabric.PYNQDual}
-			}
+		b.Run(fmt.Sprintf("least-loaded/pairs=%d", pairs), farmHeteroBench(pairs))
+	}
+}
+
+func farmHeteroBench(pairs int) func(*testing.B) {
+	seq := farmStressSequence(pairs)
+	platforms := make([]cluster.PairPlatforms, pairs)
+	for i := range platforms {
+		switch i % 3 {
+		case 1:
+			platforms[i] = cluster.PairPlatforms{Base: fabric.U250Quad, Boost: fabric.U250Quad}
+		case 2:
+			platforms[i] = cluster.PairPlatforms{Base: fabric.PYNQDual, Boost: fabric.PYNQDual}
 		}
-		b.Run(fmt.Sprintf("least-loaded/pairs=%d", pairs), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := cluster.DefaultFarmConfig(pairs)
-				cfg.PairPlatforms = platforms
-				cfg.RebalanceEvery = 2 * sim.Second
-				f := cluster.MustNewFarm(cfg)
-				if err := f.Inject(seq); err != nil {
-					b.Fatal(err)
-				}
-				sum := f.Run()
-				if sum.Apps != p.Apps {
-					b.Fatalf("finished %d of %d apps", sum.Apps, p.Apps)
-				}
-				b.ReportMetric(float64(sum.CrossSwitches), "crossMigrations")
+	}
+	return func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			cfg := cluster.DefaultFarmConfig(pairs)
+			cfg.PairPlatforms = platforms
+			cfg.RebalanceEvery = 2 * sim.Second
+			f := cluster.MustNewFarm(cfg)
+			if err := f.Inject(seq); err != nil {
+				b.Fatal(err)
 			}
-		})
+			sum := f.Run()
+			if sum.Apps != len(seq.Arrivals) {
+				b.Fatalf("finished %d of %d apps", sum.Apps, len(seq.Arrivals))
+			}
+			b.ReportMetric(float64(sum.CrossSwitches), "crossMigrations")
+		}
 	}
 }
 
@@ -411,7 +424,7 @@ func BenchmarkEndToEndStress(b *testing.B) {
 // stress run on a cluster with every built-in injector layered on —
 // fail/recover chains, crash-restart teardowns, PR retries, straggle
 // episodes, checkpointed resume. Paired with BenchmarkEndToEndStress
-// it bounds the chaos subsystem's overhead; benchgate pins both.
+// it bounds the chaos subsystem's overhead; TestBenchCeilings pins both.
 func BenchmarkChaosFaults(b *testing.B) {
 	sc := versaslot.Scenario{
 		Topology: versaslot.TopologyCluster, Condition: "stress", Apps: 20, Seed: 7,
@@ -441,7 +454,7 @@ func BenchmarkChaosFaults(b *testing.B) {
 // run — admission decisions, pump releases, activation latencies, and
 // drain migrations all on the coordinator kernel. Paired with
 // BenchmarkEndToEndStress it bounds the orchestrator's overhead;
-// benchgate pins it via BENCH_9.json.
+// TestBenchCeilings pins it.
 func BenchmarkAutoscaleChurn(b *testing.B) {
 	mmpp := &workload.ArrivalSpec{Process: "mmpp"}
 	sc := versaslot.Scenario{
@@ -473,30 +486,34 @@ func BenchmarkAutoscaleChurn(b *testing.B) {
 // through it — cycling the ring through many rollovers — and
 // summarizes. bytes/op is the pipeline's entire per-run allocation, so
 // it must stay flat as n grows 10x (exact mode retains 64+ bytes per
-// sample and would scale linearly); benchgate pins bytes/op and
-// allocs/op tightly at both sizes.
+// sample and would scale linearly); TestBenchCeilings pins bytes/op
+// and allocs/op tightly at both sizes.
 func BenchmarkStreamingHorizon(b *testing.B) {
 	for _, n := range []int{100000, 1000000} {
-		b.Run(fmt.Sprintf("samples=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				c := metrics.NewCollector(fabric.ResVec{LUT: 100, FF: 200})
-				c.EnableStreaming(metrics.StreamConfig{Window: 10 * sim.Second, MaxWindows: 64})
-				r := sim.NewRNG(42)
-				for j := 0; j < n; j++ {
-					rt := sim.Duration(1e6 + r.Float64()*8e8)
-					fin := sim.Time(j) * sim.Time(50*sim.Millisecond)
-					c.RecordResponse(metrics.ResponseSample{
-						AppID: j, Spec: "AN", Batch: 4,
-						Arrival: fin - sim.Time(rt), Finish: fin,
-						Response: rt, QueueDelay: rt / 8,
-					})
-				}
-				if s := c.Summarize(); s.Apps != n {
-					b.Fatalf("summarized %d of %d samples", s.Apps, n)
-				}
+		b.Run(fmt.Sprintf("samples=%d", n), streamingHorizonBench(n))
+	}
+}
+
+func streamingHorizonBench(n int) func(*testing.B) {
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			c := metrics.NewCollector(fabric.ResVec{LUT: 100, FF: 200})
+			c.EnableStreaming(metrics.StreamConfig{Window: 10 * sim.Second, MaxWindows: 64})
+			r := sim.NewRNG(42)
+			for j := 0; j < n; j++ {
+				rt := sim.Duration(1e6 + r.Float64()*8e8)
+				fin := sim.Time(j) * sim.Time(50*sim.Millisecond)
+				c.RecordResponse(metrics.ResponseSample{
+					AppID: j, Spec: "AN", Batch: 4,
+					Arrival: fin - sim.Time(rt), Finish: fin,
+					Response: rt, QueueDelay: rt / 8,
+				})
 			}
-		})
+			if s := c.Summarize(); s.Apps != n {
+				b.Fatalf("summarized %d of %d samples", s.Apps, n)
+			}
+		}
 	}
 }
 

@@ -1,0 +1,125 @@
+package versaslot_test
+
+import (
+	"flag"
+	"runtime"
+	"testing"
+)
+
+// benchCeiling pins one benchmark body (shared with its Benchmark
+// func) under explicit ceilings. allocs and bytes are the allocs/op and
+// B/op measured when the ceilings were set (go1.24.0, the highest of
+// three runs); ns is the ns/op of the earlier committed baseline on the
+// same Go version.
+type benchCeiling struct {
+	name      string
+	benchtime string
+	body      func(*testing.B)
+	ns        float64
+	allocs    int64
+	bytes     int64
+}
+
+// Heap allocation counts and bytes do not depend on the host, so their
+// ceilings are tight: 25% and 50% headroom plus half a unit of rounding
+// slack (a zero baseline admits exactly zero). ns/op varies across
+// hosts, so its 4x ceiling catches order-of-magnitude regressions, such
+// as a return to per-event heap allocation, not jitter.
+const (
+	allocsTolerance = 1.25
+	bytesTolerance  = 1.5
+	nsTolerance     = 4.0
+)
+
+// shardFloor requires the sharded farm run par to beat its sequential
+// twin seq by factor on hosts with at least minCPU CPUs; below that a
+// parallel win is impossible and the floor is unverified.
+type shardFloor struct {
+	seq, par string
+	minCPU   int
+	factor   float64
+}
+
+// TestBenchCeilings runs the substrate micro-benchmarks plus the
+// end-to-end stress, chaos-fault, farm-dispatch, sharded-farm,
+// streaming-metrics and autoscale-churn benchmarks, and fails when one
+// exceeds its allocs/op, B/op or ns/op ceiling, or when a sharded run
+// misses its speedup floor. The B/op ceilings also pin the streaming
+// pipeline's bounded memory: BenchmarkStreamingHorizon allocates the
+// same few hundred KiB for 100k and 1M samples, and a return to
+// per-sample retention fails at the million-sample size.
+func TestBenchCeilings(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation and timing figures")
+	}
+	rows := []benchCeiling{
+		{"KernelEvents", "0.5s", BenchmarkKernelEvents, 11.46, 0, 0},
+		{"ServerJobs", "0.5s", BenchmarkServerJobs, 34.35, 0, 0},
+		{"PipelineMakespan", "0.5s", BenchmarkPipelineMakespan, 5712, 24, 4144},
+		{"WorkloadGeneration", "0.5s", BenchmarkWorkloadGeneration, 1320, 9, 2240},
+		{"EndToEndStress", "2x", BenchmarkEndToEndStress, 1615970, 175, 23436},
+		{"ChaosFaults", "2x", BenchmarkChaosFaults, 2185523, 532, 59940},
+		{"FarmDispatch/least-loaded/pairs=32", "2x", farmDispatchBench("least-loaded", 32), 9236276, 1913, 334840},
+		{"FarmDispatch/least-loaded/pairs=128", "2x", farmDispatchBench("least-loaded", 128), 26659674, 4138, 1193640},
+		{"FarmDispatchHetero/least-loaded/pairs=32", "2x", farmHeteroBench(32), 6643518, 1973, 299128},
+		{"FarmDispatchSharded/pairs=128/shards=1", "2x", farmShardedBench(128, 1), 27874166, 1919, 422104},
+		{"FarmDispatchSharded/pairs=128/shards=4", "2x", farmShardedBench(128, 4), 18222972, 2073, 430384},
+		{"FarmDispatchSharded/pairs=128/shards=8", "2x", farmShardedBench(128, 8), 18520900, 2093, 433584},
+		{"FarmDispatchSharded/pairs=1024/shards=1", "2x", farmShardedBench(1024, 1), 227557740, 5036, 2643048},
+		{"FarmDispatchSharded/pairs=1024/shards=4", "2x", farmShardedBench(1024, 4), 178955198, 5183, 2662848},
+		{"FarmDispatchSharded/pairs=1024/shards=8", "2x", farmShardedBench(1024, 8), 180673462, 5195, 2663344},
+		{"StreamingHorizon/samples=100000", "2x", streamingHorizonBench(100000), 4751190, 367, 535760},
+		{"StreamingHorizon/samples=1000000", "2x", streamingHorizonBench(1000000), 33475044, 398, 630992},
+		{"AutoscaleChurn", "4x", BenchmarkAutoscaleChurn, 4263075, 1100, 243350},
+	}
+	floors := []shardFloor{
+		{"FarmDispatchSharded/pairs=128/shards=1", "FarmDispatchSharded/pairs=128/shards=4", 4, 2.0},
+		{"FarmDispatchSharded/pairs=1024/shards=1", "FarmDispatchSharded/pairs=1024/shards=8", 8, 3.0},
+	}
+
+	benchtime := flag.Lookup("test.benchtime").Value
+	saved := benchtime.String()
+	t.Cleanup(func() { benchtime.Set(saved) })
+
+	nsPerOp := make(map[string]float64, len(rows))
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			if err := benchtime.Set(row.benchtime); err != nil {
+				t.Fatal(err)
+			}
+			r := testing.Benchmark(row.body)
+			if r.N == 0 {
+				t.Fatal("benchmark failed")
+			}
+			allocs, bytes := r.AllocsPerOp(), r.AllocedBytesPerOp()
+			ns, nsLimit := float64(r.T.Nanoseconds())/float64(r.N), row.ns*nsTolerance
+			nsPerOp[row.name] = ns
+			t.Logf("%.0f ns/op (%.2fx of %g), %d allocs/op, %d B/op", ns, ns/row.ns, row.ns, allocs, bytes)
+			if ns > nsLimit {
+				t.Errorf("%.0f ns/op exceeds the %.0f ns/op ceiling (%g x%.1f)", ns, nsLimit, row.ns, nsTolerance)
+			}
+			if limit := float64(row.allocs)*allocsTolerance + 0.5; float64(allocs) > limit {
+				t.Errorf("%d allocs/op exceeds the %.1f allocs/op ceiling (%d x%.2f)", allocs, limit, row.allocs, allocsTolerance)
+			}
+			if limit := float64(row.bytes)*bytesTolerance + 0.5; float64(bytes) > limit {
+				t.Errorf("%d B/op exceeds the %.0f B/op ceiling (%d x%.2f)", bytes, limit, row.bytes, bytesTolerance)
+			}
+		})
+	}
+
+	cpus := runtime.NumCPU()
+	for _, fl := range floors {
+		if cpus < fl.minCPU {
+			t.Logf("%s: x%.1f speedup floor unverified (%d CPUs, needs %d)", fl.par, fl.factor, cpus, fl.minCPU)
+			continue
+		}
+		seq, par := nsPerOp[fl.seq], nsPerOp[fl.par]
+		if seq == 0 || par == 0 {
+			t.Errorf("%s: speedup floor needs %s and %s measured", fl.par, fl.seq, fl.par)
+			continue
+		}
+		if got := seq / par; got < fl.factor {
+			t.Errorf("%s: x%.2f over sequential, below the x%.1f floor", fl.par, got, fl.factor)
+		}
+	}
+}

@@ -2,7 +2,9 @@
 // policy, a congestion condition (or a workload file), an arrival
 // process, and a seed, printing the run summary the paper's metrics
 // are built from. Any run is reproducible from a JSON scenario
-// artifact, and the suite subcommand runs a whole catalog of them.
+// artifact. The suite subcommand runs a whole catalog of them, bench
+// regenerates the paper's evaluation figures, and workload generates
+// and prints workload sequence files.
 //
 // Usage:
 //
@@ -23,6 +25,12 @@
 //	          [-blockprofile block.out] [-mutexprofile mutex.out]
 //	          [-dump-scenario file.json] [-v]
 //	versaslot suite [-dir scenarios] [-out report.md] [-apps-cap N]
+//	versaslot bench [-quick] [-fig 2|5|6|7|8|sweep|util|all] [-seqs N]
+//	                [-apps N] [-csv dir]
+//	versaslot workload gen [-condition standard] [-apps 20] [-seed 1]
+//	                       [-arrival poisson] [-arrival-json '{...}']
+//	                       [-o file.json]
+//	versaslot workload show file.json
 //	versaslot -policy list
 //	versaslot -platform list
 //	versaslot -dispatcher list
@@ -51,9 +59,18 @@ import (
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "suite" {
-		runSuite(os.Args[2:])
-		return
+	if len(os.Args) > 1 {
+		switch os.Args[1] {
+		case "suite":
+			runSuite(os.Args[2:])
+			return
+		case "bench":
+			runBench(os.Stdout, os.Args[2:])
+			return
+		case "workload":
+			runWorkload(os.Args[2:])
+			return
+		}
 	}
 	scenarioFile := flag.String("scenario", "", "JSON scenario file (overrides all other flags)")
 	topology := flag.String("topology", "single", "system shape: single|cluster|farm")
@@ -87,32 +104,18 @@ func main() {
 	verbose := flag.Bool("v", false, "print per-application response times")
 	flag.Parse()
 
-	if *policy == "list" {
-		fmt.Println("registered policies:")
-		for _, name := range versaslot.Policies() {
-			fmt.Printf("  %-14s %s\n", name, versaslot.PolicyTitle(name))
-		}
+	switch {
+	case *policy == "list":
+		printRegistry("policies", versaslot.Policies(), versaslot.PolicyTitle)
 		return
-	}
-	if *dispatcher == "list" {
-		fmt.Println("registered dispatchers:")
-		for _, name := range versaslot.Dispatchers() {
-			fmt.Printf("  %-14s %s\n", name, versaslot.DispatcherTitle(name))
-		}
+	case *dispatcher == "list":
+		printRegistry("dispatchers", versaslot.Dispatchers(), versaslot.DispatcherTitle)
 		return
-	}
-	if *arrival == "list" {
-		fmt.Println("registered arrival processes:")
-		for _, name := range versaslot.ArrivalProcesses() {
-			fmt.Printf("  %-14s %s\n", name, versaslot.ArrivalProcessTitle(name))
-		}
+	case *arrival == "list":
+		printRegistry("arrival processes", versaslot.ArrivalProcesses(), versaslot.ArrivalProcessTitle)
 		return
-	}
-	if *faultKind == "list" {
-		fmt.Println("registered fault injectors:")
-		for _, name := range versaslot.FaultInjectors() {
-			fmt.Printf("  %-14s %s\n", name, versaslot.FaultInjectorTitle(name))
-		}
+	case *faultKind == "list":
+		printRegistry("fault injectors", versaslot.FaultInjectors(), versaslot.FaultInjectorTitle)
 		return
 	}
 	if *platform == "list" {
@@ -155,8 +158,8 @@ func main() {
 			RebalanceEvery: *rebalanceEvery,
 			RebalanceGap:   *rebalanceGap,
 			Shards:         *shards,
-			Tenants:        parseTenantsFlag(*tenantsJSON),
-			Autoscale:      parseAutoscaleFlag(*autoscaleJSON),
+			Tenants:        parseJSONFlag[[]orchestrator.TenantSpec]("tenants", *tenantsJSON),
+			Autoscale:      parseJSONFlag[*orchestrator.AutoscaleSpec]("autoscale", *autoscaleJSON),
 			Faults:         parseFaultFlags(*faultKind, *faultJSON),
 			Metrics:        parseMetricsFlags(*stream, *window, *maxWindows, *timeseriesCSV != ""),
 		}
@@ -352,6 +355,14 @@ func main() {
 	}
 }
 
+// printRegistry lists a registry's names with their titles.
+func printRegistry(kind string, names []string, title func(string) string) {
+	fmt.Printf("registered %s:\n", kind)
+	for _, name := range names {
+		fmt.Printf("  %-14s %s\n", name, title(name))
+	}
+}
+
 // writeRuntimeProfile dumps one named runtime profile ("block",
 // "mutex") collected over the run.
 func writeRuntimeProfile(name, path string) {
@@ -450,31 +461,18 @@ func writeTimeSeriesCSV(path string, ts []metrics.WindowStat) error {
 	return os.WriteFile(path, []byte(b.String()), 0o644)
 }
 
-// parseTenantsFlag decodes the -tenants inline JSON array; validation
-// happens with the rest of the scenario.
-func parseTenantsFlag(inline string) []orchestrator.TenantSpec {
+// parseJSONFlag decodes an inline-JSON flag (-tenants, -autoscale);
+// an empty flag leaves the zero value. Validation happens with the
+// rest of the scenario.
+func parseJSONFlag[T any](name, inline string) (v T) {
 	if inline == "" {
-		return nil
+		return v
 	}
-	var tenants []orchestrator.TenantSpec
-	if err := json.Unmarshal([]byte(inline), &tenants); err != nil {
-		fmt.Fprintln(os.Stderr, "versaslot: -tenants:", err)
+	if err := json.Unmarshal([]byte(inline), &v); err != nil {
+		fmt.Fprintf(os.Stderr, "versaslot: -%s: %v\n", name, err)
 		os.Exit(2)
 	}
-	return tenants
-}
-
-// parseAutoscaleFlag decodes the -autoscale inline JSON spec.
-func parseAutoscaleFlag(inline string) *orchestrator.AutoscaleSpec {
-	if inline == "" {
-		return nil
-	}
-	var spec orchestrator.AutoscaleSpec
-	if err := json.Unmarshal([]byte(inline), &spec); err != nil {
-		fmt.Fprintln(os.Stderr, "versaslot: -autoscale:", err)
-		os.Exit(2)
-	}
-	return &spec
+	return v
 }
 
 // parseArrivalFlags builds the scenario's arrival block from the

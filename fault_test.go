@@ -175,6 +175,33 @@ func TestChaosAllInjectorsDrain(t *testing.T) {
 	}
 }
 
+// TestBaselineFaultsDrain runs the exclusive baseline through slot,
+// board and straggler faults. A slot can fail while the baseline's full
+// reconfiguration is in flight; the loading app must hold no slot then,
+// or its crash-restart clears the app the reconfiguration completes.
+func TestBaselineFaultsDrain(t *testing.T) {
+	faults := &fault.Spec{Injectors: []fault.InjectorSpec{
+		{Kind: "slot-fail", MTBF: 2 * sim.Second, MTTR: 200 * sim.Millisecond},
+		{Kind: "board-fail", MTBF: 5 * sim.Second, MTTR: 300 * sim.Millisecond},
+		{Kind: "straggler", MTBF: 3 * sim.Second, MTTR: 300 * sim.Millisecond, Factor: 2},
+	}}
+	r := versaslot.NewRunner()
+	for _, cond := range []string{"stress", "standard"} {
+		for seed := uint64(1); seed <= 8; seed++ {
+			sc := versaslot.Scenario{Policy: "baseline", Condition: cond, Apps: 20, Seed: seed, Faults: faults}
+			t.Run(fmt.Sprintf("%s/seed=%d", cond, seed), func(t *testing.T) {
+				res, err := r.Run(sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Summary.Apps != sc.Apps {
+					t.Fatalf("finished %d of %d apps", res.Summary.Apps, sc.Apps)
+				}
+			})
+		}
+	}
+}
+
 // TestChaosTraceSeesFaults checks that the fault paths still reach an
 // attached trace and recorder: their arguments are built only behind a
 // sink check, so a check that tested the wrong sink would silence them.

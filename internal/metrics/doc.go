@@ -1,8 +1,10 @@
 // Package metrics collects and summarizes the quantities the paper
 // evaluates: per-application response times (averages and P50/P95/P99
-// tail latencies, Figs. 5-6), LUT/FF utilization time-integrals
-// (Fig. 7 and the headline +35%/+29% claim), PR-contention counters
-// feeding the D_switch metric, and migration accounting (Fig. 8).
+// tail latencies, Figs. 5-6), LUT/FF utilization time-integrals over
+// whole runs, PR-contention counters feeding the D_switch metric, and
+// migration accounting (Fig. 8). The paper's headline +35%/+29%
+// utilization claim is Fig. 7's per-task bundling gain, computed
+// statically in internal/experiments, not from these integrals.
 //
 // Summarize reuses a scratch buffer per Collector, so warm summaries
 // allocate nothing.

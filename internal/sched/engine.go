@@ -479,6 +479,23 @@ func (e *Engine) EvictStage(st *appmodel.Stage) {
 	}
 }
 
+// scrubStage detaches st, resident and idle, from its failed slot and
+// force-empties the dead region (Clear never accepts a failed slot).
+// Only the exclusive baseline's swap-out uses it; it counts no
+// preemption, since the region, not the scheduler, took the stage off.
+func (e *Engine) scrubStage(st *appmodel.Stage) {
+	slot := st.Slot()
+	if !slot.Failed() || slot.State() != fabric.SlotLoaded {
+		panic(fmt.Sprintf("sched: scrubbing stage %v from slot %d in state %v (failed %t)", st, slot.ID, slot.State(), slot.Failed()))
+	}
+	e.closeResident(slot)
+	e.rt(slot).resStage = nil
+	st.Evict()
+	if err := slot.Scrub(); err != nil {
+		panic(err)
+	}
+}
+
 // LaunchItem reserves slot occupancy for st's next item and queues the
 // launch on the scheduler core. The slot turns Busy immediately (it is
 // committed), but execution begins only when the core gets to the

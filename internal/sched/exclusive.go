@@ -109,16 +109,21 @@ func (x *Exclusive) anyInFlight() bool {
 }
 
 // swapOut evicts the current app (its DDR state persists; batch
-// progress is kept) and re-queues it at the tail.
+// progress is kept) and re-queues it at the tail. Every stage leaves
+// its slot, a failed one included, so a queued app holds no slot.
 func (x *Exclusive) swapOut() {
 	e := x.e
 	a := x.current
 	x.current = nil
 	x.draining = false
 	for i := range a.Stages {
-		st := &a.Stages[i]
-		if st.Slot() != nil && st.Slot().Free() {
+		switch st := &a.Stages[i]; {
+		case st.Slot() == nil:
+		case st.Slot().Free():
 			e.EvictStage(st)
+		default:
+			// swappedIn places stages on failed slots too.
+			e.scrubStage(st)
 		}
 	}
 	a.State = appmodel.StateWaiting
@@ -159,7 +164,8 @@ func (x *Exclusive) swapIn(a *appmodel.App) {
 
 // swappedIn completes swapIn's reconfiguration. The app loading is
 // x.current: nothing replaces it while x.loading holds, and it holds
-// no slot a fault could crash it through.
+// no slot a fault could crash it through (swapOut and crashApp both
+// detach every stage before an app is queued again).
 func (x *Exclusive) swappedIn() {
 	e, a := x.e, x.current
 	for i := range a.Stages {

@@ -110,18 +110,18 @@ func newSequenceCache() *sequenceCache {
 // scenario's own resolution.
 func (c *sequenceCache) sequence(s Scenario) (*workload.Sequence, error) {
 	if c == nil {
-		return s.sequence()
+		return s.Sequence()
 	}
 	key, ok := s.workloadKey()
 	if !ok {
-		return s.sequence()
+		return s.Sequence()
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if seq, hit := c.m[key]; hit {
 		return seq, nil
 	}
-	seq, err := s.sequence()
+	seq, err := s.Sequence()
 	if err != nil {
 		return nil, err
 	}

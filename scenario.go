@@ -405,6 +405,16 @@ func (s Scenario) Validate() error {
 		if err := s.Faults.Validate(); err != nil {
 			return fmt.Errorf("versaslot: %w", err)
 		}
+		// The baseline's full reconfiguration never streams partial
+		// bitstreams, so a pr-flaky injector would be silently ignored.
+		if reg, ok := sched.Lookup(s.Policy); ok && reg.Kind == sched.KindBaseline {
+			for _, inj := range s.Faults.Injectors {
+				if r, ok := fault.Lookup(inj.Kind); ok && r.Name == fault.KindPRFlaky {
+					return fmt.Errorf("versaslot: the %s injector does not apply to policy %q (its full reconfiguration streams no partial bitstreams)",
+						fault.KindPRFlaky, s.Policy)
+				}
+			}
+		}
 	}
 	if s.Metrics != nil {
 		switch s.Metrics.Mode {
@@ -478,9 +488,10 @@ func (s Scenario) workloadKey() (workloadKey, bool) {
 	return key, true
 }
 
-// sequence resolves the scenario's workload: inline sequence, file, or
-// condition-driven generation.
-func (s Scenario) sequence() (*workload.Sequence, error) {
+// Sequence resolves the scenario's workload: inline sequence, file, or
+// condition-driven generation. It reads the fields as set; Run fills
+// the defaults first.
+func (s Scenario) Sequence() (*workload.Sequence, error) {
 	if s.Workload != nil {
 		return s.Workload, nil
 	}

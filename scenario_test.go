@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"versaslot"
+	"versaslot/internal/fault"
 	"versaslot/internal/sched"
 	"versaslot/internal/sim"
 	"versaslot/internal/workload"
@@ -121,6 +122,7 @@ func TestScenarioValidate(t *testing.T) {
 		{"threshold down above default up", versaslot.Scenario{Topology: versaslot.TopologyCluster, ThresholdDown: 0.2}, "must be below threshold_up"},
 		{"threshold down equals up", versaslot.Scenario{Topology: versaslot.TopologyFarm, ThresholdUp: 0.3, ThresholdDown: 0.3}, "must be below threshold_up"},
 		{"thresholds ok", versaslot.Scenario{Topology: versaslot.TopologyFarm, ThresholdUp: 0.3, ThresholdDown: 0.2}, ""},
+		{"pr-flaky on baseline", versaslot.Scenario{Policy: "baseline", Faults: &fault.Spec{Injectors: []fault.InjectorSpec{{Kind: "flaky-pr", Rate: 0.3}}}}, "does not apply to policy"},
 	}
 	for _, c := range cases {
 		err := c.s.Validate()
