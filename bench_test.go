@@ -280,7 +280,7 @@ func farmDispatchBench(dispatcher string, pairs int) func(*testing.B) {
 // goroutines. The two runs produce byte-identical summaries (pinned by
 // TestShardedMatchesSequential); only wall-clock differs. Farm
 // construction and injection run under StopTimer so the measurement
-// isolates the executor the shards parallelize; TestBenchCeilings
+// isolates the executor the shards parallelize; BenchmarkCeilings
 // holds the sharded runs to speedup floors on multi-core hosts.
 func BenchmarkFarmDispatchSharded(b *testing.B) {
 	for _, pairs := range []int{128, 1024} {

@@ -140,8 +140,7 @@ func main() {
 		var err error
 		sc, err = versaslot.LoadScenario(*scenarioFile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "versaslot:", err)
-			os.Exit(1)
+			exitErr(1, err)
 		}
 	} else {
 		sc = versaslot.Scenario{
@@ -179,15 +178,13 @@ func main() {
 			}
 		}
 		if err := sc.Validate(); err != nil {
-			fmt.Fprintln(os.Stderr, "versaslot:", err)
-			os.Exit(2)
+			exitErr(2, err)
 		}
 	}
 
 	if *dump != "" {
 		if err := versaslot.SaveScenario(*dump, sc); err != nil {
-			fmt.Fprintln(os.Stderr, "versaslot:", err)
-			os.Exit(1)
+			exitErr(1, err)
 		}
 	}
 
@@ -213,8 +210,7 @@ func main() {
 
 	res, err := versaslot.Run(sc)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "versaslot:", err)
-		os.Exit(1)
+		exitErr(1, err)
 	}
 
 	if *blockprofile != "" {
@@ -408,6 +404,18 @@ var faultDefaults = map[string]fault.InjectorSpec{
 	fault.KindPRFlaky:    {Kind: fault.KindPRFlaky, Rate: 0.2},
 	fault.KindStraggler:  {Kind: fault.KindStraggler, MTBF: 30 * sim.Second, MTTR: 3 * sim.Second, Factor: 2.5},
 	fault.KindCheckpoint: {Kind: fault.KindCheckpoint, CheckpointBytes: 64, RestoreDelay: sim.Millisecond},
+}
+
+// exitErr prints err on stderr and exits with code. The library's
+// errors already carry the "versaslot: " prefix; an error without it
+// gets it, so every message is prefixed exactly once.
+func exitErr(code int, err error) {
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "versaslot: ") {
+		msg = "versaslot: " + msg
+	}
+	fmt.Fprintln(os.Stderr, msg)
+	os.Exit(code)
 }
 
 // parseFaultFlags builds the scenario's faults block from the

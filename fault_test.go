@@ -179,23 +179,50 @@ func TestChaosAllInjectorsDrain(t *testing.T) {
 // board and straggler faults. A slot can fail while the baseline's full
 // reconfiguration is in flight; the loading app must hold no slot then,
 // or its crash-restart clears the app the reconfiguration completes.
+// No item may start on a slot that is down: the baseline neither
+// swaps in while a region it needs is down nor keeps a design whose
+// region failed during the swap. The engine trace's slot-failure,
+// recovery and item-start lines show which slots are down when each
+// item starts.
 func TestBaselineFaultsDrain(t *testing.T) {
 	faults := &fault.Spec{Injectors: []fault.InjectorSpec{
 		{Kind: "slot-fail", MTBF: 2 * sim.Second, MTTR: 200 * sim.Millisecond},
 		{Kind: "board-fail", MTBF: 5 * sim.Second, MTTR: 300 * sim.Millisecond},
 		{Kind: "straggler", MTBF: 3 * sim.Second, MTTR: 300 * sim.Millisecond, Factor: 2},
 	}}
-	r := versaslot.NewRunner()
+	var down map[int]bool
+	var starts, onDown, failures int
+	r := versaslot.NewRunner(versaslot.WithTrace(func(format string, args ...any) {
+		switch format {
+		case "%v slot %d FAILED":
+			down[args[1].(int)] = true
+			failures++
+		case "%v slot %d recovered":
+			delete(down, args[1].(int))
+		case "%v exec %v item %d on slot %d (%v)":
+			starts++
+			if down[args[3].(int)] {
+				onDown++
+			}
+		}
+	}))
 	for _, cond := range []string{"stress", "standard"} {
 		for seed := uint64(1); seed <= 8; seed++ {
 			sc := versaslot.Scenario{Policy: "baseline", Condition: cond, Apps: 20, Seed: seed, Faults: faults}
 			t.Run(fmt.Sprintf("%s/seed=%d", cond, seed), func(t *testing.T) {
+				down, starts, onDown, failures = map[int]bool{}, 0, 0, 0
 				res, err := r.Run(sc)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if res.Summary.Apps != sc.Apps {
 					t.Fatalf("finished %d of %d apps", res.Summary.Apps, sc.Apps)
+				}
+				if starts == 0 || failures == 0 {
+					t.Fatalf("trace saw %d item starts and %d slot failures; the format strings changed", starts, failures)
+				}
+				if onDown > 0 {
+					t.Errorf("%d of %d items started on a failed slot", onDown, starts)
 				}
 			})
 		}

@@ -125,6 +125,10 @@ type App struct {
 	// execution starts). Address stages in place: &a.Stages[i].
 	Stages []Stage
 
+	// stageBuf is zeroed memory the first Install takes its stages
+	// from (see UseStageBuffer); nil once taken.
+	stageBuf []Stage
+
 	// held counts stages with a slot; unplaced counts unfinished stages
 	// without one; finished counts stages that completed the batch, and
 	// heldFinished those of them that still hold a slot.
@@ -213,12 +217,28 @@ func (a *App) TakeWake() bool {
 	return w
 }
 
+// UseStageBuffer hands the app zeroed, otherwise unused memory for
+// its first Install, so a caller that builds many apps can allocate
+// their stages as one block (see workload.Sequence.Instantiate). It
+// must be called before the first Install.
+func (a *App) UseStageBuffer(buf []Stage) { a.stageBuf = buf }
+
 // Install binds a fresh run state to every stage of plan and makes it
-// the app's execution plan: one allocation, since the definitions are
-// shared, not copied. No stage of a fresh plan holds a slot or has
-// finished an item (Batch is positive), so every stage is unplaced.
+// the app's execution plan. The definitions are shared, not copied, so
+// the only memory is the run-state slice: the stage buffer, on a first
+// Install that fits in it, and one allocation otherwise. A re-install
+// always gets fresh memory, since slot records and queued events may
+// still point at the old stages. No stage of a fresh plan holds a slot
+// or has finished an item (Batch is positive), so every stage is
+// unplaced.
 func (a *App) Install(plan []StageDef) {
-	stages := make([]Stage, len(plan))
+	var stages []Stage
+	if cap(a.stageBuf) >= len(plan) {
+		stages = a.stageBuf[:len(plan)]
+	} else {
+		stages = make([]Stage, len(plan))
+	}
+	a.stageBuf = nil
 	for i := range stages {
 		stages[i].App = a
 		stages[i].StageDef = &plan[i]

@@ -304,6 +304,33 @@ func TestStageSize(t *testing.T) {
 	}
 }
 
+// TestStageBuffer checks that the first Install takes its stages from
+// the buffer UseStageBuffer handed over, and that a re-install, or a
+// plan longer than the buffer, gets fresh memory instead of aliasing
+// stages a slot may still point at.
+func TestStageBuffer(t *testing.T) {
+	spec := testSpec(5, 6, 7)
+	plan := TaskPlan(spec, "Little", 1, func(int) string { return "x" })
+	buf := make([]Stage, 3)
+	a := NewApp(1, spec, 2, 0)
+	a.UseStageBuffer(buf)
+	a.Install(plan)
+	if &a.Stages[0] != &buf[0] || len(a.Stages) != 3 {
+		t.Fatal("first Install did not take its stages from the buffer")
+	}
+	first := &a.Stages[0]
+	a.Install(plan)
+	if &a.Stages[0] == first {
+		t.Fatal("re-install reused the stages of the first plan")
+	}
+	short := NewApp(2, spec, 2, 0)
+	short.UseStageBuffer(make([]Stage, 2))
+	short.Install(plan)
+	if len(short.Stages) != 3 || short.UnplacedStages() != 3 {
+		t.Fatalf("plan longer than the buffer installed %d stages", len(short.Stages))
+	}
+}
+
 func TestStateStrings(t *testing.T) {
 	states := []State{StatePending, StateWaiting, StateReady, StateRunning, StateMigrating, StateFinished}
 	seen := map[string]bool{}

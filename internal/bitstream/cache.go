@@ -4,23 +4,26 @@ package bitstream
 // the first load of a bitstream streams it from the SD card (slow); once
 // cached, later loads only pay the PCAP transfer. A bounded LRU keeps
 // the model honest about DDR capacity.
+//
+// The entries are one slice in recency order, least recently used
+// first. A board caches at most a few dozen bitstreams, and their names
+// are interned (see TaskName), so comparing two of them is cheap: a
+// linear scan finds an entry, and a cache costs one growing slice, not
+// an allocation per bitstream.
 type Cache struct {
 	capacity int
-	entries  map[string]*cacheNode
-	head     *cacheNode // most recently used
-	tail     *cacheNode // least recently used
+	entries  []string // LRU first, MRU last; len <= capacity
 	hits     uint64
 	misses   uint64
 }
 
-type cacheNode struct {
-	name       string
-	prev, next *cacheNode
-}
+// firstEntries is the length of the entry slice a cache makes at its
+// first insert (or its capacity, if smaller); it doubles from there.
+const firstEntries = 8
 
 // NewCache returns an LRU cache holding up to capacity bitstreams.
-// capacity <= 0 disables caching (every load misses). The index map is
-// made at the first insert, so a board that never reconfigures never
+// capacity <= 0 disables caching (every load misses). The entry slice
+// is made at the first insert, so a board that never reconfigures never
 // builds one.
 func NewCache(capacity int) *Cache {
 	c := new(Cache)
@@ -28,9 +31,8 @@ func NewCache(capacity int) *Cache {
 	return c
 }
 
-// Init makes a zero Cache, in place, an empty cache of the given
-// capacity.
-func (c *Cache) Init(capacity int) { c.capacity = capacity }
+// Init makes c, in place, an empty cache of the given capacity.
+func (c *Cache) Init(capacity int) { *c = Cache{capacity: capacity} }
 
 // Lookup reports whether name is cached, inserting it (and evicting the
 // LRU entry if full) when it is not. This matches the PR server's flow:
@@ -40,9 +42,9 @@ func (c *Cache) Lookup(name string) (hit bool) {
 		c.misses++
 		return false
 	}
-	if n, ok := c.entries[name]; ok {
+	if i := c.index(name); i >= 0 {
 		c.hits++
-		c.moveToFront(n)
+		c.touch(i)
 		return true
 	}
 	c.misses++
@@ -57,75 +59,58 @@ func (c *Cache) Warm(name string) {
 	if c.capacity <= 0 {
 		return
 	}
-	if n, ok := c.entries[name]; ok {
-		c.moveToFront(n)
+	if i := c.index(name); i >= 0 {
+		c.touch(i)
 		return
 	}
 	c.insert(name)
 }
 
+// index returns name's position in entries, or -1. It scans from the
+// most recently used end, where repeated loads hit.
+func (c *Cache) index(name string) int {
+	for i := len(c.entries) - 1; i >= 0; i-- {
+		if c.entries[i] == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// touch makes entry i the most recently used.
+func (c *Cache) touch(i int) {
+	last := len(c.entries) - 1
+	if i == last {
+		return
+	}
+	name := c.entries[i]
+	copy(c.entries[i:], c.entries[i+1:])
+	c.entries[last] = name
+}
+
 // insert adds an uncached name as most recently used. A full cache
-// evicts its LRU entry first and reuses that entry's node, so a cache
-// at capacity inserts without allocating.
+// evicts its LRU entry by shifting the rest down, so a cache at
+// capacity inserts without allocating.
 func (c *Cache) insert(name string) {
-	if c.entries == nil {
-		c.entries = make(map[string]*cacheNode)
+	n := len(c.entries)
+	if n >= c.capacity {
+		copy(c.entries, c.entries[1:])
+		c.entries[n-1] = name
+		return
 	}
-	var n *cacheNode
-	if len(c.entries) >= c.capacity {
-		n = c.tail
-		c.unlink(n)
-		delete(c.entries, n.name)
-		n.name = name
-	} else {
-		n = &cacheNode{name: name}
+	if n == cap(c.entries) {
+		grown := make([]string, n, min(max(2*n, firstEntries), c.capacity))
+		copy(grown, c.entries)
+		c.entries = grown
 	}
-	c.entries[name] = n
-	c.pushFront(n)
+	c.entries = append(c.entries, name)
 }
 
 // Contains reports whether name is cached without touching LRU order.
-func (c *Cache) Contains(name string) bool {
-	_, ok := c.entries[name]
-	return ok
-}
+func (c *Cache) Contains(name string) bool { return c.index(name) >= 0 }
 
 // Len returns the number of cached bitstreams.
 func (c *Cache) Len() int { return len(c.entries) }
 
 // Stats returns hit and miss counts.
 func (c *Cache) Stats() (hits, misses uint64) { return c.hits, c.misses }
-
-func (c *Cache) pushFront(n *cacheNode) {
-	n.prev = nil
-	n.next = c.head
-	if c.head != nil {
-		c.head.prev = n
-	}
-	c.head = n
-	if c.tail == nil {
-		c.tail = n
-	}
-}
-
-func (c *Cache) unlink(n *cacheNode) {
-	if n.prev != nil {
-		n.prev.next = n.next
-	} else {
-		c.head = n.next
-	}
-	if n.next != nil {
-		n.next.prev = n.prev
-	} else {
-		c.tail = n.prev
-	}
-	n.prev, n.next = nil, nil
-}
-
-func (c *Cache) moveToFront(n *cacheNode) {
-	if c.head == n {
-		return
-	}
-	c.unlink(n)
-	c.pushFront(n)
-}

@@ -151,21 +151,35 @@ func TestPlansShared(t *testing.T) {
 	}
 }
 
-// TestInstallAllocs pins installing a cached plan at one allocation:
-// the app's run-state slice, with the definitions shared.
+// TestInstallAllocs pins installing a cached plan: an app from
+// Sequence.Instantiate takes its first plan's run state from the
+// sequence's stage block and allocates nothing, and a re-install
+// allocates the one fresh run-state slice, the definitions shared.
 func TestInstallAllocs(t *testing.T) {
-	a := appmodel.NewApp(1, workload.OF, 12, 0)
+	const runs = 20
+	seq := &workload.Sequence{Arrivals: make([]workload.Arrival, runs+1)}
+	for i := range seq.Arrivals {
+		seq.Arrivals[i] = workload.Arrival{Spec: workload.OF.Name, Batch: 12}
+	}
 	for _, c := range []struct {
 		name  string
-		build func()
+		build func(*appmodel.App)
 	}{
-		{"tasks", func() { BuildTasks(a, "Little") }},
-		{"bundles", func() { Build(a, "Big") }},
-		{"monolithic", func() { BuildMonolithic(a, "Little") }},
+		{"tasks", func(a *appmodel.App) { BuildTasks(a, "Little") }},
+		{"bundles", func(a *appmodel.App) { Build(a, "Big") }},
+		{"monolithic", func(a *appmodel.App) { BuildMonolithic(a, "Little") }},
 	} {
-		c.build()
-		if n := testing.AllocsPerRun(100, c.build); n != 1 {
-			t.Errorf("%s: installing a cached plan allocates %.0f times, want 1", c.name, n)
+		apps, err := seq.Instantiate(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.build(appmodel.NewApp(0, workload.OF, 12, 0)) // cache the plan
+		next := 0
+		if n := testing.AllocsPerRun(runs, func() { c.build(apps[next]); next++ }); n != 0 {
+			t.Errorf("%s: a first install allocates %.0f times, want 0", c.name, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { c.build(apps[0]) }); n != 1 {
+			t.Errorf("%s: a re-install allocates %.0f times, want 1", c.name, n)
 		}
 	}
 }

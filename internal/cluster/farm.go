@@ -691,7 +691,7 @@ func (f *Farm) Inject(seq *workload.Sequence) error {
 	}
 	f.totalApps += len(apps)
 	if f.arrivals == nil {
-		f.arrivals = sched.NewArrivalCursor(f.K, f.dispatchOne)
+		f.arrivals = sched.NewArrivalCursor(f.K, sched.DeliverFunc(f.dispatchOne))
 	}
 	f.arrivals.Schedule(apps)
 	f.armRebalancer()

@@ -178,8 +178,12 @@ func (s *Slot) CompleteLoad() error {
 	return nil
 }
 
-// BeginExec transitions SlotLoaded -> SlotBusy.
+// BeginExec transitions SlotLoaded -> SlotBusy. A failed region
+// executes nothing.
 func (s *Slot) BeginExec() error {
+	if s.failed {
+		return fmt.Errorf("fabric: slot %d failed; cannot execute", s.ID)
+	}
 	if s.state != SlotLoaded {
 		return fmt.Errorf("fabric: slot %d cannot execute (state %v)", s.ID, s.state)
 	}

@@ -2,7 +2,9 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"versaslot/internal/fabric"
 	"versaslot/internal/sim"
@@ -335,6 +337,9 @@ func (c *Collector) Summarize() Summary {
 	if c.stream != nil {
 		return c.streamSummary(s)
 	}
+	if cap(c.scratch) < len(c.Responses) {
+		c.scratch = make([]float64, 0, len(c.Responses))
+	}
 	rts := c.scratch[:0]
 	var sum, qsum float64
 	for _, r := range c.Responses {
@@ -366,33 +371,34 @@ type SpecBreakdown struct {
 
 // BySpec groups the collector's responses by application spec, sorted
 // by spec name. In stream mode the aggregates were folded on arrival.
+// A run sees a handful of specs, so the groups are found by a linear
+// scan of a stack buffer and the result costs one exact-size slice.
 func (c *Collector) BySpec() []SpecBreakdown {
 	if c.stream != nil {
 		return c.streamBySpec()
 	}
-	agg := make(map[string]*SpecBreakdown)
+	var buf [8]SpecBreakdown
+	agg := buf[:0]
 	for _, r := range c.Responses {
-		b, ok := agg[r.Spec]
-		if !ok {
-			b = &SpecBreakdown{Spec: r.Spec}
-			agg[r.Spec] = b
+		i := 0
+		for i < len(agg) && agg[i].Spec != r.Spec {
+			i++
 		}
+		if i == len(agg) {
+			agg = append(agg, SpecBreakdown{Spec: r.Spec})
+		}
+		b := &agg[i]
 		b.Count++
 		b.MeanRT += r.Response
 		if r.Response > b.MaxRT {
 			b.MaxRT = r.Response
 		}
 	}
-	names := make([]string, 0, len(agg))
-	for n := range agg {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]SpecBreakdown, 0, len(names))
-	for _, n := range names {
-		b := agg[n]
-		b.MeanRT /= sim.Duration(b.Count)
-		out = append(out, *b)
+	out := make([]SpecBreakdown, len(agg))
+	copy(out, agg)
+	slices.SortFunc(out, func(x, y SpecBreakdown) int { return strings.Compare(x.Spec, y.Spec) })
+	for i := range out {
+		out[i].MeanRT /= sim.Duration(out[i].Count)
 	}
 	return out
 }

@@ -159,6 +159,24 @@ func TestBySpec(t *testing.T) {
 	if by[1].Count != 2 || by[1].MeanRT != 20*sim.Millisecond || by[1].MaxRT != 30*sim.Millisecond {
 		t.Fatalf("IC breakdown %+v", by[1])
 	}
+	if n := testing.AllocsPerRun(100, func() { c.BySpec() }); n != 1 {
+		t.Errorf("BySpec allocates %.0f times, want 1 (the result)", n)
+	}
+	// More specs than the stack buffer holds still group and sort.
+	many := NewCollector(fabric.ResVec{LUT: 1, FF: 1})
+	for i := 11; i >= 0; i-- {
+		many.RecordResponse(ResponseSample{Spec: string(rune('a' + i)), Response: sim.Duration(i+1) * sim.Millisecond})
+		many.RecordResponse(ResponseSample{Spec: string(rune('a' + i)), Response: sim.Duration(i+3) * sim.Millisecond})
+	}
+	by = many.BySpec()
+	if len(by) != 12 {
+		t.Fatalf("12 specs grouped into %d", len(by))
+	}
+	for i, b := range by {
+		if b.Spec != string(rune('a'+i)) || b.Count != 2 || b.MeanRT != sim.Duration(i+2)*sim.Millisecond {
+			t.Fatalf("breakdown %d: %+v", i, b)
+		}
+	}
 }
 
 func TestMeanStd(t *testing.T) {

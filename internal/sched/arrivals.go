@@ -16,24 +16,39 @@ import (
 // injection (most pairs of a farm never inject themselves).
 type ArrivalCursor struct {
 	k       *sim.Kernel
-	deliver func(*appmodel.App)
+	deliver Deliverer
 	q       []*appmodel.App
 	pos     int
-	step    func()
 }
 
-// NewArrivalCursor binds a cursor to its kernel and delivery function.
-func NewArrivalCursor(k *sim.Kernel, deliver func(*appmodel.App)) *ArrivalCursor {
-	c := &ArrivalCursor{k: k, deliver: deliver}
-	c.step = func() {
-		a := c.q[c.pos]
-		c.pos++
-		if c.pos < len(c.q) {
-			c.k.AtP(c.q[c.pos].Arrival, sim.PriArrival, c.step)
-		}
-		c.deliver(a)
+// Deliverer receives the arrivals an ArrivalCursor walks.
+type Deliverer interface {
+	Deliver(a *appmodel.App)
+}
+
+// DeliverFunc adapts a plain function to a Deliverer.
+type DeliverFunc func(a *appmodel.App)
+
+// Deliver calls f.
+func (f DeliverFunc) Deliver(a *appmodel.App) { f(a) }
+
+// cursorStep is the cursor's chained arrival event, a typed view of
+// the cursor itself, so the walk schedules without allocating.
+type cursorStep ArrivalCursor
+
+func (ev *cursorStep) Fire() {
+	c := (*ArrivalCursor)(ev)
+	a := c.q[c.pos]
+	c.pos++
+	if c.pos < len(c.q) {
+		c.k.AtPHandler(c.q[c.pos].Arrival, sim.PriArrival, ev)
 	}
-	return c
+	c.deliver.Deliver(a)
+}
+
+// NewArrivalCursor binds a cursor to its kernel and receiver.
+func NewArrivalCursor(k *sim.Kernel, deliver Deliverer) *ArrivalCursor {
+	return &ArrivalCursor{k: k, deliver: deliver}
 }
 
 // Schedule queues the arrivals of apps (Arrival fields are absolute
@@ -51,10 +66,10 @@ func (c *ArrivalCursor) Schedule(apps []*appmodel.App) {
 	}
 	if !sorted || c.pos < len(c.q) {
 		for _, a := range apps {
-			c.k.AtP(a.Arrival, sim.PriArrival, func() { c.deliver(a) })
+			c.k.AtP(a.Arrival, sim.PriArrival, func() { c.deliver.Deliver(a) })
 		}
 		return
 	}
 	c.q, c.pos = apps, 0
-	c.k.AtP(apps[0].Arrival, sim.PriArrival, c.step)
+	c.k.AtPHandler(apps[0].Arrival, sim.PriArrival, (*cursorStep)(c))
 }

@@ -36,7 +36,7 @@ func TestArrivalCursorOrder(t *testing.T) {
 			k := sim.NewKernel(1)
 			got := ""
 			k.At(10, func() { got += fmt.Sprintf(" x@%d", k.Now()) })
-			c := NewArrivalCursor(k, func(a *appmodel.App) { got += fmt.Sprintf(" %d@%d", a.ID, k.Now()) })
+			c := NewArrivalCursor(k, DeliverFunc(func(a *appmodel.App) { got += fmt.Sprintf(" %d@%d", a.ID, k.Now()) }))
 			for _, seq := range tc.seqs {
 				c.Schedule(seq)
 			}

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"versaslot/internal/appmodel"
 	"versaslot/internal/bitstream"
@@ -37,8 +38,9 @@ type Engine struct {
 	pendingSched bool
 	frozen       bool
 
-	// arrivals delivers InjectSequence's arrivals to arrive.
-	arrivals *ArrivalCursor
+	// arrivals delivers InjectSequence's arrivals to arrive; its kernel
+	// is set at the first injection.
+	arrivals ArrivalCursor
 
 	// own holds the fixed per-board parts Cores, PCAP, Cache and Col
 	// point at, so they share the Engine's allocation.
@@ -50,18 +52,11 @@ type Engine struct {
 	}
 
 	// slots holds the per-slot hot-path runtime state, indexed by
-	// fabric.Slot.ID. Launch/exec/PR closures bound once per slot and
-	// plain struct fields replace the per-launch closures and per-slot
-	// maps of the original engine: at most one launch, one executing
-	// item, and one PCAP load can be in flight per slot at a time, so
-	// the state of each is a slot-indexed record, not an allocation.
+	// fabric.Slot.ID. At most one launch, one executing item, and one
+	// PCAP load can be in flight per slot at a time, so the state of
+	// each is a slot-indexed record, not an allocation, and the slot's
+	// events are typed views of that record (see launchEvent).
 	slots []slotRT
-	// schedPassFn is the one pre-bound scheduler-pass body Activate
-	// submits (coalesced, so one is enough); activateFn is Activate
-	// itself, bound on first use (see activateFunc) so policies can
-	// schedule wake-ups without allocating a method value per pass.
-	schedPassFn func()
-	activateFn  func()
 
 	// prFault, when set, injects bounded-retry reconfiguration errors.
 	prFault *prFaultModel
@@ -122,8 +117,7 @@ func (e *Engine) trace(format string, args ...any) {
 // PCAP load in flight per slot (a slot is Busy from BeginExec to
 // CompleteExec and Loading from BeginLoad to CompleteLoad/abort), so
 // each activity's state lives in plain fields written at submission and
-// read by a closure bound once, at the slot's first launch or load (see
-// bind), so slots a run never uses cost no closures.
+// read when its event fires.
 type slotRT struct {
 	e    *Engine
 	slot *fabric.Slot
@@ -132,15 +126,19 @@ type slotRT struct {
 	resStage *appmodel.Stage
 	resSince sim.Time
 
-	// In-flight launch/exec state. armed invalidates a launch still
-	// queued on the scheduler core when a fault tears its slot down: the
-	// FIFO core drains the stale launch before any re-placement of the
-	// slot can queue a new one, so a bool (not a token) suffices.
+	// In-flight launch/exec state. armed marks the slot's current
+	// launch as queued on the scheduler core. A fault that tears the
+	// slot down disarms it and counts it in stale instead: the slot can
+	// be re-placed and launch again (from a PR-core completion) before
+	// the core reaches the dead launch, but the core is FIFO, so the
+	// first stale launches of the slot it reaches are the dead ones,
+	// and runLaunch skips that many.
 	st     *appmodel.Stage
 	idx    int
 	dur    sim.Duration
 	start  sim.Time
 	armed  bool
+	stale  int
 	execEv sim.EventID
 
 	// Fault state (see fault.go).
@@ -148,32 +146,61 @@ type slotRT struct {
 	downSince  sim.Time
 	slowFactor float64 // > 1 degrades service (straggler); else nominal
 
-	// PR-attempt state for the pre-bound PCAP callbacks, stable from
-	// submission to completion.
+	// PR-attempt state for the PCAP events, stable from submission to
+	// completion.
 	prStage   *appmodel.Stage
 	prBits    *bitstream.Bitstream
 	prCost    sim.Duration
 	prAttempt int
 	prWaited  sim.Duration
-
-	launchFn  func()
-	execFn    func()
-	prStartFn func(sim.Duration)
-	prDoneFn  func()
-	prRetryFn func()
 }
 
-// bind creates the slot's launch/exec/PR callbacks on first use; later
-// calls return at once, so steady-state submissions allocate nothing.
-func (rt *slotRT) bind() {
-	if rt.launchFn != nil {
-		return
-	}
-	rt.launchFn = rt.runLaunch
-	rt.execFn = rt.runExec
-	rt.prStartFn = rt.prStart
-	rt.prDoneFn = rt.prDone
+// A slot's events are typed views of its slotRT. A *slotRT converts to
+// each without allocating, so submitting a launch, an item, a load or
+// a retry costs nothing, however many slots a run touches.
+type (
+	// launchEvent is the scheduler-core launch job (runLaunch).
+	launchEvent slotRT
+	// execEvent is an item's completion (runExec).
+	execEvent slotRT
+	// prEvent is the PCAP load job: Started observes its queueing wait
+	// (prStart), Fire its completion (prDone).
+	prEvent slotRT
+	// prRetryEvent re-submits a load after a fault-injected backoff
+	// (prRetry).
+	prRetryEvent slotRT
+)
+
+func (ev *launchEvent) Fire()                 { (*slotRT)(ev).runLaunch() }
+func (ev *execEvent) Fire()                   { (*slotRT)(ev).runExec() }
+func (ev *prEvent) Started(wait sim.Duration) { (*slotRT)(ev).prStart(wait) }
+func (ev *prEvent) Fire()                     { (*slotRT)(ev).prDone() }
+func (ev *prRetryEvent) Fire()                { (*slotRT)(ev).prRetry() }
+
+// The engine's own events are typed views of the Engine, for the same
+// reason: schedPassEvent is the coalesced scheduler pass Activate
+// submits, activateEvent a timed wake-up policies schedule.
+type (
+	schedPassEvent Engine
+	activateEvent  Engine
+)
+
+func (ev *schedPassEvent) Fire() {
+	e := (*Engine)(ev)
+	e.pendingSched = false
+	e.policy.Schedule()
 }
+
+func (ev *activateEvent) Fire() { (*Engine)(ev).Activate() }
+
+// activation returns the event that runs Activate, for policies that
+// schedule wake-ups.
+func (e *Engine) activation() sim.Handler { return (*activateEvent)(e) }
+
+// engineArrival receives the engine's ArrivalCursor walk.
+type engineArrival Engine
+
+func (ev *engineArrival) Deliver(a *appmodel.App) { (*Engine)(ev).arrive(a) }
 
 // rt returns the runtime record of a slot. Slot IDs are indices into the
 // board's slot list (see fabric.NewBoard), so this is a direct index.
@@ -197,27 +224,14 @@ func NewEngine(k *sim.Kernel, p Params, board *fabric.Board, model hypervisor.Co
 		e.slots[i].e = e
 		e.slots[i].slot = s
 	}
-	e.schedPassFn = func() {
-		e.pendingSched = false
-		e.policy.Schedule()
-	}
 	return e
-}
-
-// activateFunc returns Activate as a func value, binding it on first
-// use: only the policies that schedule timed wake-ups need it.
-func (e *Engine) activateFunc() func() {
-	if e.activateFn == nil {
-		e.activateFn = e.Activate
-	}
-	return e.activateFn
 }
 
 // DisableBitstreamCache models control planes without a DDR bitstream
 // store (pre-Nimblock systems like the FCFS/RR comparators): every
 // partial reconfiguration re-streams its bitstream from the SD card.
 func (e *Engine) DisableBitstreamCache() {
-	e.Cache = bitstream.NewCache(0)
+	e.own.cache.Init(0)
 }
 
 // SetPolicy installs the scheduling policy; must happen before any
@@ -245,13 +259,15 @@ func (e *Engine) SetFrozen(v bool) {
 
 // InjectSequence schedules arrival events for apps (Arrival fields are
 // absolute virtual times) through the engine's ArrivalCursor. The
-// engine's apps are then known, so an empty exact-mode collector
-// reserves one response sample for each.
+// engine's apps are then known, so Active gets room for every one of
+// them and an empty exact-mode collector reserves one response sample
+// for each.
 func (e *Engine) InjectSequence(apps []*appmodel.App) {
 	e.Apps = append(e.Apps, apps...)
+	e.Active = slices.Grow(e.Active, len(e.Apps)-len(e.Active))
 	e.Col.Reserve(len(e.Apps))
-	if e.arrivals == nil {
-		e.arrivals = NewArrivalCursor(e.K, e.arrive)
+	if e.arrivals.k == nil {
+		e.arrivals = ArrivalCursor{k: e.K, deliver: (*engineArrival)(e)}
 	}
 	e.arrivals.Schedule(apps)
 }
@@ -313,7 +329,7 @@ func (e *Engine) Activate() {
 		return
 	}
 	e.pendingSched = true
-	e.Cores.Sched.SubmitFunc("sched-pass", "sched", e.Params.EffectiveSchedPass(), e.schedPassFn)
+	e.Cores.Sched.SubmitPooled("sched-pass", "sched", e.Params.EffectiveSchedPass(), nil, (*schedPassEvent)(e))
 }
 
 // RequestPR starts a partial reconfiguration of st into slot. The load
@@ -365,8 +381,7 @@ func (e *Engine) submitPRJob(st *appmodel.Stage, slot *fabric.Slot, bits *bitstr
 	rt := e.rt(slot)
 	rt.prStage, rt.prBits, rt.prCost, rt.prAttempt = st, bits, cost, attempt
 	rt.prWaited = 0
-	rt.bind()
-	e.Cores.PR.SubmitPooled(bits.Name, "pr", cost, rt.prStartFn, rt.prDoneFn)
+	e.Cores.PR.SubmitPooled(bits.Name, "pr", cost, (*prEvent)(rt), (*prEvent)(rt))
 }
 
 func (rt *slotRT) prStart(wait sim.Duration) {
@@ -399,10 +414,7 @@ func (rt *slotRT) prDone() {
 				e.trace("%v PR fault retry %d/%d for %v -> slot %d (backoff %v)",
 					e.K.Now(), attempt+1, f.maxRetries, st, slot.ID, delay)
 			}
-			if rt.prRetryFn == nil {
-				rt.prRetryFn = rt.prRetry
-			}
-			e.K.Schedule(delay, rt.prRetryFn)
+			e.K.ScheduleHandler(delay, (*prRetryEvent)(rt))
 			return
 		}
 		e.failPRPermanently(st, slot)
@@ -479,23 +491,6 @@ func (e *Engine) EvictStage(st *appmodel.Stage) {
 	}
 }
 
-// scrubStage detaches st, resident and idle, from its failed slot and
-// force-empties the dead region (Clear never accepts a failed slot).
-// Only the exclusive baseline's swap-out uses it; it counts no
-// preemption, since the region, not the scheduler, took the stage off.
-func (e *Engine) scrubStage(st *appmodel.Stage) {
-	slot := st.Slot()
-	if !slot.Failed() || slot.State() != fabric.SlotLoaded {
-		panic(fmt.Sprintf("sched: scrubbing stage %v from slot %d in state %v (failed %t)", st, slot.ID, slot.State(), slot.Failed()))
-	}
-	e.closeResident(slot)
-	e.rt(slot).resStage = nil
-	st.Evict()
-	if err := slot.Scrub(); err != nil {
-		panic(err)
-	}
-}
-
 // LaunchItem reserves slot occupancy for st's next item and queues the
 // launch on the scheduler core. The slot turns Busy immediately (it is
 // committed), but execution begins only when the core gets to the
@@ -519,17 +514,17 @@ func (e *Engine) LaunchItem(st *appmodel.Stage) bool {
 	}
 	rt.st, rt.idx, rt.dur = st, idx, dur
 	rt.armed = true
-	rt.bind()
-	e.Cores.Sched.SubmitFunc("launch", "launch", e.Params.EffectiveLaunch(), rt.launchFn)
+	e.Cores.Sched.SubmitPooled("launch", "launch", e.Params.EffectiveLaunch(), nil, (*launchEvent)(rt))
 	return true
 }
 
 // runLaunch is the scheduler-core body of a launch job: the item enters
 // service on the slot's fabric region.
 func (rt *slotRT) runLaunch() {
-	if !rt.armed {
+	if rt.stale > 0 {
 		// The slot was fault-torn-down (and possibly re-used) while
 		// this launch waited on the scheduler core.
+		rt.stale--
 		return
 	}
 	rt.armed = false
@@ -545,7 +540,7 @@ func (rt *slotRT) runLaunch() {
 	if e.Recorder != nil {
 		e.record(trace.Event{Kind: trace.ExecStart, Slot: rt.slot.ID, App: st.App.String(), Stage: st.Index(), Item: idx})
 	}
-	rt.execEv = e.K.Schedule(rt.dur, rt.execFn)
+	rt.execEv = e.K.ScheduleHandler(rt.dur, (*execEvent)(rt))
 }
 
 // runExec fires at item completion.

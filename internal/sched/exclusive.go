@@ -26,11 +26,13 @@ type Exclusive struct {
 	loading  bool
 	draining bool
 	sliceEnd sim.Time
-
-	// swappedInFn is swappedIn, bound once in Init so a swap allocates
-	// no completion.
-	swappedInFn func()
 }
+
+// swapDone is the completion event of a swap-in's full
+// reconfiguration, a typed view of the policy (see launchEvent).
+type swapDone Exclusive
+
+func (ev *swapDone) Fire() { (*Exclusive)(ev).swappedIn() }
 
 var _ Policy = (*Exclusive)(nil)
 
@@ -44,7 +46,6 @@ func (x *Exclusive) Init(e *Engine) {
 		panic("sched: Exclusive requires a virtual (monolithic) platform")
 	}
 	x.e = e
-	x.swappedInFn = x.swappedIn
 }
 
 // AppArrived implements Policy.
@@ -57,7 +58,7 @@ func (x *Exclusive) AppArrived(a *appmodel.App) {
 		if t < x.e.Now() {
 			t = x.e.Now()
 		}
-		x.e.K.At(t, x.e.activateFunc())
+		x.e.K.AtHandler(t, x.e.activation())
 	}
 }
 
@@ -76,7 +77,9 @@ func (x *Exclusive) Schedule() {
 		return
 	}
 	if x.current == nil {
-		if len(x.queue) > 0 && !e.Frozen() {
+		// A swap-in waits while a region the next design needs is
+		// down; RecoverSlot re-activates the scheduler.
+		if len(x.queue) > 0 && !e.Frozen() && !x.regionDown(x.queue[0]) {
 			a := x.queue[0]
 			x.queue = x.queue[1:]
 			x.swapIn(a)
@@ -109,22 +112,16 @@ func (x *Exclusive) anyInFlight() bool {
 }
 
 // swapOut evicts the current app (its DDR state persists; batch
-// progress is kept) and re-queues it at the tail. Every stage leaves
-// its slot, a failed one included, so a queued app holds no slot.
+// progress is kept) and re-queues it at the tail, holding no slot. None
+// of its slots has failed: swappedIn places no stage on a failed slot,
+// and a slot that fails under a placed stage crash-restarts the app.
 func (x *Exclusive) swapOut() {
 	e := x.e
 	a := x.current
 	x.current = nil
 	x.draining = false
 	for i := range a.Stages {
-		switch st := &a.Stages[i]; {
-		case st.Slot() == nil:
-		case st.Slot().Free():
-			e.EvictStage(st)
-		default:
-			// swappedIn places stages on failed slots too.
-			e.scrubStage(st)
-		}
+		e.EvictStage(&a.Stages[i])
 	}
 	a.State = appmodel.StateWaiting
 	// Rotate within the bounded run-set: the multiplexer round-robins
@@ -159,22 +156,46 @@ func (x *Exclusive) swapIn(a *appmodel.App) {
 	cost := e.FullReconfigCost(full)
 	e.Col.PRLoads++
 	e.Col.PRBytes += full.Bytes
-	e.Cores.PR.SubmitFunc(fullReconfigJob(a.Spec), "full-reconfig", cost, x.swappedInFn)
+	e.Cores.PR.SubmitPooled(fullReconfigJob(a.Spec), "full-reconfig", cost, nil, (*swapDone)(x))
+}
+
+// regionDown reports whether a slot that a's monolithic design
+// occupies (one per stage, from the board's first slot) is out of
+// service.
+func (x *Exclusive) regionDown(a *appmodel.App) bool {
+	n := len(a.Stages)
+	if n == 0 {
+		n = a.Spec.TaskCount()
+	}
+	for _, s := range x.e.Board.Slots[:n] {
+		if s.Failed() {
+			return true
+		}
+	}
+	return false
 }
 
 // swappedIn completes swapIn's reconfiguration. The app loading is
 // x.current: nothing replaces it while x.loading holds, and it holds
 // no slot a fault could crash it through (swapOut and crashApp both
-// detach every stage before an app is queued again).
+// detach every stage before an app is queued again). No region it
+// needs was down when the swap began, so one that is down now failed
+// during the reconfiguration: the design never came up, and the app
+// crash-restarts like any other fault victim.
 func (x *Exclusive) swappedIn() {
 	e, a := x.e, x.current
+	if x.regionDown(a) {
+		x.loading = false
+		e.crashApp(a)
+		return
+	}
 	for i := range a.Stages {
 		e.PlaceResident(&a.Stages[i], e.Board.Slots[i])
 	}
 	x.loading = false
 	x.sliceEnd = e.Now().Add(e.Params.BaselineQuantum)
 	if len(x.queue) > 0 {
-		e.K.At(x.sliceEnd, e.activateFunc())
+		e.K.AtHandler(x.sliceEnd, e.activation())
 	}
 	e.Pump(a)
 	e.Activate()

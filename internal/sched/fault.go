@@ -174,7 +174,10 @@ func (e *Engine) crashApp(a *appmodel.App) {
 			}
 			// The item's launch may still be queued on the scheduler
 			// core; disarming makes its callback a no-op.
-			rt.armed = false
+			if rt.armed {
+				rt.armed = false
+				rt.stale++
+			}
 			if err := slot.CompleteExec(); err != nil {
 				panic(err)
 			}

@@ -3,6 +3,7 @@ package sched
 import (
 	"testing"
 
+	"versaslot/internal/appmodel"
 	"versaslot/internal/fabric"
 	"versaslot/internal/hypervisor"
 	"versaslot/internal/sim"
@@ -39,8 +40,8 @@ func TestFaultPathZeroAlloc(t *testing.T) {
 }
 
 // TestPRFaultRetryZeroAlloc pins a fault-injected PR retry — failed
-// attempt, backoff, re-submission — as allocation-free once the slot's
-// callbacks are bound and no sink is attached.
+// attempt, backoff, re-submission — as allocation-free when no sink is
+// attached.
 func TestPRFaultRetryZeroAlloc(t *testing.T) {
 	r := newRig(t, fabric.ZCU216OnlyLittle, hypervisor.DualCore)
 	e := r.engine
@@ -89,5 +90,47 @@ func TestPRFaultRetryBound(t *testing.T) {
 	}
 	if s := e.Board.Slots[0]; s.State() != fabric.SlotEmpty {
 		t.Errorf("slot left in state %v after the placement was abandoned", s.State())
+	}
+}
+
+// TestSlotFirstUseZeroAlloc pins a slot's first use as allocation-free:
+// once an engine's kernel and cores are warm (from work on another
+// slot), the first PR load into a new slot, the first launch there and
+// the item's completion allocate nothing, because the slot's events are
+// typed views of its runtime record, not callbacks made on first use.
+func TestSlotFirstUseZeroAlloc(t *testing.T) {
+	type board struct {
+		r    *testRig
+		a, b *appmodel.App
+	}
+	// use loads st into slot, then launches and completes one item.
+	use := func(bd board, st *appmodel.Stage, slot *fabric.Slot) {
+		bd.r.engine.RequestPR(st, slot)
+		bd.r.k.Run()
+		if !bd.r.engine.LaunchItem(st) {
+			t.Fatal("loaded stage not launchable")
+		}
+		bd.r.k.Run()
+		if st.Done() != 1 {
+			t.Fatalf("stage completed %d items, want 1", st.Done())
+		}
+	}
+	const runs = 10
+	boards := make([]board, runs+1) // AllocsPerRun calls f runs+1 times
+	for i := range boards {
+		bd := board{r: newRig(t, fabric.ZCU216OnlyLittle, hypervisor.DualCore),
+			a: littleApp(1, workload.IC, 3), b: littleApp(2, workload.IC, 3)}
+		bd.r.engine.Apps = append(bd.r.engine.Apps, bd.a, bd.b)
+		use(bd, &bd.a.Stages[0], bd.r.engine.Board.Slots[0])
+		boards[i] = bd
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		bd := boards[next]
+		next++
+		use(bd, &bd.b.Stages[0], bd.r.engine.Board.Slots[1])
+	})
+	if allocs != 0 {
+		t.Errorf("first PR load, launch and item on a new slot allocate %.2f times, want 0", allocs)
 	}
 }

@@ -49,7 +49,7 @@ func (f *FCFS) AppFinished(a *appmodel.App) {
 		}
 	}
 	f.cleanupUntil = f.e.Now().Add(f.e.Params.TenantTeardown)
-	f.e.K.At(f.cleanupUntil, f.e.activateFunc())
+	f.e.K.AtHandler(f.cleanupUntil, f.e.activation())
 }
 
 // Schedule implements Policy.

@@ -55,7 +55,7 @@ func (r *RR) AppFinished(a *appmodel.App) {
 		}
 	}
 	r.cleanupUntil = r.e.Now().Add(r.e.Params.TenantTeardown)
-	r.e.K.At(r.cleanupUntil, r.e.activateFunc())
+	r.e.K.AtHandler(r.cleanupUntil, r.e.activation())
 }
 
 // Schedule implements Policy.
@@ -108,7 +108,7 @@ func (r *RR) Schedule() {
 			a.State = appmodel.StateReady
 			placeGang(e, a, r.class.Name, need)
 			// Re-activate when this app's quantum will expire.
-			e.K.Schedule(q, e.activateFunc())
+			e.K.ScheduleHandler(q, e.activation())
 		}
 		clear(r.queue[len(waiting):])
 		r.queue = waiting

@@ -40,8 +40,8 @@ func TestKernelCancelZeroAlloc(t *testing.T) {
 }
 
 // TestServerCompletionAllocs: a server completion cycle costs at most
-// the caller's Job allocation — the completion event itself reuses the
-// server's pre-bound finish callback.
+// the caller's Job allocation — the completion event is a typed view
+// of the server itself.
 func TestServerCompletionAllocs(t *testing.T) {
 	k := NewKernel(1)
 	s := NewServer(k, "alloc")
@@ -60,5 +60,33 @@ func TestServerCompletionAllocs(t *testing.T) {
 	// One alloc for the Job copy escaping to Submit; nothing else.
 	if allocs > 1 {
 		t.Fatalf("server completion cycle allocates %.2f allocs/op, want <= 1", allocs)
+	}
+}
+
+// counter is a Handler whose state is the event source itself.
+type counter int
+
+func (c *counter) Fire() { *c++ }
+
+// TestHandlerEventsZeroAlloc: scheduling a pointer Handler, directly or
+// as a pooled server job's completion, allocates nothing once the
+// kernel and server are warm — the pointer is the interface's data
+// word, so no closure or box is made.
+func TestHandlerEventsZeroAlloc(t *testing.T) {
+	k := NewKernel(1)
+	s := NewServer(k, "alloc")
+	var fired counter
+	cycle := func() {
+		k.ScheduleHandler(Microsecond, &fired)
+		s.SubmitPooled("job", "bench", Microsecond, nil, &fired)
+		for k.Step() {
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Fatalf("handler event and job cycle allocates %.2f allocs/op, want 0", allocs)
+	}
+	if fired != 2*1002 {
+		t.Fatalf("handler fired %d times, want %d", fired, 2*1002)
 	}
 }

@@ -31,6 +31,18 @@
 // schedules, cancels, every run primitive and horizon drops against a
 // container/heap reference.
 //
+// # Handlers
+//
+// An event's action, and a server job's completion, is a Handler: one
+// Fire method. Hot-path owners pass a pointer to a typed view of their
+// own state (the scheduling engine declares `type launchEvent slotRT`
+// with a Fire method that runs the launch); a pointer converts to an
+// interface without allocating, so scheduling such an event costs
+// nothing, however many sources a run has. A Server schedules its own
+// completion the same way, and a job's optional Starter observes its
+// queueing wait. Plain func() callbacks go through the Func adapter
+// (At, Schedule, SubmitFunc), so the kernel has one dispatch path.
+//
 // # EventID generations
 //
 // Schedule returns a generation-counted EventID handle rather than a

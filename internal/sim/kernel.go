@@ -45,13 +45,29 @@ const (
 	slotCanceled              // canceled but still queued (lazy deletion)
 )
 
+// Handler is the action of a kernel event or of a server job's
+// completion. Owners pass a pointer to a typed view of their own state
+// (for example `type launchEvent slotRT` with a Fire method): a
+// pointer converts to an interface without allocating, so an event
+// source costs nothing until it fires, and nothing when it does.
+type Handler interface {
+	Fire()
+}
+
+// Func adapts a plain function to a Handler. A func value is a single
+// pointer, so the conversion allocates nothing beyond the closure the
+// caller already made.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
 // eventSlot is one arena entry. Events are plain structs addressed by
-// index — no per-event heap allocation, no interface boxing. The
-// ordering key lives in the queue entry, not here; at is kept for
-// EventTime.
+// index — no per-event heap allocation. The ordering key lives in the
+// queue entry, not here; at is kept for EventTime.
 type eventSlot struct {
 	at    Time
-	fn    func()
+	h     Handler
 	gen   uint32
 	state uint8
 }
@@ -144,7 +160,12 @@ func (k *Kernel) SetHorizon(t Time) { k.maxTime = t }
 // At schedules fn to run at absolute time t. Scheduling in the past is a
 // programming error and panics: it would violate causality.
 func (k *Kernel) At(t Time, fn func()) EventID {
-	return k.at(t, 0, fn)
+	return k.at(t, 0, funcHandler(fn))
+}
+
+// AtHandler schedules h to fire at absolute time t.
+func (k *Kernel) AtHandler(t Time, h Handler) EventID {
+	return k.at(t, 0, h)
 }
 
 // AtP schedules fn at absolute time t with an explicit priority: lower
@@ -153,32 +174,52 @@ func (k *Kernel) At(t Time, fn func()) EventID {
 // control before board-local events) so that equal-instant ordering is
 // reproducible across independently advancing kernels.
 func (k *Kernel) AtP(t Time, priority int32, fn func()) EventID {
-	return k.at(t, priority, fn)
+	return k.at(t, priority, funcHandler(fn))
+}
+
+// AtPHandler is AtP for a Handler.
+func (k *Kernel) AtPHandler(t Time, priority int32, h Handler) EventID {
+	return k.at(t, priority, h)
 }
 
 // Schedule schedules fn to run d after the current time. Negative d panics.
 func (k *Kernel) Schedule(d Duration, fn func()) EventID {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	return k.at(k.now.Add(d), 0, fn)
+	return k.schedule(d, 0, funcHandler(fn))
+}
+
+// ScheduleHandler schedules h to fire d after the current time.
+// Negative d panics.
+func (k *Kernel) ScheduleHandler(d Duration, h Handler) EventID {
+	return k.schedule(d, 0, h)
 }
 
 // ScheduleP schedules fn with an explicit priority: lower priorities run
 // first among events at the same instant. Use sparingly — the default
 // FIFO ordering is almost always right.
 func (k *Kernel) ScheduleP(d Duration, priority int32, fn func()) EventID {
+	return k.schedule(d, priority, funcHandler(fn))
+}
+
+func (k *Kernel) schedule(d Duration, priority int32, h Handler) EventID {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	return k.at(k.now.Add(d), priority, fn)
+	return k.at(k.now.Add(d), priority, h)
 }
 
-func (k *Kernel) at(t Time, priority int32, fn func()) EventID {
+// funcHandler wraps fn, keeping a nil fn nil so at rejects it.
+func funcHandler(fn func()) Handler {
+	if fn == nil {
+		return nil
+	}
+	return Func(fn)
+}
+
+func (k *Kernel) at(t Time, priority int32, h Handler) EventID {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, k.now))
 	}
-	if fn == nil {
+	if h == nil {
 		panic("sim: nil event callback")
 	}
 	var idx int32
@@ -191,7 +232,7 @@ func (k *Kernel) at(t Time, priority int32, fn func()) EventID {
 	}
 	s := &k.arena[idx]
 	s.at = t
-	s.fn = fn
+	s.h = h
 	s.state = slotQueued
 	e := qent{at: t, seq: k.seq, priority: priority, idx: idx}
 	k.seq++
@@ -227,7 +268,7 @@ func (k *Kernel) Cancel(id EventID) {
 		return
 	}
 	s.state = slotCanceled
-	s.fn = nil
+	s.h = nil
 	k.live--
 }
 
@@ -259,7 +300,7 @@ func (k *Kernel) EventTime(id EventID) (Time, bool) {
 // outstanding handle to the old occupant.
 func (k *Kernel) release(idx int32) {
 	s := &k.arena[idx]
-	s.fn = nil
+	s.h = nil
 	s.gen++
 	s.state = slotFree
 	k.free = append(k.free, idx)
@@ -293,12 +334,12 @@ func (k *Kernel) Step() bool {
 		k.now = s.at
 		k.executed++
 		k.live--
-		fn := s.fn
+		h := s.h
 		k.release(idx)
 		if k.tracer != nil {
 			k.tracer.Event(k.now)
 		}
-		fn()
+		h.Fire()
 		return true
 	}
 }

@@ -7,11 +7,11 @@ type Job struct {
 	Name string
 	// Cost is the service time the job occupies the server for.
 	Cost Duration
-	// Start runs when the job enters service (after any queueing delay),
-	// with the queueing wait as argument. May be nil.
-	Start func(wait Duration)
-	// Done runs at completion. May be nil.
-	Done func()
+	// Start observes the job entering service (after any queueing
+	// delay), with the queueing wait as argument. May be nil.
+	Start Starter
+	// Done fires at completion. May be nil.
+	Done Handler
 	// Class tags the job for statistics (e.g. "pr", "launch", "sched").
 	Class string
 
@@ -23,6 +23,11 @@ type Job struct {
 	// after their job completed — the object may already serve a newer
 	// submission.
 	pooled bool
+}
+
+// Starter observes a job entering service; wait is how long it queued.
+type Starter interface {
+	Started(wait Duration)
 }
 
 // Cancel marks a queued job so the server skips it. Canceling the job
@@ -58,15 +63,19 @@ type Server struct {
 	// write per job; Stats builds the maps.
 	classes []classStats
 
-	// finishFn is the completion callback scheduled for the job in
-	// service. It is bound once, at the server's first job: the server
-	// is non-preemptive, so the job finishing is always s.cur — which
-	// makes every completion event closure-allocation free, and a
-	// server that never runs a job never pays for the closure.
-	finishFn func()
-
 	// IdleHook, if set, runs whenever the server transitions to idle.
 	IdleHook func()
+}
+
+// serverFinish is the completion event of the job in service: the
+// server is non-preemptive, so the job finishing is always s.cur, and
+// the server itself is the event's state. Scheduling it allocates
+// nothing.
+type serverFinish Server
+
+func (f *serverFinish) Fire() {
+	s := (*Server)(f)
+	s.finish(s.cur)
 }
 
 // classStats accumulates one job class's share of ServerStats.
@@ -190,15 +199,12 @@ func (s *Server) Submit(j *Job) {
 // to it at completion, so steady-state submission allocates nothing;
 // the returned handle is only valid until the job completes.
 func (s *Server) SubmitFunc(name, class string, cost Duration, done func()) *Job {
-	j := s.getJob()
-	j.Name, j.Class, j.Cost, j.Done = name, class, cost, done
-	s.Submit(j)
-	return j
+	return s.SubmitPooled(name, class, cost, nil, funcHandler(done))
 }
 
-// SubmitPooled is SubmitFunc with a Start hook, for hot paths that need
-// queueing-wait observation without a per-submission Job allocation.
-func (s *Server) SubmitPooled(name, class string, cost Duration, start func(Duration), done func()) *Job {
+// SubmitPooled is SubmitFunc with a Handler completion and an optional
+// Start hook, for hot paths that submit without allocating anything.
+func (s *Server) SubmitPooled(name, class string, cost Duration, start Starter, done Handler) *Job {
 	j := s.getJob()
 	j.Name, j.Class, j.Cost, j.Start, j.Done = name, class, cost, start, done
 	s.Submit(j)
@@ -232,12 +238,9 @@ func (s *Server) start(j *Job) {
 		s.class(j.Class).wait += wait
 	}
 	if j.Start != nil {
-		j.Start(wait)
+		j.Start.Started(wait)
 	}
-	if s.finishFn == nil {
-		s.finishFn = func() { s.finish(s.cur) }
-	}
-	s.k.ScheduleP(j.Cost, s.pri, s.finishFn)
+	s.k.schedule(j.Cost, s.pri, (*serverFinish)(s))
 }
 
 func (s *Server) finish(j *Job) {
@@ -249,7 +252,7 @@ func (s *Server) finish(j *Job) {
 	done := j.Done
 	s.putJob(j)
 	if done != nil {
-		done()
+		done.Fire()
 	}
 	// The Done callback may have submitted new work already.
 	if !s.busy {

@@ -23,6 +23,11 @@ func TestServerFIFO(t *testing.T) {
 	}
 }
 
+// waitLog records the queueing wait of every job it starts.
+type waitLog []Duration
+
+func (w *waitLog) Started(wait Duration) { *w = append(*w, wait) }
+
 func TestServerWaitAccounting(t *testing.T) {
 	k := NewKernel(1)
 	s := NewServer(k, "pcap")
@@ -30,7 +35,7 @@ func TestServerWaitAccounting(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		s.Submit(&Job{
 			Name: "load", Class: "pr", Cost: 20 * Millisecond,
-			Start: func(w Duration) { waits = append(waits, w) },
+			Start: (*waitLog)(&waits),
 		})
 	}
 	k.Run()
@@ -140,7 +145,7 @@ func TestServerCancelQueuedJob(t *testing.T) {
 	s := NewServer(k, "core")
 	ran := false
 	s.SubmitFunc("first", "x", 10*Millisecond, nil)
-	j := &Job{Name: "second", Class: "x", Cost: 10 * Millisecond, Done: func() { ran = true }}
+	j := &Job{Name: "second", Class: "x", Cost: 10 * Millisecond, Done: Func(func() { ran = true })}
 	s.Submit(j)
 	j.Cancel()
 	k.Run()

@@ -232,6 +232,7 @@ func GenerateSet(c Condition, baseSeed uint64, n int) []*Sequence {
 func (s *Sequence) Instantiate(firstID int) ([]*appmodel.App, error) {
 	block := make([]appmodel.App, len(s.Arrivals))
 	apps := make([]*appmodel.App, len(s.Arrivals))
+	tasks := 0
 	for i, a := range s.Arrivals {
 		spec := SpecByName(a.Spec)
 		if spec == nil {
@@ -239,6 +240,15 @@ func (s *Sequence) Instantiate(firstID int) ([]*appmodel.App, error) {
 		}
 		block[i].Init(firstID+i, spec, a.Batch, sim.Time(a.At))
 		apps[i] = &block[i]
+		tasks += spec.TaskCount()
+	}
+	// One stage block for every app's first plan: a plan has at most
+	// one stage per task.
+	stages := make([]appmodel.Stage, tasks)
+	for _, a := range apps {
+		n := a.Spec.TaskCount()
+		a.UseStageBuffer(stages[:n:n])
+		stages = stages[n:]
 	}
 	return apps, nil
 }
