@@ -41,28 +41,28 @@ type shardFloor struct {
 }
 
 // benchCeilings are the pinned rows. The rows whose allocs and bytes
-// fell when the slot events became typed handlers and the stage, cache
-// and summary storage moved to per-run blocks were re-measured then
-// (go1.24.0, 2 CPUs, the highest of three runs).
+// fell when the sim kernel and servers stopped growing their slices
+// from empty in every run were re-measured then (go1.24.0, 2 CPUs, the
+// highest of three runs).
 var benchCeilings = []benchCeiling{
 	{"KernelEvents", "0.5s", BenchmarkKernelEvents, 11.46, 0, 0},
 	{"ServerJobs", "0.5s", BenchmarkServerJobs, 34.35, 0, 0},
 	{"PipelineMakespan", "0.5s", BenchmarkPipelineMakespan, 5712, 24, 4144},
 	{"WorkloadGeneration", "0.5s", BenchmarkWorkloadGeneration, 1320, 9, 2240},
-	{"EndToEndStress", "2x", BenchmarkEndToEndStress, 1615970, 74, 22948},
-	{"ChaosFaults", "2x", BenchmarkChaosFaults, 2185523, 376, 57956},
-	{"FarmDispatch/least-loaded/pairs=32", "2x", farmDispatchBench("least-loaded", 32), 9236276, 1028, 304120},
-	{"FarmDispatch/least-loaded/pairs=128", "2x", farmDispatchBench("least-loaded", 128), 26659674, 2785, 1133952},
-	{"FarmDispatchHetero/least-loaded/pairs=32", "2x", farmHeteroBench(32), 6643518, 1092, 264784},
-	{"FarmDispatchSharded/pairs=128/shards=1", "2x", farmShardedBench(128, 1), 27874166, 694, 281968},
-	{"FarmDispatchSharded/pairs=128/shards=4", "2x", farmShardedBench(128, 4), 18222972, 848, 290816},
-	{"FarmDispatchSharded/pairs=128/shards=8", "2x", farmShardedBench(128, 8), 18520900, 868, 294016},
-	{"FarmDispatchSharded/pairs=1024/shards=1", "2x", farmShardedBench(1024, 1), 227557740, 1049, 1772480},
-	{"FarmDispatchSharded/pairs=1024/shards=4", "2x", farmShardedBench(1024, 4), 178955198, 1200, 1795616},
-	{"FarmDispatchSharded/pairs=1024/shards=8", "2x", farmShardedBench(1024, 8), 180673462, 1216, 1797856},
+	{"EndToEndStress", "2x", BenchmarkEndToEndStress, 1615970, 46, 22692},
+	{"ChaosFaults", "2x", BenchmarkChaosFaults, 2185523, 322, 55420},
+	{"FarmDispatch/least-loaded/pairs=32", "2x", farmDispatchBench("least-loaded", 32), 9236276, 719, 284616},
+	{"FarmDispatch/least-loaded/pairs=128", "2x", farmDispatchBench("least-loaded", 128), 26659674, 2382, 1106688},
+	{"FarmDispatchHetero/least-loaded/pairs=32", "2x", farmHeteroBench(32), 6643518, 775, 247512},
+	{"FarmDispatchSharded/pairs=128/shards=1", "2x", farmShardedBench(128, 1), 27874166, 380, 267072},
+	{"FarmDispatchSharded/pairs=128/shards=4", "2x", farmShardedBench(128, 4), 18222972, 445, 285208},
+	{"FarmDispatchSharded/pairs=128/shards=8", "2x", farmShardedBench(128, 8), 18520900, 466, 288424},
+	{"FarmDispatchSharded/pairs=1024/shards=1", "2x", farmShardedBench(1024, 1), 227557740, 722, 1756768},
+	{"FarmDispatchSharded/pairs=1024/shards=4", "2x", farmShardedBench(1024, 4), 178955198, 785, 1789512},
+	{"FarmDispatchSharded/pairs=1024/shards=8", "2x", farmShardedBench(1024, 8), 180673462, 802, 1791800},
 	{"StreamingHorizon/samples=100000", "2x", streamingHorizonBench(100000), 4751190, 367, 535760},
 	{"StreamingHorizon/samples=1000000", "2x", streamingHorizonBench(1000000), 33475044, 398, 630992},
-	{"AutoscaleChurn", "4x", BenchmarkAutoscaleChurn, 4263075, 585, 218966},
+	{"AutoscaleChurn", "4x", BenchmarkAutoscaleChurn, 4263075, 452, 211886},
 }
 
 // shardFloors are the sharded farm runs' speedup floors.

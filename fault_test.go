@@ -183,34 +183,35 @@ func TestChaosAllInjectorsDrain(t *testing.T) {
 // swaps in while a region it needs is down nor keeps a design whose
 // region failed during the swap. The engine trace's slot-failure,
 // recovery and item-start lines show which slots are down when each
-// item starts.
+// item starts. Each case has its own runner and trace counters, so the
+// cases run in parallel.
 func TestBaselineFaultsDrain(t *testing.T) {
 	faults := &fault.Spec{Injectors: []fault.InjectorSpec{
 		{Kind: "slot-fail", MTBF: 2 * sim.Second, MTTR: 200 * sim.Millisecond},
 		{Kind: "board-fail", MTBF: 5 * sim.Second, MTTR: 300 * sim.Millisecond},
 		{Kind: "straggler", MTBF: 3 * sim.Second, MTTR: 300 * sim.Millisecond, Factor: 2},
 	}}
-	var down map[int]bool
-	var starts, onDown, failures int
-	r := versaslot.NewRunner(versaslot.WithTrace(func(format string, args ...any) {
-		switch format {
-		case "%v slot %d FAILED":
-			down[args[1].(int)] = true
-			failures++
-		case "%v slot %d recovered":
-			delete(down, args[1].(int))
-		case "%v exec %v item %d on slot %d (%v)":
-			starts++
-			if down[args[3].(int)] {
-				onDown++
-			}
-		}
-	}))
 	for _, cond := range []string{"stress", "standard"} {
 		for seed := uint64(1); seed <= 8; seed++ {
 			sc := versaslot.Scenario{Policy: "baseline", Condition: cond, Apps: 20, Seed: seed, Faults: faults}
 			t.Run(fmt.Sprintf("%s/seed=%d", cond, seed), func(t *testing.T) {
-				down, starts, onDown, failures = map[int]bool{}, 0, 0, 0
+				t.Parallel()
+				down := map[int]bool{}
+				var starts, onDown, failures int
+				r := versaslot.NewRunner(versaslot.WithTrace(func(format string, args ...any) {
+					switch format {
+					case "%v slot %d FAILED":
+						down[args[1].(int)] = true
+						failures++
+					case "%v slot %d recovered":
+						delete(down, args[1].(int))
+					case "%v exec %v item %d on slot %d (%v)":
+						starts++
+						if down[args[3].(int)] {
+							onDown++
+						}
+					}
+				}))
 				res, err := r.Run(sc)
 				if err != nil {
 					t.Fatal(err)

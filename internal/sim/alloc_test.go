@@ -90,3 +90,47 @@ func TestHandlerEventsZeroAlloc(t *testing.T) {
 		t.Fatalf("handler fired %d times, want %d", fired, 2*1002)
 	}
 }
+
+// TestFreshKernelAllocs pins what a new kernel costs to reach 16
+// pending events and drain them: the kernel, its RNG, and one arena
+// and one heap allocation at their first-use capacity. The free list
+// lives in the free arena slots, so recycling allocates nothing.
+// Growing the arena, the heap and a separate free list by append from
+// empty made it 16 allocations.
+func TestFreshKernelAllocs(t *testing.T) {
+	var fired counter
+	allocs := testing.AllocsPerRun(100, func() {
+		k := NewKernel(1)
+		// Decreasing times: each schedule takes the next-event
+		// register and pushes the previous occupant into the heap.
+		for i := 16; i > 0; i-- {
+			k.ScheduleHandler(Duration(i)*Microsecond, &fired)
+		}
+		k.Run()
+	})
+	const ceiling = 4
+	if allocs > ceiling {
+		t.Fatalf("fresh kernel with 16 events allocates %.0f times, want <= %d", allocs, ceiling)
+	}
+}
+
+// TestFreshServerAllocs pins what a new kernel and server cost to run
+// four pooled jobs of three classes, three of them queued: the kernel,
+// its RNG and arena, the server, one block of pooled jobs and one
+// class table. Per-job allocations and a pool, a queue and a class
+// table grown by append from empty made it 18.
+func TestFreshServerAllocs(t *testing.T) {
+	var fired counter
+	allocs := testing.AllocsPerRun(100, func() {
+		k := NewKernel(1)
+		s := NewServer(k, "pcap")
+		for _, class := range []string{"pr", "launch", "sched", "pr"} {
+			s.SubmitPooled("job", class, Microsecond, nil, &fired)
+		}
+		k.Run()
+	})
+	const ceiling = 6
+	if allocs > ceiling {
+		t.Fatalf("fresh server with 4 pooled jobs allocates %.0f times, want <= %d", allocs, ceiling)
+	}
+}

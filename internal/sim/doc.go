@@ -43,13 +43,32 @@
 // queueing wait. Plain func() callbacks go through the Func adapter
 // (At, Schedule, SubmitFunc), so the kernel has one dispatch path.
 //
+// # Servers
+//
+// A Server is a non-preemptive FIFO. Its waiting jobs form a list
+// linked through each Job's next field, so queueing needs no slice.
+// SubmitFunc and SubmitPooled draw jobs from a free list threaded the
+// same way, which the kernel holds for all of its servers and refills
+// four jobs at a time; a server only runs on its own kernel's
+// goroutine, so the list has one writer even when a farm's kernels run
+// in parallel. A completed or skipped pooled job goes back on the
+// list. Per-class counters live in a small table allocated at capacity
+// four on first use; Stats builds its maps from it. FuzzServerDiff
+// replays pooled and caller-owned submits, cancels and steps over
+// three servers on one kernel against a slice-backed reference.
+//
 // # EventID generations
 //
 // Schedule returns a generation-counted EventID handle rather than a
 // pointer. The kernel stores events in an arena whose slots are
-// recycled through a free list; the generation counter makes a stale
+// recycled through a LIFO free list threaded through the free slots
+// themselves (a free slot's time field holds the next free index), so
+// the list needs no storage; the generation counter makes a stale
 // handle (one whose event already fired or was canceled) harmless —
 // Cancel and EventTime on it are no-ops, never a hit on whatever
-// event now occupies the recycled slot. Steady-state Schedule/Step
-// performs zero heap allocations.
+// event now occupies the recycled slot. The arena and the heap are
+// allocated at a capacity of 16 on first use, which covers almost
+// every paper-sweep run, so a fresh kernel reaches its working size
+// without growing. Steady-state Schedule/Step performs zero heap
+// allocations.
 package sim

@@ -23,7 +23,14 @@ type Job struct {
 	// after their job completed — the object may already serve a newer
 	// submission.
 	pooled bool
+	// next links the job into its server's queue while it waits, and a
+	// recycled pooled job into its kernel's free list.
+	next *Job
 }
+
+// jobBlock is how many pooled jobs a kernel allocates at once when its
+// free list runs dry.
+const jobBlock = 4
 
 // Starter observes a job entering service; wait is how long it queued.
 type Starter interface {
@@ -46,16 +53,17 @@ type ServerStats struct {
 
 // Server is a non-preemptive FIFO single server in virtual time: CPU
 // cores, the PCAP port, and the cross-board link are all Servers.
+// Waiting jobs form a list linked through Job.next, so queueing needs
+// no storage of its own.
 type Server struct {
 	k     *Kernel
 	name  string
 	busy  bool
 	cur   *Job
-	queue []*Job
-	head  int         // index of the next queued job; queue[:head] is spent
+	head  *Job        // next queued job, or nil
+	tail  *Job        // last queued job; meaningful only when head != nil
 	stats ServerStats // ByClass and WaitByName stay nil; see classes
 	pri   int32       // event priority of completion events (see SetPriority)
-	pool  []*Job      // recycled SubmitFunc jobs
 
 	// classes holds the per-class completion and wait counters behind
 	// ServerStats.ByClass/WaitByName. A server sees a handful of job
@@ -77,6 +85,12 @@ func (f *serverFinish) Fire() {
 	s := (*Server)(f)
 	s.finish(s.cur)
 }
+
+// classCap is the class table's capacity on first use. The servers of a
+// VersaSlot run see one or two job classes each (the PR core's "pr" and
+// "full-reconfig", the scheduler core's "sched" and "launch"), so the
+// table never grows in a run.
+const classCap = 4
 
 // classStats accumulates one job class's share of ServerStats.
 type classStats struct {
@@ -107,6 +121,9 @@ func (s *Server) class(name string) *classStats {
 			return &s.classes[i]
 		}
 	}
+	if s.classes == nil {
+		s.classes = make([]classStats, 0, classCap)
+	}
 	s.classes = append(s.classes, classStats{class: name})
 	return &s.classes[len(s.classes)-1]
 }
@@ -123,17 +140,6 @@ func (s *Server) SetPriority(p int32) { s.pri = p }
 // Busy reports whether the server is currently in service.
 func (s *Server) Busy() bool { return s.busy }
 
-// QueueLen returns the number of jobs waiting (excluding the one in service).
-func (s *Server) QueueLen() int {
-	n := 0
-	for _, j := range s.queue[s.head:] {
-		if !j.canceled {
-			n++
-		}
-	}
-	return n
-}
-
 // PendingByClass returns how many jobs of the class are pending: queued
 // plus the one in service if it matches.
 func (s *Server) PendingByClass(class string) int {
@@ -141,16 +147,13 @@ func (s *Server) PendingByClass(class string) int {
 	if s.cur != nil && s.cur.Class == class {
 		n++
 	}
-	for _, j := range s.queue[s.head:] {
+	for j := s.head; j != nil; j = j.next {
 		if !j.canceled && j.Class == class {
 			n++
 		}
 	}
 	return n
 }
-
-// Current returns the job in service, or nil when idle.
-func (s *Server) Current() *Job { return s.cur }
 
 // Stats returns a copy of the server's accumulated statistics. A class
 // appears in ByClass once a job of it completed, and in WaitByName once
@@ -188,15 +191,20 @@ func (s *Server) Submit(j *Job) {
 	}
 	j.enqueuedAt = s.k.Now()
 	if s.busy {
-		s.queue = append(s.queue, j)
+		if s.head == nil {
+			s.head = j
+		} else {
+			s.tail.next = j
+		}
+		s.tail = j
 		return
 	}
 	s.start(j)
 }
 
 // SubmitFunc is a convenience wrapper building a Job from its parts.
-// The job object is drawn from the server's recycling pool and returns
-// to it at completion, so steady-state submission allocates nothing;
+// The job object is drawn from the kernel's free list of pooled jobs
+// and returns to it at completion, so steady-state submission allocates nothing;
 // the returned handle is only valid until the job completes.
 func (s *Server) SubmitFunc(name, class string, cost Duration, done func()) *Job {
 	return s.SubmitPooled(name, class, cost, nil, funcHandler(done))
@@ -211,21 +219,35 @@ func (s *Server) SubmitPooled(name, class string, cost Duration, start Starter, 
 	return j
 }
 
+// getJob takes a pooled job off the kernel's free list, refilling the
+// list with a fresh block when it is empty. The list is per kernel: a
+// server only runs on its own kernel's goroutine, so the list has a
+// single writer even when a farm's kernels run in parallel.
 func (s *Server) getJob() *Job {
-	if n := len(s.pool); n > 0 {
-		j := s.pool[n-1]
-		s.pool = s.pool[:n-1]
-		return j
+	k := s.k
+	if k.jobs == nil {
+		b := new([jobBlock]Job)
+		for i := range b {
+			b[i].pooled = true
+			if i+1 < jobBlock {
+				b[i].next = &b[i+1]
+			}
+		}
+		k.jobs = &b[0]
 	}
-	return &Job{pooled: true}
+	j := k.jobs
+	k.jobs, j.next = j.next, nil
+	return j
 }
 
+// putJob returns a pooled job to the kernel's free list; caller-owned
+// jobs are left alone.
 func (s *Server) putJob(j *Job) {
 	if !j.pooled {
 		return
 	}
-	*j = Job{pooled: true}
-	s.pool = append(s.pool, j)
+	*j = Job{pooled: true, next: s.k.jobs}
+	s.k.jobs = j
 }
 
 func (s *Server) start(j *Job) {
@@ -261,16 +283,9 @@ func (s *Server) finish(j *Job) {
 }
 
 func (s *Server) dispatchNext() {
-	for s.head < len(s.queue) {
-		j := s.queue[s.head]
-		s.queue[s.head] = nil // release the reference
-		s.head++
-		if s.head == len(s.queue) {
-			// Queue drained: rewind so the backing array is reused
-			// instead of growing forever.
-			s.queue = s.queue[:0]
-			s.head = 0
-		}
+	for s.head != nil {
+		j := s.head
+		s.head, j.next = j.next, nil
 		if j.canceled {
 			s.putJob(j)
 			continue

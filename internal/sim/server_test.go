@@ -157,15 +157,13 @@ func TestServerCancelQueuedJob(t *testing.T) {
 	}
 }
 
-func TestServerQueueLenAndPendingByClass(t *testing.T) {
+func TestServerPendingByClass(t *testing.T) {
 	k := NewKernel(1)
 	s := NewServer(k, "core")
 	s.SubmitFunc("running", "pr", 10*Millisecond, nil)
 	s.SubmitFunc("q1", "pr", 10*Millisecond, nil)
 	s.SubmitFunc("q2", "launch", 10*Millisecond, nil)
-	if s.QueueLen() != 2 {
-		t.Fatalf("queue len %d, want 2", s.QueueLen())
-	}
+	s.SubmitFunc("q3", "launch", 10*Millisecond, nil).Cancel()
 	if got := s.PendingByClass("pr"); got != 2 {
 		t.Fatalf("pending pr %d, want 2 (one running, one queued)", got)
 	}
