@@ -350,10 +350,11 @@ func farmHeteroBench(pairs int) func(*testing.B) {
 	}
 }
 
-// BenchmarkFarmBuild prices farm construction alone: every board,
-// engine, policy and pair hook of a fleet-scale least-loaded farm,
-// built before the first arrival. TestNewFarmAllocs pins the
-// allocations per pair; this reports the whole build.
+// BenchmarkFarmBuild prices farm construction alone: every pair of a
+// fleet-scale least-loaded farm with its active board, engine and
+// policy, built before the first arrival. TestNewFarmAllocs pins that
+// the allocations do not grow with the pair count; this reports the
+// whole build.
 func BenchmarkFarmBuild(b *testing.B) {
 	const pairs = 1024
 	b.Run(fmt.Sprintf("pairs=%d", pairs), func(b *testing.B) {

@@ -6,10 +6,8 @@ import (
 	"sync"
 
 	"versaslot/internal/appmodel"
-	"versaslot/internal/bitstream"
 	"versaslot/internal/bundle"
 	"versaslot/internal/fabric"
-	"versaslot/internal/hypervisor"
 	"versaslot/internal/interlink"
 	"versaslot/internal/metrics"
 	"versaslot/internal/migrate"
@@ -59,16 +57,42 @@ func DefaultConfig() Config {
 	}
 }
 
-// platformFor resolves the configured platform of a mode, defaulting
-// to the paper's pair.
-func (c Config) platformFor(m migrate.Mode) (*fabric.Platform, error) {
-	name := c.BasePlatform
-	fallback := fabric.ZCU216OnlyLittle
+// platformName returns the configured platform name of a mode,
+// defaulting to the paper's pair.
+func (c Config) platformName(m migrate.Mode) string {
+	name, fallback := c.BasePlatform, fabric.ZCU216OnlyLittle
 	if m == migrate.Boost {
 		name, fallback = c.BoostPlatform, fabric.ZCU216BigLittle
 	}
 	if name == "" {
-		name = fallback
+		return fallback
+	}
+	return name
+}
+
+// platformCache resolves a farm's platform names, looking each
+// distinct name up once however many pairs use it: a farm names a
+// handful of platforms across all of its pairs.
+type platformCache struct {
+	names []string
+	found []*fabric.Platform
+}
+
+// pair resolves both platforms of a pair configuration.
+func (r *platformCache) pair(cfg Config) (out [2]*fabric.Platform, err error) {
+	for _, mode := range pairModes {
+		if out[mode], err = r.lookup(cfg.platformName(mode)); err != nil {
+			return out, err
+		}
+	}
+	return out, nil
+}
+
+func (r *platformCache) lookup(name string) (*fabric.Platform, error) {
+	for i, n := range r.names {
+		if n == name {
+			return r.found[i], nil
+		}
 	}
 	p, ok := fabric.LookupPlatform(name)
 	if !ok {
@@ -77,6 +101,7 @@ func (c Config) platformFor(m migrate.Mode) (*fabric.Platform, error) {
 	if p.Virtual {
 		return nil, fmt.Errorf("cluster: platform %q is the monolithic baseline template; switching pairs need DPR slots", p.Name)
 	}
+	r.names, r.found = append(r.names, name), append(r.found, p)
 	return p, nil
 }
 
@@ -102,20 +127,16 @@ type TracePoint struct {
 type Cluster struct {
 	K    *sim.Kernel
 	Cfg  Config
-	Link *interlink.Link
+	Link interlink.Link
 
 	// engines holds each mode's engine, nil until its board is built.
 	engines   [2]*sched.Engine
 	platforms [2]*fabric.Platform
 	active    migrate.Mode
-	trigger   *migrate.Trigger
+	trigger   migrate.Trigger
 
 	// firstBoard is the base board's ID; the boost board's is the next.
 	firstBoard int
-	// queueUpdateFn, finishFn are the pair hooks every board shares,
-	// bound once.
-	queueUpdateFn func()
-	finishFn      func(*appmodel.App)
 	// onBuild, when set, finishes each board the pair builds (see
 	// SetBuildHook).
 	onBuild func(*sched.Engine)
@@ -145,72 +166,65 @@ type Cluster struct {
 	cost *migrate.CostModel
 }
 
-// buildCluster wires a switching pair onto a farm's kernel. Both
-// platforms are resolved and validated here (the paper's point: the
-// static regions are fixed at start-up; switching between them at
-// runtime is what live migration buys), so configuration errors
-// surface at construction, but only the active board is built.
-func buildCluster(k *sim.Kernel, cfg Config, firstBoardID int) (*Cluster, error) {
-	c := &Cluster{
-		K:          k,
-		Cfg:        cfg,
-		Link:       interlink.NewDefault(k, linkName(firstBoardID/2)),
-		active:     cfg.StartMode,
-		trigger:    migrate.NewTrigger(cfg.StartMode, cfg.ThresholdUp, cfg.ThresholdDown),
-		firstBoard: firstBoardID,
-	}
-	for _, mode := range pairModes {
-		platform, err := cfg.platformFor(mode)
-		if err != nil {
-			return nil, err
-		}
-		c.platforms[mode] = platform
-	}
-	c.queueUpdateFn, c.finishFn = c.onQueueUpdate, c.onAppFinished
-	c.build(c.active)
-	return c, nil
+// init finishes, in place, pair index of farm f on kernel k. Its Cfg
+// and both platforms are already set, resolved and validated (the
+// paper's point: the static regions are fixed at start-up; switching
+// between them at runtime is what live migration buys). The pair
+// adopts active, built on the platform of Cfg.StartMode, as its active
+// board; the spare is built on first use (see build).
+func (c *Cluster) init(f *Farm, index int, k *sim.Kernel, active *sched.Engine) {
+	c.K, c.farm, c.index = k, f, index
+	c.firstBoard = 2 * index
+	c.active = c.Cfg.StartMode
+	c.Link.Init(k, linkName(index), interlink.DefaultBandwidth, interlink.DefaultSetup)
+	c.trigger.Init(c.Cfg.StartMode, c.Cfg.ThresholdUp, c.Cfg.ThresholdDown)
+	c.adopt(c.active, active)
 }
 
-// build makes the board of a mode, its engine and policy, and wires the
-// pair hooks, then runs the build hook. A board built while it is not
-// the active one is the spare and starts frozen: it only executes after
-// a switch. It is frozen before its policy is installed, so freezing
-// submits no scheduler pass (a board without work has nothing to
-// schedule).
+// build makes the spare's board, engine and policy on storage of its
+// own, through the same constructors a farm builds its active boards
+// with, and adopts them. The spare starts frozen: it only executes
+// after a switch.
 func (c *Cluster) build(mode migrate.Mode) *sched.Engine {
 	platform := c.platforms[mode]
-	// Boards share the process-wide immutable suite repository
-	// whenever it covers the platform's slot classes: a farm of N
-	// pairs does not rebuild identical bitstream stores.
-	board := fabric.NewBoard(c.BoardID(mode), platform)
-	eng := sched.NewEngine(c.K, c.Cfg.Params, board, hypervisor.DualCore, bitstream.RepoFor(platform))
-	if mode != c.active {
-		eng.SetFrozen(true)
-	}
-	if platform.Heterogeneous() {
-		eng.SetPolicy(sched.NewVersaSlotBL())
-	} else {
-		eng.SetPolicy(sched.NewVersaSlotOL())
-	}
-	eng.OnQueueUpdate = c.queueUpdateFn
-	eng.OnAppFinished = c.finishFn
-	// Fault hook: an app crash-restarted on a frozen (draining) board
-	// would otherwise queue there forever — no new placements happen
-	// while frozen, and nothing unfreezes a drained board. Re-home it
-	// to the active board with intra-pair migration bookkeeping.
-	eng.OnAppCrashed = func(a *appmodel.App) bool {
-		if !eng.Frozen() || c.activeEngine() == eng {
-			return false
-		}
-		eng.RemoveActive(a)
-		c.activeEngine().InjectMigrated(a)
-		return true
-	}
+	board := make([]fabric.Board, 1)
+	slab := fabric.MakeSlab(platform.SlotCount(), len(platform.Classes))
+	board[0].Init(c.BoardID(mode), platform, &slab)
+	eng := &sched.VersaSlotEngines(board, c.Cfg.Params, c.K, nil, mode != c.active)[0]
+	c.adopt(mode, eng)
+	return eng
+}
+
+// adopt makes eng the engine of a mode: it reports to the pair, and
+// the build hook finishes it.
+func (c *Cluster) adopt(mode migrate.Mode, eng *sched.Engine) {
+	eng.SetPair((*pairHooks)(c))
 	c.engines[mode] = eng
 	if c.onBuild != nil {
 		c.onBuild(eng)
 	}
-	return eng
+}
+
+// pairHooks is the engines' view of their pair (sched.Pair). A
+// *Cluster converts to it without allocating, so every board of every
+// pair reports through one value.
+type pairHooks Cluster
+
+func (h *pairHooks) QueueUpdated()               { (*Cluster)(h).onQueueUpdate() }
+func (h *pairHooks) AppFinished(a *appmodel.App) { (*Cluster)(h).onAppFinished(a) }
+
+// AppCrashed re-homes an app crash-restarted on a frozen (draining)
+// board to the active board, with intra-pair migration bookkeeping:
+// it would otherwise queue there forever, since a frozen board makes no
+// new placements and nothing unfreezes a drained board.
+func (h *pairHooks) AppCrashed(e *sched.Engine, a *appmodel.App) bool {
+	c := (*Cluster)(h)
+	if !e.Frozen() || c.activeEngine() == e {
+		return false
+	}
+	e.RemoveActive(a)
+	c.activeEngine().InjectMigrated(a)
+	return true
 }
 
 // linkNames interns the per-pair Aurora link names: a fleet rebuilds
@@ -444,7 +458,7 @@ func (c *Cluster) doSwitch() {
 	}
 	c.migrating = true
 	c.prewarm()
-	migrate.ExecuteModel(c.K, c.Link, moved, c.cost, func(apps []*appmodel.App) {
+	migrate.ExecuteModel(c.K, &c.Link, moved, c.cost, func(apps []*appmodel.App) {
 		c.migrating = false
 		// Each delivery can run D_switch and switch the pair again, so
 		// every app goes to the board active when it lands.

@@ -27,7 +27,17 @@
 // rebalancer generalizes the pair-internal live migration to
 // pair-to-pair transfers over a rack-level link.
 //
-// All boards of a farm run in one simulation kernel, so farm runs
-// keep the kernel's determinism guarantee: same configuration and
-// seed, byte-identical results.
+// A farm builds its pairs from slabs: one slice each of clusters,
+// active boards, board storage, engines, slot records, policies and
+// (when sharded) pair kernels, sized to the pair count, with pair i
+// at entry i of each. A pair holds its link and trigger inline, and
+// its engines report to it through a typed view of the Cluster
+// (sched.Pair), so construction costs the same few allocations
+// whatever the farm's size. A spare is built on storage of its own the
+// first time it is needed; the slabs never reserve room for spares.
+//
+// A farm's pairs run on one simulation kernel, or on per-pair kernels
+// under the sharded coordinator, and either way keep the kernel's
+// determinism guarantee: same configuration and seed, byte-identical
+// results.
 package cluster

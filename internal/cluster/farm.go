@@ -5,6 +5,7 @@ import (
 	"runtime"
 
 	"versaslot/internal/appmodel"
+	"versaslot/internal/fabric"
 	"versaslot/internal/interlink"
 	"versaslot/internal/metrics"
 	"versaslot/internal/migrate"
@@ -204,7 +205,7 @@ type Farm struct {
 	// is the resolved worker count (auto-selected when Cfg.Shards is
 	// zero), and coord is the live lookahead coordinator while a
 	// sharded Run is in progress (TouchPair's hand-off point).
-	pairK  []*sim.Kernel
+	pairK  []sim.Kernel
 	shards int
 	coord  *shardCoord
 
@@ -285,7 +286,6 @@ func NewFarm(cfg FarmConfig) (*Farm, error) {
 		K:          sim.NewKernel(cfg.Pair.Seed),
 		dispatcher: d,
 		shards:     shards,
-		Pairs:      make([]*Cluster, 0, cfg.Pairs),
 		routed:     make([]int, cfg.Pairs),
 		load:       make([]int, cfg.Pairs),
 		finishedBy: make([]int, cfg.Pairs),
@@ -306,28 +306,8 @@ func NewFarm(cfg FarmConfig) (*Farm, error) {
 	// then pair-local events — is identical whether the pairs share f.K
 	// or advance their own kernels.
 	f.Rack.SetPriority(sim.PriFarmControl)
-	if shards > 1 {
-		f.pairK = make([]*sim.Kernel, 0, cfg.Pairs)
-	}
-	for i := 0; i < cfg.Pairs; i++ {
-		pk := f.K
-		if shards > 1 {
-			// Each pair gets a private kernel seeded exactly like the
-			// pair config seeds the sequential build, so pair-local
-			// evolution is deterministic and independent of its
-			// neighbors between synchronization instants.
-			pk = sim.NewKernel(cfg.pairConfig(i).Seed)
-			f.pairK = append(f.pairK, pk)
-		}
-		pair, err := buildCluster(pk, cfg.pairConfig(i), i*2)
-		if err != nil {
-			return nil, err
-		}
-		// The per-pair load counter is maintained incrementally:
-		// arrivals increment it at dispatch; completions on either board
-		// decrement it in the pair's own finish hook.
-		pair.farm, pair.index = f, i
-		f.Pairs = append(f.Pairs, pair)
+	if err := f.buildPairs(); err != nil {
+		return nil, err
 	}
 	f.uniform = true
 	for _, p := range f.Pairs[1:] {
@@ -343,6 +323,67 @@ func NewFarm(cfg FarmConfig) (*Farm, error) {
 	f.eligibleBySpec = make(map[*appmodel.AppSpec][]int)
 	d.Init(f)
 	return f, nil
+}
+
+// buildPairs builds every pair of the farm and its active board from
+// slabs: one slice each of clusters, boards, board storage, engines,
+// slot records and policies (and pair kernels when sharded), sized to
+// the pair count, so building a farm costs the same few allocations
+// however many pairs it has. Spares stay unbuilt (see Cluster.build),
+// and pair i takes entry i of every slab, so each shard's contiguous
+// range of pairs is contiguous in memory too.
+func (f *Farm) buildPairs() error {
+	cfg, n := f.Cfg, f.Cfg.Pairs
+	clusters := make([]Cluster, n)
+	var names platformCache
+	slots, classes := 0, 0
+	for i := range clusters {
+		c := &clusters[i]
+		c.Cfg = cfg.pairConfig(i)
+		var err error
+		if c.platforms, err = names.pair(c.Cfg); err != nil {
+			return err
+		}
+		active := c.platforms[c.Cfg.StartMode]
+		slots += active.SlotCount()
+		classes += len(active.Classes)
+	}
+	if f.shards > 1 {
+		// Each pair gets a private kernel seeded exactly like the pair
+		// config seeds the sequential build, so pair-local evolution is
+		// deterministic and independent of its neighbors between
+		// synchronization instants.
+		f.pairK = make([]sim.Kernel, n)
+		for i := range f.pairK {
+			f.pairK[i].Init(clusters[i].Cfg.Seed)
+		}
+	}
+	boards := make([]fabric.Board, n)
+	slab := fabric.MakeSlab(slots, classes)
+	for i := range boards {
+		c := &clusters[i]
+		boards[i].Init(2*i+int(c.Cfg.StartMode), c.platforms[c.Cfg.StartMode], &slab)
+	}
+	engines := sched.VersaSlotEngines(boards, cfg.Pair.Params, f.K, f.pairK, false)
+	f.Pairs = make([]*Cluster, n)
+	for i := range clusters {
+		c := &clusters[i]
+		// The per-pair load counter is maintained incrementally:
+		// arrivals increment it at dispatch; completions on either
+		// board decrement it in the pair's own finish hook.
+		c.init(f, i, f.pairKernel(i), &engines[i])
+		f.Pairs[i] = c
+	}
+	return nil
+}
+
+// pairKernel returns the kernel pair i runs on: its own when the farm
+// is sharded, the farm's otherwise.
+func (f *Farm) pairKernel(i int) *sim.Kernel {
+	if f.pairK != nil {
+		return &f.pairK[i]
+	}
+	return f.K
 }
 
 // MustNewFarm is NewFarm, panicking on error; for tests and examples

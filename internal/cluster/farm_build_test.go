@@ -1,29 +1,58 @@
 package cluster
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
-// maxAllocsPerPair bounds the heap allocations one switching pair costs
-// to build inside a farm: its active board, engine and policy, the pair
-// link and the pair's hooks. The spare board is built on first use, so
-// it costs nothing here.
-const maxAllocsPerPair = 24
+// Farm construction bounds. Pairs are built from slabs, one allocation
+// per component kind, so a farm's allocation count does not grow with
+// its pair count: a 1024-pair farm may make at most maxExtraAllocs more
+// than a 64-pair one (the slack covers allocator size classes and the
+// process-wide name tables filling in). Bytes do grow with the pairs;
+// maxBytesPerPair pins them at 1024 pairs.
+const (
+	maxExtraAllocs  = 8
+	maxBytesPerPair = 5108
+)
 
-// TestNewFarmAllocs pins farm construction cost per pair, sequential
-// and sharded: a fleet builds every pair before its first arrival, so
-// per-pair pieces a run may never touch must not be built eagerly.
+// TestNewFarmAllocs pins farm construction cost, sequential and
+// sharded: a fleet builds every pair before its first arrival, so
+// per-pair pieces a run may never touch (the spares) must not be built
+// eagerly, and the pairs that are built must not cost an allocation
+// each.
 func TestNewFarmAllocs(t *testing.T) {
-	const pairs = 64
 	for _, shards := range []int{1, 2} {
-		cfg := DefaultFarmConfig(pairs)
-		cfg.Shards = shards
-		allocs := testing.AllocsPerRun(20, func() { MustNewFarm(cfg) })
-		perPair := allocs / pairs
-		t.Logf("shards=%d: %.0f allocs, %.2f per pair", shards, allocs, perPair)
-		if perPair > maxAllocsPerPair {
-			t.Errorf("shards=%d: building a %d-pair farm allocates %.2f times per pair, want <= %d",
-				shards, pairs, perPair, maxAllocsPerPair)
+		small, _ := farmBuildCost(64, shards)
+		large, bytes := farmBuildCost(1024, shards)
+		perPair := bytes / 1024
+		t.Logf("shards=%d: 64 pairs %.0f allocs, 1024 pairs %.0f allocs, %.0f B per pair", shards, small, large, perPair)
+		if extra := large - small; extra > maxExtraAllocs {
+			t.Errorf("shards=%d: a 1024-pair farm makes %.0f more allocations than a 64-pair one, want <= %d",
+				shards, extra, maxExtraAllocs)
+		}
+		if perPair > maxBytesPerPair {
+			t.Errorf("shards=%d: a 1024-pair farm allocates %.0f B per pair, want <= %d", shards, perPair, maxBytesPerPair)
 		}
 	}
+}
+
+// farmBuildCost returns the mean allocations and bytes of building a
+// farm of the given size, after one build that interns the pairs' link
+// and core names.
+func farmBuildCost(pairs, shards int) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cfg := DefaultFarmConfig(pairs)
+	cfg.Shards = shards
+	MustNewFarm(cfg)
+	const runs = 10
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		MustNewFarm(cfg)
+	}
+	runtime.ReadMemStats(&m1)
+	return float64(m1.Mallocs-m0.Mallocs) / runs, float64(m1.TotalAlloc-m0.TotalAlloc) / runs
 }
 
 // TestNewFarmRejectsNoPairs checks that a farm without pairs is a

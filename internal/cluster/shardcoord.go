@@ -128,9 +128,9 @@ func (f *Farm) newShardCoord() *shardCoord {
 		touched:     make([]int32, 0, n),
 		touchedMark: make([]bool, n),
 	}
-	for i, k := range f.pairK {
+	for i := range f.pairK {
 		c.pnext[i] = sim.MaxTime
-		if nx, ok := k.NextAt(); ok {
+		if nx, ok := f.pairK[i].NextAt(); ok {
 			c.pnext[i] = nx
 		}
 	}
@@ -344,14 +344,14 @@ func (c *shardCoord) finish() {
 		c.wait(w)
 	}
 	endT := f.K.Now()
-	for _, k := range f.pairK {
-		if k.Now() > endT {
-			endT = k.Now()
+	for i := range f.pairK {
+		if t := f.pairK[i].Now(); t > endT {
+			endT = t
 		}
 	}
 	f.K.AdvanceTo(endT)
-	for _, k := range f.pairK {
-		k.AdvanceTo(endT)
+	for i := range f.pairK {
+		f.pairK[i].AdvanceTo(endT)
 	}
 	for _, w := range rest {
 		c.post(w, stopCmd)

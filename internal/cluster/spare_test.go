@@ -1,9 +1,15 @@
 package cluster
 
 import (
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
+	"versaslot/internal/appmodel"
+	"versaslot/internal/fabric"
 	"versaslot/internal/migrate"
 	"versaslot/internal/sched"
 	"versaslot/internal/sim"
@@ -97,14 +103,119 @@ func TestSpareBuildSubmitsNoPass(t *testing.T) {
 	if n := cl.K.Pending() - pending; n != 0 {
 		t.Errorf("building the spare scheduled %d events, want 0", n)
 	}
-	if !spare.Frozen() || spare.OnQueueUpdate == nil || spare.OnAppFinished == nil || spare.OnAppCrashed == nil {
-		t.Errorf("spare frozen=%v, hooks queue=%v finish=%v crash=%v; want frozen with every pair hook",
-			spare.Frozen(), spare.OnQueueUpdate != nil, spare.OnAppFinished != nil, spare.OnAppCrashed != nil)
+	if view := sched.Pair((*pairHooks)(cl)); !spare.Frozen() || spare.Pair() != view || cl.Built(migrate.Base).Pair() != view {
+		t.Errorf("spare frozen=%v, reports to its pair=%v, active board reports to its pair=%v; want all three",
+			spare.Frozen(), spare.Pair() == view, cl.Built(migrate.Base).Pair() == view)
 	}
 	if want := []int{cl.BoardID(migrate.Base), cl.BoardID(migrate.Boost)}; !reflect.DeepEqual(hooked, want) || spare.Board.ID != want[1] {
 		t.Errorf("build hook saw boards %v, spare is board %d; want %v", hooked, spare.Board.ID, want)
 	}
 	if cl.Engine(migrate.Boost) != spare || cl.Built(migrate.Boost) != spare {
 		t.Error("a second Engine call rebuilt the spare")
+	}
+}
+
+// TestLateSpareResults pins, byte for byte, the summaries of runs whose
+// spares are built after the farm's slabs, on storage of their own: by
+// a prewarm (no switch follows), by a switch (mid-run, on a pair
+// kernel when sharded) and up front for every pair, as fault.Attach and
+// the orchestrator do. The digests were taken when every board was
+// built on its own, before the farm built its active boards from slabs.
+func TestLateSpareResults(t *testing.T) {
+	stress, realtime := DefaultFarmConfig(2), DefaultFarmConfig(4)
+	stress.Pair.Seed = 2
+	realtime.Pair.Seed, realtime.Shards = 1, 2
+	attach := DefaultFarmConfig(3)
+	cases := []struct {
+		name     string
+		cfg      FarmConfig
+		cond     workload.Condition
+		apps     int
+		seed     uint64
+		buildAll bool
+		want     string
+	}{
+		{"prewarm", stress, workload.Stress, 16, 2, false, "ec2b267b4f67f43ed468631065d6db0bc8de79bf8dde038bb3b3e8eda8db23eb"},
+		{"switch", realtime, workload.Realtime, 48, 1, false, "6e2675e83dae3b7e1ec4fe279582bd7ed0d654d9f7834bd985d4b7fbac6ca8c4"},
+		{"attach", attach, workload.Stress, 24, 5, true, "977b574823ca766079d1bc8e6ccec5a73f5e0676d24701872b74037f24400517"},
+	}
+	for _, c := range cases {
+		f := MustNewFarm(c.cfg)
+		if c.buildAll {
+			for _, p := range f.Pairs {
+				for _, mode := range pairModes {
+					p.Engine(mode)
+				}
+			}
+		}
+		p := workload.DefaultGenParams(c.cond)
+		p.Apps = c.apps
+		if err := f.Inject(workload.Generate(p, c.seed)); err != nil {
+			t.Fatal(err)
+		}
+		sum := f.Run()
+		raw, err := json.Marshal(sum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := fmt.Sprintf("%x", sha256.Sum256(raw))
+		spares := 0
+		for _, p := range f.Pairs {
+			if p.Built(p.ActiveMode().Other()) != nil {
+				spares++
+			}
+		}
+		if spares == 0 || sum.Apps != c.apps {
+			t.Errorf("%s: %d spares built, %d of %d apps finished; the case does not exercise a late spare",
+				c.name, spares, sum.Apps, c.apps)
+		}
+		if got != c.want {
+			t.Errorf("%s: summary digest %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
+// TestCrashOnFrozenBoardRehomed checks the pair's AppCrashed view: an
+// app crash-restarted on the frozen board a switch left behind is
+// re-homed to the active board, where it finishes, instead of queueing
+// on a board that makes no new placements.
+func TestCrashOnFrozenBoardRehomed(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Seed = 1
+	f := onePair(t, cfg)
+	cl := f.Pairs[0]
+	p := workload.DefaultGenParams(workload.Realtime)
+	p.Apps = 48
+	if err := f.Inject(workload.Generate(p, 1)); err != nil {
+		t.Fatal(err)
+	}
+	switched := false
+	cl.OnSwitch = func(from, to migrate.Mode) { switched = true }
+	for !switched && f.K.Step() {
+	}
+	if !switched {
+		t.Fatal("the pair never switched; the input does not leave a frozen board")
+	}
+	old, active := cl.Built(cl.ActiveMode().Other()), cl.Built(cl.ActiveMode())
+	var victim *appmodel.App
+	var slot *fabric.Slot
+	for _, a := range old.Active {
+		for i := range a.Stages {
+			if s := a.Stages[i].Slot(); s != nil && s.State() == fabric.SlotBusy {
+				victim, slot = a, s
+			}
+		}
+	}
+	if !old.Frozen() || victim == nil {
+		t.Fatalf("old board frozen=%v, executing app %v; want a frozen board executing an app", old.Frozen(), victim)
+	}
+	old.FailSlot(slot)
+	if slices.Contains(old.Active, victim) || !slices.Contains(active.Active, victim) {
+		t.Errorf("crash-restarted %v: on the frozen board %v, on the active board %v; want re-homed to the active board",
+			victim, slices.Contains(old.Active, victim), slices.Contains(active.Active, victim))
+	}
+	old.RecoverSlot(slot)
+	if sum := f.Run(); sum.Apps != p.Apps || victim.State != appmodel.StateFinished {
+		t.Errorf("%d of %d apps finished, victim %v; want every app finished", sum.Apps, p.Apps, victim.State)
 	}
 }

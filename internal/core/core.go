@@ -87,13 +87,32 @@ func newSystemFor(r *sched.Registration, platform *fabric.Platform, seed uint64,
 	if params != nil {
 		p = *params
 	}
-	k := sim.NewKernel(seed)
-	board := fabric.NewBoard(0, platform)
-	engine := sched.NewEngine(k, p, board, r.Core, bitstream.RepoFor(platform))
-	policy := r.Factory()
-	engine.SetPolicy(policy)
-	return &System{Kernel: k, Engine: engine, Policy: policy,
-		cfg: SystemConfig{Policy: r.Kind, Params: params, Seed: seed}}, nil
+	return newSystem(seed, p, platform, r.Core, bitstream.RepoFor(platform), r.Factory(),
+		SystemConfig{Policy: r.Kind, Params: params, Seed: seed}), nil
+}
+
+// systemBlock is a system with its kernel, board and engine, built in
+// place as one allocation.
+type systemBlock struct {
+	sys    System
+	kernel sim.Kernel
+	board  fabric.Board
+	engine sched.Engine
+}
+
+// newSystem builds a single-board system as one block through the
+// kernel's, board's and engine's Init: beside the block, only the
+// board's slab, the engine's slot records and the policy allocate.
+func newSystem(seed uint64, p sched.Params, platform *fabric.Platform, model hypervisor.CoreModel,
+	repo *bitstream.Repository, policy sched.Policy, cfg SystemConfig) *System {
+	b := new(systemBlock)
+	b.kernel.Init(seed)
+	slab := fabric.MakeSlab(platform.SlotCount(), len(platform.Classes))
+	b.board.Init(0, platform, &slab)
+	b.engine.Init(&b.kernel, p, &b.board, model, repo)
+	b.engine.SetPolicy(policy)
+	b.sys = System{Kernel: &b.kernel, Engine: &b.engine, Policy: policy, cfg: cfg}
+	return &b.sys
 }
 
 // NewCustomSystem builds a VersaSlot system on an arbitrary Big/Little
@@ -107,17 +126,12 @@ func NewCustomSystem(big, little int, seed uint64, params *sched.Params) *System
 	if params != nil {
 		p = *params
 	}
-	k := sim.NewKernel(seed)
-	board := fabric.NewCustomBoard(0, big, little)
-	engine := sched.NewEngine(k, p, board, hypervisor.DualCore, bitstream.SuiteRepo())
-	var policy sched.Policy
 	kind := sched.KindVersaSlotOL
 	if big > 0 {
 		kind = sched.KindVersaSlotBL
 	}
-	policy = sched.New(kind)
-	engine.SetPolicy(policy)
-	return &System{Kernel: k, Engine: engine, Policy: policy, cfg: SystemConfig{Policy: kind, Seed: seed}}
+	return newSystem(seed, p, fabric.CustomBigLittle(big, little), hypervisor.DualCore, bitstream.SuiteRepo(),
+		sched.New(kind), SystemConfig{Policy: kind, Seed: seed})
 }
 
 // Result is one run's outcome.

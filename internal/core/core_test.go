@@ -72,3 +72,28 @@ func TestRunReportsCacheStats(t *testing.T) {
 		t.Fatalf("FCFS recorded %d cache hits; its cache is disabled", res2.CacheHits)
 	}
 }
+
+// maxSystemAllocs bounds building a single-board system: one block
+// holding the System, its kernel, board and engine, the board's slab
+// (slots, slot pointers, class counters), the engine's slot records
+// and the policy. Allocating each piece on its own made it 10.
+const maxSystemAllocs = 6
+
+// TestNewSystemAllocs pins what building a single-board system costs
+// for every registered policy on its declared platform: the per-run
+// setup of every paper-sweep run.
+func TestNewSystemAllocs(t *testing.T) {
+	for _, r := range sched.Registrations() {
+		if _, err := NewRegisteredSystem(r.Name, 1, nil); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := NewRegisteredSystem(r.Name, 1, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > maxSystemAllocs {
+			t.Errorf("%s: building a system allocates %.0f times, want <= %d", r.Name, allocs, maxSystemAllocs)
+		}
+	}
+}

@@ -14,28 +14,56 @@ type Board struct {
 	empty []int
 }
 
-// NewBoard materializes a platform into a board. The platform must be
-// valid (registered platforms are; custom ones validate on build).
-// The slots live in one array and Slots points into it, so a board
-// costs the same few allocations whatever its slot count.
-func NewBoard(id int, p *Platform) *Board {
-	b := &Board{ID: id, Platform: p, empty: make([]int, len(p.Classes))}
-	total := 0
-	for _, n := range p.Counts {
-		total += n
+// Slab is storage for boards built in place: one slice each of slots,
+// slot pointers and class counters, which Board.Init takes from the
+// front. Sized up front for a run of boards, it makes their fabric
+// state three allocations however many boards there are.
+type Slab struct {
+	slots []Slot
+	view  []*Slot
+	empty []int
+}
+
+// MakeSlab returns a slab with room for slots slots and classes class
+// counters in total: the sums of SlotCount and len(Classes) over the
+// platforms of the boards it will back.
+func MakeSlab(slots, classes int) Slab {
+	return Slab{
+		slots: make([]Slot, slots),
+		view:  make([]*Slot, slots),
+		empty: make([]int, classes),
 	}
-	slots := make([]Slot, total)
-	b.Slots = make([]*Slot, total)
+}
+
+// NewBoard materializes a platform into a new board. The platform must
+// be valid (registered platforms are; custom ones validate on build).
+// The board and its one-board slab take four allocations, whatever its
+// slot count; builders of many boards share a slab through Init.
+func NewBoard(id int, p *Platform) *Board {
+	s := MakeSlab(p.SlotCount(), len(p.Classes))
+	b := new(Board)
+	b.Init(id, p, &s)
+	return b
+}
+
+// Init materializes a platform into b, in place, taking the slots,
+// their pointer view and the class counters from the front of s; it
+// panics if s is short. Slot IDs index Slots, so the view is in ID
+// order.
+func (b *Board) Init(id int, p *Platform, s *Slab) {
+	total := p.SlotCount()
+	slots, view, empty := s.slots[:total:total], s.view[:total:total], s.empty[:len(p.Classes):len(p.Classes)]
+	s.slots, s.view, s.empty = s.slots[total:], s.view[total:], s.empty[len(p.Classes):]
+	*b = Board{ID: id, Platform: p, Slots: view, empty: empty}
 	slotID := 0
 	for i, class := range p.Classes {
 		for n := 0; n < p.Counts[i]; n++ {
-			slots[slotID] = Slot{ID: slotID, Class: class, empty: &b.empty[i]}
-			b.Slots[slotID] = &slots[slotID]
+			slots[slotID] = Slot{ID: slotID, Class: class, empty: &empty[i]}
+			view[slotID] = &slots[slotID]
 			slotID++
 		}
-		b.empty[i] = p.Counts[i]
+		empty[i] = p.Counts[i]
 	}
-	return b
 }
 
 // NewCustomBoard builds a ZCU216 board with an arbitrary Big/Little

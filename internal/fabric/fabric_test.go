@@ -231,6 +231,50 @@ func TestNewBoardAllocs(t *testing.T) {
 	}
 }
 
+// TestSlabBoards checks boards built in place from one shared slab:
+// the slab is the only allocation however many boards it backs, and
+// each board matches a NewBoard of its platform, with slots and class
+// counters of its own.
+func TestSlabBoards(t *testing.T) {
+	ps := []*Platform{MustPlatform(ZCU216BigLittle), MustPlatform(ZCU216OnlyLittle)}
+	boards := make([]Board, 64)
+	build := func() {
+		slots, classes := 0, 0
+		for i := range boards {
+			p := ps[i%len(ps)]
+			slots, classes = slots+p.SlotCount(), classes+len(p.Classes)
+		}
+		s := MakeSlab(slots, classes)
+		for i := range boards {
+			boards[i].Init(i, ps[i%len(ps)], &s)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, build); allocs != 3 {
+		t.Errorf("building %d boards from a slab allocates %.0f times, want 3", len(boards), allocs)
+	}
+	boards[0].Slots[0].Fail()
+	for i := range boards {
+		b, want := &boards[i], NewBoard(i, ps[i%len(ps)])
+		if b.ID != i || len(b.Slots) != len(want.Slots) {
+			t.Fatalf("board %d: ID %d, %d slots; want ID %d, %d slots", i, b.ID, len(b.Slots), i, len(want.Slots))
+		}
+		for j, s := range b.Slots {
+			if s.ID != j || s.Class != want.Slots[j].Class {
+				t.Errorf("board %d slot %d: ID %d class %s, want ID %d class %s", i, j, s.ID, s.Class.Name, j, want.Slots[j].Class.Name)
+			}
+		}
+		for _, c := range b.Platform.Classes {
+			n := want.CountEmpty(c.Name)
+			if i == 0 && c == b.Slots[0].Class {
+				n-- // the failed slot counts on its own board only
+			}
+			if got := b.CountEmpty(c.Name); got != n {
+				t.Errorf("board %d class %s: %d empty, want %d", i, c.Name, got, n)
+			}
+		}
+	}
+}
+
 func TestBoardFreeVsEmpty(t *testing.T) {
 	b := NewBoard(0, MustPlatform(ZCU216OnlyLittle))
 	s := b.Slots[0]

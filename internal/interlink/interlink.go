@@ -4,8 +4,12 @@ import (
 	"versaslot/internal/sim"
 )
 
-// Link is a point-to-point Aurora channel between two boards.
+// Link is a point-to-point Aurora channel between two boards. A link
+// must not be copied once initialized: its server's completion events
+// point at it.
 type Link struct {
+	_ noCopy
+
 	// BandwidthBytes is the effective payload bandwidth in bytes/s.
 	BandwidthBytes int64
 	// Setup is the fixed per-transfer cost.
@@ -31,14 +35,27 @@ const DefaultBandwidth = int64(1.25e9 * 0.97)
 // DefaultSetup covers DMA descriptor programming and channel handshake.
 const DefaultSetup = 60 * sim.Microsecond
 
+// noCopy makes go vet's copylocks check flag a copied Link.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
+
 // New returns a link served by kernel k.
 func New(k *sim.Kernel, name string, bandwidthBytes int64, setup sim.Duration) *Link {
+	l := new(Link)
+	l.Init(k, name, bandwidthBytes, setup)
+	return l
+}
+
+// Init makes l, in place, an idle link served by kernel k, so owners
+// can hold links inline.
+func (l *Link) Init(k *sim.Kernel, name string, bandwidthBytes int64, setup sim.Duration) {
 	if bandwidthBytes <= 0 {
 		panic("interlink: non-positive bandwidth")
 	}
-	l := &Link{BandwidthBytes: bandwidthBytes, Setup: setup}
+	*l = Link{BandwidthBytes: bandwidthBytes, Setup: setup}
 	l.srv.Init(k, name)
-	return l
 }
 
 // NewDefault returns a link with the Aurora defaults.

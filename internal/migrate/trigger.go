@@ -80,13 +80,21 @@ type Trigger struct {
 // NewTrigger returns a trigger starting in mode with the paper's
 // thresholds unless overridden.
 func NewTrigger(mode Mode, up, down float64) *Trigger {
+	t := new(Trigger)
+	t.Init(mode, up, down)
+	return t
+}
+
+// Init makes t, in place, a trigger starting in mode, so owners can
+// hold triggers inline.
+func (t *Trigger) Init(mode Mode, up, down float64) {
 	if up <= down {
 		panic("migrate: ThresholdUp must exceed ThresholdDown")
 	}
 	if mode != Base && mode != Boost {
 		panic("migrate: trigger mode must be Base or Boost")
 	}
-	return &Trigger{ThresholdUp: up, ThresholdDown: down, mode: mode}
+	*t = Trigger{ThresholdUp: up, ThresholdDown: down, mode: mode}
 }
 
 // DefaultThresholdUp and DefaultThresholdDown are the values of Fig. 8.

@@ -65,20 +65,17 @@ type Engine struct {
 	// checkpointed makes crash restarts keep per-stage batch progress.
 	checkpointed bool
 
-	// OnAppCrashed, when set, may re-home a crash-restarted app (e.g.
-	// the cluster moves apps crashed on a frozen, draining board to the
-	// active one). Returning true means the hook re-queued the app.
-	OnAppCrashed func(*appmodel.App) bool
+	// pair, when set, is the switching pair the board belongs to (see
+	// Pair).
+	pair Pair
 
 	// OnAppArrived fires when an app joins the candidate queue
 	// (streaming-observer hook; migrated apps do not re-fire it).
 	OnAppArrived func(*appmodel.App)
-	// OnAppFinished fires after an app completes (cluster/migration hook).
+	// OnAppFinished fires after an app completes, after the pair has
+	// counted it (observer chain: the runner and the orchestrator wrap
+	// it).
 	OnAppFinished func(*appmodel.App)
-	// OnQueueUpdate fires on every candidate-queue change: an arrival
-	// or a completion. The D_switch controller recomputes on a cadence
-	// of these.
-	OnQueueUpdate func()
 
 	// WindowBlocked and WindowPR count, since the last external reset,
 	// tasks whose PR waited behind another load, and PR loads issued —
@@ -203,28 +200,119 @@ type engineArrival Engine
 func (ev *engineArrival) Deliver(a *appmodel.App) { (*Engine)(ev).arrive(a) }
 
 // rt returns the runtime record of a slot. Slot IDs are indices into the
-// board's slot list (see fabric.NewBoard), so this is a direct index.
+// board's slot list (see fabric.Board.Init), so this is a direct index.
 func (e *Engine) rt(s *fabric.Slot) *slotRT { return &e.slots[s.ID] }
+
+// Pair is the switching pair that owns an engine: the engine reports
+// each candidate-queue change, completion and crash restart to it. The
+// cluster passes a typed view of itself, so the calls allocate nothing.
+type Pair interface {
+	// QueueUpdated runs on every candidate-queue change: an arrival, a
+	// completion, a migrated-in or a crash-restarted app. The D_switch
+	// controller recomputes on a cadence of these.
+	QueueUpdated()
+	// AppFinished runs when an app completes on e, before
+	// OnAppFinished.
+	AppFinished(a *appmodel.App)
+	// AppCrashed may re-home an app crash-restarted on e (the cluster
+	// moves apps crashed on a frozen, draining board to the active
+	// one). True means it re-queued the app elsewhere.
+	AppCrashed(e *Engine, a *appmodel.App) bool
+}
+
+// SetPair makes the engine report to p; nil detaches it.
+func (e *Engine) SetPair(p Pair) { e.pair = p }
+
+// Pair returns the pair the engine reports to, or nil.
+func (e *Engine) Pair() Pair { return e.pair }
+
+// queueUpdated tells the pair, if any, that the candidate queue changed.
+func (e *Engine) queueUpdated() {
+	if e.pair != nil {
+		e.pair.QueueUpdated()
+	}
+}
 
 // NewEngine wires a board's execution machinery together.
 func NewEngine(k *sim.Kernel, p Params, board *fabric.Board, model hypervisor.CoreModel, repo *bitstream.Repository) *Engine {
-	e := &Engine{
-		K:      k,
-		Params: p,
-		Board:  board,
-		Repo:   repo,
-	}
+	e := new(Engine)
+	e.Init(k, p, board, model, repo)
+	return e
+}
+
+// Init wires a board's execution machinery together in place, so
+// owners can hold engines inline; its slot records take one
+// allocation. An engine must not be copied once initialized: its
+// events are views of the engine and of its slot records.
+func (e *Engine) Init(k *sim.Kernel, p Params, board *fabric.Board, model hypervisor.CoreModel, repo *bitstream.Repository) {
+	e.init(k, p, board, model, repo, make([]slotRT, len(board.Slots)))
+}
+
+// init is Init with the slot records taken from slots, which must hold
+// one per board slot.
+func (e *Engine) init(k *sim.Kernel, p Params, board *fabric.Board, model hypervisor.CoreModel, repo *bitstream.Repository, slots []slotRT) {
+	*e = Engine{K: k, Params: p, Board: board, Repo: repo, slots: slots}
 	e.own.cores.Init(k, model, board.ID)
 	e.own.pcap.Init(p.PCAPBandwidth, p.PCAPOverhead)
 	e.own.cache.Init(p.CacheEntries)
 	e.own.col.Init(board.Platform.SlotCapacity())
 	e.Cores, e.PCAP, e.Cache, e.Col = &e.own.cores, &e.own.pcap, &e.own.cache, &e.own.col
-	e.slots = make([]slotRT, len(board.Slots))
 	for i, s := range board.Slots {
 		e.slots[i].e = e
 		e.slots[i].slot = s
 	}
-	return e
+}
+
+// VersaSlotEngines builds an engine on each of boards, in place, driven
+// by the VersaSlot policy its platform calls for: Big.Little on a
+// heterogeneous platform, Only.Little otherwise, on the dual-core
+// control plane and the platform's shared bitstream repository. The
+// engines, their slot records and the policies of each kind take one
+// allocation apiece, however many boards there are. Engine i runs on
+// &kernels[i], or on k when kernels is nil. Frozen engines (a
+// switching pair's spare) are frozen before their policy is installed,
+// so freezing submits no scheduler pass.
+func VersaSlotEngines(boards []fabric.Board, p Params, k *sim.Kernel, kernels []sim.Kernel, frozen bool) []Engine {
+	nSlots, nBL := 0, 0
+	for i := range boards {
+		nSlots += len(boards[i].Slots)
+		if boards[i].Platform.Heterogeneous() {
+			nBL++
+		}
+	}
+	engines := make([]Engine, len(boards))
+	slots := make([]slotRT, nSlots)
+	var ol []versaSlotOL
+	var bl []VersaSlotBL
+	if nBL < len(boards) {
+		ol = make([]versaSlotOL, len(boards)-nBL)
+	}
+	if nBL > 0 {
+		bl = make([]VersaSlotBL, nBL)
+	}
+	var platform *fabric.Platform
+	var repo *bitstream.Repository
+	for i := range boards {
+		b, e := &boards[i], &engines[i]
+		if b.Platform != platform {
+			platform, repo = b.Platform, bitstream.RepoFor(b.Platform)
+		}
+		if kernels != nil {
+			k = &kernels[i]
+		}
+		n := len(b.Slots)
+		e.init(k, p, b, hypervisor.DualCore, repo, slots[:n:n])
+		slots = slots[n:]
+		e.frozen = frozen
+		if platform.Heterogeneous() {
+			e.SetPolicy(&bl[0])
+			bl = bl[1:]
+		} else {
+			e.SetPolicy(&ol[0])
+			ol = ol[1:]
+		}
+	}
+	return engines
 }
 
 // DisableBitstreamCache models control planes without a DDR bitstream
@@ -289,9 +377,7 @@ func (e *Engine) InjectMigrated(a *appmodel.App) {
 	e.Apps = append(e.Apps, a)
 	e.Active = append(e.Active, a)
 	e.acceptOne(a)
-	if e.OnQueueUpdate != nil {
-		e.OnQueueUpdate()
-	}
+	e.queueUpdated()
 	e.Activate()
 }
 
@@ -315,9 +401,7 @@ func (e *Engine) arrive(a *appmodel.App) {
 		e.OnAppArrived(a)
 	}
 	e.policy.AppArrived(a)
-	if e.OnQueueUpdate != nil {
-		e.OnQueueUpdate()
-	}
+	e.queueUpdated()
 	e.Activate()
 }
 
@@ -627,12 +711,13 @@ func (e *Engine) finishApp(a *appmodel.App) {
 		QueueDelay: a.QueueDelay(),
 	})
 	e.policy.AppFinished(a)
+	if e.pair != nil {
+		e.pair.AppFinished(a)
+	}
 	if e.OnAppFinished != nil {
 		e.OnAppFinished(a)
 	}
-	if e.OnQueueUpdate != nil {
-		e.OnQueueUpdate()
-	}
+	e.queueUpdated()
 }
 
 // RemoveActive detaches an app from the engine without finishing it

@@ -50,7 +50,7 @@ func (x *Exclusive) Init(e *Engine) {
 
 // AppArrived implements Policy.
 func (x *Exclusive) AppArrived(a *appmodel.App) {
-	x.queue = append(x.queue, a)
+	x.queue = append(reserve(x.queue, x.e), a)
 	// Wake the scheduler when the running app's slice expires, now that
 	// someone is waiting for the fabric.
 	if x.current != nil && !x.loading {

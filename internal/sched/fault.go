@@ -142,8 +142,8 @@ func (e *Engine) RecoverSlot(slot *fabric.Slot) {
 // state: every slot it holds is torn down (cancelling the in-flight
 // item, if any), its stages reset — losing batch progress unless
 // checkpointing is on — and it re-enters the waiting queue through the
-// same AcceptMigrated path a live migration uses. The OnAppCrashed
-// hook lets the cluster layer re-home apps crashed on a frozen
+// same AcceptMigrated path a live migration uses. The pair's
+// AppCrashed lets the cluster layer re-home apps crashed on a frozen
 // (draining) board, which could otherwise never restart them.
 func (e *Engine) crashApp(a *appmodel.App) {
 	e.Col.RecordAppFailureAt(e.K.Now())
@@ -205,12 +205,10 @@ func (e *Engine) crashApp(a *appmodel.App) {
 	appmodel.ResetStages(a)
 	a.State = appmodel.StateWaiting
 	e.policy.AppFinished(a)
-	if e.OnAppCrashed == nil || !e.OnAppCrashed(a) {
+	if e.pair == nil || !e.pair.AppCrashed(e, a) {
 		e.acceptOne(a)
 	}
-	if e.OnQueueUpdate != nil {
-		e.OnQueueUpdate()
-	}
+	e.queueUpdated()
 	e.Activate()
 }
 

@@ -37,7 +37,7 @@ func (f *FCFS) Init(e *Engine) {
 // AppArrived implements Policy.
 func (f *FCFS) AppArrived(a *appmodel.App) {
 	bundle.BuildTasks(a, f.class.Name)
-	f.queue = append(f.queue, a)
+	f.queue = append(reserve(f.queue, f.e), a)
 }
 
 // AppFinished implements Policy: the tenant's slots scrub before reuse.

@@ -90,7 +90,7 @@ func (l *littleSched) AppArrived(a *appmodel.App) {
 	load := l.e.PCAP.LoadDuration(l.e.Repo.MustGet(a.Stages[0].BitstreamName()))
 	opt, maxUse := sizePlan(&l.ev, sizeKey{spec: a.Spec, class: l.class.Name,
 		batch: a.Batch, load: load, maxSlots: max})
-	l.waiting = append(l.waiting, lsApp{a: a, opt: opt, maxUse: maxUse})
+	l.waiting = append(reserve(l.waiting, l.e), lsApp{a: a, opt: opt, maxUse: maxUse})
 }
 
 // AppFinished implements Policy.

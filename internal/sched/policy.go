@@ -92,3 +92,16 @@ func New(k Kind) Policy {
 	}
 	return r.Factory()
 }
+
+// reserve returns a policy's waiting list ready for an arrival. The
+// first arrival finds it nil and sizes it for every app the engine has
+// been given: a single-board run's whole sequence, which InjectSequence
+// lists before the first app arrives, so the list never grows in the
+// run. A farm engine is given apps one at a time, so its list starts at
+// the one app so far and grows by append, as it always did.
+func reserve[T any](list []T, e *Engine) []T {
+	if list == nil {
+		return make([]T, 0, len(e.Apps))
+	}
+	return list
+}

@@ -43,7 +43,7 @@ func (r *RR) Init(e *Engine) {
 // AppArrived implements Policy.
 func (r *RR) AppArrived(a *appmodel.App) {
 	bundle.BuildTasks(a, r.class.Name)
-	r.queue = append(r.queue, a)
+	r.queue = append(reserve(r.queue, r.e), a)
 }
 
 // AppFinished implements Policy: the tenant's slots scrub before reuse.

@@ -89,7 +89,7 @@ func (v *VersaSlotBL) AppArrived(a *appmodel.App) {
 		_, w.optB = sizePlan(&v.ev, sizeKey{spec: a.Spec, class: v.big.Name, bundled: true,
 			batch: a.Batch, load: load, maxSlots: e.Board.Count(v.big.Name)})
 	}
-	v.cwait = append(v.cwait, w)
+	v.cwait = append(reserve(v.cwait, e), w)
 }
 
 func (v *VersaSlotBL) fitsLittle(spec *appmodel.AppSpec) bool {

@@ -57,6 +57,16 @@
 // replays pooled and caller-owned submits, cancels and steps over
 // three servers on one kernel against a slice-backed reference.
 //
+// # Construction in place
+//
+// Kernel.Init and Server.Init make a zero value usable where its owner
+// keeps it, so a sharded farm holds its pair kernels in one slice and
+// an engine holds its servers inline; NewKernel and NewServer are new
+// plus Init. A kernel holds its RNG by value. Neither may be copied
+// once initialized: a server's completion event is the server itself,
+// and a copy would split the queue from the events that drain it. Both
+// carry a noCopy guard, so go vet's copylocks check flags a copy.
+//
 // # EventID generations
 //
 // Schedule returns a generation-counted EventID handle rather than a

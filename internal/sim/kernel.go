@@ -123,8 +123,11 @@ const firstUseCap = 16
 // The arena plus a free list give zero steady-state allocation: a fired
 // or canceled event's slot is recycled for the next Schedule. The free
 // list is threaded through the free slots themselves and is LIFO.
-// The zero value is not usable; construct with NewKernel.
+// The zero value is not usable; construct with NewKernel, or Init in
+// place. A kernel must not be copied once initialized: its RNG, its
+// servers and every queued handler belong to that address.
 type Kernel struct {
+	_        noCopy
 	now      Time
 	arena    []eventSlot
 	next     qent   // next-event register; next.idx == noNext when empty
@@ -132,7 +135,7 @@ type Kernel struct {
 	free     int32  // first free arena slot, or noNext
 	live     int    // queued, not-canceled events
 	seq      uint64
-	rng      *RNG
+	rng      RNG
 	executed uint64
 	tracer   Tracer
 	maxTime  Time
@@ -142,14 +145,32 @@ type Kernel struct {
 // NewKernel returns a kernel with its clock at zero and an RNG seeded
 // with seed.
 func NewKernel(seed uint64) *Kernel {
-	return &Kernel{rng: NewRNG(seed), maxTime: MaxTime, next: qent{idx: noNext}, free: noNext}
+	k := new(Kernel)
+	k.Init(seed)
+	return k
 }
+
+// Init makes k, in place, a kernel with its clock at zero and an RNG
+// seeded with seed, so owners can hold kernels inline or in one slice
+// (a sharded farm's pair kernels).
+func (k *Kernel) Init(seed uint64) {
+	*k = Kernel{maxTime: MaxTime, next: qent{idx: noNext}, free: noNext}
+	k.rng.Seed(seed)
+}
+
+// noCopy makes go vet's copylocks check flag a copied Kernel or
+// Server: a copy would keep the original's handlers (a server's
+// completion event is a view of the server itself) and split its state.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
 
 // RNG returns the kernel's deterministic random source.
-func (k *Kernel) RNG() *RNG { return k.rng }
+func (k *Kernel) RNG() *RNG { return &k.rng }
 
 // Executed returns the number of events executed so far.
 func (k *Kernel) Executed() uint64 { return k.executed }

@@ -373,3 +373,35 @@ func TestTimeHelpers(t *testing.T) {
 		t.Fatalf("Milliseconds %v", base.Milliseconds())
 	}
 }
+
+// TestKernelInitInPlace checks that Init makes a kernel in place that
+// behaves like NewKernel's, including over a kernel that already ran:
+// clock at zero, nothing queued, the horizon lifted, and the RNG (held
+// by value) drawing NewRNG's sequence for the seed.
+func TestKernelInitInPlace(t *testing.T) {
+	var ks [2]Kernel
+	ks[1].Init(9)
+	ks[1].SetHorizon(Time(5 * Microsecond))
+	ks[1].Schedule(Microsecond, func() {})
+	ks[1].Schedule(10*Microsecond, func() {})
+	ks[1].Run()
+	ks[1].RNG().Uint64()
+	for i := range ks {
+		k := &ks[i]
+		k.Init(7)
+		ref := NewRNG(7)
+		if k.Now() != 0 || k.Pending() != 0 || k.Executed() != 0 {
+			t.Fatalf("kernel %d after Init: now %v, %d pending, %d executed", i, k.Now(), k.Pending(), k.Executed())
+		}
+		for n := 0; n < 4; n++ {
+			if got, want := k.RNG().Uint64(), ref.Uint64(); got != want {
+				t.Fatalf("kernel %d draw %d: %d, want %d", i, n, got, want)
+			}
+		}
+		fired := false
+		k.Schedule(10*Microsecond, func() { fired = true })
+		if k.Run(); !fired {
+			t.Errorf("kernel %d: an event past the old horizon did not fire", i)
+		}
+	}
+}

@@ -29,6 +29,10 @@ func NewRNG(seed uint64) *RNG {
 	return r
 }
 
+// Seed resets r, in place, to the state NewRNG(seed) starts from, so
+// owners can hold a generator by value.
+func (r *RNG) Seed(seed uint64) { *r = *NewRNG(seed) }
+
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 random bits.

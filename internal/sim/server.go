@@ -56,6 +56,7 @@ type ServerStats struct {
 // Waiting jobs form a list linked through Job.next, so queueing needs
 // no storage of its own.
 type Server struct {
+	_     noCopy
 	k     *Kernel
 	name  string
 	busy  bool
