@@ -350,11 +350,11 @@ func farmHeteroBench(pairs int) func(*testing.B) {
 	}
 }
 
-// BenchmarkFarmBuild prices farm construction alone: every pair of a
-// fleet-scale least-loaded farm with its active board, engine and
-// policy, built before the first arrival. TestNewFarmAllocs pins that
-// the allocations do not grow with the pair count; this reports the
-// whole build.
+// BenchmarkFarmBuild prices farm construction alone: the record of
+// every pair of a fleet-scale least-loaded farm, made before the first
+// arrival. No board is built here; a pair builds its boards when work
+// reaches it. TestNewFarmAllocs pins that the allocations do not grow
+// with the pair count; this reports the whole build.
 func BenchmarkFarmBuild(b *testing.B) {
 	const pairs = 1024
 	b.Run(fmt.Sprintf("pairs=%d", pairs), func(b *testing.B) {

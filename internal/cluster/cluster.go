@@ -120,10 +120,13 @@ type TracePoint struct {
 // controller. Every pair is owned by a Farm, which routes arrivals to
 // it and runs it.
 //
-// Only the active board is built with the pair. The spare — its board,
-// engine and policy — is built frozen the first time something needs
-// it: a prewarm, a switch, or a caller of Engine. Until then readers
-// treat it as an idle board.
+// A pair starts as this record alone: its configuration, platforms,
+// link and trigger. Each board — its engine, slot records and policy —
+// is built the first time something needs it. The active board is
+// built when work first reaches the pair: a dispatch injection, a
+// migration delivery, fault attach or a caller of Engine. The spare is
+// built frozen on a prewarm, a switch or a caller of Engine. Until a
+// board is built, readers treat it as an idle board.
 type Cluster struct {
 	K    *sim.Kernel
 	Cfg  Config
@@ -137,11 +140,9 @@ type Cluster struct {
 
 	// firstBoard is the base board's ID; the boost board's is the next.
 	firstBoard int
-	// onBuild, when set, finishes each board the pair builds (see
-	// SetBuildHook).
-	onBuild func(*sched.Engine)
 	// farm and index place the pair in its farm: completions update
-	// the farm's per-pair counters.
+	// the farm's per-pair counters, and boards are finished by the
+	// farm's build hook.
 	farm  *Farm
 	index int
 
@@ -169,40 +170,37 @@ type Cluster struct {
 // init finishes, in place, pair index of farm f on kernel k. Its Cfg
 // and both platforms are already set, resolved and validated (the
 // paper's point: the static regions are fixed at start-up; switching
-// between them at runtime is what live migration buys). The pair
-// adopts active, built on the platform of Cfg.StartMode, as its active
-// board; the spare is built on first use (see build).
-func (c *Cluster) init(f *Farm, index int, k *sim.Kernel, active *sched.Engine) {
+// between them at runtime is what live migration buys). Both boards
+// are built on first use (see build).
+func (c *Cluster) init(f *Farm, index int, k *sim.Kernel) {
 	c.K, c.farm, c.index = k, f, index
 	c.firstBoard = 2 * index
 	c.active = c.Cfg.StartMode
 	c.Link.Init(k, linkName(index), interlink.DefaultBandwidth, interlink.DefaultSetup)
 	c.trigger.Init(c.Cfg.StartMode, c.Cfg.ThresholdUp, c.Cfg.ThresholdDown)
-	c.adopt(c.active, active)
 }
 
-// build makes the spare's board, engine and policy on storage of its
-// own, through the same constructors a farm builds its active boards
-// with, and adopts them. The spare starts frozen: it only executes
-// after a switch.
+// build makes the board, engine and policy of a mode and adopts them:
+// the one constructor of every board a pair has. The start mode's
+// board, built when work first reaches the pair, takes its storage
+// from the farm's pool; the pool's only user is the coordinator, where
+// dispatch, rack deliveries and fault attach run. The other board is
+// the spare, built on storage of its own because a switch can build it
+// on a shard worker; it starts frozen and only executes after a
+// switch.
 func (c *Cluster) build(mode migrate.Mode) *sched.Engine {
-	platform := c.platforms[mode]
-	board := make([]fabric.Board, 1)
-	slab := fabric.MakeSlab(platform.SlotCount(), len(platform.Classes))
-	board[0].Init(c.BoardID(mode), platform, &slab)
-	eng := &sched.VersaSlotEngines(board, c.Cfg.Params, c.K, nil, mode != c.active)[0]
-	c.adopt(mode, eng)
-	return eng
-}
-
-// adopt makes eng the engine of a mode: it reports to the pair, and
-// the build hook finishes it.
-func (c *Cluster) adopt(mode migrate.Mode, eng *sched.Engine) {
+	var own sched.BoardPool
+	pool := &own
+	if mode == c.Cfg.StartMode {
+		pool = &c.farm.pool
+	}
+	eng := pool.Build(c.BoardID(mode), c.platforms[mode], c.Cfg.Params, c.K, mode != c.active)
 	eng.SetPair((*pairHooks)(c))
 	c.engines[mode] = eng
-	if c.onBuild != nil {
-		c.onBuild(eng)
+	if fn := c.farm.onBuild; fn != nil {
+		fn(eng)
 	}
+	return eng
 }
 
 // pairHooks is the engines' view of their pair (sched.Pair). A
@@ -249,19 +247,6 @@ func linkName(pair int) string {
 	return name
 }
 
-// SetBuildHook installs fn to finish every board of the pair: it runs
-// now on the boards already built and later on a spare as it is built,
-// after the pair's own hooks. Streaming metrics and diagnostics attach
-// this way, so they never force a spare to be built.
-func (c *Cluster) SetBuildHook(fn func(*sched.Engine)) {
-	c.onBuild = fn
-	for _, e := range c.engines {
-		if e != nil {
-			fn(e)
-		}
-	}
-}
-
 // SetMigrationCost installs a checkpoint/restore cost model on the
 // pair's switches; nil restores the classic payload.
 func (c *Cluster) SetMigrationCost(m *migrate.CostModel) { c.cost = m }
@@ -279,7 +264,7 @@ func (c *Cluster) Engine(mode migrate.Mode) *sched.Engine {
 }
 
 // Built returns the engine of a mode, or nil while its board has not
-// been built; for readers that must not build a spare.
+// been built; for readers that must not build a board.
 func (c *Cluster) Built(mode migrate.Mode) *sched.Engine { return c.engines[mode] }
 
 // BoardID returns the board ID of a mode, built or not.
@@ -517,17 +502,26 @@ func meanOver(total sim.Duration, n int) sim.Duration {
 }
 
 // AbsorbInto merges the pair's boards into each aggregator, base then
-// boost. A spare that was never built merges as the idle board it
+// boost. A board that was never built merges as the idle board it
 // would have been: its platform's slot capacity, in the metrics mode of
-// the active board (see metrics.Collector.AbsorbIdle).
+// the pair's other board, or of the farm's build hook when neither is
+// built (see metrics.Collector.AbsorbIdle).
 func (c *Cluster) AbsorbInto(aggs ...*metrics.Collector) {
 	for _, mode := range pairModes {
 		e := c.engines[mode]
+		var like *metrics.Collector
+		if e == nil {
+			if other := c.engines[mode.Other()]; other != nil {
+				like = other.Col
+			} else {
+				like = c.farm.idleLike()
+			}
+		}
 		for _, agg := range aggs {
 			if e != nil {
 				agg.Absorb(e.Col)
 			} else {
-				agg.AbsorbIdle(c.platforms[mode].SlotCapacity(), c.engines[mode.Other()].Col)
+				agg.AbsorbIdle(c.platforms[mode].SlotCapacity(), like)
 			}
 		}
 	}

@@ -258,7 +258,7 @@ func (d *affinityDispatch) Pick(a *appmodel.App) int {
 		if elig != nil && !containsPair(elig, i) {
 			continue
 		}
-		score := cacheAffinity(p.activeEngine(), stageBitstreams(p.Platform(p.ActiveMode()), a))
+		score := cacheAffinity(p.Built(p.ActiveMode()), stageBitstreams(p.Platform(p.ActiveMode()), a))
 		better := best < 0 || score > bestScore ||
 			(score == bestScore && d.f.load[i] < d.f.load[best])
 		if better {
@@ -270,8 +270,12 @@ func (d *affinityDispatch) Pick(a *appmodel.App) int {
 
 // cacheAffinity counts how many of the named bitstreams are already
 // resident in e's DDR cache. Contains does not touch LRU order, so
-// scoring leaves the cache unperturbed.
+// scoring leaves the cache unperturbed; a board not built yet (nil)
+// caches nothing and scores 0.
 func cacheAffinity(e *sched.Engine, names []string) int {
+	if e == nil {
+		return 0
+	}
 	score := 0
 	for _, name := range names {
 		if e.Cache.Contains(name) {

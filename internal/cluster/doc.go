@@ -6,9 +6,12 @@
 // Schmitt-trigger switching loop, pre-warms the spare board inside the
 // buffer zone, and performs live migration over the Aurora interlink.
 // A migrated app lands on whichever board is active when it arrives:
-// a delivery can itself trigger the next switch. The spare board is
-// built the first time a prewarm, a switch or a caller needs it; until
-// then it merges as an idle board.
+// a delivery can itself trigger the next switch. A pair builds each
+// board the first time something needs it: the active board when work
+// first reaches the pair (a dispatch injection, a migration delivery,
+// fault attach or a caller of Engine), the spare on a prewarm, a
+// switch or a caller of Engine. Until then a board merges as an idle
+// board.
 //
 // A Cluster only runs inside a Farm, which owns it: the facade's
 // cluster topology is a farm of exactly one pair, so every pair runs
@@ -27,14 +30,18 @@
 // rebalancer generalizes the pair-internal live migration to
 // pair-to-pair transfers over a rack-level link.
 //
-// A farm builds its pairs from slabs: one slice each of clusters,
-// active boards, board storage, engines, slot records, policies and
-// (when sharded) pair kernels, sized to the pair count, with pair i
-// at entry i of each. A pair holds its link and trigger inline, and
-// its engines report to it through a typed view of the Cluster
-// (sched.Pair), so construction costs the same few allocations
-// whatever the farm's size. A spare is built on storage of its own the
-// first time it is needed; the slabs never reserve room for spares.
+// A farm makes its pairs' records from one slice of clusters (and,
+// when sharded, one of pair kernels), with pair i at entry i, and
+// builds no board up front: a fleet whose arrivals reach a few of its
+// pairs pays only for those pairs' boards. A pair holds its link and
+// trigger inline, and its engines report to it through a typed view of
+// the Cluster (sched.Pair). Active boards take their storage from a
+// farm-owned sched.BoardPool, which allocates boards, slots, engines,
+// slot records and policies in chunks that double in size, so
+// allocations grow with the log of the pairs built, whether dispatch
+// touches a few pairs or every one. Only the coordinator builds from
+// the pool; a spare, which a switch can build on a shard worker, is
+// built on storage of its own.
 //
 // A farm's pairs run on one simulation kernel, or on per-pair kernels
 // under the sharded coordinator, and either way keep the kernel's

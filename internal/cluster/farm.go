@@ -5,7 +5,6 @@ import (
 	"runtime"
 
 	"versaslot/internal/appmodel"
-	"versaslot/internal/fabric"
 	"versaslot/internal/interlink"
 	"versaslot/internal/metrics"
 	"versaslot/internal/migrate"
@@ -61,7 +60,7 @@ type FarmConfig struct {
 	// sequential execution. Values above the pair count are clamped.
 	Shards int
 	// Standby decommissions the last Standby pairs at construction:
-	// they are built (kernels, engines, platforms) but start in
+	// they are configured (kernels, platforms) but start in
 	// PairStandby and receive no dispatches until ActivatePair brings
 	// them online — the autoscaler's spare capacity. Must be less than
 	// Pairs (at least one pair starts online).
@@ -244,6 +243,13 @@ type Farm struct {
 	rebalanceArmed bool        // the periodic tick has been scheduled
 	rebalancing    bool        // a cross-pair transfer is in flight
 	nextTick       sim.EventID // handle of the pending rebalance tick
+
+	// pool is the storage of the pairs' active boards (see
+	// Cluster.build); onBuild, when set, finishes every board a pair
+	// builds (see SetBuildHook); like caches idleLike.
+	pool    sched.BoardPool
+	onBuild func(*sched.Engine)
+	like    *metrics.Collector
 }
 
 // NewFarm builds a farm from its configuration. It returns an error
@@ -325,18 +331,16 @@ func NewFarm(cfg FarmConfig) (*Farm, error) {
 	return f, nil
 }
 
-// buildPairs builds every pair of the farm and its active board from
-// slabs: one slice each of clusters, boards, board storage, engines,
-// slot records and policies (and pair kernels when sharded), sized to
-// the pair count, so building a farm costs the same few allocations
-// however many pairs it has. Spares stay unbuilt (see Cluster.build),
-// and pair i takes entry i of every slab, so each shard's contiguous
-// range of pairs is contiguous in memory too.
+// buildPairs makes the record of every pair — its configuration,
+// platforms, link and trigger — from one slice of clusters (and one of
+// pair kernels when sharded), with pair i at entry i. It builds no
+// board: a pair builds its active board when work first reaches it
+// (see Cluster.build), so a fleet pays for the boards it uses, and the
+// farm's pool holds at most one active board per pair.
 func (f *Farm) buildPairs() error {
 	cfg, n := f.Cfg, f.Cfg.Pairs
 	clusters := make([]Cluster, n)
 	var names platformCache
-	slots, classes := 0, 0
 	for i := range clusters {
 		c := &clusters[i]
 		c.Cfg = cfg.pairConfig(i)
@@ -344,9 +348,7 @@ func (f *Farm) buildPairs() error {
 		if c.platforms, err = names.pair(c.Cfg); err != nil {
 			return err
 		}
-		active := c.platforms[c.Cfg.StartMode]
-		slots += active.SlotCount()
-		classes += len(active.Classes)
+		f.pool.Expect(c.platforms[c.Cfg.StartMode])
 	}
 	if f.shards > 1 {
 		// Each pair gets a private kernel seeded exactly like the pair
@@ -358,23 +360,58 @@ func (f *Farm) buildPairs() error {
 			f.pairK[i].Init(clusters[i].Cfg.Seed)
 		}
 	}
-	boards := make([]fabric.Board, n)
-	slab := fabric.MakeSlab(slots, classes)
-	for i := range boards {
-		c := &clusters[i]
-		boards[i].Init(2*i+int(c.Cfg.StartMode), c.platforms[c.Cfg.StartMode], &slab)
-	}
-	engines := sched.VersaSlotEngines(boards, cfg.Pair.Params, f.K, f.pairK, false)
 	f.Pairs = make([]*Cluster, n)
 	for i := range clusters {
 		c := &clusters[i]
 		// The per-pair load counter is maintained incrementally:
 		// arrivals increment it at dispatch; completions on either
 		// board decrement it in the pair's own finish hook.
-		c.init(f, i, f.pairKernel(i), &engines[i])
+		c.init(f, i, f.pairKernel(i))
 		f.Pairs[i] = c
 	}
 	return nil
+}
+
+// SetBuildHook installs fn to finish every board of every pair: it runs
+// now on the boards already built and later on each board as it is
+// built, after the pair's own hooks. Streaming metrics and diagnostics
+// attach this way, so they never force a board to be built.
+func (f *Farm) SetBuildHook(fn func(*sched.Engine)) {
+	f.onBuild, f.like = fn, nil
+	for _, p := range f.Pairs {
+		for _, e := range p.engines {
+			if e != nil {
+				fn(e)
+			}
+		}
+	}
+}
+
+// idleLike returns a collector in the metrics mode the build hook gives
+// every board: the stand-in mode of a pair with no board built (see
+// Cluster.AbsorbInto). Any built board shows that mode; when none is
+// built, the hook is asked with a probe board, built on storage of its
+// own, that never runs.
+func (f *Farm) idleLike() *metrics.Collector {
+	if f.like != nil {
+		return f.like
+	}
+	for _, p := range f.Pairs {
+		for _, e := range p.engines {
+			if e != nil {
+				f.like = e.Col
+				return f.like
+			}
+		}
+	}
+	var own sched.BoardPool
+	p := f.Pairs[0]
+	probe := own.Build(-1, p.platforms[p.Cfg.StartMode], p.Cfg.Params, f.K, true)
+	if f.onBuild != nil {
+		f.onBuild(probe)
+	}
+	f.like = probe.Col
+	return f.like
 }
 
 // pairKernel returns the kernel pair i runs on: its own when the farm
@@ -569,10 +606,14 @@ func (f *Farm) FinishDrain(i int) error {
 // one rack-link transfer per destination. Unhostable apps re-queue at
 // src. Same ledger bookkeeping as migrateCross.
 func (f *Farm) drainCross(src int) int {
+	// A pair with no active board has nothing to extract.
+	eng := f.Pairs[src].Built(f.Pairs[src].ActiveMode())
+	if eng == nil {
+		return 0
+	}
 	// Extraction, requeue, and Forget all reach into the source pair's
 	// engines at the current control instant.
 	f.TouchPair(src)
-	eng := f.Pairs[src].activeEngine()
 	all := eng.Policy().ExtractMigratable()
 	if len(all) == 0 {
 		return 0
@@ -800,7 +841,18 @@ func (f *Farm) armRebalancer() {
 		return
 	}
 	f.rebalanceArmed = true
-	f.nextTick = f.K.ScheduleP(f.Cfg.RebalanceEvery, sim.PriFarmControl, f.rebalanceTick)
+	f.scheduleTick()
+}
+
+// rebalanceEvent is the rebalance tick, a typed view of the Farm: the
+// tick re-arms itself without allocating.
+type rebalanceEvent Farm
+
+func (ev *rebalanceEvent) Fire() { (*Farm)(ev).rebalanceTick() }
+
+// scheduleTick schedules the next rebalance tick one period from now.
+func (f *Farm) scheduleTick() {
+	f.nextTick = f.K.AtPHandler(f.K.Now().Add(f.Cfg.RebalanceEvery), sim.PriFarmControl, (*rebalanceEvent)(f))
 }
 
 // finishedCount sums per-pair completions; see finishedBy.
@@ -827,7 +879,7 @@ func (f *Farm) rebalanceTick() {
 		f.nextTick = sim.NoEvent
 		return
 	}
-	f.nextTick = f.K.ScheduleP(f.Cfg.RebalanceEvery, sim.PriFarmControl, f.rebalanceTick)
+	f.scheduleTick()
 	if f.rebalancing || len(f.Pairs) < 2 {
 		// One transfer at a time on the rack link; the next tick
 		// re-evaluates.
@@ -891,10 +943,13 @@ func (f *Farm) rebalanceTick() {
 // application: apps the destination cannot host are re-queued at the
 // source instead of transferred.
 func (f *Farm) migrateCross(src, dst, max int) {
+	eng := f.Pairs[src].Built(f.Pairs[src].ActiveMode())
+	if eng == nil {
+		return
+	}
 	// Extraction, requeue, and Forget all reach into the source pair's
 	// engines at the current control instant.
 	f.TouchPair(src)
-	eng := f.Pairs[src].activeEngine()
 	var moved []*appmodel.App
 	if lim, ok := eng.Policy().(sched.MigrationLimiter); ok {
 		// The policy can extract a bounded set without dissolving

@@ -5,22 +5,22 @@ import (
 	"testing"
 )
 
-// Farm construction bounds. Pairs are built from slabs, one allocation
-// per component kind, so a farm's allocation count does not grow with
-// its pair count: a 1024-pair farm may make at most maxExtraAllocs more
-// than a 64-pair one (the slack covers allocator size classes and the
-// process-wide name tables filling in). Bytes do grow with the pairs;
-// maxBytesPerPair pins them at 1024 pairs.
+// Farm construction bounds. A farm makes its pair records from one
+// slice per kind and builds no board until work reaches a pair, so its
+// allocation count does not grow with its pair count: a 1024-pair farm
+// may make at most maxExtraAllocs more than a 64-pair one (the slack
+// covers allocator size classes and the process-wide name tables
+// filling in). Bytes do grow with the pairs; maxBytesPerPair pins them
+// at 1024 pairs, where a pair is its record and load counters.
 const (
 	maxExtraAllocs  = 8
-	maxBytesPerPair = 5108
+	maxBytesPerPair = 967
 )
 
 // TestNewFarmAllocs pins farm construction cost, sequential and
-// sharded: a fleet builds every pair before its first arrival, so
-// per-pair pieces a run may never touch (the spares) must not be built
-// eagerly, and the pairs that are built must not cost an allocation
-// each.
+// sharded: a fleet makes every pair record before its first arrival,
+// so the boards a run may never touch must not be built eagerly, and
+// the records must not cost an allocation each.
 func TestNewFarmAllocs(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		small, _ := farmBuildCost(64, shards)

@@ -88,30 +88,32 @@ func TestShardedSpareBuiltOnFirstUse(t *testing.T) {
 	}
 }
 
-// TestSpareBuildSubmitsNoPass checks how a spare is built on first use:
-// frozen, with the pair's hooks and then the build hook, and without
-// submitting a scheduler pass to the kernel.
+// TestSpareBuildSubmitsNoPass checks how a pair builds its boards on
+// first use: the active board live and the spare frozen, each with the
+// pair's hooks and then the farm's build hook, and without submitting a
+// scheduler pass to the kernel.
 func TestSpareBuildSubmitsNoPass(t *testing.T) {
-	cl := onePair(t, DefaultConfig()).Pairs[0]
+	f := onePair(t, DefaultConfig())
+	cl := f.Pairs[0]
 	var hooked []int
-	cl.SetBuildHook(func(e *sched.Engine) { hooked = append(hooked, e.Board.ID) })
-	if cl.Built(migrate.Boost) != nil {
-		t.Fatal("the pair built its spare at construction")
+	f.SetBuildHook(func(e *sched.Engine) { hooked = append(hooked, e.Board.ID) })
+	if cl.Built(migrate.Base) != nil || cl.Built(migrate.Boost) != nil {
+		t.Fatal("the pair built a board at construction")
 	}
 	pending := cl.K.Pending()
-	spare := cl.Engine(migrate.Boost)
+	active, spare := cl.Engine(migrate.Base), cl.Engine(migrate.Boost)
 	if n := cl.K.Pending() - pending; n != 0 {
-		t.Errorf("building the spare scheduled %d events, want 0", n)
+		t.Errorf("building the boards scheduled %d events, want 0", n)
 	}
-	if view := sched.Pair((*pairHooks)(cl)); !spare.Frozen() || spare.Pair() != view || cl.Built(migrate.Base).Pair() != view {
-		t.Errorf("spare frozen=%v, reports to its pair=%v, active board reports to its pair=%v; want all three",
-			spare.Frozen(), spare.Pair() == view, cl.Built(migrate.Base).Pair() == view)
+	if view := sched.Pair((*pairHooks)(cl)); active.Frozen() || !spare.Frozen() || spare.Pair() != view || active.Pair() != view {
+		t.Errorf("active frozen=%v, spare frozen=%v, spare reports to its pair=%v, active board reports to its pair=%v; want false, true, true, true",
+			active.Frozen(), spare.Frozen(), spare.Pair() == view, active.Pair() == view)
 	}
 	if want := []int{cl.BoardID(migrate.Base), cl.BoardID(migrate.Boost)}; !reflect.DeepEqual(hooked, want) || spare.Board.ID != want[1] {
 		t.Errorf("build hook saw boards %v, spare is board %d; want %v", hooked, spare.Board.ID, want)
 	}
-	if cl.Engine(migrate.Boost) != spare || cl.Built(migrate.Boost) != spare {
-		t.Error("a second Engine call rebuilt the spare")
+	if cl.Engine(migrate.Boost) != spare || cl.Built(migrate.Boost) != spare || cl.Engine(migrate.Base) != active {
+		t.Error("a second Engine call rebuilt a board")
 	}
 }
 

@@ -35,6 +35,11 @@ func MakeSlab(slots, classes int) Slab {
 	}
 }
 
+// Fits reports whether s still has room for a board of platform p.
+func (s *Slab) Fits(p *Platform) bool {
+	return len(s.slots) >= p.SlotCount() && len(s.empty) >= len(p.Classes)
+}
+
 // NewBoard materializes a platform into a new board. The platform must
 // be valid (registered platforms are; custom ones validate on build).
 // The board and its one-board slab take four allocations, whatever its

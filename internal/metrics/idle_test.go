@@ -71,42 +71,71 @@ func ranBoard(stream *metrics.StreamConfig) *metrics.Collector {
 	return c
 }
 
-// TestAbsorbIdleMatchesNeverRunEngine checks the stand-in a switching
-// pair merges for a spare it never built: absorbing it must equal
-// absorbing the collector of an engine built on the same platform that
-// never ran, in exact and stream mode, whether the idle board is
+// TestAbsorbIdleMatchesNeverRunEngine checks the stand-ins a switching
+// pair merges for boards it never built: absorbing them must equal
+// absorbing the collectors of engines built on the same platforms that
+// never ran, in exact and stream mode, whether the idle boards are
 // merged alone, first (the aggregator has no mode yet), between or
-// after boards that ran.
+// after boards that ran. An unbuilt spare takes its mode from the
+// pair's board that ran; a pair with neither board built merges both
+// stand-ins in the mode of a never-run probe board, as a farm asks its
+// build hook.
 func TestAbsorbIdleMatchesNeverRunEngine(t *testing.T) {
-	p := fabric.MustPlatform(fabric.ZCU216BigLittle)
+	base, boost := fabric.MustPlatform(fabric.ZCU216OnlyLittle), fabric.MustPlatform(fabric.ZCU216BigLittle)
 	for _, stream := range []*metrics.StreamConfig{nil, {Window: sim.Second, MaxWindows: 16}} {
-		e := sched.NewEngine(sim.NewKernel(1), sched.DefaultParams(), fabric.NewBoard(1, p),
-			hypervisor.DualCore, bitstream.RepoFor(p))
-		if stream != nil {
-			e.Col.EnableStreaming(*stream)
+		neverRun := func(id int, p *fabric.Platform) *metrics.Collector {
+			e := sched.NewEngine(sim.NewKernel(1), sched.DefaultParams(), fabric.NewBoard(id, p),
+				hypervisor.DualCore, bitstream.RepoFor(p))
+			if stream != nil {
+				e.Col.EnableStreaming(*stream)
+			}
+			return e.Col
 		}
-		for _, idleAt := range []int{-1, 0, 1, 2} {
-			var viaEngine, viaStandIn metrics.Collector
-			like := ranBoard(stream)
-			ran := []*metrics.Collector{ranBoard(stream), ranBoard(stream)}
-			if idleAt < 0 {
-				ran, idleAt = nil, 0
-			}
-			for i := 0; i <= len(ran); i++ {
-				if i == idleAt {
-					viaEngine.Absorb(e.Col)
-					viaStandIn.AbsorbIdle(p.SlotCapacity(), like)
+		idleBase, idleBoost := neverRun(0, base), neverRun(1, boost)
+		for _, unbuiltPair := range []bool{false, true} {
+			for _, idleAt := range []int{-1, 0, 1, 2} {
+				var viaEngine, viaStandIn metrics.Collector
+				like := ranBoard(stream)
+				if unbuiltPair {
+					like = neverRun(-1, base)
 				}
-				if i < len(ran) {
-					viaEngine.Absorb(ran[i])
-					viaStandIn.Absorb(ran[i])
+				ran := []*metrics.Collector{ranBoard(stream), ranBoard(stream)}
+				if idleAt < 0 {
+					ran, idleAt = nil, 0
 				}
-			}
-			got, want := report(&viaStandIn), report(&viaEngine)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("stream=%v idle board at %d: stand-in merge\n%+v\nwant never-run engine merge\n%+v",
-					stream != nil, idleAt, got, want)
+				for i := 0; i <= len(ran); i++ {
+					if i == idleAt {
+						if unbuiltPair {
+							viaEngine.Absorb(idleBase)
+							viaStandIn.AbsorbIdle(base.SlotCapacity(), like)
+						}
+						viaEngine.Absorb(idleBoost)
+						viaStandIn.AbsorbIdle(boost.SlotCapacity(), like)
+					}
+					if i < len(ran) {
+						viaEngine.Absorb(ran[i])
+						viaStandIn.Absorb(ran[i])
+					}
+				}
+				got, want := report(&viaStandIn), report(&viaEngine)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("stream=%v unbuilt pair=%v idle boards at %d: stand-in merge\n%+v\nwant never-run engine merge\n%+v",
+						stream != nil, unbuiltPair, idleAt, got, want)
+				}
 			}
 		}
+	}
+}
+
+// TestAbsorbIdleAllocs checks that merging an idle board into a
+// streaming aggregator allocates nothing: the stand-in adds no stream
+// state of its own, so a fleet of idle boards merges for free.
+func TestAbsorbIdleAllocs(t *testing.T) {
+	like := ranBoard(&metrics.StreamConfig{Window: sim.Second, MaxWindows: 16})
+	var agg metrics.Collector
+	agg.Absorb(like)
+	cap := fabric.MustPlatform(fabric.ZCU216BigLittle).SlotCapacity()
+	if allocs := testing.AllocsPerRun(100, func() { agg.AbsorbIdle(cap, like) }); allocs != 0 {
+		t.Errorf("merging an idle board into a streaming aggregator allocates %.0f times, want 0", allocs)
 	}
 }

@@ -387,15 +387,18 @@ func (c *Collector) Absorb(src *Collector) {
 
 // AbsorbIdle folds in a board that never ran, over slot capacity cap:
 // exactly what Absorb adds for a fresh collector in the metrics mode of
-// like (streaming with like's geometry, or exact). The stand-in is a
-// stack Collector put through Absorb itself, so the two cannot drift;
-// a switching pair merges a spare board it never built this way.
+// like (streaming with like's geometry, or exact); a switching pair
+// merges a board it never built this way. A fresh stream state adds
+// nothing but its mode (an empty sketch, no windows), so c takes like's
+// geometry directly, and the rest is a stack stand-in put through
+// Absorb itself, so the two cannot drift. Idle boards thus merge
+// without building a stream state each.
 func (c *Collector) AbsorbIdle(cap fabric.ResVec, like *Collector) {
+	if like.stream != nil && c.stream == nil {
+		c.EnableStreaming(like.stream.cfg)
+	}
 	var idle Collector
 	idle.Init(cap)
-	if like.stream != nil {
-		idle.EnableStreaming(like.stream.cfg)
-	}
 	c.Absorb(&idle)
 }
 

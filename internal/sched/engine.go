@@ -263,56 +263,96 @@ func (e *Engine) init(k *sim.Kernel, p Params, board *fabric.Board, model hyperv
 	}
 }
 
-// VersaSlotEngines builds an engine on each of boards, in place, driven
-// by the VersaSlot policy its platform calls for: Big.Little on a
-// heterogeneous platform, Only.Little otherwise, on the dual-core
-// control plane and the platform's shared bitstream repository. The
-// engines, their slot records and the policies of each kind take one
-// allocation apiece, however many boards there are. Engine i runs on
-// &kernels[i], or on k when kernels is nil. Frozen engines (a
-// switching pair's spare) are frozen before their policy is installed,
-// so freezing submits no scheduler pass.
-func VersaSlotEngines(boards []fabric.Board, p Params, k *sim.Kernel, kernels []sim.Kernel, frozen bool) []Engine {
-	nSlots, nBL := 0, 0
-	for i := range boards {
-		nSlots += len(boards[i].Slots)
-		if boards[i].Platform.Heterogeneous() {
-			nBL++
-		}
+// BoardPool builds VersaSlot boards one at a time: each board with its
+// engine, slot records and the VersaSlot policy its platform calls for
+// (Big.Little on a heterogeneous platform, Only.Little otherwise), on
+// the dual-core control plane and the platform's shared bitstream
+// repository. It carves them from storage it allocates in chunks that
+// double in size, so building n boards takes O(log n) allocations per
+// component kind whether they are built together or far apart. A pool
+// is not safe for concurrent use. The zero value is ready: a pool that
+// builds one board allocates exactly that board's storage.
+type BoardPool struct {
+	chunk int
+	// bounded is set by Expect; rest is then what the boards expected
+	// but not built yet need, and caps every chunk.
+	bounded bool
+	rest    struct{ boards, slots, classes, ol, bl int }
+
+	boards  []fabric.Board
+	slab    fabric.Slab
+	engines []Engine
+	slots   []slotRT
+	ol      []versaSlotOL
+	bl      []VersaSlotBL
+}
+
+// Expect tells the pool that a board of platform p may be built. Once
+// told, no chunk reserves room beyond what the boards still expected
+// need, so a pool that builds every expected board has none to spare.
+func (bp *BoardPool) Expect(p *fabric.Platform) {
+	bp.bounded = true
+	bp.rest.boards++
+	bp.rest.slots += p.SlotCount()
+	bp.rest.classes += len(p.Classes)
+	if p.Heterogeneous() {
+		bp.rest.bl++
+	} else {
+		bp.rest.ol++
 	}
-	engines := make([]Engine, len(boards))
-	slots := make([]slotRT, nSlots)
-	var ol []versaSlotOL
-	var bl []VersaSlotBL
-	if nBL < len(boards) {
-		ol = make([]versaSlotOL, len(boards)-nBL)
+}
+
+// size returns how many entries of a kind to allocate: want, capped at
+// rest when the pool is bounded, and never fewer than need.
+func (bp *BoardPool) size(want, rest, need int) int {
+	if bp.bounded {
+		want = min(want, rest)
 	}
-	if nBL > 0 {
-		bl = make([]VersaSlotBL, nBL)
+	return max(want, need)
+}
+
+// Build builds board id of platform on kernel k and returns its engine.
+// A frozen engine (a switching pair's spare) is frozen before its
+// policy is installed, so freezing submits no scheduler pass.
+func (bp *BoardPool) Build(id int, platform *fabric.Platform, p Params, k *sim.Kernel, frozen bool) *Engine {
+	r := &bp.rest
+	if len(bp.engines) == 0 {
+		bp.chunk = bp.size(2*bp.chunk, r.boards, 1)
+		bp.boards = make([]fabric.Board, bp.chunk)
+		bp.engines = make([]Engine, bp.chunk)
 	}
-	var platform *fabric.Platform
-	var repo *bitstream.Repository
-	for i := range boards {
-		b, e := &boards[i], &engines[i]
-		if b.Platform != platform {
-			platform, repo = b.Platform, bitstream.RepoFor(b.Platform)
-		}
-		if kernels != nil {
-			k = &kernels[i]
-		}
-		n := len(b.Slots)
-		e.init(k, p, b, hypervisor.DualCore, repo, slots[:n:n])
-		slots = slots[n:]
-		e.frozen = frozen
-		if platform.Heterogeneous() {
-			e.SetPolicy(&bl[0])
-			bl = bl[1:]
-		} else {
-			e.SetPolicy(&ol[0])
-			ol = ol[1:]
-		}
+	// The other kinds refill sized for the boards left in the chunk, so
+	// a pool of one platform takes exactly a chunk of each.
+	left, n, c := len(bp.engines), platform.SlotCount(), len(platform.Classes)
+	if !bp.slab.Fits(platform) {
+		bp.slab = fabric.MakeSlab(bp.size(left*n, r.slots, n), bp.size(left*c, r.classes, c))
 	}
-	return engines
+	if len(bp.slots) < n {
+		bp.slots = make([]slotRT, bp.size(left*n, r.slots, n))
+	}
+	b, e := &bp.boards[0], &bp.engines[0]
+	bp.boards, bp.engines = bp.boards[1:], bp.engines[1:]
+	b.Init(id, platform, &bp.slab)
+	e.init(k, p, b, hypervisor.DualCore, bitstream.RepoFor(platform), bp.slots[:n:n])
+	bp.slots = bp.slots[n:]
+	e.frozen = frozen
+	r.boards, r.slots, r.classes = r.boards-1, r.slots-n, r.classes-c
+	if platform.Heterogeneous() {
+		if len(bp.bl) == 0 {
+			bp.bl = make([]VersaSlotBL, bp.size(left, r.bl, 1))
+		}
+		r.bl--
+		e.SetPolicy(&bp.bl[0])
+		bp.bl = bp.bl[1:]
+	} else {
+		if len(bp.ol) == 0 {
+			bp.ol = make([]versaSlotOL, bp.size(left, r.ol, 1))
+		}
+		r.ol--
+		e.SetPolicy(&bp.ol[0])
+		bp.ol = bp.ol[1:]
+	}
+	return e
 }
 
 // DisableBitstreamCache models control planes without a DDR bitstream

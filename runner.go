@@ -201,9 +201,9 @@ func attachFaults(s Scenario, t *fault.Target) error {
 
 // boardHook returns what finishes every board a scenario builds:
 // streaming metrics when the scenario asks for them, then the runner's
-// diagnostics (trace and recorder sinks only when !parallel). Pair
-// topologies install it as the pairs' build hook, so a spare board gets
-// it when it is built and an observer never forces one to be built.
+// diagnostics (trace and recorder sinks only when !parallel). Farm
+// topologies install it as the farm's build hook, so each board gets it
+// when it is built and an observer never forces one to be built.
 func (r *Runner) boardHook(s Scenario, parallel bool) func(*sched.Engine) {
 	streamCfg, streaming := s.streamConfig()
 	return func(e *sched.Engine) {
@@ -312,9 +312,8 @@ func (r *Runner) runFarm(s Scenario, seq *workload.Sequence, parallel bool) (*Re
 	// (observers stay attached — they serialize behind a mutex). The
 	// farm's resolved count decides, not s.Shards: zero auto-selects
 	// from the fleet size and GOMAXPROCS.
-	hook := r.boardHook(s, parallel || f.ShardCount() > 1)
+	f.SetBuildHook(r.boardHook(s, parallel || f.ShardCount() > 1))
 	for _, pair := range f.Pairs {
-		pair.SetBuildHook(hook)
 		pairPlatforms = append(pairPlatforms, pairPlatformsOf(pair))
 		r.observeSwitches(s.Name, pair)
 	}
