@@ -274,30 +274,23 @@ func farmDispatchBench(dispatcher string, pairs int) func(*testing.B) {
 	}
 }
 
-// BenchmarkFarmDispatchSharded prices the sharded single-run executor
-// against its sequential twin: the same least-loaded farm at fleet
-// scale, run once with shards=1 and once sharded across worker
-// goroutines. The two runs produce byte-identical summaries (pinned by
-// TestShardedMatchesSequential); only wall-clock differs. Farm
-// construction and injection run under StopTimer so the measurement
-// isolates the executor the shards parallelize; BenchmarkCeilings
-// holds the sharded runs to speedup floors on multi-core hosts.
-func BenchmarkFarmDispatchSharded(b *testing.B) {
+// BenchmarkFarmRun prices the farm executor alone: a least-loaded farm
+// at fleet scale, built and injected under StopTimer so the measurement
+// is Farm.Run — every pair run ahead to each control instant, the
+// control plane drained, the pairs merged.
+func BenchmarkFarmRun(b *testing.B) {
 	for _, pairs := range []int{128, 1024} {
-		for _, shards := range []int{1, 4, 8} {
-			b.Run(fmt.Sprintf("pairs=%d/shards=%d", pairs, shards), farmShardedBench(pairs, shards))
-		}
+		b.Run(fmt.Sprintf("pairs=%d", pairs), farmRunBench(pairs))
 	}
 }
 
-func farmShardedBench(pairs, shards int) func(*testing.B) {
+func farmRunBench(pairs int) func(*testing.B) {
 	seq := farmStressSequence(pairs)
 	return func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			cfg := cluster.DefaultFarmConfig(pairs)
 			cfg.RebalanceEvery = 2 * sim.Second
-			cfg.Shards = shards
 			f := cluster.MustNewFarm(cfg)
 			if err := f.Inject(seq); err != nil {
 				b.Fatal(err)
@@ -453,7 +446,7 @@ func BenchmarkChaosFaults(b *testing.B) {
 // autoscaler rides the load signal through repeated scale-up / drain
 // cycles on a 1..4-pair farm. Each iteration is one full orchestrated
 // run — admission decisions, pump releases, activation latencies, and
-// drain migrations all on the coordinator kernel. Paired with
+// drain migrations all on the farm kernel. Paired with
 // BenchmarkEndToEndStress it bounds the orchestrator's overhead;
 // TestBenchCeilings pins it.
 func BenchmarkAutoscaleChurn(b *testing.B) {

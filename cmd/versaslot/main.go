@@ -15,7 +15,7 @@
 //	          [-arrival-json '{"process":"mmpp",...}'] [-pairs 2]
 //	          [-pair-platforms base:boost,base:boost,...]
 //	          [-dispatcher least-loaded] [-rebalance-every 2s]
-//	          [-rebalance-gap 2] [-shards 4]
+//	          [-rebalance-gap 2]
 //	          [-tenants '[{"name":"batch","quota":4},...]']
 //	          [-autoscale '{"min":1,"max":4}'] [-fault slot-fail]
 //	          [-fault-json '{"injectors":[...]}']
@@ -87,7 +87,6 @@ func main() {
 	dispatcher := flag.String("dispatcher", "", "farm arrival dispatcher (default least-loaded), or 'list' to print the registry")
 	rebalanceEvery := flag.Duration("rebalance-every", 0, "farm rebalancer cadence in virtual time (0 disables)")
 	rebalanceGap := flag.Int("rebalance-gap", 0, "min unfinished-app gap between pairs that triggers a cross-pair migration (default 2)")
-	shards := flag.Int("shards", 0, "run a farm's pairs across this many parallel shards (0 = auto from pair count and GOMAXPROCS, 1 = sequential); results are byte-identical at any width")
 	tenantsJSON := flag.String("tenants", "", "inline tenant-spec JSON array (farm topology): per-tenant arrival process, quota, priority, over-quota policy, SLO")
 	autoscaleJSON := flag.String("autoscale", "", "inline autoscale-spec JSON (farm topology): {\"min\":1,\"max\":4,...}; -pairs is the initial online count")
 	faultKind := flag.String("fault", "", "attach one fault injector by kind with default parameters, or 'list' to print the registry")
@@ -99,7 +98,7 @@ func main() {
 	dump := flag.String("dump-scenario", "", "also write the effective scenario JSON to this file")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a post-run heap profile to this file")
-	blockprofile := flag.String("blockprofile", "", "write a goroutine blocking profile to this file (diagnoses sharded-executor stalls)")
+	blockprofile := flag.String("blockprofile", "", "write a goroutine blocking profile to this file (diagnoses RunMany and sweep worker-pool stalls)")
 	mutexprofile := flag.String("mutexprofile", "", "write a mutex contention profile to this file")
 	verbose := flag.Bool("v", false, "print per-application response times")
 	flag.Parse()
@@ -156,7 +155,6 @@ func main() {
 			Dispatcher:     *dispatcher,
 			RebalanceEvery: *rebalanceEvery,
 			RebalanceGap:   *rebalanceGap,
-			Shards:         *shards,
 			Tenants:        parseJSONFlag[[]orchestrator.TenantSpec]("tenants", *tenantsJSON),
 			Autoscale:      parseJSONFlag[*orchestrator.AutoscaleSpec]("autoscale", *autoscaleJSON),
 			Faults:         parseFaultFlags(*faultKind, *faultJSON),

@@ -180,7 +180,7 @@ func TestCacheBounded(t *testing.T) {
 
 // TestNamesFormattedOnce checks the interned bitstream names: each
 // equals its format, a repeated request allocates nothing, and
-// concurrent callers (RunMany and shard workers share the table) all
+// concurrent callers (RunMany workers share the table) all
 // see the same names.
 func TestNamesFormattedOnce(t *testing.T) {
 	var wg sync.WaitGroup

@@ -115,7 +115,7 @@ func FullName(app string) string {
 // from this table. Keys are the parts themselves, never a platform
 // pointer, so the table grows only with distinct (app, task or mode,
 // class) names, not with runs. A map under RWMutex serves concurrent
-// RunMany and shard workers without allocating; sync.Map would box
+// RunMany workers without allocating; sync.Map would box
 // every struct key.
 type nameKey struct {
 	app, part, class string

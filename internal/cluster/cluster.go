@@ -128,9 +128,19 @@ type TracePoint struct {
 // built frozen on a prewarm, a switch or a caller of Engine. Until a
 // board is built, readers treat it as an idle board.
 type Cluster struct {
+	// K is the pair's own kernel: every event of its boards and link
+	// runs here, and the farm's executor runs it between control
+	// instants (see exec.go).
 	K    *sim.Kernel
 	Cfg  Config
 	Link interlink.Link
+
+	// k is the storage K points at, next a lower bound on the time of
+	// its earliest pending event (the pair's horizon), and busy whether
+	// the pair is on the farm's busy list (see exec.go).
+	k    sim.Kernel
+	next sim.Time
+	busy bool
 
 	// engines holds each mode's engine, nil until its board is built.
 	engines   [2]*sched.Engine
@@ -167,27 +177,28 @@ type Cluster struct {
 	cost *migrate.CostModel
 }
 
-// init finishes, in place, pair index of farm f on kernel k. Its Cfg
-// and both platforms are already set, resolved and validated (the
-// paper's point: the static regions are fixed at start-up; switching
-// between them at runtime is what live migration buys). Both boards
-// are built on first use (see build).
-func (c *Cluster) init(f *Farm, index int, k *sim.Kernel) {
-	c.K, c.farm, c.index = k, f, index
+// init finishes, in place, pair index of farm f on its own kernel,
+// seeded with the pair's seed. Its Cfg and both platforms are already
+// set, resolved and validated (the paper's point: the static regions
+// are fixed at start-up; switching between them at runtime is what
+// live migration buys). Both boards are built on first use (see
+// build).
+func (c *Cluster) init(f *Farm, index int) {
+	c.k.Init(c.Cfg.Seed)
+	c.K, c.farm, c.index, c.busy = &c.k, f, index, true
 	c.firstBoard = 2 * index
 	c.active = c.Cfg.StartMode
-	c.Link.Init(k, linkName(index), interlink.DefaultBandwidth, interlink.DefaultSetup)
+	c.Link.Init(c.K, linkName(index), interlink.DefaultBandwidth, interlink.DefaultSetup)
 	c.trigger.Init(c.Cfg.StartMode, c.Cfg.ThresholdUp, c.Cfg.ThresholdDown)
 }
 
 // build makes the board, engine and policy of a mode and adopts them:
 // the one constructor of every board a pair has. The start mode's
 // board, built when work first reaches the pair, takes its storage
-// from the farm's pool; the pool's only user is the coordinator, where
-// dispatch, rack deliveries and fault attach run. The other board is
-// the spare, built on storage of its own because a switch can build it
-// on a shard worker; it starts frozen and only executes after a
-// switch.
+// from the farm's pool, in the order dispatch, rack deliveries and
+// fault attach reach the pairs. The other board is the spare, built on
+// storage of its own whenever the pair's own events first need it; it
+// starts frozen and only executes after a switch.
 func (c *Cluster) build(mode migrate.Mode) *sched.Engine {
 	var own sched.BoardPool
 	pool := &own

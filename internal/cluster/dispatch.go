@@ -321,7 +321,7 @@ func stageBitstreams(target *fabric.Platform, a *appmodel.App) []string {
 // stageKey keys the stageBitstreams table. Platforms are keyed by
 // their class names, not by pointer: inline platforms are rebuilt on
 // every run, and the table is shared by every run of the process
-// (RunMany and shard workers read it concurrently).
+// (RunMany workers read it concurrently).
 type stageKey struct {
 	spec      *appmodel.AppSpec
 	base, big string

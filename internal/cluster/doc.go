@@ -30,21 +30,24 @@
 // rebalancer generalizes the pair-internal live migration to
 // pair-to-pair transfers over a rack-level link.
 //
-// A farm makes its pairs' records from one slice of clusters (and,
-// when sharded, one of pair kernels), with pair i at entry i, and
+// A farm makes its pairs' records — each with its own simulation
+// kernel — from one slice of clusters, with pair i at entry i, and
 // builds no board up front: a fleet whose arrivals reach a few of its
-// pairs pays only for those pairs' boards. A pair holds its link and
-// trigger inline, and its engines report to it through a typed view of
-// the Cluster (sched.Pair). Active boards take their storage from a
-// farm-owned sched.BoardPool, which allocates boards, slots, engines,
-// slot records and policies in chunks that double in size, so
-// allocations grow with the log of the pairs built, whether dispatch
-// touches a few pairs or every one. Only the coordinator builds from
-// the pool; a spare, which a switch can build on a shard worker, is
-// built on storage of its own.
+// pairs pays only for those pairs' boards. A pair holds its kernel,
+// link and trigger inline, and its engines report to it through a
+// typed view of the Cluster (sched.Pair). Active boards take their
+// storage from a farm-owned sched.BoardPool, which allocates boards,
+// slots, engines, slot records and policies in chunks that double in
+// size, so allocations grow with the log of the pairs built, whether
+// dispatch touches a few pairs or every one. A spare, built when the
+// pair's own events first need it, is built on storage of its own.
 //
-// A farm's pairs run on one simulation kernel, or on per-pair kernels
-// under the sharded coordinator, and either way keep the kernel's
-// determinism guarantee: same configuration and seed, byte-identical
-// results.
+// A farm has one executor, on one goroutine. The farm kernel (Farm.K)
+// holds only the control plane: arrival dispatch, rebalance ticks,
+// rack-link transfers, orchestrator ticks and fault chains. Before each
+// control instant every pair with earlier work runs up to it on its own
+// kernel (conservative lookahead, see exec.go); then the instant's
+// control events run. Farm.Step runs the same schedule one event at a
+// time. Either way a farm keeps the kernel's determinism guarantee:
+// same configuration and seed, byte-identical results.
 package cluster

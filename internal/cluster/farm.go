@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"runtime"
 
 	"versaslot/internal/appmodel"
 	"versaslot/internal/interlink"
@@ -47,17 +46,11 @@ type FarmConfig struct {
 	// default of 2; a configured gap of 1 is honored but can ping-pong
 	// a single queued app between two otherwise balanced pairs.
 	RebalanceGap int
-	// Shards, when greater than one, runs the farm's pairs on that many
-	// worker goroutines: each pair advances its own event stream under
-	// conservative lookahead synchronization (shards run ahead to the
-	// next farm-control instant — arrival dispatch, rebalance tick,
-	// rack-link completion, fault strike — and only shards that can
-	// interact synchronize) so the merged result is byte-identical to
-	// the sequential run. Zero selects the shard count automatically
-	// from the online-pair count and GOMAXPROCS — sequential when the
-	// farm is too small or the host too narrow for sharding to win,
-	// never slower than sequential by construction. One forces
-	// sequential execution. Values above the pair count are clamped.
+	// Shards is kept so configurations that set it still compile and
+	// decode. Every farm runs each pair on its own kernel from one
+	// goroutine; 0 and 1 are accepted, anything else is an error.
+	//
+	// Deprecated: the farm has one executor; leave Shards zero.
 	Shards int
 	// Standby decommissions the last Standby pairs at construction:
 	// they are configured (kernels, platforms) but start in
@@ -105,38 +98,6 @@ func DefaultFarmConfig(n int) FarmConfig {
 	return FarmConfig{Pair: DefaultConfig(), Pairs: n}
 }
 
-// Automatic shard selection (FarmConfig.Shards == 0). The floors come
-// from the measured scaling wall: below ~64 online pairs the whole run
-// is too short for worker wakeups to amortize (at 128 pairs, 8 shards
-// measured *slower* than sequential), and past ~32 pairs per shard the
-// extra workers only add synchronization without adding parallel work
-// (8 shards were no faster than 4 at 1,024 pairs under the barrier
-// loop). The cap keeps wide hosts from splintering the fleet into
-// slivers a single control tick can stall.
-const (
-	autoShardMinPairs      = 64
-	autoShardPairsPerShard = 32
-	autoShardMax           = 8
-)
-
-// autoShards picks the worker count for an auto-sharded farm from the
-// online-pair count and the host's GOMAXPROCS. It returns 1 —
-// sequential, the inline fallback — whenever sharding cannot win by
-// construction: a single-slot scheduler, or too few active pairs.
-func autoShards(onlinePairs, procs int) int {
-	if procs < 2 || onlinePairs < autoShardMinPairs {
-		return 1
-	}
-	s := procs
-	if s > autoShardMax {
-		s = autoShardMax
-	}
-	for s > 1 && onlinePairs/s < autoShardPairsPerShard {
-		s--
-	}
-	return s
-}
-
 func (c FarmConfig) gap() int {
 	if c.RebalanceGap <= 0 {
 		return 2
@@ -171,6 +132,9 @@ func (c FarmConfig) pairConfig(i int) Config {
 // enable cross-board switching for the entire system") to
 // pair-to-pair transfers over a rack link.
 type Farm struct {
+	// K is the farm kernel: it holds only the control plane (arrival
+	// dispatch, rebalance ticks, rack transfers, orchestrator ticks,
+	// fault chains). Each pair runs on its own kernel (Cluster.K).
 	K     *sim.Kernel
 	Pairs []*Cluster
 	Cfg   FarmConfig
@@ -194,19 +158,15 @@ type Farm struct {
 	unhealthy  int   // pairs with outages > 0
 	cost       *migrate.CostModel
 
-	// finishedBy counts completions per pair. Sharded workers write
-	// only their own pairs' elements, so the slice is race-free without
-	// atomics; finishedCount sums it on the coordinator.
+	// finishedBy counts completions per pair; finishedCount sums it.
 	finishedBy []int
 
-	// pairK holds each pair's private kernel when the farm is sharded;
-	// nil on the sequential path, where every pair shares f.K. shards
-	// is the resolved worker count (auto-selected when Cfg.Shards is
-	// zero), and coord is the live lookahead coordinator while a
-	// sharded Run is in progress (TouchPair's hand-off point).
-	pairK  []sim.Kernel
-	shards int
-	coord  *shardCoord
+	// busy lists the pairs that may have pending events, and minNext
+	// is a lower bound on their horizons (see exec.go). Every pair
+	// starts busy, so the first instant finds what was scheduled
+	// before the run.
+	busy    []*Cluster
+	minNext sim.Time
 
 	// arrivals delivers Inject's arrivals to dispatchOne.
 	arrivals *sched.ArrivalCursor
@@ -274,15 +234,8 @@ func NewFarm(cfg FarmConfig) (*Farm, error) {
 	if err != nil {
 		return nil, err
 	}
-	shards := cfg.Shards
-	if shards == 0 {
-		shards = autoShards(cfg.Pairs-cfg.Standby, runtime.GOMAXPROCS(0))
-	}
-	if shards > cfg.Pairs {
-		shards = cfg.Pairs
-	}
-	if shards < 1 {
-		shards = 1
+	if cfg.Shards < 0 || cfg.Shards > 1 {
+		return nil, fmt.Errorf("cluster: shards %d: a farm has one executor (want 0 or 1)", cfg.Shards)
 	}
 	if cfg.Standby < 0 || cfg.Standby >= cfg.Pairs {
 		return nil, fmt.Errorf("cluster: standby count %d out of range (need 0 <= standby < %d pairs)", cfg.Standby, cfg.Pairs)
@@ -291,7 +244,6 @@ func NewFarm(cfg FarmConfig) (*Farm, error) {
 		Cfg:        cfg,
 		K:          sim.NewKernel(cfg.Pair.Seed),
 		dispatcher: d,
-		shards:     shards,
 		routed:     make([]int, cfg.Pairs),
 		load:       make([]int, cfg.Pairs),
 		finishedBy: make([]int, cfg.Pairs),
@@ -307,10 +259,9 @@ func NewFarm(cfg FarmConfig) (*Farm, error) {
 	}
 	f.Rack = interlink.NewDefault(f.K, "rack")
 	// Farm-control events (rack transfers, rebalance ticks, fault
-	// chains) run at PriFarmControl and arrivals at PriArrival in both
-	// execution modes, so same-instant ordering — control plane first,
-	// then pair-local events — is identical whether the pairs share f.K
-	// or advance their own kernels.
+	// chains) run at PriFarmControl and arrivals at PriArrival, so at
+	// one instant the control plane runs before pair-local events, as
+	// the executor requires (see exec.go).
 	f.Rack.SetPriority(sim.PriFarmControl)
 	if err := f.buildPairs(); err != nil {
 		return nil, err
@@ -332,15 +283,17 @@ func NewFarm(cfg FarmConfig) (*Farm, error) {
 }
 
 // buildPairs makes the record of every pair — its configuration,
-// platforms, link and trigger — from one slice of clusters (and one of
-// pair kernels when sharded), with pair i at entry i. It builds no
-// board: a pair builds its active board when work first reaches it
-// (see Cluster.build), so a fleet pays for the boards it uses, and the
-// farm's pool holds at most one active board per pair.
+// platforms, kernel, link and trigger — from one slice of clusters,
+// with pair i at entry i. It builds no board: a pair builds its active
+// board when work first reaches it (see Cluster.build), so a fleet pays
+// for the boards it uses, and the farm's pool holds at most one active
+// board per pair.
 func (f *Farm) buildPairs() error {
 	cfg, n := f.Cfg, f.Cfg.Pairs
 	clusters := make([]Cluster, n)
 	var names platformCache
+	f.Pairs = make([]*Cluster, n)
+	f.busy = make([]*Cluster, n)
 	for i := range clusters {
 		c := &clusters[i]
 		c.Cfg = cfg.pairConfig(i)
@@ -349,25 +302,11 @@ func (f *Farm) buildPairs() error {
 			return err
 		}
 		f.pool.Expect(c.platforms[c.Cfg.StartMode])
-	}
-	if f.shards > 1 {
-		// Each pair gets a private kernel seeded exactly like the pair
-		// config seeds the sequential build, so pair-local evolution is
-		// deterministic and independent of its neighbors between
-		// synchronization instants.
-		f.pairK = make([]sim.Kernel, n)
-		for i := range f.pairK {
-			f.pairK[i].Init(clusters[i].Cfg.Seed)
-		}
-	}
-	f.Pairs = make([]*Cluster, n)
-	for i := range clusters {
-		c := &clusters[i]
 		// The per-pair load counter is maintained incrementally:
 		// arrivals increment it at dispatch; completions on either
 		// board decrement it in the pair's own finish hook.
-		c.init(f, i, f.pairKernel(i))
-		f.Pairs[i] = c
+		c.init(f, i)
+		f.Pairs[i], f.busy[i] = c, c
 	}
 	return nil
 }
@@ -414,15 +353,6 @@ func (f *Farm) idleLike() *metrics.Collector {
 	return f.like
 }
 
-// pairKernel returns the kernel pair i runs on: its own when the farm
-// is sharded, the farm's otherwise.
-func (f *Farm) pairKernel(i int) *sim.Kernel {
-	if f.pairK != nil {
-		return &f.pairK[i]
-	}
-	return f.K
-}
-
 // MustNewFarm is NewFarm, panicking on error; for tests and examples
 // with known-good configurations.
 func MustNewFarm(cfg FarmConfig) *Farm {
@@ -436,10 +366,10 @@ func MustNewFarm(cfg FarmConfig) *Farm {
 // Dispatcher returns the canonical name of the farm's dispatcher.
 func (f *Farm) Dispatcher() string { return f.dispatcher.Name() }
 
-// ShardCount returns the resolved worker count the farm executes with:
-// Cfg.Shards clamped to the pair count, or the automatic selection
-// when Cfg.Shards is zero. One means sequential execution.
-func (f *Farm) ShardCount() int { return f.shards }
+// ShardCount returns 1: every farm runs on one goroutine.
+//
+// Deprecated: the farm has one executor.
+func (f *Farm) ShardCount() int { return 1 }
 
 // Load returns a copy of the current unfinished-app count per pair
 // (the dispatcher's view). Hot paths use LoadView.
@@ -708,9 +638,6 @@ func (f *Farm) PairRestored(i int) {
 	}
 }
 
-// PairHealthy reports whether pair i currently has no open outage.
-func (f *Farm) PairHealthy(i int) bool { return f.outages[i] == 0 }
-
 // SetMigrationCost installs a checkpoint/restore cost model on every
 // migration in the farm: cross-pair rebalancer transfers and each
 // pair's internal switches.
@@ -806,8 +733,8 @@ func (f *Farm) dispatchOne(a *appmodel.App) {
 	}
 	f.routed[idx]++
 	f.load[idx]++
-	// Sharded runs advance pair clocks lazily; the pair must reach the
-	// dispatch instant before the injection lands on its kernel.
+	// Pair clocks advance lazily; the pair must reach the dispatch
+	// instant before the injection lands on its kernel.
 	f.TouchPair(idx)
 	f.Pairs[idx].activeEngine().InjectNow(a)
 }
@@ -1065,16 +992,14 @@ type PairStat struct {
 	Requeued int `json:"requeued,omitempty"`
 }
 
-// Run executes to completion and merges every pair's results. Each
-// board is absorbed twice, in pair order: into one pair collector
+// Run executes every pending event (see exec.go), aligns the clocks and
+// merges every pair's results; on a farm Step has drained it only
+// aligns and merges. Each board is absorbed twice, in pair order: into one pair collector
 // (reset between pairs) for the PairStat, and into the fleet collector
 // for the farm-wide distribution.
 func (f *Farm) Run() Summary {
-	if f.shards > 1 {
-		f.runSharded()
-	} else {
-		f.K.Run()
-	}
+	f.run()
+	f.alignClocks()
 	var fleet, pair metrics.Collector
 	var switchTime, crossTime sim.Duration
 	s := Summary{PairStats: make([]PairStat, 0, len(f.Pairs))}

@@ -60,10 +60,10 @@ func lazyRun(t *testing.T, cfg FarmConfig, seq *workload.Sequence, stream *metri
 }
 
 // TestLazyPairsMatchEager is the oracle of pairs built on first use:
-// for every registered dispatcher, sequential and sharded, in exact and
-// streaming metrics mode, a farm that builds its boards as work reaches
-// them must report exactly what its twin reports whose every board was
-// built before the first arrival. The workloads leave pairs without
+// for every registered dispatcher, in exact and streaming metrics mode,
+// a farm that builds its boards as work reaches them must report
+// exactly what its twin reports whose every board was built before the
+// first arrival. The workloads leave pairs without
 // work (merged as idle boards), switch pairs (spares built mid-run) and
 // rebalance across pairs; a farm that never gets work merges through
 // the build hook's probe board.
@@ -85,23 +85,20 @@ func TestLazyPairsMatchEager(t *testing.T) {
 	streams := []*metrics.StreamConfig{nil, {Window: sim.Second, MaxWindows: 8}}
 	for _, w := range workloads {
 		for _, name := range DispatcherNames() {
-			for _, shards := range []int{1, 2} {
-				for _, stream := range streams {
-					label := fmt.Sprintf("%s/%s/shards=%d/stream=%v", w.name, name, shards, stream != nil)
-					t.Run(label, func(t *testing.T) {
-						cfg := DefaultFarmConfig(w.pairs)
-						cfg.Dispatcher = name
-						cfg.Shards = shards
-						cfg.RebalanceEvery = 2 * sim.Second
-						lazy, eager := lazyRun(t, cfg, w.seq, stream, false), lazyRun(t, cfg, w.seq, stream, true)
-						if !reflect.DeepEqual(lazy, eager) {
-							t.Errorf("lazy farm reports\n%+v\nwant the eagerly built farm's\n%+v", lazy, eager)
-						}
-						if w.seq != nil && lazy.Summary.Apps != len(w.seq.Arrivals) {
-							t.Errorf("%d of %d apps finished", lazy.Summary.Apps, len(w.seq.Arrivals))
-						}
-					})
-				}
+			for _, stream := range streams {
+				label := fmt.Sprintf("%s/%s/stream=%v", w.name, name, stream != nil)
+				t.Run(label, func(t *testing.T) {
+					cfg := DefaultFarmConfig(w.pairs)
+					cfg.Dispatcher = name
+					cfg.RebalanceEvery = 2 * sim.Second
+					lazy, eager := lazyRun(t, cfg, w.seq, stream, false), lazyRun(t, cfg, w.seq, stream, true)
+					if !reflect.DeepEqual(lazy, eager) {
+						t.Errorf("lazy farm reports\n%+v\nwant the eagerly built farm's\n%+v", lazy, eager)
+					}
+					if w.seq != nil && lazy.Summary.Apps != len(w.seq.Arrivals) {
+						t.Errorf("%d of %d apps finished", lazy.Summary.Apps, len(w.seq.Arrivals))
+					}
+				})
 			}
 		}
 	}
@@ -110,7 +107,7 @@ func TestLazyPairsMatchEager(t *testing.T) {
 // TestLazyPairsBuildWhatTheyUse checks that a farm builds a pair's
 // active board exactly when the pair is routed an arrival or receives
 // a migrated app: a 1,024-pair least-loaded fleet and an affinity farm
-// leave every other pair unbuilt, sequential and sharded.
+// leave every other pair unbuilt.
 func TestLazyPairsBuildWhatTheyUse(t *testing.T) {
 	cases := []struct {
 		dispatcher  string
@@ -120,28 +117,25 @@ func TestLazyPairsBuildWhatTheyUse(t *testing.T) {
 		{DispatchAffinity, 64, 128},
 	}
 	for _, c := range cases {
-		for _, shards := range []int{1, 2} {
-			cfg := DefaultFarmConfig(c.pairs)
-			cfg.Dispatcher = c.dispatcher
-			cfg.Shards = shards
-			cfg.RebalanceEvery = 2 * sim.Second
-			f, sum := spareRun(t, cfg, workload.Stress, c.apps, 11)
-			built := 0
-			for i, p := range f.Pairs {
-				active := p.Built(cfg.Pair.StartMode) != nil
-				if active {
-					built++
-				}
-				if used := f.routed[i] > 0 || f.crossIn[i] > 0; active != used {
-					t.Errorf("%s shards=%d: pair %d active board built=%v, but routed %d and received %d apps",
-						c.dispatcher, shards, i, active, f.routed[i], f.crossIn[i])
-				}
+		cfg := DefaultFarmConfig(c.pairs)
+		cfg.Dispatcher = c.dispatcher
+		cfg.RebalanceEvery = 2 * sim.Second
+		f, sum := spareRun(t, cfg, workload.Stress, c.apps, 11)
+		built := 0
+		for i, p := range f.Pairs {
+			active := p.Built(cfg.Pair.StartMode) != nil
+			if active {
+				built++
 			}
-			t.Logf("%s shards=%d: %d of %d pairs built, %d cross-migrated apps", c.dispatcher, shards, built, c.pairs, sum.CrossMigratedApps)
-			if sum.Apps != c.apps || built == 0 || built == c.pairs {
-				t.Errorf("%s shards=%d: %d of %d apps finished on %d of %d built pairs; want every app, and some pairs left unbuilt",
-					c.dispatcher, shards, sum.Apps, c.apps, built, c.pairs)
+			if used := f.routed[i] > 0 || f.crossIn[i] > 0; active != used {
+				t.Errorf("%s: pair %d active board built=%v, but routed %d and received %d apps",
+					c.dispatcher, i, active, f.routed[i], f.crossIn[i])
 			}
+		}
+		t.Logf("%s: %d of %d pairs built, %d cross-migrated apps", c.dispatcher, built, c.pairs, sum.CrossMigratedApps)
+		if sum.Apps != c.apps || built == 0 || built == c.pairs {
+			t.Errorf("%s: %d of %d apps finished on %d of %d built pairs; want every app, and some pairs left unbuilt",
+				c.dispatcher, sum.Apps, c.apps, built, c.pairs)
 		}
 	}
 }
@@ -158,7 +152,7 @@ func TestRebalanceTickAllocs(t *testing.T) {
 	f.totalApps = 1
 	f.armRebalancer()
 	if allocs := testing.AllocsPerRun(100, func() {
-		if !f.K.Step() {
+		if !f.Step() {
 			t.Fatal("the rebalance tick did not re-arm")
 		}
 	}); allocs != 0 {

@@ -40,49 +40,41 @@ func usedSpare(p *Cluster) bool {
 	return false
 }
 
-// TestShardedSpareBuiltOnFirstUse checks that a pair builds its spare
-// board exactly when it prewarms or switches, on shard workers as on
-// the sequential path, and that building on first use leaves sharded
-// and sequential runs identical.
-func TestShardedSpareBuiltOnFirstUse(t *testing.T) {
-	check := func(t *testing.T, label string, cfg FarmConfig, cond workload.Condition, apps int, seed uint64) []Summary {
+// TestSpareBuiltOnFirstUse checks that a pair builds its spare board
+// exactly when it prewarms or switches.
+func TestSpareBuiltOnFirstUse(t *testing.T) {
+	check := func(t *testing.T, label string, cfg FarmConfig, cond workload.Condition, apps int, seed uint64) Summary {
 		t.Helper()
-		var sums []Summary
-		for _, shards := range []int{1, 2} {
-			cfg.Shards = shards
-			f, sum := spareRun(t, cfg, cond, apps, seed)
-			built := 0
-			for i, p := range f.Pairs {
-				spare := p.Built(cfg.Pair.StartMode.Other()) != nil
-				if spare {
-					built++
-				}
-				if want := usedSpare(p); spare != want {
-					t.Errorf("%s shards=%d: pair %d spare built=%v, but prewarmed or switched=%v", label, shards, i, spare, want)
-				}
+		f, sum := spareRun(t, cfg, cond, apps, seed)
+		built := 0
+		for i, p := range f.Pairs {
+			spare := p.Built(cfg.Pair.StartMode.Other()) != nil
+			if spare {
+				built++
 			}
-			t.Logf("%s shards=%d: %d of %d spares built, %d switches", label, shards, built, len(f.Pairs), sum.Switches)
-			sums = append(sums, sum)
+			if want := usedSpare(p); spare != want {
+				t.Errorf("%s: pair %d spare built=%v, but prewarmed or switched=%v", label, i, spare, want)
+			}
 		}
-		if sums[0].Apps != apps || !reflect.DeepEqual(sums[0], sums[1]) {
-			t.Errorf("%s: sharded summary diverged from sequential (apps %d vs %d of %d)", label, sums[1].Apps, sums[0].Apps, apps)
+		t.Logf("%s: %d of %d spares built, %d switches", label, built, len(f.Pairs), sum.Switches)
+		if sum.Apps != apps {
+			t.Errorf("%s: %d of %d apps finished", label, sum.Apps, apps)
 		}
-		return sums
+		return sum
 	}
 	// A wide least-loaded farm with a couple of apps per pair never
 	// reaches a D_switch threshold: no spare is ever needed.
 	fleet := DefaultFarmConfig(64)
 	fleet.RebalanceEvery = 2 * sim.Second
-	sums := check(t, "fleet", fleet, workload.Stress, 128, 17)
-	if n := len(sums[0].Trace); n == 0 {
+	if sum := check(t, "fleet", fleet, workload.Stress, 128, 17); len(sum.Trace) == 0 {
 		t.Error("fleet: no D_switch evaluation ran; the input does not exercise the pair loop")
 	}
 	// A small real-time farm switches on every seed here, so some
-	// spares are built mid-run — inside shard workers when sharded.
+	// spares are built mid-run, inside pair events.
 	for seed := uint64(1); seed <= 3; seed++ {
 		cfg := DefaultFarmConfig(4)
 		cfg.Pair.Seed = seed
-		if sums := check(t, "real-time", cfg, workload.Realtime, 48, seed); sums[0].Switches == 0 {
+		if sum := check(t, "real-time", cfg, workload.Realtime, 48, seed); sum.Switches == 0 {
 			t.Errorf("real-time seed %d: no pair switched; the input does not exercise a spare", seed)
 		}
 	}
@@ -119,14 +111,14 @@ func TestSpareBuildSubmitsNoPass(t *testing.T) {
 
 // TestLateSpareResults pins, byte for byte, the summaries of runs whose
 // spares are built after the farm's slabs, on storage of their own: by
-// a prewarm (no switch follows), by a switch (mid-run, on a pair
-// kernel when sharded) and up front for every pair, as fault.Attach and
+// a prewarm (no switch follows), by a switch (mid-run, in a pair
+// event) and up front for every pair, as fault.Attach and
 // the orchestrator do. The digests were taken when every board was
 // built on its own, before the farm built its active boards from slabs.
 func TestLateSpareResults(t *testing.T) {
 	stress, realtime := DefaultFarmConfig(2), DefaultFarmConfig(4)
 	stress.Pair.Seed = 2
-	realtime.Pair.Seed, realtime.Shards = 1, 2
+	realtime.Pair.Seed = 1
 	attach := DefaultFarmConfig(3)
 	cases := []struct {
 		name     string
@@ -193,7 +185,7 @@ func TestCrashOnFrozenBoardRehomed(t *testing.T) {
 	}
 	switched := false
 	cl.OnSwitch = func(from, to migrate.Mode) { switched = true }
-	for !switched && f.K.Step() {
+	for !switched && f.Step() {
 	}
 	if !switched {
 		t.Fatal("the pair never switched; the input does not leave a frozen board")

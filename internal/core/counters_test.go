@@ -77,11 +77,12 @@ func auditCounters(t *testing.T, engines []*sched.Engine) {
 	}
 }
 
-// stepAudited runs k to completion, auditing the counters after every
-// event.
-func stepAudited(t *testing.T, k *sim.Kernel, engines []*sched.Engine) {
+// stepAudited runs step until it reports no event left, auditing the
+// counters after every event: step is a kernel's Step for one board, a
+// farm's Step for a pair.
+func stepAudited(t *testing.T, step func() bool, engines []*sched.Engine) {
 	t.Helper()
-	for k.Step() {
+	for step() {
 		auditCounters(t, engines)
 	}
 }
@@ -117,7 +118,7 @@ func TestCounterAudit(t *testing.T) {
 					t.Fatal(err)
 				}
 				sys.Engine.InjectSequence(apps)
-				stepAudited(t, sys.Kernel, []*sched.Engine{sys.Engine})
+				stepAudited(t, sys.Kernel.Step, []*sched.Engine{sys.Engine})
 				sys.Engine.CheckQuiescent()
 			})
 		}
@@ -140,7 +141,7 @@ func TestCounterAudit(t *testing.T) {
 				if err := fault.Attach(&fault.Target{K: sys.Kernel, Engines: engines}, spec, 17); err != nil {
 					t.Fatal(err)
 				}
-				stepAudited(t, sys.Kernel, engines)
+				stepAudited(t, sys.Kernel.Step, engines)
 				sys.Engine.CheckQuiescent()
 				// The baseline reconfigures the whole fabric, never
 				// through the flaky partial-reconfiguration path.
@@ -162,11 +163,12 @@ func TestCounterAudit(t *testing.T) {
 		engines := []*sched.Engine{cl.Engine(migrate.Base), cl.Engine(migrate.Boost)}
 		spec := fault.Spec{Injectors: append(chaosInjectors(),
 			fault.InjectorSpec{Kind: fault.KindCheckpoint, CheckpointBytes: 64, RestoreDelay: sim.Millisecond})}
-		tgt := &fault.Target{K: f.K, Engines: engines, Pairs: f.Pairs, Farm: f, Quiescent: f.Quiescent}
+		tgt := &fault.Target{K: f.K, Engines: engines, Pairs: f.Pairs, Farm: f, Quiescent: f.Quiescent,
+			Pri: sim.PriFarmControl, Touch: f.TouchPair}
 		if err := fault.Attach(tgt, spec, 23); err != nil {
 			t.Fatal(err)
 		}
-		stepAudited(t, f.K, engines)
+		stepAudited(t, f.Step, engines)
 		if !f.Quiescent() {
 			t.Fatal("pair did not drain")
 		}

@@ -69,23 +69,6 @@ type UtilRatios struct {
 	LUT, FF, DSP, BRAM float64
 }
 
-// Ratios returns the componentwise used/capacity ratios for every
-// resource. Zero-capacity components yield zero utilization.
-func (r ResVec) Ratios(capacity ResVec) UtilRatios {
-	ratio := func(u, c int) float64 {
-		if c <= 0 {
-			return 0
-		}
-		return float64(u) / float64(c)
-	}
-	return UtilRatios{
-		LUT:  ratio(r.LUT, capacity.LUT),
-		FF:   ratio(r.FF, capacity.FF),
-		DSP:  ratio(r.DSP, capacity.DSP),
-		BRAM: ratio(r.BRAM, capacity.BRAM),
-	}
-}
-
 // MaxRatio returns the largest used/capacity ratio over all nonzero
 // capacity components — the binding constraint when packing.
 func (r ResVec) MaxRatio(capacity ResVec) float64 {

@@ -81,12 +81,6 @@ func (s *Slot) recount(was bool) {
 	}
 }
 
-// ClassName returns the slot's class name ("Little").
-func (s *Slot) ClassName() string { return s.Class.Name }
-
-// Capacity returns the slot's resource capacity.
-func (s *Slot) Capacity() ResVec { return s.Class.Cap }
-
 // State returns the current lifecycle state.
 func (s *Slot) State() SlotState { return s.state }
 

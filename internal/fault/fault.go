@@ -32,18 +32,17 @@ type Target struct {
 
 	// Pri is the event priority of the injector timer chains. The farm
 	// runner sets sim.PriFarmControl so fault strikes sort with the
-	// rest of the control plane (and thus land identically in sharded
-	// and sequential runs); the single board leaves it zero.
+	// rest of the control plane, ahead of pair events at the same
+	// instant; the single board leaves it zero.
 	Pri int32
 
 	// Touch, when set, stamps a pair's clock to the current control
-	// instant before an injector acts on its engines. Sharded farms
-	// advance pair clocks lazily under conservative lookahead, so every
+	// instant before an injector acts on its engines. A farm advances
+	// each pair's kernel lazily under conservative lookahead, so every
 	// fault strike and recovery must touch its pair first — a slot
 	// failure scheduled against a stale pair clock would land in the
-	// pair's past. The farm runner sets it to Farm.TouchPair; it is a
-	// no-op on sequential runs and nil for the single board, whose
-	// engine shares the injector kernel.
+	// pair's past. Pair targets set it to Farm.TouchPair; it is nil
+	// for the single board, whose engine shares the injector kernel.
 	Touch func(pair int)
 }
 

@@ -146,7 +146,7 @@ type slotFail struct {
 }
 
 func (inj *slotFail) Attach(t *Target, r *sim.RNG) {
-	// boards() carries each engine's pair index for the sharded-clock
+	// boards() carries each engine's pair index for the pair-clock
 	// touch.
 	for _, b := range t.boards() {
 		for _, s := range b.engine.Board.Slots {

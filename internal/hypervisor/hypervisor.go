@@ -73,7 +73,7 @@ func (c *Cores) Init(k *sim.Kernel, model CoreModel, boardID int) {
 // and a fleet rebuilds the same boards run after run, so each name is
 // formatted once per process and then served from this table; it grows
 // only with distinct board IDs. A map under RWMutex serves concurrent
-// RunMany and shard workers without allocating.
+// RunMany workers without allocating.
 var coreNames = struct {
 	mu sync.RWMutex
 	m  map[[2]int]string

@@ -66,7 +66,7 @@ func NewDefault(k *sim.Kernel, name string) *Link {
 // SetPriority assigns the event priority of the link's completions:
 // transfers landing at the same instant as other events order by it.
 // The farm sets its rack link to sim.PriFarmControl so deliveries
-// sort with the rest of the control plane in sharded runs.
+// sort with the rest of the control plane, ahead of pair events.
 func (l *Link) SetPriority(p int32) {
 	l.pri = p
 	l.srv.SetPriority(p)

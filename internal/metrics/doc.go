@@ -69,10 +69,9 @@
 // (pinned by TestSketchQuantileSparseTail).
 //
 // Determinism: bucket counts are integers and merging adds them, so
-// Merge is exactly associative and commutative — per-board and
-// per-shard sketches fold into a fleet sketch in any grouping with
-// byte-identical results. Stream-mode runs are byte-identical
-// sequential vs RunMany vs the sharded farm executor.
+// Merge is exactly associative and commutative — per-board sketches
+// fold into a fleet sketch in any grouping with byte-identical
+// results. Stream-mode runs are byte-identical solo and under RunMany.
 //
 // Rollover: the window ring keeps the newest MaxWindows windows.
 // When the horizon advances past the ring, the oldest slot is reset

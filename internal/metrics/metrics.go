@@ -123,9 +123,6 @@ func (c *Collector) EnableFaults(slots int) {
 	}
 }
 
-// FaultActive reports whether fault accounting is enabled.
-func (c *Collector) FaultActive() bool { return c.faultsOn }
-
 // RecordFaultEvent counts one injected failure (a slot or board dying).
 func (c *Collector) RecordFaultEvent() { c.FaultEvents++ }
 

@@ -26,8 +26,8 @@ const (
 //
 // Bucket counts are integers, so Merge is exactly associative and
 // commutative on the distribution: merging per-engine sketches in any
-// grouping yields identical counts, which is what lets the sharded
-// farm path aggregate without shipping samples. Memory is O(1) in the
+// grouping yields identical counts, which is what lets a farm
+// aggregate its boards without shipping samples. Memory is O(1) in the
 // number of observations: the bucket range grows only with the spread
 // of observed values (at most ~58 KiB at 7 bits) and ingest allocates
 // nothing once the observed range is covered.

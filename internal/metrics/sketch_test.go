@@ -170,8 +170,8 @@ func TestSketchExactExtremes(t *testing.T) {
 	}
 }
 
-// TestSketchMergeAssociative pins the property the sharded farm path
-// depends on: merging per-shard sketches in any grouping yields
+// TestSketchMergeAssociative pins the property a farm's merge depends
+// on: merging per-board sketches in any grouping yields
 // identical bucket counts, hence identical quantiles — (A+B)+C equals
 // A+(B+C) equals one sketch fed everything.
 func TestSketchMergeAssociative(t *testing.T) {

@@ -115,10 +115,10 @@ type AutoscaleStats struct {
 	Events []ScaleEvent `json:"events,omitempty"`
 }
 
-// autoscaler is the evaluation loop. Every tick runs on the
-// coordinator kernel at sim.PriFarmControl, after the sharded
-// executor's barrier, so its reads of farm-wide load are exact and
-// its actions are part of the deterministic control-plane schedule.
+// autoscaler is the evaluation loop. Every tick runs on the farm
+// kernel at sim.PriFarmControl, after every pair has run up to
+// the tick, so its reads of farm-wide load are exact and its actions
+// are part of the deterministic control-plane schedule.
 type autoscaler struct {
 	o    *Orchestrator
 	spec AutoscaleSpec

@@ -24,13 +24,12 @@
 //
 // # Invariants
 //
-//   - Determinism: every orchestrator event runs on the farm's
-//     coordinator kernel — arrivals at sim.PriArrival, admission pump
+//   - Determinism: every orchestrator event runs on the farm
+//     kernel — arrivals at sim.PriArrival, admission pump
 //     ticks, autoscale ticks, activations, and drains at
 //     sim.PriFarmControl. None of them run inside pair-local
 //     completion hooks, so an orchestrated run is byte-identical
-//     whether the farm executes sequentially, in a parallel sweep, or
-//     sharded across worker kernels.
+//     solo, in a parallel sweep, and stepped event by event.
 //   - Quota: a tenant's in-flight count (admitted minus finished)
 //     never exceeds its quota at any admission instant; the OnAdmit
 //     hook exposes the count for property tests.
@@ -40,9 +39,8 @@
 //   - No loss on drain: a draining pair's ready queue migrates to
 //     healthy online pairs (or requeues locally when nowhere fits);
 //     drained applications finish and reconcile in the same ledger.
-//   - Single-writer stats: per-(tenant, pair) response sketches and
-//     SLO counters live in a metrics.GroupLanes matrix where each
-//     lane is written only by its pair's worker, mirroring the farm's
-//     finishedBy discipline; merges are associative, so per-tenant
-//     distributions are exact in every execution mode.
+//   - Exact stats: each tenant's response sketch, completion count
+//     and SLO hits are written by the completion hooks of every pair;
+//     sketch bucket counts and sums add exactly, so the order in which
+//     pairs complete cannot change a tenant's distribution.
 package orchestrator

@@ -9,11 +9,11 @@ import (
 	"versaslot/internal/workload"
 )
 
-// TestTickHorizonAutoscale pins the orchestrator's share of the
-// sharded executor's lookahead bound: before Start nothing is armed;
-// after Start the autoscaler's first evaluation tick is the horizon,
-// and the coordinator kernel's next event lies at or before it — the
-// invariant that keeps shards from running past a control tick.
+// TestTickHorizonAutoscale pins the orchestrator's share of the farm
+// executor's lookahead bound: before Start nothing is armed; after
+// Start the autoscaler's first evaluation tick is the horizon, and the
+// farm kernel's next event lies at or before it — the invariant
+// that keeps pairs from running past a control tick.
 func TestTickHorizonAutoscale(t *testing.T) {
 	f := cluster.MustNewFarm(cluster.DefaultFarmConfig(2))
 	o := mustOrchestrate(t, f, orchestrator.Config{
@@ -31,14 +31,14 @@ func TestTickHorizonAutoscale(t *testing.T) {
 		t.Errorf("autoscale horizon %v, want %v", horizon, want)
 	}
 	if next, ok := f.K.NextAt(); !ok || next > horizon {
-		t.Errorf("coordinator next event %v (pending=%v) past the orchestrator horizon %v", next, ok, horizon)
+		t.Errorf("farm kernel's next event %v (pending=%v) past the orchestrator horizon %v", next, ok, horizon)
 	}
 }
 
 // TestTickHorizonTracksAdmissionPump drives a quota-throttled run one
-// kernel step at a time: whenever the admission pump (or an autoscale
+// farm event at a time: whenever the admission pump (or an autoscale
 // tick) is pending, the reported horizon must be visible on the
-// coordinator kernel at or before that instant.
+// farm kernel at or before that instant.
 func TestTickHorizonTracksAdmissionPump(t *testing.T) {
 	f := cluster.MustNewFarm(cluster.DefaultFarmConfig(2))
 	o := mustOrchestrate(t, f, orchestrator.Config{
@@ -50,7 +50,7 @@ func TestTickHorizonTracksAdmissionPump(t *testing.T) {
 	}
 	o.Start()
 	sawPump := false
-	for f.K.Step() {
+	for f.Step() {
 		horizon, armed := o.TickHorizon()
 		if !armed {
 			continue
@@ -60,7 +60,7 @@ func TestTickHorizonTracksAdmissionPump(t *testing.T) {
 			t.Fatalf("horizon %v behind the clock %v", horizon, f.K.Now())
 		}
 		if next, ok := f.K.NextAt(); !ok || next > horizon {
-			t.Fatalf("pump tick at %v invisible to the coordinator (next event %v, pending=%v)", horizon, next, ok)
+			t.Fatalf("pump tick at %v invisible to the farm kernel (next event %v, pending=%v)", horizon, next, ok)
 		}
 	}
 	if !sawPump {

@@ -25,8 +25,8 @@ const (
 // defaultAdmitEvery is the admission pump's cadence: how often queued
 // (throttled) submissions are re-examined for release. Releases happen
 // only at pump instants — never inline from a completion hook — so the
-// admission control plane stays on the coordinator kernel and the run
-// is byte-identical under the sharded farm executor.
+// admission control plane stays on the farm kernel, where
+// pair completions cannot reorder it.
 const defaultAdmitEvery = 250 * sim.Millisecond
 
 // TenantSpec declares one tenant of a multi-tenant farm: its share of
@@ -142,28 +142,27 @@ type Config struct {
 
 // Orchestrator is the control plane over one farm: per-tenant
 // admission (quotas, priorities, reject/throttle) and the load-driven
-// autoscaler. All of its events run on the farm's coordinator kernel —
+// autoscaler. All of its events run on the farm kernel —
 // arrivals at sim.PriArrival, everything else (admission pump ticks,
 // autoscale ticks, activations, drains) at sim.PriFarmControl — so an
-// orchestrated run is byte-identical sequential, parallel-swept, and
-// sharded.
+// orchestrated run is byte-identical solo, parallel-swept, and stepped
+// event by event.
 type Orchestrator struct {
 	f   *cluster.Farm
 	cfg Config
 
-	// Per-tenant ledgers. Every counter here is written only on the
-	// coordinator (arrival and pump instants); completions are counted
-	// in resp's per-(tenant, pair) lanes by the pair-local finish
-	// hooks, so sharded workers never share a written cell.
+	// Per-tenant ledgers. The admission counters are written at
+	// arrival and pump instants; finished, sloMet and resp (each
+	// tenant's response sketch, nil until its first completion) by the
+	// pairs' finish hooks.
 	submitted []int
 	admitted  []int
 	rejected  []int
 	throttled []int
+	finished  []int
+	sloMet    []int
 	queues    [][]*appmodel.App
-
-	// resp accumulates per-(tenant, pair) response sketches, counts,
-	// and SLO hits; see metrics.GroupLanes for the writer discipline.
-	resp *metrics.GroupLanes
+	resp      []*metrics.Sketch
 
 	// firstID[i] is tenant i's first app ID; IDs are contiguous per
 	// tenant, so tenantOf is a range scan.
@@ -238,7 +237,9 @@ func New(f *cluster.Farm, cfg Config) (*Orchestrator, error) {
 		o.throttled = make([]int, n)
 		o.queues = make([][]*appmodel.App, n)
 		o.firstID = make([]int, n)
-		o.resp = metrics.NewGroupLanes(n, len(f.Pairs), metrics.GlobalSketchBits)
+		o.finished = make([]int, n)
+		o.sloMet = make([]int, n)
+		o.resp = make([]*metrics.Sketch, n)
 		o.order = o.releaseOrder()
 		o.chainFinishHooks()
 	}
@@ -247,12 +248,9 @@ func New(f *cluster.Farm, cfg Config) (*Orchestrator, error) {
 }
 
 // chainFinishHooks appends a per-tenant accounting hook to every
-// engine's OnAppFinished: completions land in the (tenant, pair) lane
-// owned by the pair's worker, the same single-writer pattern as the
-// farm's finishedBy counters.
+// engine's OnAppFinished.
 func (o *Orchestrator) chainFinishHooks() {
-	for i, pair := range o.f.Pairs {
-		lane := i
+	for _, pair := range o.f.Pairs {
 		for _, mode := range []migrate.Mode{migrate.Base, migrate.Boost} {
 			e := pair.Engine(mode)
 			prev := e.OnAppFinished
@@ -264,10 +262,21 @@ func (o *Orchestrator) chainFinishHooks() {
 				if t < 0 {
 					return
 				}
-				rt := int64(a.ResponseTime())
-				o.resp.Observe(t, lane, rt, o.cfg.Tenants[t].SLO > 0 && rt <= int64(o.cfg.Tenants[t].SLO))
+				o.observe(t, int64(a.ResponseTime()))
 			}
 		}
+	}
+}
+
+// observe records one completion of tenant t with response time rt.
+func (o *Orchestrator) observe(t int, rt int64) {
+	if o.resp[t] == nil {
+		o.resp[t] = metrics.NewSketch(metrics.GlobalSketchBits)
+	}
+	o.resp[t].Add(rt)
+	o.finished[t]++
+	if slo := o.cfg.Tenants[t].SLO; slo > 0 && rt <= int64(slo) {
+		o.sloMet[t]++
 	}
 }
 
@@ -287,7 +296,7 @@ func (o *Orchestrator) tenantOf(id int) int {
 
 // InjectTenants instantiates one sequence per tenant (same order as
 // Config.Tenants), assigns each tenant a contiguous app-ID range, and
-// schedules the merged arrival stream on the coordinator kernel. Every
+// schedules the merged arrival stream on the farm kernel. Every
 // arrival passes through admission at its instant.
 func (o *Orchestrator) InjectTenants(seqs []*workload.Sequence) error {
 	if len(seqs) != len(o.cfg.Tenants) {
@@ -340,10 +349,10 @@ func (o *Orchestrator) Start() {
 	}
 }
 
-// inFlight is tenant t's admitted-but-unfinished count. On the
-// coordinator between phases this is exact in every execution mode.
+// inFlight is tenant t's admitted-but-unfinished count; exact at
+// every control instant, when every pair has run up to it.
 func (o *Orchestrator) inFlight(t int) int {
-	return o.admitted[t] - o.resp.Count(t)
+	return o.admitted[t] - o.finished[t]
 }
 
 // arrive is the admission decision at one submission instant.
@@ -386,13 +395,13 @@ func (o *Orchestrator) armPump() {
 }
 
 // TickHorizon returns the earliest control tick the orchestrator has
-// pending on the coordinator kernel — the admission pump or the
+// pending on the farm kernel — the admission pump or the
 // autoscaler's next evaluation — and false when neither is armed. The
-// sharded executor's conservative-lookahead bound is the coordinator
-// kernel's next event time; this accessor exposes the orchestrator's
-// share of that horizon, so tests and diagnostics can verify that
-// every orchestrator tick is visible to the coordinator before any
-// shard is allowed to run past it.
+// farm executor's conservative-lookahead bound is the farm kernel's
+// next event time; this accessor exposes the orchestrator's share of
+// that horizon, so tests and diagnostics can verify that every
+// orchestrator tick is visible on the farm kernel before any pair
+// may run past it.
 func (o *Orchestrator) TickHorizon() (sim.Time, bool) {
 	horizon, armed := sim.MaxTime, false
 	if t, live := o.f.K.EventTime(o.pumpID); live && o.pumpArmed {
@@ -482,9 +491,8 @@ func (o *Orchestrator) TenantStats() []TenantStat {
 		return nil
 	}
 	out := make([]TenantStat, len(o.cfg.Tenants))
-	var sk *metrics.Sketch
 	for i, t := range o.cfg.Tenants {
-		finished := o.resp.Count(i)
+		finished := o.finished[i]
 		st := TenantStat{
 			Tenant:    t.Name,
 			Priority:  t.Priority,
@@ -499,12 +507,12 @@ func (o *Orchestrator) TenantStats() []TenantStat {
 			SLO:       t.SLO,
 		}
 		if finished > 0 {
-			sk = o.resp.MergeGroup(i, sk)
+			sk := o.resp[i]
 			st.MeanRT = sim.Duration(sk.Mean())
 			st.P50 = sim.Duration(sk.LowerQuantile(50))
 			st.P99 = sim.Duration(sk.LowerQuantile(99))
 			if t.SLO > 0 {
-				st.SLOAttainment = float64(o.resp.OKCount(i)) / float64(finished)
+				st.SLOAttainment = float64(o.sloMet[i]) / float64(finished)
 			}
 		}
 		out[i] = st

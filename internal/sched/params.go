@@ -1,6 +1,12 @@
 package sched
 
-import "versaslot/internal/sim"
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+
+	"versaslot/internal/sim"
+)
 
 // Params collects every timing constant of the hardware and control
 // plane models. Defaults are documented with their provenance: device
@@ -116,4 +122,59 @@ func (p Params) EffectiveLaunch() sim.Duration {
 		return p.LaunchCost + p.PCIeRoundTrip
 	}
 	return p.LaunchCost
+}
+
+// UnmarshalJSON decodes a params block over DefaultParams, so a block
+// names only the constants it changes, and rejects unknown fields.
+func (p *Params) UnmarshalJSON(b []byte) error {
+	type plain Params
+	v := plain(DefaultParams())
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&v); err != nil {
+		return err
+	}
+	*p = Params(v)
+	return nil
+}
+
+// Validate reports the first constant no model can run with: a
+// bandwidth that is not positive, or a negative cost, duration, cache
+// size or count.
+func (p Params) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{{"PCAPBandwidth", p.PCAPBandwidth}, {"SDBandwidth", p.SDBandwidth}} {
+		if f.v <= 0 {
+			return fmt.Errorf("sched: params %s must be positive, got %d", f.name, f.v)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		v    sim.Duration
+	}{
+		{"PCAPOverhead", p.PCAPOverhead}, {"FullReconfigInit", p.FullReconfigInit},
+		{"SchedPassCost", p.SchedPassCost}, {"LaunchCost", p.LaunchCost},
+		{"PCIeRoundTrip", p.PCIeRoundTrip}, {"BaselineQuantum", p.BaselineQuantum},
+		{"RRQuantum", p.RRQuantum}, {"TenantTeardown", p.TenantTeardown},
+		{"PreemptAge", p.PreemptAge},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("sched: params %s must not be negative, got %v", f.name, f.v)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"CacheEntries", p.CacheEntries}, {"BaselineRunset", p.BaselineRunset},
+		{"GangMaxSlots", p.GangMaxSlots}, {"PreemptMinRemaining", p.PreemptMinRemaining},
+		{"MaxSlotsPerApp", p.MaxSlotsPerApp},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("sched: params %s must not be negative, got %d", f.name, f.v)
+		}
+	}
+	return nil
 }

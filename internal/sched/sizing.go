@@ -14,7 +14,7 @@ import (
 // function of the inputs below; across the apps of a run, and across
 // the runs of a process, the same few inputs recur, so each is swept
 // once per process. The map is shared by concurrent runs (RunMany
-// workers, shard goroutines), hence the RWMutex; like bundle's plan
+// workers), hence the RWMutex; like bundle's plan
 // caches it grows only with distinct inputs.
 type sizeKey struct {
 	spec     *appmodel.AppSpec

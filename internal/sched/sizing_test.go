@@ -76,8 +76,8 @@ func TestSizePlanMatchesDirect(t *testing.T) {
 }
 
 // TestPlanCachesConcurrent builds and sizes plans from 8 goroutines at
-// once, as RunMany workers and shard goroutines do, on spec copies no
-// other test has cached. Every goroutine must see the same shared
+// once, as RunMany workers do, on spec copies no other test has
+// cached. Every goroutine must see the same shared
 // definitions and the sizes a sequential sweep computes; under -race it
 // also checks that both caches are safely shared.
 func TestPlanCachesConcurrent(t *testing.T) {

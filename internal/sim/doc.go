@@ -49,19 +49,18 @@
 // linked through each Job's next field, so queueing needs no slice.
 // SubmitFunc and SubmitPooled draw jobs from a free list threaded the
 // same way, which the kernel holds for all of its servers and refills
-// four jobs at a time; a server only runs on its own kernel's
-// goroutine, so the list has one writer even when a farm's kernels run
-// in parallel. A completed or skipped pooled job goes back on the
-// list. Per-class counters live in a small table allocated at capacity
-// four on first use; Stats builds its maps from it. FuzzServerDiff
+// four jobs at a time; a server only runs on its own kernel, so the
+// list has one writer. A completed or skipped pooled job goes back on
+// the list. Per-class counters live in a small table allocated at
+// capacity four on first use; Stats builds its maps from it. FuzzServerDiff
 // replays pooled and caller-owned submits, cancels and steps over
 // three servers on one kernel against a slice-backed reference.
 //
 // # Construction in place
 //
 // Kernel.Init and Server.Init make a zero value usable where its owner
-// keeps it, so a sharded farm holds its pair kernels in one slice and
-// an engine holds its servers inline; NewKernel and NewServer are new
+// keeps it, so a farm's pairs each hold their kernel inline and an
+// engine holds its servers inline; NewKernel and NewServer are new
 // plus Init. A kernel holds its RNG by value. Neither may be copied
 // once initialized: a server's completion event is the server itself,
 // and a copy would split the queue from the events that drain it. Both

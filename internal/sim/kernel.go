@@ -16,18 +16,14 @@ const NoEvent EventID = 0
 
 // Event priority classes. Among events at the same instant, lower
 // priorities run first; within a class, sequence order (FIFO) decides.
-// The classes exist so that equal-instant ordering is identical whether
-// a farm runs on one kernel or sharded across per-pair kernels: workload
-// arrivals fire first, then farm-coordinator control (rebalance ticks,
-// rack-link deliveries, cross-pair fault chains), then board-local work.
+// The classes order a farm's instants: workload arrivals fire first,
+// then farm control (rebalance ticks, rack-link deliveries, cross-pair
+// fault chains), then board-local work, which runs on per-pair kernels
+// only after the control events of its instant.
 const (
 	PriArrival     int32 = -2
 	PriFarmControl int32 = -1
 )
-
-// Valid reports whether the handle could refer to an event (it may
-// still be stale; ask the kernel's Scheduled for liveness).
-func (id EventID) Valid() bool { return id != 0 }
 
 func makeEventID(idx int32, gen uint32) EventID {
 	return EventID(uint64(gen)<<32 | uint64(uint32(idx+1)))
@@ -137,7 +133,6 @@ type Kernel struct {
 	seq      uint64
 	rng      RNG
 	executed uint64
-	tracer   Tracer
 	maxTime  Time
 	jobs     *Job // recycled pooled server jobs, linked through next
 }
@@ -151,8 +146,8 @@ func NewKernel(seed uint64) *Kernel {
 }
 
 // Init makes k, in place, a kernel with its clock at zero and an RNG
-// seeded with seed, so owners can hold kernels inline or in one slice
-// (a sharded farm's pair kernels).
+// seeded with seed, so owners can hold kernels inline (a farm's pairs
+// each hold theirs).
 func (k *Kernel) Init(seed uint64) {
 	*k = Kernel{maxTime: MaxTime, next: qent{idx: noNext}, free: noNext}
 	k.rng.Seed(seed)
@@ -179,10 +174,6 @@ func (k *Kernel) Executed() uint64 { return k.executed }
 // events awaiting lazy removal are not counted).
 func (k *Kernel) Pending() int { return k.live }
 
-// SetTracer installs a tracer that observes every executed event.
-// A nil tracer disables tracing.
-func (k *Kernel) SetTracer(t Tracer) { k.tracer = t }
-
 // SetHorizon sets the simulation horizon: events scheduled past t are
 // silently dropped when they reach the head of the queue. The default
 // horizon is MaxTime (no dropping).
@@ -201,9 +192,9 @@ func (k *Kernel) AtHandler(t Time, h Handler) EventID {
 
 // AtP schedules fn at absolute time t with an explicit priority: lower
 // priorities run first among events at the same instant. The farm's
-// sharded executor relies on priority classes (arrivals before farm
-// control before board-local events) so that equal-instant ordering is
-// reproducible across independently advancing kernels.
+// executor relies on priority classes (arrivals before farm control
+// before board-local events) to order each instant across its
+// independently advancing kernels.
 func (k *Kernel) AtP(t Time, priority int32, fn func()) EventID {
 	return k.at(t, priority, funcHandler(fn))
 }
@@ -371,9 +362,6 @@ func (k *Kernel) Step() bool {
 		k.live--
 		h := s.h
 		k.release(idx)
-		if k.tracer != nil {
-			k.tracer.Event(k.now)
-		}
 		h.Fire()
 		return true
 	}
@@ -404,10 +392,7 @@ func (k *Kernel) RunUntil(t Time) Time {
 }
 
 // RunBefore executes every event with a timestamp strictly before t and
-// returns the number executed. Events at exactly t stay queued — the
-// sharded farm executor uses this to advance board-local streams up to
-// (but not through) the next global coordination instant, whose events
-// carry lower priorities and must run first.
+// returns the number executed. Events at exactly t stay queued.
 func (k *Kernel) RunBefore(t Time) int {
 	n := 0
 	for {
@@ -422,12 +407,11 @@ func (k *Kernel) RunBefore(t Time) int {
 
 // RunTo executes every event strictly before bound and returns the
 // firing time of the earliest remaining event (MaxTime when the queue
-// is empty). It is the conservative-lookahead primitive of sharded
-// farm execution: a shard granted the bound runs ahead to it in one
-// call, and the returned horizon tells the coordinator the earliest
-// instant the kernel could next act — no further synchronization with
-// this shard is needed until a cross-shard event at or past that
-// horizon arrives.
+// is empty). It is the conservative-lookahead primitive of farm
+// execution: a pair kernel runs ahead to the next control instant in
+// one call, and the returned horizon tells the farm the earliest
+// instant the pair could next act, so the pair needs no attention
+// until the control plane reaches it or that horizon.
 func (k *Kernel) RunTo(bound Time) Time {
 	for {
 		at, ok := k.peek()
@@ -537,10 +521,4 @@ func (k *Kernel) popRoot() int32 {
 	}
 	h[i] = last
 	return root
-}
-
-// Tracer observes kernel activity. Implementations must not mutate
-// simulation state.
-type Tracer interface {
-	Event(at Time)
 }

@@ -135,7 +135,7 @@ func (s *Server) Name() string { return s.name }
 // SetPriority sets the kernel priority of the server's completion
 // events: lower priorities run first among events at the same instant.
 // The farm's rack link uses a negative priority so its deliveries order
-// ahead of board-local events in both sequential and sharded execution.
+// ahead of board-local events at the same instant.
 func (s *Server) SetPriority(p int32) { s.pri = p }
 
 // Busy reports whether the server is currently in service.

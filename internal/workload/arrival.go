@@ -134,10 +134,6 @@ func LookupArrival(name string) (*ArrivalReg, bool) { return arrivals.Lookup(nam
 // order (built-ins first).
 func ArrivalNames() []string { return arrivals.Names() }
 
-// ArrivalRegistrations returns every registration in registration
-// order.
-func ArrivalRegistrations() []*ArrivalReg { return arrivals.Values() }
-
 // Build resolves the spec's process from the registry and constructs
 // it, validating all parameters. Trace files are opened lazily at
 // generation time, so Build succeeds for a trace spec whose file does

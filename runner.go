@@ -58,7 +58,11 @@ type Runner struct {
 type Option func(*Runner)
 
 // WithTrace streams one formatted line per engine event (PR
-// start/completion, item launch/completion, app lifecycle) to fn.
+// start/completion, item launch/completion, app lifecycle) to fn. A
+// farm runs each pair on its own kernel up to the next control instant
+// (arrival dispatch, rebalance tick, rack delivery, fault strike), so
+// its lines come grouped per pair between control instants, each pair's
+// in time order. Traces are not attached during RunMany.
 func WithTrace(fn func(format string, args ...any)) Option {
 	return func(r *Runner) { r.traceFn = fn }
 }
@@ -301,20 +305,32 @@ func pairPlatformsOf(cl *cluster.Cluster) cluster.PairPlatforms {
 	}
 }
 
+// farmRun is a farm scenario ready to run: the farm with its hooks,
+// orchestrator, workload and faults attached.
+type farmRun struct {
+	s         Scenario
+	f         *cluster.Farm
+	orch      *orchestrator.Orchestrator
+	condition string
+}
+
 func (r *Runner) runFarm(s Scenario, seq *workload.Sequence, parallel bool) (*Result, error) {
+	fr, err := r.newFarmRun(s, seq, parallel)
+	if err != nil {
+		return nil, err
+	}
+	return fr.result(), nil
+}
+
+// newFarmRun builds a validated, defaulted farm scenario up to the
+// point where its farm runs.
+func (r *Runner) newFarmRun(s Scenario, seq *workload.Sequence, parallel bool) (*farmRun, error) {
 	f, err := cluster.NewFarm(s.farmConfig())
 	if err != nil {
 		return nil, fmt.Errorf("versaslot: %w", err)
 	}
-	pairPlatforms := make([]cluster.PairPlatforms, 0, len(f.Pairs))
-	// Sharded runs advance pairs on worker goroutines: the single-writer
-	// trace/recorder sinks are disabled exactly as in parallel sweeps
-	// (observers stay attached — they serialize behind a mutex). The
-	// farm's resolved count decides, not s.Shards: zero auto-selects
-	// from the fleet size and GOMAXPROCS.
-	f.SetBuildHook(r.boardHook(s, parallel || f.ShardCount() > 1))
+	f.SetBuildHook(r.boardHook(s, parallel))
 	for _, pair := range f.Pairs {
-		pairPlatforms = append(pairPlatforms, pairPlatformsOf(pair))
 		r.observeSwitches(s.Name, pair)
 	}
 	// The orchestrator (multi-tenant admission and/or autoscaling)
@@ -352,9 +368,9 @@ func (r *Runner) runFarm(s Scenario, seq *workload.Sequence, parallel bool) (*Re
 		Farm:      f,
 		Quiescent: f.Quiescent,
 		// Fault chains are part of the farm's control plane: at their
-		// priority they land between the same pair events in sharded
-		// and sequential runs, and every strike stamps its pair's
-		// lazily-advanced clock first.
+		// priority they run before the pair events of their instant,
+		// and every strike stamps its pair's lazily advanced clock
+		// first.
 		Pri:   sim.PriFarmControl,
 		Touch: f.TouchPair,
 	}); err != nil {
@@ -363,13 +379,24 @@ func (r *Runner) runFarm(s Scenario, seq *workload.Sequence, parallel bool) (*Re
 	if orch != nil {
 		orch.Start()
 	}
+	return &farmRun{s: s, f: f, orch: orch, condition: condition}, nil
+}
+
+// result runs the farm to the end (a farm stepped to the end only
+// merges) and reports it.
+func (fr *farmRun) result() *Result {
+	s, f, orch := fr.s, fr.f, fr.orch
 	sum := f.Run()
+	pairPlatforms := make([]cluster.PairPlatforms, 0, len(f.Pairs))
+	for _, pair := range f.Pairs {
+		pairPlatforms = append(pairPlatforms, pairPlatformsOf(pair))
+	}
 	out := &Result{
 		Scenario:          s.Name,
 		Topology:          s.Topology,
 		Policy:            "versaslot-switching",
 		PolicyTitle:       "VersaSlot Switching Farm",
-		Condition:         condition,
+		Condition:         fr.condition,
 		Seed:              s.Seed,
 		PairPlatforms:     pairPlatforms,
 		Dispatcher:        f.Dispatcher(),
@@ -395,7 +422,7 @@ func (r *Runner) runFarm(s Scenario, seq *workload.Sequence, parallel bool) (*Re
 		out.Autoscale = orch.AutoscaleStats()
 	}
 	out.fillFromPairs(f.Pairs)
-	return out, nil
+	return out
 }
 
 func (r *Runner) observeSwitches(scenario string, cl *cluster.Cluster) {

@@ -76,7 +76,8 @@ type Scenario struct {
 	// paper's uniform intervals.
 	Poisson bool `json:"poisson,omitempty"`
 	// Params overrides hardware/control-plane constants; nil means
-	// sched.DefaultParams().
+	// sched.DefaultParams(). A JSON params block decodes over the
+	// defaults, so it names only the constants it changes.
 	Params *sched.Params `json:"params,omitempty"`
 	// Platform selects the single board's platform: a registry
 	// reference ({"ref": "u250-quad"}) or an inline custom platform
@@ -111,16 +112,11 @@ type Scenario struct {
 	// Zero means the default of 2; a gap of 1 is honored but can
 	// ping-pong a single queued app (farm only).
 	RebalanceGap int `json:"rebalance_gap,omitempty"`
-	// Shards controls the farm's sharded executor. Greater than one
-	// runs the pairs on that many persistent worker goroutines under
-	// conservative lookahead: each pair advances its own event stream up
-	// to the next farm-control instant, workers synchronize only when a
-	// control event can actually reach their pairs, and results are
-	// byte-identical to the sequential run at any width. One forces the
-	// sequential executor. Zero (the default) picks automatically from
-	// the online pair count and GOMAXPROCS — small farms and single-CPU
-	// hosts resolve to sequential. Farm topology only; traces and event
-	// recording are disabled like in parallel sweeps.
+	// Shards is kept so scenarios that set it still decode. A farm
+	// runs every pair on its own kernel from one goroutine; 0 and 1
+	// are accepted (farm topology only), anything larger is an error.
+	//
+	// Deprecated: the farm has one executor; leave Shards unset.
 	Shards int `json:"shards,omitempty"`
 	// ThresholdUp/ThresholdDown override the Schmitt-trigger levels
 	// (cluster/farm; zero means the paper's defaults).
@@ -329,6 +325,11 @@ func (s Scenario) Validate() error {
 			return fmt.Errorf("versaslot: %w", err)
 		}
 	}
+	if s.Params != nil {
+		if err := s.Params.Validate(); err != nil {
+			return fmt.Errorf("versaslot: %w", err)
+		}
+	}
 	if s.Pairs < 0 {
 		return fmt.Errorf("versaslot: negative pair count %d", s.Pairs)
 	}
@@ -336,8 +337,8 @@ func (s Scenario) Validate() error {
 	if farmOnly && s.Topology != TopologyFarm {
 		return fmt.Errorf("versaslot: dispatcher/rebalance/shards knobs are farm-topology only (topology %q)", s.Topology)
 	}
-	if s.Shards < 0 {
-		return fmt.Errorf("versaslot: negative shard count %d", s.Shards)
+	if s.Shards < 0 || s.Shards > 1 {
+		return fmt.Errorf("versaslot: shards %d: a farm has one executor (want 0 or 1)", s.Shards)
 	}
 	if s.Topology != TopologySingle {
 		if pair := s.farmConfig().Pair; pair.ThresholdDown >= pair.ThresholdUp {

@@ -86,6 +86,44 @@ func TestScenarioParamsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestScenarioPartialParams runs params blocks that name only some
+// constants: the block decodes over the defaults, so the constants it
+// leaves out keep their default values, and a constant no model can
+// run with is a validation error, not a panic mid-run.
+func TestScenarioPartialParams(t *testing.T) {
+	cases := []struct {
+		name, params, want string // want: substring of the error; "" = runs
+	}{
+		{"negative cache", `{"CacheEntries":-1}`, "CacheEntries must not be negative"},
+		{"pcap bandwidth only", `{"PCAPBandwidth":400000000}`, ""},
+		{"unknown constant", `{"PCAPBandwith":400000000}`, "unknown field"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s, err := versaslot.ReadScenario(strings.NewReader(`{"policy":"versaslot-bl","apps":5,"params":` + c.params + `}`))
+			if err == nil {
+				var res *versaslot.Result
+				if res, err = versaslot.Run(s); err == nil && res.Summary.Apps != 5 {
+					t.Errorf("%d of 5 apps finished", res.Summary.Apps)
+				}
+			}
+			if c.want == "" && err != nil {
+				t.Fatalf("got %v, want a run", err)
+			}
+			if c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
+				t.Fatalf("got %v, want an error containing %q", err, c.want)
+			}
+			if c.want == "" {
+				want := sched.DefaultParams()
+				want.PCAPBandwidth = 400000000
+				if *s.Params != want {
+					t.Errorf("params decoded to %+v, want the defaults with PCAPBandwidth set: %+v", *s.Params, want)
+				}
+			}
+		})
+	}
+}
+
 func TestReadScenarioRejectsUnknownFields(t *testing.T) {
 	_, err := versaslot.ReadScenario(strings.NewReader(`{"polcy": "fcfs"}`))
 	if err == nil {
@@ -122,6 +160,9 @@ func TestScenarioValidate(t *testing.T) {
 		{"threshold down above default up", versaslot.Scenario{Topology: versaslot.TopologyCluster, ThresholdDown: 0.2}, "must be below threshold_up"},
 		{"threshold down equals up", versaslot.Scenario{Topology: versaslot.TopologyFarm, ThresholdUp: 0.3, ThresholdDown: 0.3}, "must be below threshold_up"},
 		{"thresholds ok", versaslot.Scenario{Topology: versaslot.TopologyFarm, ThresholdUp: 0.3, ThresholdDown: 0.2}, ""},
+		{"shards one ok", versaslot.Scenario{Topology: versaslot.TopologyFarm, Shards: 1}, ""},
+		{"shards above one", versaslot.Scenario{Topology: versaslot.TopologyFarm, Shards: 4}, "one executor"},
+		{"params zero bandwidth", versaslot.Scenario{Params: &sched.Params{CacheEntries: 4}}, "PCAPBandwidth must be positive"},
 		{"pr-flaky on baseline", versaslot.Scenario{Policy: "baseline", Faults: &fault.Spec{Injectors: []fault.InjectorSpec{{Kind: "flaky-pr", Rate: 0.3}}}}, "does not apply to policy"},
 	}
 	for _, c := range cases {

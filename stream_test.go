@@ -55,44 +55,6 @@ func TestStreamRunManyDeterministic(t *testing.T) {
 	}
 }
 
-// TestStreamFarmShardedDeterministic pins the sketch-merge guarantee
-// at fleet scale: a stream-mode farm produces byte-identical results
-// sequentially and under the sharded executor (run with -race in CI).
-func TestStreamFarmShardedDeterministic(t *testing.T) {
-	base := Scenario{
-		Name:           "stream-farm",
-		Topology:       TopologyFarm,
-		Pairs:          6,
-		Condition:      "stress",
-		Apps:           90,
-		Seed:           11,
-		RebalanceEvery: 5 * sim.Second,
-		Metrics:        &MetricsSpec{Mode: "stream", Window: 5 * sim.Second, MaxWindows: 16},
-	}
-	seq, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := mustJSON(t, seq)
-	for _, shards := range []int{2, 4} {
-		s := base
-		s.Shards = shards
-		got, err := Run(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mustJSON(t, got) != want {
-			t.Errorf("shards=%d stream farm differs from the sequential run", shards)
-		}
-	}
-	if len(seq.TimeSeries) == 0 {
-		t.Error("stream farm produced no time-series windows")
-	}
-	if len(seq.Samples) != 0 {
-		t.Errorf("stream farm retained %d samples; stream mode must retain none", len(seq.Samples))
-	}
-}
-
 // TestStreamMatchesExact runs each input in both metrics modes and
 // pins stream mode to its documented contract. Every Summary field
 // except the percentiles, the makespan, the per-spec breakdown and

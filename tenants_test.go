@@ -62,11 +62,9 @@ func orchestratedScenarios() []versaslot.Scenario {
 }
 
 // TestOrchestratedDeterminismMatrix: every orchestrated scenario must
-// produce byte-identical results across the three execution modes —
-// sequential, sharded (worker kernels with barrier synchronization),
-// and a RunMany worker pool. Admission, throttle releases, and every
-// autoscale action ride the farm-control priority, so no mode may
-// reorder them.
+// produce byte-identical results solo and in a RunMany worker pool.
+// Admission, throttle releases, and every autoscale action ride the
+// farm-control priority, so neither mode may reorder them.
 func TestOrchestratedDeterminismMatrix(t *testing.T) {
 	scenarios := orchestratedScenarios()
 	sequential := make([][]byte, len(scenarios))
@@ -77,16 +75,6 @@ func TestOrchestratedDeterminismMatrix(t *testing.T) {
 		}
 		sequential[i] = resultJSON(t, res)
 		checkTenantLedger(t, sc.Name+"/sequential", res)
-	}
-	for i, sc := range scenarios {
-		sc.Shards = 4
-		res, err := versaslot.Run(sc)
-		if err != nil {
-			t.Fatalf("sharded %s: %v", sc.Name, err)
-		}
-		if got := resultJSON(t, res); !bytes.Equal(sequential[i], got) {
-			t.Errorf("%s: sharded result differs from sequential:\n%s\n%s", sc.Name, sequential[i], got)
-		}
 	}
 	parallel, err := versaslot.RunMany(scenarios, 4)
 	if err != nil {
