@@ -1,6 +1,8 @@
 package versaslot_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -8,6 +10,7 @@ import (
 	"testing"
 
 	"versaslot"
+	"versaslot/internal/trace"
 )
 
 // goldenScenarios are legacy (pre-platform-model) scenario shapes whose
@@ -76,26 +79,52 @@ func TestGoldenLegacyScenarios(t *testing.T) {
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
-			got := canonicalGolden(t, res)
-			path := filepath.Join("testdata", "golden", sc.Name+".json")
-			if update {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
+			// canonicalGolden strips the platform name, so the one the
+			// legacy slot mix resolves to is checked here.
+			if want, ok := goldenPlatforms[sc.Name]; ok && res.Platform != want {
+				t.Errorf("platform %q, want %q", res.Platform, want)
 			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden (run with VERSASLOT_UPDATE_GOLDEN=1 to create): %v", err)
-			}
-			if string(got) != string(want) {
-				t.Fatalf("result diverged from pre-refactor golden %s\n%s", path, firstDiff(string(want), string(got)))
-			}
+			checkGolden(t, update, filepath.Join("testdata", "golden", sc.Name+".json"), canonicalGolden(t, res))
 		})
 	}
+}
+
+// goldenPlatforms names the platform a legacy golden's Result reports.
+var goldenPlatforms = map[string]string{
+	"custom-mix-1b5l": "zcu216-custom-1b5l",
+}
+
+// checkGolden compares got with the golden file at path, or rewrites
+// the file when update is set.
+func checkGolden(t *testing.T, update bool, path string, got []byte) {
+	t.Helper()
+	if update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (run with VERSASLOT_UPDATE_GOLDEN=1 to create): %v", err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("result diverged from golden %s\n%s", path, firstDiff(string(want), string(got)))
+	}
+}
+
+// fullGolden renders a Result as the catalog goldens store it: indented
+// JSON, every field kept.
+func fullGolden(t *testing.T, res *versaslot.Result) []byte {
+	t.Helper()
+	raw, err := json.MarshalIndent(res, "", "  ")
+	if err != nil {
+		t.Fatalf("marshal result: %v", err)
+	}
+	return append(raw, '\n')
 }
 
 // catalogGoldenScenarios are heterogeneous-platform catalog entries
@@ -117,6 +146,12 @@ var catalogGoldenScenarios = []string{
 	// sketch merge (percentiles, per-spec aggregates, the windowed
 	// time-series) and the multi-board utilization rule byte for byte.
 	"long-horizon-diurnal",
+	// Single-board catalog entries: slot failures and stragglers on one
+	// board (fault chains on the board's own kernel), and the MMPP and
+	// trace-replay arrival processes.
+	"chaos-slot-storm",
+	"mmpp-bursty",
+	"trace-ramp",
 }
 
 // TestGoldenCatalogScenarios pins heterogeneous catalog scenarios
@@ -136,27 +171,26 @@ func TestGoldenCatalogScenarios(t *testing.T) {
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
-			raw, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				t.Fatalf("marshal result: %v", err)
-			}
-			got := append(raw, '\n')
-			path := filepath.Join("testdata", "golden", "catalog-"+name+".json")
-			if update {
-				if err := os.WriteFile(path, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden (run with VERSASLOT_UPDATE_GOLDEN=1 to create): %v", err)
-			}
-			if string(got) != string(want) {
-				t.Fatalf("result diverged from golden %s\n%s", path, firstDiff(string(want), string(got)))
-			}
+			checkGolden(t, update, filepath.Join("testdata", "golden", "catalog-"+name+".json"), fullGolden(t, res))
 		})
 	}
+}
+
+// TestGoldenSingleStream pins a single board in stream metrics mode in
+// full: the board's own sketch summary and windowed time-series, with
+// no sample retained.
+func TestGoldenSingleStream(t *testing.T) {
+	s := versaslot.Scenario{Name: "single-bl-stream", Policy: "versaslot-bl", Condition: "stress", Apps: 30, Seed: 4,
+		Metrics: &versaslot.MetricsSpec{Mode: "stream", Window: 2_000_000_000, MaxWindows: 8}}
+	res, err := versaslot.Run(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Samples) != 0 || len(res.TimeSeries) == 0 {
+		t.Errorf("stream run retained %d samples and reported %d windows; want none and some", len(res.Samples), len(res.TimeSeries))
+	}
+	update := os.Getenv("VERSASLOT_UPDATE_GOLDEN") != ""
+	checkGolden(t, update, filepath.Join("testdata", "golden", s.Name+".json"), fullGolden(t, res))
 }
 
 // firstDiff locates the first byte where two JSON dumps diverge and
@@ -182,4 +216,40 @@ func firstDiff(want, got string) string {
 		hiG = len(got)
 	}
 	return fmt.Sprintf("first divergence at byte %d\nwant ...%s...\ngot  ...%s...", i, want[lo:hiW], got[lo:hiG])
+}
+
+// TestGoldenSingleDiagnostics pins what a single board reports through
+// the runner's diagnostics: the hash of its WithTrace lines, of its
+// WithRecorder log and of its WithObserver events, for golden
+// single-bl-standard.
+func TestGoldenSingleDiagnostics(t *testing.T) {
+	const (
+		wantTrace    = "db05d0cc74128046596f770e3954f7967fb13a6f7d9dcc2ad0e4e2233efdd6ab"
+		wantRecorder = "8b4cc4cda7aab47f60493d0b5b2ce6144ede65559832cbfd7abf47a7849a18fe"
+		wantObserver = "65111ca5331cd74ba382c1207517d61ce0ac4259b02d7503038e2891c67b6503"
+	)
+	lines, events := sha256.New(), sha256.New()
+	rec := trace.NewRecorder(0)
+	r := versaslot.NewRunner(
+		versaslot.WithTrace(func(format string, args ...any) { fmt.Fprintf(lines, format+"\n", args...) }),
+		versaslot.WithRecorder(rec),
+		versaslot.WithObserver(func(ev versaslot.Event) { fmt.Fprintf(events, "%+v\n", ev) }),
+	)
+	if _, err := r.Run(goldenScenarios[0]); err != nil {
+		t.Fatal(err)
+	}
+	recs := sha256.New()
+	rec.WriteLog(recs)
+	for _, c := range []struct {
+		name      string
+		got, want string
+	}{
+		{"trace", hex.EncodeToString(lines.Sum(nil)), wantTrace},
+		{"recorder", hex.EncodeToString(recs.Sum(nil)), wantRecorder},
+		{"observer", hex.EncodeToString(events.Sum(nil)), wantObserver},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s hash %s, want %s", c.name, c.got, c.want)
+		}
+	}
 }
