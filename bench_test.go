@@ -266,8 +266,9 @@ func farmDispatchBench(dispatcher string, pairs int) func(*testing.B) {
 				b.Fatal(err)
 			}
 			sum := f.Run()
-			if sum.Apps != len(seq.Arrivals) {
-				b.Fatalf("finished %d of %d apps", sum.Apps, len(seq.Arrivals))
+			resp := merged(f)
+			if resp.Apps != len(seq.Arrivals) {
+				b.Fatalf("finished %d of %d apps", resp.Apps, len(seq.Arrivals))
 			}
 			b.ReportMetric(float64(sum.CrossSwitches), "crossMigrations")
 		}
@@ -296,9 +297,10 @@ func farmRunBench(pairs int) func(*testing.B) {
 				b.Fatal(err)
 			}
 			b.StartTimer()
-			sum := f.Run()
-			if sum.Apps != len(seq.Arrivals) {
-				b.Fatalf("finished %d of %d apps", sum.Apps, len(seq.Arrivals))
+			f.Run()
+			resp := merged(f)
+			if resp.Apps != len(seq.Arrivals) {
+				b.Fatalf("finished %d of %d apps", resp.Apps, len(seq.Arrivals))
 			}
 		}
 	}
@@ -335,8 +337,9 @@ func farmHeteroBench(pairs int) func(*testing.B) {
 				b.Fatal(err)
 			}
 			sum := f.Run()
-			if sum.Apps != len(seq.Arrivals) {
-				b.Fatalf("finished %d of %d apps", sum.Apps, len(seq.Arrivals))
+			resp := merged(f)
+			if resp.Apps != len(seq.Arrivals) {
+				b.Fatalf("finished %d of %d apps", resp.Apps, len(seq.Arrivals))
 			}
 			b.ReportMetric(float64(sum.CrossSwitches), "crossMigrations")
 		}
@@ -580,4 +583,14 @@ func condName(c workload.Condition) string {
 	default:
 		return "RT"
 	}
+}
+
+// merged merges every board of a farm that has run through
+// Cluster.AbsorbInto, the facade's own merge, and summarizes it.
+func merged(f *cluster.Farm) metrics.Summary {
+	var agg metrics.Collector
+	for _, p := range f.Pairs {
+		p.AbsorbInto(&agg)
+	}
+	return agg.Summarize()
 }

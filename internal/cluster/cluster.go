@@ -466,12 +466,10 @@ func (c *Cluster) doSwitch() {
 	})
 }
 
-// Summary merges a farm's results over every pair. The cross-pair
-// fields are zero for a farm of one pair.
+// Summary reports a farm's switching, over every pair, and its
+// per-pair breakdown. The cross-pair fields are zero for a farm of one
+// pair. Response times merge through Cluster.AbsorbInto.
 type Summary struct {
-	Apps           int
-	MeanRT         sim.Duration
-	P50, P95, P99  sim.Duration
 	Switches       int
 	MeanSwitchTime sim.Duration
 	MigratedApps   int
@@ -484,12 +482,6 @@ type Summary struct {
 	MeanCrossTime     sim.Duration
 	// PairStats breaks the run down per switching pair.
 	PairStats []PairStat
-}
-
-// setResponses copies a merged collector's response-time statistics.
-func (s *Summary) setResponses(m metrics.Summary) {
-	s.Apps, s.MeanRT = m.Apps, m.MeanRT
-	s.P50, s.P95, s.P99 = m.P50, m.P95, m.P99
 }
 
 // addSwitches adds a pair's switches to the summary's switch and
@@ -540,6 +532,6 @@ func (c *Cluster) AbsorbInto(aggs ...*metrics.Collector) {
 
 // String renders a one-line summary.
 func (s Summary) String() string {
-	return fmt.Sprintf("apps=%d meanRT=%v p95=%v p99=%v switches=%d meanSwitch=%v migrated=%d",
-		s.Apps, s.MeanRT, s.P95, s.P99, s.Switches, s.MeanSwitchTime, s.MigratedApps)
+	return fmt.Sprintf("switches=%d meanSwitch=%v migrated=%d cross=%d",
+		s.Switches, s.MeanSwitchTime, s.MigratedApps, s.CrossSwitches)
 }

@@ -87,9 +87,10 @@ func TestDispatchersComplete(t *testing.T) {
 			if err := f.Inject(seq); err != nil {
 				t.Fatal(err)
 			}
-			sum := f.Run()
-			if sum.Apps != 30 {
-				t.Fatalf("finished %d of 30", sum.Apps)
+			f.Run()
+			resp := merged(f)
+			if resp.Apps != 30 {
+				t.Fatalf("finished %d of 30", resp.Apps)
 			}
 			if f.UnfinishedCount() != 0 {
 				t.Fatal("unfinished apps remain")
@@ -147,8 +148,9 @@ func TestRebalancerMigratesAcrossPairs(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := f.Run()
-	if sum.Apps != 60 {
-		t.Fatalf("finished %d of 60", sum.Apps)
+	resp := merged(f)
+	if resp.Apps != 60 {
+		t.Fatalf("finished %d of 60", resp.Apps)
 	}
 	if sum.CrossSwitches < 1 {
 		t.Fatalf("rebalancer performed %d cross-pair migrations, want >= 1", sum.CrossSwitches)
@@ -183,11 +185,12 @@ func TestFarmPairStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := f.Run()
+	resp := merged(f)
 	if len(sum.PairStats) != 3 {
 		t.Fatalf("got %d pair stats, want 3", len(sum.PairStats))
 	}
-	if sum.P50 <= 0 || sum.P50 > sum.P95 || sum.P95 > sum.P99 {
-		t.Errorf("percentile ordering violated: P50=%v P95=%v P99=%v", sum.P50, sum.P95, sum.P99)
+	if resp.P50 <= 0 || resp.P50 > resp.P95 || resp.P95 > resp.P99 {
+		t.Errorf("percentile ordering violated: P50=%v P95=%v P99=%v", resp.P50, resp.P95, resp.P99)
 	}
 	apps, routed, switches := 0, 0, 0
 	for _, ps := range sum.PairStats {
@@ -201,8 +204,8 @@ func TestFarmPairStats(t *testing.T) {
 			t.Errorf("pair %d utilization out of range: LUT=%v FF=%v", ps.Pair, ps.UtilLUT, ps.UtilFF)
 		}
 	}
-	if apps != sum.Apps {
-		t.Errorf("pair apps sum to %d, summary has %d", apps, sum.Apps)
+	if apps != resp.Apps {
+		t.Errorf("pair apps sum to %d, summary has %d", apps, resp.Apps)
 	}
 	if routed != 30 {
 		t.Errorf("pair routed sum to %d, want 30", routed)

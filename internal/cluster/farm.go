@@ -206,7 +206,7 @@ type Farm struct {
 
 	// pool is the storage of the pairs' active boards (see
 	// Cluster.build); onBuild, when set, finishes every board a pair
-	// builds (see SetBuildHook); like caches idleLike.
+	// builds (see AddBuildHook); like caches idleLike.
 	pool    sched.BoardPool
 	onBuild func(*sched.Engine)
 	like    *metrics.Collector
@@ -311,12 +311,18 @@ func (f *Farm) buildPairs() error {
 	return nil
 }
 
-// SetBuildHook installs fn to finish every board of every pair: it runs
-// now on the boards already built and later on each board as it is
-// built, after the pair's own hooks. Streaming metrics and diagnostics
-// attach this way, so they never force a board to be built.
-func (f *Farm) SetBuildHook(fn func(*sched.Engine)) {
-	f.onBuild, f.like = fn, nil
+// AddBuildHook adds fn to the hooks that finish every board of every
+// pair: it runs now on the boards already built and later on each board
+// as it is built, after the pair's own hooks and the hooks added before
+// it. Streaming metrics, diagnostics and tenant accounting attach this
+// way, so they never force a board to be built.
+func (f *Farm) AddBuildHook(fn func(*sched.Engine)) {
+	if prev := f.onBuild; prev != nil {
+		f.onBuild = func(e *sched.Engine) { prev(e); fn(e) }
+	} else {
+		f.onBuild = fn
+	}
+	f.like = nil
 	for _, p := range f.Pairs {
 		for _, e := range p.engines {
 			if e != nil {
@@ -993,20 +999,19 @@ type PairStat struct {
 }
 
 // Run executes every pending event (see exec.go), aligns the clocks and
-// merges every pair's results; on a farm Step has drained it only
-// aligns and merges. Each board is absorbed twice, in pair order: into one pair collector
-// (reset between pairs) for the PairStat, and into the fleet collector
-// for the farm-wide distribution.
+// closes every board; on a farm Step has drained it only aligns and
+// closes. It reports the farm's switching and a per-pair breakdown,
+// each pair's boards merged into one collector (reset between pairs).
 func (f *Farm) Run() Summary {
 	f.run()
 	f.alignClocks()
-	var fleet, pair metrics.Collector
+	var pair metrics.Collector
 	var switchTime, crossTime sim.Duration
 	s := Summary{PairStats: make([]PairStat, 0, len(f.Pairs))}
 	for i, p := range f.Pairs {
 		pair.Reset()
 		p.closeBoards()
-		p.AbsorbInto(&pair, &fleet)
+		p.AbsorbInto(&pair)
 		ps := pair.Summarize()
 		s.PairStats = append(s.PairStats, PairStat{
 			Pair:        i,
@@ -1024,7 +1029,6 @@ func (f *Farm) Run() Summary {
 		switchTime += s.addSwitches(p.Migrations)
 		s.Trace = append(s.Trace, p.Trace...)
 	}
-	s.setResponses(fleet.Summarize())
 	s.MeanSwitchTime = meanOver(switchTime, s.Switches)
 	s.CrossSwitches = len(f.CrossMigrations)
 	for _, m := range f.CrossMigrations {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"versaslot/internal/fabric"
+	"versaslot/internal/metrics"
 	"versaslot/internal/sim"
 	"versaslot/internal/workload"
 )
@@ -16,9 +17,10 @@ func TestFarmCompletesAndBalances(t *testing.T) {
 	if err := f.Inject(seq); err != nil {
 		t.Fatal(err)
 	}
-	sum := f.Run()
-	if sum.Apps != 30 {
-		t.Fatalf("finished %d of 30", sum.Apps)
+	f.Run()
+	resp := merged(f)
+	if resp.Apps != 30 {
+		t.Fatalf("finished %d of 30", resp.Apps)
 	}
 	if f.UnfinishedCount() != 0 {
 		t.Fatal("unfinished apps remain")
@@ -45,17 +47,19 @@ func TestFarmBeatsSinglePairUnderLoad(t *testing.T) {
 	if err := one.Inject(seq); err != nil {
 		t.Fatal(err)
 	}
-	soloSum := one.Run()
+	one.Run()
+	soloResp := merged(one)
 
 	f := MustNewFarm(DefaultFarmConfig(3))
 	if err := f.Inject(seq); err != nil {
 		t.Fatal(err)
 	}
-	farmSum := f.Run()
+	f.Run()
+	farmResp := merged(f)
 
-	if farmSum.MeanRT >= soloSum.MeanRT {
+	if farmResp.MeanRT >= soloResp.MeanRT {
 		t.Fatalf("3-pair farm (%v) not faster than one pair (%v) under stress",
-			farmSum.MeanRT, soloSum.MeanRT)
+			farmResp.MeanRT, soloResp.MeanRT)
 	}
 }
 
@@ -105,6 +109,7 @@ func TestFarmDisarmRebalancer(t *testing.T) {
 		t.Fatal(err)
 	}
 	armedSum := armed.Run()
+	armedResp := merged(armed)
 	if armedSum.CrossSwitches < 1 {
 		t.Fatalf("armed control did not migrate (%d cross switches); the disarm assertion would be vacuous",
 			armedSum.CrossSwitches)
@@ -116,12 +121,13 @@ func TestFarmDisarmRebalancer(t *testing.T) {
 	}
 	disarmed.DisarmRebalancer()
 	disarmedSum := disarmed.Run()
+	disarmedResp := merged(disarmed)
 
 	if disarmedSum.CrossSwitches != 0 {
 		t.Fatalf("disarmed farm still migrated %d times across pairs", disarmedSum.CrossSwitches)
 	}
-	if disarmedSum.Apps != p.Apps || armedSum.Apps != p.Apps {
-		t.Fatalf("apps finished: armed=%d disarmed=%d want %d", armedSum.Apps, disarmedSum.Apps, p.Apps)
+	if disarmedResp.Apps != p.Apps || armedResp.Apps != p.Apps {
+		t.Fatalf("apps finished: armed=%d disarmed=%d want %d", armedResp.Apps, disarmedResp.Apps, p.Apps)
 	}
 }
 
@@ -148,8 +154,9 @@ func TestRebalancerCountsRequeued(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := f.Run()
-	if sum.Apps != 16 {
-		t.Fatalf("finished %d of 16", sum.Apps)
+	resp := merged(f)
+	if resp.Apps != 16 {
+		t.Fatalf("finished %d of 16", resp.Apps)
 	}
 	if sum.CrossMigratedApps != 0 {
 		t.Fatalf("%d apps migrated to a pair that cannot host them", sum.CrossMigratedApps)
@@ -160,4 +167,14 @@ func TestRebalancerCountsRequeued(t *testing.T) {
 	if got := sum.PairStats[0].Requeued; got != 0 {
 		t.Fatalf("idle PYNQ pair shows %d re-queued apps", got)
 	}
+}
+
+// merged merges every board of a farm that has run through
+// Cluster.AbsorbInto, the facade's own merge, and summarizes it.
+func merged(f *Farm) metrics.Summary {
+	var agg metrics.Collector
+	for _, p := range f.Pairs {
+		p.AbsorbInto(&agg)
+	}
+	return agg.Summarize()
 }

@@ -51,8 +51,9 @@ func FuzzPairSwitching(f *testing.F) {
 		if err := farm.Inject(workload.Generate(p, seed)); err != nil {
 			t.Fatal(err)
 		}
-		if sum := farm.Run(); sum.Apps != p.Apps || farm.UnfinishedCount() != 0 {
-			t.Fatalf("finished %d of %d apps, %d unfinished", sum.Apps, p.Apps, farm.UnfinishedCount())
+		farm.Run()
+		if resp := merged(farm); resp.Apps != p.Apps || farm.UnfinishedCount() != 0 {
+			t.Fatalf("finished %d of %d apps, %d unfinished", resp.Apps, p.Apps, farm.UnfinishedCount())
 		}
 	})
 }

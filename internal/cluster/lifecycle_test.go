@@ -148,9 +148,10 @@ func TestMidRunActivationRoutesToNewPair(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	sum := f.Run()
-	if sum.Apps != 16 {
-		t.Fatalf("finished %d of 16", sum.Apps)
+	f.Run()
+	resp := merged(f)
+	if resp.Apps != 16 {
+		t.Fatalf("finished %d of 16", resp.Apps)
 	}
 	routed := f.Routed()
 	if routed[0] != 0 {
@@ -189,9 +190,10 @@ func TestAffinityMemoSurvivesActivation(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	sum := f.Run()
-	if sum.Apps != 18 {
-		t.Fatalf("finished %d of 18", sum.Apps)
+	f.Run()
+	resp := merged(f)
+	if resp.Apps != 18 {
+		t.Fatalf("finished %d of 18", resp.Apps)
 	}
 	if routed := f.Routed(); routed[1] == 0 {
 		t.Fatal("affinity dispatcher never routed to the pair activated mid-run (stale pool memo)")
@@ -219,8 +221,9 @@ func TestDrainMigratesQueuedApps(t *testing.T) {
 		drained = moved
 	})
 	sum := f.Run()
-	if sum.Apps != 24 {
-		t.Fatalf("finished %d of 24 after drain", sum.Apps)
+	resp := merged(f)
+	if resp.Apps != 24 {
+		t.Fatalf("finished %d of 24 after drain", resp.Apps)
 	}
 	if drained < 0 {
 		t.Fatal("drain never ran")

@@ -73,12 +73,13 @@ func TestCapacityAwareDispatchStillUsesSmallPair(t *testing.T) {
 	if err := f.Inject(seq); err != nil {
 		t.Fatal(err)
 	}
-	sum := f.Run()
+	f.Run()
+	resp := merged(f)
 	if f.Routed()[0] == 0 {
 		t.Fatal("hostable apps never reached the PYNQ pair")
 	}
-	if sum.Apps != 6 {
-		t.Fatalf("finished %d apps, want 6", sum.Apps)
+	if resp.Apps != 6 {
+		t.Fatalf("finished %d apps, want 6", resp.Apps)
 	}
 }
 
@@ -113,6 +114,7 @@ func TestRebalancerValidatesDestinationCompatibility(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := f.Run()
+	resp := merged(f)
 	if got := f.Routed()[1] + f.crossIn[1]; got != 0 {
 		t.Fatalf("%d unhostable apps reached the PYNQ pair (routed %d, migrated in %d)",
 			got, f.Routed()[1], f.crossIn[1])
@@ -120,8 +122,8 @@ func TestRebalancerValidatesDestinationCompatibility(t *testing.T) {
 	if sum.CrossMigratedApps != 0 {
 		t.Fatalf("rebalancer migrated %d apps onto an incompatible pair", sum.CrossMigratedApps)
 	}
-	if sum.Apps != 10 {
-		t.Fatalf("finished %d apps, want 10", sum.Apps)
+	if resp.Apps != 10 {
+		t.Fatalf("finished %d apps, want 10", resp.Apps)
 	}
 }
 
@@ -141,9 +143,10 @@ func TestClusterPairPlatformAssignment(t *testing.T) {
 	if err := f.Inject(workload.Generate(p, 9)); err != nil {
 		t.Fatal(err)
 	}
-	sum := f.Run()
-	if sum.Apps != 6 {
-		t.Fatalf("finished %d apps, want 6", sum.Apps)
+	f.Run()
+	resp := merged(f)
+	if resp.Apps != 6 {
+		t.Fatalf("finished %d apps, want 6", resp.Apps)
 	}
 }
 

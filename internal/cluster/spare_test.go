@@ -57,8 +57,8 @@ func TestSpareBuiltOnFirstUse(t *testing.T) {
 			}
 		}
 		t.Logf("%s: %d of %d spares built, %d switches", label, built, len(f.Pairs), sum.Switches)
-		if sum.Apps != apps {
-			t.Errorf("%s: %d of %d apps finished", label, sum.Apps, apps)
+		if resp := merged(f); resp.Apps != apps {
+			t.Errorf("%s: %d of %d apps finished", label, resp.Apps, apps)
 		}
 		return sum
 	}
@@ -88,7 +88,7 @@ func TestSpareBuildSubmitsNoPass(t *testing.T) {
 	f := onePair(t, DefaultConfig())
 	cl := f.Pairs[0]
 	var hooked []int
-	f.SetBuildHook(func(e *sched.Engine) { hooked = append(hooked, e.Board.ID) })
+	f.AddBuildHook(func(e *sched.Engine) { hooked = append(hooked, e.Board.ID) })
 	if cl.Built(migrate.Base) != nil || cl.Built(migrate.Boost) != nil {
 		t.Fatal("the pair built a board at construction")
 	}
@@ -148,7 +148,15 @@ func TestLateSpareResults(t *testing.T) {
 			t.Fatal(err)
 		}
 		sum := f.Run()
-		raw, err := json.Marshal(sum)
+		resp := merged(f)
+		// The digests cover the merged response times the summary
+		// carried when they were taken, in its field order.
+		raw, err := json.Marshal(struct {
+			Apps          int
+			MeanRT        sim.Duration
+			P50, P95, P99 sim.Duration
+			Summary
+		}{resp.Apps, resp.MeanRT, resp.P50, resp.P95, resp.P99, sum})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,9 +167,9 @@ func TestLateSpareResults(t *testing.T) {
 				spares++
 			}
 		}
-		if spares == 0 || sum.Apps != c.apps {
+		if spares == 0 || resp.Apps != c.apps {
 			t.Errorf("%s: %d spares built, %d of %d apps finished; the case does not exercise a late spare",
-				c.name, spares, sum.Apps, c.apps)
+				c.name, spares, resp.Apps, c.apps)
 		}
 		if got != c.want {
 			t.Errorf("%s: summary digest %s, want %s", c.name, got, c.want)
@@ -209,7 +217,8 @@ func TestCrashOnFrozenBoardRehomed(t *testing.T) {
 			victim, slices.Contains(old.Active, victim), slices.Contains(active.Active, victim))
 	}
 	old.RecoverSlot(slot)
-	if sum := f.Run(); sum.Apps != p.Apps || victim.State != appmodel.StateFinished {
-		t.Errorf("%d of %d apps finished, victim %v; want every app finished", sum.Apps, p.Apps, victim.State)
+	f.Run()
+	if resp := merged(f); resp.Apps != p.Apps || victim.State != appmodel.StateFinished {
+		t.Errorf("%d of %d apps finished, victim %v; want every app finished", resp.Apps, p.Apps, victim.State)
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"versaslot/internal/appmodel"
 	"versaslot/internal/cluster"
 	"versaslot/internal/metrics"
-	"versaslot/internal/migrate"
+	"versaslot/internal/sched"
 	"versaslot/internal/sim"
 	"versaslot/internal/workload"
 )
@@ -247,25 +247,23 @@ func New(f *cluster.Farm, cfg Config) (*Orchestrator, error) {
 	return o, nil
 }
 
-// chainFinishHooks appends a per-tenant accounting hook to every
-// engine's OnAppFinished.
+// chainFinishHooks appends a per-tenant accounting hook to the
+// OnAppFinished of every board the farm builds, as it is built, so
+// pairs the tenants' work never reaches keep their boards unbuilt.
 func (o *Orchestrator) chainFinishHooks() {
-	for _, pair := range o.f.Pairs {
-		for _, mode := range []migrate.Mode{migrate.Base, migrate.Boost} {
-			e := pair.Engine(mode)
-			prev := e.OnAppFinished
-			e.OnAppFinished = func(a *appmodel.App) {
-				if prev != nil {
-					prev(a)
-				}
-				t := o.tenantOf(a.ID)
-				if t < 0 {
-					return
-				}
-				o.observe(t, int64(a.ResponseTime()))
+	o.f.AddBuildHook(func(e *sched.Engine) {
+		prev := e.OnAppFinished
+		e.OnAppFinished = func(a *appmodel.App) {
+			if prev != nil {
+				prev(a)
 			}
+			t := o.tenantOf(a.ID)
+			if t < 0 {
+				return
+			}
+			o.observe(t, int64(a.ResponseTime()))
 		}
-	}
+	})
 }
 
 // observe records one completion of tenant t with response time rt.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"versaslot/internal/cluster"
+	"versaslot/internal/metrics"
 	"versaslot/internal/orchestrator"
 	"versaslot/internal/rng"
 	"versaslot/internal/sim"
@@ -78,12 +79,13 @@ func TestQuotaNeverExceeded(t *testing.T) {
 		t.Fatal(err)
 	}
 	o.Start()
-	sum := f.Run()
+	f.Run()
+	resp := merged(f)
 	if admissions != 40 {
 		t.Fatalf("admitted %d of 40 under throttle policy", admissions)
 	}
-	if sum.Apps != 40 {
-		t.Fatalf("finished %d of 40", sum.Apps)
+	if resp.Apps != 40 {
+		t.Fatalf("finished %d of 40", resp.Apps)
 	}
 	stats := o.TenantStats()
 	checkLedger(t, stats, true)
@@ -110,7 +112,8 @@ func TestRejectPolicyDropsOverQuota(t *testing.T) {
 		t.Fatal(err)
 	}
 	o.Start()
-	sum := f.Run()
+	f.Run()
+	resp := merged(f)
 	st := o.TenantStats()[0]
 	checkLedger(t, o.TenantStats(), true)
 	if st.Rejected == 0 {
@@ -119,8 +122,8 @@ func TestRejectPolicyDropsOverQuota(t *testing.T) {
 	if st.Throttled != 0 {
 		t.Fatalf("reject policy throttled %d apps", st.Throttled)
 	}
-	if sum.Apps != st.Admitted {
-		t.Fatalf("farm finished %d apps, ledger admitted %d", sum.Apps, st.Admitted)
+	if resp.Apps != st.Admitted {
+		t.Fatalf("farm finished %d apps, ledger admitted %d", resp.Apps, st.Admitted)
 	}
 	if st.Submitted != 30 {
 		t.Fatalf("submitted %d of 30", st.Submitted)
@@ -190,9 +193,10 @@ func TestAutoscaleGrowsAndDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	o.Start()
-	sum := f.Run()
-	if sum.Apps != 60 {
-		t.Fatalf("finished %d of 60", sum.Apps)
+	f.Run()
+	resp := merged(f)
+	if resp.Apps != 60 {
+		t.Fatalf("finished %d of 60", resp.Apps)
 	}
 	checkLedger(t, o.TenantStats(), true)
 	as := o.AutoscaleStats()
@@ -241,9 +245,10 @@ func TestAutoscaleWithoutTenants(t *testing.T) {
 		t.Fatal(err)
 	}
 	o.Start()
-	sum := f.Run()
-	if sum.Apps != 40 {
-		t.Fatalf("finished %d of 40", sum.Apps)
+	f.Run()
+	resp := merged(f)
+	if resp.Apps != 40 {
+		t.Fatalf("finished %d of 40", resp.Apps)
 	}
 	if o.TenantStats() != nil {
 		t.Fatal("tenant stats for a tenant-less run")
@@ -272,4 +277,14 @@ func TestValidation(t *testing.T) {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
+}
+
+// merged merges every board of a farm that has run through
+// Cluster.AbsorbInto, the facade's own merge, and summarizes it.
+func merged(f *cluster.Farm) metrics.Summary {
+	var agg metrics.Collector
+	for _, p := range f.Pairs {
+		p.AbsorbInto(&agg)
+	}
+	return agg.Summarize()
 }

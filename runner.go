@@ -329,7 +329,7 @@ func (r *Runner) newFarmRun(s Scenario, seq *workload.Sequence, parallel bool) (
 	if err != nil {
 		return nil, fmt.Errorf("versaslot: %w", err)
 	}
-	f.SetBuildHook(r.boardHook(s, parallel))
+	f.AddBuildHook(r.boardHook(s, parallel))
 	for _, pair := range f.Pairs {
 		r.observeSwitches(s.Name, pair)
 	}
