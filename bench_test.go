@@ -17,7 +17,6 @@ import (
 	"versaslot"
 	"versaslot/internal/bitstream"
 	"versaslot/internal/cluster"
-	"versaslot/internal/core"
 	"versaslot/internal/experiments"
 	"versaslot/internal/fabric"
 	"versaslot/internal/fault"
@@ -124,11 +123,11 @@ func BenchmarkAblationBundling(b *testing.B) {
 	p := workload.DefaultGenParams(workload.Stress)
 	seq := workload.Generate(p, 78)
 	for i := 0; i < b.N; i++ {
-		ol, err := core.Run(core.SystemConfig{Policy: sched.KindVersaSlotOL, Seed: 1}, seq)
+		ol, err := versaslot.Run(versaslot.Scenario{Policy: sched.NameOf(sched.KindVersaSlotOL), Workload: seq, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
-		bl, err := core.Run(core.SystemConfig{Policy: sched.KindVersaSlotBL, Seed: 1}, seq)
+		bl, err := versaslot.Run(versaslot.Scenario{Policy: sched.NameOf(sched.KindVersaSlotBL), Workload: seq, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -158,7 +157,7 @@ func BenchmarkAblationRedistribution(b *testing.B) {
 	p := workload.DefaultGenParams(workload.Standard)
 	seq := workload.Generate(p, 80)
 	for i := 0; i < b.N; i++ {
-		with, err := core.Run(core.SystemConfig{Policy: sched.KindVersaSlotOL, Seed: 1}, seq)
+		with, err := versaslot.Run(versaslot.Scenario{Policy: sched.NameOf(sched.KindVersaSlotOL), Workload: seq, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -175,13 +174,13 @@ func BenchmarkAblationHostControl(b *testing.B) {
 	p := workload.DefaultGenParams(workload.Stress)
 	seq := workload.Generate(p, 81)
 	for i := 0; i < b.N; i++ {
-		embedded, err := core.Run(core.SystemConfig{Policy: sched.KindVersaSlotBL, Seed: 1}, seq)
+		embedded, err := versaslot.Run(versaslot.Scenario{Policy: sched.NameOf(sched.KindVersaSlotBL), Workload: seq, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
 		params := sched.DefaultParams()
 		params.HostControl = true
-		host, err := core.Run(core.SystemConfig{Policy: sched.KindVersaSlotBL, Seed: 1, Params: &params}, seq)
+		host, err := versaslot.Run(versaslot.Scenario{Policy: sched.NameOf(sched.KindVersaSlotBL), Workload: seq, Seed: 1, Params: &params})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -197,13 +196,13 @@ func BenchmarkAblationPreemption(b *testing.B) {
 	p := workload.DefaultGenParams(workload.Stress)
 	seq := workload.Generate(p, 82)
 	for i := 0; i < b.N; i++ {
-		on, err := core.Run(core.SystemConfig{Policy: sched.KindVersaSlotOL, Seed: 1}, seq)
+		on, err := versaslot.Run(versaslot.Scenario{Policy: sched.NameOf(sched.KindVersaSlotOL), Workload: seq, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
 		params := sched.DefaultParams()
 		params.PreemptAge = 1 << 40 // effectively never
-		off, err := core.Run(core.SystemConfig{Policy: sched.KindVersaSlotOL, Seed: 1, Params: &params}, seq)
+		off, err := versaslot.Run(versaslot.Scenario{Policy: sched.NameOf(sched.KindVersaSlotOL), Workload: seq, Seed: 1, Params: &params})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -411,7 +410,7 @@ func BenchmarkEndToEndStress(b *testing.B) {
 	p := workload.DefaultGenParams(workload.Stress)
 	seq := workload.Generate(p, 99)
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Run(core.SystemConfig{Policy: sched.KindVersaSlotBL, Seed: 1}, seq); err != nil {
+		if _, err := versaslot.Run(versaslot.Scenario{Policy: sched.NameOf(sched.KindVersaSlotBL), Workload: seq, Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -15,9 +15,9 @@ import (
 	"versaslot/internal/workload"
 )
 
-// stepFarm runs a farm scenario as Runner.Run does, except that the
-// farm executes one event at a time through Farm.Step before the
-// result merges it.
+// stepFarm runs a scenario as Runner.Run does, except that the farm
+// executes one event at a time through Farm.Step before the result
+// merges it.
 func stepFarm(t *testing.T, s Scenario) *Result {
 	t.Helper()
 	s = s.withDefaults()
@@ -45,8 +45,8 @@ func stepFarm(t *testing.T, s Scenario) *Result {
 // pair after pair. Step executes one event at a time, pair events in
 // time order across pairs. Both must produce byte-identical Results:
 // for every dispatcher on uniform and mixed-platform farms, under every
-// fault injector, for tenants with autoscaling, and in exact and
-// streaming metrics mode.
+// fault injector, for tenants with autoscaling, for a single board (a
+// fixed pair), and in exact and streaming metrics mode.
 func TestFarmStepMatchesRun(t *testing.T) {
 	mixed := make([]cluster.PairPlatforms, 6)
 	for i := range mixed {
@@ -87,7 +87,14 @@ func TestFarmStepMatchesRun(t *testing.T) {
 	streamChaos := chaos
 	streamChaos.Name, streamChaos.Metrics = "chaos/stream", stream.Metrics
 	switching := Scenario{Name: "cluster-switching", Topology: TopologyCluster, Condition: "real-time", Apps: 48, Seed: 1}
-	cases = append(cases, chaos, streamChaos, tenants, stream, switching)
+	// A single board is a farm of one fixed pair: plain, under every
+	// injector, and streaming.
+	single := Scenario{Name: "single", Policy: "nimblock", Condition: "stress", Apps: 24, Seed: 5}
+	singleChaos := Scenario{Name: "single/chaos", Policy: "versaslot-bl", Condition: "stress", Apps: 24, Seed: 777,
+		Faults: chaos.Faults}
+	singleStream := Scenario{Name: "single/stream", Policy: "versaslot-ol", Condition: "stress", Apps: 40, Seed: 11,
+		Metrics: stream.Metrics}
+	cases = append(cases, chaos, streamChaos, tenants, stream, switching, single, singleChaos, singleStream)
 	for _, s := range cases {
 		t.Run(s.Name, func(t *testing.T) {
 			ran, err := Run(s)

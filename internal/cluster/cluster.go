@@ -42,6 +42,16 @@ type Config struct {
 	Smoothing float64
 	// Seed seeds the kernel RNG.
 	Seed uint64
+	// Policy, when set, makes the pair fixed: one board of Platform
+	// driven by this policy, with no spare, no D_switch trigger and no
+	// link. Its farm has the pair alone and no dispatcher, and hands it
+	// its apps straight into the engine; it is how a single board runs.
+	// The switching setup above is then unused.
+	Policy *sched.Registration
+	// Platform is a fixed pair's resolved platform: a registered one,
+	// an inline custom platform or the virtual baseline template; nil
+	// means the policy's declared platform.
+	Platform *fabric.Platform
 }
 
 // DefaultConfig returns the paper's switching setup.
@@ -73,26 +83,17 @@ func (c Config) platformName(m migrate.Mode) string {
 // platformCache resolves a farm's platform names, looking each
 // distinct name up once however many pairs use it: a farm names a
 // handful of platforms across all of its pairs.
-type platformCache struct {
-	names []string
-	found []*fabric.Platform
-}
+type platformCache map[string]*fabric.Platform
 
-// pair resolves both platforms of a pair configuration.
-func (r *platformCache) pair(cfg Config) (out [2]*fabric.Platform, err error) {
-	for _, mode := range pairModes {
-		if out[mode], err = r.lookup(cfg.platformName(mode)); err != nil {
-			return out, err
-		}
+// lookup resolves the platform of a pair configuration's mode; a fixed
+// pair's one platform serves both modes.
+func (r platformCache) lookup(cfg Config, mode migrate.Mode) (*fabric.Platform, error) {
+	if cfg.Policy != nil {
+		return cfg.Platform, nil
 	}
-	return out, nil
-}
-
-func (r *platformCache) lookup(name string) (*fabric.Platform, error) {
-	for i, n := range r.names {
-		if n == name {
-			return r.found[i], nil
-		}
+	name := cfg.platformName(mode)
+	if p, ok := r[name]; ok {
+		return p, nil
 	}
 	p, ok := fabric.LookupPlatform(name)
 	if !ok {
@@ -101,7 +102,7 @@ func (r *platformCache) lookup(name string) (*fabric.Platform, error) {
 	if p.Virtual {
 		return nil, fmt.Errorf("cluster: platform %q is the monolithic baseline template; switching pairs need DPR slots", p.Name)
 	}
-	r.names, r.found = append(r.names, name), append(r.found, p)
+	r[name] = p
 	return p, nil
 }
 
@@ -131,9 +132,8 @@ type Cluster struct {
 	// K is the pair's own kernel: every event of its boards and link
 	// runs here, and the farm's executor runs it between control
 	// instants (see exec.go).
-	K    *sim.Kernel
-	Cfg  Config
-	Link interlink.Link
+	K   *sim.Kernel
+	Cfg Config
 
 	// k is the storage K points at, next a lower bound on the time of
 	// its earliest pending event (the pair's horizon), and busy whether
@@ -146,20 +146,36 @@ type Cluster struct {
 	engines   [2]*sched.Engine
 	platforms [2]*fabric.Platform
 	active    migrate.Mode
-	trigger   migrate.Trigger
 
 	// firstBoard is the base board's ID; the boost board's is the next.
 	firstBoard int
 	// farm and index place the pair in its farm: completions update
-	// the farm's per-pair counters, and boards are finished by the
-	// farm's build hook.
+	// the farm's per-pair load, and boards are finished by the farm's
+	// build hook.
 	farm  *Farm
 	index int
+	// state is the pair's commissioning state (see PairState).
+	state PairState
+	// finished counts the pair's completions, outages its open board
+	// outages (>0 = degraded); crossIn, crossOut and requeued count the
+	// apps the rebalancer moved in, moved out, and extracted but
+	// returned.
+	finished, outages           int
+	crossIn, crossOut, requeued int
 
+	// switching is the D_switch loop and live migration of a switching
+	// pair; a fixed pair has none.
+	*switching
+}
+
+// switching is the state of a switching pair's D_switch loop and live
+// migration between its boards.
+type switching struct {
+	Link       interlink.Link
+	trigger    migrate.Trigger
 	updates    int
 	dSmoothed  float64
 	migrating  bool
-	finished   int
 	Trace      []TracePoint
 	Migrations []migrate.Migration
 
@@ -178,18 +194,20 @@ type Cluster struct {
 }
 
 // init finishes, in place, pair index of farm f on its own kernel,
-// seeded with the pair's seed. Its Cfg and both platforms are already
-// set, resolved and validated (the paper's point: the static regions
-// are fixed at start-up; switching between them at runtime is what
-// live migration buys). Both boards are built on first use (see
-// build).
+// seeded with the pair's seed. Its Cfg, switching state (none for a
+// fixed pair) and both platforms are already set, resolved
+// and validated (the paper's point: the static regions are fixed at
+// start-up; switching between them at runtime is what live migration
+// buys). Both boards are built on first use (see build).
 func (c *Cluster) init(f *Farm, index int) {
 	c.k.Init(c.Cfg.Seed)
 	c.K, c.farm, c.index, c.busy = &c.k, f, index, true
 	c.firstBoard = 2 * index
 	c.active = c.Cfg.StartMode
-	c.Link.Init(c.K, linkName(index), interlink.DefaultBandwidth, interlink.DefaultSetup)
-	c.trigger.Init(c.Cfg.StartMode, c.Cfg.ThresholdUp, c.Cfg.ThresholdDown)
+	if c.switching != nil {
+		c.Link.Init(c.K, linkName(index), interlink.DefaultBandwidth, interlink.DefaultSetup)
+		c.trigger.Init(c.Cfg.StartMode, c.Cfg.ThresholdUp, c.Cfg.ThresholdDown)
+	}
 }
 
 // build makes the board, engine and policy of a mode and adopts them:
@@ -205,13 +223,22 @@ func (c *Cluster) build(mode migrate.Mode) *sched.Engine {
 	if mode == c.Cfg.StartMode {
 		pool = &c.farm.pool
 	}
-	eng := pool.Build(c.BoardID(mode), c.platforms[mode], c.Cfg.Params, c.K, mode != c.active)
+	eng := pool.Build(c.BoardID(mode), c.platforms[mode], c.Cfg.Params, c.K, mode != c.active, c.policy(mode))
 	eng.SetPair((*pairHooks)(c))
 	c.engines[mode] = eng
 	if fn := c.farm.onBuild; fn != nil {
 		fn(eng)
 	}
 	return eng
+}
+
+// policy returns the registration whose policy drives a mode's board:
+// a fixed pair's policy, or the VersaSlot policy the platform calls for.
+func (c *Cluster) policy(mode migrate.Mode) *sched.Registration {
+	if c.Cfg.Policy != nil {
+		return c.Cfg.Policy
+	}
+	return sched.VersaSlotFor(c.platforms[mode])
 }
 
 // pairHooks is the engines' view of their pair (sched.Pair). A
@@ -257,10 +284,6 @@ func linkName(pair int) string {
 	linkNames.mu.Unlock()
 	return name
 }
-
-// SetMigrationCost installs a checkpoint/restore cost model on the
-// pair's switches; nil restores the classic payload.
-func (c *Cluster) SetMigrationCost(m *migrate.CostModel) { c.cost = m }
 
 // ActiveMode returns the currently active configuration.
 func (c *Cluster) ActiveMode() migrate.Mode { return c.active }
@@ -322,12 +345,14 @@ func (c *Cluster) forget(a *appmodel.App) {
 func (c *Cluster) onAppFinished(*appmodel.App) {
 	c.finished++
 	c.farm.load[c.index]--
-	c.farm.finishedBy[c.index]++
 }
 
 // onQueueUpdate implements the paper's cadence: every WindowUpdates
 // changes of the candidate queue, re-evaluate D_switch and act.
 func (c *Cluster) onQueueUpdate() {
+	if c.switching == nil {
+		return // a fixed pair has no trigger
+	}
 	c.updates++
 	if c.updates%c.Cfg.WindowUpdates != 0 {
 		return
@@ -528,10 +553,4 @@ func (c *Cluster) AbsorbInto(aggs ...*metrics.Collector) {
 			}
 		}
 	}
-}
-
-// String renders a one-line summary.
-func (s Summary) String() string {
-	return fmt.Sprintf("switches=%d meanSwitch=%v migrated=%d cross=%d",
-		s.Switches, s.MeanSwitchTime, s.MigratedApps, s.CrossSwitches)
 }

@@ -95,7 +95,7 @@ func TestDispatchersComplete(t *testing.T) {
 			if f.UnfinishedCount() != 0 {
 				t.Fatal("unfinished apps remain")
 			}
-			for i, l := range f.Load() {
+			for i, l := range f.LoadView() {
 				t.Logf("pair %d routed %d", i, f.routed[i])
 				if l != 0 {
 					t.Errorf("pair %d load counter ended at %d, want 0", i, l)

@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"versaslot/internal/appmodel"
+	"versaslot/internal/bundle"
+	"versaslot/internal/fabric"
 	"versaslot/internal/interlink"
 	"versaslot/internal/metrics"
 	"versaslot/internal/migrate"
@@ -137,29 +139,28 @@ type Farm struct {
 	// fault chains). Each pair runs on its own kernel (Cluster.K).
 	K     *sim.Kernel
 	Pairs []*Cluster
-	Cfg   FarmConfig
+
+	// k is the storage K points at.
+	k sim.Kernel
 
 	// Rack is the rack-level Aurora link cross-pair migrations travel
-	// over; transfers serialize on it like any interlink channel.
+	// over; transfers serialize on it like any interlink channel. A
+	// farm of a fixed pair has none.
 	Rack *interlink.Link
 
 	// CrossMigrations records every rebalancer-driven pair-to-pair
 	// transfer.
 	CrossMigrations []migrate.Migration
 
+	// dispatcher routes arrivals; a farm of a fixed pair has none.
 	dispatcher Dispatcher
 	totalApps  int
-	routed     []int // arrivals dispatched per pair
-	load       []int // unfinished apps per pair, maintained incrementally
-	crossIn    []int // apps received via rebalancing, per pair
-	crossOut   []int // apps sent away via rebalancing, per pair
-	requeued   []int // apps the rebalancer extracted but returned, per pair
-	outages    []int // open board outages per pair (>0 = degraded)
-	unhealthy  int   // pairs with outages > 0
-	cost       *migrate.CostModel
-
-	// finishedBy counts completions per pair; finishedCount sums it.
-	finishedBy []int
+	// routed and load share one allocation; each pair holds its other
+	// counters (Cluster.crossIn and the rest).
+	routed    []int // arrivals dispatched per pair
+	load      []int // unfinished apps per pair, maintained incrementally
+	unhealthy int   // pairs with outages > 0
+	cost      *migrate.CostModel
 
 	// busy lists the pairs that may have pending events, and minNext
 	// is a lower bound on their horizons (see exec.go). Every pair
@@ -183,26 +184,27 @@ type Farm struct {
 	uniform bool
 	// hostBySpec caches farm-wide hostability capability per spec:
 	// whether ANY pair — online, standby, or draining — could host it.
-	// Pool-independent, so it never invalidates.
+	// Pool-independent, so it never invalidates. Made on first use.
 	hostBySpec map[*appmodel.AppSpec]bool
 	// eligibleBySpec caches, per application spec, the commissioned
 	// (non-standby) pair indices whose platforms can host it (nil on
 	// the all-online uniform fast path). The cache depends on the pair
 	// pool: every ActivatePair/StartDrain/FinishDrain transition
-	// invalidates it — see invalidatePools.
+	// invalidates it — see invalidatePools. Made on first use.
 	eligibleBySpec map[*appmodel.AppSpec][]int
 
-	// status is each pair's commissioning state; nonOnline counts
-	// pairs not currently PairOnline (standby + draining) and draining
-	// counts PairDraining pairs, so the all-online fast paths stay a
-	// single compare.
-	status    []PairState
+	// nonOnline counts pairs not currently PairOnline (standby +
+	// draining) and draining counts PairDraining pairs, so the
+	// all-online fast paths stay a single compare; each pair holds its
+	// own commissioning state (Cluster.state).
 	nonOnline int
 	draining  int
 
-	rebalanceArmed bool        // the periodic tick has been scheduled
-	rebalancing    bool        // a cross-pair transfer is in flight
-	nextTick       sim.EventID // handle of the pending rebalance tick
+	rebalanceEvery sim.Duration // the rebalance tick's period (0: none)
+	rebalanceGap   int          // the load gap that triggers a transfer
+	rebalanceArmed bool         // the periodic tick has been scheduled
+	rebalancing    bool         // a cross-pair transfer is in flight
+	nextTick       sim.EventID  // handle of the pending rebalance tick
 
 	// pool is the storage of the pairs' active boards (see
 	// Cluster.build); onBuild, when set, finishes every board a pair
@@ -215,24 +217,29 @@ type Farm struct {
 // NewFarm builds a farm from its configuration. It returns an error
 // for a configuration without pairs, an unknown dispatcher or platform
 // name, switching thresholds without a buffer zone between them, a
-// non-positive D_switch window, or an out-of-range standby count.
+// non-positive D_switch window, an out-of-range standby count, or a
+// fixed pair (Config.Policy) that is not alone or cannot drive its
+// platform.
 func NewFarm(cfg FarmConfig) (*Farm, error) {
 	if cfg.Pairs <= 0 {
 		return nil, fmt.Errorf("cluster: farm needs at least one pair, got %d", cfg.Pairs)
 	}
-	if up, down := cfg.Pair.ThresholdUp, cfg.Pair.ThresholdDown; !(up > down) {
+	fixed := cfg.Pair.Policy != nil
+	if fixed {
+		if cfg.Pairs != 1 {
+			return nil, fmt.Errorf("cluster: a fixed pair runs alone, got %d pairs", cfg.Pairs)
+		}
+		if cfg.Pair.Platform == nil {
+			cfg.Pair.Platform = fabric.MustPlatform(cfg.Pair.Policy.Platform)
+		} else if err := sched.CompatiblePlatform(cfg.Pair.Policy, cfg.Pair.Platform); err != nil {
+			return nil, fmt.Errorf("cluster: %w", err)
+		}
+	}
+	if up, down := cfg.Pair.ThresholdUp, cfg.Pair.ThresholdDown; !fixed && !(up > down) {
 		return nil, fmt.Errorf("cluster: threshold_up %g must exceed threshold_down %g", up, down)
 	}
-	if cfg.Pair.WindowUpdates <= 0 {
+	if !fixed && cfg.Pair.WindowUpdates <= 0 {
 		return nil, fmt.Errorf("cluster: window_updates must be positive, got %d", cfg.Pair.WindowUpdates)
-	}
-	name := cfg.Dispatcher
-	if name == "" {
-		name = DispatchLeastLoaded
-	}
-	d, err := NewDispatcher(name)
-	if err != nil {
-		return nil, err
 	}
 	if cfg.Shards < 0 || cfg.Shards > 1 {
 		return nil, fmt.Errorf("cluster: shards %d: a farm has one executor (want 0 or 1)", cfg.Shards)
@@ -240,31 +247,18 @@ func NewFarm(cfg FarmConfig) (*Farm, error) {
 	if cfg.Standby < 0 || cfg.Standby >= cfg.Pairs {
 		return nil, fmt.Errorf("cluster: standby count %d out of range (need 0 <= standby < %d pairs)", cfg.Standby, cfg.Pairs)
 	}
-	f := &Farm{
-		Cfg:        cfg,
-		K:          sim.NewKernel(cfg.Pair.Seed),
-		dispatcher: d,
-		routed:     make([]int, cfg.Pairs),
-		load:       make([]int, cfg.Pairs),
-		finishedBy: make([]int, cfg.Pairs),
-		crossIn:    make([]int, cfg.Pairs),
-		crossOut:   make([]int, cfg.Pairs),
-		requeued:   make([]int, cfg.Pairs),
-		outages:    make([]int, cfg.Pairs),
-		status:     make([]PairState, cfg.Pairs),
+	f := &Farm{rebalanceEvery: cfg.RebalanceEvery, rebalanceGap: cfg.gap()}
+	f.k.Init(cfg.Pair.Seed)
+	f.K = &f.k
+	n := cfg.Pairs
+	counters := make([]int, 2*n)
+	f.routed, f.load = counters[:n:n], counters[n:]
+	if err := f.buildPairs(cfg); err != nil {
+		return nil, err
 	}
 	for i := cfg.Pairs - cfg.Standby; i < cfg.Pairs; i++ {
-		f.status[i] = PairStandby
+		f.Pairs[i].state = PairStandby
 		f.nonOnline++
-	}
-	f.Rack = interlink.NewDefault(f.K, "rack")
-	// Farm-control events (rack transfers, rebalance ticks, fault
-	// chains) run at PriFarmControl and arrivals at PriArrival, so at
-	// one instant the control plane runs before pair-local events, as
-	// the executor requires (see exec.go).
-	f.Rack.SetPriority(sim.PriFarmControl)
-	if err := f.buildPairs(); err != nil {
-		return nil, err
 	}
 	f.uniform = true
 	for _, p := range f.Pairs[1:] {
@@ -274,11 +268,24 @@ func NewFarm(cfg FarmConfig) (*Farm, error) {
 			break
 		}
 	}
-	f.hostBySpec = make(map[*appmodel.AppSpec]bool)
-	// Even uniform farms need the eligibility cache once pairs leave
-	// the online pool (the nil fast path stands for "all pairs").
-	f.eligibleBySpec = make(map[*appmodel.AppSpec][]int)
-	d.Init(f)
+	if fixed {
+		return f, nil
+	}
+	name := cfg.Dispatcher
+	if name == "" {
+		name = DispatchLeastLoaded
+	}
+	var err error
+	if f.dispatcher, err = NewDispatcher(name); err != nil {
+		return nil, err
+	}
+	f.Rack = interlink.NewDefault(f.K, "rack")
+	// Farm-control events (rack transfers, rebalance ticks, fault
+	// chains) run at PriFarmControl and arrivals at PriArrival, so at
+	// one instant the control plane runs before pair-local events, as
+	// the executor requires (see exec.go).
+	f.Rack.SetPriority(sim.PriFarmControl)
+	f.dispatcher.Init(f)
 	return f, nil
 }
 
@@ -288,23 +295,33 @@ func NewFarm(cfg FarmConfig) (*Farm, error) {
 // board when work first reaches it (see Cluster.build), so a fleet pays
 // for the boards it uses, and the farm's pool holds at most one active
 // board per pair.
-func (f *Farm) buildPairs() error {
-	cfg, n := f.Cfg, f.Cfg.Pairs
+func (f *Farm) buildPairs(cfg FarmConfig) error {
+	n := cfg.Pairs
 	clusters := make([]Cluster, n)
-	var names platformCache
-	f.Pairs = make([]*Cluster, n)
-	f.busy = make([]*Cluster, n)
+	names := make(platformCache)
+	// Pairs and the busy list share one allocation.
+	ptrs := make([]*Cluster, 2*n)
+	f.Pairs, f.busy = ptrs[:n:n], ptrs[n:]
+	var sw []switching
+	if cfg.Pair.Policy == nil {
+		sw = make([]switching, n)
+	}
 	for i := range clusters {
 		c := &clusters[i]
 		c.Cfg = cfg.pairConfig(i)
-		var err error
-		if c.platforms, err = names.pair(c.Cfg); err != nil {
-			return err
+		for _, mode := range pairModes {
+			var err error
+			if c.platforms[mode], err = names.lookup(c.Cfg, mode); err != nil {
+				return err
+			}
 		}
-		f.pool.Expect(c.platforms[c.Cfg.StartMode])
+		f.pool.Expect(c.platforms[c.Cfg.StartMode], c.policy(c.Cfg.StartMode))
 		// The per-pair load counter is maintained incrementally:
 		// arrivals increment it at dispatch; completions on either
 		// board decrement it in the pair's own finish hook.
+		if sw != nil {
+			c.switching = &sw[i]
+		}
 		c.init(f, i)
 		f.Pairs[i], f.busy[i] = c, c
 	}
@@ -351,13 +368,16 @@ func (f *Farm) idleLike() *metrics.Collector {
 	}
 	var own sched.BoardPool
 	p := f.Pairs[0]
-	probe := own.Build(-1, p.platforms[p.Cfg.StartMode], p.Cfg.Params, f.K, true)
+	probe := own.Build(-1, p.platforms[p.Cfg.StartMode], p.Cfg.Params, f.K, true, p.policy(p.Cfg.StartMode))
 	if f.onBuild != nil {
 		f.onBuild(probe)
 	}
 	f.like = probe.Col
 	return f.like
 }
+
+// fixed reports whether the farm is a fixed pair alone (Config.Policy).
+func (f *Farm) fixed() bool { return f.dispatcher == nil }
 
 // MustNewFarm is NewFarm, panicking on error; for tests and examples
 // with known-good configurations.
@@ -377,16 +397,8 @@ func (f *Farm) Dispatcher() string { return f.dispatcher.Name() }
 // Deprecated: the farm has one executor.
 func (f *Farm) ShardCount() int { return 1 }
 
-// Load returns a copy of the current unfinished-app count per pair
-// (the dispatcher's view). Hot paths use LoadView.
-func (f *Farm) Load() []int {
-	out := make([]int, len(f.load))
-	copy(out, f.load)
-	return out
-}
-
-// LoadView returns the farm's internal per-pair load slice without
-// copying. It is only valid until the next dispatched arrival or
+// LoadView returns the farm's per-pair unfinished-app counts (the
+// dispatcher's view) without copying. It is only valid until the next dispatched arrival or
 // completion; callers (dispatchers, the rebalancer) must read, not
 // retain or mutate.
 func (f *Farm) LoadView() []int { return f.load }
@@ -409,9 +421,12 @@ func (f *Farm) Eligible(a *appmodel.App) []int {
 	}
 	elig := make([]int, 0, len(f.Pairs))
 	for i, p := range f.Pairs {
-		if f.status[i] != PairStandby && p.CanHost(a.Spec) {
+		if p.state != PairStandby && p.CanHost(a.Spec) {
 			elig = append(elig, i)
 		}
+	}
+	if f.eligibleBySpec == nil {
+		f.eligibleBySpec = make(map[*appmodel.AppSpec][]int)
 	}
 	f.eligibleBySpec[a.Spec] = elig
 	return elig
@@ -450,6 +465,9 @@ func (f *Farm) CanHostAnywhere(a *appmodel.App) bool {
 				}
 			}
 		}
+		if f.hostBySpec == nil {
+			f.hostBySpec = make(map[*appmodel.AppSpec]bool)
+		}
 		f.hostBySpec[a.Spec] = h
 	}
 	return h
@@ -465,7 +483,7 @@ func (f *Farm) CanDispatch(a *appmodel.App) bool {
 }
 
 // PairStateOf returns pair i's commissioning state.
-func (f *Farm) PairStateOf(i int) PairState { return f.status[i] }
+func (f *Farm) PairStateOf(i int) PairState { return f.Pairs[i].state }
 
 // OnlineCount returns the number of PairOnline pairs.
 func (f *Farm) OnlineCount() int { return len(f.Pairs) - f.nonOnline }
@@ -482,10 +500,10 @@ func (f *Farm) ActivatePair(i int) error {
 	if i < 0 || i >= len(f.Pairs) {
 		return fmt.Errorf("cluster: activate pair %d of %d", i, len(f.Pairs))
 	}
-	if f.status[i] != PairStandby {
-		return fmt.Errorf("cluster: activate pair %d: state %v, want standby", i, f.status[i])
+	if f.Pairs[i].state != PairStandby {
+		return fmt.Errorf("cluster: activate pair %d: state %v, want standby", i, f.Pairs[i].state)
 	}
-	f.status[i] = PairOnline
+	f.Pairs[i].state = PairOnline
 	f.nonOnline--
 	f.invalidatePools()
 	return nil
@@ -504,13 +522,13 @@ func (f *Farm) StartDrain(i int) (int, error) {
 	if i < 0 || i >= len(f.Pairs) {
 		return 0, fmt.Errorf("cluster: drain pair %d of %d", i, len(f.Pairs))
 	}
-	if f.status[i] != PairOnline {
-		return 0, fmt.Errorf("cluster: drain pair %d: state %v, want online", i, f.status[i])
+	if f.Pairs[i].state != PairOnline {
+		return 0, fmt.Errorf("cluster: drain pair %d: state %v, want online", i, f.Pairs[i].state)
 	}
 	if f.OnlineCount() <= 1 {
 		return 0, fmt.Errorf("cluster: drain pair %d: it is the last online pair", i)
 	}
-	f.status[i] = PairDraining
+	f.Pairs[i].state = PairDraining
 	f.nonOnline++
 	f.draining++
 	f.invalidatePools()
@@ -524,13 +542,13 @@ func (f *Farm) FinishDrain(i int) error {
 	if i < 0 || i >= len(f.Pairs) {
 		return fmt.Errorf("cluster: finish drain of pair %d of %d", i, len(f.Pairs))
 	}
-	if f.status[i] != PairDraining {
-		return fmt.Errorf("cluster: finish drain of pair %d: state %v, want draining", i, f.status[i])
+	if f.Pairs[i].state != PairDraining {
+		return fmt.Errorf("cluster: finish drain of pair %d: state %v, want draining", i, f.Pairs[i].state)
 	}
 	if f.load[i] != 0 {
 		return fmt.Errorf("cluster: finish drain of pair %d: %d apps still unfinished", i, f.load[i])
 	}
-	f.status[i] = PairStandby
+	f.Pairs[i].state = PairStandby
 	f.draining--
 	f.invalidatePools()
 	return nil
@@ -559,7 +577,7 @@ func (f *Farm) drainCross(src int) int {
 	for _, a := range all {
 		dst := -1
 		for j := range f.Pairs {
-			if j == src || f.status[j] != PairOnline || f.outages[j] > 0 {
+			if j == src || f.Pairs[j].state != PairOnline || f.Pairs[j].outages > 0 {
 				continue
 			}
 			if !f.uniform && !f.Pairs[j].CanHost(a.Spec) {
@@ -573,7 +591,7 @@ func (f *Farm) drainCross(src int) int {
 			// Fall back to degraded online pairs before giving up: a
 			// degraded pair still queues work for recovery.
 			for j := range f.Pairs {
-				if j == src || f.status[j] != PairOnline {
+				if j == src || f.Pairs[j].state != PairOnline {
 					continue
 				}
 				if !f.uniform && !f.Pairs[j].CanHost(a.Spec) {
@@ -593,7 +611,7 @@ func (f *Farm) drainCross(src int) int {
 		f.load[dst]++
 	}
 	if len(unfit) > 0 {
-		f.requeued[src] += len(unfit)
+		f.Pairs[src].requeued += len(unfit)
 		eng.Policy().AcceptMigrated(unfit)
 	}
 	moved := 0
@@ -605,8 +623,8 @@ func (f *Farm) drainCross(src int) int {
 		for _, a := range apps {
 			f.Pairs[src].forget(a)
 		}
-		f.crossOut[src] += len(apps)
-		f.crossIn[dst] += len(apps)
+		f.Pairs[src].crossOut += len(apps)
+		f.Pairs[dst].crossIn += len(apps)
 		target := f.Pairs[dst]
 		dstIdx := dst
 		migrate.ExecuteModel(f.K, f.Rack, apps, f.cost, func(apps []*appmodel.App) {
@@ -625,21 +643,21 @@ func (f *Farm) drainCross(src int) int {
 // can be down at once); the board-fail injector drives these. Also used
 // as the availability hint for the checkpoint injector's health model.
 func (f *Farm) PairOutage(i int) {
-	if f.outages[i] == 0 {
+	if f.Pairs[i].outages == 0 {
 		f.unhealthy++
 	}
-	f.outages[i]++
+	f.Pairs[i].outages++
 }
 
 // PairRestored closes one outage on pair i; the pair rejoins dispatch
 // once every outage is restored. Restoring a healthy pair is a no-op so
 // injector chains cannot drive the count negative.
 func (f *Farm) PairRestored(i int) {
-	if f.outages[i] == 0 {
+	if f.Pairs[i].outages == 0 {
 		return
 	}
-	f.outages[i]--
-	if f.outages[i] == 0 {
+	f.Pairs[i].outages--
+	if f.Pairs[i].outages == 0 {
 		f.unhealthy--
 	}
 }
@@ -650,7 +668,7 @@ func (f *Farm) PairRestored(i int) {
 func (f *Farm) SetMigrationCost(m *migrate.CostModel) {
 	f.cost = m
 	for _, p := range f.Pairs {
-		p.SetMigrationCost(m)
+		p.cost = m
 	}
 }
 
@@ -673,13 +691,13 @@ func (f *Farm) DispatchEligible(a *appmodel.App) []int {
 	pool := f.poolScratch[:0]
 	if elig == nil {
 		for i := range f.Pairs {
-			if f.outages[i] == 0 {
+			if f.Pairs[i].outages == 0 {
 				pool = append(pool, i)
 			}
 		}
 	} else {
 		for _, i := range elig {
-			if f.outages[i] == 0 && f.status[i] != PairDraining {
+			if f.Pairs[i].outages == 0 && f.Pairs[i].state != PairDraining {
 				pool = append(pool, i)
 			}
 		}
@@ -693,11 +711,26 @@ func (f *Farm) DispatchEligible(a *appmodel.App) []int {
 
 // Inject schedules the workload, dispatching each arrival through the
 // farm's dispatcher at its arrival instant. It errors up front for
-// applications no pair in the farm can host.
+// applications no pair in the farm can host. A fixed pair takes the
+// apps straight into its engine instead, which schedules their
+// arrivals on the pair's own kernel, as a standalone board does.
 func (f *Farm) Inject(seq *workload.Sequence) error {
 	apps, err := seq.Instantiate(f.totalApps)
 	if err != nil {
 		return err
+	}
+	if f.fixed() {
+		platform := f.Pairs[0].platforms[migrate.Base]
+		for _, a := range apps {
+			// The virtual baseline template runs whatever it is given.
+			if !platform.Virtual && !bundle.Hostable(a.Spec, platform) {
+				return fmt.Errorf("cluster: app %v (%s) fits no slot class of platform %q", a, a.Spec.Name, platform.Name)
+			}
+		}
+		f.totalApps += len(apps)
+		f.load[0] += len(apps)
+		f.Pairs[0].activeEngine().InjectSequence(apps)
+		return nil
 	}
 	for _, a := range apps {
 		if !f.CanHostAnywhere(a) {
@@ -770,7 +803,7 @@ func (f *Farm) RoutedView() []int { return f.routed }
 // loop winds down with the workload instead of keeping the kernel
 // alive forever.
 func (f *Farm) armRebalancer() {
-	if f.Cfg.RebalanceEvery <= 0 || f.rebalanceArmed {
+	if f.rebalanceEvery <= 0 || f.rebalanceArmed {
 		return
 	}
 	f.rebalanceArmed = true
@@ -785,14 +818,14 @@ func (ev *rebalanceEvent) Fire() { (*Farm)(ev).rebalanceTick() }
 
 // scheduleTick schedules the next rebalance tick one period from now.
 func (f *Farm) scheduleTick() {
-	f.nextTick = f.K.AtPHandler(f.K.Now().Add(f.Cfg.RebalanceEvery), sim.PriFarmControl, (*rebalanceEvent)(f))
+	f.nextTick = f.K.AtPHandler(f.K.Now().Add(f.rebalanceEvery), sim.PriFarmControl, (*rebalanceEvent)(f))
 }
 
-// finishedCount sums per-pair completions; see finishedBy.
+// finishedCount sums per-pair completions.
 func (f *Farm) finishedCount() int {
 	n := 0
-	for _, c := range f.finishedBy {
-		n += c
+	for _, p := range f.Pairs {
+		n += p.finished
 	}
 	return n
 }
@@ -828,16 +861,16 @@ func (f *Farm) rebalanceTick() {
 	// the check never fires.
 	src, dst := -1, -1
 	for i, l := range f.load {
-		if f.status[i] != PairOnline {
+		if f.Pairs[i].state != PairOnline {
 			continue
 		}
-		if f.outages[i] > 0 {
-			if src < 0 || f.outages[src] == 0 || l > f.load[src] {
+		if f.Pairs[i].outages > 0 {
+			if src < 0 || f.Pairs[src].outages == 0 || l > f.load[src] {
 				src = i
 			}
 			continue
 		}
-		if src < 0 || (f.outages[src] == 0 && l > f.load[src]) {
+		if src < 0 || (f.Pairs[src].outages == 0 && l > f.load[src]) {
 			src = i
 		}
 		if dst < 0 || l < f.load[dst] {
@@ -847,7 +880,7 @@ func (f *Farm) rebalanceTick() {
 	if src < 0 || dst < 0 || src == dst {
 		return
 	}
-	if f.outages[src] > 0 {
+	if f.Pairs[src].outages > 0 {
 		// Drain the degraded pair regardless of the gap threshold: its
 		// queue has nowhere to run until recovery.
 		if f.load[src] <= 0 {
@@ -857,7 +890,7 @@ func (f *Farm) rebalanceTick() {
 		return
 	}
 	gap := f.load[src] - f.load[dst]
-	if gap < f.Cfg.gap() {
+	if gap < f.rebalanceGap {
 		return
 	}
 	move := gap / 2
@@ -912,7 +945,7 @@ func (f *Farm) migrateCross(src, dst, max int) {
 	if !f.uniform {
 		dst = -1
 		for i := range f.Pairs {
-			if i == src || f.outages[i] > 0 || f.status[i] != PairOnline {
+			if i == src || f.Pairs[i].outages > 0 || f.Pairs[i].state != PairOnline {
 				continue
 			}
 			hostsAny := false
@@ -928,7 +961,7 @@ func (f *Farm) migrateCross(src, dst, max int) {
 		}
 		if dst < 0 {
 			if len(moved) > 0 {
-				f.requeued[src] += len(moved)
+				f.Pairs[src].requeued += len(moved)
 				eng.Policy().AcceptMigrated(moved)
 			}
 			return
@@ -944,7 +977,7 @@ func (f *Farm) migrateCross(src, dst, max int) {
 		}
 		moved = kept
 		if len(unfit) > 0 {
-			f.requeued[src] += len(unfit)
+			f.Pairs[src].requeued += len(unfit)
 			eng.Policy().AcceptMigrated(unfit)
 		}
 	}
@@ -958,8 +991,8 @@ func (f *Farm) migrateCross(src, dst, max int) {
 	}
 	f.load[src] -= n
 	f.load[dst] += n
-	f.crossOut[src] += n
-	f.crossIn[dst] += n
+	f.Pairs[src].crossOut += n
+	f.Pairs[dst].crossIn += n
 	f.rebalancing = true
 	dstIdx := dst
 	migrate.ExecuteModel(f.K, f.Rack, moved, f.cost, func(apps []*appmodel.App) {
@@ -1005,6 +1038,12 @@ type PairStat struct {
 func (f *Farm) Run() Summary {
 	f.run()
 	f.alignClocks()
+	if f.fixed() {
+		// A fixed pair has no switching to report: its board is read
+		// as a standalone board's.
+		f.Pairs[0].closeBoards()
+		return Summary{}
+	}
 	var pair metrics.Collector
 	var switchTime, crossTime sim.Duration
 	s := Summary{PairStats: make([]PairStat, 0, len(f.Pairs))}
@@ -1022,9 +1061,9 @@ func (f *Farm) Run() Summary {
 			UtilLUT:     ps.UtilLUT,
 			UtilFF:      ps.UtilFF,
 			Switches:    len(p.Migrations),
-			MigratedIn:  f.crossIn[i],
-			MigratedOut: f.crossOut[i],
-			Requeued:    f.requeued[i],
+			MigratedIn:  f.Pairs[i].crossIn,
+			MigratedOut: f.Pairs[i].crossOut,
+			Requeued:    f.Pairs[i].requeued,
 		})
 		switchTime += s.addSwitches(p.Migrations)
 		s.Trace = append(s.Trace, p.Trace...)

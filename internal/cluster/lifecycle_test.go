@@ -231,7 +231,7 @@ func TestDrainMigratesQueuedApps(t *testing.T) {
 	if f.PairStateOf(1) != PairDraining {
 		t.Fatalf("pair 1 in state %v, want draining (no one called FinishDrain)", f.PairStateOf(1))
 	}
-	if drained > 0 && sum.CrossMigratedApps == 0 && f.requeued[1] == 0 {
+	if drained > 0 && sum.CrossMigratedApps == 0 && f.Pairs[1].requeued == 0 {
 		t.Fatalf("%d apps extracted by the drain but neither migrated nor requeued", drained)
 	}
 }

@@ -115,9 +115,9 @@ func TestRebalancerValidatesDestinationCompatibility(t *testing.T) {
 	}
 	sum := f.Run()
 	resp := merged(f)
-	if got := f.Routed()[1] + f.crossIn[1]; got != 0 {
+	if got := f.Routed()[1] + f.Pairs[1].crossIn; got != 0 {
 		t.Fatalf("%d unhostable apps reached the PYNQ pair (routed %d, migrated in %d)",
-			got, f.Routed()[1], f.crossIn[1])
+			got, f.Routed()[1], f.Pairs[1].crossIn)
 	}
 	if sum.CrossMigratedApps != 0 {
 		t.Fatalf("rebalancer migrated %d apps onto an incompatible pair", sum.CrossMigratedApps)

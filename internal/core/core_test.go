@@ -3,12 +3,16 @@ package core
 import (
 	"testing"
 
+	"versaslot"
 	"versaslot/internal/fabric"
 	"versaslot/internal/hypervisor"
 	"versaslot/internal/sched"
 	"versaslot/internal/workload"
 )
 
+// TestPlatformMapping checks the platform and core model each built-in
+// policy declares: a single board runs on them unless its scenario
+// names another platform, mirroring the paper's evaluation setup.
 func TestPlatformMapping(t *testing.T) {
 	cases := []struct {
 		kind     sched.Kind
@@ -23,9 +27,19 @@ func TestPlatformMapping(t *testing.T) {
 		{sched.KindVersaSlotBL, fabric.ZCU216BigLittle, hypervisor.DualCore},
 	}
 	for _, c := range cases {
-		p, m := PlatformFor(c.kind)
-		if p.Name != c.platform || m != c.cores {
-			t.Errorf("%v -> (%v,%v), want (%v,%v)", c.kind, p.Name, m, c.platform, c.cores)
+		r, ok := sched.ByKind(c.kind)
+		if !ok {
+			t.Fatalf("no registration for %v", c.kind)
+		}
+		if r.Platform != c.platform || r.Core != c.cores {
+			t.Errorf("%v -> (%v,%v), want (%v,%v)", c.kind, r.Platform, r.Core, c.platform, c.cores)
+		}
+		res, err := versaslot.Run(versaslot.Scenario{Policy: r.Name, Apps: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Platform != c.platform {
+			t.Errorf("%v ran on %s, want %s", c.kind, res.Platform, c.platform)
 		}
 	}
 }
@@ -34,11 +48,12 @@ func TestRunDeterministic(t *testing.T) {
 	p := workload.DefaultGenParams(workload.Stress)
 	p.Apps = 10
 	seq := workload.Generate(p, 5)
-	a, err := Run(SystemConfig{Policy: sched.KindVersaSlotBL, Seed: 3}, seq)
+	s := versaslot.Scenario{Policy: "versaslot-bl", Workload: seq, Seed: 3}
+	a, err := versaslot.Run(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(SystemConfig{Policy: sched.KindVersaSlotBL, Seed: 3}, seq)
+	b, err := versaslot.Run(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +71,7 @@ func TestRunReportsCacheStats(t *testing.T) {
 	p := workload.DefaultGenParams(workload.Stress)
 	p.Apps = 8
 	seq := workload.Generate(p, 6)
-	res, err := Run(SystemConfig{Policy: sched.KindVersaSlotOL, Seed: 2}, seq)
+	res, err := versaslot.Run(versaslot.Scenario{Policy: "versaslot-ol", Workload: seq, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +79,7 @@ func TestRunReportsCacheStats(t *testing.T) {
 		t.Fatal("no cache activity recorded")
 	}
 	// FCFS has no cache: all misses.
-	res2, err := Run(SystemConfig{Policy: sched.KindFCFS, Seed: 2}, seq)
+	res2, err := versaslot.Run(versaslot.Scenario{Policy: "fcfs", Workload: seq, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,27 +88,34 @@ func TestRunReportsCacheStats(t *testing.T) {
 	}
 }
 
-// maxSystemAllocs bounds building a single-board system: one block
-// holding the System, its kernel, board and engine, the board's slab
-// (slots, slot pointers, class counters), the engine's slot records
-// and the policy. Allocating each piece on its own made it 10.
-const maxSystemAllocs = 6
-
-// TestNewSystemAllocs pins what building a single-board system costs
-// for every registered policy on its declared platform: the per-run
-// setup of every paper-sweep run.
-func TestNewSystemAllocs(t *testing.T) {
-	for _, r := range sched.Registrations() {
-		if _, err := NewRegisteredSystem(r.Name, 1, nil); err != nil {
-			t.Fatal(err)
-		}
-		allocs := testing.AllocsPerRun(50, func() {
-			if _, err := NewRegisteredSystem(r.Name, 1, nil); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs > maxSystemAllocs {
-			t.Errorf("%s: building a system allocates %.0f times, want <= %d", r.Name, allocs, maxSystemAllocs)
-		}
+// TestNewPlatformSystem checks the deprecated shim: it builds a fixed
+// one-pair farm and hands back a board that runs like the facade's.
+func TestNewPlatformSystem(t *testing.T) {
+	p := workload.DefaultGenParams(workload.Standard)
+	p.Apps = 6
+	seq := workload.Generate(p, 9)
+	sys, err := NewPlatformSystem("nimblock", nil, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	apps, err := seq.Instantiate(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Engine.InjectSequence(apps)
+	sys.Kernel.Run()
+	sys.Engine.FlushResidency()
+	want, err := versaslot.Run(versaslot.Scenario{Policy: "nimblock", Workload: seq, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sys.Engine.Col.Summarize(); got != want.Summary {
+		t.Errorf("shim board summarizes %+v, want the facade's %+v", got, want.Summary)
+	}
+	if _, err := NewPlatformSystem("bogus", nil, 1, nil); err == nil {
+		t.Error("unknown policy accepted")
+	}
+	if _, err := NewPlatformSystem("nimblock", fabric.MustPlatform(fabric.ZCU216Monolithic), 1, nil); err == nil {
+		t.Error("a DPR policy accepted the monolithic template")
 	}
 }

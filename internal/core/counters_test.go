@@ -77,9 +77,29 @@ func auditCounters(t *testing.T, engines []*sched.Engine) {
 	}
 }
 
+// fixedBoard builds a fixed one-pair farm of a built-in policy on its
+// declared platform, injects seq and returns the farm and its board.
+func fixedBoard(t *testing.T, kind sched.Kind, seed uint64, seq *workload.Sequence) (*cluster.Farm, *sched.Engine) {
+	t.Helper()
+	r, ok := sched.ByKind(kind)
+	if !ok {
+		t.Fatalf("no registration for %v", kind)
+	}
+	cfg := cluster.FarmConfig{Pair: cluster.DefaultConfig(), Pairs: 1}
+	cfg.Pair.Seed, cfg.Pair.Policy = seed, r
+	f, err := cluster.NewFarm(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Inject(seq); err != nil {
+		t.Fatal(err)
+	}
+	p := f.Pairs[0]
+	return f, p.Engine(p.ActiveMode())
+}
+
 // stepAudited runs step until it reports no event left, auditing the
-// counters after every event: step is a kernel's Step for one board, a
-// farm's Step for a pair.
+// counters after every event: step is a farm's Step.
 func stepAudited(t *testing.T, step func() bool, engines []*sched.Engine) {
 	t.Helper()
 	for step() {
@@ -102,7 +122,8 @@ func chaosInjectors() []fault.InjectorSpec {
 // TestCounterAudit checks the occupancy counters the scheduling passes
 // read in O(1) against a recount, and the launch wake flag against a
 // scan of every stage, after every kernel event: all six
-// policies under all four arrival conditions, the same policies under
+// policies, each on a fixed one-pair farm, under all four arrival
+// conditions, the same policies under
 // chaos (with and without checkpointed crash restarts), and a
 // switching pair under chaos, whose live migrations reset stages.
 func TestCounterAudit(t *testing.T) {
@@ -112,14 +133,9 @@ func TestCounterAudit(t *testing.T) {
 			t.Run(fmt.Sprintf("%v/%v", kind, cond), func(t *testing.T) {
 				p := workload.DefaultGenParams(cond)
 				p.Apps = 12
-				sys := NewSystem(SystemConfig{Policy: kind, Seed: 3})
-				apps, err := workload.Generate(p, 11).Instantiate(0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sys.Engine.InjectSequence(apps)
-				stepAudited(t, sys.Kernel.Step, []*sched.Engine{sys.Engine})
-				sys.Engine.CheckQuiescent()
+				f, e := fixedBoard(t, kind, 3, workload.Generate(p, 11))
+				stepAudited(t, f.Step, []*sched.Engine{e})
+				e.CheckQuiescent()
 			})
 		}
 		for _, checkpoint := range []bool{false, true} {
@@ -127,25 +143,20 @@ func TestCounterAudit(t *testing.T) {
 			t.Run(fmt.Sprintf("%v/chaos/checkpoint=%v", kind, checkpoint), func(t *testing.T) {
 				p := workload.DefaultGenParams(workload.Stress)
 				p.Apps = 16
-				sys := NewSystem(SystemConfig{Policy: kind, Seed: 5})
-				apps, err := workload.Generate(p, 13).Instantiate(0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sys.Engine.InjectSequence(apps)
+				f, e := fixedBoard(t, kind, 5, workload.Generate(p, 13))
 				spec := fault.Spec{Injectors: chaosInjectors()}
 				if checkpoint {
 					spec.Injectors = append(spec.Injectors, fault.InjectorSpec{Kind: fault.KindCheckpoint, CheckpointBytes: 64})
 				}
-				engines := []*sched.Engine{sys.Engine}
-				if err := fault.Attach(&fault.Target{K: sys.Kernel, Engines: engines}, spec, 17); err != nil {
+				engines := []*sched.Engine{e}
+				if err := fault.Attach(&fault.Target{K: f.Pairs[0].K, Engines: engines}, spec, 17); err != nil {
 					t.Fatal(err)
 				}
-				stepAudited(t, sys.Kernel.Step, engines)
-				sys.Engine.CheckQuiescent()
+				stepAudited(t, f.Step, engines)
+				e.CheckQuiescent()
 				// The baseline reconfigures the whole fabric, never
 				// through the flaky partial-reconfiguration path.
-				_, _, _, crashed, retried, _ := sys.Engine.Col.FaultStats()
+				_, _, _, crashed, retried, _ := e.Col.FaultStats()
 				if crashed == 0 || retried == 0 && kind != sched.KindBaseline {
 					t.Errorf("chaos run crashed %d apps and retried %d, want both > 0", crashed, retried)
 				}

@@ -1,17 +1,7 @@
-// Package core wires one board, a scheduling policy, and a workload
-// into a runnable System — the single-board entry point underneath
-// the versaslot facade's "single" topology and the building block the
-// experiment presets are made of.
-//
-// A minimal run:
-//
-//	seq := workload.Generate(workload.DefaultGenParams(workload.Standard), 42)
-//	res, err := core.Run(core.SystemConfig{Policy: sched.KindVersaSlotBL, Seed: 42}, seq)
-//
-// Res carries the per-app response times, tail latencies, utilization
-// and PR-contention statistics the paper evaluates. Policies resolve
-// through the sched registry (NewRegisteredSystem) and run on their
-// declared platform by default; any registered or inline platform can
-// be substituted (NewPlatformSystem), and the paper's custom
-// Big/Little slot mixes remain supported (NewCustomSystem).
+// Package core is a deprecated shim. A single board now runs as a
+// fixed one-pair farm (see internal/cluster: cluster.Config.Policy), so
+// every board is built in one place, Cluster.build. What is left here,
+// System and NewPlatformSystem, builds such a farm and hands back its
+// pair's kernel and its one engine, for callers that drive a board by
+// hand; it goes once they build the farm themselves.
 package core

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"versaslot"
 	"versaslot/internal/sched"
 	"versaslot/internal/sim"
 	"versaslot/internal/workload"
@@ -35,7 +36,7 @@ func TestRandomWorkloadsAlwaysComplete(t *testing.T) {
 		}
 		seq := workload.Generate(p, seed)
 		for _, kind := range sched.Kinds() {
-			res, err := Run(SystemConfig{Policy: kind, Seed: seed}, seq)
+			res, err := versaslot.Run(versaslot.Scenario{Policy: sched.NameOf(kind), Workload: seq, Seed: seed})
 			if err != nil {
 				t.Logf("%v seed=%d: %v", kind, seed, err)
 				return false

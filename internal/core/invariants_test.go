@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"versaslot"
 	"versaslot/internal/appmodel"
 	"versaslot/internal/fabric"
 	"versaslot/internal/sched"
@@ -10,8 +11,8 @@ import (
 	"versaslot/internal/workload"
 )
 
-// TestRuntimeInvariants drives every policy through a congested
-// workload while checking structural invariants at every kernel event:
+// TestRuntimeInvariants drives every policy, each on a fixed one-pair
+// farm, through a congested workload while checking structural invariants at every kernel event:
 //
 //  1. no two stages ever claim the same slot;
 //  2. a stage's slot always matches its kind;
@@ -26,17 +27,13 @@ func TestRuntimeInvariants(t *testing.T) {
 	for _, kind := range sched.Kinds() {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
-			sys := NewSystem(SystemConfig{Policy: kind, Seed: 4})
-			apps, err := seq.Instantiate(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sys.Engine.InjectSequence(apps)
+			f, e := fixedBoard(t, kind, 4, seq)
+			apps := e.Apps
 
 			lastDone := make(map[*appmodel.Stage]int)
 			var lastTime sim.Time
 			check := func() {
-				now := sys.Kernel.Now()
+				now := f.Pairs[0].K.Now()
 				if now < lastTime {
 					t.Fatalf("clock went backwards: %v -> %v", lastTime, now)
 				}
@@ -67,10 +64,10 @@ func TestRuntimeInvariants(t *testing.T) {
 					}
 				}
 			}
-			for sys.Kernel.Step() {
+			for f.Step() {
 				check()
 			}
-			sys.Engine.CheckQuiescent()
+			e.CheckQuiescent()
 			for _, a := range apps {
 				if a.State != appmodel.StateFinished {
 					t.Fatalf("app %v unfinished", a)
@@ -90,7 +87,7 @@ func TestResponseTimesCoverAllApps(t *testing.T) {
 	p.Apps = 15
 	seq := workload.Generate(p, 33)
 	for _, kind := range sched.Kinds() {
-		res, err := Run(SystemConfig{Policy: kind, Seed: 2}, seq)
+		res, err := versaslot.Run(versaslot.Scenario{Policy: sched.NameOf(kind), Workload: seq, Seed: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

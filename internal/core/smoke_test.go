@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"versaslot"
 	"versaslot/internal/sched"
 	"versaslot/internal/workload"
 )
@@ -17,7 +18,7 @@ func TestAllPoliciesComplete(t *testing.T) {
 	for _, kind := range sched.Kinds() {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
-			res, err := Run(SystemConfig{Policy: kind, Seed: 1}, seq)
+			res, err := versaslot.Run(versaslot.Scenario{Policy: sched.NameOf(kind), Workload: seq, Seed: 1})
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}

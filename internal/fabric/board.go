@@ -71,15 +71,6 @@ func (b *Board) Init(id int, p *Platform, s *Slab) {
 	}
 }
 
-// NewCustomBoard builds a ZCU216 board with an arbitrary Big/Little
-// slot mix — the extension the paper notes ("can be extended to any
-// Big/Little configuration"). A Big slot occupies the fabric area of
-// two Little slots; the mix must fit the 8-Little-equivalent
-// reconfigurable area of the ZCU216 floorplan.
-func NewCustomBoard(id, big, little int) *Board {
-	return NewBoard(id, CustomBigLittle(big, little))
-}
-
 // SlotsOf returns the board's slots of the given class, in ID order.
 func (b *Board) SlotsOf(class string) []*Slot {
 	var out []*Slot

@@ -184,7 +184,7 @@ func TestExecuteDeliversAndRecords(t *testing.T) {
 
 	var delivered []*appmodel.App
 	var rec Migration
-	Execute(k, link, []*appmodel.App{a}, func(apps []*appmodel.App) {
+	ExecuteModel(k, link, []*appmodel.App{a}, nil, func(apps []*appmodel.App) {
 		delivered = apps
 	}, func(m Migration) { rec = m })
 

@@ -69,15 +69,11 @@ func (m *CostModel) checkpointBytes(apps []*appmodel.App) int64 {
 	return bytes
 }
 
-// Execute transfers apps over link and delivers them via deliver. The
-// returned record carries the switching overhead the paper reports
-// (1.13 ms average on their cluster).
-func Execute(k *sim.Kernel, link *interlink.Link, apps []*appmodel.App, deliver func([]*appmodel.App), record func(Migration)) {
-	ExecuteModel(k, link, apps, nil, deliver, record)
-}
-
-// ExecuteModel is Execute with an optional checkpoint/restore cost
-// model applied to the payload and delivery.
+// ExecuteModel transfers apps over link and delivers them via deliver,
+// with an optional checkpoint/restore cost model (nil: the classic
+// payload) applied to the payload and delivery. The record carries the
+// switching overhead the paper reports (1.13 ms average on their
+// cluster).
 func ExecuteModel(k *sim.Kernel, link *interlink.Link, apps []*appmodel.App, model *CostModel, deliver func([]*appmodel.App), record func(Migration)) {
 	payload := BuildPayload(apps)
 	if model != nil {

@@ -233,23 +233,18 @@ func (e *Engine) queueUpdated() {
 	}
 }
 
-// NewEngine wires a board's execution machinery together.
+// NewEngine wires a board's execution machinery together; its slot
+// records take one allocation.
 func NewEngine(k *sim.Kernel, p Params, board *fabric.Board, model hypervisor.CoreModel, repo *bitstream.Repository) *Engine {
 	e := new(Engine)
-	e.Init(k, p, board, model, repo)
+	e.init(k, p, board, model, repo, make([]slotRT, len(board.Slots)))
 	return e
 }
 
-// Init wires a board's execution machinery together in place, so
-// owners can hold engines inline; its slot records take one
-// allocation. An engine must not be copied once initialized: its
-// events are views of the engine and of its slot records.
-func (e *Engine) Init(k *sim.Kernel, p Params, board *fabric.Board, model hypervisor.CoreModel, repo *bitstream.Repository) {
-	e.init(k, p, board, model, repo, make([]slotRT, len(board.Slots)))
-}
-
-// init is Init with the slot records taken from slots, which must hold
-// one per board slot.
+// init wires a board's execution machinery together in place, with
+// the slot records taken from slots, which must hold one per board
+// slot. An engine must not be copied once initialized: its events are
+// views of the engine and of its slot records.
 func (e *Engine) init(k *sim.Kernel, p Params, board *fabric.Board, model hypervisor.CoreModel, repo *bitstream.Repository, slots []slotRT) {
 	*e = Engine{K: k, Params: p, Board: board, Repo: repo, slots: slots}
 	e.own.cores.Init(k, model, board.ID)
@@ -263,15 +258,16 @@ func (e *Engine) init(k *sim.Kernel, p Params, board *fabric.Board, model hyperv
 	}
 }
 
-// BoardPool builds VersaSlot boards one at a time: each board with its
-// engine, slot records and the VersaSlot policy its platform calls for
-// (Big.Little on a heterogeneous platform, Only.Little otherwise), on
-// the dual-core control plane and the platform's shared bitstream
-// repository. It carves them from storage it allocates in chunks that
-// double in size, so building n boards takes O(log n) allocations per
-// component kind whether they are built together or far apart. A pool
-// is not safe for concurrent use. The zero value is ready: a pool that
-// builds one board allocates exactly that board's storage.
+// BoardPool builds boards one at a time: each board with its engine,
+// slot records and the policy of a registration, on the registration's
+// control-plane model and the platform's shared bitstream repository.
+// It carves boards with their engines, slabs, slot records and the
+// VersaSlot policies from storage it allocates in chunks that double in
+// size, so building n boards takes O(log n) allocations per component
+// kind whether they are built together or far apart; any other policy
+// comes from its registration's factory. A pool is not safe for
+// concurrent use. The zero value is ready: a pool that builds one board
+// allocates exactly that board's storage.
 type BoardPool struct {
 	chunk int
 	// bounded is set by Expect; rest is then what the boards expected
@@ -279,25 +275,32 @@ type BoardPool struct {
 	bounded bool
 	rest    struct{ boards, slots, classes, ol, bl int }
 
-	boards  []fabric.Board
-	slab    fabric.Slab
-	engines []Engine
-	slots   []slotRT
-	ol      []versaSlotOL
-	bl      []VersaSlotBL
+	boards []poolBoard
+	slab   fabric.Slab
+	slots  []slotRT
+	ol     []versaSlotOL
+	bl     []VersaSlotBL
 }
 
-// Expect tells the pool that a board of platform p may be built. Once
-// told, no chunk reserves room beyond what the boards still expected
-// need, so a pool that builds every expected board has none to spare.
-func (bp *BoardPool) Expect(p *fabric.Platform) {
+// poolBoard is a board and the engine that drives it, carved together.
+type poolBoard struct {
+	board  fabric.Board
+	engine Engine
+}
+
+// Expect tells the pool that a board of platform p driven by policy r
+// may be built. Once told, no chunk reserves room beyond what the
+// boards still expected need, so a pool that builds every expected
+// board has none to spare.
+func (bp *BoardPool) Expect(p *fabric.Platform, r *Registration) {
 	bp.bounded = true
 	bp.rest.boards++
 	bp.rest.slots += p.SlotCount()
 	bp.rest.classes += len(p.Classes)
-	if p.Heterogeneous() {
+	switch r {
+	case regBL:
 		bp.rest.bl++
-	} else {
+	case regOL:
 		bp.rest.ol++
 	}
 }
@@ -311,46 +314,49 @@ func (bp *BoardPool) size(want, rest, need int) int {
 	return max(want, need)
 }
 
-// Build builds board id of platform on kernel k and returns its engine.
-// A frozen engine (a switching pair's spare) is frozen before its
-// policy is installed, so freezing submits no scheduler pass.
-func (bp *BoardPool) Build(id int, platform *fabric.Platform, p Params, k *sim.Kernel, frozen bool) *Engine {
-	r := &bp.rest
-	if len(bp.engines) == 0 {
-		bp.chunk = bp.size(2*bp.chunk, r.boards, 1)
-		bp.boards = make([]fabric.Board, bp.chunk)
-		bp.engines = make([]Engine, bp.chunk)
+// Build builds board id of platform on kernel k, driven by policy r,
+// and returns its engine. A frozen engine (a switching pair's spare) is
+// frozen before its policy is installed, so freezing submits no
+// scheduler pass.
+func (bp *BoardPool) Build(id int, platform *fabric.Platform, p Params, k *sim.Kernel, frozen bool, r *Registration) *Engine {
+	rest := &bp.rest
+	if len(bp.boards) == 0 {
+		bp.chunk = bp.size(2*bp.chunk, rest.boards, 1)
+		bp.boards = make([]poolBoard, bp.chunk)
 	}
 	// The other kinds refill sized for the boards left in the chunk, so
 	// a pool of one platform takes exactly a chunk of each.
-	left, n, c := len(bp.engines), platform.SlotCount(), len(platform.Classes)
+	left, n, c := len(bp.boards), platform.SlotCount(), len(platform.Classes)
 	if !bp.slab.Fits(platform) {
-		bp.slab = fabric.MakeSlab(bp.size(left*n, r.slots, n), bp.size(left*c, r.classes, c))
+		bp.slab = fabric.MakeSlab(bp.size(left*n, rest.slots, n), bp.size(left*c, rest.classes, c))
 	}
 	if len(bp.slots) < n {
-		bp.slots = make([]slotRT, bp.size(left*n, r.slots, n))
+		bp.slots = make([]slotRT, bp.size(left*n, rest.slots, n))
 	}
-	b, e := &bp.boards[0], &bp.engines[0]
-	bp.boards, bp.engines = bp.boards[1:], bp.engines[1:]
+	b, e := &bp.boards[0].board, &bp.boards[0].engine
+	bp.boards = bp.boards[1:]
 	b.Init(id, platform, &bp.slab)
-	e.init(k, p, b, hypervisor.DualCore, bitstream.RepoFor(platform), bp.slots[:n:n])
+	e.init(k, p, b, r.Core, bitstream.RepoFor(platform), bp.slots[:n:n])
 	bp.slots = bp.slots[n:]
 	e.frozen = frozen
-	r.boards, r.slots, r.classes = r.boards-1, r.slots-n, r.classes-c
-	if platform.Heterogeneous() {
+	rest.boards, rest.slots, rest.classes = rest.boards-1, rest.slots-n, rest.classes-c
+	switch r {
+	case regBL:
 		if len(bp.bl) == 0 {
-			bp.bl = make([]VersaSlotBL, bp.size(left, r.bl, 1))
+			bp.bl = make([]VersaSlotBL, bp.size(left, rest.bl, 1))
 		}
-		r.bl--
+		rest.bl--
 		e.SetPolicy(&bp.bl[0])
 		bp.bl = bp.bl[1:]
-	} else {
+	case regOL:
 		if len(bp.ol) == 0 {
-			bp.ol = make([]versaSlotOL, bp.size(left, r.ol, 1))
+			bp.ol = make([]versaSlotOL, bp.size(left, rest.ol, 1))
 		}
-		r.ol--
+		rest.ol--
 		e.SetPolicy(&bp.ol[0])
 		bp.ol = bp.ol[1:]
+	default:
+		e.SetPolicy(r.Factory())
 	}
 	return e
 }

@@ -115,6 +115,19 @@ func ByKind(k Kind) (*Registration, bool) {
 	return nil, false
 }
 
+// regOL and regBL are the two VersaSlot registrations, the
+// policies of a switching pair's boards.
+var regOL, regBL *Registration
+
+// VersaSlotFor returns the VersaSlot registration a platform calls
+// for: Big.Little on a heterogeneous platform, Only.Little otherwise.
+func VersaSlotFor(p *fabric.Platform) *Registration {
+	if p.Heterogeneous() {
+		return regBL
+	}
+	return regOL
+}
+
 // NameOf returns the canonical registry name of a built-in kind.
 func NameOf(k Kind) string {
 	if r, ok := ByKind(k); ok {
@@ -162,4 +175,6 @@ func init() {
 			return nil
 		},
 	})
+	regOL, _ = Lookup("versaslot-ol")
+	regBL, _ = Lookup("versaslot-bl")
 }

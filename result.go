@@ -149,20 +149,28 @@ func (r *Result) setMetricsMode(s Scenario) {
 	}
 }
 
-// fillFromPairs merges the boards of a multi-board run into the result
-// through one aggregate collector (see cluster.Cluster.AbsorbInto and
+// fillFromBoards fills the result's metrics from the boards of pairs.
+// A single board reports straight from its collector, with its samples
+// in finish order. Multi-board runs merge every board through one
+// aggregate collector (see cluster.Cluster.AbsorbInto and
 // metrics.Collector.Absorb for the merge rules), with the pooled
 // samples sorted by application ID before summarizing. A spare board
 // that was never built served no bitstream and launched nothing, so
 // only built boards add cache and launch-wait counts.
-func (r *Result) fillFromPairs(pairs []*cluster.Cluster) {
+func (r *Result) fillFromBoards(pairs []*cluster.Cluster, single bool) {
 	var agg metrics.Collector
+	col := &agg
 	for _, p := range pairs {
-		p.AbsorbInto(&agg)
+		if !single {
+			p.AbsorbInto(&agg)
+		}
 		for _, mode := range clusterModes {
 			e := p.Built(mode)
 			if e == nil {
 				continue
+			}
+			if single {
+				col = e.Col
 			}
 			hits, misses := e.Cache.Stats()
 			r.CacheHits += hits
@@ -170,10 +178,12 @@ func (r *Result) fillFromPairs(pairs []*cluster.Cluster) {
 			r.LaunchWait += e.Cores.Sched.WaitOf("launch")
 		}
 	}
-	sort.Slice(agg.Responses, func(i, j int) bool { return agg.Responses[i].AppID < agg.Responses[j].AppID })
-	r.Summary = agg.Summarize()
-	r.Samples = agg.Responses
-	r.BySpec = agg.BySpec()
-	r.Makespan = agg.EndTime()
-	r.TimeSeries = agg.Windows()
+	if !single {
+		sort.Slice(agg.Responses, func(i, j int) bool { return agg.Responses[i].AppID < agg.Responses[j].AppID })
+	}
+	r.Summary = col.Summarize()
+	r.Samples = col.Responses
+	r.BySpec = col.BySpec()
+	r.Makespan = col.EndTime()
+	r.TimeSeries = col.Windows()
 }

@@ -5,10 +5,7 @@ import (
 	"sync"
 
 	"versaslot/internal/appmodel"
-	"versaslot/internal/bundle"
 	"versaslot/internal/cluster"
-	"versaslot/internal/core"
-	"versaslot/internal/fabric"
 	"versaslot/internal/fault"
 	"versaslot/internal/migrate"
 	"versaslot/internal/orchestrator"
@@ -148,14 +145,11 @@ func (r *Runner) run(s Scenario, parallel bool, cache *sequenceCache) (*Result, 
 			return nil, err
 		}
 	}
-	switch s.Topology {
-	case TopologySingle:
-		return r.runSingle(s, seq, parallel)
-	case TopologyCluster, TopologyFarm:
-		return r.runFarm(s, seq, parallel)
-	default:
-		return nil, fmt.Errorf("versaslot: unknown topology %q", s.Topology)
+	fr, err := r.newFarmRun(s, seq, parallel)
+	if err != nil {
+		return nil, err
 	}
+	return fr.result(), nil
 }
 
 func (r *Runner) emit(ev Event) {
@@ -210,6 +204,7 @@ func attachFaults(s Scenario, t *fault.Target) error {
 // when it is built and an observer never forces one to be built.
 func (r *Runner) boardHook(s Scenario, parallel bool) func(*sched.Engine) {
 	streamCfg, streaming := s.streamConfig()
+	name := s.Name
 	return func(e *sched.Engine) {
 		if streaming {
 			e.Col.EnableStreaming(streamCfg)
@@ -220,92 +215,15 @@ func (r *Runner) boardHook(s Scenario, parallel bool) func(*sched.Engine) {
 		if r.recorder != nil && !parallel {
 			e.Recorder = r.recorder
 		}
-		r.observeEngine(s.Name, e)
+		r.observeEngine(name, e)
 	}
-}
-
-func (r *Runner) runSingle(s Scenario, seq *workload.Sequence, parallel bool) (*Result, error) {
-	var sys *core.System
-	policyName := s.Policy
-	if s.BigSlots > 0 || s.LittleSlots > 0 {
-		sys = core.NewCustomSystem(s.BigSlots, s.LittleSlots, s.Seed, s.Params)
-		policyName = "versaslot-ol"
-		if s.BigSlots > 0 {
-			policyName = "versaslot-bl"
-		}
-	} else {
-		var platform *fabric.Platform
-		if s.Platform != nil {
-			var err error
-			platform, err = s.Platform.Resolve()
-			if err != nil {
-				return nil, fmt.Errorf("versaslot: %w", err)
-			}
-		}
-		var err error
-		sys, err = core.NewPlatformSystem(s.Policy, platform, s.Seed, s.Params)
-		if err != nil {
-			return nil, err
-		}
-	}
-	r.boardHook(s, parallel)(sys.Engine)
-	apps, err := seq.Instantiate(0)
-	if err != nil {
-		return nil, err
-	}
-	boardPlatform := sys.Engine.Board.Platform
-	if !boardPlatform.Virtual {
-		for _, a := range apps {
-			if !bundle.Hostable(a.Spec, boardPlatform) {
-				return nil, fmt.Errorf("versaslot: app %v (%s) fits no slot class of platform %q",
-					a, a.Spec.Name, boardPlatform.Name)
-			}
-		}
-	}
-	if err := attachFaults(s, &fault.Target{
-		K:       sys.Kernel,
-		Engines: []*sched.Engine{sys.Engine},
-	}); err != nil {
-		return nil, err
-	}
-	res, err := sys.Execute(seq.Condition, apps)
-	if err != nil {
-		return nil, err
-	}
-	out := &Result{
-		Scenario:    s.Name,
-		Topology:    TopologySingle,
-		Policy:      canonicalName(policyName),
-		PolicyTitle: PolicyTitle(policyName),
-		Platform:    boardPlatform.Name,
-		Condition:   seq.Condition,
-		Seed:        s.Seed,
-		Summary:     res.Summary,
-		Samples:     res.Samples,
-		BySpec:      res.BySpec,
-		CacheHits:   res.CacheHits,
-		CacheMisses: res.CacheMisses,
-		LaunchWait:  sys.Engine.Cores.Sched.WaitOf("launch"),
-		Makespan:    sys.Engine.Col.EndTime(),
-		TimeSeries:  sys.Engine.Col.Windows(),
-	}
-	out.setMetricsMode(s)
-	return out, nil
 }
 
 // clusterModes is the fixed pair-mode iteration order that keeps
 // multi-board metric merging deterministic.
 var clusterModes = []migrate.Mode{migrate.Base, migrate.Boost}
 
-// pairPlatformsOf reports the resolved platform assignment of a pair.
-func pairPlatformsOf(cl *cluster.Cluster) cluster.PairPlatforms {
-	return cluster.PairPlatforms{
-		Base:  cl.Platform(migrate.Base).Name,
-		Boost: cl.Platform(migrate.Boost).Name,
-	}
-}
-
-// farmRun is a farm scenario ready to run: the farm with its hooks,
+// farmRun is a scenario ready to run: the farm with its hooks,
 // orchestrator, workload and faults attached.
 type farmRun struct {
 	s         Scenario
@@ -314,22 +232,31 @@ type farmRun struct {
 	condition string
 }
 
-func (r *Runner) runFarm(s Scenario, seq *workload.Sequence, parallel bool) (*Result, error) {
-	fr, err := r.newFarmRun(s, seq, parallel)
+// newFarmRun builds a validated, defaulted scenario up to the point
+// where its farm runs. A single board is a farm of one fixed pair.
+func (r *Runner) newFarmRun(s Scenario, seq *workload.Sequence, parallel bool) (farmRun, error) {
+	cfg, err := s.farmConfig()
 	if err != nil {
-		return nil, err
+		return farmRun{}, err
 	}
-	return fr.result(), nil
-}
-
-// newFarmRun builds a validated, defaulted farm scenario up to the
-// point where its farm runs.
-func (r *Runner) newFarmRun(s Scenario, seq *workload.Sequence, parallel bool) (*farmRun, error) {
-	f, err := cluster.NewFarm(s.farmConfig())
+	f, err := cluster.NewFarm(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("versaslot: %w", err)
+		return farmRun{}, fmt.Errorf("versaslot: %w", err)
 	}
 	f.AddBuildHook(r.boardHook(s, parallel))
+	if s.Topology == TopologySingle {
+		// The board's fault chains run on its own kernel and are
+		// attached before its apps arrive, as on a standalone board.
+		if p := f.Pairs[0]; s.Faults != nil {
+			if err := attachFaults(s, &fault.Target{K: p.K, Engines: []*sched.Engine{p.Engine(p.ActiveMode())}}); err != nil {
+				return farmRun{}, err
+			}
+		}
+		if err := f.Inject(seq); err != nil {
+			return farmRun{}, err
+		}
+		return farmRun{s: s, f: f, condition: seq.Condition}, nil
+	}
 	for _, pair := range f.Pairs {
 		r.observeSwitches(s.Name, pair)
 	}
@@ -343,22 +270,21 @@ func (r *Runner) newFarmRun(s Scenario, seq *workload.Sequence, parallel bool) (
 			Autoscale: s.Autoscale,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("versaslot: %w", err)
+			return farmRun{}, fmt.Errorf("versaslot: %w", err)
 		}
 	}
-	condition := ""
+	condition := s.Condition
 	if len(s.Tenants) > 0 {
 		seqs, err := s.tenantSequences()
 		if err != nil {
-			return nil, err
+			return farmRun{}, err
 		}
 		if err := orch.InjectTenants(seqs); err != nil {
-			return nil, fmt.Errorf("versaslot: %w", err)
+			return farmRun{}, fmt.Errorf("versaslot: %w", err)
 		}
-		condition = s.Condition
 	} else {
 		if err := f.Inject(seq); err != nil {
-			return nil, err
+			return farmRun{}, err
 		}
 		condition = seq.Condition
 	}
@@ -374,12 +300,12 @@ func (r *Runner) newFarmRun(s Scenario, seq *workload.Sequence, parallel bool) (
 		Pri:   sim.PriFarmControl,
 		Touch: f.TouchPair,
 	}); err != nil {
-		return nil, err
+		return farmRun{}, err
 	}
 	if orch != nil {
 		orch.Start()
 	}
-	return &farmRun{s: s, f: f, orch: orch, condition: condition}, nil
+	return farmRun{s: s, f: f, orch: orch, condition: condition}, nil
 }
 
 // result runs the farm to the end (a farm stepped to the end only
@@ -387,9 +313,18 @@ func (r *Runner) newFarmRun(s Scenario, seq *workload.Sequence, parallel bool) (
 func (fr *farmRun) result() *Result {
 	s, f, orch := fr.s, fr.f, fr.orch
 	sum := f.Run()
+	if s.Topology == TopologySingle {
+		p := f.Pairs[0]
+		out := &Result{Scenario: s.Name, Topology: s.Topology, Policy: p.Cfg.Policy.Name, PolicyTitle: p.Cfg.Policy.Title,
+			Platform: p.Platform(p.ActiveMode()).Name, Condition: fr.condition, Seed: s.Seed}
+		out.setMetricsMode(s)
+		out.fillFromBoards(f.Pairs, true)
+		return out
+	}
 	pairPlatforms := make([]cluster.PairPlatforms, 0, len(f.Pairs))
 	for _, pair := range f.Pairs {
-		pairPlatforms = append(pairPlatforms, pairPlatformsOf(pair))
+		pairPlatforms = append(pairPlatforms, cluster.PairPlatforms{
+			Base: pair.Platform(migrate.Base).Name, Boost: pair.Platform(migrate.Boost).Name})
 	}
 	out := &Result{
 		Scenario:          s.Name,
@@ -421,7 +356,7 @@ func (fr *farmRun) result() *Result {
 		out.Tenants = orch.TenantStats()
 		out.Autoscale = orch.AutoscaleStats()
 	}
-	out.fillFromPairs(f.Pairs)
+	out.fillFromBoards(f.Pairs, false)
 	return out
 }
 
@@ -434,11 +369,4 @@ func (r *Runner) observeSwitches(scenario string, cl *cluster.Cluster) {
 		r.emit(Event{Scenario: scenario, At: cl.K.Now(), Kind: "switch", Board: board,
 			From: cl.Platform(from).Title, To: cl.Platform(to).Title})
 	}
-}
-
-func canonicalName(name string) string {
-	if reg, ok := sched.Lookup(name); ok {
-		return reg.Name
-	}
-	return name
 }

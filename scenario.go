@@ -180,13 +180,9 @@ func (s Scenario) withDefaults() Scenario {
 			// The platform shape picks the matching VersaSlot variant
 			// (or the exclusive baseline on a virtual platform).
 			if p, err := s.Platform.Resolve(); err == nil {
-				switch {
-				case p.Virtual:
-					s.Policy = "baseline"
-				case p.Heterogeneous():
-					s.Policy = "versaslot-bl"
-				default:
-					s.Policy = "versaslot-ol"
+				s.Policy = "baseline"
+				if !p.Virtual {
+					s.Policy = sched.VersaSlotFor(p).Name
 				}
 			}
 		} else {
@@ -233,17 +229,6 @@ func (s Scenario) Validate() error {
 		}
 		if custom {
 			return fmt.Errorf("versaslot: platform block conflicts with the legacy big_slots/little_slots mix (pick one)")
-		}
-		p, err := s.Platform.Resolve()
-		if err != nil {
-			return fmt.Errorf("versaslot: %w", err)
-		}
-		reg, ok := sched.Lookup(s.Policy)
-		if !ok {
-			return fmt.Errorf("versaslot: unknown policy %q (registered: %v)", s.Policy, sched.Names())
-		}
-		if err := sched.CompatiblePlatform(reg, p); err != nil {
-			return fmt.Errorf("versaslot: %w", err)
 		}
 	}
 	if len(s.PairPlatforms) > 0 {
@@ -292,9 +277,9 @@ func (s Scenario) Validate() error {
 				s.BigSlots)
 		}
 	}
-	if !custom && s.Topology == TopologySingle {
-		if _, ok := sched.Lookup(s.Policy); !ok {
-			return fmt.Errorf("versaslot: unknown policy %q (registered: %v)", s.Policy, sched.Names())
+	if s.Topology == TopologySingle {
+		if _, _, err := s.board(); err != nil {
+			return err
 		}
 	}
 	if s.Workload == nil && s.WorkloadFile == "" {
@@ -341,9 +326,9 @@ func (s Scenario) Validate() error {
 		return fmt.Errorf("versaslot: shards %d: a farm has one executor (want 0 or 1)", s.Shards)
 	}
 	if s.Topology != TopologySingle {
-		if pair := s.farmConfig().Pair; pair.ThresholdDown >= pair.ThresholdUp {
+		if cfg, _ := s.farmConfig(); cfg.Pair.ThresholdDown >= cfg.Pair.ThresholdUp {
 			return fmt.Errorf("versaslot: threshold_down %g must be below threshold_up %g (after defaults)",
-				pair.ThresholdDown, pair.ThresholdUp)
+				cfg.Pair.ThresholdDown, cfg.Pair.ThresholdUp)
 		}
 	}
 	if s.Dispatcher != "" {
@@ -561,9 +546,37 @@ func (s Scenario) tenantSequences() ([]*workload.Sequence, error) {
 	return seqs, nil
 }
 
+// board resolves a single board's policy and platform. The legacy
+// big_slots/little_slots mix is the custom Big/Little platform driven
+// by the VersaSlot policy it implies; otherwise the registered policy
+// runs on the scenario's platform or, without one, its declared
+// platform.
+func (s Scenario) board() (*sched.Registration, *fabric.Platform, error) {
+	if s.BigSlots > 0 || s.LittleSlots > 0 {
+		p := fabric.CustomBigLittle(s.BigSlots, s.LittleSlots)
+		return sched.VersaSlotFor(p), p, nil
+	}
+	r, ok := sched.Lookup(s.Policy)
+	if !ok {
+		return nil, nil, fmt.Errorf("versaslot: unknown policy %q (registered: %v)", s.Policy, sched.Names())
+	}
+	if s.Platform == nil {
+		return r, fabric.MustPlatform(r.Platform), nil
+	}
+	p, err := s.Platform.Resolve()
+	if err == nil {
+		err = sched.CompatiblePlatform(r, p)
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("versaslot: %w", err)
+	}
+	return r, p, nil
+}
+
 // farmConfig maps the scenario's pair and farm knobs onto a farm
-// configuration. The cluster topology is a farm of exactly one pair.
-func (s Scenario) farmConfig() cluster.FarmConfig {
+// configuration. Every topology runs as a farm: the single topology is
+// one fixed pair (see board), the cluster topology one switching pair.
+func (s Scenario) farmConfig() (cluster.FarmConfig, error) {
 	pair := cluster.DefaultConfig()
 	pair.Seed = s.Seed
 	if s.Params != nil {
@@ -590,7 +603,14 @@ func (s Scenario) farmConfig() cluster.FarmConfig {
 		RebalanceGap:   s.RebalanceGap,
 		Shards:         s.Shards,
 	}
-	if s.Topology == TopologyCluster {
+	switch s.Topology {
+	case TopologySingle:
+		cfg.Pairs = 1
+		var err error
+		if cfg.Pair.Policy, cfg.Pair.Platform, err = s.board(); err != nil {
+			return cfg, err
+		}
+	case TopologyCluster:
 		cfg.Pairs = 1
 	}
 	if s.Autoscale != nil {
@@ -601,7 +621,7 @@ func (s Scenario) farmConfig() cluster.FarmConfig {
 		cfg.Pairs = a.Max
 		cfg.Standby = a.Max - s.Pairs
 	}
-	return cfg
+	return cfg, nil
 }
 
 // WriteJSON serializes the scenario as an indented config artifact.
@@ -709,15 +729,6 @@ func ArrivalProcessTitle(name string) string {
 // Platforms lists registered platform names (built-ins first, then
 // third-party registrations via fabric.RegisterPlatform).
 func Platforms() []string { return fabric.PlatformNames() }
-
-// PlatformTitle returns the display title of a registered platform
-// name.
-func PlatformTitle(name string) string {
-	if p, ok := fabric.LookupPlatform(name); ok {
-		return p.Title
-	}
-	return name
-}
 
 // Dispatchers lists registered farm-dispatcher names (built-ins
 // first, then third-party registrations via
