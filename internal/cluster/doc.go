@@ -17,6 +17,15 @@
 // cluster topology is a farm of exactly one pair, so every pair runs
 // through the same arrival, fault and merge path.
 //
+// A pair is fixed when its Config names a policy: one board of any
+// registered policy on any resolved platform (the virtual baseline
+// template and inline or custom-mix platforms included), with no
+// spare, no D_switch trigger and no link. A farm of a fixed pair has
+// that pair alone and no dispatcher; it hands the pair its apps
+// straight into the engine, and the pair's kernel runs its fault
+// chains. The facade's single topology is such a farm, so
+// Cluster.build is the one place any board is made.
+//
 // A Farm is K switching pairs behind a pluggable arrival dispatcher
 // (least-loaded, round-robin, power-of-two, bitstream-affinity, or a
 // third-party RegisterDispatcher registration). Pairs take per-pair
@@ -33,9 +42,11 @@
 // A farm makes its pairs' records — each with its own simulation
 // kernel — from one slice of clusters, with pair i at entry i, and
 // builds no board up front: a fleet whose arrivals reach a few of its
-// pairs pays only for those pairs' boards. A pair holds its kernel,
-// link and trigger inline, and its engines report to it through a
-// typed view of the Cluster (sched.Pair). Active boards take their
+// pairs pays only for those pairs' boards. A pair holds its kernel
+// inline; a switching pair's link, trigger and traces live in one
+// slice per farm, which a farm of a fixed pair does not make. Engines
+// report to their pair through a typed view of the Cluster
+// (sched.Pair). Active boards take their
 // storage from a farm-owned sched.BoardPool, which allocates boards,
 // slots, engines, slot records and policies in chunks that double in
 // size, so allocations grow with the log of the pairs built, whether

@@ -668,7 +668,9 @@ func (f *Farm) PairRestored(i int) {
 func (f *Farm) SetMigrationCost(m *migrate.CostModel) {
 	f.cost = m
 	for _, p := range f.Pairs {
-		p.cost = m
+		if p.switching != nil { // a fixed pair never switches
+			p.cost = m
+		}
 	}
 }
 

@@ -150,14 +150,15 @@ func (r *Result) setMetricsMode(s Scenario) {
 }
 
 // fillFromBoards fills the result's metrics from the boards of pairs.
-// A single board reports straight from its collector, with its samples
-// in finish order. Multi-board runs merge every board through one
-// aggregate collector (see cluster.Cluster.AbsorbInto and
+// A fixed pair's one board reports straight from its collector, with
+// its samples in finish order. Switching pairs merge every board
+// through one aggregate collector (see cluster.Cluster.AbsorbInto and
 // metrics.Collector.Absorb for the merge rules), with the pooled
 // samples sorted by application ID before summarizing. A spare board
 // that was never built served no bitstream and launched nothing, so
 // only built boards add cache and launch-wait counts.
-func (r *Result) fillFromBoards(pairs []*cluster.Cluster, single bool) {
+func (r *Result) fillFromBoards(pairs []*cluster.Cluster) {
+	single := pairs[0].Cfg.Policy != nil
 	var agg metrics.Collector
 	col := &agg
 	for _, p := range pairs {

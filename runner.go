@@ -184,13 +184,10 @@ func (r *Runner) observeEngine(scenario string, e *sched.Engine) {
 	}
 }
 
-// attachFaults wires the scenario's faults block (if any) onto the
-// topology. A nil/empty block attaches nothing, so fault-free runs
-// stay byte-identical.
+// attachFaults wires the scenario's faults block onto the topology.
+// Callers attach nothing for a nil block, so fault-free runs stay
+// byte-identical and build no target.
 func attachFaults(s Scenario, t *fault.Target) error {
-	if s.Faults == nil {
-		return nil
-	}
 	if err := fault.Attach(t, *s.Faults, s.Seed); err != nil {
 		return fmt.Errorf("versaslot: %w", err)
 	}
@@ -288,19 +285,15 @@ func (r *Runner) newFarmRun(s Scenario, seq *workload.Sequence, parallel bool) (
 		}
 		condition = seq.Condition
 	}
-	if err := attachFaults(s, &fault.Target{
-		K:         f.K,
-		Pairs:     f.Pairs,
-		Farm:      f,
-		Quiescent: f.Quiescent,
+	if s.Faults != nil {
 		// Fault chains are part of the farm's control plane: at their
 		// priority they run before the pair events of their instant,
 		// and every strike stamps its pair's lazily advanced clock
 		// first.
-		Pri:   sim.PriFarmControl,
-		Touch: f.TouchPair,
-	}); err != nil {
-		return farmRun{}, err
+		if err := attachFaults(s, &fault.Target{K: f.K, Pairs: f.Pairs, Farm: f, Quiescent: f.Quiescent,
+			Pri: sim.PriFarmControl, Touch: f.TouchPair}); err != nil {
+			return farmRun{}, err
+		}
 	}
 	if orch != nil {
 		orch.Start()
@@ -318,7 +311,7 @@ func (fr *farmRun) result() *Result {
 		out := &Result{Scenario: s.Name, Topology: s.Topology, Policy: p.Cfg.Policy.Name, PolicyTitle: p.Cfg.Policy.Title,
 			Platform: p.Platform(p.ActiveMode()).Name, Condition: fr.condition, Seed: s.Seed}
 		out.setMetricsMode(s)
-		out.fillFromBoards(f.Pairs, true)
+		out.fillFromBoards(f.Pairs)
 		return out
 	}
 	pairPlatforms := make([]cluster.PairPlatforms, 0, len(f.Pairs))
@@ -356,7 +349,7 @@ func (fr *farmRun) result() *Result {
 		out.Tenants = orch.TenantStats()
 		out.Autoscale = orch.AutoscaleStats()
 	}
-	out.fillFromBoards(f.Pairs, false)
+	out.fillFromBoards(f.Pairs)
 	return out
 }
 

@@ -22,7 +22,8 @@ import (
 type Topology string
 
 const (
-	// TopologySingle is one board driven by one policy.
+	// TopologySingle is one board driven by one policy, run as a farm
+	// of one fixed pair: no spare, no switching, no dispatcher.
 	TopologySingle Topology = "single"
 	// TopologyCluster is the paper's two-board switching pair with
 	// D_switch-triggered live migration, run as a farm of one pair.
@@ -41,10 +42,13 @@ const (
 type Scenario struct {
 	// Name labels the scenario in results and sweep output.
 	Name string `json:"name,omitempty"`
-	// Topology is single (default), cluster, or farm.
+	// Topology is single (default), cluster, or farm. Every topology
+	// runs as a farm; a single board is a farm of one fixed pair.
 	Topology Topology `json:"topology,omitempty"`
-	// Policy is a registered policy name (default "versaslot-bl");
-	// single topology only — cluster boards run the VersaSlot pair.
+	// Policy is a registered policy name (default "versaslot-bl", or
+	// the variant a platform block's shape calls for); it drives the
+	// single topology's one board. Single topology only — cluster and
+	// farm boards run the VersaSlot policy their platform calls for.
 	Policy string `json:"policy,omitempty"`
 	// Condition names the congestion regime used to generate the
 	// workload (default "standard"); ignored when Workload or
