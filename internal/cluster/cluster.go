@@ -164,7 +164,8 @@ type Cluster struct {
 	crossIn, crossOut, requeued int
 
 	// switching is the D_switch loop and live migration of a switching
-	// pair; a fixed pair has none.
+	// pair. A fixed pair has none, so its Link, Trace, Migrations and
+	// OnSwitch must not be touched.
 	*switching
 }
 

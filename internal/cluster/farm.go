@@ -377,7 +377,7 @@ func (f *Farm) idleLike() *metrics.Collector {
 }
 
 // fixed reports whether the farm is a fixed pair alone (Config.Policy).
-func (f *Farm) fixed() bool { return f.dispatcher == nil }
+func (f *Farm) fixed() bool { return f.Pairs[0].Cfg.Policy != nil }
 
 // MustNewFarm is NewFarm, panicking on error; for tests and examples
 // with known-good configurations.
