@@ -218,38 +218,84 @@ func firstDiff(want, got string) string {
 	return fmt.Sprintf("first divergence at byte %d\nwant ...%s...\ngot  ...%s...", i, want[lo:hiW], got[lo:hiG])
 }
 
-// TestGoldenSingleDiagnostics pins what a single board reports through
-// the runner's diagnostics: the hash of its WithTrace lines, of its
-// WithRecorder log and of its WithObserver events, for golden
-// single-bl-standard.
+// TestGoldenSingleDiagnostics pins what a run reports through the
+// runner's diagnostics: the hash of its WithTrace lines, of its
+// WithObserver events and of its WithRecorder log. single-bl-standard
+// is one board; the other cases add a switching pair, a farm, slot
+// faults, PR fault retries and board outages.
 func TestGoldenSingleDiagnostics(t *testing.T) {
-	const (
-		wantTrace    = "db05d0cc74128046596f770e3954f7967fb13a6f7d9dcc2ad0e4e2233efdd6ab"
-		wantRecorder = "8b4cc4cda7aab47f60493d0b5b2ce6144ede65559832cbfd7abf47a7849a18fe"
-		wantObserver = "65111ca5331cd74ba382c1207517d61ce0ac4259b02d7503038e2891c67b6503"
-	)
-	lines, events := sha256.New(), sha256.New()
-	rec := trace.NewRecorder(0)
-	r := versaslot.NewRunner(
-		versaslot.WithTrace(func(format string, args ...any) { fmt.Fprintf(lines, format+"\n", args...) }),
-		versaslot.WithRecorder(rec),
-		versaslot.WithObserver(func(ev versaslot.Event) { fmt.Fprintf(events, "%+v\n", ev) }),
-	)
-	if _, err := r.Run(goldenScenarios[0]); err != nil {
-		t.Fatal(err)
-	}
-	recs := sha256.New()
-	rec.WriteLog(recs)
-	for _, c := range []struct {
-		name      string
-		got, want string
-	}{
-		{"trace", hex.EncodeToString(lines.Sum(nil)), wantTrace},
-		{"recorder", hex.EncodeToString(recs.Sum(nil)), wantRecorder},
-		{"observer", hex.EncodeToString(events.Sum(nil)), wantObserver},
-	} {
-		if c.got != c.want {
-			t.Errorf("%s hash %s, want %s", c.name, c.got, c.want)
+	golden := func(name string) versaslot.Scenario {
+		for _, s := range goldenScenarios {
+			if s.Name == name {
+				return s
+			}
 		}
+		t.Fatalf("no golden scenario %q", name)
+		return versaslot.Scenario{}
+	}
+	catalog := func(name string) versaslot.Scenario {
+		s, err := versaslot.LoadScenario(filepath.Join("scenarios", name+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	for _, c := range []struct {
+		name                      string
+		s                         versaslot.Scenario
+		trace, observer, recorder string
+	}{
+		{"single-bl-standard", golden("single-bl-standard"),
+			"db05d0cc74128046596f770e3954f7967fb13a6f7d9dcc2ad0e4e2233efdd6ab",
+			"65111ca5331cd74ba382c1207517d61ce0ac4259b02d7503038e2891c67b6503",
+			"8b4cc4cda7aab47f60493d0b5b2ce6144ede65559832cbfd7abf47a7849a18fe"},
+		{"cluster-stress", golden("cluster-stress"),
+			"6a16c41614a7e36a25ffc455ae61ab37a845d8b4ef6e111261957f65e3a6649d",
+			"09e421df53acb8320c77523c646162da378fc54318446a724886a98ac7f9bb07",
+			"da44740c7561cfe3b77e6add30ea0e8783bcff3b53b0e796642d60615a25ad87"},
+		{"farm-round-robin", golden("farm-round-robin"),
+			"c12d002a0c873268e23cdfe993cf370324f7f5107f57971fd59cf5e7394d2a38",
+			"4ef0e055a4746aec48fbae422af1412c5d6bdb6df031dd7de8ec5ea39f0c1393",
+			"930f020c62f7cd032458deabfa170d020e59e32c0cf08e7aed09498ee3177f23"},
+		{"catalog-chaos-slot-storm", catalog("chaos-slot-storm"),
+			"69160820486a0ea0ca6c4b4984ed5ae5b57514b83b5f560b535959b24d5cf0ae",
+			"5969e7112867da19eba5bc5bddff2a519c265afea3f5437484dd13d2440f3615",
+			"94c4d226f33d568f4646c79e2eb19cf9e724df0112ecb3775b3d65f7748e5efd"},
+		{"chaos-flaky-pr", catalog("chaos-flaky-pr"),
+			"36686cbd05ca9e0bc7c1acc9e25736b77f4d53eb22d1d7597de901502979fef6",
+			"3ff2bf413088a519e21f9a29c545dcec677fadcb29c99fd6152138f43aa7ecb0",
+			"d30566b3d58b0ef11112f4ffb5dfe87439de3d764b2db94742bfc713a10b5dd3"},
+		{"chaos-farm-outage", catalog("chaos-farm-outage"),
+			"0dd81d8b78e40f11952084164fc370035a063693c399cfb8f1476cef7d15b480",
+			"e16ddbf4fcb61007cde6bccbde0367c97a4f1aac61b0436df490bd126599dea9",
+			"d15257d3f383bd0975bb738ee6fab18d0114078a42482a2e3a4569b802922534"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			lines, events := sha256.New(), sha256.New()
+			rec := trace.NewRecorder(0)
+			r := versaslot.NewRunner(
+				versaslot.WithTrace(func(format string, args ...any) { fmt.Fprintf(lines, format+"\n", args...) }),
+				versaslot.WithRecorder(rec),
+				versaslot.WithObserver(func(ev versaslot.Event) { fmt.Fprintf(events, "%+v\n", ev) }),
+			)
+			if _, err := r.Run(c.s); err != nil {
+				t.Fatal(err)
+			}
+			recs := sha256.New()
+			rec.WriteLog(recs)
+			for _, h := range []struct {
+				name      string
+				got, want string
+			}{
+				{"trace", hex.EncodeToString(lines.Sum(nil)), c.trace},
+				{"observer", hex.EncodeToString(events.Sum(nil)), c.observer},
+				{"recorder", hex.EncodeToString(recs.Sum(nil)), c.recorder},
+			} {
+				if h.got != h.want {
+					t.Errorf("%s hash %s, want %s", h.name, h.got, h.want)
+				}
+			}
+		})
 	}
 }
