@@ -2,9 +2,11 @@
 // policy, a congestion condition (or a workload file), an arrival
 // process, and a seed, printing the run summary the paper's metrics
 // are built from. Any run is reproducible from a JSON scenario
-// artifact. The suite subcommand runs a whole catalog of them, bench
-// regenerates the paper's evaluation figures, and workload generates
-// and prints workload sequence files.
+// artifact. -trace prints the run's first board events as they happen
+// and -timeline a per-slot Gantt view of them (the textual equivalent
+// of the paper's Fig. 2 schematics). The suite subcommand runs a whole
+// catalog of them, bench regenerates the paper's evaluation figures,
+// and workload generates and prints workload sequence files.
 //
 // Usage:
 //
@@ -23,7 +25,7 @@
 //	          [-timeseries-csv windows.csv]
 //	          [-cpuprofile cpu.out] [-memprofile mem.out]
 //	          [-blockprofile block.out] [-mutexprofile mutex.out]
-//	          [-dump-scenario file.json] [-v]
+//	          [-dump-scenario file.json] [-trace N] [-timeline] [-v]
 //	versaslot suite [-dir scenarios] [-out report.md] [-apps-cap N]
 //	versaslot bench [-quick] [-fig 2|5|6|7|8|sweep|util|all] [-seqs N]
 //	                [-apps N] [-csv dir]
@@ -55,6 +57,7 @@ import (
 	"versaslot/internal/orchestrator"
 	"versaslot/internal/report"
 	"versaslot/internal/sim"
+	"versaslot/internal/trace"
 	"versaslot/internal/workload"
 )
 
@@ -100,6 +103,8 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a post-run heap profile to this file")
 	blockprofile := flag.String("blockprofile", "", "write a goroutine blocking profile to this file (diagnoses RunMany and sweep worker-pool stalls)")
 	mutexprofile := flag.String("mutexprofile", "", "write a mutex contention profile to this file")
+	traceLines := flag.Int("trace", 0, "print the first N board event lines (PR, item, app and fault events) as the run makes them")
+	timeline := flag.Bool("timeline", false, "print a per-slot Gantt timeline of the run and its event counts")
 	verbose := flag.Bool("v", false, "print per-application response times")
 	flag.Parse()
 
@@ -206,9 +211,26 @@ func main() {
 		runtime.SetMutexProfileFraction(1)
 	}
 
-	res, err := versaslot.Run(sc)
+	var opts []versaslot.Option
+	if n := *traceLines; n > 0 {
+		opts = append(opts, versaslot.WithTrace(func(format string, args ...any) {
+			if n > 0 {
+				n--
+				fmt.Printf(format+"\n", args...)
+			}
+		}))
+	}
+	rec := trace.NewRecorder(0)
+	if *timeline {
+		opts = append(opts, versaslot.WithRecorder(rec))
+	}
+	res, err := versaslot.NewRunner(opts...).Run(sc)
 	if err != nil {
 		exitErr(1, err)
+	}
+	if *timeline {
+		trace.Timeline{Buckets: 110}.Render(os.Stdout, rec)
+		rec.Summarize(os.Stdout)
 	}
 
 	if *blockprofile != "" {

@@ -70,3 +70,33 @@ func TestCLIErrorPrefix(t *testing.T) {
 		})
 	}
 }
+
+// TestCLITraceAndTimeline checks the diagnostic flags: -trace prints
+// exactly its first N event lines before the summary, and -timeline a
+// per-slot Gantt view with the run's event counts.
+func TestCLITraceAndTimeline(t *testing.T) {
+	run := func(args ...string) string {
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "VERSASLOT_CLI=1")
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		return string(out)
+	}
+	lines := strings.Split(run("-policy", "nimblock", "-apps", "2", "-trace", "5"), "\n")
+	for i, l := range lines[:5] {
+		if !strings.HasPrefix(l, "t=") {
+			t.Errorf("line %d %q is not an event line", i, l)
+		}
+	}
+	if strings.HasPrefix(lines[5], "t=") {
+		t.Errorf("-trace 5 printed more than 5 event lines: %q", lines[5])
+	}
+	out := run("-topology", "farm", "-pairs", "2", "-condition", "stress", "-apps", "6", "-timeline")
+	for _, want := range []string{"timeline: 0 .. ", "\nboard 0 slot  0 |", "\nevents: pr-req="} {
+		if !strings.Contains(out, want) {
+			t.Errorf("-timeline output has no %q", want)
+		}
+	}
+}

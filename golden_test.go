@@ -252,23 +252,23 @@ func TestGoldenSingleDiagnostics(t *testing.T) {
 		{"cluster-stress", golden("cluster-stress"),
 			"6a16c41614a7e36a25ffc455ae61ab37a845d8b4ef6e111261957f65e3a6649d",
 			"09e421df53acb8320c77523c646162da378fc54318446a724886a98ac7f9bb07",
-			"da44740c7561cfe3b77e6add30ea0e8783bcff3b53b0e796642d60615a25ad87"},
+			"37466d1d6de91c457f127f0a15972d5b532e9fec532be766966c21fc4f8e4871"},
 		{"farm-round-robin", golden("farm-round-robin"),
 			"c12d002a0c873268e23cdfe993cf370324f7f5107f57971fd59cf5e7394d2a38",
 			"4ef0e055a4746aec48fbae422af1412c5d6bdb6df031dd7de8ec5ea39f0c1393",
-			"930f020c62f7cd032458deabfa170d020e59e32c0cf08e7aed09498ee3177f23"},
+			"bfc40e5cbf0f9c463ccb704ee8eaae63ae97a068b2483171a2830b39deecbeae"},
 		{"catalog-chaos-slot-storm", catalog("chaos-slot-storm"),
 			"69160820486a0ea0ca6c4b4984ed5ae5b57514b83b5f560b535959b24d5cf0ae",
 			"5969e7112867da19eba5bc5bddff2a519c265afea3f5437484dd13d2440f3615",
-			"94c4d226f33d568f4646c79e2eb19cf9e724df0112ecb3775b3d65f7748e5efd"},
+			"655d982e390eee7a391911aa01d249d8014da5372c7d6eb226835aecfdcc3fd3"},
 		{"chaos-flaky-pr", catalog("chaos-flaky-pr"),
 			"36686cbd05ca9e0bc7c1acc9e25736b77f4d53eb22d1d7597de901502979fef6",
 			"3ff2bf413088a519e21f9a29c545dcec677fadcb29c99fd6152138f43aa7ecb0",
-			"d30566b3d58b0ef11112f4ffb5dfe87439de3d764b2db94742bfc713a10b5dd3"},
+			"9a1ef48448e04bed0405db978ea92241a96702a8d0155b2402a9379b2570d297"},
 		{"chaos-farm-outage", catalog("chaos-farm-outage"),
 			"0dd81d8b78e40f11952084164fc370035a063693c399cfb8f1476cef7d15b480",
 			"e16ddbf4fcb61007cde6bccbde0367c97a4f1aac61b0436df490bd126599dea9",
-			"d15257d3f383bd0975bb738ee6fab18d0114078a42482a2e3a4569b802922534"},
+			"e5ccdc4d6c5ede1b316f7ea2e692e4f2a7639d4a930f866c598ee49860daf797"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()

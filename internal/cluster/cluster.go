@@ -13,6 +13,7 @@ import (
 	"versaslot/internal/migrate"
 	"versaslot/internal/sched"
 	"versaslot/internal/sim"
+	"versaslot/internal/trace"
 )
 
 // pairModes is the fixed mode iteration order that keeps pair
@@ -164,8 +165,8 @@ type Cluster struct {
 	crossIn, crossOut, requeued int
 
 	// switching is the D_switch loop and live migration of a switching
-	// pair. A fixed pair has none, so its Link, Trace, Migrations and
-	// OnSwitch must not be touched.
+	// pair. A fixed pair has none, so its Link, Trace and Migrations
+	// must not be touched.
 	*switching
 }
 
@@ -183,10 +184,6 @@ type switching struct {
 	// candScratch is onQueueUpdate's reusable D_switch candidate
 	// buffer; the gather is consumed synchronously each evaluation.
 	candScratch []*appmodel.App
-
-	// OnSwitch fires when a cross-board switch is initiated (streaming
-	// observer hook).
-	OnSwitch func(from, to migrate.Mode)
 
 	// cost, when set, prices switches with checkpoint/restore
 	// semantics (installed by the fault subsystem's checkpoint
@@ -466,8 +463,9 @@ func (c *Cluster) doSwitch() {
 	// Flip first: "the new FPGA resumes task execution and processes
 	// upcoming new workloads".
 	c.active = to
-	if c.OnSwitch != nil {
-		c.OnSwitch(from, c.active)
+	if sink := old.Events; sink != nil {
+		sink.Emit(trace.Event{At: c.K.Now(), Kind: trace.Switch, Board: c.firstBoard, Slot: -1,
+			From: c.platforms[from].Title, To: c.platforms[to].Title})
 	}
 	old.SetFrozen(true)
 	next.SetFrozen(false)

@@ -51,6 +51,13 @@
 // stage that passes Stage.Launchable, LaunchItem's predicate;
 // TestCounterAudit checks it after every kernel event.
 //
+// The engine reports what happens on its board through one sink,
+// Engine.Events: each of its emission sites builds a trace.Event only
+// behind an Events != nil check, so an untraced run builds none. The
+// versaslot facade composes the sink its trace, recorder and observer
+// views read; OnAppFinished stays a separate hook for the
+// orchestrator's tenant accounting, which runs in untraced runs too.
+//
 // Arrivals are cheap too. Algorithm 1 sizes each arriving app's task
 // and bundle pipelines (pipeline.Plan.SizeIn); the answer depends only
 // on the spec, slot class, plan kind, batch, load time and slot bound,

@@ -69,44 +69,28 @@ type Engine struct {
 	// Pair).
 	pair Pair
 
-	// OnAppArrived fires when an app joins the candidate queue
-	// (streaming-observer hook; migrated apps do not re-fire it).
-	OnAppArrived func(*appmodel.App)
 	// OnAppFinished fires after an app completes, after the pair has
-	// counted it (observer chain: the runner and the orchestrator wrap
-	// it).
+	// counted it and the finish event is emitted (the orchestrator's
+	// tenant accounting wraps it).
 	OnAppFinished func(*appmodel.App)
+
+	// Events, when non-nil, receives the board's events; nil in
+	// untraced runs, which build none.
+	Events trace.Sink
 
 	// WindowBlocked and WindowPR count, since the last external reset,
 	// tasks whose PR waited behind another load, and PR loads issued —
 	// the numerator and denominator history feeding D_switch.
 	WindowBlocked uint64
 	WindowPR      uint64
-
-	// Trace, when non-nil, receives one line per engine event (PR
-	// start/completion, item launch/completion, app lifecycle). Used by
-	// the vstrace tool; nil in normal runs.
-	Trace func(format string, args ...any)
-
-	// Recorder, when non-nil, receives typed events for timeline
-	// rendering and post-hoc analysis.
-	Recorder *trace.Recorder
 }
 
-// record and trace emit to the attached sinks. Every call site checks
-// e.Recorder or e.Trace first, so a run without sinks never builds an
-// event or boxes a trace argument.
-func (e *Engine) record(ev trace.Event) {
-	if e.Recorder != nil {
-		ev.At = e.K.Now()
-		e.Recorder.Record(ev)
-	}
-}
-
-func (e *Engine) trace(format string, args ...any) {
-	if e.Trace != nil {
-		e.Trace(format, args...)
-	}
+// emit stamps ev with the clock and the board and hands it to Events.
+// Every call site checks Events first, so a run without a sink never
+// builds an event.
+func (e *Engine) emit(ev trace.Event) {
+	ev.At, ev.Board = e.K.Now(), e.Board.ID
+	e.Events.Emit(ev)
 }
 
 // slotRT is the per-slot runtime record backing the engine's hot paths.
@@ -211,8 +195,8 @@ type Pair interface {
 	// completion, a migrated-in or a crash-restarted app. The D_switch
 	// controller recomputes on a cadence of these.
 	QueueUpdated()
-	// AppFinished runs when an app completes on e, before
-	// OnAppFinished.
+	// AppFinished runs when an app completes on e, before its finish
+	// event and OnAppFinished.
 	AppFinished(a *appmodel.App)
 	// AppCrashed may re-home an app crash-restarted on e (the cluster
 	// moves apps crashed on a frozen, draining board to the active
@@ -439,12 +423,9 @@ func (e *Engine) arrive(a *appmodel.App) {
 	if a.State == appmodel.StatePending {
 		a.State = appmodel.StateWaiting
 	}
-	if e.Recorder != nil {
-		e.record(trace.Event{Kind: trace.AppArrive, Slot: -1, App: a.String(), Stage: -1, Item: -1})
-	}
 	e.Active = append(e.Active, a)
-	if e.OnAppArrived != nil {
-		e.OnAppArrived(a)
+	if e.Events != nil {
+		e.emit(trace.Event{Kind: trace.AppArrive, Slot: -1, App: a})
 	}
 	e.policy.AppArrived(a)
 	e.queueUpdated()
@@ -477,11 +458,8 @@ func (e *Engine) RequestPR(st *appmodel.Stage, slot *fabric.Slot) {
 	}
 	st.Attach(slot)
 	st.SetLoading(true)
-	if e.Trace != nil {
-		e.trace("%v PR request %v -> slot %d", e.K.Now(), st, slot.ID)
-	}
-	if e.Recorder != nil {
-		e.record(trace.Event{Kind: trace.PRRequest, Slot: slot.ID, App: st.App.String(), Stage: st.Index(), Item: -1})
+	if e.Events != nil {
+		e.emit(trace.Event{Kind: trace.PRRequest, Slot: slot.ID, Stage: st})
 	}
 	cost := e.PCAP.LoadDuration(bits)
 	if !e.Cache.Lookup(bits.Name) {
@@ -540,9 +518,9 @@ func (rt *slotRT) prDone() {
 			e.Col.RecordFaultRetry(st.App.ID)
 			e.Col.PRRetries++
 			delay := f.delay(attempt)
-			if e.Trace != nil {
-				e.trace("%v PR fault retry %d/%d for %v -> slot %d (backoff %v)",
-					e.K.Now(), attempt+1, f.maxRetries, st, slot.ID, delay)
+			if e.Events != nil {
+				e.emit(trace.Event{Kind: trace.PRRetry, Slot: slot.ID, Stage: st,
+					Attempt: attempt + 1, Retries: f.maxRetries, Dur: delay})
 			}
 			e.K.ScheduleHandler(delay, (*prRetryEvent)(rt))
 			return
@@ -555,11 +533,8 @@ func (rt *slotRT) prDone() {
 		panic(err)
 	}
 	st.SetLoading(false)
-	if e.Trace != nil {
-		e.trace("%v PR done %v -> slot %d (wait %v)", e.K.Now(), st, slot.ID, waited)
-	}
-	if e.Recorder != nil {
-		e.record(trace.Event{Kind: trace.PRDone, Slot: slot.ID, App: st.App.String(), Stage: st.Index(), Item: -1, Wait: waited})
+	if e.Events != nil {
+		e.emit(trace.Event{Kind: trace.PRDone, Slot: slot.ID, Stage: st, Dur: waited})
 	}
 	e.beginResident(slot, st)
 	if e.Cores.Model == hypervisor.DualCore {
@@ -664,11 +639,8 @@ func (rt *slotRT) runLaunch() {
 	if !st.App.Started {
 		st.App.FirstStart = rt.start
 	}
-	if e.Trace != nil {
-		e.trace("%v exec %v item %d on slot %d (%v)", rt.start, st, idx, rt.slot.ID, rt.dur)
-	}
-	if e.Recorder != nil {
-		e.record(trace.Event{Kind: trace.ExecStart, Slot: rt.slot.ID, App: st.App.String(), Stage: st.Index(), Item: idx})
+	if e.Events != nil {
+		e.emit(trace.Event{Kind: trace.ExecStart, Slot: rt.slot.ID, Stage: st, Item: idx, Dur: rt.dur})
 	}
 	rt.execEv = e.K.ScheduleHandler(rt.dur, (*execEvent)(rt))
 }
@@ -683,8 +655,8 @@ func (rt *slotRT) runExec() {
 	}
 	e.Col.AccumulateBusy(st.ImplRes(), e.K.Now().Sub(rt.start))
 	st.CompleteItem()
-	if e.Recorder != nil {
-		e.record(trace.Event{Kind: trace.ExecDone, Slot: slot.ID, App: st.App.String(), Stage: st.Index(), Item: idx})
+	if e.Events != nil {
+		e.emit(trace.Event{Kind: trace.ExecDone, Slot: slot.ID, Stage: st, Item: idx})
 	}
 	if !st.App.Started {
 		st.App.Started = true
@@ -723,12 +695,6 @@ func (e *Engine) itemDone(st *appmodel.Stage) {
 func (e *Engine) finishApp(a *appmodel.App) {
 	a.State = appmodel.StateFinished
 	a.Finish = e.K.Now()
-	if e.Trace != nil {
-		e.trace("%v app %v finished (response %v)", e.K.Now(), a, a.Finish.Sub(a.Arrival))
-	}
-	if e.Recorder != nil {
-		e.record(trace.Event{Kind: trace.AppFinish, Slot: -1, App: a.String(), Stage: -1, Item: -1})
-	}
 	// Release any slots still holding the app's stages.
 	for i := range a.Stages {
 		st := &a.Stages[i]
@@ -759,6 +725,9 @@ func (e *Engine) finishApp(a *appmodel.App) {
 	e.policy.AppFinished(a)
 	if e.pair != nil {
 		e.pair.AppFinished(a)
+	}
+	if e.Events != nil {
+		e.emit(trace.Event{Kind: trace.AppFinish, Slot: -1, App: a, Dur: a.Finish.Sub(a.Arrival)})
 	}
 	if e.OnAppFinished != nil {
 		e.OnAppFinished(a)

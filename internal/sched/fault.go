@@ -64,16 +64,16 @@ func (e *Engine) SetCheckpointed(v bool) { e.checkpointed = v }
 func (e *Engine) SetSlotSlowdown(slot *fabric.Slot, factor float64) {
 	e.rt(slot).slowFactor = factor
 	e.Col.RecordFaultEventAt(e.K.Now())
-	if e.Trace != nil {
-		e.trace("%v slot %d straggling (x%.2f)", e.K.Now(), slot.ID, factor)
+	if e.Events != nil {
+		e.emit(trace.Event{Kind: trace.SlotStraggle, Slot: slot.ID, Factor: factor})
 	}
 }
 
 // ClearSlotSlowdown restores the slot's nominal service rate.
 func (e *Engine) ClearSlotSlowdown(slot *fabric.Slot) {
 	e.rt(slot).slowFactor = 0
-	if e.Trace != nil {
-		e.trace("%v slot %d service rate restored", e.K.Now(), slot.ID)
+	if e.Events != nil {
+		e.emit(trace.Event{Kind: trace.SlotRestore, Slot: slot.ID})
 	}
 }
 
@@ -108,11 +108,8 @@ func (e *Engine) FailSlot(slot *fabric.Slot) {
 	rt := e.rt(slot)
 	rt.down = true
 	rt.downSince = e.K.Now()
-	if e.Trace != nil {
-		e.trace("%v slot %d FAILED", e.K.Now(), slot.ID)
-	}
-	if e.Recorder != nil {
-		e.record(trace.Event{Kind: trace.PRRequest, Slot: slot.ID, App: "slot-fail", Stage: -1, Item: -1})
+	if e.Events != nil {
+		e.emit(trace.Event{Kind: trace.SlotFail, Slot: slot.ID})
 	}
 	if victim != nil && victim.State != appmodel.StateFinished {
 		e.crashApp(victim)
@@ -132,8 +129,8 @@ func (e *Engine) RecoverSlot(slot *fabric.Slot) {
 		e.Col.AccumulateDowntime(e.K.Now().Sub(rt.downSince))
 		rt.down = false
 	}
-	if e.Trace != nil {
-		e.trace("%v slot %d recovered", e.K.Now(), slot.ID)
+	if e.Events != nil {
+		e.emit(trace.Event{Kind: trace.SlotRecover, Slot: slot.ID})
 	}
 	e.Activate()
 }
@@ -147,11 +144,8 @@ func (e *Engine) RecoverSlot(slot *fabric.Slot) {
 // (draining) board, which could otherwise never restart them.
 func (e *Engine) crashApp(a *appmodel.App) {
 	e.Col.RecordAppFailureAt(e.K.Now())
-	if e.Trace != nil {
-		e.trace("%v app %v crash-restart", e.K.Now(), a)
-	}
-	if e.Recorder != nil {
-		e.record(trace.Event{Kind: trace.AppArrive, Slot: -1, App: a.String() + " crash-restart", Stage: -1, Item: -1})
+	if e.Events != nil {
+		e.emit(trace.Event{Kind: trace.AppCrash, Slot: -1, App: a})
 	}
 	for i := range a.Stages {
 		st := &a.Stages[i]
@@ -219,8 +213,8 @@ func (e *Engine) abortLoad(slot *fabric.Slot) {
 	if err := slot.AbortLoad(); err != nil {
 		panic(err)
 	}
-	if e.Trace != nil {
-		e.trace("%v PR aborted on slot %d", e.K.Now(), slot.ID)
+	if e.Events != nil {
+		e.emit(trace.Event{Kind: trace.PRAbort, Slot: slot.ID})
 	}
 	e.Activate()
 }
@@ -228,8 +222,8 @@ func (e *Engine) abortLoad(slot *fabric.Slot) {
 // failPRPermanently abandons a placement whose reconfiguration
 // exhausted its fault-injected retries and crash-restarts the app.
 func (e *Engine) failPRPermanently(st *appmodel.Stage, slot *fabric.Slot) {
-	if e.Trace != nil {
-		e.trace("%v PR retries exhausted for %v on slot %d", e.K.Now(), st, slot.ID)
+	if e.Events != nil {
+		e.emit(trace.Event{Kind: trace.PRExhausted, Slot: slot.ID, Stage: st})
 	}
 	st.Evict()
 	if err := slot.AbortLoad(); err != nil {

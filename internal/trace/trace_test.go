@@ -9,9 +9,9 @@ import (
 
 func TestRecorderOrder(t *testing.T) {
 	r := NewRecorder(0)
-	r.Record(Event{At: 30, Kind: ExecDone, Slot: 0, App: "a", Item: 0})
-	r.Record(Event{At: 10, Kind: PRRequest, Slot: 0, App: "a", Item: -1})
-	r.Record(Event{At: 20, Kind: ExecStart, Slot: 0, App: "a", Item: 0})
+	r.keep(Record{At: 30, Kind: ExecDone, Slot: 0, App: "a", Item: 0})
+	r.keep(Record{At: 10, Kind: PRRequest, Slot: 0, App: "a", Item: -1})
+	r.keep(Record{At: 20, Kind: ExecStart, Slot: 0, App: "a", Item: 0})
 	events := r.Events()
 	if len(events) != 3 {
 		t.Fatal("event count")
@@ -24,7 +24,7 @@ func TestRecorderOrder(t *testing.T) {
 func TestRecorderCap(t *testing.T) {
 	r := NewRecorder(2)
 	for i := 0; i < 5; i++ {
-		r.Record(Event{At: sim.Time(i), Kind: ExecStart})
+		r.keep(Record{At: sim.Time(i), Kind: ExecStart})
 	}
 	if r.Len() != 2 {
 		t.Fatalf("len %d, want 2", r.Len())
@@ -39,21 +39,10 @@ func TestNilRecorderSafe(t *testing.T) {
 	r.Record(Event{}) // must not panic
 }
 
-func TestCountByKind(t *testing.T) {
-	r := NewRecorder(0)
-	r.Record(Event{Kind: ExecStart})
-	r.Record(Event{Kind: ExecStart})
-	r.Record(Event{Kind: PRDone})
-	c := r.CountByKind()
-	if c[ExecStart] != 2 || c[PRDone] != 1 {
-		t.Fatalf("counts %v", c)
-	}
-}
-
 func TestWriteLog(t *testing.T) {
 	r := NewRecorder(1)
-	r.Record(Event{At: sim.Time(5 * sim.Millisecond), Kind: PRDone, Slot: 3, App: "IC#1", Stage: 2, Wait: sim.Millisecond})
-	r.Record(Event{At: 0, Kind: ExecStart}) // dropped
+	r.keep(Record{At: sim.Time(5 * sim.Millisecond), Kind: PRDone, Slot: 3, App: "IC#1", Stage: 2, Dur: sim.Millisecond})
+	r.keep(Record{At: 0, Kind: ExecStart}) // dropped
 	var b strings.Builder
 	r.WriteLog(&b)
 	out := b.String()
@@ -68,12 +57,12 @@ func TestWriteLog(t *testing.T) {
 func TestTimelineRender(t *testing.T) {
 	r := NewRecorder(0)
 	ms := func(v int) sim.Time { return sim.Time(v) * sim.Time(sim.Millisecond) }
-	r.Record(Event{At: ms(0), Kind: PRRequest, Slot: 0, App: "a", Item: -1})
-	r.Record(Event{At: ms(10), Kind: PRDone, Slot: 0, App: "a", Item: -1})
-	r.Record(Event{At: ms(10), Kind: ExecStart, Slot: 0, App: "a", Item: 0})
-	r.Record(Event{At: ms(50), Kind: ExecDone, Slot: 0, App: "a", Item: 0})
-	r.Record(Event{At: ms(100), Kind: ExecStart, Slot: 1, App: "b", Item: 0})
-	r.Record(Event{At: ms(200), Kind: ExecDone, Slot: 1, App: "b", Item: 0})
+	r.keep(Record{At: ms(0), Kind: PRRequest, Slot: 0, App: "a", Item: -1})
+	r.keep(Record{At: ms(10), Kind: PRDone, Slot: 0, App: "a", Item: -1})
+	r.keep(Record{At: ms(10), Kind: ExecStart, Slot: 0, App: "a", Item: 0})
+	r.keep(Record{At: ms(50), Kind: ExecDone, Slot: 0, App: "a", Item: 0})
+	r.keep(Record{At: ms(100), Kind: ExecStart, Slot: 1, App: "b", Item: 0})
+	r.keep(Record{At: ms(200), Kind: ExecDone, Slot: 1, App: "b", Item: 0})
 	var b strings.Builder
 	Timeline{Buckets: 40}.Render(&b, r)
 	out := b.String()
@@ -99,23 +88,58 @@ func TestTimelineEmpty(t *testing.T) {
 
 func TestSummarize(t *testing.T) {
 	r := NewRecorder(0)
-	r.Record(Event{Kind: AppArrive})
-	r.Record(Event{Kind: AppFinish})
+	r.keep(Record{Kind: AppArrive})
+	r.keep(Record{Kind: ExecStart})
+	r.keep(Record{Kind: ExecStart})
+	r.keep(Record{Kind: AppFinish})
 	var b strings.Builder
 	r.Summarize(&b)
-	if !strings.Contains(b.String(), "arrive=1") || !strings.Contains(b.String(), "finish=1") {
+	if b.String() != "events: exec=2 arrive=1 finish=1\n" {
 		t.Fatalf("summary: %q", b.String())
 	}
 }
 
 func TestKindStrings(t *testing.T) {
-	kinds := []Kind{PRRequest, PRDone, ExecStart, ExecDone, AppArrive, AppFinish, Migrate}
 	seen := map[string]bool{}
-	for _, k := range kinds {
+	for k := range numKinds {
 		s := k.String()
 		if s == "" || seen[s] {
 			t.Fatalf("kind string %q", s)
 		}
 		seen[s] = true
+	}
+}
+
+// TestMultiBoardRows checks that a recording spanning boards keys its
+// log lines and timeline rows by board and slot: two boards executing
+// on slot 0 at once get a row each.
+func TestMultiBoardRows(t *testing.T) {
+	r := NewRecorder(0)
+	ms := func(v int) sim.Time { return sim.Time(v) * sim.Time(sim.Millisecond) }
+	r.keep(Record{At: ms(0), Kind: ExecStart, Board: 0, Slot: 0, App: "a", Stage: 0})
+	r.keep(Record{At: ms(0), Kind: ExecStart, Board: 1, Slot: 0, App: "b", Stage: 0})
+	r.keep(Record{At: ms(10), Kind: ExecDone, Board: 1, Slot: 0, App: "b", Stage: 0})
+	r.keep(Record{At: ms(20), Kind: ExecDone, Board: 0, Slot: 0, App: "a", Stage: 0})
+	var log, tl strings.Builder
+	r.WriteLog(&log)
+	if !strings.Contains(log.String(), "exec    board=1 slot=0 b/s0 item=0") {
+		t.Errorf("log names no board: %q", log.String())
+	}
+	Timeline{Buckets: 10}.Render(&tl, r)
+	lines := strings.Split(strings.TrimRight(tl.String(), "\n"), "\n")
+	if len(lines) != 3 || !strings.HasPrefix(lines[1], "board 0 slot  0 |#") || !strings.HasPrefix(lines[2], "board 1 slot  0 |#") {
+		t.Errorf("timeline rows: %q", tl.String())
+	}
+}
+
+// TestLineKinds checks which kinds print a trace line: every kind
+// except exec done, arrive and switch.
+func TestLineKinds(t *testing.T) {
+	for k := range numKinds {
+		format, _ := Event{Kind: k}.Line()
+		silent := k == ExecDone || k == AppArrive || k == Switch
+		if (format == "") != silent {
+			t.Errorf("%v: line %q", k, format)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package versaslot_test
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"versaslot"
@@ -250,5 +251,28 @@ func TestSinglePlatformRejectsUnhostableWorkload(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("unhostable workload ran on pynq-dual")
+	}
+}
+
+// TestUnhostableErrorsPrefixed checks that a workload no board can host
+// fails with the facade's "versaslot: " prefix, on a single board and
+// on a farm whose every pair is too small.
+func TestUnhostableErrorsPrefixed(t *testing.T) {
+	pynq := &fabric.PlatformSpec{Ref: fabric.PYNQDual}
+	for _, c := range []struct {
+		name string
+		s    versaslot.Scenario
+		want string
+	}{
+		{"single", versaslot.Scenario{Policy: "versaslot-ol", Platform: pynq, Condition: "standard", Apps: 12, Seed: 3},
+			`fits no slot class of platform "pynq-dual"`},
+		{"farm", versaslot.Scenario{Topology: versaslot.TopologyFarm, Pairs: 2, Condition: "standard", Apps: 12, Seed: 3,
+			PairPlatforms: []cluster.PairPlatforms{{Base: fabric.PYNQDual, Boost: fabric.PYNQDual}, {Base: fabric.PYNQDual, Boost: fabric.PYNQDual}}},
+			"fits no slot class on any pair of the farm"},
+	} {
+		_, err := versaslot.Run(c.s)
+		if err == nil || !strings.HasPrefix(err.Error(), "versaslot: ") || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want the versaslot: prefix and %q", c.name, err, c.want)
+		}
 	}
 }

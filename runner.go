@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"versaslot/internal/appmodel"
 	"versaslot/internal/cluster"
 	"versaslot/internal/fault"
 	"versaslot/internal/migrate"
@@ -42,8 +41,8 @@ type Event struct {
 type Observer func(Event)
 
 // Runner executes scenarios. The zero value (NewRunner with no
-// options) is ready to use; options attach tracing, typed event
-// recording, and streaming observers.
+// options) is ready to use; options attach views of the run's board
+// events: trace lines, a typed recording and streaming observers.
 type Runner struct {
 	traceFn  func(format string, args ...any)
 	recorder *trace.Recorder
@@ -54,9 +53,10 @@ type Runner struct {
 // Option configures a Runner.
 type Option func(*Runner)
 
-// WithTrace streams one formatted line per engine event (PR
-// start/completion, item launch/completion, app lifecycle) to fn. A
-// farm runs each pair on its own kernel up to the next control instant
+// WithTrace hands fn each board event's trace line (PR request, done,
+// retry and abort, item launch, app finish and crash, slot fault and
+// recovery), one format string per kind (see trace.Event.Line). A farm
+// runs each pair on its own kernel up to the next control instant
 // (arrival dispatch, rebalance tick, rack delivery, fault strike), so
 // its lines come grouped per pair between control instants, each pair's
 // in time order. Traces are not attached during RunMany.
@@ -64,15 +64,17 @@ func WithTrace(fn func(format string, args ...any)) Option {
 	return func(r *Runner) { r.traceFn = fn }
 }
 
-// WithRecorder attaches a typed event recorder for timeline rendering
-// and post-hoc analysis. Recorders are not attached during RunMany
-// (concurrent runs would interleave their events).
+// WithRecorder copies every board event, switches included, into rec
+// for timeline rendering and post-hoc analysis. Recorders are not
+// attached during RunMany (concurrent runs would interleave their
+// events).
 func WithRecorder(rec *trace.Recorder) Option {
 	return func(r *Runner) { r.recorder = rec }
 }
 
-// WithObserver streams per-event callbacks (arrivals, completions,
-// cross-board switches) while scenarios run.
+// WithObserver streams the board events an Observer sees (arrivals,
+// completions, cross-board switches) while scenarios run, RunMany
+// included.
 func WithObserver(fn Observer) Option {
 	return func(r *Runner) { r.observer = fn }
 }
@@ -152,36 +154,57 @@ func (r *Runner) run(s Scenario, parallel bool, cache *sequenceCache) (*Result, 
 	return fr.result(), nil
 }
 
-func (r *Runner) emit(ev Event) {
-	if r.observer == nil {
-		return
-	}
-	r.obsMu.Lock()
-	r.observer(ev)
-	r.obsMu.Unlock()
+// runSink is a run's one event sink: every board the run builds emits
+// to it, and it renders each event for the runner's trace, recorder and
+// observer.
+type runSink struct {
+	r        *Runner
+	scenario string
+	trace    func(format string, args ...any)
+	rec      *trace.Recorder
 }
 
-// observeEngine chains the runner's observer onto an engine's lifecycle
-// hooks, preserving any hooks the topology already installed.
-func (r *Runner) observeEngine(scenario string, e *sched.Engine) {
-	if r.observer == nil {
+// sink composes the run's sink from the runner's options, or returns
+// nil when nothing listens. Traces and recorders are left out of
+// parallel runs.
+func (r *Runner) sink(scenario string, parallel bool) trace.Sink {
+	fn, rec := r.traceFn, r.recorder
+	if parallel {
+		fn, rec = nil, nil
+	}
+	if fn == nil && rec == nil && r.observer == nil {
+		return nil
+	}
+	return &runSink{r: r, scenario: scenario, trace: fn, rec: rec}
+}
+
+func (s *runSink) Emit(ev trace.Event) {
+	if s.trace != nil {
+		if format, args := ev.Line(); format != "" {
+			s.trace(format, args...)
+		}
+	}
+	s.rec.Record(ev)
+	if s.r.observer == nil {
 		return
 	}
-	board := e.Board.ID
-	prevArrived := e.OnAppArrived
-	e.OnAppArrived = func(a *appmodel.App) {
-		if prevArrived != nil {
-			prevArrived(a)
-		}
-		r.emit(Event{Scenario: scenario, At: e.Now(), Kind: "arrival", AppID: a.ID, Spec: a.Spec.Name, Batch: a.Batch, Board: board})
+	out := Event{Scenario: s.scenario, At: ev.At, Board: ev.Board}
+	switch ev.Kind {
+	case trace.AppArrive:
+		out.Kind = "arrival"
+	case trace.AppFinish:
+		out.Kind = "finish"
+	case trace.Switch:
+		out.Kind, out.From, out.To = "switch", ev.From, ev.To
+	default:
+		return
 	}
-	prev := e.OnAppFinished
-	e.OnAppFinished = func(a *appmodel.App) {
-		if prev != nil {
-			prev(a)
-		}
-		r.emit(Event{Scenario: scenario, At: e.Now(), Kind: "finish", AppID: a.ID, Spec: a.Spec.Name, Batch: a.Batch, Board: board})
+	if a := ev.App; a != nil {
+		out.AppID, out.Spec, out.Batch = a.ID, a.Spec.Name, a.Batch
 	}
+	s.r.obsMu.Lock()
+	s.r.observer(out)
+	s.r.obsMu.Unlock()
 }
 
 // attachFaults wires the scenario's faults block onto the topology.
@@ -195,24 +218,18 @@ func attachFaults(s Scenario, t *fault.Target) error {
 }
 
 // boardHook returns what finishes every board a scenario builds:
-// streaming metrics when the scenario asks for them, then the runner's
-// diagnostics (trace and recorder sinks only when !parallel). Farm
-// topologies install it as the farm's build hook, so each board gets it
-// when it is built and an observer never forces one to be built.
+// streaming metrics when the scenario asks for them, then the run's
+// event sink. The farm installs it as its build hook, so each board
+// gets it when it is built and an observer never forces one to be
+// built.
 func (r *Runner) boardHook(s Scenario, parallel bool) func(*sched.Engine) {
 	streamCfg, streaming := s.streamConfig()
-	name := s.Name
+	sink := r.sink(s.Name, parallel)
 	return func(e *sched.Engine) {
 		if streaming {
 			e.Col.EnableStreaming(streamCfg)
 		}
-		if r.traceFn != nil && !parallel {
-			e.Trace = r.traceFn
-		}
-		if r.recorder != nil && !parallel {
-			e.Recorder = r.recorder
-		}
-		r.observeEngine(name, e)
+		e.Events = sink
 	}
 }
 
@@ -250,12 +267,9 @@ func (r *Runner) newFarmRun(s Scenario, seq *workload.Sequence, parallel bool) (
 			}
 		}
 		if err := f.Inject(seq); err != nil {
-			return farmRun{}, err
+			return farmRun{}, fmt.Errorf("versaslot: %w", err)
 		}
 		return farmRun{s: s, f: f, condition: seq.Condition}, nil
-	}
-	for _, pair := range f.Pairs {
-		r.observeSwitches(s.Name, pair)
 	}
 	// The orchestrator (multi-tenant admission and/or autoscaling)
 	// chains its per-pair accounting hooks after the diagnostics
@@ -281,7 +295,7 @@ func (r *Runner) newFarmRun(s Scenario, seq *workload.Sequence, parallel bool) (
 		}
 	} else {
 		if err := f.Inject(seq); err != nil {
-			return farmRun{}, err
+			return farmRun{}, fmt.Errorf("versaslot: %w", err)
 		}
 		condition = seq.Condition
 	}
@@ -351,15 +365,4 @@ func (fr *farmRun) result() *Result {
 	}
 	out.fillFromBoards(f.Pairs)
 	return out
-}
-
-func (r *Runner) observeSwitches(scenario string, cl *cluster.Cluster) {
-	if r.observer == nil {
-		return
-	}
-	board := cl.BoardID(migrate.Base)
-	cl.OnSwitch = func(from, to migrate.Mode) {
-		r.emit(Event{Scenario: scenario, At: cl.K.Now(), Kind: "switch", Board: board,
-			From: cl.Platform(from).Title, To: cl.Platform(to).Title})
-	}
 }

@@ -157,6 +157,37 @@ func TestRunnerTraceAndRecorder(t *testing.T) {
 	}
 }
 
+// TestRecorderKeysBoards records a 4-pair round-robin farm, whose
+// boards execute on the same slot IDs at once: keyed by board and slot,
+// no item may start on a slot that is already executing.
+func TestRecorderKeysBoards(t *testing.T) {
+	rec := trace.NewRecorder(0)
+	s := versaslot.Scenario{Topology: versaslot.TopologyFarm, Pairs: 4, Dispatcher: "round-robin",
+		Condition: "stress", Apps: 64, Seed: 3}
+	if _, err := versaslot.NewRunner(versaslot.WithRecorder(rec)).Run(s); err != nil {
+		t.Fatal(err)
+	}
+	type key struct{ board, slot int }
+	busy := map[key]bool{}
+	var starts, overlaps int
+	for _, ev := range rec.Events() {
+		k := key{ev.Board, ev.Slot}
+		switch ev.Kind {
+		case trace.ExecStart:
+			starts++
+			if busy[k] {
+				overlaps++
+			}
+			busy[k] = true
+		case trace.ExecDone:
+			busy[k] = false
+		}
+	}
+	if starts == 0 || overlaps > 0 {
+		t.Errorf("%d of %d item starts landed on a slot already executing", overlaps, starts)
+	}
+}
+
 func TestWorkloadFileScenario(t *testing.T) {
 	dir := t.TempDir()
 	seqPath := dir + "/wl.json"
