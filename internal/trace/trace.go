@@ -190,6 +190,15 @@ func (r *Recorder) Dropped() int { return r.dropped }
 // Len returns the number of recorded events.
 func (r *Recorder) Len() int { return len(r.records) }
 
+// CountByKind tallies events per kind.
+func (r *Recorder) CountByKind() map[Kind]int {
+	out := make(map[Kind]int)
+	for _, e := range r.records {
+		out[e.Kind]++
+	}
+	return out
+}
+
 // multiBoard reports whether the recording spans more than one board;
 // its renderings then name each event's board.
 func (r *Recorder) multiBoard() bool {
@@ -330,14 +339,11 @@ func (tl Timeline) Render(w io.Writer, r *Recorder) {
 
 // Summarize prints headline counts for a recording.
 func (r *Recorder) Summarize(w io.Writer) {
-	var counts [numKinds]int
-	for _, e := range r.records {
-		counts[e.Kind]++
-	}
+	counts := r.CountByKind()
 	var parts []string
-	for k, n := range counts {
-		if n > 0 {
-			parts = append(parts, fmt.Sprintf("%s=%d", Kind(k), n))
+	for k := range numKinds {
+		if n := counts[k]; n > 0 {
+			parts = append(parts, fmt.Sprintf("%s=%d", k, n))
 		}
 	}
 	fmt.Fprintf(w, "events: %s\n", strings.Join(parts, " "))

@@ -39,6 +39,17 @@ func TestNilRecorderSafe(t *testing.T) {
 	r.Record(Event{}) // must not panic
 }
 
+func TestCountByKind(t *testing.T) {
+	r := NewRecorder(0)
+	r.keep(Record{Kind: ExecStart})
+	r.keep(Record{Kind: ExecStart})
+	r.keep(Record{Kind: PRDone})
+	c := r.CountByKind()
+	if c[ExecStart] != 2 || c[PRDone] != 1 {
+		t.Fatalf("counts %v", c)
+	}
+}
+
 func TestWriteLog(t *testing.T) {
 	r := NewRecorder(1)
 	r.keep(Record{At: sim.Time(5 * sim.Millisecond), Kind: PRDone, Slot: 3, App: "IC#1", Stage: 2, Dur: sim.Millisecond})
