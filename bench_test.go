@@ -45,12 +45,9 @@ func BenchmarkFig5ResponseTime(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := experiments.Fig5(benchConfig())
 		for _, cond := range workload.Conditions() {
-			for _, kind := range sched.Kinds() {
-				if kind == sched.KindBaseline {
-					continue
-				}
-				cell := r.Lookup(cond, kind)
-				b.ReportMetric(cell.Reduction, metricName(kind)+"_"+condName(cond)+"_x")
+			for _, name := range sched.Names()[1:6] { // the five sharing systems
+				cell := r.Lookup(cond, name)
+				b.ReportMetric(cell.Reduction, metricName[name]+"_"+condName(cond)+"_x")
 			}
 		}
 	}
@@ -62,8 +59,8 @@ func BenchmarkFig6TailLatency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := experiments.Fig6(benchConfig())
 		for _, g := range experiments.Fig6Groups() {
-			bl := r.Lookup(g, sched.KindVersaSlotBL).Relative
-			nim := r.Lookup(g, sched.KindNimblock).Relative
+			bl := r.Lookup(g, "versaslot-bl").Relative
+			nim := r.Lookup(g, "nimblock").Relative
 			b.ReportMetric(bl, "BL_"+g)
 			b.ReportMetric(nim, "Nimblock_"+g)
 		}
@@ -109,8 +106,8 @@ func BenchmarkAblationDualCore(b *testing.B) {
 	p := workload.DefaultGenParams(workload.Stress)
 	seq := workload.Generate(p, 77)
 	for i := 0; i < b.N; i++ {
-		single := runCustom(b, seq, fabric.ZCU216OnlyLittle, hypervisor.SingleCore, sched.KindNimblock)
-		dual := runCustom(b, seq, fabric.ZCU216OnlyLittle, hypervisor.DualCore, sched.KindNimblock)
+		single := runCustom(b, seq, fabric.ZCU216OnlyLittle, hypervisor.SingleCore, "nimblock")
+		dual := runCustom(b, seq, fabric.ZCU216OnlyLittle, hypervisor.DualCore, "nimblock")
 		b.ReportMetric(single.Seconds(), "singleCore_meanRT_s")
 		b.ReportMetric(dual.Seconds(), "dualCore_meanRT_s")
 		b.ReportMetric(single.Seconds()/dual.Seconds(), "speedup_x")
@@ -123,11 +120,11 @@ func BenchmarkAblationBundling(b *testing.B) {
 	p := workload.DefaultGenParams(workload.Stress)
 	seq := workload.Generate(p, 78)
 	for i := 0; i < b.N; i++ {
-		ol, err := versaslot.Run(versaslot.Scenario{Policy: sched.NameOf(sched.KindVersaSlotOL), Workload: seq, Seed: 1})
+		ol, err := versaslot.Run(versaslot.Scenario{Policy: "versaslot-ol", Workload: seq, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
-		bl, err := versaslot.Run(versaslot.Scenario{Policy: sched.NameOf(sched.KindVersaSlotBL), Workload: seq, Seed: 1})
+		bl, err := versaslot.Run(versaslot.Scenario{Policy: "versaslot-bl", Workload: seq, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -143,7 +140,7 @@ func BenchmarkAblationBitstreamCache(b *testing.B) {
 	p := workload.DefaultGenParams(workload.Stress)
 	seq := workload.Generate(p, 79)
 	for i := 0; i < b.N; i++ {
-		cached := runCustom(b, seq, fabric.ZCU216OnlyLittle, hypervisor.SingleCore, sched.KindNimblock)
+		cached := runCustom(b, seq, fabric.ZCU216OnlyLittle, hypervisor.SingleCore, "nimblock")
 		uncached := runCustomNoCache(b, seq)
 		b.ReportMetric(cached.Seconds(), "cached_meanRT_s")
 		b.ReportMetric(uncached.Seconds(), "uncached_meanRT_s")
@@ -157,11 +154,11 @@ func BenchmarkAblationRedistribution(b *testing.B) {
 	p := workload.DefaultGenParams(workload.Standard)
 	seq := workload.Generate(p, 80)
 	for i := 0; i < b.N; i++ {
-		with, err := versaslot.Run(versaslot.Scenario{Policy: sched.NameOf(sched.KindVersaSlotOL), Workload: seq, Seed: 1})
+		with, err := versaslot.Run(versaslot.Scenario{Policy: "versaslot-ol", Workload: seq, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
-		without := runCustom(b, seq, fabric.ZCU216OnlyLittle, hypervisor.DualCore, sched.KindNimblock)
+		without := runCustom(b, seq, fabric.ZCU216OnlyLittle, hypervisor.DualCore, "nimblock")
 		b.ReportMetric(sim.Time(with.Summary.MeanRT).Seconds(), "with_meanRT_s")
 		b.ReportMetric(without.Seconds(), "without_meanRT_s")
 	}
@@ -174,13 +171,13 @@ func BenchmarkAblationHostControl(b *testing.B) {
 	p := workload.DefaultGenParams(workload.Stress)
 	seq := workload.Generate(p, 81)
 	for i := 0; i < b.N; i++ {
-		embedded, err := versaslot.Run(versaslot.Scenario{Policy: sched.NameOf(sched.KindVersaSlotBL), Workload: seq, Seed: 1})
+		embedded, err := versaslot.Run(versaslot.Scenario{Policy: "versaslot-bl", Workload: seq, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
 		params := sched.DefaultParams()
 		params.HostControl = true
-		host, err := versaslot.Run(versaslot.Scenario{Policy: sched.NameOf(sched.KindVersaSlotBL), Workload: seq, Seed: 1, Params: &params})
+		host, err := versaslot.Run(versaslot.Scenario{Policy: "versaslot-bl", Workload: seq, Seed: 1, Params: &params})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -196,13 +193,13 @@ func BenchmarkAblationPreemption(b *testing.B) {
 	p := workload.DefaultGenParams(workload.Stress)
 	seq := workload.Generate(p, 82)
 	for i := 0; i < b.N; i++ {
-		on, err := versaslot.Run(versaslot.Scenario{Policy: sched.NameOf(sched.KindVersaSlotOL), Workload: seq, Seed: 1})
+		on, err := versaslot.Run(versaslot.Scenario{Policy: "versaslot-ol", Workload: seq, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
 		params := sched.DefaultParams()
 		params.PreemptAge = 1 << 40 // effectively never
-		off, err := versaslot.Run(versaslot.Scenario{Policy: sched.NameOf(sched.KindVersaSlotOL), Workload: seq, Seed: 1, Params: &params})
+		off, err := versaslot.Run(versaslot.Scenario{Policy: "versaslot-ol", Workload: seq, Seed: 1, Params: &params})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -410,7 +407,7 @@ func BenchmarkEndToEndStress(b *testing.B) {
 	p := workload.DefaultGenParams(workload.Stress)
 	seq := workload.Generate(p, 99)
 	for i := 0; i < b.N; i++ {
-		if _, err := versaslot.Run(versaslot.Scenario{Policy: sched.NameOf(sched.KindVersaSlotBL), Workload: seq, Seed: 1}); err != nil {
+		if _, err := versaslot.Run(versaslot.Scenario{Policy: "versaslot-bl", Workload: seq, Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -515,11 +512,11 @@ func streamingHorizonBench(n int) func(*testing.B) {
 
 // --- helpers ----------------------------------------------------------
 
-func runCustom(b *testing.B, seq *workload.Sequence, platform string, model hypervisor.CoreModel, kind sched.Kind) sim.Time {
+func runCustom(b *testing.B, seq *workload.Sequence, platform string, model hypervisor.CoreModel, policy string) sim.Time {
 	b.Helper()
 	k := sim.NewKernel(1)
 	e := sched.NewEngine(k, sched.DefaultParams(), fabric.NewBoard(0, fabric.MustPlatform(platform)), model, bitstream.SuiteRepo())
-	e.SetPolicy(sched.New(kind))
+	e.SetPolicy(newPolicy(b, policy))
 	apps, err := seq.Instantiate(0)
 	if err != nil {
 		b.Fatal(err)
@@ -538,7 +535,7 @@ func runCustomNoCache(b *testing.B, seq *workload.Sequence) sim.Time {
 	b.Helper()
 	k := sim.NewKernel(1)
 	e := sched.NewEngine(k, sched.DefaultParams(), fabric.NewBoard(0, fabric.MustPlatform(fabric.ZCU216OnlyLittle)), hypervisor.SingleCore, bitstream.SuiteRepo())
-	e.SetPolicy(sched.New(sched.KindNimblock))
+	e.SetPolicy(newPolicy(b, "nimblock"))
 	e.DisableBitstreamCache()
 	apps, err := seq.Instantiate(0)
 	if err != nil {
@@ -554,21 +551,20 @@ func runCustomNoCache(b *testing.B, seq *workload.Sequence) sim.Time {
 	return sim.Time(sum / float64(len(e.Col.Responses)))
 }
 
-func metricName(k sched.Kind) string {
-	switch k {
-	case sched.KindFCFS:
-		return "FCFS"
-	case sched.KindRR:
-		return "RR"
-	case sched.KindNimblock:
-		return "Nimblock"
-	case sched.KindVersaSlotOL:
-		return "OL"
-	case sched.KindVersaSlotBL:
-		return "BL"
-	default:
-		return "Baseline"
+// newPolicy builds a fresh instance of a registered policy.
+func newPolicy(b *testing.B, name string) sched.Policy {
+	b.Helper()
+	r, ok := sched.Lookup(name)
+	if !ok {
+		b.Fatalf("policy %q not registered", name)
 	}
+	return r.Factory()
+}
+
+// metricName is the short label a policy's figure metrics carry.
+var metricName = map[string]string{
+	"fcfs": "FCFS", "rr": "RR", "nimblock": "Nimblock",
+	"versaslot-ol": "OL", "versaslot-bl": "BL",
 }
 
 func condName(c workload.Condition) string {

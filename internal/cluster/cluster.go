@@ -358,8 +358,7 @@ func (c *Cluster) onQueueUpdate() {
 	var blocked uint64
 	for _, e := range c.engines {
 		if e != nil {
-			b, _ := e.ResetWindow()
-			blocked += b
+			blocked += e.ResetWindow()
 		}
 	}
 	// N_PR is the stock of PR tasks owned by completed and running

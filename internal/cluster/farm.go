@@ -204,7 +204,6 @@ type Farm struct {
 	rebalanceGap   int          // the load gap that triggers a transfer
 	rebalanceArmed bool         // the periodic tick has been scheduled
 	rebalancing    bool         // a cross-pair transfer is in flight
-	nextTick       sim.EventID  // handle of the pending rebalance tick
 
 	// pool is the storage of the pairs' active boards (see
 	// Cluster.build); onBuild, when set, finishes every board a pair
@@ -820,7 +819,7 @@ func (ev *rebalanceEvent) Fire() { (*Farm)(ev).rebalanceTick() }
 
 // scheduleTick schedules the next rebalance tick one period from now.
 func (f *Farm) scheduleTick() {
-	f.nextTick = f.K.AtPHandler(f.K.Now().Add(f.rebalanceEvery), sim.PriFarmControl, (*rebalanceEvent)(f))
+	f.K.AtPHandler(f.K.Now().Add(f.rebalanceEvery), sim.PriFarmControl, (*rebalanceEvent)(f))
 }
 
 // finishedCount sums per-pair completions.
@@ -832,19 +831,9 @@ func (f *Farm) finishedCount() int {
 	return n
 }
 
-// DisarmRebalancer cancels the pending rebalance tick (via its event
-// handle), e.g. to freeze placement while draining a farm. Injecting
-// another sequence re-arms it.
-func (f *Farm) DisarmRebalancer() {
-	f.K.Cancel(f.nextTick)
-	f.nextTick = sim.NoEvent
-	f.rebalanceArmed = false
-}
-
 func (f *Farm) rebalanceTick() {
 	if f.finishedCount() >= f.totalApps {
 		f.rebalanceArmed = false
-		f.nextTick = sim.NoEvent
 		return
 	}
 	f.scheduleTick()

@@ -87,50 +87,6 @@ func TestFarmSwitchOverheadScale(t *testing.T) {
 	}
 }
 
-// TestFarmDisarmRebalancer: canceling the pending tick through its
-// event handle stops cross-pair migration entirely; a skewed workload
-// that otherwise rebalances (see TestFarmRebalance*) stays put.
-func TestFarmDisarmRebalancer(t *testing.T) {
-	build := func() *Farm {
-		// Round-robin dispatch on a skewed stress workload diverges
-		// the pair queues, so the armed rebalancer provably migrates
-		// (same shape as TestRebalancerMigratesAcrossPairs).
-		cfg := DefaultFarmConfig(3)
-		cfg.Dispatcher = DispatchRoundRobin
-		cfg.RebalanceEvery = 2 * sim.Second
-		return MustNewFarm(cfg)
-	}
-	p := workload.DefaultGenParams(workload.Stress)
-	p.Apps = 60
-	seq := workload.Generate(p, 23)
-
-	armed := build()
-	if err := armed.Inject(seq); err != nil {
-		t.Fatal(err)
-	}
-	armedSum := armed.Run()
-	armedResp := merged(armed)
-	if armedSum.CrossSwitches < 1 {
-		t.Fatalf("armed control did not migrate (%d cross switches); the disarm assertion would be vacuous",
-			armedSum.CrossSwitches)
-	}
-
-	disarmed := build()
-	if err := disarmed.Inject(seq); err != nil {
-		t.Fatal(err)
-	}
-	disarmed.DisarmRebalancer()
-	disarmedSum := disarmed.Run()
-	disarmedResp := merged(disarmed)
-
-	if disarmedSum.CrossSwitches != 0 {
-		t.Fatalf("disarmed farm still migrated %d times across pairs", disarmedSum.CrossSwitches)
-	}
-	if disarmedResp.Apps != p.Apps || armedResp.Apps != p.Apps {
-		t.Fatalf("apps finished: armed=%d disarmed=%d want %d", armedResp.Apps, disarmedResp.Apps, p.Apps)
-	}
-}
-
 // TestRebalancerCountsRequeued is the regression test for the
 // rebalancer silently dropping its re-queue bookkeeping: on a
 // heterogeneous farm whose idle pair cannot host the loaded pair's

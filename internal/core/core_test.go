@@ -15,31 +15,31 @@ import (
 // names another platform, mirroring the paper's evaluation setup.
 func TestPlatformMapping(t *testing.T) {
 	cases := []struct {
-		kind     sched.Kind
+		policy   string
 		platform string
 		cores    hypervisor.CoreModel
 	}{
-		{sched.KindBaseline, fabric.ZCU216Monolithic, hypervisor.SingleCore},
-		{sched.KindFCFS, fabric.ZCU216OnlyLittle, hypervisor.SingleCore},
-		{sched.KindRR, fabric.ZCU216OnlyLittle, hypervisor.SingleCore},
-		{sched.KindNimblock, fabric.ZCU216OnlyLittle, hypervisor.SingleCore},
-		{sched.KindVersaSlotOL, fabric.ZCU216OnlyLittle, hypervisor.DualCore},
-		{sched.KindVersaSlotBL, fabric.ZCU216BigLittle, hypervisor.DualCore},
+		{"baseline", fabric.ZCU216Monolithic, hypervisor.SingleCore},
+		{"fcfs", fabric.ZCU216OnlyLittle, hypervisor.SingleCore},
+		{"rr", fabric.ZCU216OnlyLittle, hypervisor.SingleCore},
+		{"nimblock", fabric.ZCU216OnlyLittle, hypervisor.SingleCore},
+		{"versaslot-ol", fabric.ZCU216OnlyLittle, hypervisor.DualCore},
+		{"versaslot-bl", fabric.ZCU216BigLittle, hypervisor.DualCore},
 	}
 	for _, c := range cases {
-		r, ok := sched.ByKind(c.kind)
+		r, ok := sched.Lookup(c.policy)
 		if !ok {
-			t.Fatalf("no registration for %v", c.kind)
+			t.Fatalf("no registration for %s", c.policy)
 		}
 		if r.Platform != c.platform || r.Core != c.cores {
-			t.Errorf("%v -> (%v,%v), want (%v,%v)", c.kind, r.Platform, r.Core, c.platform, c.cores)
+			t.Errorf("%s -> (%v,%v), want (%v,%v)", c.policy, r.Platform, r.Core, c.platform, c.cores)
 		}
 		res, err := versaslot.Run(versaslot.Scenario{Policy: r.Name, Apps: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Platform != c.platform {
-			t.Errorf("%v ran on %s, want %s", c.kind, res.Platform, c.platform)
+			t.Errorf("%s ran on %s, want %s", c.policy, res.Platform, c.platform)
 		}
 	}
 }

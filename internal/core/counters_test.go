@@ -77,16 +77,16 @@ func auditCounters(t *testing.T, engines []*sched.Engine) {
 	}
 }
 
-// fixedBoard builds a fixed one-pair farm of a built-in policy on its
-// declared platform, injects seq and returns the farm and its board.
-func fixedBoard(t *testing.T, kind sched.Kind, seed uint64, seq *workload.Sequence) (*cluster.Farm, *sched.Engine) {
+// builtins returns the six built-in policies in the paper's
+// presentation order.
+func builtins() []*sched.Registration { return sched.Registrations()[:6] }
+
+// fixedBoard builds a fixed one-pair farm of a policy on its declared
+// platform, injects seq and returns the farm and its board.
+func fixedBoard(t *testing.T, reg *sched.Registration, seed uint64, seq *workload.Sequence) (*cluster.Farm, *sched.Engine) {
 	t.Helper()
-	r, ok := sched.ByKind(kind)
-	if !ok {
-		t.Fatalf("no registration for %v", kind)
-	}
 	cfg := cluster.FarmConfig{Pair: cluster.DefaultConfig(), Pairs: 1}
-	cfg.Pair.Seed, cfg.Pair.Policy = seed, r
+	cfg.Pair.Seed, cfg.Pair.Policy = seed, reg
 	f, err := cluster.NewFarm(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -127,23 +127,23 @@ func chaosInjectors() []fault.InjectorSpec {
 // chaos (with and without checkpointed crash restarts), and a
 // switching pair under chaos, whose live migrations reset stages.
 func TestCounterAudit(t *testing.T) {
-	for _, kind := range sched.Kinds() {
+	for _, reg := range builtins() {
 		for _, cond := range workload.Conditions() {
-			kind, cond := kind, cond
-			t.Run(fmt.Sprintf("%v/%v", kind, cond), func(t *testing.T) {
+			reg, cond := reg, cond
+			t.Run(fmt.Sprintf("%s/%v", reg.Title, cond), func(t *testing.T) {
 				p := workload.DefaultGenParams(cond)
 				p.Apps = 12
-				f, e := fixedBoard(t, kind, 3, workload.Generate(p, 11))
+				f, e := fixedBoard(t, reg, 3, workload.Generate(p, 11))
 				stepAudited(t, f.Step, []*sched.Engine{e})
 				e.CheckQuiescent()
 			})
 		}
 		for _, checkpoint := range []bool{false, true} {
-			kind, checkpoint := kind, checkpoint
-			t.Run(fmt.Sprintf("%v/chaos/checkpoint=%v", kind, checkpoint), func(t *testing.T) {
+			reg, checkpoint := reg, checkpoint
+			t.Run(fmt.Sprintf("%s/chaos/checkpoint=%v", reg.Title, checkpoint), func(t *testing.T) {
 				p := workload.DefaultGenParams(workload.Stress)
 				p.Apps = 16
-				f, e := fixedBoard(t, kind, 5, workload.Generate(p, 13))
+				f, e := fixedBoard(t, reg, 5, workload.Generate(p, 13))
 				spec := fault.Spec{Injectors: chaosInjectors()}
 				if checkpoint {
 					spec.Injectors = append(spec.Injectors, fault.InjectorSpec{Kind: fault.KindCheckpoint, CheckpointBytes: 64})
@@ -157,7 +157,7 @@ func TestCounterAudit(t *testing.T) {
 				// The baseline reconfigures the whole fabric, never
 				// through the flaky partial-reconfiguration path.
 				_, _, _, crashed, retried, _ := e.Col.FaultStats()
-				if crashed == 0 || retried == 0 && kind != sched.KindBaseline {
+				if crashed == 0 || retried == 0 && reg.Name != "baseline" {
 					t.Errorf("chaos run crashed %d apps and retried %d, want both > 0", crashed, retried)
 				}
 			})

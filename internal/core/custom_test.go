@@ -17,8 +17,8 @@ func TestNewCustomSystemPolicySelection(t *testing.T) {
 		big, little      int
 		policy, platform string
 	}{
-		{2, 4, sched.NameOf(sched.KindVersaSlotBL), "zcu216-custom-2b4l"},
-		{0, 8, sched.NameOf(sched.KindVersaSlotOL), "zcu216-custom-0b8l"},
+		{2, 4, "versaslot-bl", "zcu216-custom-2b4l"},
+		{0, 8, "versaslot-ol", "zcu216-custom-0b8l"},
 	} {
 		res, err := versaslot.Run(versaslot.Scenario{BigSlots: c.big, LittleSlots: c.little, Apps: 4})
 		if err != nil {

@@ -5,7 +5,6 @@ import (
 	"testing/quick"
 
 	"versaslot"
-	"versaslot/internal/sched"
 	"versaslot/internal/sim"
 	"versaslot/internal/workload"
 )
@@ -35,19 +34,19 @@ func TestRandomWorkloadsAlwaysComplete(t *testing.T) {
 			p.IntervalLo = sim.Nanosecond
 		}
 		seq := workload.Generate(p, seed)
-		for _, kind := range sched.Kinds() {
-			res, err := versaslot.Run(versaslot.Scenario{Policy: sched.NameOf(kind), Workload: seq, Seed: seed})
+		for _, reg := range builtins() {
+			res, err := versaslot.Run(versaslot.Scenario{Policy: reg.Name, Workload: seq, Seed: seed})
 			if err != nil {
-				t.Logf("%v seed=%d: %v", kind, seed, err)
+				t.Logf("%s seed=%d: %v", reg.Title, seed, err)
 				return false
 			}
 			if res.Summary.Apps != n {
-				t.Logf("%v seed=%d: finished %d of %d", kind, seed, res.Summary.Apps, n)
+				t.Logf("%s seed=%d: finished %d of %d", reg.Title, seed, res.Summary.Apps, n)
 				return false
 			}
 			for _, s := range res.Samples {
 				if s.Response <= 0 {
-					t.Logf("%v seed=%d: non-positive response", kind, seed)
+					t.Logf("%s seed=%d: non-positive response", reg.Title, seed)
 					return false
 				}
 			}

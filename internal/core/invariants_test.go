@@ -6,7 +6,6 @@ import (
 	"versaslot"
 	"versaslot/internal/appmodel"
 	"versaslot/internal/fabric"
-	"versaslot/internal/sched"
 	"versaslot/internal/sim"
 	"versaslot/internal/workload"
 )
@@ -24,10 +23,10 @@ func TestRuntimeInvariants(t *testing.T) {
 	p.Apps = 10
 	seq := workload.Generate(p, 21)
 
-	for _, kind := range sched.Kinds() {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
-			f, e := fixedBoard(t, kind, 4, seq)
+	for _, reg := range builtins() {
+		reg := reg
+		t.Run(reg.Title, func(t *testing.T) {
+			f, e := fixedBoard(t, reg, 4, seq)
 			apps := e.Apps
 
 			lastDone := make(map[*appmodel.Stage]int)
@@ -86,25 +85,25 @@ func TestResponseTimesCoverAllApps(t *testing.T) {
 	p := workload.DefaultGenParams(workload.Realtime)
 	p.Apps = 15
 	seq := workload.Generate(p, 33)
-	for _, kind := range sched.Kinds() {
-		res, err := versaslot.Run(versaslot.Scenario{Policy: sched.NameOf(kind), Workload: seq, Seed: 2})
+	for _, reg := range builtins() {
+		res, err := versaslot.Run(versaslot.Scenario{Policy: reg.Name, Workload: seq, Seed: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(res.Samples) != 15 {
-			t.Fatalf("%v: %d samples", kind, len(res.Samples))
+			t.Fatalf("%s: %d samples", reg.Title, len(res.Samples))
 		}
 		seen := map[int]bool{}
 		for _, s := range res.Samples {
 			if seen[s.AppID] {
-				t.Fatalf("%v: duplicate sample for app %d", kind, s.AppID)
+				t.Fatalf("%s: duplicate sample for app %d", reg.Title, s.AppID)
 			}
 			seen[s.AppID] = true
 			if s.Response != sim.Duration(s.Finish-s.Arrival) {
-				t.Fatalf("%v: inconsistent response for app %d", kind, s.AppID)
+				t.Fatalf("%s: inconsistent response for app %d", reg.Title, s.AppID)
 			}
 			if s.Response <= 0 {
-				t.Fatalf("%v: non-positive response", kind)
+				t.Fatalf("%s: non-positive response", reg.Title)
 			}
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"versaslot"
-	"versaslot/internal/sched"
 	"versaslot/internal/workload"
 )
 
@@ -15,10 +14,10 @@ func TestAllPoliciesComplete(t *testing.T) {
 	p := workload.DefaultGenParams(workload.Standard)
 	p.Apps = 8
 	seq := workload.Generate(p, 7)
-	for _, kind := range sched.Kinds() {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
-			res, err := versaslot.Run(versaslot.Scenario{Policy: sched.NameOf(kind), Workload: seq, Seed: 1})
+	for _, reg := range builtins() {
+		reg := reg
+		t.Run(reg.Title, func(t *testing.T) {
+			res, err := versaslot.Run(versaslot.Scenario{Policy: reg.Name, Workload: seq, Seed: 1})
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
@@ -29,7 +28,7 @@ func TestAllPoliciesComplete(t *testing.T) {
 				t.Fatalf("non-positive mean response time %v", res.Summary.MeanRT)
 			}
 			t.Logf("%s: meanRT=%v p95=%v prLoads=%d blocked=%d util=%.3f",
-				kind, res.Summary.MeanRT, res.Summary.P95,
+				reg.Title, res.Summary.MeanRT, res.Summary.P95,
 				res.Summary.PRLoads, res.Summary.PRBlocked, res.Summary.UtilLUT)
 		})
 	}

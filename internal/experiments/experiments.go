@@ -39,6 +39,17 @@ func (c Config) workers() int {
 	return runtime.NumCPU()
 }
 
+// systems lists the paper's six evaluated systems by registry name, in
+// its presentation order: Baseline first (the normalization reference),
+// VersaSlot Big.Little last.
+var systems = []string{"baseline", "fcfs", "rr", "nimblock", "versaslot-ol", "versaslot-bl"}
+
+// title returns the display title of a registered policy.
+func title(name string) string {
+	r, _ := sched.Lookup(name)
+	return r.Title
+}
+
 // conditionSequences pre-generates each condition's workload set:
 // sequences are shared across policies within a condition, so every
 // system sees the identical arrival stream (paper setup).
@@ -58,21 +69,21 @@ func conditionSequences(cfg Config, conditions []workload.Condition) [][]*worklo
 // runGrid executes every (condition, policy, sequence) cell through
 // versaslot.RunMany and returns results indexed
 // [condition][policy][sequence].
-func runGrid(cfg Config, conditions []workload.Condition, kinds []sched.Kind) [][][]*versaslot.Result {
+func runGrid(cfg Config, conditions []workload.Condition, policies []string) [][][]*versaslot.Result {
 	seqs := conditionSequences(cfg, conditions)
 	grid := make([][][]*versaslot.Result, len(conditions))
 	type cell struct{ ci, ki, si int }
 	var cells []cell
 	var scenarios []versaslot.Scenario
 	for ci := range conditions {
-		grid[ci] = make([][]*versaslot.Result, len(kinds))
-		for ki, kind := range kinds {
+		grid[ci] = make([][]*versaslot.Result, len(policies))
+		for ki, name := range policies {
 			grid[ci][ki] = make([]*versaslot.Result, cfg.Sequences)
 			for si := 0; si < cfg.Sequences; si++ {
 				cells = append(cells, cell{ci, ki, si})
 				scenarios = append(scenarios, versaslot.Scenario{
-					Name:     fmt.Sprintf("%s/%s/seq%d", sched.NameOf(kind), conditions[ci], si),
-					Policy:   sched.NameOf(kind),
+					Name:     fmt.Sprintf("%s/%s/seq%d", name, conditions[ci], si),
+					Policy:   name,
 					Workload: seqs[ci][si],
 					Seed:     cfg.BaseSeed + uint64(si),
 				})

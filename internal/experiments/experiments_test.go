@@ -1,11 +1,26 @@
 package experiments
 
 import (
+	"slices"
 	"testing"
 
 	"versaslot/internal/sched"
 	"versaslot/internal/workload"
 )
+
+// TestSystemsOrder guards the presentation order of the figure tables:
+// the experiments' six systems are the registry's six built-ins in
+// registration order, and each resolves to a registration.
+func TestSystemsOrder(t *testing.T) {
+	if got := sched.Names()[:6]; !slices.Equal(systems, got) {
+		t.Fatalf("systems = %v, want the registry's built-ins %v", systems, got)
+	}
+	for _, name := range systems {
+		if _, ok := sched.Lookup(name); !ok {
+			t.Errorf("%q resolves to no registration", name)
+		}
+	}
+}
 
 // TestFig5Shape is the headline integration test: at reduced scale the
 // evaluation must reproduce the paper's orderings and crossovers.
@@ -17,17 +32,17 @@ func TestFig5Shape(t *testing.T) {
 	cfg.Apps = 20
 	r := Fig5(cfg)
 
-	get := func(c workload.Condition, k sched.Kind) float64 {
-		return r.Lookup(c, k).Reduction
+	get := func(c workload.Condition, policy string) float64 {
+		return r.Lookup(c, policy).Reduction
 	}
 
 	// Standard and beyond: the paper's ranking
 	// BL > OL > Nimblock > FCFS/RR > Baseline.
 	for _, c := range []workload.Condition{workload.Standard, workload.Stress, workload.Realtime} {
-		bl := get(c, sched.KindVersaSlotBL)
-		ol := get(c, sched.KindVersaSlotOL)
-		nim := get(c, sched.KindNimblock)
-		fcfs := get(c, sched.KindFCFS)
+		bl := get(c, "versaslot-bl")
+		ol := get(c, "versaslot-ol")
+		nim := get(c, "nimblock")
+		fcfs := get(c, "fcfs")
 		if !(bl > ol && ol > nim && nim > fcfs && fcfs > 1.0) {
 			t.Errorf("%v ordering broken: BL=%.2f OL=%.2f Nim=%.2f FCFS=%.2f",
 				c, bl, ol, nim, fcfs)
@@ -36,17 +51,17 @@ func TestFig5Shape(t *testing.T) {
 
 	// Loose: FCFS/RR below baseline (the crossover), VersaSlot near or
 	// above parity.
-	if get(workload.Loose, sched.KindFCFS) >= 1.0 {
+	if get(workload.Loose, "fcfs") >= 1.0 {
 		t.Errorf("Loose FCFS %.2f, expected < 1 (paper: 0.81)",
-			get(workload.Loose, sched.KindFCFS))
+			get(workload.Loose, "fcfs"))
 	}
-	if get(workload.Loose, sched.KindVersaSlotBL) < 0.9 {
+	if get(workload.Loose, "versaslot-bl") < 0.9 {
 		t.Errorf("Loose BL %.2f, expected near/above parity (paper: 1.49)",
-			get(workload.Loose, sched.KindVersaSlotBL))
+			get(workload.Loose, "versaslot-bl"))
 	}
 
 	// Standard is where sharing wins biggest (paper: 13.66x).
-	if bl := get(workload.Standard, sched.KindVersaSlotBL); bl < 5 {
+	if bl := get(workload.Standard, "versaslot-bl"); bl < 5 {
 		t.Errorf("Standard BL reduction %.2f, expected the large-multiple regime", bl)
 	}
 }
@@ -59,8 +74,8 @@ func TestFig6Shape(t *testing.T) {
 	cfg.Apps = 20
 	r := Fig6(cfg)
 	for _, g := range Fig6Groups() {
-		bl := r.Lookup(g, sched.KindVersaSlotBL).Relative
-		nim := r.Lookup(g, sched.KindNimblock).Relative
+		bl := r.Lookup(g, "versaslot-bl").Relative
+		nim := r.Lookup(g, "nimblock").Relative
 		if bl <= 0 || nim <= 0 {
 			t.Fatalf("%s: missing tails", g)
 		}

@@ -5,7 +5,6 @@ import (
 
 	"versaslot"
 	"versaslot/internal/report"
-	"versaslot/internal/sched"
 	"versaslot/internal/sim"
 	"versaslot/internal/trace"
 	"versaslot/internal/workload"
@@ -17,13 +16,13 @@ import (
 type Fig2Result struct {
 	Rows []Fig2Row
 	// Recorders hold the per-system event recordings for timeline
-	// rendering (keyed by system name).
+	// rendering, keyed by registry name.
 	Recorders map[string]*trace.Recorder
 }
 
 // Fig2Row is one system's measurement.
 type Fig2Row struct {
-	System string
+	Policy string // registry name
 	// MakespanMS: when the last of the two apps finished.
 	MakespanMS float64
 	// PRLoads and PRBlocked: total loads and loads queued behind another.
@@ -53,10 +52,10 @@ func Fig2() *Fig2Result {
 		},
 	}
 	out := &Fig2Result{Recorders: make(map[string]*trace.Recorder)}
-	for _, kind := range []sched.Kind{sched.KindNimblock, sched.KindVersaSlotOL, sched.KindVersaSlotBL} {
+	for _, name := range []string{"nimblock", "versaslot-ol", "versaslot-bl"} {
 		rec := trace.NewRecorder(0)
 		res, err := versaslot.NewRunner(versaslot.WithRecorder(rec)).Run(versaslot.Scenario{
-			Policy:   sched.NameOf(kind),
+			Policy:   name,
 			Workload: seq,
 			Seed:     1,
 		})
@@ -64,14 +63,14 @@ func Fig2() *Fig2Result {
 			panic(err)
 		}
 		out.Rows = append(out.Rows, Fig2Row{
-			System:       kind.String(),
+			Policy:       name,
 			MakespanMS:   res.Makespan.Milliseconds(),
 			PRLoads:      res.Summary.PRLoads,
 			PRBlocked:    res.Summary.PRBlocked,
 			PRWaitMS:     res.Summary.PRWait.Seconds() * 1000,
 			LaunchWaitMS: res.LaunchWait.Seconds() * 1000,
 		})
-		out.Recorders[kind.String()] = rec
+		out.Recorders[name] = rec
 	}
 	return out
 }
@@ -82,7 +81,7 @@ func (r *Fig2Result) Table() *report.Table {
 		"Fig. 2 (mechanism) — two 3-task apps sharing one FPGA",
 		"System", "Makespan (ms)", "PR loads", "PR blocked", "PR wait (ms)", "Launch wait (ms)")
 	for _, row := range r.Rows {
-		t.AddRow(row.System, row.MakespanMS, row.PRLoads, row.PRBlocked,
+		t.AddRow(title(row.Policy), row.MakespanMS, row.PRLoads, row.PRBlocked,
 			row.PRWaitMS, row.LaunchWaitMS)
 	}
 	return t
@@ -92,8 +91,8 @@ func (r *Fig2Result) Table() *report.Table {
 func (r *Fig2Result) Write(w io.Writer) {
 	r.Table().Render(w)
 	for _, row := range r.Rows {
-		if rec := r.Recorders[row.System]; rec != nil {
-			io.WriteString(w, "\n"+row.System+":\n")
+		if rec := r.Recorders[row.Policy]; rec != nil {
+			io.WriteString(w, "\n"+title(row.Policy)+":\n")
 			trace.Timeline{Buckets: 100}.Render(w, rec)
 		}
 	}

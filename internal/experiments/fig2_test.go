@@ -3,8 +3,6 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"versaslot/internal/sched"
 )
 
 // TestFig2Mechanism asserts the paper's Fig. 2 story quantitatively.
@@ -15,11 +13,11 @@ func TestFig2Mechanism(t *testing.T) {
 	}
 	byName := map[string]Fig2Row{}
 	for _, row := range r.Rows {
-		byName[row.System] = row
+		byName[row.Policy] = row
 	}
-	nim := byName[sched.KindNimblock.String()]
-	ol := byName[sched.KindVersaSlotOL.String()]
-	bl := byName[sched.KindVersaSlotBL.String()]
+	nim := byName["nimblock"]
+	ol := byName["versaslot-ol"]
+	bl := byName["versaslot-bl"]
 
 	// Single-core Nimblock suffers launch blocking; dual-core VersaSlot
 	// all but eliminates it (the paper's task-execution-blocking claim).

@@ -6,36 +6,36 @@ import (
 
 	"versaslot/internal/metrics"
 	"versaslot/internal/report"
-	"versaslot/internal/sched"
 	"versaslot/internal/sim"
 	"versaslot/internal/workload"
 )
 
 // Fig5Paper holds the paper's reported relative response-time
-// reductions (normalized to Baseline = 1.0), Fig. 5.
-var Fig5Paper = map[workload.Condition]map[sched.Kind]float64{
+// reductions (normalized to Baseline = 1.0), Fig. 5, keyed by registry
+// name.
+var Fig5Paper = map[workload.Condition]map[string]float64{
 	workload.Loose: {
-		sched.KindFCFS: 0.81, sched.KindRR: 0.79, sched.KindNimblock: 1.06,
-		sched.KindVersaSlotOL: 1.08, sched.KindVersaSlotBL: 1.49,
+		"fcfs": 0.81, "rr": 0.79, "nimblock": 1.06,
+		"versaslot-ol": 1.08, "versaslot-bl": 1.49,
 	},
 	workload.Standard: {
-		sched.KindFCFS: 1.57, sched.KindRR: 1.80, sched.KindNimblock: 6.23,
-		sched.KindVersaSlotOL: 8.39, sched.KindVersaSlotBL: 13.66,
+		"fcfs": 1.57, "rr": 1.80, "nimblock": 6.23,
+		"versaslot-ol": 8.39, "versaslot-bl": 13.66,
 	},
 	workload.Stress: {
-		sched.KindFCFS: 1.47, sched.KindRR: 1.47, sched.KindNimblock: 3.04,
-		sched.KindVersaSlotOL: 4.13, sched.KindVersaSlotBL: 5.23,
+		"fcfs": 1.47, "rr": 1.47, "nimblock": 3.04,
+		"versaslot-ol": 4.13, "versaslot-bl": 5.23,
 	},
 	workload.Realtime: {
-		sched.KindFCFS: 1.45, sched.KindRR: 1.46, sched.KindNimblock: 2.91,
-		sched.KindVersaSlotOL: 3.84, sched.KindVersaSlotBL: 4.76,
+		"fcfs": 1.45, "rr": 1.46, "nimblock": 2.91,
+		"versaslot-ol": 3.84, "versaslot-bl": 4.76,
 	},
 }
 
 // Fig5Cell is one bar of Fig. 5.
 type Fig5Cell struct {
 	Condition workload.Condition
-	Policy    sched.Kind
+	Policy    string // registry name
 	// MeanRT is this system's average response time across sequences;
 	// RTStd is the cross-sequence standard deviation.
 	MeanRT sim.Duration
@@ -57,18 +57,12 @@ type Fig5Result struct {
 // congestion conditions, normalized to the baseline".
 func Fig5(cfg Config) *Fig5Result {
 	conditions := workload.Conditions()
-	kinds := sched.Kinds()
-	grid := runGrid(cfg, conditions, kinds)
+	grid := runGrid(cfg, conditions, systems)
 	out := &Fig5Result{BaselineRT: make(map[workload.Condition]sim.Duration)}
 	for ci, cond := range conditions {
-		var baseRT sim.Duration
-		for ki, kind := range kinds {
-			if kind == sched.KindBaseline {
-				baseRT = meanOver(grid[ci][ki])
-			}
-		}
+		baseRT := meanOver(grid[ci][0])
 		out.BaselineRT[cond] = baseRT
-		for ki, kind := range kinds {
+		for ki, name := range systems {
 			perSeq := make([]float64, 0, len(grid[ci][ki]))
 			for _, res := range grid[ci][ki] {
 				perSeq = append(perSeq, float64(res.Summary.MeanRT))
@@ -80,21 +74,21 @@ func Fig5(cfg Config) *Fig5Result {
 			}
 			out.Cells = append(out.Cells, Fig5Cell{
 				Condition: cond,
-				Policy:    kind,
+				Policy:    name,
 				MeanRT:    sim.Duration(mean),
 				RTStd:     sim.Duration(std),
 				Reduction: red,
-				Paper:     Fig5Paper[cond][kind],
+				Paper:     Fig5Paper[cond][name],
 			})
 		}
 	}
 	return out
 }
 
-// Lookup returns the cell for (condition, policy).
-func (r *Fig5Result) Lookup(c workload.Condition, k sched.Kind) Fig5Cell {
+// Lookup returns the cell for (condition, policy registry name).
+func (r *Fig5Result) Lookup(c workload.Condition, name string) Fig5Cell {
 	for _, cell := range r.Cells {
-		if cell.Condition == c && cell.Policy == k {
+		if cell.Condition == c && cell.Policy == name {
 			return cell
 		}
 	}
@@ -106,20 +100,20 @@ func (r *Fig5Result) Table() *report.Table {
 	t := report.NewTable(
 		"Fig. 5 — Average relative response time reduction (normalized to Baseline; higher is better)",
 		"System", "Loose", "Standard", "Stress", "Real-time", "Paper(L/S/St/RT)")
-	for _, k := range sched.Kinds() {
+	for _, name := range systems {
 		var vals []any
-		vals = append(vals, k.String())
+		vals = append(vals, title(name))
 		var paper string
 		for _, c := range workload.Conditions() {
-			cell := r.Lookup(c, k)
+			cell := r.Lookup(c, name)
 			vals = append(vals, cell.Reduction)
 			if paper != "" {
 				paper += "/"
 			}
-			if k == sched.KindBaseline {
+			if name == "baseline" {
 				paper += "1.00"
 			} else {
-				paper += trim2(Fig5Paper[c][k])
+				paper += trim2(Fig5Paper[c][name])
 			}
 		}
 		vals = append(vals, paper)
@@ -133,10 +127,10 @@ func (r *Fig5Result) RTTable() *report.Table {
 	t := report.NewTable(
 		"Mean response times, seconds (mean +/- cross-sequence std dev)",
 		"System", "Loose", "Standard", "Stress", "Real-time")
-	for _, k := range sched.Kinds() {
-		vals := []any{k.String()}
+	for _, name := range systems {
+		vals := []any{title(name)}
 		for _, c := range workload.Conditions() {
-			cell := r.Lookup(c, k)
+			cell := r.Lookup(c, name)
 			vals = append(vals, fmt.Sprintf("%.2f +/- %.2f",
 				sim.Time(cell.MeanRT).Seconds(), sim.Time(cell.RTStd).Seconds()))
 		}

@@ -4,7 +4,6 @@ import (
 	"io"
 
 	"versaslot/internal/report"
-	"versaslot/internal/sched"
 	"versaslot/internal/sim"
 	"versaslot/internal/workload"
 )
@@ -12,20 +11,20 @@ import (
 // Fig6Paper holds the paper's relative tail response times (normalized
 // to Baseline; LOWER is better), Fig. 6. Values read from the figure:
 // Big.Little beats Nimblock on P95/P99 everywhere; its P99 sits
-// slightly above Baseline's.
-var Fig6Paper = map[string]map[sched.Kind]float64{
-	"Std-95":    {sched.KindNimblock: 0.65, sched.KindVersaSlotOL: 0.45, sched.KindVersaSlotBL: 0.30},
-	"Std-99":    {sched.KindNimblock: 0.90, sched.KindVersaSlotOL: 0.70, sched.KindVersaSlotBL: 0.55},
-	"Stress-95": {sched.KindNimblock: 0.60, sched.KindVersaSlotOL: 0.45, sched.KindVersaSlotBL: 0.33},
-	"Stress-99": {sched.KindNimblock: 0.75, sched.KindVersaSlotOL: 0.60, sched.KindVersaSlotBL: 0.51},
-	"RT-95":     {sched.KindNimblock: 0.70, sched.KindVersaSlotOL: 0.52, sched.KindVersaSlotBL: 0.45},
-	"RT-99":     {sched.KindNimblock: 0.85, sched.KindVersaSlotOL: 0.65, sched.KindVersaSlotBL: 0.57},
+// slightly above Baseline's. Keyed by group, then registry name.
+var Fig6Paper = map[string]map[string]float64{
+	"Std-95":    {"nimblock": 0.65, "versaslot-ol": 0.45, "versaslot-bl": 0.30},
+	"Std-99":    {"nimblock": 0.90, "versaslot-ol": 0.70, "versaslot-bl": 0.55},
+	"Stress-95": {"nimblock": 0.60, "versaslot-ol": 0.45, "versaslot-bl": 0.33},
+	"Stress-99": {"nimblock": 0.75, "versaslot-ol": 0.60, "versaslot-bl": 0.51},
+	"RT-95":     {"nimblock": 0.70, "versaslot-ol": 0.52, "versaslot-bl": 0.45},
+	"RT-99":     {"nimblock": 0.85, "versaslot-ol": 0.65, "versaslot-bl": 0.57},
 }
 
 // Fig6Cell is one bar: a policy's P95 or P99 relative to Baseline's.
 type Fig6Cell struct {
 	Group    string // "Std-95", "Stress-99", ...
-	Policy   sched.Kind
+	Policy   string // registry name
 	Absolute sim.Duration
 	Relative float64 // policy tail / baseline tail (lower is better)
 }
@@ -43,19 +42,13 @@ func Fig6(cfg Config) *Fig6Result {
 	names := map[workload.Condition]string{
 		workload.Standard: "Std", workload.Stress: "Stress", workload.Realtime: "RT",
 	}
-	kinds := sched.Kinds()
-	grid := runGrid(cfg, conditions, kinds)
+	grid := runGrid(cfg, conditions, systems)
 	out := &Fig6Result{}
 	for ci, cond := range conditions {
 		for _, pct := range []float64{95, 99} {
-			var baseTail sim.Duration
-			for ki, kind := range kinds {
-				if kind == sched.KindBaseline {
-					baseTail = pooledPct(grid[ci][ki], pct)
-				}
-			}
+			baseTail := pooledPct(grid[ci][0], pct)
 			group := names[cond] + "-" + itoa(int(pct))
-			for ki, kind := range kinds {
+			for ki, name := range systems {
 				tail := pooledPct(grid[ci][ki], pct)
 				rel := 0.0
 				if baseTail > 0 {
@@ -63,7 +56,7 @@ func Fig6(cfg Config) *Fig6Result {
 				}
 				out.Cells = append(out.Cells, Fig6Cell{
 					Group:    group,
-					Policy:   kind,
+					Policy:   name,
 					Absolute: tail,
 					Relative: rel,
 				})
@@ -73,10 +66,10 @@ func Fig6(cfg Config) *Fig6Result {
 	return out
 }
 
-// Lookup returns the cell for (group, policy).
-func (r *Fig6Result) Lookup(group string, k sched.Kind) Fig6Cell {
+// Lookup returns the cell for (group, policy registry name).
+func (r *Fig6Result) Lookup(group, name string) Fig6Cell {
 	for _, c := range r.Cells {
-		if c.Group == group && c.Policy == k {
+		if c.Group == group && c.Policy == name {
 			return c
 		}
 	}
@@ -94,10 +87,10 @@ func (r *Fig6Result) Table() *report.Table {
 	t := report.NewTable(
 		"Fig. 6 — Relative tail response time (normalized to Baseline; lower is better)",
 		headers...)
-	for _, k := range sched.Kinds() {
-		vals := []any{k.String()}
+	for _, name := range systems {
+		vals := []any{title(name)}
 		for _, g := range Fig6Groups() {
-			vals = append(vals, r.Lookup(g, k).Relative)
+			vals = append(vals, r.Lookup(g, name).Relative)
 		}
 		t.AddRow(vals...)
 	}

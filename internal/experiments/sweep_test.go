@@ -46,20 +46,20 @@ func TestMeasureUtilization(t *testing.T) {
 	if len(r.Rows) != 5 {
 		t.Fatalf("rows %d", len(r.Rows))
 	}
-	byKind := map[string]UtilizationRow{}
+	byPolicy := map[string]UtilizationRow{}
 	for _, row := range r.Rows {
 		if row.LUT <= 0 || row.LUT > 1 || row.FF <= 0 || row.FF > 1 {
-			t.Fatalf("%v utilization out of range: %+v", row.Policy, row)
+			t.Fatalf("%s utilization out of range: %+v", row.Policy, row)
 		}
-		byKind[row.Policy.String()] = row
+		byPolicy[row.Policy] = row
 	}
 	// Pipelined ILP-sized systems keep circuits resident far more than
 	// gang-scheduled naive systems.
-	if byKind["VersaSlot Only.Little"].LUT <= byKind["FCFS"].LUT {
+	if byPolicy["versaslot-ol"].LUT <= byPolicy["fcfs"].LUT {
 		t.Error("VersaSlot utilization not above FCFS's")
 	}
 	// Bundling cuts PR loads.
-	if byKind["VersaSlot Big.Little"].PRLoads >= byKind["VersaSlot Only.Little"].PRLoads {
+	if byPolicy["versaslot-bl"].PRLoads >= byPolicy["versaslot-ol"].PRLoads {
 		t.Error("BL PR loads not below OL's")
 	}
 	if r.Table().String() == "" {

@@ -5,7 +5,6 @@ import (
 
 	"versaslot"
 	"versaslot/internal/report"
-	"versaslot/internal/sched"
 	"versaslot/internal/workload"
 )
 
@@ -22,9 +21,8 @@ type UtilizationResult struct {
 
 // UtilizationRow is one scheduling system's dynamic utilization.
 type UtilizationRow struct {
-	Policy  sched.Kind
+	Policy  string  // registry name
 	LUT, FF float64 // resident time-averaged utilization
-	BusyLUT float64 // actively-executing share
 	PRLoads uint64
 }
 
@@ -32,10 +30,7 @@ type UtilizationRow struct {
 // and reports dynamic utilization. The Baseline is excluded: its
 // monolithic virtual regions have no meaningful slot-area denominator.
 func MeasureUtilization(cfg Config) *UtilizationResult {
-	kinds := []sched.Kind{
-		sched.KindFCFS, sched.KindRR, sched.KindNimblock,
-		sched.KindVersaSlotOL, sched.KindVersaSlotBL,
-	}
+	policies := systems[1:]
 	p := workload.DefaultGenParams(workload.Stress)
 	p.Apps = cfg.Apps
 	seqs := make([]*workload.Sequence, cfg.Sequences)
@@ -44,10 +39,10 @@ func MeasureUtilization(cfg Config) *UtilizationResult {
 	}
 
 	var scenarios []versaslot.Scenario
-	for _, kind := range kinds {
+	for _, name := range policies {
 		for si := range seqs {
 			scenarios = append(scenarios, versaslot.Scenario{
-				Policy:   sched.NameOf(kind),
+				Policy:   name,
 				Workload: seqs[si],
 				Seed:     cfg.BaseSeed + uint64(si),
 			})
@@ -58,9 +53,9 @@ func MeasureUtilization(cfg Config) *UtilizationResult {
 		panic(err)
 	}
 
-	rows := make([]UtilizationRow, len(kinds))
-	for ki, kind := range kinds {
-		row := UtilizationRow{Policy: kind}
+	rows := make([]UtilizationRow, len(policies))
+	for ki, name := range policies {
+		row := UtilizationRow{Policy: name}
 		for si := range seqs {
 			res := results[ki*len(seqs)+si]
 			row.LUT += res.Summary.UtilLUT
@@ -82,7 +77,7 @@ func (r *UtilizationResult) Table() *report.Table {
 		"Dynamic slot-area utilization during stress runs (time-averaged)",
 		"System", "LUT util", "FF util", "PR loads/seq")
 	for _, row := range r.Rows {
-		t.AddRow(row.Policy.String(), row.LUT, row.FF, row.PRLoads)
+		t.AddRow(title(row.Policy), row.LUT, row.FF, row.PRLoads)
 	}
 	return t
 }
@@ -98,10 +93,10 @@ func (r *UtilizationResult) Write(w io.Writer) { r.Table().Render(w) }
 func (r *UtilizationResult) Gain() (lutPct, ffPct float64) {
 	var ol, bl UtilizationRow
 	for _, row := range r.Rows {
-		if row.Policy == sched.KindVersaSlotOL {
+		if row.Policy == "versaslot-ol" {
 			ol = row
 		}
-		if row.Policy == sched.KindVersaSlotBL {
+		if row.Policy == "versaslot-bl" {
 			bl = row
 		}
 	}

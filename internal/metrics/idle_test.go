@@ -24,10 +24,9 @@ type merged struct {
 	Failed    uint64
 	Retried   int
 	FaultsOn  bool
-	// BusyLUT/BusyFF read the summed capacities, and Footprint the
-	// stream state, so an idle board's contribution shows.
-	BusyLUT, BusyFF float64
-	Footprint       int
+	// Footprint reads the stream state, so an idle board's
+	// contribution shows.
+	Footprint int
 }
 
 // report reads everything an aggregator reports after a merge, then
@@ -47,7 +46,6 @@ func probe(c *metrics.Collector) merged {
 func read(c *metrics.Collector) merged {
 	m := merged{Summary: c.Summarize(), BySpec: c.BySpec(), Windows: c.Windows(), End: c.EndTime(),
 		Footprint: c.StreamFootprint()}
-	m.BusyLUT, m.BusyFF = c.BusyUtilization()
 	m.FaultDown, m.FaultSpan, m.Events, m.Failed, m.Retried, m.FaultsOn = c.FaultStats()
 	return m
 }
@@ -65,7 +63,6 @@ func ranBoard(stream *metrics.StreamConfig) *metrics.Collector {
 			Response: sim.Duration(i) * 300 * sim.Millisecond, Finish: sim.Time(i) * sim.Time(sim.Second)})
 	}
 	c.AccumulateResident(fabric.ResVec{LUT: 100, FF: 200}, 5*sim.Second)
-	c.AccumulateBusy(fabric.ResVec{LUT: 50, FF: 100}, 3*sim.Second)
 	c.AccumulateDowntime(sim.Second)
 	c.RecordFaultRetry(3)
 	return c

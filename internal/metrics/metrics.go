@@ -29,32 +29,23 @@ type Collector struct {
 
 	// PR accounting.
 	PRLoads   uint64
-	PRBytes   int64
 	PRWait    sim.Duration
 	PRBlocked uint64 // loads that queued behind another PR
 	PRRetries uint64 // loads re-streamed after an injected PR fault
 
-	// Utilization time-integrals: sum over intervals of
-	// (resource in use) * dt, and the busy-only variant. LUT/FF are the
-	// paper's reported pair; DSP/BRAM make DSP- and BRAM-bound circuits
-	// visible on heterogeneous platforms.
+	// Utilization time-integrals: sum over intervals of resident
+	// (resource in use) * dt. LUT/FF are the paper's reported pair;
+	// DSP/BRAM make DSP- and BRAM-bound circuits visible on
+	// heterogeneous platforms.
 	lutResidentInt  float64 // LUT-seconds resident
 	ffResidentInt   float64
 	dspResidentInt  float64
 	bramResidentInt float64
-	lutBusyInt      float64 // LUT-seconds actively executing
-	ffBusyInt       float64
 	capLUT          float64 // board slot capacities (denominators)
 	capFF           float64
 	capDSP          float64
 	capBRAM         float64
 	start, end      sim.Time
-
-	// Migration accounting.
-	Migrations     uint64
-	MigratedApps   uint64
-	MigrationBytes int64
-	MigrationTime  sim.Duration
 
 	// Preemptions counts stage evictions before batch completion.
 	Preemptions uint64
@@ -220,13 +211,6 @@ func (c *Collector) AccumulateResident(res fabric.ResVec, dt sim.Duration) {
 	c.bramResidentInt += float64(res.BRAM) * sec
 }
 
-// AccumulateBusy adds an actively-executing interval.
-func (c *Collector) AccumulateBusy(res fabric.ResVec, dt sim.Duration) {
-	sec := dt.Seconds()
-	c.lutBusyInt += float64(res.LUT) * sec
-	c.ffBusyInt += float64(res.FF) * sec
-}
-
 // Utilization returns the time-averaged LUT and FF utilization of the
 // board's slot area over [start, end] for resident circuits.
 func (c *Collector) Utilization() (lut, ff float64) {
@@ -267,15 +251,6 @@ func (c *Collector) UtilizationAll() fabric.UtilRatios {
 	return u
 }
 
-// BusyUtilization returns the busy-only time-averaged utilization.
-func (c *Collector) BusyUtilization() (lut, ff float64) {
-	span := c.end.Sub(c.start).Seconds()
-	if span <= 0 || c.capLUT == 0 {
-		return 0, 0
-	}
-	return c.lutBusyInt / (c.capLUT * span), c.ffBusyInt / (c.capFF * span)
-}
-
 // Summary condenses the run.
 type Summary struct {
 	Apps       int
@@ -295,7 +270,11 @@ type Summary struct {
 	PRRetries   uint64
 	PRWait      sim.Duration
 	Preemptions uint64
-	Migrations  uint64
+	// Migrations is always zero: no collector counts migrations. The
+	// field stays because pinned Result digests include it; read
+	// Result.Switches and Result.MigratedApps for a pair's live
+	// migrations.
+	Migrations uint64
 
 	// Fault axis — populated only when fault injection is enabled and
 	// omitted from JSON otherwise, so fault-free results stay
@@ -317,7 +296,7 @@ type Summary struct {
 func (c *Collector) Summarize() Summary {
 	s := Summary{PRLoads: c.PRLoads, PRBlocked: c.PRBlocked,
 		PRRetries: c.PRRetries, PRWait: c.PRWait,
-		Preemptions: c.Preemptions, Migrations: c.Migrations}
+		Preemptions: c.Preemptions}
 	if c.faultsOn {
 		s.Availability = c.availability()
 		s.Downtime = c.downTotal

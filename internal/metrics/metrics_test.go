@@ -118,18 +118,6 @@ func TestUtilizationIntegral(t *testing.T) {
 	}
 }
 
-func TestBusyUtilizationSeparate(t *testing.T) {
-	c := NewCollector(fabric.ResVec{LUT: 100, FF: 200})
-	c.AccumulateResident(fabric.ResVec{LUT: 50, FF: 100}, 4*sim.Second)
-	c.AccumulateBusy(fabric.ResVec{LUT: 50, FF: 100}, 1*sim.Second)
-	c.RecordResponse(ResponseSample{Finish: sim.Time(4 * sim.Second)})
-	rl, _ := c.Utilization()
-	bl, _ := c.BusyUtilization()
-	if bl >= rl {
-		t.Fatalf("busy %v not below resident %v", bl, rl)
-	}
-}
-
 func TestMeanResponse(t *testing.T) {
 	if MeanResponse(nil) != 0 {
 		t.Fatal("empty mean")

@@ -329,8 +329,8 @@ func (c *Collector) StreamFootprint() int {
 // merges its run-level sketch (bucket counts add, so the merge is
 // exactly associative), its window ring by absolute window index and
 // its per-spec aggregates, switching c to stream mode with the
-// source's geometry on first use. Both kinds add the resource-time
-// integrals and capacities, every counter and the fault axis, and
+// source's geometry on first use. Both kinds add the capacities (the
+// merged windows' denominators), every counter and the fault axis, and
 // record the board's utilization, app count and slot-seconds for the
 // merge rules Summarize then reports (see Collector's merge state).
 // Sources must be absorbed in a fixed order for deterministic output.
@@ -352,12 +352,6 @@ func (c *Collector) Absorb(src *Collector) {
 	c.utilSum.BRAM += u.BRAM * apps
 	c.utilApps += apps
 
-	c.lutResidentInt += src.lutResidentInt
-	c.ffResidentInt += src.ffResidentInt
-	c.dspResidentInt += src.dspResidentInt
-	c.bramResidentInt += src.bramResidentInt
-	c.lutBusyInt += src.lutBusyInt
-	c.ffBusyInt += src.ffBusyInt
 	c.capLUT += src.capLUT
 	c.capFF += src.capFF
 	c.capDSP += src.capDSP
@@ -366,15 +360,10 @@ func (c *Collector) Absorb(src *Collector) {
 		c.end = src.end
 	}
 	c.PRLoads += src.PRLoads
-	c.PRBytes += src.PRBytes
 	c.PRWait += src.PRWait
 	c.PRBlocked += src.PRBlocked
 	c.PRRetries += src.PRRetries
 	c.Preemptions += src.Preemptions
-	c.Migrations += src.Migrations
-	c.MigratedApps += src.MigratedApps
-	c.MigrationBytes += src.MigrationBytes
-	c.MigrationTime += src.MigrationTime
 	if src.faultsOn {
 		c.faultsOn = true
 		c.slotSec += src.slotSeconds()

@@ -22,7 +22,7 @@ func TestExclusiveQuantumGranularity(t *testing.T) {
 	params := DefaultParams()
 	params.BaselineQuantum = 3600 * sim.Second
 	e := NewEngine(k, params, fabric.NewBoard(0, fabric.MustPlatform(fabric.ZCU216Monolithic)), hypervisor.SingleCore, repo)
-	e.SetPolicy(New(KindBaseline))
+	e.SetPolicy(builtin(t, "baseline").Factory())
 	apps := []*appmodel.App{
 		appmodel.NewApp(0, workload.IC, 20, 0),
 		appmodel.NewApp(1, workload.AN, 20, sim.Time(10*sim.Millisecond)),
@@ -170,7 +170,7 @@ func TestFCFSTeardownDelaysAdmission(t *testing.T) {
 		params := DefaultParams()
 		params.TenantTeardown = teardown
 		e := NewEngine(k, params, fabric.NewBoard(0, fabric.MustPlatform(fabric.ZCU216OnlyLittle)), hypervisor.SingleCore, repo)
-		e.SetPolicy(New(KindFCFS))
+		e.SetPolicy(builtin(t, "fcfs").Factory())
 		// Two 9-task apps: each gang needs all 8 slots, so the second
 		// admission must wait for the first tenant's teardown.
 		apps := []*appmodel.App{

@@ -7,8 +7,8 @@
 // Policies are pluggable: each Registration names a policy, declares
 // the board floorplan and control-plane model it runs on, and
 // supplies a fresh-instance factory. Third-party schedulers register
-// with Kind = KindExternal and are selected by name through the
-// versaslot facade, exactly like the built-ins.
+// the same way and are selected by name through the versaslot facade,
+// exactly like the built-ins.
 //
 // Scheduling passes run at every item boundary, so each must be cheap:
 // every policy's Schedule is allocation-free and linear in the number

@@ -78,11 +78,9 @@ type Engine struct {
 	// untraced runs, which build none.
 	Events trace.Sink
 
-	// WindowBlocked and WindowPR count, since the last external reset,
-	// tasks whose PR waited behind another load, and PR loads issued —
-	// the numerator and denominator history feeding D_switch.
+	// WindowBlocked counts, since the last external reset, tasks whose
+	// PR waited behind another load: the numerator feeding D_switch.
 	WindowBlocked uint64
-	WindowPR      uint64
 }
 
 // emit stamps ev with the clock and the board and hands it to Events.
@@ -117,7 +115,6 @@ type slotRT struct {
 	st     *appmodel.Stage
 	idx    int
 	dur    sim.Duration
-	start  sim.Time
 	armed  bool
 	stale  int
 	execEv sim.EventID
@@ -468,7 +465,6 @@ func (e *Engine) RequestPR(st *appmodel.Stage, slot *fabric.Slot) {
 	if e.Cores.Model == hypervisor.DualCore {
 		e.Cores.PostPRRequest()
 	}
-	e.WindowPR++
 	// Contention pressure for D_switch: this request is blocked by
 	// every load already pending on the serial PCAP path, so the
 	// blocked-task count grows by the current depth (a task stuck
@@ -476,7 +472,6 @@ func (e *Engine) RequestPR(st *appmodel.Stage, slot *fabric.Slot) {
 	// paper's N_blocked/N_PR ratios above 1 under heavy sharing).
 	e.WindowBlocked += uint64(e.Cores.PR.PendingByClass("pr"))
 	e.Col.PRLoads++
-	e.Col.PRBytes += bits.Bytes
 	e.submitPRJob(st, slot, bits, cost, 0)
 }
 
@@ -635,9 +630,8 @@ func (rt *slotRT) runLaunch() {
 	rt.armed = false
 	e := rt.e
 	st, idx := rt.st, rt.idx
-	rt.start = e.K.Now()
 	if !st.App.Started {
-		st.App.FirstStart = rt.start
+		st.App.FirstStart = e.K.Now()
 	}
 	if e.Events != nil {
 		e.emit(trace.Event{Kind: trace.ExecStart, Slot: rt.slot.ID, Stage: st, Item: idx, Dur: rt.dur})
@@ -653,7 +647,6 @@ func (rt *slotRT) runExec() {
 	if err := slot.CompleteExec(); err != nil {
 		panic(err)
 	}
-	e.Col.AccumulateBusy(st.ImplRes(), e.K.Now().Sub(rt.start))
 	st.CompleteItem()
 	if e.Events != nil {
 		e.emit(trace.Event{Kind: trace.ExecDone, Slot: slot.ID, Stage: st, Item: idx})
@@ -825,11 +818,11 @@ func (e *Engine) FlushResidency() {
 }
 
 // ResetWindow clears the D_switch counting window and returns the
-// counts it held.
-func (e *Engine) ResetWindow() (blocked, prs uint64) {
-	blocked, prs = e.WindowBlocked, e.WindowPR
-	e.WindowBlocked, e.WindowPR = 0, 0
-	return blocked, prs
+// blocked count it held.
+func (e *Engine) ResetWindow() uint64 {
+	blocked := e.WindowBlocked
+	e.WindowBlocked = 0
+	return blocked
 }
 
 // UnfinishedCount returns the number of injected-but-unfinished apps.
@@ -849,8 +842,8 @@ func (e *Engine) CheckQuiescent() {
 	if e.UnfinishedCount() == 0 {
 		return
 	}
-	msg := fmt.Sprintf("sched: %s deadlock at %v: %d apps unfinished:",
-		e.policy.Name(), e.K.Now(), e.UnfinishedCount())
+	msg := fmt.Sprintf("sched: %T deadlock at %v: %d apps unfinished:",
+		e.policy, e.K.Now(), e.UnfinishedCount())
 	for _, a := range e.Apps {
 		if a.State != appmodel.StateFinished {
 			msg += fmt.Sprintf("\n  %v state=%v started=%v remaining=%d", a, a.State, a.Started, a.RemainingItems())

@@ -21,7 +21,6 @@ type testRig struct {
 // engine directly.
 type nullPolicy struct{ scheduled int }
 
-func (n *nullPolicy) Name() string                        { return "null" }
 func (n *nullPolicy) Init(*Engine)                        {}
 func (n *nullPolicy) AppArrived(*appmodel.App)            {}
 func (n *nullPolicy) Schedule()                           { n.scheduled++ }
@@ -214,17 +213,13 @@ func TestWindowCounters(t *testing.T) {
 	// Two PRs back to back: the second sees one pending load.
 	r.engine.RequestPR(&a.Stages[0], r.engine.Board.Slots[0])
 	r.engine.RequestPR(&a.Stages[1], r.engine.Board.Slots[1])
-	if r.engine.WindowPR != 2 {
-		t.Fatalf("window PR %d", r.engine.WindowPR)
-	}
 	if r.engine.WindowBlocked != 1 {
 		t.Fatalf("window blocked %d, want 1 (second behind first)", r.engine.WindowBlocked)
 	}
-	b, p := r.engine.ResetWindow()
-	if b != 1 || p != 2 {
-		t.Fatal("ResetWindow returned wrong counts")
+	if b := r.engine.ResetWindow(); b != 1 {
+		t.Fatalf("ResetWindow returned %d, want 1", b)
 	}
-	if r.engine.WindowBlocked != 0 || r.engine.WindowPR != 0 {
+	if r.engine.WindowBlocked != 0 {
 		t.Fatal("window not reset")
 	}
 }
@@ -243,17 +238,8 @@ func TestUtilizationIntegrals(t *testing.T) {
 	r.engine.Activate()
 	r.k.Run()
 	r.engine.FlushResidency()
-	lut, ff := r.engine.Col.BusyUtilization()
-	if lut <= 0 || ff <= 0 {
-		t.Fatalf("no busy utilization recorded (lut=%v ff=%v)", lut, ff)
-	}
-	rlut, rff := r.engine.Col.Utilization()
-	if rlut <= 0 || rff <= 0 {
-		t.Fatal("no resident utilization recorded")
-	}
-	// Resident time covers at least the busy time.
-	if rlut < lut*0.99 {
-		t.Fatalf("resident integral %v below busy %v", rlut, lut)
+	if lut, ff := r.engine.Col.Utilization(); lut <= 0 || ff <= 0 {
+		t.Fatalf("no resident utilization recorded (lut=%v ff=%v)", lut, ff)
 	}
 }
 

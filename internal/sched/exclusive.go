@@ -36,9 +36,6 @@ func (ev *swapDone) Fire() { (*Exclusive)(ev).swappedIn() }
 
 var _ Policy = (*Exclusive)(nil)
 
-// Name implements Policy.
-func (x *Exclusive) Name() string { return KindBaseline.String() }
-
 // Init implements Policy. The board's platform must be virtual
 // (monolithic stage regions, no DPR).
 func (x *Exclusive) Init(e *Engine) {
@@ -155,7 +152,6 @@ func (x *Exclusive) swapIn(a *appmodel.App) {
 	full := e.Repo.MustGet(bitstream.FullName(a.Spec.Name))
 	cost := e.FullReconfigCost(full)
 	e.Col.PRLoads++
-	e.Col.PRBytes += full.Bytes
 	e.Cores.PR.SubmitPooled(fullReconfigJob(a.Spec), "full-reconfig", cost, nil, (*swapDone)(x))
 }
 

@@ -6,7 +6,6 @@ import (
 	"versaslot/internal/appmodel"
 	"versaslot/internal/bitstream"
 	"versaslot/internal/fabric"
-	"versaslot/internal/hypervisor"
 	"versaslot/internal/sim"
 	"versaslot/internal/workload"
 )
@@ -15,21 +14,14 @@ import (
 // reconfiguration-error model at the given per-attempt rate (three
 // retries, 1 ms doubling backoff) and returns the engine. Rate 0
 // installs no model.
-func runWithFailureRate(t *testing.T, rate float64, kind Kind) *Engine {
+func runWithFailureRate(t *testing.T, rate float64, policy string) *Engine {
 	t.Helper()
 	k := sim.NewKernel(7)
 	repo := bitstream.NewRepository()
 	bitstream.NewGenerator().GenerateAll(repo, workload.Suite())
-	cfg := fabric.ZCU216OnlyLittle
-	model := hypervisor.SingleCore
-	if kind == KindVersaSlotBL {
-		cfg, model = fabric.ZCU216BigLittle, hypervisor.DualCore
-	}
-	if kind == KindVersaSlotOL {
-		model = hypervisor.DualCore
-	}
-	e := NewEngine(k, DefaultParams(), fabric.NewBoard(0, fabric.MustPlatform(cfg)), model, repo)
-	e.SetPolicy(New(kind))
+	reg := builtin(t, policy)
+	e := NewEngine(k, DefaultParams(), fabric.NewBoard(0, fabric.MustPlatform(reg.Platform)), reg.Core, repo)
+	e.SetPolicy(reg.Factory())
 	if rate > 0 {
 		e.EnableFaultMetrics()
 		e.SetPRFault(rate, 3, sim.Millisecond, 2, sim.NewRNG(11))
@@ -46,27 +38,27 @@ func runWithFailureRate(t *testing.T, rate float64, kind Kind) *Engine {
 }
 
 func TestPRFailureInjectionRetriesAndCompletes(t *testing.T) {
-	for _, kind := range []Kind{KindNimblock, KindVersaSlotOL, KindVersaSlotBL} {
-		e := runWithFailureRate(t, 0.4, kind)
+	for _, policy := range []string{"nimblock", "versaslot-ol", "versaslot-bl"} {
+		e := runWithFailureRate(t, 0.4, policy)
 		if e.Col.PRRetries == 0 {
-			t.Errorf("%v: 40%% PR failure rate produced no retries", kind)
+			t.Errorf("%s: 40%% PR failure rate produced no retries", policy)
 		}
 		if len(e.Col.Responses) != 3 {
-			t.Errorf("%v: %d of 3 apps finished under failure injection", kind, len(e.Col.Responses))
+			t.Errorf("%s: %d of 3 apps finished under failure injection", policy, len(e.Col.Responses))
 		}
 	}
 }
 
 func TestNoFailuresWithoutInjection(t *testing.T) {
-	e := runWithFailureRate(t, 0, KindVersaSlotBL)
+	e := runWithFailureRate(t, 0, "versaslot-bl")
 	if e.Col.PRRetries != 0 {
 		t.Fatalf("retries recorded without a fault model: %d", e.Col.PRRetries)
 	}
 }
 
 func TestFailureInjectionSlowsResponse(t *testing.T) {
-	clean := runWithFailureRate(t, 0, KindNimblock)
-	faulty := runWithFailureRate(t, 0.6, KindNimblock)
+	clean := runWithFailureRate(t, 0, "nimblock")
+	faulty := runWithFailureRate(t, 0.6, "nimblock")
 	var cleanSum, faultySum sim.Duration
 	for i := range clean.Col.Responses {
 		cleanSum += clean.Col.Responses[i].Response
@@ -78,8 +70,8 @@ func TestFailureInjectionSlowsResponse(t *testing.T) {
 }
 
 func TestFailureInjectionDeterministic(t *testing.T) {
-	a := runWithFailureRate(t, 0.4, KindVersaSlotOL)
-	b := runWithFailureRate(t, 0.4, KindVersaSlotOL)
+	a := runWithFailureRate(t, 0.4, "versaslot-ol")
+	b := runWithFailureRate(t, 0.4, "versaslot-ol")
 	if a.Col.PRRetries != b.Col.PRRetries {
 		t.Fatalf("retry counts differ across identical runs: %d vs %d",
 			a.Col.PRRetries, b.Col.PRRetries)

@@ -23,9 +23,6 @@ type FCFS struct {
 
 var _ Policy = (*FCFS)(nil)
 
-// Name implements Policy.
-func (f *FCFS) Name() string { return KindFCFS.String() }
-
 // Init implements Policy. FCFS predates DDR bitstream caching: every
 // PR re-streams from storage.
 func (f *FCFS) Init(e *Engine) {

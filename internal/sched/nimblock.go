@@ -19,7 +19,6 @@ import (
 //     dual-core PR server (chosen by the runner's CoreModel) plus
 //     redistribution of leftover slots to running applications.
 type littleSched struct {
-	kind         Kind
 	redistribute bool
 
 	e *Engine
@@ -50,10 +49,7 @@ type Nimblock struct{ littleSched }
 var _ Policy = (*Nimblock)(nil)
 
 // Init implements Policy.
-func (n *Nimblock) Init(e *Engine) { n.littleSched.init(KindNimblock, false, e) }
-
-// Name implements Policy.
-func (n *Nimblock) Name() string { return KindNimblock.String() }
+func (n *Nimblock) Init(e *Engine) { n.littleSched.init(false, e) }
 
 // NewVersaSlotOL returns VersaSlot on an Only.Little board. Pair it with
 // hypervisor.DualCore in the runner: the async PR server is the system's
@@ -65,20 +61,13 @@ type versaSlotOL struct{ littleSched }
 var _ Policy = (*versaSlotOL)(nil)
 
 // Init implements Policy.
-func (v *versaSlotOL) Init(e *Engine) { v.littleSched.init(KindVersaSlotOL, true, e) }
+func (v *versaSlotOL) Init(e *Engine) { v.littleSched.init(true, e) }
 
-// Name implements Policy.
-func (v *versaSlotOL) Name() string { return KindVersaSlotOL.String() }
-
-func (l *littleSched) init(kind Kind, redistribute bool, e *Engine) {
-	l.kind = kind
+func (l *littleSched) init(redistribute bool, e *Engine) {
 	l.redistribute = redistribute
 	l.e = e
 	l.class = e.Board.Platform.Smallest()
 }
-
-// Name implements Policy.
-func (l *littleSched) Name() string { return l.kind.String() }
 
 // AppArrived implements Policy.
 func (l *littleSched) AppArrived(a *appmodel.App) {

@@ -39,13 +39,8 @@ func TestSchedulePassZeroAlloc(t *testing.T) {
 	p := workload.DefaultGenParams(workload.Stress)
 	p.Apps = 30
 	seq := workload.Generate(p, 5)
-	for _, kind := range Kinds() {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
-			reg, ok := ByKind(kind)
-			if !ok {
-				t.Fatalf("%v not registered", kind)
-			}
+	for _, reg := range builtins() {
+		t.Run(reg.Title, func(t *testing.T) {
 			platform := fabric.MustPlatform(reg.Platform)
 			e := NewEngine(sim.NewKernel(1), DefaultParams(), fabric.NewBoard(0, platform), reg.Core, bitstream.RepoFor(platform))
 			e.SetPolicy(reg.Factory())
@@ -54,7 +49,7 @@ func TestSchedulePassZeroAlloc(t *testing.T) {
 				t.Fatal(err)
 			}
 			e.InjectSequence(apps)
-			gang := kind == KindFCFS || kind == KindRR
+			gang := reg.Name == "fcfs" || reg.Name == "rr"
 			class := e.Board.Platform.Smallest().Name
 			midRun := func() bool {
 				if waitingApps(e.Policy()) == 0 {
@@ -91,10 +86,9 @@ func TestHoistedFreeExact(t *testing.T) {
 	p := workload.DefaultGenParams(workload.Stress)
 	p.Apps = 30
 	seq := workload.Generate(p, 9)
-	for _, kind := range []Kind{KindNimblock, KindVersaSlotOL, KindVersaSlotBL} {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
-			reg, _ := ByKind(kind)
+	for _, name := range []string{"nimblock", "versaslot-ol", "versaslot-bl"} {
+		reg := builtin(t, name)
+		t.Run(reg.Title, func(t *testing.T) {
 			platform := fabric.MustPlatform(reg.Platform)
 			e := NewEngine(sim.NewKernel(1), DefaultParams(), fabric.NewBoard(0, platform), reg.Core, bitstream.RepoFor(platform))
 			e.SetPolicy(reg.Factory())

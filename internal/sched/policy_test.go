@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 
 	"versaslot/internal/appmodel"
@@ -11,28 +12,32 @@ import (
 	"versaslot/internal/workload"
 )
 
-// runPolicy executes apps through a fresh engine+policy to completion
-// and returns the engine.
-func runPolicy(t *testing.T, kind Kind, apps []*appmodel.App) *Engine {
+// builtin returns the registration of a built-in policy.
+func builtin(t *testing.T, name string) *Registration {
+	t.Helper()
+	r, ok := Lookup(name)
+	if !ok {
+		t.Fatalf("policy %q not registered", name)
+	}
+	return r
+}
+
+// builtins returns the six built-in registrations in the paper's
+// presentation order; tests may register more after them.
+func builtins() []*Registration { return Registrations()[:6] }
+
+// runPolicy executes apps through a fresh engine and an instance of the
+// named policy, on the platform and core model it registers, to
+// completion and returns the engine.
+func runPolicy(t *testing.T, name string, apps []*appmodel.App) *Engine {
 	t.Helper()
 	k := sim.NewKernel(1)
 	repo := bitstream.NewRepository()
 	bitstream.NewGenerator().GenerateAll(repo, workload.Suite())
-	var cfg string
-	var model hypervisor.CoreModel
-	switch kind {
-	case KindBaseline:
-		cfg, model = fabric.ZCU216Monolithic, hypervisor.SingleCore
-	case KindFCFS, KindRR, KindNimblock:
-		cfg, model = fabric.ZCU216OnlyLittle, hypervisor.SingleCore
-	case KindVersaSlotOL:
-		cfg, model = fabric.ZCU216OnlyLittle, hypervisor.DualCore
-	case KindVersaSlotBL:
-		cfg, model = fabric.ZCU216BigLittle, hypervisor.DualCore
-	}
-	board := fabric.NewBoard(0, fabric.MustPlatform(cfg))
-	e := NewEngine(k, DefaultParams(), board, model, repo)
-	e.SetPolicy(New(kind))
+	reg := builtin(t, name)
+	board := fabric.NewBoard(0, fabric.MustPlatform(reg.Platform))
+	e := NewEngine(k, DefaultParams(), board, reg.Core, repo)
+	e.SetPolicy(reg.Factory())
 	e.InjectSequence(apps)
 	k.Run()
 	e.FlushResidency()
@@ -44,30 +49,22 @@ func mkApp(id int, spec *appmodel.AppSpec, batch int, at sim.Duration) *appmodel
 	return appmodel.NewApp(id, spec, batch, sim.Time(at))
 }
 
+// TestKindsAndNames checks that the six built-in systems carry
+// distinct titles and that each factory builds its own policy type.
 func TestKindsAndNames(t *testing.T) {
-	if len(Kinds()) != 6 {
-		t.Fatal("six systems expected")
+	titles := map[string]bool{}
+	types := map[string]bool{}
+	for _, r := range builtins() {
+		if titles[r.Title] {
+			t.Errorf("duplicate title %q", r.Title)
+		}
+		titles[r.Title] = true
+		typ := fmt.Sprintf("%T", r.Factory())
+		if types[typ] {
+			t.Errorf("%s: policy type %s shared with another built-in", r.Name, typ)
+		}
+		types[typ] = true
 	}
-	seen := map[string]bool{}
-	for _, k := range Kinds() {
-		p := New(k)
-		if p.Name() != k.String() {
-			t.Errorf("policy name %q != kind %q", p.Name(), k)
-		}
-		if seen[p.Name()] {
-			t.Errorf("duplicate name %q", p.Name())
-		}
-		seen[p.Name()] = true
-	}
-}
-
-func TestNewUnknownKindPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("unknown kind did not panic")
-		}
-	}()
-	New(Kind(99))
 }
 
 // TestVersaSlotBLExtractMigratableUpTo pins the bounded extraction the
@@ -134,7 +131,7 @@ func TestEngineForget(t *testing.T) {
 
 func TestExclusiveRunsToCompletionSolo(t *testing.T) {
 	apps := []*appmodel.App{mkApp(0, workload.AN, 10, 0)}
-	e := runPolicy(t, KindBaseline, apps)
+	e := runPolicy(t, "baseline", apps)
 	if apps[0].State != appmodel.StateFinished {
 		t.Fatal("app unfinished")
 	}
@@ -152,7 +149,7 @@ func TestExclusiveTimeSlicesUnderContention(t *testing.T) {
 		mkApp(0, workload.AN, 30, 0),
 		mkApp(1, workload.OF, 30, 10*sim.Millisecond),
 	}
-	e := runPolicy(t, KindBaseline, apps)
+	e := runPolicy(t, "baseline", apps)
 	if e.Col.PRLoads <= 2 {
 		t.Fatalf("no time-slicing: %d reconfigs for 2 contending apps", e.Col.PRLoads)
 	}
@@ -164,9 +161,9 @@ func TestExclusiveTimeSlicesUnderContention(t *testing.T) {
 }
 
 func TestExclusiveSoloFasterThanContended(t *testing.T) {
-	solo := runPolicy(t, KindBaseline, []*appmodel.App{mkApp(0, workload.IC, 10, 0)})
+	solo := runPolicy(t, "baseline", []*appmodel.App{mkApp(0, workload.IC, 10, 0)})
 	soloRT := solo.Col.Responses[0].Response
-	pair := runPolicy(t, KindBaseline, []*appmodel.App{
+	pair := runPolicy(t, "baseline", []*appmodel.App{
 		mkApp(0, workload.IC, 10, 0),
 		mkApp(1, workload.IC, 10, 0),
 	})
@@ -189,7 +186,7 @@ func TestFCFSHeadOfLineBlocking(t *testing.T) {
 		mkApp(1, workload.OF, 30, 10*sim.Millisecond),
 		mkApp(2, workload.ThreeDR, 5, 20*sim.Millisecond),
 	}
-	e := runPolicy(t, KindFCFS, apps)
+	e := runPolicy(t, "fcfs", apps)
 	_ = e
 	// Strict order: app 1 finishes before app 2 can even start, so
 	// finish times are ordered by arrival.
@@ -209,8 +206,8 @@ func TestRRRotatesLongApps(t *testing.T) {
 			mkApp(2, workload.AN, 30, 20*sim.Millisecond),
 		}
 	}
-	fcfs := runPolicy(t, KindFCFS, mk())
-	rr := runPolicy(t, KindRR, mk())
+	fcfs := runPolicy(t, "fcfs", mk())
+	rr := runPolicy(t, "rr", mk())
 	if rr.Col.PRLoads <= fcfs.Col.PRLoads {
 		t.Fatalf("RR (%d loads) did not reload more than FCFS (%d)",
 			rr.Col.PRLoads, fcfs.Col.PRLoads)
@@ -226,7 +223,7 @@ func TestNimblockBackfills(t *testing.T) {
 		mkApp(1, workload.OF, 30, 10*sim.Millisecond),
 		mkApp(2, workload.ThreeDR, 5, 20*sim.Millisecond),
 	}
-	runPolicy(t, KindNimblock, apps)
+	runPolicy(t, "nimblock", apps)
 	if apps[2].Finish >= apps[1].Finish {
 		t.Fatal("Nimblock failed to backfill the small app")
 	}
@@ -243,8 +240,8 @@ func TestNimblockSingleCoreSlowerThanVersaSlotOL(t *testing.T) {
 		}
 		return out
 	}
-	nim := runPolicy(t, KindNimblock, mk())
-	ol := runPolicy(t, KindVersaSlotOL, mk())
+	nim := runPolicy(t, "nimblock", mk())
+	ol := runPolicy(t, "versaslot-ol", mk())
 	var nimSum, olSum sim.Duration
 	for i := range nim.Col.Responses {
 		nimSum += nim.Col.Responses[i].Response
@@ -257,7 +254,7 @@ func TestNimblockSingleCoreSlowerThanVersaSlotOL(t *testing.T) {
 
 func TestVersaSlotBLBindsBundleableToBig(t *testing.T) {
 	apps := []*appmodel.App{mkApp(0, workload.AN, 15, 0)}
-	runPolicy(t, KindVersaSlotBL, apps)
+	runPolicy(t, "versaslot-bl", apps)
 	a := apps[0]
 	if len(a.Stages) != 2 {
 		t.Fatalf("AN should run as 2 bundles, got %d stages", len(a.Stages))
@@ -272,7 +269,7 @@ func TestVersaSlotBLBindsBundleableToBig(t *testing.T) {
 
 func TestVersaSlotBLSendsLeNetToLittle(t *testing.T) {
 	apps := []*appmodel.App{mkApp(0, workload.LeNet, 15, 0)}
-	runPolicy(t, KindVersaSlotBL, apps)
+	runPolicy(t, "versaslot-bl", apps)
 	a := apps[0]
 	if len(a.Stages) != 6 {
 		t.Fatalf("LeNet should run as 6 task stages, got %d", len(a.Stages))
@@ -297,7 +294,7 @@ func TestVersaSlotBLRebinding(t *testing.T) {
 		mkApp(3, workload.LeNet, 10, 60*sim.Millisecond),   // Little only
 		mkApp(4, workload.ThreeDR, 20, 80*sim.Millisecond), // anywhere
 	}
-	e := runPolicy(t, KindVersaSlotBL, apps)
+	e := runPolicy(t, "versaslot-bl", apps)
 	for _, a := range apps {
 		if a.State != appmodel.StateFinished {
 			t.Fatalf("app %v unfinished", a)
@@ -332,8 +329,8 @@ func TestVersaSlotBLFewerPRLoadsThanOL(t *testing.T) {
 		}
 		return out
 	}
-	ol := runPolicy(t, KindVersaSlotOL, mk())
-	bl := runPolicy(t, KindVersaSlotBL, mk())
+	ol := runPolicy(t, "versaslot-ol", mk())
+	bl := runPolicy(t, "versaslot-bl", mk())
 	if bl.Col.PRLoads >= ol.Col.PRLoads {
 		t.Fatalf("BL loads (%d) not below OL loads (%d)", bl.Col.PRLoads, ol.Col.PRLoads)
 	}
@@ -344,53 +341,43 @@ func TestPoliciesCompleteEverything(t *testing.T) {
 	p := workload.DefaultGenParams(workload.Stress)
 	p.Apps = 12
 	seq := workload.Generate(p, 31)
-	for _, kind := range Kinds() {
+	for _, r := range builtins() {
 		apps, err := seq.Instantiate(0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := runPolicy(t, kind, apps)
+		e := runPolicy(t, r.Name, apps)
 		if got := len(e.Col.Responses); got != 12 {
-			t.Errorf("%v finished %d of 12", kind, got)
+			t.Errorf("%s finished %d of 12", r.Name, got)
 		}
 	}
 }
 
 func TestExtractMigratableOnlyUnstarted(t *testing.T) {
-	for _, kind := range Kinds() {
+	for _, r := range builtins() {
 		k := sim.NewKernel(1)
 		repo := bitstream.NewRepository()
 		bitstream.NewGenerator().GenerateAll(repo, workload.Suite())
-		var cfg string
-		model := hypervisor.SingleCore
-		switch kind {
-		case KindBaseline:
-			cfg = fabric.ZCU216Monolithic
-		case KindVersaSlotBL:
-			cfg, model = fabric.ZCU216BigLittle, hypervisor.DualCore
-		case KindVersaSlotOL:
-			cfg, model = fabric.ZCU216OnlyLittle, hypervisor.DualCore
-		default:
-			cfg = fabric.ZCU216OnlyLittle
-		}
-		e := NewEngine(k, DefaultParams(), fabric.NewBoard(0, fabric.MustPlatform(cfg)), model, repo)
-		e.SetPolicy(New(kind))
+		e := NewEngine(k, DefaultParams(), fabric.NewBoard(0, fabric.MustPlatform(r.Platform)), r.Core, repo)
+		e.SetPolicy(r.Factory())
 		// Saturate, then inject stragglers that cannot start.
 		var apps []*appmodel.App
 		for i := 0; i < 8; i++ {
 			apps = append(apps, mkApp(i, workload.OF, 30, sim.Duration(i)*sim.Millisecond))
 		}
 		e.InjectSequence(apps)
-		k.RunUntil(sim.Time(500 * sim.Millisecond))
+		mid := sim.Time(500 * sim.Millisecond)
+		k.RunTo(mid + 1)
+		k.AdvanceTo(mid)
 		moved := e.Policy().ExtractMigratable()
 		for _, a := range moved {
 			if a.Started {
-				t.Errorf("%v migrated a started app", kind)
+				t.Errorf("%s migrated a started app", r.Name)
 			}
 			for i := range a.Stages {
 				st := &a.Stages[i]
 				if st.Slot() != nil {
-					t.Errorf("%v migrated an app holding a slot", kind)
+					t.Errorf("%s migrated an app holding a slot", r.Name)
 				}
 			}
 		}

@@ -12,7 +12,7 @@ import (
 // config/CLI name, display title, the platform it runs on (each policy
 // declares its own board floorplan and control-plane model, mirroring
 // the paper's evaluation setup), and a factory producing fresh policy
-// instances. Third-party policies register with Kind = KindExternal.
+// instances. Third-party policies register the same way.
 type Registration struct {
 	// Name is the canonical lower-case lookup key ("versaslot-bl").
 	Name string
@@ -32,9 +32,6 @@ type Registration struct {
 	// structural virtual/DPR check (e.g. the Big.Little policy requires
 	// a heterogeneous class mix).
 	Supports func(p *fabric.Platform) error
-	// Kind is the built-in enum value used by the paper-figure tables;
-	// KindExternal for policies registered outside this package.
-	Kind Kind
 }
 
 // CompatiblePlatform reports whether a policy registration can drive a
@@ -57,10 +54,6 @@ func CompatiblePlatform(r *Registration, p *fabric.Platform) error {
 	}
 	return nil
 }
-
-// KindExternal marks registrations that are not one of the paper's six
-// built-in systems.
-const KindExternal Kind = -1
 
 // policies is the shared string-keyed table; the farm's dispatcher
 // registry (internal/cluster) uses the same generic helper.
@@ -102,19 +95,6 @@ func Names() []string { return policies.Names() }
 // Registrations returns every registration in registration order.
 func Registrations() []*Registration { return policies.Values() }
 
-// ByKind resolves a built-in registration from its enum value.
-func ByKind(k Kind) (*Registration, bool) {
-	if k == KindExternal {
-		return nil, false
-	}
-	for _, r := range policies.Values() {
-		if r.Kind == k {
-			return r, true
-		}
-	}
-	return nil, false
-}
-
 // regOL and regBL are the two VersaSlot registrations, the
 // policies of a switching pair's boards.
 var regOL, regBL *Registration
@@ -128,44 +108,36 @@ func VersaSlotFor(p *fabric.Platform) *Registration {
 	return regOL
 }
 
-// NameOf returns the canonical registry name of a built-in kind.
-func NameOf(k Kind) string {
-	if r, ok := ByKind(k); ok {
-		return r.Name
-	}
-	return fmt.Sprintf("kind-%d", int(k))
-}
-
 func init() {
 	MustRegister(Registration{
-		Name: "baseline", Title: KindBaseline.String(), Kind: KindBaseline,
+		Name: "baseline", Title: "Baseline",
 		Platform: fabric.ZCU216Monolithic, Core: hypervisor.SingleCore,
 		Factory: func() Policy { return &Exclusive{} },
 	})
 	MustRegister(Registration{
-		Name: "fcfs", Title: KindFCFS.String(), Kind: KindFCFS,
+		Name: "fcfs", Title: "FCFS",
 		Platform: fabric.ZCU216OnlyLittle, Core: hypervisor.SingleCore,
 		Factory: func() Policy { return &FCFS{} },
 	})
 	MustRegister(Registration{
-		Name: "rr", Title: KindRR.String(), Kind: KindRR,
+		Name: "rr", Title: "RR",
 		Platform: fabric.ZCU216OnlyLittle, Core: hypervisor.SingleCore,
 		Factory: func() Policy { return &RR{} },
 	})
 	MustRegister(Registration{
-		Name: "nimblock", Title: KindNimblock.String(), Kind: KindNimblock,
+		Name: "nimblock", Title: "Nimblock",
 		Platform: fabric.ZCU216OnlyLittle, Core: hypervisor.SingleCore,
 		Factory: func() Policy { return &Nimblock{} },
 	})
 	MustRegister(Registration{
 		Name: "versaslot-ol", Aliases: []string{"versaslot-only-little"},
-		Title: KindVersaSlotOL.String(), Kind: KindVersaSlotOL,
+		Title:    "VersaSlot Only.Little",
 		Platform: fabric.ZCU216OnlyLittle, Core: hypervisor.DualCore,
 		Factory: func() Policy { return NewVersaSlotOL() },
 	})
 	MustRegister(Registration{
 		Name: "versaslot-bl", Aliases: []string{"versaslot", "versaslot-big-little"},
-		Title: KindVersaSlotBL.String(), Kind: KindVersaSlotBL,
+		Title:    "VersaSlot Big.Little",
 		Platform: fabric.ZCU216BigLittle, Core: hypervisor.DualCore,
 		Factory: func() Policy { return NewVersaSlotBL() },
 		Supports: func(p *fabric.Platform) error {

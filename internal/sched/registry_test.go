@@ -19,19 +19,13 @@ func TestRegistryBuiltins(t *testing.T) {
 			t.Errorf("Names()[%d] = %q, want %q (paper presentation order)", i, names[i], name)
 		}
 	}
-	for _, k := range Kinds() {
-		r, ok := ByKind(k)
-		if !ok {
-			t.Fatalf("ByKind(%v) not found", k)
-		}
-		if r.Title != k.String() {
-			t.Errorf("ByKind(%v).Title = %q, want %q", k, r.Title, k.String())
+	titles := []string{"Baseline", "FCFS", "RR", "Nimblock", "VersaSlot Only.Little", "VersaSlot Big.Little"}
+	for i, r := range builtins() {
+		if r.Title != titles[i] {
+			t.Errorf("%s: Title = %q, want %q", r.Name, r.Title, titles[i])
 		}
 		if r.Factory == nil {
-			t.Errorf("ByKind(%v) has nil factory", k)
-		}
-		if got := New(k); got.Name() != k.String() {
-			t.Errorf("New(%v).Name() = %q, want %q", k, got.Name(), k.String())
+			t.Errorf("%s has nil factory", r.Name)
 		}
 	}
 }
@@ -42,8 +36,8 @@ func TestRegistryLookupAliases(t *testing.T) {
 		if !ok {
 			t.Fatalf("Lookup(%q) failed", name)
 		}
-		if r.Kind != KindVersaSlotBL {
-			t.Errorf("Lookup(%q).Kind = %v, want KindVersaSlotBL", name, r.Kind)
+		if r.Name != "versaslot-bl" {
+			t.Errorf("Lookup(%q).Name = %q, want versaslot-bl", name, r.Name)
 		}
 	}
 	if _, ok := Lookup("no-such-policy"); ok {
@@ -78,7 +72,6 @@ func TestRegisterExternalPolicy(t *testing.T) {
 	err := Register(Registration{
 		Name:     "test-external",
 		Title:    "Test External",
-		Kind:     KindExternal,
 		Platform: fabric.ZCU216OnlyLittle,
 		Core:     hypervisor.DualCore,
 		Factory:  func() Policy { return NewVersaSlotOL() },
@@ -89,9 +82,6 @@ func TestRegisterExternalPolicy(t *testing.T) {
 	r, ok := Lookup("test-external")
 	if !ok {
 		t.Fatal("Lookup of external policy failed")
-	}
-	if _, found := ByKind(KindExternal); found {
-		t.Error("ByKind(KindExternal) resolved; external policies must be name-addressed only")
 	}
 	if p := r.Factory(); p == nil {
 		t.Error("external factory returned nil policy")

@@ -30,9 +30,6 @@ type rrApp struct {
 
 var _ Policy = (*RR)(nil)
 
-// Name implements Policy.
-func (r *RR) Name() string { return KindRR.String() }
-
 // Init implements Policy. Like FCFS, RR predates DDR bitstream caching.
 func (r *RR) Init(e *Engine) {
 	r.e = e

@@ -48,9 +48,6 @@ var _ Policy = (*VersaSlotBL)(nil)
 // NewVersaSlotBL returns the Big.Little policy.
 func NewVersaSlotBL() *VersaSlotBL { return &VersaSlotBL{} }
 
-// Name implements Policy.
-func (v *VersaSlotBL) Name() string { return KindVersaSlotBL.String() }
-
 // Init implements Policy.
 func (v *VersaSlotBL) Init(e *Engine) {
 	if !e.Board.Platform.Heterogeneous() {

@@ -25,11 +25,10 @@
 // sequence) key inline next to the arena index, 24 bytes each, so
 // sifting reads only the heap slice. Cancels are lazy: a canceled
 // event stays queued until it reaches the head, where Step or a peek
-// (RunTo, RunBefore, RunUntil, AdvanceTo, NextAt) discards it. Because
-// the order is total, none of this changes which event fires next:
-// FuzzKernelDiff and TestKernelDifferentialOrder replay traces of
-// schedules, cancels, every run primitive and horizon drops against a
-// container/heap reference.
+// (RunTo, AdvanceTo, NextAt) discards it. Because the order is total,
+// none of this changes which event fires next: FuzzKernelDiff and
+// TestKernelDifferentialOrder replay traces of schedules, cancels and
+// every run primitive against a container/heap reference.
 //
 // # Handlers
 //

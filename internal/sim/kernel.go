@@ -133,7 +133,6 @@ type Kernel struct {
 	seq      uint64
 	rng      RNG
 	executed uint64
-	maxTime  Time
 	jobs     *Job // recycled pooled server jobs, linked through next
 }
 
@@ -149,7 +148,7 @@ func NewKernel(seed uint64) *Kernel {
 // seeded with seed, so owners can hold kernels inline (a farm's pairs
 // each hold theirs).
 func (k *Kernel) Init(seed uint64) {
-	*k = Kernel{maxTime: MaxTime, next: qent{idx: noNext}, free: noNext}
+	*k = Kernel{next: qent{idx: noNext}, free: noNext}
 	k.rng.Seed(seed)
 }
 
@@ -173,11 +172,6 @@ func (k *Kernel) Executed() uint64 { return k.executed }
 // Pending returns the number of events currently queued (canceled
 // events awaiting lazy removal are not counted).
 func (k *Kernel) Pending() int { return k.live }
-
-// SetHorizon sets the simulation horizon: events scheduled past t are
-// silently dropped when they reach the head of the queue. The default
-// horizon is MaxTime (no dropping).
-func (k *Kernel) SetHorizon(t Time) { k.maxTime = t }
 
 // At schedules fn to run at absolute time t. Scheduling in the past is a
 // programming error and panics: it would violate causality.
@@ -351,12 +345,6 @@ func (k *Kernel) Step() bool {
 			k.release(idx)
 			continue
 		}
-		if s.at > k.maxTime {
-			// Past the horizon: drop silently.
-			k.live--
-			k.release(idx)
-			continue
-		}
 		k.now = s.at
 		k.executed++
 		k.live--
@@ -367,42 +355,12 @@ func (k *Kernel) Step() bool {
 	}
 }
 
-// Run executes events until the queue is empty or the horizon is reached.
-// It returns the final clock value.
+// Run executes events until the queue is empty and returns the final
+// clock value.
 func (k *Kernel) Run() Time {
 	for k.Step() {
 	}
 	return k.now
-}
-
-// RunUntil executes events with timestamps <= t, then advances the clock
-// to t (if the clock is behind it).
-func (k *Kernel) RunUntil(t Time) Time {
-	for {
-		at, ok := k.peek()
-		if !ok || at > t {
-			break
-		}
-		k.Step()
-	}
-	if k.now < t {
-		k.now = t
-	}
-	return k.now
-}
-
-// RunBefore executes every event with a timestamp strictly before t and
-// returns the number executed. Events at exactly t stay queued.
-func (k *Kernel) RunBefore(t Time) int {
-	n := 0
-	for {
-		at, ok := k.peek()
-		if !ok || at >= t {
-			return n
-		}
-		k.Step()
-		n++
-	}
 }
 
 // RunTo executes every event strictly before bound and returns the

@@ -61,7 +61,6 @@ type refKernel struct {
 	now      Time
 	queue    refHeap
 	seq      uint64
-	maxTime  Time
 	executed uint64
 	// onFire, when set, runs for every executed event.
 	onFire func(e *refEvent)
@@ -89,22 +88,18 @@ func (r *refKernel) nextAt() (Time, bool) {
 	return r.queue[0].at, true
 }
 
-// step executes the next event within the horizon, dropping the ones
-// past it on the way.
+// step executes the next event.
 func (r *refKernel) step() bool {
-	for len(r.queue) > 0 {
-		e := heap.Pop(&r.queue).(*refEvent)
-		if e.at > r.maxTime {
-			continue
-		}
-		r.now = e.at
-		r.executed++
-		if r.onFire != nil {
-			r.onFire(e)
-		}
-		return true
+	if len(r.queue) == 0 {
+		return false
 	}
-	return false
+	e := heap.Pop(&r.queue).(*refEvent)
+	r.now = e.at
+	r.executed++
+	if r.onFire != nil {
+		r.onFire(e)
+	}
+	return true
 }
 
 func (r *refKernel) run() {
@@ -125,32 +120,6 @@ func (r *refKernel) runTo(bound Time) Time {
 	}
 }
 
-func (r *refKernel) runBefore(t Time) int {
-	n := 0
-	for {
-		at, ok := r.nextAt()
-		if !ok || at >= t {
-			return n
-		}
-		r.step()
-		n++
-	}
-}
-
-func (r *refKernel) runUntil(t Time) Time {
-	for {
-		at, ok := r.nextAt()
-		if !ok || at > t {
-			break
-		}
-		r.step()
-	}
-	if r.now < t {
-		r.now = t
-	}
-	return r.now
-}
-
 func (r *refKernel) advanceTo(t Time) {
 	if t > r.now {
 		r.now = t
@@ -166,11 +135,8 @@ const (
 	opCancelMin               // cancel the earliest pending event
 	opStep                    // Step once
 	opRunTo                   // RunTo(now + arg µs)
-	opRunBefore               // RunBefore(now + arg µs)
-	opRunUntil                // RunUntil(now + arg µs)
 	opAdvanceTo               // AdvanceTo(now + arg µs), clipped to the next event
 	opNextAt                  // NextAt
-	opHorizon                 // SetHorizon(now + arg µs); arg 0xFFFF lifts it
 	numOps
 )
 
@@ -223,13 +189,13 @@ func decodeTrace(b []byte) []traceOp {
 // genTrace builds a deterministic pseudo-random trace: bursts of
 // same-instant events, priority ties, wide delay spread, chained
 // follow-ups, cancels of live, fired, already-canceled and earliest
-// events, interleaved with every run primitive and horizon drops.
+// events, interleaved with every run primitive.
 func genTrace(seed uint64, n int) []traceOp {
 	rng := NewRNG(seed)
 	ops := make([]traceOp, 0, n)
 	for i := 0; i < n; i++ {
 		op := traceOp{kind: opSchedule}
-		switch r := rng.Intn(40); {
+		switch r := rng.Intn(36); {
 		case r < 4: // same-instant burst member
 			op.arg = 5000
 		case r < 8: // priority tie at a shared instant
@@ -249,20 +215,12 @@ func genTrace(seed uint64, n int) []traceOp {
 			op.kind = opCancelMin
 		case r < 28:
 			op.kind = opStep
-		case r < 30:
-			op.kind, op.arg = opRunTo, uint16(rng.IntRange(0, 3000))
 		case r < 32:
-			op.kind, op.arg = opRunBefore, uint16(rng.IntRange(0, 3000))
+			op.kind, op.arg = opRunTo, uint16(rng.IntRange(0, 3000))
 		case r < 34:
-			op.kind, op.arg = opRunUntil, uint16(rng.IntRange(0, 3000))
-		case r < 36:
 			op.kind, op.arg = opAdvanceTo, uint16(rng.IntRange(0, 3000))
-		case r < 38:
-			op.kind = opNextAt
-		case r < 39:
-			op.kind, op.arg = opHorizon, uint16(rng.IntRange(5000, 60000))
 		default:
-			op.kind, op.arg = opHorizon, 0xFFFF
+			op.kind = opNextAt
 		}
 		ops = append(ops, op)
 	}
@@ -350,14 +308,6 @@ func (d *diffRun) apply(i int, op traceOp) {
 		if got, want := d.k.RunTo(now.Add(arg)), d.ref.runTo(now.Add(arg)); got != want {
 			d.fatalf(i, op, "RunTo = %v, reference %v", got, want)
 		}
-	case opRunBefore:
-		if got, want := d.k.RunBefore(now.Add(arg)), d.ref.runBefore(now.Add(arg)); got != want {
-			d.fatalf(i, op, "RunBefore ran %d, reference %d", got, want)
-		}
-	case opRunUntil:
-		if got, want := d.k.RunUntil(now.Add(arg)), d.ref.runUntil(now.Add(arg)); got != want {
-			d.fatalf(i, op, "RunUntil = %v, reference %v", got, want)
-		}
 	case opAdvanceTo:
 		t := now.Add(arg)
 		if at, ok := d.ref.nextAt(); ok && at < t {
@@ -371,13 +321,6 @@ func (d *diffRun) apply(i int, op traceOp) {
 		if gotAt != wantAt || gotOK != wantOK {
 			d.fatalf(i, op, "NextAt = %v,%v, reference %v,%v", gotAt, gotOK, wantAt, wantOK)
 		}
-	case opHorizon:
-		h := MaxTime
-		if op.arg != 0xFFFF {
-			h = now.Add(arg)
-		}
-		d.k.SetHorizon(h)
-		d.ref.maxTime = h
 	}
 	d.check(i, op)
 }
@@ -409,7 +352,7 @@ func (d *diffRun) check(i int, op traceOp) {
 // then drains both.
 func diffTrace(t testing.TB, ops []traceOp) {
 	t.Helper()
-	d := &diffRun{t: t, k: NewKernel(1), ref: &refKernel{maxTime: MaxTime}}
+	d := &diffRun{t: t, k: NewKernel(1), ref: &refKernel{}}
 	d.ref.onFire = d.rfire
 	for i, op := range ops {
 		d.apply(i, op)
@@ -421,8 +364,7 @@ func diffTrace(t testing.TB, ops []traceOp) {
 
 // TestKernelDifferentialOrder replays random traces through the kernel
 // and the reference binary heap — schedules, cancels (the current
-// minimum included), every run primitive and horizon drops — and
-// asserts both fire the same events in the same order with the same
+// minimum included) and every run primitive — and asserts both fire the same events in the same order with the same
 // clocks and return values.
 func TestKernelDifferentialOrder(t *testing.T) {
 	for seed := uint64(1); seed <= 25; seed++ {

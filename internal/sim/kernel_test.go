@@ -166,7 +166,7 @@ func TestKernelSameInstantFIFOAcrossRebalancing(t *testing.T) {
 	}
 	// Drain the fillers so their slots recycle, then add more
 	// same-instant events into recycled slots.
-	k.RunUntil(Time(10 * Millisecond))
+	k.RunTo(Time(10*Millisecond) + 1)
 	for i := 64; i < 96; i++ {
 		i := i
 		k.At(Time(50*Millisecond), func() { order = append(order, i) })
@@ -179,30 +179,6 @@ func TestKernelSameInstantFIFOAcrossRebalancing(t *testing.T) {
 		if v != i {
 			t.Fatalf("same-instant events out of FIFO order at %d: %v", i, order[:i+1])
 		}
-	}
-}
-
-// TestKernelHorizonDrop: events past the horizon are dropped silently —
-// never executed, never advancing the clock.
-func TestKernelHorizonDrop(t *testing.T) {
-	k := NewKernel(1)
-	k.SetHorizon(Time(10 * Millisecond))
-	var fired []int
-	k.Schedule(5*Millisecond, func() { fired = append(fired, 1) })
-	k.Schedule(20*Millisecond, func() { fired = append(fired, 2) })
-	k.Schedule(10*Millisecond, func() { fired = append(fired, 3) })
-	k.Run()
-	if len(fired) != 2 || fired[0] != 1 || fired[1] != 3 {
-		t.Fatalf("fired %v, want [1 3]", fired)
-	}
-	if k.Now() != Time(10*Millisecond) {
-		t.Fatalf("clock advanced to %v past horizon", k.Now())
-	}
-	if k.Executed() != 2 {
-		t.Fatalf("executed %d, want 2", k.Executed())
-	}
-	if k.Pending() != 0 {
-		t.Fatalf("pending %d after drop, want 0", k.Pending())
 	}
 }
 
@@ -250,24 +226,6 @@ func TestKernelNilCallbackPanics(t *testing.T) {
 		}
 	}()
 	k.Schedule(0, nil)
-}
-
-func TestKernelRunUntil(t *testing.T) {
-	k := NewKernel(1)
-	var fired []int
-	k.Schedule(10*Millisecond, func() { fired = append(fired, 1) })
-	k.Schedule(30*Millisecond, func() { fired = append(fired, 2) })
-	k.RunUntil(Time(20 * Millisecond))
-	if len(fired) != 1 {
-		t.Fatalf("RunUntil executed %d events, want 1", len(fired))
-	}
-	if k.Now() != Time(20*Millisecond) {
-		t.Fatalf("clock %v, want 20ms", k.Now())
-	}
-	k.Run()
-	if len(fired) != 2 {
-		t.Fatalf("remaining event not run")
-	}
 }
 
 func TestKernelNestedScheduling(t *testing.T) {
@@ -375,16 +333,15 @@ func TestTimeHelpers(t *testing.T) {
 }
 
 // TestKernelInitInPlace checks that Init makes a kernel in place that
-// behaves like NewKernel's, including over a kernel that already ran:
-// clock at zero, nothing queued, the horizon lifted, and the RNG (held
-// by value) drawing NewRNG's sequence for the seed.
+// behaves like NewKernel's, including over a kernel that already ran
+// and still holds an event: clock at zero, nothing queued, and the RNG
+// (held by value) drawing NewRNG's sequence for the seed.
 func TestKernelInitInPlace(t *testing.T) {
 	var ks [2]Kernel
 	ks[1].Init(9)
-	ks[1].SetHorizon(Time(5 * Microsecond))
 	ks[1].Schedule(Microsecond, func() {})
 	ks[1].Schedule(10*Microsecond, func() {})
-	ks[1].Run()
+	ks[1].RunTo(Time(5 * Microsecond))
 	ks[1].RNG().Uint64()
 	for i := range ks {
 		k := &ks[i]
@@ -400,8 +357,8 @@ func TestKernelInitInPlace(t *testing.T) {
 		}
 		fired := false
 		k.Schedule(10*Microsecond, func() { fired = true })
-		if k.Run(); !fired {
-			t.Errorf("kernel %d: an event past the old horizon did not fire", i)
+		if k.Run(); !fired || k.Executed() != 1 {
+			t.Errorf("kernel %d: fired %v, executed %d; want only the new event", i, fired, k.Executed())
 		}
 	}
 }

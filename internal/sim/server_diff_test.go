@@ -164,7 +164,7 @@ type serverDiff struct {
 }
 
 func newServerDiff(t testing.TB) *serverDiff {
-	d := &serverDiff{t: t, k: NewKernel(1), ref: &refKernel{maxTime: MaxTime}}
+	d := &serverDiff{t: t, k: NewKernel(1), ref: &refKernel{}}
 	d.ref.onFire = func(e *refEvent) { d.rsrv[e.label].finish() }
 	for i := range d.srv {
 		s := &d.srv[i]

@@ -322,7 +322,8 @@ func (fr *farmRun) result() *Result {
 	sum := f.Run()
 	if s.Topology == TopologySingle {
 		p := f.Pairs[0]
-		out := &Result{Scenario: s.Name, Topology: s.Topology, Policy: p.Cfg.Policy.Name, PolicyTitle: p.Cfg.Policy.Title,
+		reg := p.Cfg.Policy
+		out := &Result{Scenario: s.Name, Topology: s.Topology, Policy: reg.Name, PolicyTitle: reg.Title,
 			Platform: p.Platform(p.ActiveMode()).Name, Condition: fr.condition, Seed: s.Seed}
 		out.setMetricsMode(s)
 		out.fillFromBoards(f.Pairs)

@@ -397,7 +397,7 @@ func (s Scenario) Validate() error {
 		}
 		// The baseline's full reconfiguration never streams partial
 		// bitstreams, so a pr-flaky injector would be silently ignored.
-		if reg, ok := sched.Lookup(s.Policy); ok && reg.Kind == sched.KindBaseline {
+		if reg, ok := sched.Lookup(s.Policy); ok && reg.Name == "baseline" {
 			for _, inj := range s.Faults.Injectors {
 				if r, ok := fault.Lookup(inj.Kind); ok && r.Name == fault.KindPRFlaky {
 					return fmt.Errorf("versaslot: the %s injector does not apply to policy %q (its full reconfiguration streams no partial bitstreams)",
